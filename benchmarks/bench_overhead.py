@@ -1,9 +1,14 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Three measurements:
+Four measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
+* clone-restore cost as a function of RIB size, and the share of the
+  restored routes that *are* the checkpoint's objects — expected: linear
+  in the spine, and exactly 1.0 (a copy reintroduced anywhere between
+  ``export_state`` and ``import_state`` drops it to 0.0, which the CI
+  regression gate catches without a wall-clock threshold);
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -59,10 +64,46 @@ def test_checkpoint_cost_vs_rib_size(benchmark, routes):
     print(f"\n  routes={routes:<6} retained={size / 1024:.0f} KiB")
     benchlib.record(
         "overhead",
-        metrics={f"checkpoint_kib_at_{routes}_routes": round(size / 1024, 1)},
+        metrics={
+            f"checkpoint_kib_at_{routes}_routes": round(size / 1024, 1),
+            f"checkpoint_ms_at_{routes}_routes": round(
+                benchmark.stats.stats.mean * 1000, 3
+            ),
+        },
         config={"workers": benchlib.workers()},
     )
     assert len(checkpoint.state["loc_rib"]) == routes
+
+
+@pytest.mark.parametrize("routes", [10, 100, 1000, 5000])
+def test_clone_restore_cost_vs_rib_size(benchmark, routes):
+    """Restoring a clone builds RIB spines around the checkpoint's own
+    route objects: time scales with RIB size, no route is copied."""
+    checkpoint = capture(router_with_routes(routes), 0.0)
+
+    def restore():
+        clone = BGPRouter(checkpoint.state["config"])
+        checkpoint.restore_into(clone)
+        return clone
+
+    clone = benchmark(restore)
+    shared = sum(
+        clone.loc_rib.get(prefix) is route
+        for prefix, route in checkpoint.state["loc_rib"]
+    )
+    sharing = shared / routes
+    print(f"\n  routes={routes:<6} shared with checkpoint={sharing:.0%}")
+    benchlib.record(
+        "overhead",
+        metrics={
+            f"restore_ms_at_{routes}_routes": round(
+                benchmark.stats.stats.mean * 1000, 3
+            ),
+            "clone_route_sharing": sharing,
+        },
+    )
+    assert len(clone.loc_rib) == routes
+    assert sharing == 1.0
 
 
 @pytest.mark.parametrize("scale", [

@@ -44,6 +44,7 @@ GATED_METRICS = {
     "sat_rate": "higher",
     "unique_paths": "higher",
     "branch_coverage": "higher",
+    "clone_route_sharing": "higher",
     "bytes_shipped": "lower",
     "bytes_shipped_per_cycle": "lower",
     "wire_to_delta_ratio": "lower",

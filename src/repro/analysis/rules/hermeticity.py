@@ -78,7 +78,7 @@ class WireDataclassFields:
     id = "HRM001"
     summary = ("transport-shipped dataclass with unannotated or "
                "unpicklable fields")
-    invariant = "clones share nothing with the live system (invariant 5)"
+    invariant = "clones share nothing mutable with the live system (invariant 5)"
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module_name, class_names in contracts.WIRE_DATACLASSES.items():
@@ -200,7 +200,7 @@ class WorkerGlobalState:
     id = "HRM002"
     summary = ("worker-reachable code touching os.environ or "
                "module-level mutable state")
-    invariant = "clones share nothing with the live system (invariant 5)"
+    invariant = "clones share nothing mutable with the live system (invariant 5)"
 
     def check(self, project: Project) -> Iterable[Finding]:
         reachable = _worker_modules(project)

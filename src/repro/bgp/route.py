@@ -10,7 +10,7 @@ on-the-wire part.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Any
+from typing import Any, Mapping
 
 from repro.bgp.attributes import PathAttributes
 from repro.bgp.ip import IPv4Address, Prefix
@@ -18,6 +18,34 @@ from repro.bgp.ip import IPv4Address, Prefix
 SOURCE_EBGP = "ebgp"
 SOURCE_IBGP = "ibgp"
 SOURCE_STATIC = "static"
+
+
+class _ReadOnlyDict(dict):
+    """A dict that rejects writes once built (the type of ``Route.sym``).
+
+    Routes are shared, not copied, between the live router, its
+    checkpoints and every clone, so a write through one holder would
+    reach all of them.  Unlike ``MappingProxyType`` this pickles.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args: Any, **kwargs: Any):
+        raise TypeError(
+            "Route.sym is read-only; build a new Route with dataclasses.replace"
+        )
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return (_ReadOnlyDict, (dict(self),))
+
+
+# Routes without shadows (all of them, outside exploration clones) share
+# one empty mapping: nothing to allocate per route, and a pickled
+# snapshot holds it once.
+_NO_SYM = _ReadOnlyDict()
 
 
 @dataclass(frozen=True)
@@ -35,11 +63,16 @@ class Route:
     # "local_pref", "med", "preferred") to symbolic expressions, so the
     # policy interpreter and decision process can branch symbolically
     # even after the concrete values were fixed.  Not part of identity.
-    sym: dict[str, Any] = field(default_factory=dict, compare=False, hash=False)
+    # Read-only: planting a shadow means building a new Route.
+    sym: Mapping[str, Any] = field(
+        default_factory=lambda: _NO_SYM, compare=False, hash=False
+    )
 
     def __post_init__(self):
         if self.source not in (SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC):
             raise ValueError(f"bad route source {self.source!r}")
+        if type(self.sym) is not _ReadOnlyDict:
+            object.__setattr__(self, "sym", _ReadOnlyDict(self.sym))
 
     def with_attributes(self, attributes: PathAttributes) -> "Route":
         """Copy with replaced attributes (policy actions use this)."""

@@ -22,6 +22,7 @@ checker distinguishes this from protocol-error NOTIFICATIONs.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable
 
 from repro.bgp import faults
@@ -500,17 +501,7 @@ class BGPRouter(Process):
             shadows["med"] = faults.buggy_med(med, True)
         if shadows == route.sym:
             return route
-        adjusted = Route(
-            prefix=route.prefix,
-            attributes=route.attributes,
-            source=route.source,
-            peer=route.peer,
-            peer_as=route.peer_as,
-            peer_bgp_id=route.peer_bgp_id,
-            received_at=route.received_at,
-            sym=shadows,
-        )
-        return adjusted
+        return replace(route, sym=shadows)
 
     # -- export -------------------------------------------------------------------
 
@@ -601,15 +592,8 @@ class BGPRouter(Process):
         # contains the neighbor's AS (it would be loop-rejected anyway).
         if not is_ibgp_peer and attrs.as_path.contains(neighbor.peer_as):
             return None
-        exported = Route(
-            prefix=route.prefix,
-            attributes=attrs,
-            source=route.source,
-            peer=route.peer,
-            peer_as=route.peer_as,
-            peer_bgp_id=route.peer_bgp_id,
-            received_at=route.received_at,
-        )
+        # Symbolic shadows stay local: they never reach the wire.
+        exported = replace(route, sym={}) if route.sym else route
         result = self._eval_filter(peer, exported, direction="export")
         if result is not None:
             if result.fell_through:
@@ -705,8 +689,8 @@ class BGPRouter(Process):
     def export_state(self) -> dict[str, Any]:
         """Full protocol state for DiCE checkpoints.
 
-        Routes and attributes are immutable, so the checkpoint layer can
-        share them structurally; sessions and RIB containers are rebuilt.
+        Every container is built here; the routes, attributes, RIB
+        changes and config inside are immutable and shared as they are.
         """
         state = super().export_state()
         state.update(
@@ -745,7 +729,7 @@ class BGPRouter(Process):
         return state
 
     def import_state(self, state: dict[str, Any]) -> None:
-        """Restore from :meth:`export_state` output."""
+        """Restore from :meth:`export_state` output, rebuilding every container."""
         self.config = state["config"]
         self.sessions = {
             peer: Session.import_state(session_state)

@@ -1,19 +1,20 @@
 """Lightweight node checkpoints.
 
-A :class:`NodeCheckpoint` captures one node's exported protocol state.
-"Lightweight" is made concrete two ways:
+A :class:`NodeCheckpoint` holds what one node's ``export_state``
+returned; nothing copies it again.  "Lightweight" is made concrete two ways:
 
-* **structural sharing** — routes, prefixes, AS paths and attributes are
-  immutable (their ``__deepcopy__`` returns ``self``), so a checkpoint
-  deep-copies only the mutable containers around them.  Checkpointing a
-  RIB of 10k routes copies dict/list spines, not 10k route objects;
+* **structural sharing** — ``export_state`` builds fresh containers
+  around immutable leaves (routes, attributes, AS paths, prefixes,
+  configs, filters) and ``import_state`` builds the clone's own, so the
+  live router, the checkpoint and every clone share the leaves and no
+  container.  Checkpointing a RIB of 10k routes builds dict/list
+  spines, not 10k route objects;
 * **measurability** — :func:`checkpoint_size` estimates the checkpoint's
   retained size so EXP-OVERHEAD can chart cost against RIB size.
 """
 
 from __future__ import annotations
 
-import copy
 import sys
 import time
 from dataclasses import dataclass, field
@@ -34,17 +35,17 @@ class NodeCheckpoint:
     def restore_into(self, process: Process) -> None:
         """Load this checkpoint into a (cloned) process.
 
-        The state is deep-copied *again* on restore so that two clones
-        restored from the same checkpoint can never share mutable state
-        — the isolation property the exploration layer depends on.
+        ``import_state`` keeps no container it is handed, so clones
+        restored from one checkpoint share only immutable leaves with it
+        and each other — the isolation the exploration layer depends on.
         """
-        process.import_state(copy.deepcopy(self.state))
+        process.import_state(self.state)
 
 
 def capture(process: Process, now: float) -> NodeCheckpoint:
     """Checkpoint one process."""
     started = time.perf_counter()
-    state = copy.deepcopy(process.export_state())
+    state = process.export_state()
     wall = time.perf_counter() - started
     return NodeCheckpoint(
         node=process.name, taken_at=now, state=state, wall_time_s=wall

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
@@ -143,7 +143,7 @@ class Explorer:
     claims, and :class:`ExplorationConfig` (including its seed), an
     exploration session produces identical reports in any process —
     every RNG is derived from the config seed, clones share nothing
-    with the live system, and the hand-in solver cache only ever
+    mutable with the live system, and the hand-in solver cache only ever
     short-circuits work it can prove equivalent (models are re-verified
     on every hit).
     """
@@ -511,7 +511,8 @@ class Explorer:
             clone = self._new_clone(seed)
             clone_router = clone.processes[node]
             for index, peer in enumerate(candidate_peers):
-                route = clone_router.adj_rib_in[peer].get(target)
+                rib = clone_router.adj_rib_in[peer]
+                route = rib.get(target)
                 if route is None:
                     continue
                 base = 4 * index
@@ -523,7 +524,9 @@ class Explorer:
                 )
                 if not isinstance(shadow, SymInt):
                     continue
-                route.sym["local_pref"] = shadow
+                # Routes are shared with the snapshot and its other
+                # clones: plant the shadow on a copy, in this RIB only.
+                rib.update(replace(route, sym={**route.sym, "local_pref": shadow}))
             clone_router.rerun_decision([target])
             best = clone_router.loc_rib.get(target)
             winner = "none" if best is None else (best.peer or "local")

@@ -20,8 +20,10 @@ protocol logic for snapshot support.
 A captured :class:`Snapshot` can be **cloned** into a brand-new network:
 fresh simulator, fresh processes rebuilt by a factory, node states
 restored from checkpoints, and the recorded channel messages re-injected
-with their relative delivery offsets.  Clones share no mutable state
-with the live system (asserted by tests), which is what lets DiCE
+with their relative delivery offsets.  Clones share immutable leaves
+(routes, attributes, configs, message bytes) with the snapshot, the live
+system and each other, and no mutable state (asserted by the aliasing
+test in ``tests/core/test_checkpoint.py``), which is what lets DiCE
 explore "alongside the deployed system but in isolation from it".
 """
 

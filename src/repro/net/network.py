@@ -6,7 +6,7 @@ It also implements the two hooks DiCE needs from its substrate:
 * **in-flight capture** — a consistent snapshot must include channel state,
   so the network can enumerate messages currently scheduled for delivery
   (:meth:`in_flight`);
-* **pause/clone support** — the orchestrator deep-copies exported node
+* **pause/clone support** — the orchestrator restores exported node
   states and in-flight messages into a *fresh* network, never sharing
   mutable state with the live one (see :mod:`repro.core.snapshot`).
 """

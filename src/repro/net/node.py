@@ -3,8 +3,8 @@
 A :class:`Process` is a named node attached to a :class:`~repro.net.network.
 Network`.  Subclasses implement :meth:`on_message` and may arm named timers.
 The base class also defines the checkpoint contract used by DiCE
-(:meth:`export_state` / :meth:`import_state`): subclasses return a plain,
-deep-copyable structure describing their full protocol state, and can be
+(:meth:`export_state` / :meth:`import_state`): subclasses return their
+full protocol state as fresh containers over immutable leaves, and can be
 reconstructed from it inside a cloned simulation.
 """
 
@@ -94,7 +94,11 @@ class Process:
     # -- checkpoint contract -------------------------------------------------
 
     def export_state(self) -> dict[str, Any]:
-        """Return a deep-copyable snapshot of the full protocol state.
+        """Return a snapshot of the full protocol state.
+
+        Contract: every container in the result, at any depth, is newly
+        built and held by nobody else, and holds only immutable leaves.
+        Checkpoints store the result as is; nothing copies it again.
 
         Subclasses extend the returned dict; the base records armed timers
         as (name, remaining-delay) pairs so a restored clone re-arms them.
@@ -108,7 +112,11 @@ class Process:
         return {"timers": remaining}
 
     def import_state(self, state: dict[str, Any]) -> None:
-        """Restore the state produced by :meth:`export_state`."""
+        """Restore the state produced by :meth:`export_state`.
+
+        Contract: keep no container from ``state`` and write to none —
+        every clone of one checkpoint is handed the same ``state``.
+        """
         self.cancel_all_timers()
         for name, delay in state.get("timers", {}).items():
             self.set_timer(name, delay)

@@ -1,5 +1,7 @@
 """Tests for the filter interpreter."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.bgp.attributes import AsPath, Origin, PathAttributes
@@ -242,7 +244,7 @@ class TestRuntimeErrors:
 class TestSymbolicShadows:
     def test_shadowed_local_pref_read(self):
         route = make_route(local_pref=100)
-        route.sym["local_pref"] = 55
+        route = replace(route, sym={"local_pref": 55})
         result = run(
             "filter f { if bgp_local_pref = 55 then accept; reject; }", route
         )
@@ -251,8 +253,9 @@ class TestSymbolicShadows:
     def test_shadowed_prefix_match(self):
         route = make_route("10.1.0.0/16")
         # Shadow pretends the prefix is 192.168/16.
-        route.sym["pfx_network"] = 0xC0A80000
-        route.sym["pfx_length"] = 16
+        route = replace(
+            route, sym={"pfx_network": 0xC0A80000, "pfx_length": 16}
+        )
         source = (
             "filter f { if net ~ [ 192.168.0.0/16 ] then accept; reject; }"
         )

@@ -1,5 +1,8 @@
 """Tests for route objects."""
 
+import pickle
+from dataclasses import replace
+
 import pytest
 
 from repro.bgp.attributes import AsPath, PathAttributes
@@ -51,7 +54,7 @@ class TestRoute:
             attributes=route.attributes.replace(local_pref=150)
         )
         assert route.effective_local_pref() == 150
-        route.sym["local_pref"] = 999
+        route = replace(route, sym={"local_pref": 999})
         assert route.effective_local_pref() == 999
 
     def test_effective_med_priority(self):
@@ -59,14 +62,28 @@ class TestRoute:
         assert route.effective_med() == 0
         route = make_route(attributes=route.attributes.replace(med=5))
         assert route.effective_med() == 5
-        route.sym["med"] = 77
+        route = replace(route, sym={"med": 77})
         assert route.effective_med() == 77
 
     def test_sym_excluded_from_equality(self):
         a = make_route()
-        b = make_route()
-        b.sym["local_pref"] = 1
+        b = make_route(sym={"local_pref": 1})
         assert a == b
+
+    def test_sym_is_read_only_and_pickles(self):
+        route = make_route(sym={"local_pref": 1})
+        for write in (
+            lambda: route.sym.__setitem__("med", 2),
+            lambda: route.sym.update(med=2),
+            lambda: route.sym.pop("local_pref"),
+            lambda: route.sym.clear(),
+        ):
+            with pytest.raises(TypeError):
+                write()
+        restored = pickle.loads(pickle.dumps(route))
+        assert restored.sym == {"local_pref": 1}
+        with pytest.raises(TypeError):
+            restored.sym["med"] = 2
 
     def test_describe_mentions_prefix_and_peer(self):
         text = make_route().describe()

@@ -1,8 +1,20 @@
 """Tests for lightweight node checkpoints."""
 
-from repro.bgp.ip import Prefix
+import pickle
+from collections import deque
+from dataclasses import replace
+
+import pytest
+
+from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.config import AddNetwork, RemoveNetwork, RouterConfig
+from repro.bgp.damping import FLAP_WITHDRAW, DampingParams
+from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.rib import RibChange
+from repro.bgp.route import Route
 from repro.bgp.router import BGPRouter
 from repro.core.checkpoint import capture, checkpoint_size
+from repro.core.live import LiveSystem, bgp_process_factory
 
 
 class TestCapture:
@@ -29,8 +41,6 @@ class TestCapture:
         checkpoint = capture(router, 0.0)
         routes_before = len(checkpoint.state["loc_rib"])
         # Mutate the live router heavily.
-        from repro.bgp.config import RemoveNetwork
-
         router.apply_config_change(RemoveNetwork(Prefix("10.2.0.0/16")))
         for peer in list(router.adj_rib_in):
             router.adj_rib_in[peer].clear()
@@ -55,8 +65,6 @@ class TestSize:
         assert checkpoint_size(checkpoint) > 0
 
     def test_size_grows_with_rib(self, converged3):
-        from repro.bgp.config import AddNetwork
-
         router = converged3.router("r2")
         small = checkpoint_size(capture(router, 0.0))
         for index in range(200):
@@ -65,3 +73,183 @@ class TestSize:
             )
         large = checkpoint_size(capture(router, 0.0))
         assert large > small
+
+
+# -- zero-copy isolation (docs/architecture.md invariant 5) -----------------
+
+# What a checkpoint, its clones and the live router are allowed to share.
+_ATOMS = (str, bytes, int, float, bool, type(None))
+_IMMUTABLE_LEAVES = (
+    Route, PathAttributes, AsPath, Prefix, IPv4Address, RibChange,
+    RouterConfig, DampingParams,
+)
+_SHAREABLE = _ATOMS + _IMMUTABLE_LEAVES
+# Everything a router's import_state rebuilds.  `network`, the hooks and
+# the timer callbacks lead back into the owning simulation, not into state.
+_STATE_ATTRS = (
+    "sessions", "adj_rib_in", "adj_rib_out", "loc_rib", "_pending_export",
+    "dampener", "_timers",
+)
+
+
+def mutable_objects(*roots) -> dict[int, object]:
+    """Every object reachable from ``roots`` that is not an immutable
+    leaf, keyed by identity.  Tuples are looked through."""
+    found: dict[int, object] = {}
+    stack = list(roots)
+    while stack:
+        obj = stack.pop()
+        if isinstance(obj, _SHAREABLE) or callable(obj):
+            continue
+        if isinstance(obj, (tuple, frozenset)):
+            stack.extend(obj)
+            continue
+        if id(obj) in found:
+            continue
+        found[id(obj)] = obj
+        if isinstance(obj, dict):
+            stack.extend(obj.keys())
+            stack.extend(obj.values())
+        elif isinstance(obj, (list, set, deque)):
+            stack.extend(obj)
+        else:
+            slots = getattr(type(obj), "__slots__", ())
+            stack.extend(getattr(obj, slot) for slot in slots if hasattr(obj, slot))
+            stack.extend(getattr(obj, "__dict__", {}).values())
+    return found
+
+
+def router_state_objects(network) -> dict[int, object]:
+    return mutable_objects(
+        *(
+            getattr(router, attr)
+            for router in network.processes.values()
+            for attr in _STATE_ATTRS
+        )
+    )
+
+
+def exported(network) -> dict[str, dict]:
+    return {name: p.export_state() for name, p in sorted(network.processes.items())}
+
+
+@pytest.fixture(scope="module")
+def demo27_mid_churn(demo27_topology):
+    """demo27 with MRAI and damping on, snapshotted just after a stub
+    flapped, so that pending-export maps, dampener entries and MRAI/hold
+    timers are all populated when the cut is taken."""
+    configs = [
+        replace(config, mrai=2.0, damping=DampingParams())
+        for config in demo27_topology.configs
+    ]
+    live = LiveSystem.build(configs, demo27_topology.links, seed=27)
+    live.converge(deadline=600)
+    stub = demo27_topology.nodes_in_tier(3)[0]
+    prefix = live.router(stub).config.networks[0]
+    live.apply_change(stub, RemoveNetwork(prefix))
+    live.run(until=live.network.sim.now + 0.5)
+    live.apply_change(stub, AddNetwork(prefix))
+    live.run(until=live.network.sim.now + 0.3)
+    snapshot = live.coordinator.capture(demo27_topology.nodes_in_tier(1)[0])
+    return live, snapshot
+
+
+def wreck(clone) -> None:
+    """Write to every container of every router in ``clone``."""
+    bogus = Prefix("203.0.113.0/24")
+    for router in clone.processes.values():
+        router.apply_config_change(AddNetwork(bogus))
+        for session in router.sessions.values():
+            session.stats.updates_received += 1000
+            session.reset()
+        for peer, rib in router.adj_rib_in.items():
+            for route in list(rib.routes()):
+                if router.dampener is not None:
+                    router.dampener.record_flap(
+                        peer, route.prefix, FLAP_WITHDRAW, clone.sim.now
+                    )
+            rib.clear()
+            rib.update(router._static_route(bogus))
+        for rib in router.adj_rib_out.values():
+            rib.clear()
+        for prefix in list(router.loc_rib.prefixes()):
+            router.loc_rib.set(clone.sim.now, prefix, None)
+        for pending in router._pending_export.values():
+            pending.clear()
+        router._pending_export["nobody"] = {}
+        if router.dampener is not None:
+            router.dampener._entries.clear()
+        router.cancel_all_timers()
+        router.set_timer("bogus", 1.0)
+        router.sessions.clear()
+        router.adj_rib_in.clear()
+        router.adj_rib_out.clear()
+
+
+class TestZeroCopyIsolation:
+    def test_fixture_populates_every_container(self, demo27_mid_churn):
+        _, snapshot = demo27_mid_churn
+        states = [cp.state for cp in snapshot.checkpoints.values()]
+        for key in ("timers", "sessions", "adj_rib_in", "adj_rib_out",
+                    "loc_rib", "pending_export", "damping"):
+            assert any(state[key] for state in states), key
+        assert any(p for s in states for p in s["pending_export"].values())
+
+    def test_only_immutable_leaves_are_shared(self, demo27_mid_churn):
+        """Export side: checkpoint vs live.  Import side: clone vs
+        checkpoint, clone vs clone.  No container in common anywhere."""
+        live, snapshot = demo27_mid_churn
+        holders = {
+            "live": router_state_objects(live.network),
+            "snapshot": mutable_objects(
+                *(cp.state for cp in snapshot.checkpoints.values())
+            ),
+            "clone_a": router_state_objects(
+                snapshot.clone(bgp_process_factory, seed=1)
+            ),
+            "clone_b": router_state_objects(
+                snapshot.clone(bgp_process_factory, seed=2)
+            ),
+        }
+        names = sorted(holders)
+        for i, first in enumerate(names):
+            assert len(holders[first]) > 27  # the walk found the containers
+            for second in names[i + 1:]:
+                shared = holders[first].keys() & holders[second].keys()
+                assert not shared, (
+                    f"{first} and {second} share "
+                    f"{sorted({type(holders[first][k]).__name__ for k in shared})}"
+                )
+
+    def test_routes_are_shared_not_copied(self, demo27_mid_churn):
+        _, snapshot = demo27_mid_churn
+        clone = snapshot.clone(bgp_process_factory, seed=1)
+        for name, checkpoint in snapshot.checkpoints.items():
+            router = clone.processes[name]
+            for peer, routes in checkpoint.state["adj_rib_in"].items():
+                for route in routes:
+                    assert router.adj_rib_in[peer].get(route.prefix) is route
+            for prefix, route in checkpoint.state["loc_rib"]:
+                assert router.loc_rib.get(prefix) is route
+            assert router.config is checkpoint.state["config"]
+
+    def test_wrecking_one_clone_leaves_everyone_else_unchanged(
+        self, demo27_mid_churn
+    ):
+        live, snapshot = demo27_mid_churn
+        clone_a = snapshot.clone(bgp_process_factory, seed=1)
+        clone_b = snapshot.clone(bgp_process_factory, seed=2)
+        snapshot_bytes = pickle.dumps(snapshot)
+        live_before = exported(live.network)
+        b_before = exported(clone_b)
+        assert exported(clone_a) == b_before
+
+        clone_a.run(until=clone_a.sim.now + 30.0)
+        wreck(clone_a)
+        assert exported(clone_a) != b_before  # the wrecking ball hit
+
+        assert exported(clone_b) == b_before
+        assert exported(live.network) == live_before
+        assert pickle.dumps(snapshot) == snapshot_bytes
+        # and the checkpoint still restores to the same thing
+        assert exported(snapshot.clone(bgp_process_factory, seed=2)) == b_before

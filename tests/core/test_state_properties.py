@@ -6,17 +6,25 @@ mutate its inputs — under arbitrary route/attribute content, not just
 the fixtures used elsewhere.
 """
 
+import ast
 import copy
+import pickle
+from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro import quickstart_system
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.config import NeighborConfig, RouterConfig
 from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import Filter
 from repro.bgp.route import SOURCE_EBGP, Route
 from repro.bgp.router import BGPRouter
+from repro.core.live import bgp_process_factory
 
 prefixes = st.builds(
     lambda network, length: Prefix(
@@ -69,12 +77,54 @@ class TestCheckpointFixpoint:
             router.adj_rib_in["peer"].update(route)
         router.rerun_decision([prefix for prefix, _ in entries])
         first = router.export_state()
+        before = pickle.dumps(first)
         clone = BGPRouter(first["config"])
-        clone.import_state(copy.deepcopy(first))
+        clone.import_state(first)  # handed over as is: import must not keep it
         second = clone.export_state()
-        assert first["adj_rib_in"] == second["adj_rib_in"]
-        assert first["loc_rib"] == second["loc_rib"]
-        assert first["sessions"] == second["sessions"]
+        assert first == second
+        assert pickle.dumps(first) == before
+        # The routes themselves are shared, and safe to share.
+        for ours, theirs in zip(
+            first["adj_rib_in"]["peer"], second["adj_rib_in"]["peer"], strict=True
+        ):
+            assert ours is theirs
+            with pytest.raises(TypeError):
+                theirs.sym["local_pref"] = 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(st.lists(st.tuples(prefixes, attributes), min_size=1, max_size=8))
+    def test_running_a_clone_leaves_the_checkpoint_untouched(self, entries):
+        """A clone that withdraws everything it was restored with, run
+        for the horizon, changes not one byte of the snapshot it came
+        from, nor the live system."""
+        live = quickstart_system(seed=3)
+        live.converge()
+        r2 = live.router("r2")
+        for prefix, attrs in entries:
+            r2.adj_rib_in["r1"].update(
+                Route(
+                    prefix=prefix, attributes=attrs, source=SOURCE_EBGP,
+                    peer="r1", peer_as=65001,
+                )
+            )
+        r2.rerun_decision([prefix for prefix, _ in entries])
+        snapshot = live.coordinator.capture("r2")
+        snapshot_bytes = pickle.dumps(snapshot)
+        live_state = {r.name: r.export_state() for r in live.routers()}
+
+        clone = snapshot.clone(bgp_process_factory, seed=5)
+        withdrawn = tuple(dict.fromkeys(prefix for prefix, _ in entries))
+        clone.processes["r2"].handle_raw(
+            "r1", UpdateMessage(withdrawn=withdrawn).encode()
+        )
+        clone.run(until=clone.sim.now + 30.0)
+        assert all(
+            clone.processes["r2"].adj_rib_in["r1"].get(prefix) is None
+            for prefix in withdrawn
+        )
+
+        assert pickle.dumps(snapshot) == snapshot_bytes
+        assert {r.name: r.export_state() for r in live.routers()} == live_state
 
     @settings(max_examples=25, deadline=None)
     @given(st.lists(st.tuples(prefixes, attributes), min_size=1, max_size=8))
@@ -132,3 +182,80 @@ class TestPolicyPurity:
         second = policy.evaluate(route)
         assert first.accepted == second.accepted
         assert first.attributes == second.attributes
+
+
+class TestPathAttributesNeverWritten:
+    """``PathAttributes`` is shared between the live router, checkpoints
+    and clones but carries no runtime write guard (it is built once per
+    decoded UPDATE, and a ``__setattr__`` hook would tax the decoder), so
+    immutability is checked statically: nothing under ``src/`` assigns
+    to one of its slots outside its own ``__init__``."""
+
+    SLOTS = frozenset(PathAttributes.__slots__)
+
+    def _writes(self, tree: ast.AST, sees_class: bool):
+        """(line, target) of every attribute store that could hit a
+        ``PathAttributes`` slot."""
+        own_init = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "PathAttributes":
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                        own_init.update(map(id, ast.walk(item)))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, (ast.Store, ast.Del))
+                and node.attr in self.SLOTS
+                and id(node) not in own_init
+            ):
+                via_attributes = (
+                    isinstance(node.value, ast.Attribute)
+                    and node.value.attr == "attributes"
+                ) or (
+                    isinstance(node.value, ast.Name)
+                    and node.value.id in ("attrs", "attributes")
+                )
+                if sees_class or via_attributes:
+                    yield node.lineno, ast.unparse(node)
+            elif (
+                isinstance(node, ast.Call)
+                and ast.unparse(node.func) in ("setattr", "object.__setattr__")
+                and sees_class
+                and id(node) not in own_init
+                # a computed name could be any slot
+                and not (
+                    len(node.args) > 1
+                    and isinstance(node.args[1], ast.Constant)
+                    and node.args[1].value not in self.SLOTS
+                )
+            ):
+                yield node.lineno, ast.unparse(node)
+
+    def test_no_slot_assignment_outside_init(self):
+        root = Path(repro.__file__).parent
+        offenders = []
+        for path in sorted(root.rglob("*.py")):
+            source = path.read_text()
+            for line, target in self._writes(
+                ast.parse(source), sees_class="PathAttributes" in source
+            ):
+                offenders.append(f"{path.relative_to(root)}:{line}: {target}")
+        assert offenders == []
+
+    def test_the_walk_sees_a_planted_write(self):
+        planted = (
+            "from repro.bgp.attributes import PathAttributes\n"
+            "def f(route, a):\n"
+            "    a.med = 3\n"
+            "    route.attributes.local_pref += 1\n"
+            "    setattr(a, 'origin', 0)\n"
+            "    setattr(a, 'unrelated', 0)\n"
+        )
+        found = [t for _, t in self._writes(ast.parse(planted), sees_class=True)]
+        assert found == [
+            "a.med", "route.attributes.local_pref", "setattr(a, 'origin', 0)"
+        ]
+        elsewhere = "def g(route):\n    route.attributes.med = 1\n    route.med = 2\n"
+        found = [t for _, t in self._writes(ast.parse(elsewhere), sees_class=False)]
+        assert found == ["route.attributes.med"]
