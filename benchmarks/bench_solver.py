@@ -71,15 +71,19 @@ def test_solver_throughput_on_decoder_paths(benchmark, queries):
 
     solver, solved = benchmark.pedantic(solve_all, rounds=3, iterations=1)
     rate = solved / max(1, solver.stats.queries)
+    stats = solver.stats
     print(
-        f"\n  queries={solver.stats.queries} solved={solved} "
-        f"({rate:.0%}) repair rounds={solver.stats.repair_rounds}"
+        f"\n  queries={stats.queries} solved={solved} ({rate:.0%}) "
+        f"refuted={stats.refuted} exhausted={stats.exhausted} "
+        f"repair rounds={stats.repair_rounds}"
     )
     benchlib.record(
         "solver",
-        metrics={"queries": solver.stats.queries, "solved": solved,
+        metrics={"queries": stats.queries, "solved": solved,
                  "sat_rate": round(rate, 4),
-                 "repair_rounds": solver.stats.repair_rounds},
+                 "refuted": stats.refuted,
+                 "exhausted": stats.exhausted,
+                 "repair_rounds": stats.repair_rounds},
         config={"decoder_runs": 20, "seed": 1},
     )
     # Decoder constraints are the solver's home turf: most queries with

@@ -12,8 +12,14 @@ protocol decoder produces:
 
 Strategy, in order of escalation:
 
-1. **interval check** — conservative interval evaluation rejects some
-   unsatisfiable systems immediately;
+1. **refutation pre-pass** — one pass over the whole system bounds every
+   expression by an interval *and* a mask of the bits that may be set
+   (so ``x & ~mask`` over bytes the mask already covers is seen to be
+   the constant 0), then intersects what the constraints say about the
+   same term (``x == c`` beside ``x != c``).  It answers only when no
+   assignment inside the variables' domains can satisfy the system — a
+   dead branch arm, the common case when flipping a parser's sanity
+   checks — and costs microseconds;
 2. **hint-guided repair** — start from the previous concrete input (so
    most constraints already hold), repeatedly pick a violated constraint
    and *invert* it algebraically onto one of its variables.  Inversion
@@ -22,8 +28,11 @@ Strategy, in order of escalation:
    still-violated constraints.
 
 Every model returned is verified against the full constraint set, so a
-non-``None`` result is always sound; ``None`` means "no model found
-within budget" (possibly unsat, possibly just hard).
+non-``None`` result is always sound.  ``None`` has two meanings, told
+apart in :class:`SolverStats`: *refuted* is a proof that the system is
+unsatisfiable; *exhausted* means steps 2 and 3 spent their whole budget
+(``max_repair_rounds`` rounds, then ``max_restarts`` restarts of as
+many) without a model — possibly unsat, possibly just hard.
 
 Exploration re-solves structurally identical systems constantly: the
 same decoder branch negated under different grammar seeds produces the
@@ -50,12 +59,22 @@ _INF = float("inf")
 
 @dataclass
 class SolverStats:
-    """Counters for the EXP-SOLVER benchmark."""
+    """Counters for the EXP-SOLVER benchmark.
+
+    Every query ends in exactly one outcome — ``cache_hits``,
+    ``refuted`` (proved unsatisfiable before any search), ``repaired``
+    (the hint-guided repair found a model), ``random_search`` (a restart
+    did) or ``exhausted`` (the budget ran out) — so the five sum to
+    ``queries``.
+    """
 
     queries: int = 0
     sat: int = 0
     unknown: int = 0
-    interval_rejections: int = 0
+    refuted: int = 0
+    repaired: int = 0
+    random_search: int = 0
+    exhausted: int = 0
     repair_rounds: int = 0
     random_restarts: int = 0
     cache_hits: int = 0
@@ -181,8 +200,8 @@ class SolverCache:
     against the full constraint set, so a stale or colliding entry can
     only cost a miss, never an unsound answer.  Failure entries are
     trusted without re-verification, which is still safe in the
-    solver's contract: ``None`` always means "no model found within
-    budget" (the search is incomplete by design), so the ~2^-64
+    solver's contract: ``None`` never promises more than "no model
+    found" (the search is incomplete by design), so the ~2^-64
     residual chance of a fingerprint collision can only suppress one
     search, never produce a wrong model.  Failures are cached per
     ``(system, hint, search budget)``: a failed search says nothing
@@ -425,19 +444,29 @@ def _interval(expr: Expr) -> tuple[float, float]:
     if isinstance(expr, Var):
         return (expr.lo, expr.hi)
     if isinstance(expr, UnOp):
-        lo, hi = _interval(expr.operand)
-        if expr.op == "neg":
-            return (-hi, -lo)
-        return (-hi - 1, -lo - 1)  # ~x == -x - 1
+        return _unop_interval(expr.op, *_interval(expr.operand))
     assert isinstance(expr, BinOp)
-    a_lo, a_hi = _interval(expr.left)
-    b_lo, b_hi = _interval(expr.right)
-    op = expr.op
+    return _binop_interval(
+        expr.op, *_interval(expr.left), *_interval(expr.right)
+    )
+
+
+def _unop_interval(op: str, lo: float, hi: float) -> tuple[float, float]:
+    if op == "neg":
+        return (-hi, -lo)
+    return (-hi - 1, -lo - 1)  # ~x == -x - 1
+
+
+def _binop_interval(op: str, a_lo: float, a_hi: float,
+                    b_lo: float, b_hi: float) -> tuple[float, float]:
+    """Bounds of ``a <op> b`` from the bounds of ``a`` and ``b``."""
     if op == "add":
         return (a_lo + b_lo, a_hi + b_hi)
     if op == "sub":
         return (a_lo - b_hi, a_hi - b_lo)
     if op == "mul":
+        if _INF in (a_hi, b_hi) or -_INF in (a_lo, b_lo):
+            return (-_INF, _INF)  # inf * 0 is nan, which compares false
         corners = (a_lo * b_lo, a_lo * b_hi, a_hi * b_lo, a_hi * b_hi)
         return (min(corners), max(corners))
     if op == "shl":
@@ -452,21 +481,16 @@ def _interval(expr: Expr) -> tuple[float, float]:
         return (min(corners), max(corners))
     if op == "shr":
         if a_lo >= 0 and b_lo >= 0 and b_hi <= 64:
-            return (a_lo >> int(min(b_hi, 64)), a_hi >> int(b_lo))
+            return (a_lo >> int(b_hi), a_hi >> int(b_lo))
         return (-_INF, _INF)
-    if op in ("and",):
-        if a_lo >= 0 and b_lo >= 0:
-            return (0, min(a_hi, b_hi))
+    if a_lo < 0 or b_lo < 0:
         return (-_INF, _INF)
-    if op in ("or", "xor"):
-        if a_lo >= 0 and b_lo >= 0:
-            bound = _next_pow2_minus1(int(max(a_hi, b_hi)))
-            if op == "or":
-                return (max(a_lo, b_lo), _combine_or_bound(int(a_hi), int(b_hi)))
-            return (0, bound if a_hi == 0 or b_hi == 0 else
-                    _combine_or_bound(int(a_hi), int(b_hi)))
-        return (-_INF, _INF)
-    return (-_INF, _INF)
+    if op == "and":
+        return (0, min(a_hi, b_hi))
+    bound = _next_pow2_minus1(int(a_hi) | int(b_hi))
+    if op == "or":
+        return (max(a_lo, b_lo), bound)
+    return (0, bound)  # xor
 
 
 def _next_pow2_minus1(value: int) -> int:
@@ -475,15 +499,56 @@ def _next_pow2_minus1(value: int) -> int:
     return (1 << value.bit_length()) - 1
 
 
-def _combine_or_bound(a_hi: int, b_hi: int) -> int:
-    return _next_pow2_minus1(a_hi | b_hi)
+# -- refutation pre-pass -------------------------------------------------------
 
 
-def _interval_feasible(constraint: Constraint) -> bool:
-    """False only when intervals *prove* the constraint cannot hold."""
-    a_lo, a_hi = _interval(constraint.left)
-    b_lo, b_hi = _interval(constraint.right)
-    op = constraint.op
+def _reach(expr: Expr) -> tuple[float, float, int]:
+    """Sound ``(lo, hi, bits)`` for an expression over variable domains.
+
+    ``bits`` masks the bits that *may* be set, in Python's unbounded
+    two's complement: every value ``v`` the expression can take has
+    ``v & ~bits == 0``.  A non-negative mask therefore proves the
+    expression non-negative and at most the mask; a negative one (a
+    negative constant stands for itself, ``-1`` says nothing) still
+    narrows whatever it is ``and``-ed with.  Bounds and mask tighten
+    each other on the way up, which is what sees through
+    ``(x << 16) & ~0xFFFF0000`` — an interval alone gives up on the
+    negative operand.
+    """
+    if isinstance(expr, Const):
+        return (expr.value, expr.value, expr.value)
+    if isinstance(expr, Var):
+        lo, hi, bits = expr.lo, expr.hi, -1
+    elif isinstance(expr, UnOp):
+        lo, hi, _ = _reach(expr.operand)
+        lo, hi = _unop_interval(expr.op, lo, hi)
+        bits = -1
+    else:
+        assert isinstance(expr, BinOp)
+        a_lo, a_hi, a_bits = _reach(expr.left)
+        b_lo, b_hi, b_bits = _reach(expr.right)
+        op = expr.op
+        lo, hi = _binop_interval(op, a_lo, a_hi, b_lo, b_hi)
+        if op == "and":
+            bits = a_bits & b_bits
+        elif op in ("or", "xor"):
+            bits = a_bits | b_bits
+        elif op == "shl" and 0 <= b_lo == b_hi <= 64:
+            bits = a_bits << b_lo
+        elif op == "shr" and 0 <= b_lo == b_hi <= 64:
+            bits = a_bits >> b_lo
+        else:  # add, sub, mul, variable shifts: only the width below
+            bits = -1
+    if lo >= 0 and hi != _INF:
+        bits &= _next_pow2_minus1(int(hi))
+    if bits >= 0:
+        lo, hi = max(lo, 0), min(hi, bits)
+    return (lo, hi, bits)
+
+
+def _feasible(op: str, a_lo: float, a_hi: float,
+              b_lo: float, b_hi: float) -> bool:
+    """False only when the bounds *prove* ``a <op> b`` cannot hold."""
     if op == "eq":
         return not (a_hi < b_lo or a_lo > b_hi)
     if op == "ne":
@@ -495,6 +560,56 @@ def _interval_feasible(constraint: Constraint) -> bool:
     if op == "gt":
         return a_hi > b_lo
     return a_hi >= b_lo
+
+
+def _refuted(constraints: list[Constraint]) -> bool:
+    """True only when no assignment inside the variables' domains can
+    satisfy every constraint — a proof, never a guess.
+
+    Each constraint is tested on the :func:`_reach` of its two sides;
+    constraints that compare the same term with a constant are then
+    intersected (``eq`` pins, ``lt``/``le``/``gt``/``ge`` narrow, ``ne``
+    excludes points), which catches ``x == c`` beside ``x != c``.
+    Terms are grouped by fingerprint, so — like a cached failure — a
+    2^-64 collision could at worst suppress one search.
+    """
+    terms: dict[int, tuple[float, float, set[int]]] = {}
+    for constraint in constraints:
+        op = constraint.op
+        a_lo, a_hi, a_bits = _reach(constraint.left)
+        b_lo, b_hi, b_bits = _reach(constraint.right)
+        if not _feasible(op, a_lo, a_hi, b_lo, b_hi):
+            return True
+        if b_lo == b_hi:
+            term, value = constraint.left, b_lo
+            lo, hi, bits = a_lo, a_hi, a_bits
+        elif a_lo == a_hi:
+            term, value, op = constraint.right, a_lo, _swap_op(op)
+            lo, hi, bits = b_lo, b_hi, b_bits
+        else:
+            continue
+        lo, hi, excluded = terms.get(term.fp) or (lo, hi, set())
+        if op == "eq":
+            if value & ~bits:
+                return True  # needs a bit the term can never set
+            lo, hi = max(lo, value), min(hi, value)
+        elif op == "ne":
+            excluded.add(value)
+        elif op == "lt":
+            hi = min(hi, value - 1)
+        elif op == "le":
+            hi = min(hi, value)
+        elif op == "gt":
+            lo = max(lo, value + 1)
+        else:
+            lo = max(lo, value)
+        if lo > hi:
+            return True
+        if hi - lo < len(excluded) and all(
+                point in excluded for point in range(lo, hi + 1)):
+            return True
+        terms[term.fp] = (lo, hi, excluded)
+    return False
 
 
 # -- byte-concatenation recognition ------------------------------------------
@@ -599,27 +714,31 @@ class Solver:
                 self.stats.unknown += 1
                 return None
             self.stats.cache_misses += 1
+        if _refuted(constraints):
+            self.stats.refuted += 1
+            return self._no_model(key, hint)
         problem = _Problem(list(constraints))
-        for constraint in problem.constraints:
-            if not _interval_feasible(constraint):
-                self.stats.interval_rejections += 1
-                self.stats.unknown += 1
-                if key is not None:
-                    self._cache.store_failure(key, hint, self._budget_key)
-                return None
         assignment = self._initial_assignment(problem, hint)
         model = self._repair(problem, assignment)
-        if model is None:
+        if model is not None:
+            self.stats.repaired += 1
+        else:
             model = self._random_search(problem, hint)
-        if model is None:
-            self.stats.unknown += 1
-            if key is not None:
-                self._cache.store_failure(key, hint, self._budget_key)
-            return None
+            if model is None:
+                self.stats.exhausted += 1
+                return self._no_model(key, hint)
+            self.stats.random_search += 1
         self.stats.sat += 1
         if key is not None:
             self._cache.store_model(key, model)
         return model
+
+    def _no_model(self, key: tuple[int, ...] | None,
+                  hint: dict[str, int] | None) -> None:
+        """Count and journal a query that ends without a model."""
+        self.stats.unknown += 1
+        if key is not None:
+            self._cache.store_failure(key, hint, self._budget_key)
 
     # -- internals --
 

@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import random
 import time
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 
 from repro.bgp.errors import BGPError
@@ -171,6 +172,9 @@ class Explorer:
     # -- clone plumbing --
 
     def _new_clone(self, seed: int):
+        """A fresh clone; every caller closes it (``with closing(...)``)
+        once it has read what it needs, so a session never holds more
+        than the clone it is running."""
         self._clone_counter += 1
         return self._snapshot.clone(
             self._factory,
@@ -361,42 +365,41 @@ class Explorer:
         Returns (violation, description) pairs; empty means the change
         vetted clean against the current snapshot.
         """
-        clone = self._new_clone(seed)
-        sharing = self._sharing_for(clone)
         summary = f"(pending config change: {change.describe()})"
-        context = CheckContext(
-            clone=clone,
-            node=node,
-            sharing=sharing,
-            input_summary=summary,
-        )
-        self._suite.prepare_all(context)
-        clone.processes[node].apply_config_change(change)
-        # The hijack check evaluates pre-injection state by design; the
-        # change itself *is* the state mutation here, so re-prime it.
-        for prop in self._suite:
-            if prop.scope == "federated":
-                prop.prepare(context)
-        clone.run(until=clone.sim.now + horizon)
-        return [
-            (violation, summary)
-            for violation in self._suite.check_all(context)
-        ]
+        with closing(self._new_clone(seed)) as clone:
+            context = CheckContext(
+                clone=clone,
+                node=node,
+                sharing=self._sharing_for(clone),
+                input_summary=summary,
+            )
+            self._suite.prepare_all(context)
+            clone.processes[node].apply_config_change(change)
+            # The hijack check evaluates pre-injection state by design;
+            # the change itself *is* the state mutation here, so re-prime
+            # it.
+            for prop in self._suite:
+                if prop.scope == "federated":
+                    prop.prepare(context)
+            clone.run(until=clone.sim.now + horizon)
+            return [
+                (violation, summary)
+                for violation in self._suite.check_all(context)
+            ]
 
     def _null_probe(self, config: ExplorationConfig,
                     report: NodeExplorationReport) -> None:
-        clone = self._new_clone(config.seed)
-        sharing = self._sharing_for(clone)
-        context = CheckContext(
-            clone=clone,
-            node=config.node,
-            sharing=sharing,
-            input_summary="(no input: natural evolution)",
-        )
-        self._suite.prepare_all(context)
-        clone.run(until=clone.sim.now + config.horizon)
-        for violation in self._suite.check_all(context):
-            report.violations.append((violation, context.input_summary))
+        with closing(self._new_clone(config.seed)) as clone:
+            context = CheckContext(
+                clone=clone,
+                node=config.node,
+                sharing=self._sharing_for(clone),
+                input_summary="(no input: natural evolution)",
+            )
+            self._suite.prepare_all(context)
+            clone.run(until=clone.sim.now + config.horizon)
+            for violation in self._suite.check_all(context):
+                report.violations.append((violation, context.input_summary))
 
     def _grammar_only(self, engine: ConcolicEngine, grammar: UpdateGrammar,
                       budget: int):
@@ -428,44 +431,42 @@ class Explorer:
 
     def _grammar_for_node(self, config: ExplorationConfig,
                           rng: random.Random) -> UpdateGrammar:
-        probe = self._new_clone(config.seed)
-        router = probe.processes[config.node]
-        return UpdateGrammar.for_router(router, rng)
+        with closing(self._new_clone(config.seed)) as probe:
+            return UpdateGrammar.for_router(probe.processes[config.node], rng)
 
     def _pick_peer(self, config: ExplorationConfig) -> str | None:
-        probe = self._new_clone(config.seed)
-        router = probe.processes[config.node]
-        if config.peer is not None:
-            session = router.sessions.get(config.peer)
-            if session is not None and session.is_established():
-                return config.peer
-            return None
-        established = router.established_peers()
-        return established[0] if established else None
+        with closing(self._new_clone(config.seed)) as probe:
+            router = probe.processes[config.node]
+            if config.peer is not None:
+                session = router.sessions.get(config.peer)
+                if session is not None and session.is_established():
+                    return config.peer
+                return None
+            established = router.established_peers()
+            return established[0] if established else None
 
     def _make_program(self, config: ExplorationConfig, peer: str,
                       report: NodeExplorationReport):
         def program(sym_input: SymBytes):
-            clone = self._new_clone(config.seed)
-            router = clone.processes[config.node]
-            sharing = self._sharing_for(clone)
             summary = summarize_input(sym_input.concrete)
-            context = CheckContext(
-                clone=clone,
-                node=config.node,
-                sharing=sharing,
-                input_summary=summary,
-                peer=peer,
-            )
-            self._suite.prepare_all(context)
-            escaped: Exception | None = None
-            try:
-                router.handle_raw(peer, sym_input)
-            except Exception as exc:  # noqa: BLE001 - escaped = harness data
-                escaped = exc
-            clone.run(until=clone.sim.now + config.horizon)
-            context.exploration_exception = escaped
-            violations = self._suite.check_all(context)
+            with closing(self._new_clone(config.seed)) as clone:
+                router = clone.processes[config.node]
+                context = CheckContext(
+                    clone=clone,
+                    node=config.node,
+                    sharing=self._sharing_for(clone),
+                    input_summary=summary,
+                    peer=peer,
+                )
+                self._suite.prepare_all(context)
+                escaped: Exception | None = None
+                try:
+                    router.handle_raw(peer, sym_input)
+                except Exception as exc:  # noqa: BLE001 - escaped = harness data
+                    escaped = exc
+                clone.run(until=clone.sim.now + config.horizon)
+                context.exploration_exception = escaped
+                violations = self._suite.check_all(context)
             for violation in violations:
                 report.violations.append((violation, summary))
             if escaped is not None:
@@ -492,53 +493,57 @@ class Explorer:
         a different outcome.
         """
         report = SelectionReport(node=node)
-        probe = self._new_clone(seed)
-        router = probe.processes[node]
-        target = prefix if prefix is not None else self._multi_candidate_prefix(router)
-        if target is None:
-            report.skipped_reason = f"{node} has no multi-candidate prefix"
-            return report
-        candidate_peers = sorted(
-            peer
-            for peer, rib in router.adj_rib_in.items()
-            if rib.get(target) is not None
-        )
+        with closing(self._new_clone(seed)) as probe:
+            router = probe.processes[node]
+            target = (prefix if prefix is not None
+                      else self._multi_candidate_prefix(router))
+            if target is None:
+                report.skipped_reason = f"{node} has no multi-candidate prefix"
+                return report
+            candidate_peers = sorted(
+                peer
+                for peer, rib in router.adj_rib_in.items()
+                if rib.get(target) is not None
+            )
+            initial = bytearray()
+            for peer in candidate_peers:
+                route = router.adj_rib_in[peer].get(target)
+                lp = route.attributes.local_pref
+                value = int(lp) if lp is not None else 100
+                initial.extend(value.to_bytes(4, "big"))
         report.prefix = str(target)
         report.candidates = len(candidate_peers)
         outcomes: list[str] = []
 
         def program(sym_input: SymBytes):
-            clone = self._new_clone(seed)
-            clone_router = clone.processes[node]
-            for index, peer in enumerate(candidate_peers):
-                rib = clone_router.adj_rib_in[peer]
-                route = rib.get(target)
-                if route is None:
-                    continue
-                base = 4 * index
-                shadow = (
-                    (sym_input[base] << 24)
-                    | (sym_input[base + 1] << 16)
-                    | (sym_input[base + 2] << 8)
-                    | sym_input[base + 3]
-                )
-                if not isinstance(shadow, SymInt):
-                    continue
-                # Routes are shared with the snapshot and its other
-                # clones: plant the shadow on a copy, in this RIB only.
-                rib.update(replace(route, sym={**route.sym, "local_pref": shadow}))
-            clone_router.rerun_decision([target])
-            best = clone_router.loc_rib.get(target)
+            with closing(self._new_clone(seed)) as clone:
+                clone_router = clone.processes[node]
+                for index, peer in enumerate(candidate_peers):
+                    rib = clone_router.adj_rib_in[peer]
+                    route = rib.get(target)
+                    if route is None:
+                        continue
+                    base = 4 * index
+                    shadow = (
+                        (sym_input[base] << 24)
+                        | (sym_input[base + 1] << 16)
+                        | (sym_input[base + 2] << 8)
+                        | sym_input[base + 3]
+                    )
+                    if not isinstance(shadow, SymInt):
+                        continue
+                    # Routes are shared with the snapshot and its other
+                    # clones: plant the shadow on a copy, in this RIB
+                    # only.
+                    rib.update(replace(
+                        route, sym={**route.sym, "local_pref": shadow}
+                    ))
+                clone_router.rerun_decision([target])
+                best = clone_router.loc_rib.get(target)
             winner = "none" if best is None else (best.peer or "local")
             outcomes.append(winner)
             return winner
 
-        initial = bytearray()
-        for peer in candidate_peers:
-            route = router.adj_rib_in[peer].get(target)
-            lp = route.attributes.local_pref
-            value = int(lp) if lp is not None else 100
-            initial.extend(value.to_bytes(4, "big"))
         seed_input = SymBytes.mark_all(bytes(initial), prefix="lp")
         engine = ConcolicEngine(
             program,

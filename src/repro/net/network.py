@@ -215,3 +215,25 @@ class Network:
     def quiescent(self) -> bool:
         """True when no events remain (network fully converged)."""
         return self.sim.pending == 0
+
+    def close(self) -> None:
+        """Take a finished network apart so it is freed at once.
+
+        A network is a knot of reference cycles: every process points
+        back at it, and every armed timer and scheduled delivery is an
+        event whose callback closes over a process or the network.
+        Dropping the last outside reference therefore frees nothing
+        until the cyclic collector happens to run, and an explorer that
+        clones a whole system per input would hold every dead clone
+        until then.  Call this once everything has been read from the
+        network; afterwards it has no processes, links or pending
+        events, so running it does nothing.
+        """
+        for process in self.processes.values():
+            process.detach()
+        self.processes.clear()
+        self._links.clear()
+        self._in_flight.clear()
+        self._delivery_taps.clear()
+        self._interceptors.clear()
+        self.sim.clear()

@@ -31,6 +31,12 @@ class Process:
         """Called by the network when the process is added."""
         self.network = network
 
+    def detach(self) -> None:
+        """Called by the network when it is closed: forget it and every
+        armed timer (each holds a callback that points back here)."""
+        self._timers.clear()
+        self.network = None
+
     def start(self) -> None:
         """Called once when the simulation starts.  Default: nothing."""
 

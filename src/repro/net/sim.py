@@ -81,6 +81,10 @@ class Simulator:
         """Schedule ``callback`` at absolute simulated time ``when``."""
         return self.schedule(when - self._now, callback, label=label)
 
+    def clear(self) -> None:
+        """Drop every queued event without running it."""
+        self._queue.clear()
+
     def step(self) -> bool:
         """Run the next pending event.  Returns False when queue is empty."""
         while self._queue:

@@ -5,11 +5,21 @@ Completeness is best-effort, so tests assert success only on shapes the
 solver is designed for (decoder-style constraints).
 """
 
+import itertools
+import random
+
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.concolic.expr import BinOp, Const, Constraint, Var
+from repro.bgp.errors import BGPError
+from repro.bgp.ip import Prefix
+from repro.bgp.messages import UpdateMessage, decode_message
+from repro.concolic import path as pathmod
+from repro.concolic.expr import BinOp, Const, Constraint, UnOp, Var
+from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import Solver, _concat_terms, _decompose_concat
+from repro.concolic.symbolic import PathRecorder, SymBytes
 
 
 def byte(name):
@@ -89,7 +99,7 @@ class TestBasicSolving:
         constraints = [Constraint("gt", byte("x"), Const(300))]
         solver = Solver()
         assert solver.solve(constraints) is None
-        assert solver.stats.interval_rejections == 1
+        assert solver.stats.refuted == 1
 
     def test_contradiction_returns_none(self):
         x = byte("x")
@@ -236,7 +246,234 @@ class TestSoundnessProperty:
         check_model(constraints, model)
 
 
+# -- the refutation pre-pass ---------------------------------------------------
+
+_CMP_OPS = ("eq", "ne", "lt", "le", "gt", "ge")
+
+# Constants that collide with small domains, plus masks: negative ones
+# under ``and`` are the case an interval alone cannot see through.
+_consts = st.one_of(
+    st.integers(min_value=-40, max_value=40),
+    st.sampled_from([0xFF, 0xF0, 0x0F, -0x10, ~0xFF00, 0xFFFF, ~0xF]),
+).map(Const)
+
+
+def _exprs(variables):
+    """Trees over every BinOp/UnOp.  Shift counts are constants or
+    ``e & 7``, so evaluation never sees a negative shift."""
+    leaves = st.one_of(st.sampled_from(variables), _consts)
+
+    def extend(children):
+        counts = st.one_of(
+            st.integers(min_value=0, max_value=8).map(Const),
+            children.map(lambda e: BinOp("and", e, Const(7))),
+        )
+        return st.one_of(
+            st.builds(BinOp, st.sampled_from(
+                ["add", "sub", "mul", "and", "or", "xor"]),
+                children, children),
+            st.builds(BinOp, st.sampled_from(["shl", "shr"]),
+                      children, counts),
+            st.builds(UnOp, st.sampled_from(["neg", "not"]), children),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=6)
+
+
+@st.composite
+def _small_systems(draw):
+    """1-3 variables with at most 16 values each; 1-4 constraints over a
+    pool of two terms, so the same term often meets several constants."""
+    variables = []
+    for name in draw(st.sampled_from(["x", "xy", "xyz"])):
+        lo = draw(st.integers(min_value=-8, max_value=40))
+        width = draw(st.integers(min_value=0, max_value=15))
+        variables.append(Var(name, lo, lo + width))
+    pool = draw(st.lists(_exprs(variables), min_size=1, max_size=2))
+    side = st.one_of(st.sampled_from(pool), _consts)
+    constraints = draw(st.lists(
+        st.builds(Constraint, st.sampled_from(_CMP_OPS),
+                  st.sampled_from(pool), side),
+        min_size=1, max_size=4,
+    ))
+    return variables, constraints
+
+
+def _satisfiable(variables, constraints):
+    """Ground truth by exhaustive enumeration of the domains."""
+    names = [var.name for var in variables]
+    for values in itertools.product(
+            *(range(var.lo, var.hi + 1) for var in variables)):
+        assignment = dict(zip(names, values, strict=True))
+        if all(constraint.holds(assignment) for constraint in constraints):
+            return True
+    return False
+
+
+class TestRefutationIsSound:
+    @settings(max_examples=300, deadline=None)
+    @given(_small_systems(), st.integers(min_value=0, max_value=2**32))
+    def test_refutes_only_the_unsatisfiable(self, system, seed):
+        variables, constraints = system
+        solver = Solver(seed=seed, max_repair_rounds=20, max_restarts=2)
+        model = solver.solve(constraints)
+        if _satisfiable(variables, constraints):
+            # Never answered by refutation; it may still be exhausted.
+            assert solver.stats.refuted == 0
+        else:
+            assert model is None
+        if model is not None:
+            check_model(constraints, model)
+        stats = solver.stats
+        assert (stats.refuted + stats.repaired + stats.random_search
+                + stats.exhausted) == stats.queries == 1
+
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=-8, max_value=40),
+        st.integers(min_value=0, max_value=15),
+        st.lists(st.tuples(st.sampled_from(_CMP_OPS),
+                           st.integers(min_value=-3, max_value=18),
+                           st.booleans()),
+                 min_size=1, max_size=5),
+    )
+    def test_one_variable_against_constants_is_decided(self, lo, width,
+                                                       specs):
+        """With one variable compared with constants the per-term
+        intersection is exact: refuted if and only if unsatisfiable."""
+        x = Var("x", lo, lo + width)
+        constraints = [
+            Constraint(op, x, Const(lo + offset)) if var_on_left
+            else Constraint(op, Const(lo + offset), x)
+            for op, offset, var_on_left in specs
+        ]
+        solver = Solver()
+        solver.solve(constraints)
+        assert solver.stats.refuted == (not _satisfiable([x], constraints))
+
+
+def _decoder_path(sym_input):
+    """Branches the real decoder records on ``sym_input``, and the
+    concrete input as a solver hint (as ``bench_solver.py`` does)."""
+    with PathRecorder() as recorder:
+        try:
+            decode_message(sym_input)
+        except BGPError:
+            pass
+    hint = {var.name: sym_input.concrete[offset]
+            for offset, var in sym_input.variables().items()}
+    return recorder.branches, hint
+
+
+def _stray_flip(length):
+    """The ``stray != 0`` flip of ``_decode_nlri_block``, recorded by the
+    real decoder on a withdrawn /``length`` whose prefix bytes are
+    symbolic (the length octet is not, as under the grammar's marks)."""
+    prefix = Prefix((0xC6336400 >> (32 - length)) << (32 - length), length)
+    data = UpdateMessage(withdrawn=(prefix,)).encode()
+    first = 19 + 2 + 1  # header, withdrawn-length field, length octet
+    offsets = range(first, first + (length + 7) // 8)
+    branches, hint = _decoder_path(
+        SymBytes.mark_offsets(data, offsets, prefix="u"))
+    (index,) = [
+        index for index, (constraint, _) in enumerate(branches)
+        if constraint.op == "ne" and constraint.right == Const(0)
+    ]
+    assert branches[index][1] is False  # canonical prefix: no stray bits
+    return pathmod.flip_at(branches, index), hint
+
+
+class TestDeadBranchesAreRefuted:
+    @pytest.mark.parametrize("length", [8, 16, 24, 32])
+    def test_stray_bits_at_byte_aligned_length(self, length):
+        """``network & ~mask`` is identically 0 when the mask covers
+        every byte that was read: the flip has no model, and must not
+        cost a single repair round."""
+        constraints, hint = _stray_flip(length)
+        solver = Solver(seed=1)
+        assert solver.solve(constraints, hint=hint) is None
+        assert solver.stats.refuted == 1
+        assert solver.stats.repair_rounds == 0
+
+    def test_stray_bits_reachable_at_length_20(self):
+        constraints, hint = _stray_flip(20)
+        solver = Solver(seed=1)
+        model = solver.solve(constraints, hint=hint)
+        check_model(constraints, model)
+        assert solver.stats.refuted == 0
+        assert model["u24"] & 0x0F  # a host bit below the /20 boundary
+
+    @pytest.mark.parametrize("ops", [
+        [("eq", 7), ("ne", 7)],
+        [("eq", 1), ("eq", 2)],
+        [("le", 3), ("ge", 5)],
+        [("ge", 4), ("le", 5), ("ne", 4), ("ne", 5)],
+    ])
+    def test_conjunction_on_one_term(self, ops):
+        """No single constraint is infeasible; together they are."""
+        term = u16(byte("a"), byte("b"))
+        constraints = [Constraint(op, term, Const(c)) for op, c in ops]
+        for constraint in constraints:
+            assert Solver().solve([constraint]) is not None
+        solver = Solver()
+        assert solver.solve(constraints) is None
+        assert solver.stats.refuted == 1
+        assert solver.stats.repair_rounds == 0
+
+    def test_constant_on_the_left(self):
+        x = byte("x")
+        constraints = [Constraint("lt", Const(200), x),
+                       Constraint("gt", Const(201), x)]
+        solver = Solver()
+        assert solver.solve(constraints) is None
+        assert solver.stats.refuted == 1
+
+    def test_refutation_is_journalled_like_any_failure(self):
+        x = byte("x")
+        unsat = [Constraint("eq", x, Const(1)), Constraint("ne", x, Const(1))]
+        solver = Solver()
+        assert solver.solve(unsat, hint={"x": 1}) is None
+        assert solver.cache.is_failure(
+            solver.cache.key(unsat), {"x": 1}, (200, 40))
+        assert len(solver.cache.take_delta("n")) == 1
+
+    def test_decoder_corpus_is_solved_or_refuted(self):
+        """The ``bench_solver`` corpus: flips of 20 grammar-generated
+        UPDATEs through the real decoder.  Every query without a model
+        used to run the whole search budget; each is a dead branch."""
+        grammar = UpdateGrammar(rng=random.Random(3))
+        solver = Solver(seed=1)
+        for index in range(20):
+            branches, hint = _decoder_path(
+                grammar.generate().symbolic(prefix=f"m{index}_"))
+            for at in range(len(branches)):
+                solver.solve(pathmod.flip_at(branches, at), hint=hint)
+        stats = solver.stats
+        assert stats.queries > 500
+        assert stats.exhausted == 0 and stats.random_restarts == 0
+        assert stats.refuted == stats.unknown > 0
+        assert stats.sat / stats.queries > 0.89
+
+
 class TestStats:
+    def test_every_query_has_exactly_one_outcome(self):
+        x, y = byte("x"), byte("y")
+        solver = Solver(seed=1, max_repair_rounds=2, max_restarts=1)
+        easy = [Constraint("eq", x, Const(1))]
+        solver.solve(easy)                                # repaired
+        solver.solve(easy)                                # cache hit
+        solver.solve([Constraint("gt", x, Const(999))])   # refuted
+        # 251 is prime: no model, but nothing the pre-pass can prove.
+        solver.solve([Constraint("eq", BinOp("mul", x, y), Const(251)),
+                      Constraint("gt", x, Const(1)),
+                      Constraint("gt", y, Const(1))])   # exhausted
+        stats = solver.stats
+        assert stats.queries == 4
+        assert (stats.cache_hits, stats.refuted, stats.repaired,
+                stats.random_search, stats.exhausted) == (1, 1, 1, 0, 1)
+        assert (stats.sat, stats.unknown) == (2, 2)
+
     def test_counters_advance(self):
         solver = Solver()
         solver.solve([Constraint("eq", byte("x"), Const(1))])

@@ -19,6 +19,21 @@ def make_explorer(live):
     return Explorer(snapshot, default_property_suite(), claims)
 
 
+def track_clones(explorer, on_clone=lambda clone: None):
+    """Every clone ``explorer`` makes from now on, in order; each is
+    shown to ``on_clone`` while still open."""
+    clones = []
+    make_clone = explorer._new_clone
+
+    def tracked(seed):
+        clones.append(make_clone(seed))
+        on_clone(clones[-1])
+        return clones[-1]
+
+    explorer._new_clone = tracked
+    return clones
+
+
 class TestConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -166,3 +181,108 @@ class TestSelectionExploration:
         assert report.candidates == 2
         assert report.distinct_outcomes >= 2
         assert set(report.outcomes) <= {"a", "b", "none"}
+
+
+class TestCloneRelease:
+    """A clone is a knot of reference cycles (process <-> network,
+    timer -> event -> callback -> process).  The explorer closes each
+    one it makes, so memory does not depend on when — or whether — the
+    cyclic collector runs."""
+
+    @pytest.fixture
+    def demo27(self, demo27_topology):
+        from repro import LiveSystem
+
+        live = LiveSystem.build(
+            demo27_topology.configs, demo27_topology.links, seed=27
+        )
+        live.converge()
+        node = demo27_topology.nodes_in_tier(1)[0]
+        snapshot = live.coordinator.capture(node)
+        claims = SharingRegistry.from_configs(live.initial_configs)
+        explorer = Explorer(snapshot, default_property_suite(), claims)
+        return live, node, explorer
+
+    @staticmethod
+    def run_without_gc(explorer, session):
+        """Run ``session`` with the cyclic collector off and check that
+        every router of every clone it made died by refcount alone;
+        return the clones."""
+        import gc
+        import weakref
+
+        from repro.bgp.router import BGPRouter
+
+        def count_routers():
+            return sum(isinstance(obj, BGPRouter) for obj in gc.get_objects())
+
+        routers = []
+        clones = track_clones(explorer, lambda clone: routers.extend(
+            weakref.ref(process) for process in clone.processes.values()
+        ))
+        gc.collect()
+        before = count_routers()
+        gc.disable()
+        try:
+            session()
+            # Refcounts alone freed them: no collection has run.
+            assert routers and all(ref() is None for ref in routers)
+        finally:
+            gc.enable()
+        gc.collect()
+        assert count_routers() == before
+        return clones
+
+    def test_explore_frees_every_clone(self, demo27):
+        _, node, explorer = demo27
+        reports = []
+        clones = self.run_without_gc(explorer, lambda: reports.append(
+            explorer.explore(ExplorationConfig(
+                node=node, inputs=3, seed=1, grammar_seeds=1))
+        ))
+        # peer pick, null probe, grammar probe, one per input
+        assert len(clones) == reports[0].clones_created == 6
+        assert reports[0].executions == 3
+        for clone in clones:
+            assert clone.processes == {}
+            assert list(clone.links()) == []
+            assert clone.in_flight() == []
+            assert clone.quiescent()
+
+    def test_vet_change_frees_its_clone(self, demo27):
+        from repro.bgp.config import AddNetwork
+        from repro.bgp.ip import Prefix
+
+        _, node, explorer = demo27
+        change = AddNetwork(Prefix("203.0.113.0/24"))
+        clones = self.run_without_gc(
+            explorer, lambda: explorer.vet_change(node, change)
+        )
+        assert len(clones) == 1
+
+    def test_explore_selection_frees_probe_and_clones(self, demo27):
+        _, node, explorer = demo27
+        reports = []
+        clones = self.run_without_gc(explorer, lambda: reports.append(
+            explorer.explore_selection(node, max_executions=4, seed=2)
+        ))
+        assert reports[0].skipped_reason is None
+        assert len(clones) == 1 + reports[0].executions
+
+    def test_escaped_exception_still_closes_the_clone(
+            self, converged3, monkeypatch):
+        """An exception escaping the handler is kept as harness data;
+        its clone must not be."""
+        from repro.bgp.router import BGPRouter
+
+        def handler_blows_up(self, peer, data):
+            raise RuntimeError("escaped")
+
+        explorer = make_explorer(converged3)
+        clones = track_clones(explorer)
+        monkeypatch.setattr(BGPRouter, "handle_raw", handler_blows_up)
+        report = explorer.explore(
+            ExplorationConfig(node="r2", inputs=2, seed=1, grammar_seeds=2)
+        )
+        assert report.crashes == 2
+        assert all(clone.processes == {} for clone in clones)

@@ -237,3 +237,23 @@ class TestTimers:
         net.run(until=2.0)
         state = node.export_state()
         assert state["timers"]["x"] == pytest.approx(3.0)
+
+
+class TestClose:
+    def test_closed_network_is_empty_and_detached(self):
+        net, a, b = two_node_net()
+        net.tap_deliveries(lambda src, dst, payload: None)
+        net.add_interceptor(lambda src, dst, payload: False)
+        net.start()
+        a.send("b", "in flight")
+        a.set_timer("t", 1.0)
+        assert not net.quiescent()
+        net.close()
+        assert net.processes == {}
+        assert list(net.links()) == []
+        assert net.in_flight() == []
+        assert net.quiescent()
+        assert net.run(until=5.0) == 5.0  # nothing left to deliver
+        assert b.inbox == []
+        assert a.network is None and b.network is None
+        assert not a.timer_armed("t")
