@@ -193,14 +193,17 @@ def build_parser() -> argparse.ArgumentParser:
                           help="clone propagation horizon (sim seconds)")
     campaign.add_argument("--seed", type=int, default=0)
     campaign.add_argument("--workers", type=int, default=None,
-                          help="exploration worker processes "
-                               "(default: one per CPU; 1 = serial)")
+                          help="exploration worker slots "
+                               "(default: one per CPU; 1 = inline in "
+                               "this process, the serial reference)")
     campaign.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
                           default=True,
                           help="capture snapshots on a background thread, "
-                               "overlapped with exploration (parallel "
-                               "campaigns only; results are identical "
-                               "either way)")
+                               "overlapped with exploration at any worker "
+                               "count; --no-pipeline captures on the "
+                               "campaign's own thread when each snapshot "
+                               "is needed (results are identical either "
+                               "way)")
     campaign.add_argument("--frontier", default="bfs",
                           choices=("bfs", "dfs", "coverage", "sharded"),
                           help="branch-frontier discipline for concolic "

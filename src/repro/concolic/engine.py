@@ -29,7 +29,6 @@ path-measurement machinery so coverage numbers are directly comparable.
 from __future__ import annotations
 
 import time
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -140,43 +139,15 @@ class ExplorationResult:
 class ConcolicEngine:
     """Generational-search concolic explorer over one program."""
 
-    FRONTIER_BFS = "bfs"
-    FRONTIER_DFS = "dfs"
-    FRONTIER_COVERAGE = "coverage"
-    FRONTIER_SHARDED = "sharded"
-
     def __init__(
         self,
         program: Program,
         solver: Solver | None = None,
-        max_executions: int | None = None,
-        max_branches_per_run: int | None = None,
-        stop_on_first_crash: bool | None = None,
-        frontier: str | FrontierDiscipline | None = None,
         *,
         spec: ExplorationSpec | None = None,
     ):
-        legacy = {
-            "max_executions": max_executions,
-            "max_branches_per_run": max_branches_per_run,
-            "stop_on_first_crash": stop_on_first_crash,
-            "frontier": frontier,
-        }
-        passed = {key: value for key, value in legacy.items()
-                  if value is not None}
         if spec is None:
-            if passed:
-                warnings.warn(
-                    "configuring ConcolicEngine through keyword arguments "
-                    "is deprecated; pass spec=ExplorationSpec(...) instead",
-                    DeprecationWarning,
-                    stacklevel=2,
-                )
-            spec = ExplorationSpec(**passed)
-        elif passed:
-            raise ValueError(
-                "pass either spec= or the legacy keyword arguments, not both"
-            )
+            spec = ExplorationSpec()
         self._program = program
         self._solver = solver if solver is not None else Solver()
         self._spec = spec
@@ -392,11 +363,9 @@ def explore(
     shard policy); ``solver`` is injected by callers that share a
     solver cache or need a derived seed.
     """
-    engine = ConcolicEngine(
-        program, solver=solver, spec=spec if spec is not None
-        else ExplorationSpec()
+    return ConcolicEngine(program, solver=solver, spec=spec).explore(
+        seed_inputs
     )
-    return engine.explore(seed_inputs)
 
 
 class RandomByteExplorer:

@@ -14,19 +14,30 @@ Violations become :class:`~repro.core.faultclass.FaultReport` objects
 stamped with wall-clock time since campaign start — the EXP-FAULTS
 time-to-detection measurements fall straight out of a campaign run.
 
-Exploration sessions are independent across nodes, so campaigns shard
-them over worker slots when ``OrchestratorConfig.workers`` exceeds one
-(see :mod:`repro.core.parallel`) — local process pools by default, or
-remote worker daemons via ``OrchestratorConfig.transport``
-(:mod:`repro.core.remote`).  Snapshots are still captured in the main
-*process* — the live system is singular — but with
-``OrchestratorConfig.pipeline`` enabled (the default) they are captured
-on a background thread that runs ahead of exploration, so capture time
-hides behind worker exploration (see :mod:`repro.core.pipeline`); with
-``workers=1`` that same prefetch overlaps inline exploration.  The
-merge is performed in deterministic task order in every mode, so a
-campaign's fault reports do not depend on the worker count, on
-pipelining, or on the dispatch transport.
+That loop exists once (:meth:`DiceOrchestrator._run_campaign_inner`).
+Everything built around it only changes *when* a capture runs and
+*where* a session runs, and each of those is an object the loop is
+handed, not a loop of its own:
+
+* the **capture source** (:mod:`repro.core.pipeline`): snapshots are
+  always captured in the main *process*, one at a time, in one fixed
+  order — the live system is singular — but with
+  ``OrchestratorConfig.pipeline`` enabled (the default) a background
+  thread runs them ahead of exploration, so capture time hides behind
+  it; with the knob off they run on the loop's own thread when asked
+  for;
+* the **engine** (:mod:`repro.core.parallel`): every session is
+  dispatched as tasks on a worker transport — inline in this process
+  at ``workers=1`` (the serial reference), local process pools above
+  that, or remote worker daemons via ``OrchestratorConfig.transport``
+  (:mod:`repro.core.remote`);
+* the **session planner**: a session is one whole-session task, or —
+  with a sharded frontier — rounds of frontier shard tasks.
+
+The merge is performed in deterministic task order whatever the three
+are, so a campaign's fault reports do not depend on the worker count,
+on pipelining, on the shard count's placement, or on the dispatch
+transport.
 """
 
 from __future__ import annotations
@@ -34,9 +45,9 @@ from __future__ import annotations
 import itertools
 import pickle
 import time
-from contextlib import ExitStack
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.concolic.frontier import (
     Frontier,
@@ -45,7 +56,6 @@ from repro.concolic.frontier import (
     resolve_discipline,
 )
 from repro.core.explorer import (
-    ExplorationConfig,
     Explorer,
     NodeExplorationReport,
     STRATEGY_CONCOLIC,
@@ -53,6 +63,7 @@ from repro.core.explorer import (
 from repro.core.faultclass import FaultReport, first_per_class
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.parallel import (
+    ClaimSpec,
     ExplorationTask,
     FrontierShardTask,
     ParallelCampaignEngine,
@@ -60,7 +71,11 @@ from repro.core.parallel import (
     claims_to_spec,
     resolve_workers,
 )
-from repro.core.pipeline import SnapshotPipeline, plan_captures
+from repro.core.pipeline import (
+    CapturedSnapshot,
+    SnapshotPipeline,
+    plan_captures,
+)
 from repro.core.properties import PropertySuite
 from repro.core.sharing import SharingRegistry
 from repro.util.rng import derive_seed
@@ -92,12 +107,15 @@ class OrchestratorConfig:
     # Simulated seconds the *live* system advances between node
     # explorations, so DiCE observably runs alongside a moving system.
     live_advance: float = 0.5
-    # Exploration processes: 1 = in-process serial (the default, and
-    # what tests compare against), None = one worker per CPU.
+    # Exploration worker slots: 1 = inline in this process (the default,
+    # and the serial reference tests compare against), None = one
+    # worker per CPU.
     workers: int | None = 1
-    # Capture cycle N+1's snapshots on a background thread while cycle
-    # N explores (parallel campaigns only; result-identical either way,
-    # so the knob is purely about overlap vs. simplicity).
+    # Capture upcoming snapshots on a background thread, up to one
+    # cycle ahead of exploration, at any worker count; off = each
+    # capture runs on the campaign's own thread when the loop asks for
+    # it.  Result-identical either way, so the knob is purely about
+    # overlap vs. never touching the live system ahead of need.
     pipeline: bool = True
     # FIFO bound for each explorer node's solver cache (models and
     # failures each); --solver-cache-size on the CLI.
@@ -141,12 +159,6 @@ class OrchestratorConfig:
     # the same shard count is the serial reference for sharded runs.
     # --frontier-shards on the CLI.
     frontier_shards: int = 1
-    # Price the pre-delta protocol alongside the real transport (the
-    # cache_bytes_full_* counters): pickles each node's full cache per
-    # dispatch — bounded by solver_cache_size, ~2 ms per warm default
-    # cache — purely for accounting.  Turn off to shave that from the
-    # dispatch path; bytes shipped are measured either way.
-    measure_cache_baseline: bool = True
     # Differential-oracle pre-pass: "off", "reference" (pure-python
     # fixpoint oracle), or "bird" (real BIRD daemons in namespaces).
     # When enabled, the live system's converged routes are checked
@@ -177,17 +189,18 @@ class CampaignResult:
     # Capture-overlap accounting (see repro.core.pipeline): total wall
     # seconds spent capturing snapshots (including the live-advance
     # between captures), and how many of those seconds the campaign
-    # waited on a capture with no exploration running.  In serial/batch
-    # modes the two are equal; in pipelined mode their gap is capture
-    # time hidden behind exploration.  capture_pickle_s is the slice of
-    # capture_wall_s the capture thread spent pre-pickling task
-    # payloads so main-thread dispatch only hands bytes around.
+    # waited on a capture with no submitted work outstanding.  On the
+    # inline transport without prefetch the two are equal; otherwise
+    # their gap is capture time hidden behind exploration.
+    # capture_pickle_s is the slice of capture_wall_s spent pre-pickling
+    # task payloads (on the capture thread, when prefetching) so
+    # dispatch only hands bytes around; 0 on the inline transport.
     pipelined: bool = False
     capture_wall_s: float = 0.0
     capture_blocked_s: float = 0.0
     capture_pickle_s: float = 0.0
-    # Solver-cache transport accounting (parallel campaigns; all zero
-    # for serial runs, where nothing crosses a process boundary).
+    # Solver-cache transport accounting (all zero on the unmetered
+    # inline transport, where nothing crosses a process boundary).
     # "shipped" is what the delta protocol put on the wire; "full" is
     # what pickling each node's whole cache per task — the pre-delta
     # protocol — would have cost for the same dispatches.  These are
@@ -287,9 +300,9 @@ class CampaignResult:
     def capture_hidden_fraction(self) -> float:
         """Fraction of snapshot-capture time hidden behind exploration.
 
-        0.0 for serial and batch-parallel campaigns (every capture
-        blocks the loop); approaches 1.0 when a pipelined campaign
-        fully overlaps captures with worker exploration.
+        0.0 when every capture blocks the loop (inline transport, no
+        prefetch); approaches 1.0 when captures fully overlap
+        exploration.
         """
         if self.capture_wall_s <= 0.0:
             return 0.0
@@ -399,51 +412,150 @@ class DiceOrchestrator:
         return differential_fault_reports(self._live, config.differential)
 
     def _run_campaign_inner(self, config: OrchestratorConfig) -> CampaignResult:
-        workers = self._campaign_workers(config)
-        discipline, shards = self._frontier_mode(config)
-        if discipline is FrontierDiscipline.SHARDED:
-            # Sharded sessions always go through the task engine — at
-            # workers=1 the inline transport runs the identical shard
-            # decomposition in-process, which *is* the serial reference
-            # for sharded campaigns.
-            return self._run_campaign_sharded(config, workers, shards)
-        if (workers > 1 or config.transport != "local"
-                or config.transport_factory is not None):
-            return self._run_campaign_parallel(config, workers)
-        if config.pipeline:
-            return self._run_campaign_serial_pipelined(config)
+        """The one campaign loop: capture, start session, finish, merge.
+
+        Execution mode is configuration of this loop, never a different
+        loop.  Three objects carry it:
+
+        * the **capture source** (:class:`SnapshotPipeline`) decides
+          *when* a capture runs — prefetched on a background thread
+          (``config.pipeline``) or on this thread when asked for — and
+          always runs them one at a time in ``plan_captures`` order;
+        * the **engine** decides *where* a session's tasks run — on
+          whatever transport :meth:`_build_engine` returns; at
+          ``workers=1`` local that is the inline transport, the serial
+          reference every other transport must equal;
+        * the **session planner** decides what a session *is* — one
+          whole-session task, or rounds of frontier shard tasks
+          (:meth:`_start_session` / :meth:`_finish_session`).
+
+        Sessions start in node order as their captures arrive and are
+        finished and merged strictly in that order, and cycle N+1's
+        cache syncs are built only after cycle N's ``end_cycle``, so
+        fault reports, counters and cache state are the same in every
+        mode.  Counters are per *merged* session: on
+        ``stop_after_first_fault`` merging stops at the faulty session,
+        the pipeline drains (an in-flight capture finishes, prefetched
+        ones are discarded) and the engine cancels unstarted tasks.
+        """
         started = time.perf_counter()
-        result = CampaignResult(workers=1)
         nodes = self._campaign_nodes(config)
-        # Per-node constraint caches, shared across cycles: repeated
-        # cycles over similar snapshots re-record mostly identical path
-        # conditions, which the cache answers without re-solving.  The
-        # coordinator additionally folds every node's new entries into
-        # every other node's cache between cycles — the identical merge
-        # the parallel paths perform, so results stay mode-independent.
-        coordinator = self._cache_coordinator(config, nodes)
-        done = False
-        for cycle in range(config.cycles):
-            for node in nodes:
-                self._explore_node(config, cycle, node, started, result,
-                                   coordinator)
-                if config.stop_after_first_fault and result.reports:
-                    done = True
-                    break
-                # Let the live system move on (background churn, timers)
-                # so the next snapshot captures genuinely newer state.
-                # The advance counts as capture-side work (same scope
-                # the parallel paths measure), so capture_wall_s is
-                # comparable across modes.
-                advance_started = time.perf_counter()
+        shards = self._session_shards(config)
+        workers = self._campaign_workers(config)
+        requests = plan_captures(nodes, config.cycles)
+
+        def capture_one(request):
+            # The live system moves on between captures (background
+            # churn, timers) so each snapshot sees genuinely newer
+            # state.  The advance after the *last* capture is the
+            # campaign's epilogue below, so an early stop leaves the
+            # live system where its last capture did.
+            if request.index:
                 self._advance_live(config)
-                advanced = time.perf_counter() - advance_started
-                result.capture_wall_s += advanced
-                result.capture_blocked_s += advanced
-            if done:
-                break
-            coordinator.end_cycle()
-            result.cycles_completed = cycle + 1
+            snapshot = self._capture(request.node, config.snapshot_mode)
+            return snapshot, self._live.network.sim.now
+
+        with self._build_engine(config, workers) as engine, \
+                SnapshotPipeline(
+                    capture_one, requests, depth=len(nodes),
+                    # Nothing leaves the process on the inline
+                    # transport, so there is no payload to pre-pickle
+                    # and no cache transport to meter.
+                    prepare_fn=None if engine.inline else pickle.dumps,
+                    background=config.pipeline,
+                ) as captures:
+            result = CampaignResult(
+                workers=engine.workers,
+                transport=config.transport,
+                pipelined=config.pipeline,
+            )
+            coordinator = SolverCacheCoordinator(
+                nodes,
+                max_entries=config.solver_cache_size,
+                share=config.share_solver_caches,
+                metered=not engine.inline,
+            )
+            if shards is None:
+                # Whole sessions ship CacheSyncs, so the engine needs
+                # the coordinator (sync building, failover recovery)
+                # and push-capable transports stream merge events.
+                # Sharded sessions run cold private caches and send no
+                # sync: daemons would never apply pushed chunks.
+                engine.attach_coordinator(coordinator)
+                if (config.share_solver_caches
+                        and engine.push_channel is not None):
+                    coordinator.attach_push_channel(engine.push_channel)
+            run = _CampaignRun(
+                config, engine, coordinator, claims_to_spec(self._claims),
+                shards,
+            )
+            pending: deque[_Session] = deque()  # started, not yet merged
+
+            def merge_pending() -> bool:
+                """Finish and merge the started sessions in task order;
+                True when the campaign should stop."""
+                while pending:
+                    session = pending.popleft()
+                    report = self._finish_session(run, session)
+                    result.snapshots_taken += 1
+                    self._merge_node_report(
+                        result, report,
+                        snapshot_id=session.snapshot_id,
+                        detected_at=session.detected_at,
+                        started=started,
+                    )
+                    if config.stop_after_first_fault and result.reports:
+                        return True
+                return False
+
+            stopped = False
+            for cycle in range(config.cycles):
+                for _ in nodes:
+                    # A capture wait only *exposes* capture time when
+                    # no submitted work is outstanding; waiting while
+                    # worker slots still explore is overlap working as
+                    # intended, so it does not count as blocked.
+                    busy = any(
+                        not handle.done()
+                        for session in pending
+                        for handle in session.handles
+                    )
+                    waited = time.perf_counter()
+                    captured = captures.next_capture()
+                    if not busy:
+                        result.capture_blocked_s += (
+                            time.perf_counter() - waited
+                        )
+                    # Account capture cost per *consumed* capture (the
+                    # producer's aggregate would race with an abort and
+                    # count prefetched-then-discarded work).
+                    result.capture_wall_s += captured.capture_wall_s
+                    result.capture_pickle_s += captured.prepare_wall_s
+                    pending.append(self._start_session(run, captured))
+                    # An inline session already ran inside submit: merge
+                    # it now, so an early stop takes no further capture
+                    # and runs no further session.  Pooled engines get
+                    # the whole cycle submitted first — finishing a
+                    # sharded session early would block on its later
+                    # rounds and starve the next node's round 0.
+                    if engine.inline:
+                        stopped = merge_pending()
+                        if stopped:
+                            break
+                stopped = stopped or merge_pending()
+                if stopped:
+                    break
+                coordinator.end_cycle()
+                result.cycles_completed = cycle + 1
+            self._record_wire_stats(result, engine)
+        if requests and not stopped:
+            # Nothing is left to overlap the advance after the last
+            # capture, so it blocks.
+            advance_started = time.perf_counter()
+            self._advance_live(config)
+            advanced = time.perf_counter() - advance_started
+            result.capture_wall_s += advanced
+            result.capture_blocked_s += advanced
         self._finalize_cache_stats(result, coordinator)
         result.wall_time_s = time.perf_counter() - started
         return result
@@ -451,16 +563,21 @@ class DiceOrchestrator:
     # -- shared campaign plumbing --
 
     @staticmethod
-    def _frontier_mode(
-        config: OrchestratorConfig,
-    ) -> tuple[FrontierDiscipline, int]:
-        """Resolve the frontier knobs; ``frontier_shards > 1`` implies
-        the sharded discipline."""
+    def _session_shards(config: OrchestratorConfig) -> int | None:
+        """The session planner the frontier knobs select: the maximum
+        shard tasks per round of a sharded session, or None for whole
+        sessions.  ``frontier_shards > 1`` implies the sharded
+        discipline."""
         shards = max(1, config.frontier_shards)
         discipline = resolve_discipline(config.frontier)
-        if shards > 1:
-            discipline = FrontierDiscipline.SHARDED
-        return discipline, shards
+        if shards == 1 and discipline is not FrontierDiscipline.SHARDED:
+            return None
+        if config.strategy != STRATEGY_CONCOLIC:
+            raise ValueError(
+                "frontier sharding applies to the concolic strategy "
+                f"only; got strategy={config.strategy!r}"
+            )
+        return shards
 
     @staticmethod
     def _campaign_workers(config: OrchestratorConfig) -> int:
@@ -468,7 +585,7 @@ class DiceOrchestrator:
         if config.transport_factory is not None:
             # The injected transport knows its own slot count; the
             # engine reports it once built (result.workers is set from
-            # engine.workers on the parallel paths).
+            # engine.workers).
             return resolve_workers(config.workers)
         if config.transport == "socket":
             if not config.remote_workers:
@@ -512,19 +629,6 @@ class DiceOrchestrator:
         )
 
     @staticmethod
-    def _wire_coordinator(
-        config: OrchestratorConfig,
-        engine: ParallelCampaignEngine,
-        coordinator: SolverCacheCoordinator,
-    ) -> None:
-        """Connect coordinator and engine: sync building, failover
-        recovery, and — when the transport has one — the merge push
-        channel."""
-        engine.attach_coordinator(coordinator)
-        if config.share_solver_caches and engine.push_channel is not None:
-            coordinator.attach_push_channel(engine.push_channel)
-
-    @staticmethod
     def _record_wire_stats(
         result: CampaignResult, engine: ParallelCampaignEngine
     ) -> None:
@@ -538,17 +642,6 @@ class DiceOrchestrator:
             failure.worker for failure in engine.failures
         ]
         result.max_worker_failures = engine.max_worker_failures
-
-    @staticmethod
-    def _cache_coordinator(
-        config: OrchestratorConfig, nodes: list[str]
-    ) -> SolverCacheCoordinator:
-        return SolverCacheCoordinator(
-            nodes,
-            max_entries=config.solver_cache_size,
-            share=config.share_solver_caches,
-            measure_baseline=config.measure_cache_baseline,
-        )
 
     @staticmethod
     def _finalize_cache_stats(
@@ -601,9 +694,9 @@ class DiceOrchestrator:
     ) -> None:
         """Fold one exploration session into the campaign result.
 
-        Both the serial and the parallel paths merge through here, in
-        the same deterministic task order, so per-report counters like
-        ``inputs_explored`` are identical at any worker count.
+        Every session merges through here, in the same deterministic
+        task order, so per-report counters like ``inputs_explored`` are
+        identical at any worker count.
         """
         result.node_reports.append(node_report)
         result.clones_created += node_report.clones_created
@@ -628,541 +721,90 @@ class DiceOrchestrator:
                 )
             )
 
-    # -- serial path --
+    # -- sessions --
 
-    def _explore_node(
-        self,
-        config: OrchestratorConfig,
-        cycle: int,
-        node: str,
-        started: float,
-        result: CampaignResult,
-        coordinator: SolverCacheCoordinator,
-    ) -> None:
-        # Steps 1-2: choose explorer, establish the consistent snapshot.
-        capture_started = time.perf_counter()
-        snapshot = self._capture(node, config.snapshot_mode)
-        captured = time.perf_counter() - capture_started
-        result.capture_wall_s += captured
-        result.capture_blocked_s += captured
-        # Steps 3-5: explore inputs over clones.
-        self._explore_snapshot_inline(
-            config, cycle, node, snapshot,
-            detected_at=self._live.network.sim.now,
-            started=started, result=result, coordinator=coordinator,
-        )
+    def _start_session(
+        self, run: "_CampaignRun", captured: CapturedSnapshot
+    ) -> "_Session":
+        """Open one (cycle, node) session and submit its first tasks.
 
-    def _explore_snapshot_inline(
-        self,
-        config: OrchestratorConfig,
-        cycle: int,
-        node: str,
-        snapshot,
-        detected_at: float,
-        started: float,
-        result: CampaignResult,
-        coordinator: SolverCacheCoordinator,
-    ) -> None:
-        """One in-process exploration session over a captured snapshot.
-
-        The single definition of serial exploration, shared by the
-        plain serial loop and the serial-pipelined path — the
-        bit-identity contract between them rests on both calling
-        exactly this.
-        """
-        result.snapshots_taken += 1
-        explorer = Explorer(
-            snapshot, self._suite, self._claims,
-            process_factory=self._factory,
-            solver_cache=coordinator.cache_for(node),
-        )
-        node_report = explorer.explore(
-            ExplorationConfig(
-                node=node,
-                inputs=config.inputs_per_node,
-                strategy=config.strategy,
-                horizon=config.horizon,
-                grammar_seeds=config.grammar_seeds,
-                seed=derive_seed(config.seed, f"cycle{cycle}/{node}"),
-                frontier=config.frontier,
-            )
-        )
-        coordinator.record_local(node)
-        self._merge_node_report(
-            result,
-            node_report,
-            snapshot_id=snapshot.snapshot_id,
-            detected_at=detected_at,
-            started=started,
-        )
-
-    def _run_campaign_serial_pipelined(
-        self, config: OrchestratorConfig
-    ) -> CampaignResult:
-        """``workers=1`` with capture overlap: prefetch, explore inline.
-
-        The pipeline's capture thread runs the marker protocol for
-        upcoming ``(cycle, node)`` pairs while this thread explores the
-        current one inline — the same hidden-capture benefit parallel
-        campaigns get, for serial ones.  Exploration uses the serial
-        path's in-place caches: no tasks, no syncs, nothing pickled or
-        shipped, so results *and* transport counters are identical to
-        the plain serial loop (``cache_syncs == 0`` stays the serial
-        contract).  Captures still execute strictly in serial order on
-        the single producer thread, so snapshots and ``detected_at``
-        stamps are bit-identical; with ``stop_after_first_fault`` the
-        drain discards prefetched captures, and counters — per merged
-        session, as everywhere — match the serial early stop.
-        """
-        started = time.perf_counter()
-        result = CampaignResult(workers=1, pipelined=True)
-        nodes = self._campaign_nodes(config)
-        coordinator = self._cache_coordinator(config, nodes)
-        requests = plan_captures(nodes, config.cycles)
-
-        def capture_one(request):
-            snapshot = self._capture(request.node, config.snapshot_mode)
-            detected_at = self._live.network.sim.now
-            self._advance_live(config)
-            return snapshot, detected_at
-
-        done = False
-        with SnapshotPipeline(capture_one, requests,
-                              depth=len(nodes)) as pipeline:
-            for cycle in range(config.cycles):
-                for node in nodes:
-                    waited = time.perf_counter()
-                    captured = pipeline.next_capture()
-                    result.capture_blocked_s += (
-                        time.perf_counter() - waited
-                    )
-                    result.capture_wall_s += captured.capture_wall_s
-                    self._explore_snapshot_inline(
-                        config, cycle, node, captured.snapshot,
-                        detected_at=captured.detected_at,
-                        started=started, result=result,
-                        coordinator=coordinator,
-                    )
-                    if config.stop_after_first_fault and result.reports:
-                        done = True
-                        break
-                if done:
-                    break
-                coordinator.end_cycle()
-                result.cycles_completed = cycle + 1
-        self._finalize_cache_stats(result, coordinator)
-        result.wall_time_s = time.perf_counter() - started
-        return result
-
-    # -- parallel path --
-
-    def _run_campaign_parallel(
-        self, config: OrchestratorConfig, workers: int
-    ) -> CampaignResult:
-        """Shard exploration across workers; captures stay main-process.
-
-        Exploration never touches the live system (it runs on clones),
-        so capturing snapshots ahead of the merge — with the same
-        ``live_advance`` interleaving the serial loop uses — yields
-        byte-identical snapshots, and per-task seeds derived from
-        (cycle, node) make the exploration itself reproducible.  With
-        ``config.pipeline`` the captures additionally move to a
-        background thread (see :meth:`_run_campaign_pipelined`); the
-        merged result is identical either way.
-        """
-        started = time.perf_counter()
-        result = CampaignResult(workers=workers, transport=config.transport)
-        nodes = self._campaign_nodes(config)
-        claims_spec = claims_to_spec(self._claims)
-        coordinator = self._cache_coordinator(config, nodes)
-        if config.pipeline:
-            return self._run_campaign_pipelined(
-                config, workers, started, result, nodes, claims_spec,
-                coordinator,
-            )
-        done = False
-        with self._build_engine(config, workers) as engine:
-            self._wire_coordinator(config, engine, coordinator)
-            result.workers = engine.workers
-            for cycle in range(config.cycles):
-                tasks = []
-                for index, node in enumerate(nodes):
-                    # Same measurement scope as the pipeline's producer
-                    # (capture + live advance), so the overlap benchmark
-                    # compares like with like; here every second blocks
-                    # the loop.
-                    capture_started = time.perf_counter()
-                    snapshot = self._capture(node, config.snapshot_mode)
-                    tasks.append(
-                        self._make_task(
-                            config, cycle, index, node, snapshot,
-                            detected_at=self._live.network.sim.now,
-                            claims_spec=claims_spec,
-                            sync=engine.sync_for(node),
-                        )
-                    )
-                    self._advance_live(config)
-                    elapsed = time.perf_counter() - capture_started
-                    result.capture_wall_s += elapsed
-                    result.capture_blocked_s += elapsed
-                # Snapshots are counted per *merged* outcome, not per
-                # capture: with stop_after_first_fault the whole batch
-                # was captured (and explored) eagerly, but the reported
-                # counters must match what the serial loop — which stops
-                # capturing at the first fault — would have produced.
-                for outcome in engine.run(tasks):
-                    self._merge_outcome(result, outcome, coordinator,
-                                        started)
-                    if config.stop_after_first_fault and result.reports:
-                        done = True
-                        break
-                if done:
-                    break
-                coordinator.end_cycle()
-                result.cycles_completed = cycle + 1
-            self._record_wire_stats(result, engine)
-        self._finalize_cache_stats(result, coordinator)
-        result.wall_time_s = time.perf_counter() - started
-        return result
-
-    def _make_task(
-        self,
-        config: OrchestratorConfig,
-        cycle: int,
-        index: int,
-        node: str,
-        snapshot,
-        detected_at: float,
-        claims_spec,
-        sync,
-        snapshot_blob: bytes | None = None,
-    ) -> ExplorationTask:
-        """Build one exploration task around an already-captured snapshot.
-
-        ``sync`` is the engine-built cache sync
+        A whole session is one sticky :class:`ExplorationTask` carrying
+        the engine-built cache sync
         (:meth:`ParallelCampaignEngine.sync_for`): normally a delta
         sync against the node's sticky slot, or — after that slot died
         — a recovery sync rebuilding the replica on the survivor the
-        node was re-routed to.  ``snapshot_blob`` (pipelined mode) is
-        the capture thread's pre-pickled payload; the task then ships
-        bytes instead of re-serializing the snapshot during dispatch.
+        node was re-routed to.
+
+        A sharded session fans out as *rounds* of up to ``run.shards``
+        hermetic :class:`FrontierShardTask`s; this submits round 0,
+        which partitions by seed lineage, so its shard count is bounded
+        by the grammar-seed count (every planned shard must start with
+        at least one entry).  Shards run *cold* private solver caches
+        (hermeticity over warmth — see docs/architecture.md); their
+        deltas still merge into the per-node mirrors, so cross-cycle
+        fingerprint evolution matches the configured sharing policy.
         """
-        return ExplorationTask(
-            index=index,
-            cycle=cycle,
-            node=node,
-            snapshot=None if snapshot_blob is not None else snapshot,
-            suite=self._suite,
-            claims=claims_spec,
-            seed=derive_seed(config.seed, f"cycle{cycle}/{node}"),
-            inputs=config.inputs_per_node,
-            strategy=config.strategy,
-            horizon=config.horizon,
-            grammar_seeds=config.grammar_seeds,
-            frontier=config.frontier,
-            detected_at=detected_at,
-            process_factory=self._factory,
-            cache_sync=sync,
-            snapshot_blob=snapshot_blob,
-        )
-
-    def _merge_outcome(
-        self,
-        result: CampaignResult,
-        outcome,
-        coordinator: SolverCacheCoordinator,
-        started: float,
-    ) -> None:
-        result.snapshots_taken += 1
-        coordinator.absorb(outcome.cache_delta)
-        self._merge_node_report(
-            result,
-            outcome.report,
-            snapshot_id=outcome.snapshot_id,
-            detected_at=outcome.detected_at,
-            started=started,
-        )
-
-    # -- pipelined path --
-
-    def _run_campaign_pipelined(
-        self,
-        config: OrchestratorConfig,
-        workers: int,
-        started: float,
-        result: CampaignResult,
-        nodes: list[str],
-        claims_spec,
-        coordinator: SolverCacheCoordinator,
-    ) -> CampaignResult:
-        """Two-stage pipeline: background capture, foreground merge.
-
-        Stage 1 (producer thread): run the marker protocol for each
-        (cycle, node) in the serial loop's exact order, up to one cycle
-        ahead of consumption — while the pipeline is open the producer
-        is the *only* toucher of the live system, so captures are
-        bit-identical to unpipelined mode.  The producer also
-        pre-pickles each snapshot into the task payload, so dispatch on
-        this thread only hands bytes to the executor.
-
-        Stage 2 (this thread): as each capture arrives, build the task
-        — its solver-cache sync is current because cycle N+1's tasks
-        are only built after cycle N fully merged — submit it to the
-        worker pool, then resolve futures strictly in task order and
-        merge.  Exploration of task k therefore overlaps the captures
-        for tasks k+1.., which is where capture time hides.
-
-        Abort (``stop_after_first_fault``): stop merging at the faulty
-        outcome, then drain — the pipeline finishes any in-flight
-        capture and discards prefetched ones, and the engine cancels
-        not-yet-started tasks.  Counters stay per merged outcome, so
-        they match the serial loop's early stop exactly.
-        """
-        result.pipelined = True
-        requests = plan_captures(nodes, config.cycles)
-
-        def capture_one(request):
-            snapshot = self._capture(request.node, config.snapshot_mode)
-            detected_at = self._live.network.sim.now
-            self._advance_live(config)
-            return snapshot, detected_at
-
-        done = False
-        with self._build_engine(config, workers) as engine, \
-                SnapshotPipeline(capture_one, requests,
-                                 depth=len(nodes),
-                                 prepare_fn=pickle.dumps) as pipeline:
-            self._wire_coordinator(config, engine, coordinator)
-            result.workers = engine.workers
-            for cycle in range(config.cycles):
-                futures = []
-                for index, node in enumerate(nodes):
-                    # A capture wait only *exposes* capture time when
-                    # the workers have nothing left to chew on; waiting
-                    # while submitted tasks still run is overlap working
-                    # as intended, so it does not count as blocked.
-                    workers_busy = any(
-                        not future.done() for future in futures
-                    )
-                    waited = time.perf_counter()
-                    captured = pipeline.next_capture()
-                    if not workers_busy:
-                        result.capture_blocked_s += (
-                            time.perf_counter() - waited
-                        )
-                    # Account capture cost per *consumed* capture (the
-                    # producer's aggregate would race with an abort and
-                    # count prefetched-then-discarded work).
-                    result.capture_wall_s += captured.capture_wall_s
-                    result.capture_pickle_s += captured.prepare_wall_s
-                    futures.append(
-                        engine.submit(
-                            self._make_task(
-                                config, cycle, index, node,
-                                captured.snapshot,
-                                detected_at=captured.detected_at,
-                                claims_spec=claims_spec,
-                                sync=engine.sync_for(node),
-                                snapshot_blob=captured.payload,
-                            )
-                        )
-                    )
-                for future in futures:
-                    self._merge_outcome(result, future.result(),
-                                        coordinator, started)
-                    if config.stop_after_first_fault and result.reports:
-                        done = True
-                        break
-                if done:
-                    break
-                coordinator.end_cycle()
-                result.cycles_completed = cycle + 1
-            self._record_wire_stats(result, engine)
-        self._finalize_cache_stats(result, coordinator)
-        result.wall_time_s = time.perf_counter() - started
-        return result
-
-    # -- sharded-frontier path --
-
-    def _run_campaign_sharded(
-        self, config: OrchestratorConfig, workers: int, shards: int
-    ) -> CampaignResult:
-        """Campaign where each session fans out as frontier shard rounds.
-
-        Every (cycle, node) session becomes a sequence of *rounds*: the
-        frontier is partitioned into up to ``shards`` hermetic
-        :class:`FrontierShardTask`s, their outcomes are absorbed in
-        (round, shard) order, the leftover frontiers merge
-        deterministically, and the merged queue plus unspent budget are
-        re-dealt over fresh shards — work stealing at round barriers,
-        with the steal a pure function of outcome content, never of
-        wall-clock.  The shard decomposition is part of the
-        configuration: at a fixed shard count, fault reports, counters
-        and cache fingerprints are identical at any worker count and
-        over any transport (``workers=1`` runs the same decomposition
-        inline and is the serial reference).
-
-        Sessions launch their round 0 in node order as captures arrive,
-        then complete strictly in node order, so one hot node's later
-        rounds overlap other nodes' work.  Shards run *cold* private
-        solver caches (hermeticity over warmth — see
-        docs/architecture.md); their deltas still merge into the
-        orchestrator's per-node mirrors, so cross-cycle fingerprint
-        evolution matches the configured sharing policy.
-        """
-        if config.strategy != STRATEGY_CONCOLIC:
-            raise ValueError(
-                "frontier sharding applies to the concolic strategy "
-                f"only; got strategy={config.strategy!r}"
-            )
-        started = time.perf_counter()
-        result = CampaignResult(
-            workers=workers,
-            transport=config.transport,
-            pipelined=config.pipeline,
-        )
-        nodes = self._campaign_nodes(config)
-        claims_spec = claims_to_spec(self._claims)
-        coordinator = self._cache_coordinator(config, nodes)
-        counter = itertools.count()
-        done = False
-        with ExitStack() as stack:
-            engine = stack.enter_context(
-                self._build_engine(config, workers)
-            )
-            result.workers = engine.workers
-            pipeline = None
-            if config.pipeline:
-                requests = plan_captures(nodes, config.cycles)
-
-                def capture_one(request):
-                    snapshot = self._capture(
-                        request.node, config.snapshot_mode
-                    )
-                    detected_at = self._live.network.sim.now
-                    self._advance_live(config)
-                    return snapshot, detected_at
-
-                pipeline = stack.enter_context(
-                    SnapshotPipeline(capture_one, requests,
-                                     depth=len(nodes),
-                                     prepare_fn=pickle.dumps)
-                )
-            for cycle in range(config.cycles):
-                sessions = []
-                for node in nodes:
-                    if pipeline is not None:
-                        workers_busy = any(
-                            not handle.done()
-                            for session in sessions
-                            for handle in session.handles
-                        )
-                        waited = time.perf_counter()
-                        captured = pipeline.next_capture()
-                        if not workers_busy:
-                            result.capture_blocked_s += (
-                                time.perf_counter() - waited
-                            )
-                        result.capture_wall_s += captured.capture_wall_s
-                        result.capture_pickle_s += captured.prepare_wall_s
-                        snapshot = captured.snapshot
-                        detected_at = captured.detected_at
-                        blob = captured.payload
-                    else:
-                        capture_started = time.perf_counter()
-                        snapshot = self._capture(node, config.snapshot_mode)
-                        detected_at = self._live.network.sim.now
-                        self._advance_live(config)
-                        elapsed = time.perf_counter() - capture_started
-                        result.capture_wall_s += elapsed
-                        result.capture_blocked_s += elapsed
-                        blob = None
-                    sessions.append(
-                        self._start_sharded_session(
-                            config, engine, coordinator, claims_spec,
-                            shards, counter, cycle, node, snapshot,
-                            detected_at, snapshot_blob=blob,
-                        )
-                    )
-                for session in sessions:
-                    report = self._finish_sharded_session(
-                        session, config, engine, coordinator,
-                        claims_spec, shards, counter,
-                    )
-                    result.snapshots_taken += 1
-                    self._merge_node_report(
-                        result, report,
-                        snapshot_id=session.snapshot_id,
-                        detected_at=session.detected_at,
-                        started=started,
-                    )
-                    if config.stop_after_first_fault and result.reports:
-                        done = True
-                        break
-                if done:
-                    break
-                coordinator.end_cycle()
-                result.cycles_completed = cycle + 1
-            self._record_wire_stats(result, engine)
-        self._finalize_cache_stats(result, coordinator)
-        result.wall_time_s = time.perf_counter() - started
-        return result
-
-    def _start_sharded_session(
-        self,
-        config: OrchestratorConfig,
-        engine: ParallelCampaignEngine,
-        coordinator: SolverCacheCoordinator,
-        claims_spec,
-        shards: int,
-        counter,
-        cycle: int,
-        node: str,
-        snapshot,
-        detected_at: float,
-        snapshot_blob: bytes | None = None,
-    ) -> "_ShardedSession":
-        """Open one session and submit its round-0 shard tasks.
-
-        Round 0 partitions by seed lineage, so its shard count is
-        bounded by the grammar-seed count (every planned shard must
-        start with at least one entry).
-        """
-        session = _ShardedSession(
-            cycle=cycle,
-            node=node,
+        config = run.config
+        snapshot = captured.snapshot
+        session = _Session(
+            cycle=captured.cycle,
+            node=captured.node,
             snapshot=snapshot,
-            snapshot_blob=snapshot_blob,
-            # Pipelined captures ship a pre-pickled payload and no
-            # snapshot object; the id then comes back on the first
-            # shard outcome (workers resolve the payload anyway).
-            snapshot_id=(
-                snapshot.snapshot_id if snapshot is not None else ""
+            snapshot_blob=captured.payload,
+            # A pre-pickled payload replaces the snapshot object; the
+            # id then comes back on the first outcome (workers resolve
+            # the payload anyway).
+            snapshot_id=snapshot.snapshot_id if snapshot is not None else "",
+            detected_at=captured.detected_at,
+            seed=derive_seed(
+                config.seed, f"cycle{captured.cycle}/{captured.node}"
             ),
-            detected_at=detected_at,
-            seed=derive_seed(config.seed, f"cycle{cycle}/{node}"),
             budget_left=config.inputs_per_node,
         )
+        if run.shards is None:
+            session.handles = [
+                run.engine.submit(
+                    ExplorationTask(
+                        **self._task_fields(run, session),
+                        strategy=config.strategy,
+                        frontier=config.frontier,
+                        cache_sync=run.engine.sync_for(session.node),
+                    )
+                )
+            ]
+            return session
         plan = plan_round(
-            max(1, config.grammar_seeds), session.budget_left, shards
+            max(1, config.grammar_seeds), session.budget_left, run.shards
         )
         if plan is not None:
-            self._submit_shard_round(
-                session, config, engine, coordinator, claims_spec,
-                plan, None, counter,
-            )
+            self._submit_shard_round(run, session, plan, None)
         return session
+
+    def _task_fields(self, run: "_CampaignRun", session: "_Session") -> dict:
+        """The fields every task of one session carries, whole or shard."""
+        config = run.config
+        return dict(
+            index=next(run.task_index),
+            cycle=session.cycle,
+            node=session.node,
+            snapshot=session.snapshot,
+            snapshot_blob=session.snapshot_blob,
+            suite=self._suite,
+            claims=run.claims_spec,
+            seed=session.seed,
+            inputs=config.inputs_per_node,
+            horizon=config.horizon,
+            grammar_seeds=config.grammar_seeds,
+            detected_at=session.detected_at,
+            process_factory=self._factory,
+        )
 
     def _submit_shard_round(
         self,
-        session: "_ShardedSession",
-        config: OrchestratorConfig,
-        engine: ParallelCampaignEngine,
-        coordinator: SolverCacheCoordinator,
-        claims_spec,
+        run: "_CampaignRun",
+        session: "_Session",
         plan,
         frontiers: list[Frontier] | None,
-        counter,
     ) -> None:
         """Submit one round's shard tasks in shard order.
 
@@ -1172,61 +814,49 @@ class DiceOrchestrator:
         on round 0's shard 0, exactly once per session.
         """
         session.handles = [
-            engine.submit(
+            run.engine.submit(
                 FrontierShardTask(
-                    index=next(counter),
-                    cycle=session.cycle,
-                    node=session.node,
+                    **self._task_fields(run, session),
                     round=session.round,
                     shard=shard,
                     shard_count=plan.count,
                     budget=plan.budgets[shard],
-                    snapshot=(
-                        None if session.snapshot_blob is not None
-                        else session.snapshot
-                    ),
-                    suite=self._suite,
-                    claims=claims_spec,
-                    seed=session.seed,
-                    inputs=config.inputs_per_node,
-                    horizon=config.horizon,
-                    grammar_seeds=config.grammar_seeds,
-                    detected_at=session.detected_at,
-                    process_factory=self._factory,
                     frontier=(
                         None if frontiers is None else frontiers[shard]
                     ),
                     include_null_probe=(
                         session.round == 0 and shard == 0
                     ),
-                    cache_max_entries=config.solver_cache_size,
-                    token=coordinator.token,
-                    snapshot_blob=session.snapshot_blob,
+                    cache_max_entries=run.config.solver_cache_size,
+                    token=run.coordinator.token,
                 )
             )
             for shard in range(plan.count)
         ]
 
-    def _finish_sharded_session(
-        self,
-        session: "_ShardedSession",
-        config: OrchestratorConfig,
-        engine: ParallelCampaignEngine,
-        coordinator: SolverCacheCoordinator,
-        claims_spec,
-        shards: int,
-        counter,
+    def _finish_session(
+        self, run: "_CampaignRun", session: "_Session"
     ) -> NodeExplorationReport:
-        """Drive a session's remaining rounds to completion and merge.
+        """Drive a session to completion and absorb what it learned.
 
-        Each iteration resolves the current round's handles in shard
-        order, absorbs the shard cache deltas in that same order, and
-        merges the leftover frontiers first-writer-wins.  The leftover
-        entries and the unspent budget are then re-dealt round-robin
-        over up to ``shards`` fresh tasks — the work-steal.  Every
-        planned shard has at least one entry and one execution, so the
-        budget strictly decreases and the loop terminates.
+        A whole session has one outcome, whose cache delta replays into
+        the node's mirror.  A sharded session loops over rounds: each
+        iteration resolves the current round's handles in shard order,
+        absorbs the shard cache deltas in that same order, and merges
+        the leftover frontiers first-writer-wins.  The leftover entries
+        and the unspent budget are then re-dealt round-robin over up to
+        ``run.shards`` fresh tasks — work stealing at round barriers,
+        with the steal a pure function of outcome content, never of
+        wall-clock.  Every planned shard has at least one entry and one
+        execution, so the budget strictly decreases and the loop
+        terminates.
         """
+        if run.shards is None:
+            (handle,) = session.handles
+            outcome = handle.result()
+            run.coordinator.absorb(outcome.cache_delta)
+            session.snapshot_id = outcome.snapshot_id
+            return outcome.report
         final = Frontier(discipline=FrontierDiscipline.SHARDED)
         while session.handles:
             outcomes = [handle.result() for handle in session.handles]
@@ -1234,7 +864,7 @@ class DiceOrchestrator:
             if not session.snapshot_id and outcomes:
                 session.snapshot_id = outcomes[0].snapshot_id
             for outcome in outcomes:
-                coordinator.absorb_shard(outcome.cache_delta)
+                run.coordinator.absorb_shard(outcome.cache_delta)
                 session.reports.append(outcome.report)
                 session.budget_left -= outcome.report.executions
             final = Frontier.merge(
@@ -1242,19 +872,18 @@ class DiceOrchestrator:
             )
             session.round += 1
             plan = plan_round(
-                len(final.entries), session.budget_left, shards
+                len(final.entries), session.budget_left, run.shards
             )
             if plan is None:
                 break
             self._submit_shard_round(
-                session, config, engine, coordinator, claims_spec,
-                plan, final.split(plan.count), counter,
+                run, session, plan, final.split(plan.count)
             )
         return self._merged_session_report(session, final)
 
     @staticmethod
     def _merged_session_report(
-        session: "_ShardedSession", final: Frontier
+        session: "_Session", final: Frontier
     ) -> NodeExplorationReport:
         """Fold shard reports, in (round, shard) order, into one.
 
@@ -1291,8 +920,22 @@ class DiceOrchestrator:
 
 
 @dataclass
-class _ShardedSession:
-    """In-flight state of one (cycle, node) sharded session."""
+class _CampaignRun:
+    """What every session of one campaign shares."""
+
+    config: OrchestratorConfig
+    engine: ParallelCampaignEngine
+    coordinator: SolverCacheCoordinator
+    claims_spec: ClaimSpec
+    # Maximum shard tasks per session round; None = whole sessions.
+    shards: int | None
+    # Position in the campaign's deterministic task order.
+    task_index: Iterator[int] = field(default_factory=itertools.count)
+
+
+@dataclass
+class _Session:
+    """In-flight state of one (cycle, node) exploration session."""
 
     cycle: int
     node: str
@@ -1303,8 +946,9 @@ class _ShardedSession:
     snapshot_blob: bytes | None = None
     budget_left: int = 0
     round: int = 0
-    # Current round's task handles, submitted and resolved in shard
-    # order; empty once the session is exhausted.
+    # The tasks in flight — the whole session's one task, or the current
+    # round's shards — submitted and resolved in order; empty once a
+    # sharded session is exhausted.
     handles: list = field(default_factory=list)
     # Every shard report absorbed so far, in (round, shard) order.
     reports: list[NodeExplorationReport] = field(default_factory=list)

@@ -1,10 +1,12 @@
-"""Parallel campaign execution: multiprocess clone sharding.
+"""The campaign task engine: exploration sessions as tasks on worker slots.
 
 The paper's loop — snapshot, clone, inject one exploration input per
 clone, check properties — is embarrassingly parallel across explorer
 nodes: every node-exploration session runs over its *own* snapshot in
 fully isolated clones and touches nothing of the live system.  This
-module shards those sessions across worker processes:
+module runs those sessions as tasks on worker slots — one inline slot
+in the campaign's own process at ``workers=1``, worker processes or
+remote daemons above that:
 
 * an :class:`ExplorationTask` is the picklable unit of work — snapshot
   (or a pre-pickled snapshot payload), node, strategy, per-task derived
@@ -367,16 +369,13 @@ def _dedup_events(events: list[CacheEvent]) -> tuple[CacheEvent, ...]:
 class SolverCacheCoordinator:
     """Authoritative per-node solver caches plus the sync bookkeeping.
 
-    One instance drives one campaign, in every execution mode:
-
-    * **serial** — explorers mutate :meth:`cache_for` objects directly;
-      :meth:`record_local` collects each session's journal for the
-      cross-node merge;
-    * **parallel** — workers mutate replicas; :meth:`sync_for` builds
-      the outbound :class:`CacheSync` and :meth:`absorb` replays each
-      outcome's :class:`~repro.concolic.solver.CacheDelta` into the
-      orchestrator-side mirror, so mirror and replica step through
-      identical states.
+    One instance drives one campaign, on every transport: worker slots
+    (the calling process itself, for :class:`InlineTransport`) mutate
+    replicas; :meth:`sync_for` builds the outbound :class:`CacheSync`
+    and :meth:`absorb` replays each outcome's
+    :class:`~repro.concolic.solver.CacheDelta` into the
+    orchestrator-side mirror, so mirror and replica step through
+    identical states.
 
     :meth:`end_cycle` folds every node's new entries into every node's
     cache in fixed (task-order deltas, campaign node order) sequence —
@@ -385,14 +384,18 @@ class SolverCacheCoordinator:
     function of (seed, cycle, node): independent of worker count,
     pipelining, and scheduling.
 
-    Transport accounting (``bytes_shipped_*`` vs ``bytes_full_*``)
-    measures the delta protocol against what full-cache pickling would
-    have shipped for the same dispatches — the numbers the
-    cache-sharing benchmark gates on.
+    Transport accounting (``syncs``, ``bytes_shipped_*`` vs
+    ``bytes_full_*``) measures the delta protocol against what
+    full-cache pickling would have shipped for the same dispatches —
+    the numbers the cache-sharing benchmark gates on.  Every figure is
+    the ``len()`` of a pickle taken only to be measured, so a campaign
+    whose transport ships nothing (``metered=False``: the inline
+    transport hands object references around) skips the pickling and
+    reports zeros.
     """
 
     def __init__(self, nodes: Sequence[str], max_entries: int = 4096,
-                 share: bool = True, measure_baseline: bool = True):
+                 share: bool = True, metered: bool = True):
         # pid:counter alone could repeat after OS PID recycling, and a
         # long-lived remote worker daemon rescopes its warm replicas by
         # token inequality — so make tokens globally unique.
@@ -405,13 +408,7 @@ class SolverCacheCoordinator:
         self._nodes = list(nodes)
         self._max_entries = max_entries
         self._share = share
-        # What-if accounting: pickling each node's full cache per
-        # dispatch to price the pre-delta protocol.  Bounded by
-        # max_entries (~2 ms per warm default-sized cache) but still
-        # O(cache size) per node per cycle, so latency-sensitive
-        # deployments can turn it off; bytes_shipped_* stay measured
-        # either way.
-        self._measure_baseline = measure_baseline
+        self._metered = metered
         self._caches = {
             node: SolverCache(max_entries=max_entries) for node in nodes
         }
@@ -425,9 +422,9 @@ class SolverCacheCoordinator:
         # so the log costs O(campaign events) compressed bytes, not
         # re-serialization work — and it is recorded only when a
         # failover-capable engine switches it on
-        # (:meth:`enable_recovery_history`): serial campaigns have no
-        # worker slots to lose, so for them the log would accumulate
-        # without a possible consumer.
+        # (:meth:`enable_recovery_history`): a single-slot campaign has
+        # no surviving slot to fail over to, so for it the log would
+        # accumulate without a possible consumer.
         self._record_history = False
         self._history: dict[str, list[tuple[str, bytes]]] = {
             node: [] for node in nodes
@@ -506,7 +503,7 @@ class SolverCacheCoordinator:
         self._push_seq += 1
 
     def cache_for(self, node: str) -> SolverCache:
-        """The authoritative cache (serial explorers use it in place)."""
+        """The authoritative mirror of one node's cache."""
         return self._caches[node]
 
     def sync_for(self, node: str, slot: int = 0) -> CacheSync:
@@ -560,28 +557,21 @@ class SolverCacheCoordinator:
         return self._count_sync(node, sync)
 
     def _count_sync(self, node: str, sync: CacheSync) -> CacheSync:
-        self.syncs += 1
-        self.bytes_shipped_out += len(pickle.dumps(sync))
-        if self._measure_baseline:
+        if self._metered:
+            self.syncs += 1
+            self.bytes_shipped_out += len(pickle.dumps(sync))
             self.bytes_full_out += self._caches[node].full_pickle_size()
         return sync
 
     def absorb(self, delta: CacheDelta | None) -> None:
-        """Fold one outcome's delta into the node's mirror."""
-        if delta is None:
-            return
-        self.bytes_shipped_in += len(pickle.dumps(delta))
-        cache = self._caches[delta.node]
-        cache.replay_delta(delta)
-        if delta.count and self._record_history:
-            self._history[delta.node].append(("d", delta.packed_events))
-        if self._measure_baseline:
-            self.bytes_full_in += cache.full_pickle_size()
-        self._shipped_generation[delta.node] = cache.generation
-        if self._share:
-            self._cycle_deltas.append(delta)
-            if self._push_channel is not None:
-                self._push_fresh(delta)
+        """Fold one whole-session outcome's delta into the node's mirror.
+
+        The session ran on the node's warm replica, so the delta is
+        **replayed** (a ``"d"`` history record): mirror and replica
+        step through identical states, evictions included.
+        """
+        if delta is not None:
+            self._absorb(delta, "d")
 
     def absorb_shard(self, delta: CacheDelta | None) -> None:
         """Fold one frontier shard's delta into the node's mirror.
@@ -596,32 +586,25 @@ class SolverCacheCoordinator:
         :meth:`~repro.concolic.solver.SolverCache.merge_delta`, exactly
         as the mirror did.
         """
-        if delta is None or not delta.count:
-            return
-        self.bytes_shipped_in += len(pickle.dumps(delta))
+        if delta is not None and delta.count:
+            self._absorb(delta, "g")
+
+    def _absorb(self, delta: CacheDelta, kind: str) -> None:
         cache = self._caches[delta.node]
-        cache.merge_delta(delta.events)
-        if self._record_history:
-            self._history[delta.node].append(("g", delta.packed_events))
-        if self._measure_baseline:
+        if kind == "d":
+            cache.replay_delta(delta)
+        else:
+            cache.merge_delta(delta.events)
+        if delta.count and self._record_history:
+            self._history[delta.node].append((kind, delta.packed_events))
+        if self._metered:
+            self.bytes_shipped_in += len(pickle.dumps(delta))
             self.bytes_full_in += cache.full_pickle_size()
         self._shipped_generation[delta.node] = cache.generation
         if self._share:
             self._cycle_deltas.append(delta)
             if self._push_channel is not None:
                 self._push_fresh(delta)
-
-    def record_local(self, node: str) -> None:
-        """Serial-path equivalent of :meth:`absorb`: drain the journal.
-
-        No recovery history is recorded here: this path runs only in
-        serial campaigns, which have no worker slots to fail over, so
-        the bytes would accumulate without a possible consumer.
-        """
-        delta = self._caches[node].take_delta(node)
-        self._shipped_generation[node] = self._caches[node].generation
-        if self._share:
-            self._cycle_deltas.append(delta)
 
     def end_cycle(self) -> None:
         """Cross-node merge: broadcast the cycle's new entries.
@@ -681,8 +664,25 @@ class SolverCacheCoordinator:
 # -- tasks and outcomes ------------------------------------------------------
 
 
+class _SnapshotPayload:
+    """What both task kinds share: a snapshot, live or pre-pickled."""
+
+    snapshot: Snapshot | None
+    snapshot_blob: bytes | None
+
+    def resolve_snapshot(self) -> Snapshot:
+        """The snapshot to explore, unpickling the payload if needed."""
+        if self.snapshot is not None:
+            return self.snapshot
+        if self.snapshot_blob is None:
+            raise ValueError(
+                "task carries neither a snapshot nor a snapshot_blob"
+            )
+        return pickle.loads(self.snapshot_blob)
+
+
 @dataclass(frozen=True)
-class ExplorationTask:
+class ExplorationTask(_SnapshotPayload):
     """One node-exploration session, ready to ship to a worker.
 
     Everything here must pickle: the snapshot (checkpoints + channel
@@ -720,16 +720,6 @@ class ExplorationTask:
     # executor-side task pickling is a near-memcpy (bytes re-pickle
     # cheaply); used when ``snapshot`` is None.
     snapshot_blob: bytes | None = field(default=None, repr=False)
-
-    def resolve_snapshot(self) -> Snapshot:
-        """The snapshot to explore, unpickling the payload if needed."""
-        if self.snapshot is not None:
-            return self.snapshot
-        if self.snapshot_blob is None:
-            raise ValueError(
-                "task carries neither a snapshot nor a snapshot_blob"
-            )
-        return pickle.loads(self.snapshot_blob)
 
     def exploration_config(self) -> ExplorationConfig:
         """The per-session config the explorer consumes."""
@@ -801,7 +791,7 @@ def run_exploration_task(
 
 
 @dataclass(frozen=True)
-class FrontierShardTask:
+class FrontierShardTask(_SnapshotPayload):
     """One shard of one session's concolic frontier, ready to ship.
 
     The intra-session unit of work: where :class:`ExplorationTask`
@@ -849,16 +839,6 @@ class FrontierShardTask:
     # (remote daemons) accept shard tasks exactly like synced tasks.
     token: str | None = None
     snapshot_blob: bytes | None = field(default=None, repr=False)
-
-    def resolve_snapshot(self) -> Snapshot:
-        """The snapshot to explore, unpickling the payload if needed."""
-        if self.snapshot is not None:
-            return self.snapshot
-        if self.snapshot_blob is None:
-            raise ValueError(
-                "task carries neither a snapshot nor a snapshot_blob"
-            )
-        return pickle.loads(self.snapshot_blob)
 
     def exploration_config(self) -> ExplorationConfig:
         """The per-session config the explorer consumes."""
@@ -1042,15 +1022,21 @@ class InlineTransport:
     """Runs every task synchronously in the calling process.
 
     The ``workers <= 1`` backend: no fork, no pickling, and the
-    process-global replica store — benchmarks' apples-to-apples serial
-    baseline.  Control-flow exceptions (``KeyboardInterrupt``,
-    ``SystemExit``) propagate to the caller instead of being stuffed
-    into the future: an operator's Ctrl-C must abort the campaign, not
-    masquerade as one failed task.
+    process-global replica store — the serial reference every other
+    transport must equal.  ``inline`` is the one fact campaigns read
+    off a transport (with ``getattr``; absent means "ships bytes"):
+    :meth:`submit` resolves before returning and nothing leaves the
+    process, so there is nothing to pre-pickle, nothing to meter, and
+    every outcome can merge the moment its task was submitted.
+    Control-flow exceptions (``KeyboardInterrupt``, ``SystemExit``)
+    propagate to the caller instead of being stuffed into the future:
+    an operator's Ctrl-C must abort the campaign, not masquerade as one
+    failed task.
     """
 
     slots = 1
     supports_push = False
+    inline = True
 
     def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
         future: Future[CampaignOutcome] = Future()
@@ -1222,6 +1208,12 @@ class ParallelCampaignEngine:
         return self._transport
 
     @property
+    def inline(self) -> bool:
+        """Whether tasks run synchronously in this process (see
+        :class:`InlineTransport`)."""
+        return getattr(self._transport, "inline", False)
+
+    @property
     def push_channel(self) -> PushChannel | None:
         """The transport's push channel, when it has one."""
         if getattr(self._transport, "supports_push", False):
@@ -1325,11 +1317,11 @@ class ParallelCampaignEngine:
     def submit(self, task: CampaignTask) -> TaskHandle:
         """Schedule one task; returns a handle resolving to its outcome.
 
-        The incremental interface the pipelined orchestrator uses: it
-        submits each task as soon as its snapshot arrives from the
-        capture pipeline and resolves the handles strictly in task
-        order, so the merge is identical to :meth:`run`'s sorted batch.
-        On the inline transport the task runs immediately.
+        The incremental interface the campaign loop uses: it submits
+        each task as soon as its snapshot arrives from the capture
+        source and resolves the handles strictly in task order, so the
+        merge is identical to :meth:`run`'s sorted batch.  On the
+        inline transport the task runs before this returns.
 
         Sticky tasks (whole sessions) go to their node's pinned slot;
         non-sticky frontier shards go wherever :meth:`shard_slot`

@@ -1,26 +1,37 @@
-"""Pipelined snapshot capture: overlap captures with exploration.
+"""The campaign's capture source: ordered captures, optionally prefetched.
 
 Snapshots must be captured in the main process — the live system is
 singular, and the marker protocol drives its simulator — but nothing
 about a capture depends on exploration results.  That makes capture the
-classic producer half of a two-stage pipeline: while worker processes
-explore the current tasks, a background thread can already run the
-marker protocol for the *next* captures, hiding capture time behind
+classic producer half of a two-stage pipeline: while the campaign
+explores the current sessions (on worker slots, or inline on the
+campaign's own thread), a background thread can already run the marker
+protocol for the *next* captures, hiding capture time behind
 exploration exactly the way capture/compute pipelines hide collective
 latency behind kernels.
 
-The contract that keeps pipelining invisible to results:
+*When* a capture runs is the only thing :class:`SnapshotPipeline`'s
+scheduler decides.  The background scheduler (the ``pipeline`` knob,
+on by default) prefetches on a producer thread; the same-thread
+scheduler runs each capture on the caller, inside
+:meth:`~SnapshotPipeline.next_capture`, exactly when it is asked for —
+the live system is never touched ahead of need, and every capture
+second blocks the campaign unless worker slots are still exploring,
+which is the baseline the overlap benchmark compares against.  The
+campaign loop is the same either way.
 
-* **Requests are fixed up front and captured strictly in order.**  The
-  producer thread executes ``capture_fn`` for one :class:`CaptureRequest`
-  at a time, in the exact (cycle, node) order the serial loop would
-  use.  Only this thread touches the live system while the pipeline is
-  open, so the live simulator's evolution — and therefore every
-  captured snapshot — is bit-identical to unpipelined capture, at any
-  worker count and any wall-clock interleaving.
+The contract that keeps scheduling invisible to results:
+
+* **Requests are fixed up front and captured strictly in order.**
+  ``capture_fn`` runs for one :class:`CaptureRequest` at a time, in
+  the campaign's fixed (cycle, node) order, on exactly one thread:
+  the producer thread while a background pipeline is open, the
+  consumer otherwise.  The live simulator's evolution — and therefore
+  every captured snapshot — is bit-identical under both schedulers,
+  at any worker count and any wall-clock interleaving.
 * **Results are consumed in the same order.**  :meth:`next_capture`
-  returns captures in request order through a bounded queue; the
-  consumer can never observe a reordering.
+  returns captures in request order (through a bounded queue when
+  prefetching); the consumer can never observe a reordering.
 * **Bounded prefetch.**  The producer runs at most ``depth`` captures
   ahead of the consumer, so the live system never races arbitrarily far
   ahead of the cycle being explored.
@@ -31,13 +42,8 @@ The contract that keeps pipelining invisible to results:
 
 Errors raised by ``capture_fn`` (e.g. a snapshot deadline) are
 re-raised in the consumer thread by :meth:`next_capture`, in order.
-
-With the ``pipeline`` knob off, the orchestrator instead captures
-inline on its own thread (serially before each exploration, or as a
-per-cycle batch in parallel mode) — every capture second blocks the
-campaign, which is the baseline the overlap benchmark compares
-against.  Determinism is testable as serial-vs-pipelined equality
-(see ``tests/core/test_pipeline.py``).
+Determinism is testable as same-thread-vs-background equality (see
+``tests/core/test_pipeline.py``).
 """
 
 from __future__ import annotations
@@ -91,8 +97,8 @@ class CapturedSnapshot:
     prepare_wall_s: float = 0.0
 
 
-# capture_fn runs on the producer thread and returns
-# (snapshot, detected_at); it owns the live system for the call.
+# capture_fn returns (snapshot, detected_at); it owns the live system
+# for the call.
 CaptureFn = Callable[[CaptureRequest], tuple[Snapshot, float]]
 
 
@@ -106,14 +112,18 @@ class _PipelineError:
 
 
 class SnapshotPipeline:
-    """Runs capture requests on a background thread, one batch ahead.
+    """Yields the campaign's captures in request order.
+
+    With ``background`` (the default) captures run on a producer
+    thread, up to ``depth`` ahead of consumption; without it each
+    capture runs on the consumer's thread inside :meth:`next_capture`.
 
     Determinism contract: captures execute strictly in request order on
-    a single producer thread (the only toucher of the live system while
-    the pipeline is open), and :meth:`next_capture` yields them in that
+    one thread at a time (the only toucher of the live system while the
+    pipeline is open), and :meth:`next_capture` yields them in that
     same order — so snapshots, their ``detected_at`` stamps, and the
-    live system's evolution are bit-identical to calling ``capture_fn``
-    inline, regardless of prefetch depth or consumer timing.
+    live system's evolution do not depend on the scheduler, the
+    prefetch depth or consumer timing.
 
     Use as a context manager; exiting drains and joins the thread.
     """
@@ -124,6 +134,7 @@ class SnapshotPipeline:
         requests: Sequence[CaptureRequest],
         depth: int = 1,
         prepare_fn: Callable[[Snapshot], bytes] | None = None,
+        background: bool = True,
     ):
         self._capture_fn = capture_fn
         self._prepare_fn = prepare_fn
@@ -131,19 +142,45 @@ class SnapshotPipeline:
         self._queue: queue.Queue[Any] = queue.Queue(maxsize=max(1, depth))
         self._stop = threading.Event()
         self._consumed = 0
-        # Stats for the overlap benchmark: producer-side capture time
-        # (including payload preparation, broken out in prepare_wall_s)
-        # vs consumer-side time spent blocked waiting for a capture.
-        # Their difference is the capture time *hidden* behind
-        # exploration.
+        # Stats for the overlap benchmark: capture-side time (including
+        # payload preparation, broken out in prepare_wall_s) vs
+        # consumer-side time spent waiting for a capture.  Their
+        # difference is the capture time *hidden* behind exploration.
         self.capture_wall_s = 0.0
         self.prepare_wall_s = 0.0
         self.blocked_wall_s = 0.0
         self.captures_completed = 0
-        self._thread = threading.Thread(
-            target=self._produce, name="snapshot-pipeline", daemon=True
+        self._thread: threading.Thread | None = None
+        if background:
+            self._thread = threading.Thread(
+                target=self._produce, name="snapshot-pipeline", daemon=True
+            )
+            self._thread.start()
+
+    def _capture(self, request: CaptureRequest) -> CapturedSnapshot:
+        """Run one capture (and its payload preparation), timed."""
+        started = time.perf_counter()
+        snapshot, detected_at = self._capture_fn(request)
+        payload = None
+        prepare_elapsed = 0.0
+        if self._prepare_fn is not None:
+            prepare_started = time.perf_counter()
+            payload = self._prepare_fn(snapshot)
+            prepare_elapsed = time.perf_counter() - prepare_started
+        elapsed = time.perf_counter() - started
+        self.capture_wall_s += elapsed
+        self.prepare_wall_s += prepare_elapsed
+        self.captures_completed += 1
+        return CapturedSnapshot(
+            index=request.index,
+            cycle=request.cycle,
+            node=request.node,
+            snapshot=None if payload is not None else snapshot,
+            detected_at=detected_at,
+            capture_wall_s=elapsed,
+            payload=payload,
+            prepare_wall_s=prepare_elapsed,
         )
-        self._thread.start()
 
     # -- producer side (background thread) --
 
@@ -151,34 +188,12 @@ class SnapshotPipeline:
         for request in self._requests:
             if self._stop.is_set():
                 return
-            started = time.perf_counter()
             try:
-                snapshot, detected_at = self._capture_fn(request)
-                payload = None
-                prepare_elapsed = 0.0
-                if self._prepare_fn is not None:
-                    prepare_started = time.perf_counter()
-                    payload = self._prepare_fn(snapshot)
-                    prepare_elapsed = time.perf_counter() - prepare_started
+                item = self._capture(request)
             except BaseException as error:  # noqa: BLE001 - forwarded
                 self._put(_PipelineError(error))
                 return
-            elapsed = time.perf_counter() - started
-            self.capture_wall_s += elapsed
-            self.prepare_wall_s += prepare_elapsed
-            self.captures_completed += 1
-            self._put(
-                CapturedSnapshot(
-                    index=request.index,
-                    cycle=request.cycle,
-                    node=request.node,
-                    snapshot=None if payload is not None else snapshot,
-                    detected_at=detected_at,
-                    capture_wall_s=elapsed,
-                    payload=payload,
-                    prepare_wall_s=prepare_elapsed,
-                )
-            )
+            self._put(item)
 
     def _put(self, item: Any) -> None:
         # Bounded put that stays responsive to close(): a consumer that
@@ -196,12 +211,15 @@ class SnapshotPipeline:
         """The next capture, in request order; blocks until available.
 
         Re-raises, in order, any exception the capture function raised
-        on the producer thread.
+        (on the producer thread, when prefetching).
         """
         if self._consumed >= len(self._requests):
             raise IndexError("all requested captures already consumed")
         started = time.perf_counter()
-        item = self._queue.get()
+        if self._thread is None:
+            item = self._capture(self._requests[self._consumed])
+        else:
+            item = self._queue.get()
         self.blocked_wall_s += time.perf_counter() - started
         if isinstance(item, _PipelineError):
             self._consumed = len(self._requests)  # poisoned: nothing follows
@@ -226,6 +244,8 @@ class SnapshotPipeline:
         the live system is never abandoned mid-marker-protocol.
         """
         self._stop.set()
+        if self._thread is None:
+            return
         while True:
             try:
                 self._queue.get_nowait()

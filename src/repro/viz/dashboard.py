@@ -122,8 +122,6 @@ def render_campaign(result: CampaignResult) -> str:
         baseline = (
             f" vs {result.cache_bytes_full_equivalent() / 1024:.1f} KiB "
             f"full ({result.cache_bytes_reduction():.0%} saved)"
-            if result.cache_bytes_full_equivalent()
-            else ""  # baseline measurement turned off
         )
         pushed = (
             f" ({result.cache_bytes_pushed / 1024:.1f} KiB pushed)"

@@ -52,14 +52,18 @@ class TestRunOnce:
 
 class TestExplore:
     def test_discovers_all_paths(self):
-        engine = ConcolicEngine(branchy_program, max_executions=40)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=40)
+        )
         result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
         # Paths: high-crash, high-ok, mid, low-odd, low-even = 5.
         assert result.unique_paths == 5
         assert result.frontier_exhausted
 
     def test_finds_rare_crash(self):
-        engine = ConcolicEngine(branchy_program, max_executions=40)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=40)
+        )
         result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
         assert len(result.crashes) == 1
         crash_input = result.crashes[0].input.concrete
@@ -68,25 +72,33 @@ class TestExplore:
 
     def test_stop_on_first_crash(self):
         engine = ConcolicEngine(
-            branchy_program, max_executions=100, stop_on_first_crash=True
+            branchy_program,
+            spec=ExplorationSpec(max_executions=100,
+                                 stop_on_first_crash=True),
         )
         result = engine.explore([SymBytes.mark_all(bytes([200, 77]))])
         assert result.crashes
         assert result.executions == 1
 
     def test_budget_respected(self):
-        engine = ConcolicEngine(branchy_program, max_executions=3)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=3)
+        )
         result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
         assert result.executions == 3
 
     def test_no_marks_no_children(self):
-        engine = ConcolicEngine(branchy_program, max_executions=10)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=10)
+        )
         result = engine.explore([SymBytes(b"\x00\x00", {})])
         assert result.executions == 1
         assert result.unique_paths == 1
 
     def test_progress_samples_recorded(self):
-        engine = ConcolicEngine(branchy_program, max_executions=10)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=10)
+        )
         result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
         assert result.progress[0][0] == 1
         assert result.progress[-1][0] == result.executions
@@ -94,7 +106,8 @@ class TestExplore:
     def test_deterministic_given_seeded_solver(self):
         def run():
             engine = ConcolicEngine(
-                branchy_program, solver=Solver(seed=5), max_executions=30
+                branchy_program, solver=Solver(seed=5),
+                spec=ExplorationSpec(max_executions=30),
             )
             result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
             return (result.executions, result.unique_paths,
@@ -103,7 +116,9 @@ class TestExplore:
         assert run() == run()
 
     def test_paths_per_execution_metric(self):
-        engine = ConcolicEngine(branchy_program, max_executions=20)
+        engine = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=20)
+        )
         result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
         assert 0 < result.paths_per_execution() <= 1.0
 
@@ -153,7 +168,9 @@ class TestRandomBaseline:
         """The EXP-EXPLORE shape: the nested b1 == 77 crash is a 1/256
         target random mutation rarely hits, while concolic solves it."""
         budget = 30
-        concolic = ConcolicEngine(branchy_program, max_executions=budget)
+        concolic = ConcolicEngine(
+            branchy_program, spec=ExplorationSpec(max_executions=budget)
+        )
         concolic_result = concolic.explore([SymBytes.mark_all(b"\x00\x00")])
         random_explorer = RandomByteExplorer(
             branchy_program, seed=9, max_executions=budget
@@ -205,14 +222,6 @@ class TestExplorationSpec:
         spec = ExplorationSpec(max_executions=7)
         assert ConcolicEngine(branchy_program, spec=spec).spec is spec
 
-    def test_legacy_keywords_warn_but_work(self):
-        with pytest.warns(DeprecationWarning, match="ExplorationSpec"):
-            engine = ConcolicEngine(
-                branchy_program, max_executions=9, frontier="dfs"
-            )
-        assert engine.spec.max_executions == 9
-        assert engine.spec.frontier is FrontierDiscipline.DFS
-
     def test_spec_construction_does_not_warn(self):
         import warnings
 
@@ -221,7 +230,8 @@ class TestExplorationSpec:
             ConcolicEngine(branchy_program, spec=ExplorationSpec())
 
     def test_spec_and_legacy_keywords_conflict(self):
-        with pytest.raises(ValueError, match="not both"):
+        """``spec=`` is the only way to configure an engine."""
+        with pytest.raises(TypeError, match="max_executions"):
             ConcolicEngine(
                 branchy_program, max_executions=9, spec=ExplorationSpec()
             )

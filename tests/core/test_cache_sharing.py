@@ -109,23 +109,6 @@ class TestTransportAccounting:
         )
         assert 0.0 < result.cache_bytes_reduction() <= 1.0
 
-    def test_baseline_measurement_can_be_disabled(self):
-        dice = DiceOrchestrator(faulty_live(), default_property_suite())
-        result = dice.run_campaign(
-            OrchestratorConfig(
-                inputs_per_node=3, seed=9, workers=2,
-                measure_cache_baseline=False,
-            )
-        )
-        assert result.cache_bytes_shipped() > 0  # transport still counted
-        assert result.cache_bytes_full_equivalent() == 0
-        assert result.cache_bytes_reduction() == 0.0
-        from repro.viz.dashboard import render_campaign
-
-        text = render_campaign(result)
-        assert "cache transport" in text
-        assert "full" not in text.split("cache transport")[1].splitlines()[0]
-
     def test_serial_ships_nothing(self):
         result = run_campaign(workers=1)
         assert result.cache_syncs == 0

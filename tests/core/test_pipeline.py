@@ -13,8 +13,10 @@ import pytest
 
 from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
 from repro.checks import default_property_suite
+from repro.core.explorer import Explorer
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.pipeline import SnapshotPipeline, plan_captures
+from repro.core.snapshot import SnapshotCoordinator
 
 
 def requests(count, nodes=("r1", "r2")):
@@ -62,6 +64,26 @@ class TestSnapshotPipeline:
             for _ in range(4):
                 pipeline.next_capture()
         assert threads == {"snapshot-pipeline"}
+
+    def test_same_thread_scheduler_captures_on_demand(self):
+        """background=False: each capture runs on the consumer, inside
+        next_capture — never ahead of need."""
+        calls = []
+
+        def capture(request):
+            calls.append((request.index, threading.current_thread()))
+            return object(), float(request.index)
+
+        plan = requests(2)
+        with SnapshotPipeline(capture, plan, background=False) as pipeline:
+            assert calls == []
+            consumed = [pipeline.next_capture() for _ in plan[:3]]
+            assert len(calls) == 3
+        assert calls == [
+            (r.index, threading.current_thread()) for r in plan[:3]
+        ]
+        assert [c.index for c in consumed] == [0, 1, 2]
+        assert pipeline.hidden_fraction() == 0.0
 
     def test_consuming_past_the_plan_raises(self):
         with SnapshotPipeline(lambda r: (object(), 0.0), requests(1),
@@ -165,17 +187,23 @@ class TestPipelinedDeterminism:
     def test_stop_after_first_fault_abort_matches_serial(self):
         """Mid-cycle abort drains the pipeline; counters match serial."""
         serial = run_campaign(workers=1, pipeline=False, stop=True)
-        piped = run_campaign(workers=3, pipeline=True, stop=True)
         assert serial.reports
-        assert report_fingerprint(serial) == report_fingerprint(piped)
-        assert serial.snapshots_taken == piped.snapshots_taken
-        assert serial.inputs_explored == piped.inputs_explored
-        assert len(serial.node_reports) == len(piped.node_reports)
+        for workers, pipeline in ((3, True), (2, False)):
+            pooled = run_campaign(workers=workers, pipeline=pipeline,
+                                  stop=True)
+            assert report_fingerprint(serial) == report_fingerprint(pooled)
+            assert serial.snapshots_taken == pooled.snapshots_taken
+            assert serial.inputs_explored == pooled.inputs_explored
+            assert len(serial.node_reports) == len(pooled.node_reports)
 
     def test_capture_stats_populated(self):
-        piped = run_campaign(workers=2, pipeline=True, cycles=1)
-        assert piped.capture_wall_s > 0.0
-        assert 0.0 <= piped.capture_hidden_fraction() <= 1.0
+        for workers in (1, 2):
+            for pipeline in (False, True):
+                result = run_campaign(workers=workers, pipeline=pipeline,
+                                      cycles=1)
+                assert result.capture_wall_s > 0.0
+                assert result.capture_blocked_s >= 0.0
+                assert 0.0 <= result.capture_hidden_fraction() <= 1.0
 
     def test_serial_campaign_gets_pipelined_capture(self):
         """workers=1 with the pipeline on overlaps the capture thread
@@ -202,6 +230,42 @@ class TestPipelinedDeterminism:
         assert report_fingerprint(plain) == report_fingerprint(overlapped)
         assert plain.snapshots_taken == overlapped.snapshots_taken
         assert plain.inputs_explored == overlapped.inputs_explored
+
+    @pytest.mark.parametrize("pipeline", [False, True])
+    def test_inline_early_stop_does_no_extra_work(self, pipeline,
+                                                  monkeypatch):
+        """workers=1 merges each session the moment it ran, so an early
+        stop runs no further session — and, without prefetch, takes no
+        further capture and does not advance the live system past the
+        faulting one (a later campaign on the same system sees it)."""
+        explored, captured = [], []
+        explore, capture = Explorer.explore, SnapshotCoordinator.capture
+
+        def counting_explore(self, config):
+            explored.append(config.node)
+            return explore(self, config)
+
+        def counting_capture(self, initiator, *args, **kwargs):
+            captured.append(initiator)
+            return capture(self, initiator, *args, **kwargs)
+
+        monkeypatch.setattr(Explorer, "explore", counting_explore)
+        monkeypatch.setattr(SnapshotCoordinator, "capture", counting_capture)
+        live = faulty_live()
+        result = DiceOrchestrator(live, default_property_suite()).run_campaign(
+            OrchestratorConfig(
+                inputs_per_node=4, cycles=2, seed=9, workers=1,
+                pipeline=pipeline, stop_after_first_fault=True,
+                # r3's session is the first to report a fault.
+                explorer_nodes=["r1", "r3", "r2"],
+            )
+        )
+        assert result.reports
+        assert [n.node for n in result.node_reports] == ["r1", "r3"]
+        assert len(explored) == len(result.node_reports)
+        if not pipeline:
+            assert len(captured) == result.snapshots_taken
+            assert live.network.sim.now == result.reports[-1].detected_at
 
     def test_campaign_nodes_visited_once_per_cycle(self):
         piped = run_campaign(workers=2, pipeline=True, cycles=2)
