@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Four measurements:
+Five measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -9,6 +9,9 @@ Four measurements:
   in the spine, and exactly 1.0 (a copy reintroduced anywhere between
   ``export_state`` and ``import_state`` drops it to 0.0, which the CI
   regression gate catches without a wall-clock threshold);
+* the clones one exploration session spends beyond one per input —
+  expected: exactly 1, the null probe (reading the explored router
+  restores that one checkpoint, not the system); a counter, so gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -88,8 +91,8 @@ def test_clone_restore_cost_vs_rib_size(benchmark, routes):
 
     clone = benchmark(restore)
     shared = sum(
-        clone.loc_rib.get(prefix) is route
-        for prefix, route in checkpoint.state["loc_rib"]
+        clone.loc_rib.get(route.prefix) is route
+        for route in checkpoint.state["loc_rib"]
     )
     sharing = shared / routes
     print(f"\n  routes={routes:<6} shared with checkpoint={sharing:.0%}")
@@ -104,6 +107,32 @@ def test_clone_restore_cost_vs_rib_size(benchmark, routes):
     )
     assert len(clone.loc_rib) == routes
     assert sharing == 1.0
+
+
+def test_session_clone_budget():
+    """One concolic session on demo27 spends a clone per input plus the
+    null probe; picking the peer and seeding the grammar read one
+    restored router and clone nothing."""
+    from repro.checks import default_property_suite
+    from repro.core.explorer import ExplorationConfig, Explorer
+    from repro.core.sharing import SharingRegistry
+    from repro.topo.demo27 import build_demo27
+
+    topology = build_demo27()
+    live = LiveSystem.build(topology.configs, topology.links, seed=27)
+    live.converge()
+    node = topology.nodes_in_tier(1)[0]
+    explorer = Explorer(
+        live.coordinator.capture(node),
+        default_property_suite(),
+        SharingRegistry.from_configs(live.initial_configs),
+    )
+    report = explorer.explore(ExplorationConfig(node=node, inputs=3, seed=1))
+    overhead = report.clones_created - report.executions
+    print(f"\n  clones={report.clones_created} inputs={report.executions}")
+    benchlib.record("overhead", metrics={"session_overhead_clones": overhead})
+    assert report.executions == 3
+    assert overhead == 1
 
 
 @pytest.mark.parametrize("scale", [

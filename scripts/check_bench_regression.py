@@ -52,6 +52,10 @@ GATED_METRICS = {
     # bench_solver: 476 684 before dead flips were refuted up front,
     # about 1 000 since; a lost refutation is 8 200 rounds a query.
     "repair_rounds": "lower",
+    # bench_overhead: clones a session makes beyond one per input. 3
+    # while peer pick and grammar seeding each cloned the whole system
+    # to read one router, 1 (the null probe) since.
+    "session_overhead_clones": "lower",
 }
 
 # Booleans that must never flip to False once True.

@@ -184,7 +184,10 @@ class Prefix:
         return (self.network, self.length) < (other.network, other.length)
 
     def __hash__(self) -> int:
-        return hash(("Prefix", self.network, self.length))
+        # Integers only, so the value is the same in every process (a
+        # str in the tuple salts it by PYTHONHASHSEED).  Not cached in a
+        # slot: slots are pickled, into every snapshot.
+        return hash((self.network, self.length))
 
     def __deepcopy__(self, memo) -> "Prefix":
         return self  # immutable

@@ -12,12 +12,18 @@ The three-RIB architecture follows RFC 4271 section 3.2:
 
 The Loc-RIB journals every change; the journal is the raw material for
 the oscillation and convergence checks.
+
+All three are dicts keyed by prefix, and each constructor takes what the
+RIB starts out holding: restoring a checkpoint is one dict build that
+calls no mutator and journals nothing — it is not a route change.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Iterator
+from operator import attrgetter
+from typing import Iterable, Iterator
 
 from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
 from repro.bgp.route import Route
@@ -45,9 +51,9 @@ class RibChange:
 class AdjRibIn:
     """Routes learned from one peer, keyed by prefix."""
 
-    def __init__(self, peer: str):
+    def __init__(self, peer: str, routes: Iterable[Route] = ()):
         self.peer = peer
-        self._routes: dict[Prefix, Route] = {}
+        self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
 
     def update(self, route: Route) -> Route | None:
         """Install ``route``; returns the route it replaced, if any."""
@@ -65,11 +71,11 @@ class AdjRibIn:
 
     def routes(self) -> Iterator[Route]:
         """All routes from this peer."""
-        yield from self._routes.values()
+        return iter(self._routes.values())
 
     def prefixes(self) -> Iterator[Prefix]:
         """All prefixes this peer advertised."""
-        yield from self._routes.keys()
+        return iter(self._routes)
 
     def clear(self) -> list[Prefix]:
         """Drop everything (session reset); returns affected prefixes."""
@@ -84,37 +90,47 @@ class AdjRibIn:
 class LocRib:
     """Selected best routes, with longest-prefix match and a change journal.
 
+    The routes live in a dict, so ``get`` and ``set`` cost one hash.
+    ``routes()`` and ``prefixes()`` run in prefix order — sorted by
+    ``(network, length)``, which is the pre-order of a binary trie —
+    from a sorted key list that is kept until the key *set* changes.
+    The trie itself is only an index for :meth:`lookup`: built on the
+    first lookup, dropped by the next ``set``.  ``routes`` is what the
+    RIB starts out holding; the journal starts empty either way.
+
     The journal is a ring buffer: the most recent ``journal_capacity``
     changes are always available, however long the system has run —
     the oscillation checker depends on *recent* history, not ancient
     history, so eviction drops the oldest entries.
     """
 
-    def __init__(self, journal_capacity: int = 100_000):
-        from collections import deque
-
-        self._trie: PrefixTrie[Route] = PrefixTrie()
+    def __init__(self, journal_capacity: int = 100_000,
+                 routes: Iterable[Route] = ()):
+        self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
+        self._order: list[Prefix] | None = None
+        self._lpm: PrefixTrie[Route] | None = None
         self._journal: "deque[RibChange]" = deque(maxlen=journal_capacity)
         self.changes_total = 0
 
     def get(self, prefix: Prefix) -> Route | None:
         """Best route for exactly ``prefix``."""
-        return self._trie.get(prefix)
+        return self._routes.get(prefix)
 
     def set(self, time: float, prefix: Prefix, route: Route | None) -> RibChange | None:
         """Install (or with ``None``, remove) the best route for ``prefix``.
 
         Returns the journal entry, or None when nothing changed.
         """
-        old = self._trie.get(prefix)
+        old = self._routes.get(prefix)
         if old is route or (old == route and old is not None):
             return None
         if route is None:
-            if old is None:
-                return None
-            self._trie.remove(prefix)
+            del self._routes[prefix]
         else:
-            self._trie.insert(prefix, route)
+            self._routes[prefix] = route
+        if old is None or route is None:
+            self._order = None
+        self._lpm = None
         change = RibChange(time, prefix, old, route)
         self.changes_total += 1
         self._journal.append(change)
@@ -122,18 +138,23 @@ class LocRib:
 
     def lookup(self, address: IPv4Address | int) -> Route | None:
         """Longest-prefix-match forwarding lookup."""
-        hit = self._trie.longest_match(address)
+        if self._lpm is None:
+            self._lpm = PrefixTrie()
+            for prefix, route in self._routes.items():
+                self._lpm.insert(prefix, route)
+        hit = self._lpm.longest_match(address)
         return None if hit is None else hit[1]
 
     def routes(self) -> Iterator[Route]:
         """All best routes in prefix order."""
-        for _, route in self._trie.items():
-            yield route
+        return map(self._routes.__getitem__, self.prefixes())
 
     def prefixes(self) -> Iterator[Prefix]:
-        """All prefixes with a selected route."""
-        for prefix, _ in self._trie.items():
-            yield prefix
+        """All prefixes with a selected route, in prefix order."""
+        if self._order is None:
+            key = attrgetter("network", "length")  # Prefix.__lt__, in C
+            self._order = sorted(self._routes, key=key)
+        return iter(self._order)
 
     def journal(self) -> list[RibChange]:
         """The retained change journal (oldest first)."""
@@ -151,15 +172,15 @@ class LocRib:
         return [change for change in self._journal if change.prefix == prefix]
 
     def __len__(self) -> int:
-        return len(self._trie)
+        return len(self._routes)
 
 
 class AdjRibOut:
     """What we last advertised to one peer (for update suppression)."""
 
-    def __init__(self, peer: str):
+    def __init__(self, peer: str, routes: Iterable[Route] = ()):
         self.peer = peer
-        self._routes: dict[Prefix, Route] = {}
+        self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
 
     def advertised(self, prefix: Prefix) -> Route | None:
         """The route we last announced for ``prefix``, if any."""
@@ -179,7 +200,11 @@ class AdjRibOut:
 
     def prefixes(self) -> Iterator[Prefix]:
         """All prefixes currently advertised to this peer."""
-        yield from self._routes.keys()
+        return iter(self._routes)
+
+    def routes(self) -> Iterator[Route]:
+        """The last announcement for every advertised prefix."""
+        return iter(self._routes.values())
 
     def clear(self) -> None:
         """Forget advertisements (session reset)."""

@@ -700,20 +700,19 @@ class BGPRouter(Process):
                     peer: session.export_state()
                     for peer, session in self.sessions.items()
                 },
+                # Each RIB as its routes alone, not keyed by prefix: a
+                # dict's key is not always the ``route.prefix`` object
+                # itself, and pickle would then write that prefix into
+                # the snapshot twice.
                 "adj_rib_in": {
                     peer: list(rib.routes())
                     for peer, rib in self.adj_rib_in.items()
                 },
                 "adj_rib_out": {
-                    peer: {
-                        prefix: rib.advertised(prefix)
-                        for prefix in rib.prefixes()
-                    }
+                    peer: list(rib.routes())
                     for peer, rib in self.adj_rib_out.items()
                 },
-                "loc_rib": [
-                    (route.prefix, route) for route in self.loc_rib.routes()
-                ],
+                "loc_rib": list(self.loc_rib.routes()),
                 "crash_count": self.crash_count,
                 "update_handler_calls": self.update_handler_calls,
                 "pending_export": {
@@ -729,29 +728,23 @@ class BGPRouter(Process):
         return state
 
     def import_state(self, state: dict[str, Any]) -> None:
-        """Restore from :meth:`export_state` output, rebuilding every container."""
+        """Restore from :meth:`export_state` output, rebuilding every
+        container; each RIB is one bulk build, no mutator runs and the
+        Loc-RIB journals nothing."""
         self.config = state["config"]
         self.sessions = {
             peer: Session.import_state(session_state)
             for peer, session_state in state["sessions"].items()
         }
-        self.adj_rib_in = {}
-        for peer, routes in state["adj_rib_in"].items():
-            rib = AdjRibIn(peer)
-            for route in routes:
-                rib.update(route)
-            self.adj_rib_in[peer] = rib
-        self.adj_rib_out = {}
-        for peer, advertised in state["adj_rib_out"].items():
-            rib = AdjRibOut(peer)
-            for route in advertised.values():
-                if route is not None:
-                    rib.record_announce(route)
-            self.adj_rib_out[peer] = rib
-        self.loc_rib = LocRib()
-        now = self.now if self.network is not None else 0.0
-        for prefix, route in state["loc_rib"]:
-            self.loc_rib.set(now, prefix, route)
+        self.adj_rib_in = {
+            peer: AdjRibIn(peer, routes)
+            for peer, routes in state["adj_rib_in"].items()
+        }
+        self.adj_rib_out = {
+            peer: AdjRibOut(peer, routes)
+            for peer, routes in state["adj_rib_out"].items()
+        }
+        self.loc_rib = LocRib(routes=state["loc_rib"])
         self.crash_count = state["crash_count"]
         self.update_handler_calls = state["update_handler_calls"]
         self._pending_export = {

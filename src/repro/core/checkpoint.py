@@ -1,7 +1,8 @@
 """Lightweight node checkpoints.
 
 A :class:`NodeCheckpoint` holds what one node's ``export_state``
-returned; nothing copies it again.  "Lightweight" is made concrete two ways:
+returned; nothing copies it again.  "Lightweight" is made concrete three
+ways:
 
 * **structural sharing** — ``export_state`` builds fresh containers
   around immutable leaves (routes, attributes, AS paths, prefixes,
@@ -9,6 +10,11 @@ returned; nothing copies it again.  "Lightweight" is made concrete two ways:
   live router, the checkpoint and every clone share the leaves and no
   container.  Checkpointing a RIB of 10k routes builds dict/list
   spines, not 10k route objects;
+* **restore is a bulk build, not a replay** — a checkpoint holds each
+  RIB as a list of routes and ``import_state`` turns each list into the
+  RIB's dict in one pass: no mutator is called, nothing is journalled
+  (a restored Loc-RIB has ``changes_total == 0``), and the Loc-RIB's
+  longest-prefix index is built on the first ``lookup``;
 * **measurability** — :func:`checkpoint_size` estimates the checkpoint's
   retained size so EXP-OVERHEAD can chart cost against RIB size.
 """

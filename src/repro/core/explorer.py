@@ -11,6 +11,10 @@ exploration input it:
 4. evaluates the property suite over the clone, reaching remote domains
    only through the sharing interface.
 
+A session spends one clone more than its inputs, the null probe; to pick
+the peer and seed the grammar it restores the node's own checkpoint
+alone (:meth:`Explorer._probe_router`), not the system.
+
 Input generation implements all three of the paper's path-explosion
 mitigations: exploration starts from current state (the snapshot), it
 targets the state-changing UPDATE handler, and inputs are small,
@@ -25,7 +29,7 @@ from __future__ import annotations
 
 import random
 import time
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field, replace
 
 from repro.bgp.errors import BGPError
@@ -47,6 +51,7 @@ from repro.core.live import bgp_process_factory
 from repro.core.properties import CheckContext, PropertySuite, Violation
 from repro.core.sharing import SharingRegistry
 from repro.core.snapshot import Snapshot
+from repro.net.network import Network
 from repro.util.rng import derive_seed
 
 STRATEGY_CONCOLIC = "concolic"
@@ -180,6 +185,20 @@ class Explorer:
             self._factory,
             seed=derive_seed(seed, f"clone/{self._clone_counter}"),
         )
+
+    @contextmanager
+    def _probe_router(self, node: str):
+        """``node``'s checkpointed router alone, to read its sessions
+        and RIBs without cloning the system: restored into a one-node
+        throw-away network (its timers need a simulator) that is closed
+        on exit like every clone.  ``clones_created`` does not count it.
+        """
+        checkpoint = self._snapshot.checkpoints[node]
+        with closing(Network()) as network:
+            router = network.add_process(self._factory(checkpoint))
+            network.start_silently()
+            checkpoint.restore_into(router)
+            yield router
 
     def _sharing_for(self, clone) -> SharingRegistry:
         """A per-clone registry: shared claims, endpoints over the clone."""
@@ -431,12 +450,11 @@ class Explorer:
 
     def _grammar_for_node(self, config: ExplorationConfig,
                           rng: random.Random) -> UpdateGrammar:
-        with closing(self._new_clone(config.seed)) as probe:
-            return UpdateGrammar.for_router(probe.processes[config.node], rng)
+        with self._probe_router(config.node) as router:
+            return UpdateGrammar.for_router(router, rng)
 
     def _pick_peer(self, config: ExplorationConfig) -> str | None:
-        with closing(self._new_clone(config.seed)) as probe:
-            router = probe.processes[config.node]
+        with self._probe_router(config.node) as router:
             if config.peer is not None:
                 session = router.sessions.get(config.peer)
                 if session is not None and session.is_established():

@@ -1,8 +1,12 @@
 """Tests for the three RIBs."""
 
+from hypothesis import given
+from hypothesis import strategies as st
+from test_ip import naive_longest_match
+
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.ip import IPv4Address, Prefix
-from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib
+from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
+from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import SOURCE_EBGP, Route
 
 P1 = Prefix("10.1.0.0/16")
@@ -130,6 +134,101 @@ class TestLocRib:
         assert [change.time for change in recent] == [3.0, 4.0]
         assert rib.recent_changes(0) == []
         assert len(rib.recent_changes(99)) == 5
+
+
+def _prefix(bits, length):
+    return Prefix((bits << (32 - length)) & 0xFFFFFFFF if length else 0, length)
+
+
+# Short prefixes collide often, so one run sets, replaces and removes
+# the same keys and nests them; the long ones reach the deep trie.
+PREFIXES = st.one_of(
+    st.builds(_prefix, st.integers(0, 31), st.integers(0, 5)),
+    st.builds(_prefix, st.integers(0, 2**32 - 1), st.integers(0, 32)),
+)
+# None withdraws; equal numbers make equal (but distinct) routes.
+MUTATIONS = st.lists(
+    st.tuples(PREFIXES, st.none() | st.integers(1, 3)), max_size=40
+)
+
+
+class TestLocRibAgainstTrieAndDict:
+    """The dict-backed Loc-RIB against the structures it replaced: a
+    ``PrefixTrie`` for iteration order, a brute-force scan for longest
+    match, a plain dict for everything else."""
+
+    @given(MUTATIONS, st.lists(st.integers(0, 2**32 - 1), max_size=5))
+    def test_interleaved_set_and_withdraw(self, mutations, addresses):
+        rib = LocRib()
+        trie = PrefixTrie()
+        model = {}
+        changes = []
+        for step, (prefix, pref) in enumerate(mutations):
+            new = None if pref is None else route(prefix, local_pref=pref)
+            old = model.get(prefix)
+            change = rib.set(float(step), prefix, new)
+            if old == new:
+                assert change is None
+            else:
+                assert change == RibChange(float(step), prefix, old, new)
+                assert change.old is old and change.new is new
+                changes.append(change)
+                if new is None:
+                    del model[prefix]
+                    trie.remove(prefix)
+                else:
+                    model[prefix] = new
+                    trie.insert(prefix, new)
+            # (c) the plain-dict model
+            assert len(rib) == len(model)
+            assert rib.get(prefix) is model.get(prefix)
+            assert rib.changes_total == len(changes)
+            assert rib.journal() == changes
+            # (a) iteration order is the trie's
+            expected = list(trie.items())
+            assert list(rib.prefixes()) == [p for p, _ in expected]
+            listed = list(rib.routes())
+            assert len(listed) == len(expected)
+            assert all(a is b for a, (_, b) in zip(listed, expected))
+            assert [r.prefix for r in listed] == [p for p, _ in expected]
+            # (b) the lazy index is never stale: look up after every
+            # mutation, at the drawn addresses and inside this prefix
+            for value in [*addresses, prefix.network]:
+                address = IPv4Address(value)
+                hit = naive_longest_match(model, address)
+                assert rib.lookup(address) is (None if hit is None else hit[1])
+
+    @given(st.lists(PREFIXES, max_size=20, unique=True))
+    def test_initial_routes_are_not_changes(self, prefixes):
+        routes = [route(prefix) for prefix in prefixes]
+        rib = LocRib(routes=routes)
+        assert rib.journal() == [] and rib.changes_total == 0
+        assert len(rib) == len(routes)
+        assert all(rib.get(r.prefix) is r for r in routes)
+        # in prefix order whatever order they were handed over in
+        assert list(rib.prefixes()) == sorted(prefixes)
+        assert [r.prefix for r in rib.routes()] == sorted(prefixes)
+        for prefix in prefixes:
+            hit = naive_longest_match(dict(zip(prefixes, routes)),
+                                      prefix.address)
+            assert rib.lookup(prefix.address) is hit[1]
+
+
+class TestInitialContents:
+    def test_adj_rib_in_starts_with_routes(self):
+        first, second = route(P1), route(P2)
+        rib = AdjRibIn("p1", [first, second])
+        assert rib.peer == "p1"
+        assert list(rib.routes()) == [first, second]
+        assert rib.get(P2) is second
+
+    def test_adj_rib_out_starts_with_routes(self):
+        first, second = route(P1), route(P2)
+        rib = AdjRibOut("p1", [first, second])
+        assert list(rib.routes()) == [first, second]
+        assert rib.advertised(P2) is second
+        # an initial route suppresses its duplicate like an announced one
+        assert not rib.record_announce(route(P1))
 
 
 class TestAdjRibOut:

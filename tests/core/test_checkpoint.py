@@ -10,11 +10,18 @@ from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.config import AddNetwork, RemoveNetwork, RouterConfig
 from repro.bgp.damping import FLAP_WITHDRAW, DampingParams
 from repro.bgp.ip import IPv4Address, Prefix
-from repro.bgp.rib import RibChange
+from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import Route
 from repro.bgp.router import BGPRouter
+from repro.checks.oscillation import RouteStability
 from repro.core.checkpoint import capture, checkpoint_size
 from repro.core.live import LiveSystem, bgp_process_factory
+from repro.core.properties import CheckContext
+from repro.core.sharing import SharingRegistry
+from repro.differential.extract import capture_canonical_ribs
+from repro.net.network import Network
+from repro.topo.gadgets import build_bad_gadget
+from repro.topo.internet import TopologyParams, build_internet
 
 
 class TestCapture:
@@ -229,8 +236,10 @@ class TestZeroCopyIsolation:
             for peer, routes in checkpoint.state["adj_rib_in"].items():
                 for route in routes:
                     assert router.adj_rib_in[peer].get(route.prefix) is route
-            for prefix, route in checkpoint.state["loc_rib"]:
-                assert router.loc_rib.get(prefix) is route
+            # The checkpoint holds a list of routes, not (prefix, route)
+            # pairs: pickle would write an unshared prefix twice.
+            for route in checkpoint.state["loc_rib"]:
+                assert router.loc_rib.get(route.prefix) is route
             assert router.config is checkpoint.state["config"]
 
     def test_wrecking_one_clone_leaves_everyone_else_unchanged(
@@ -253,3 +262,139 @@ class TestZeroCopyIsolation:
         assert pickle.dumps(snapshot) == snapshot_bytes
         # and the checkpoint still restores to the same thing
         assert exported(snapshot.clone(bgp_process_factory, seed=2)) == b_before
+
+
+def replay_ribs(router, state) -> None:
+    """Rebuild ``router``'s RIBs from ``state`` through the public
+    mutators, one route at a time: what ``import_state`` did before
+    restore became a bulk build, kept here as the reference."""
+    router.adj_rib_in = {}
+    for peer, routes in state["adj_rib_in"].items():
+        rib = AdjRibIn(peer)
+        for route in routes:
+            rib.update(route)
+        router.adj_rib_in[peer] = rib
+    router.adj_rib_out = {}
+    for peer, routes in state["adj_rib_out"].items():
+        rib = AdjRibOut(peer)
+        for route in routes:
+            rib.record_announce(route)
+        router.adj_rib_out[peer] = rib
+    router.loc_rib = LocRib()
+    for route in state["loc_rib"]:
+        router.loc_rib.set(router.now, route.prefix, route)
+
+
+def restore_alone(checkpoint, replay=False):
+    """``checkpoint`` restored into a one-router network (timers need a
+    simulator), in bulk or with its RIBs replayed."""
+    router = Network().add_process(bgp_process_factory(checkpoint))
+    checkpoint.restore_into(router)
+    if replay:
+        replay_ribs(router, checkpoint.state)
+    return router
+
+
+def canonical_rib(router):
+    class OneRouter:
+        def routers(self):
+            return [router]
+
+    return capture_canonical_ribs(OneRouter())[router.name]
+
+
+def _demo27_converged(demo27_topology):
+    live = LiveSystem.build(
+        demo27_topology.configs, demo27_topology.links, seed=27
+    )
+    live.converge()
+    return live.coordinator.capture(demo27_topology.nodes_in_tier(1)[0])
+
+
+def _internet40_mid_churn(_):
+    """40 routers, marker cut 20 ms after a stub's prefix flipped: the
+    UPDATE wave is on the wire, so the snapshot records channel state."""
+    topology = build_internet(
+        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
+    )
+    live = LiveSystem.build(topology.configs, topology.links, seed=3)
+    live.converge(deadline=600)
+    flip_at = live.network.sim.now + 1.0
+    live.enable_churn(topology.nodes_in_tier(3)[0], Prefix("10.200.0.0/16"),
+                      period=4.0, start_at=flip_at)
+    live.run(until=flip_at + 0.02)
+    snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
+    assert snapshot.channels
+    return snapshot
+
+
+def _bad_gadget_oscillating(_):
+    live = LiveSystem.build(*build_bad_gadget(), seed=7)
+    live.run(until=2)  # sessions up, oscillation under way
+    return live.coordinator.capture("r1")
+
+
+@pytest.fixture(
+    scope="module",
+    params=[_demo27_converged, _internet40_mid_churn, _bad_gadget_oscillating],
+    ids=["demo27", "internet40-mid-churn", "bad-gadget"],
+)
+def system_snapshot(request, demo27_topology):
+    return request.param(demo27_topology)
+
+
+class TestBulkRestoreEqualsReplay:
+    """``import_state`` builds each RIB in one pass; rebuilding through
+    ``AdjRibIn.update`` / ``AdjRibOut.record_announce`` / ``LocRib.set``
+    must give the same router, except that a replay journals."""
+
+    def test_same_router_either_way(self, system_snapshot):
+        for name, checkpoint in sorted(system_snapshot.checkpoints.items()):
+            bulk = restore_alone(checkpoint)
+            replayed = restore_alone(checkpoint, replay=True)
+            assert canonical_rib(bulk) == canonical_rib(replayed), name
+            state = bulk.export_state()
+            assert state == replayed.export_state(), name
+            # which object a dict holds as its key decides what pickle
+            # can share: a bulk build must not cost snapshot bytes
+            assert len(pickle.dumps(state)) <= len(
+                pickle.dumps(replayed.export_state())
+            ), name
+            assert len(replayed.loc_rib.journal()) == len(state["loc_rib"])
+
+    def test_export_import_export_is_idempotent(self, system_snapshot):
+        for name, checkpoint in sorted(system_snapshot.checkpoints.items()):
+            first = restore_alone(checkpoint).export_state()
+            assert first == checkpoint.state, name
+            second = restore_alone(replace(checkpoint, state=first)).export_state()
+            assert second == first, name
+            assert len(pickle.dumps(second)) == len(pickle.dumps(first)), name
+
+    def test_fresh_clone_has_no_history(self, system_snapshot):
+        clone = system_snapshot.clone(bgp_process_factory, seed=1)
+        for router in clone.processes.values():
+            assert router.loc_rib.journal() == []
+            assert router.loc_rib.changes_total == 0
+
+    def test_route_stability_ignores_restore_history(self):
+        """The one journal reader on clones baselines on
+        ``changes_total`` in ``prepare``: the bad gadget's null probe
+        reports the same oscillation whether the clone arrived with an
+        empty journal or, as a replay leaves it, one entry per route."""
+        snapshot = _bad_gadget_oscillating(None)
+
+        def null_probe(replay):
+            clone = snapshot.clone(bgp_process_factory, seed=5)
+            if replay:
+                for name, checkpoint in snapshot.checkpoints.items():
+                    replay_ribs(clone.processes[name], checkpoint.state)
+            check = RouteStability()
+            context = CheckContext(
+                clone=clone, node="r1", sharing=SharingRegistry()
+            )
+            check.prepare(context)
+            clone.run(until=clone.sim.now + 15.0)
+            return check.check(context)
+
+        violations = null_probe(replay=False)
+        assert violations and violations == null_probe(replay=True)

@@ -34,6 +34,25 @@ def track_clones(explorer, on_clone=lambda clone: None):
     return clones
 
 
+def track_probes(explorer, on_probe=lambda network: None):
+    """Every one-router network ``explorer`` restores to read a
+    checkpoint, in order; each is shown to ``on_probe`` while open."""
+    from contextlib import contextmanager
+
+    probes = []
+    probe_router = explorer._probe_router
+
+    @contextmanager
+    def tracked(node):
+        with probe_router(node) as router:
+            probes.append(router.network)
+            on_probe(probes[-1])
+            yield router
+
+    explorer._probe_router = tracked
+    return probes
+
+
 class TestConfig:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError):
@@ -80,8 +99,8 @@ class TestExplore:
         for name in ("r1", "r2", "r3"):
             router = converged3.router(name)
             assert set(router.loc_rib.prefixes()) == {
-                route.prefix
-                for _, route in state_before[name]["loc_rib"]
+                # a list of routes since the bulk-restore change
+                route.prefix for route in state_before[name]["loc_rib"]
             }
         assert sum(r.crash_count for r in converged3.routers()) == crash_before
 
@@ -206,8 +225,8 @@ class TestCloneRelease:
     @staticmethod
     def run_without_gc(explorer, session):
         """Run ``session`` with the cyclic collector off and check that
-        every router of every clone it made died by refcount alone;
-        return the clones."""
+        every router of every clone and single-router probe it made
+        died by refcount alone; return the clones."""
         import gc
         import weakref
 
@@ -217,9 +236,14 @@ class TestCloneRelease:
             return sum(isinstance(obj, BGPRouter) for obj in gc.get_objects())
 
         routers = []
-        clones = track_clones(explorer, lambda clone: routers.extend(
-            weakref.ref(process) for process in clone.processes.values()
-        ))
+
+        def watch(network):
+            routers.extend(
+                weakref.ref(process) for process in network.processes.values()
+            )
+
+        clones = track_clones(explorer, watch)
+        track_probes(explorer, watch)
         gc.collect()
         before = count_routers()
         gc.disable()
@@ -236,14 +260,17 @@ class TestCloneRelease:
     def test_explore_frees_every_clone(self, demo27):
         _, node, explorer = demo27
         reports = []
+        probes = track_probes(explorer)
         clones = self.run_without_gc(explorer, lambda: reports.append(
             explorer.explore(ExplorationConfig(
                 node=node, inputs=3, seed=1, grammar_seeds=1))
         ))
-        # peer pick, null probe, grammar probe, one per input
-        assert len(clones) == reports[0].clones_created == 6
+        # null probe, one per input; the peer pick and the grammar each
+        # restore the one router they read, not a clone
+        assert len(clones) == reports[0].clones_created == 4
+        assert len(probes) == 2
         assert reports[0].executions == 3
-        for clone in clones:
+        for clone in clones + probes:
             assert clone.processes == {}
             assert list(clone.links()) == []
             assert clone.in_flight() == []
