@@ -32,23 +32,21 @@ import sys
 # anything derived from them ("speedup", "hidden_capture_fraction"):
 # those stay informational because shared-runner timing noise would
 # fail CI without a real regression.
+#
+# Solver-cache transport bytes and cross-node hit rates are not gated
+# here: no stand-alone bench measures them.  What they stood guard over
+# — every transport and sharing setting equals serial — is asserted by
+# tests/core/test_remote.py (test_matches_serial_bit_for_bit, loopback
+# and socket), tests/core/test_cache_sharing.py::TestMergeDeterminism
+# (incl. test_sharing_never_reduces_hits), the CI remote-smoke job and
+# benchmarks/e2e/verify.py.
 GATED_METRICS = {
-    "bytes_reduction": "higher",
-    "shared_hit_rate": "higher",
-    "per_node_hit_rate": "higher",
-    "cross_node_hits": "higher",
-    "warm_hit_rate": "higher",
-    "cache_hit_rate": "higher",
     "parallel_cache_hit_rate": "higher",
     "serial_cache_hit_rate": "higher",
     "sat_rate": "higher",
     "unique_paths": "higher",
     "branch_coverage": "higher",
     "clone_route_sharing": "higher",
-    "bytes_shipped": "lower",
-    "bytes_shipped_per_cycle": "lower",
-    "wire_to_delta_ratio": "lower",
-    "cache_wire_bytes_per_task": "lower",
     # bench_solver: 476 684 before dead flips were refuted up front,
     # about 1 000 since; a lost refutation is 8 200 rounds a query.
     "repair_rounds": "lower",
@@ -60,7 +58,7 @@ GATED_METRICS = {
 
 # Booleans that must never flip to False once True.
 GATED_FLAGS = ("fault_classes_identical", "all_identical",
-               "never_whole_cache", "zero_divergences")
+               "zero_divergences")
 
 
 def load_payloads(directory: str) -> dict[str, dict]:

@@ -182,7 +182,6 @@ WORKER_ROOTS: tuple[str, ...] = ("repro.core.parallel",)
 # picklable types.
 WIRE_DATACLASSES: dict[str, tuple[str, ...]] = {
     "repro.core.parallel": (
-        "CacheSync",
         "ExplorationTask",
         "TaskOutcome",
         "FrontierShardTask",

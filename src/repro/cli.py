@@ -242,9 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                           default=None,
                           metavar="N",
                           help="worker slots the campaign may lose before "
-                               "failing; a dead slot's tasks are requeued "
-                               "on survivors with solver-cache replicas "
-                               "rebuilt by replay, results unchanged "
+                               "failing; a dead slot's tasks are "
+                               "dispatched again on survivors, results "
+                               "unchanged "
                                "(default: all but one slot; 0 disables "
                                "failover)")
     campaign.add_argument("--differential", default="off",

@@ -46,11 +46,8 @@ benchmarks.
 
 from __future__ import annotations
 
-import pickle
 import random
-import zlib
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from repro.concolic.expr import BinOp, Const, Constraint, Expr, UnOp, Var
 
@@ -96,84 +93,35 @@ class SolverStats:
 CacheEvent = tuple
 
 
-def pack_events(events: tuple[CacheEvent, ...]) -> bytes:
-    """Compress an event sequence for the wire.
-
-    Event pickles are highly repetitive (shared key structure, shared
-    variable names), so zlib routinely cuts them severalfold — bytes
-    the delta protocol's transport counters get credit for because the
-    payload really ships in this form.
-    """
-    return zlib.compress(
-        pickle.dumps(events, protocol=pickle.HIGHEST_PROTOCOL), 6
-    )
-
-
-def unpack_events(packed: bytes) -> tuple[CacheEvent, ...]:
-    """Inverse of :func:`pack_events`."""
-    return pickle.loads(zlib.decompress(packed))
-
-
 def model_events(events: tuple[CacheEvent, ...]) -> tuple[CacheEvent, ...]:
-    """The broadcastable subset of an event sequence: stored models.
+    """The subset of an event sequence the cross-node merge folds:
+    stored models.
 
-    The cross-node merge (batch blobs and the remote push channel
-    alike) ships only model events: failure entries are keyed by the
-    originating node's concrete hint, which other nodes will
-    essentially never query, so shipping them would double the payload
-    for no hits.
+    Failure entries are keyed by the originating node's concrete hint,
+    which other nodes will essentially never query, so merging them
+    would double every cache for no hits.
     """
     return tuple(event for event in events if event[0] == "m")
 
 
 @dataclass(frozen=True)
 class CacheDelta:
-    """The store events one cache accumulated since its last sync.
+    """The store events one cache accumulated since it was forked.
 
     Replayed in order onto a cache whose ``generation`` equals
     ``base_generation``, the events reproduce the originating cache's
     state exactly — including FIFO evictions, which are a deterministic
-    function of the event sequence.  This is what ships across process
-    boundaries instead of the full cache: O(new entries per cycle)
-    rather than O(cache size), zlib-packed on the wire.
+    function of the event sequence.  This is what a task's outcome
+    carries back instead of the cache it explored on: O(new entries per
+    session) rather than O(cache size).
     """
 
     node: str
     base_generation: int
-    packed_events: bytes = field(repr=False)
-    count: int = 0
-
-    @classmethod
-    def pack(cls, node: str, base_generation: int,
-             events: tuple[CacheEvent, ...]) -> "CacheDelta":
-        """Build a delta, compressing the events for shipping."""
-        return cls(
-            node=node,
-            base_generation=base_generation,
-            packed_events=pack_events(events),
-            count=len(events),
-        )
-
-    @cached_property
-    def events(self) -> tuple[CacheEvent, ...]:
-        """The decompressed event sequence (memoized: the orchestrator
-        reads it twice per delta — replay and merge collection)."""
-        return unpack_events(self.packed_events)
-
-    def __getstate__(self):
-        # Never pickle the cached_property memo: a delta must ship
-        # compressed even if .events was read before serialization.
-        return (self.node, self.base_generation, self.packed_events,
-                self.count)
-
-    def __setstate__(self, state):
-        for name, value in zip(
-                ("node", "base_generation", "packed_events", "count"),
-                state, strict=True):
-            object.__setattr__(self, name, value)
+    events: tuple[CacheEvent, ...] = field(repr=False)
 
     def __len__(self) -> int:
-        return self.count
+        return len(self.events)
 
 
 class SolverCache:
@@ -183,12 +131,11 @@ class SolverCache:
     an identical event sequence (FIFO eviction, no hashing of live
     objects), and can never change a solver's *answers* — only whether
     they were recomputed.  The orchestrator relies on this to keep one
-    authoritative cache per explorer node while shipping only
-    :class:`CacheDelta` objects across process boundaries: every store
-    is journalled, :meth:`take_delta` drains the journal, and
-    :meth:`replay_delta` / :meth:`merge_delta` re-apply events — so a
-    worker-side replica, the orchestrator's mirror, and a fully serial
-    campaign all step through the same states at any worker count.
+    authoritative cache per explorer node: a session explores on a
+    :meth:`fork` of it, every store is journalled, :meth:`take_delta`
+    drains the journal, and :meth:`replay_delta` / :meth:`merge_delta`
+    re-apply events — so the authoritative cache steps through the
+    states the session's copy did, at any worker count.
 
     The key is the sorted tuple of constraint fingerprints
     (:attr:`repro.concolic.expr.Constraint.fp` — process-stable 64-bit
@@ -223,17 +170,15 @@ class SolverCache:
         # Dict-as-ordered-set: FIFO eviction stays deterministic across
         # processes (set.pop order depends on randomized string hashes).
         self._failures: dict[tuple, None] = {}
-        # Sync state: generation counts every event this cache has
-        # processed (journalled stores *and* merged foreign events);
-        # the journal holds this cache's own stores since take_delta.
+        # Generation counts every event this cache has processed
+        # (journalled stores *and* merged foreign events); the journal
+        # holds this cache's own stores since take_delta.
         self._generation = 0
         self._journal: list[CacheEvent] = []
         # Model keys contributed by merge_delta (another node solved
         # them) and not since re-solved locally; lookups against them
-        # are the cross-node hits the sharing benchmark measures.
+        # are the cross-node hits SolverStats.cache_merged_hits counts.
         self._merged_keys: set[tuple[int, ...]] = set()
-        # (generation, bytes) memo for full_pickle_size.
-        self._full_size_memo: tuple[int, int] = (-1, 0)
 
     @staticmethod
     def key(constraints: list[Constraint]) -> tuple[int, ...]:
@@ -270,7 +215,7 @@ class SolverCache:
 
     @property
     def generation(self) -> int:
-        """Total events processed; the delta protocol's sync point."""
+        """Total events processed; what a delta's base must match."""
         return self._generation
 
     def store_model(self, key: tuple[int, ...],
@@ -290,15 +235,31 @@ class SolverCache:
     def __len__(self) -> int:
         return len(self._models) + len(self._failures)
 
-    # -- delta protocol --
+    # -- fork / delta / replay --
+
+    def fork(self) -> "SolverCache":
+        """A private copy to explore on: same entries, generation and
+        bound, empty journal.
+
+        The copy is shallow — stored models are shared — which is safe
+        because nothing mutates one (:meth:`Solver.solve` hands out
+        ``dict(cached)``); stores and evictions on the fork touch only
+        the fork's own dicts.
+        """
+        fork = SolverCache(max_entries=self._max_entries)
+        fork._models = dict(self._models)
+        fork._failures = dict(self._failures)
+        fork._merged_keys = set(self._merged_keys)
+        fork._generation = self._generation
+        return fork
 
     def take_delta(self, node: str = "") -> CacheDelta:
         """Drain the journal into a shippable delta.
 
-        ``base_generation`` is the generation a receiving replica must
-        be at for replay to reproduce this cache's state.
+        ``base_generation`` is the generation a receiving cache must be
+        at for replay to reproduce this cache's state.
         """
-        delta = CacheDelta.pack(
+        delta = CacheDelta(
             node=node,
             base_generation=self._generation - len(self._journal),
             events=tuple(self._journal),
@@ -307,7 +268,7 @@ class SolverCache:
         return delta
 
     def replay_delta(self, delta: CacheDelta) -> None:
-        """Re-execute a delta's events exactly (mirror maintenance).
+        """Re-execute a delta's events exactly.
 
         The receiver must be at ``delta.base_generation`` — replaying
         onto any other state would not reproduce the origin cache.
@@ -319,14 +280,7 @@ class SolverCache:
                 f"cache at generation {self._generation} cannot replay a "
                 f"delta based on generation {delta.base_generation}"
             )
-        self.replay_events(delta.events)
-
-    def replay_events(self, events: tuple[CacheEvent, ...]) -> None:
-        """Re-execute journalled store events exactly, without the
-        generation guard (callers replaying a full history from an
-        empty cache — worker failover rebuilds — line generations up
-        by construction)."""
-        for event in events:
+        for event in delta.events:
             if event[0] == "m":
                 self._apply_model(event[1], dict(event[2]))
             else:
@@ -339,9 +293,9 @@ class SolverCache:
         untouched: a node's own verified answers are never replaced, so
         merging can turn a future miss into a hit but never changes
         which model an already-cached system returns.  Every event
-        advances the generation (applied or skipped) so all replicas
-        of a node's cache agree on sync points; merged events are not
-        journalled (the orchestrator broadcast them in the first
+        advances the generation (applied or skipped), so the generation
+        is a function of the event sequence alone; merged events are
+        not journalled (the orchestrator folded them in the first
         place).  Returns the number of entries actually added.
         """
         added = 0
@@ -363,29 +317,12 @@ class SolverCache:
             added += 1
         return added
 
-    def full_pickle_size(self) -> int:
-        """Pickled size of the full entry state, in bytes.
-
-        What shipping this cache whole — the pre-delta protocol — would
-        put on the wire; the transport counters use it as the baseline
-        the cache-sharing benchmark gates against.  Memoized per
-        generation, and bounded by ``max_entries`` either way (~2 ms
-        for a full default-sized cache), so the accounting never
-        re-introduces a per-dispatch cost proportional to campaign
-        length.
-        """
-        generation, size = self._full_size_memo
-        if generation != self._generation:
-            size = len(pickle.dumps((self._models, self._failures)))
-            self._full_size_memo = (self._generation, size)
-        return size
-
     def state_fingerprint(self) -> int:
         """A process-stable digest of the full cache state.
 
-        Used by determinism tests and reports to assert that replicas
-        of a node's cache converged to bit-identical content (entry
-        order included — FIFO position is state).
+        Used by determinism tests and reports to assert that a node's
+        cache converged to bit-identical content in every execution
+        mode (entry order included — FIFO position is state).
         """
         from repro.concolic.expr import _fp_mix  # stable 64-bit mixer
 

@@ -124,7 +124,7 @@ class OrchestratorConfig:
     # other node's cache between cycles (see SolverCacheCoordinator).
     # Off = per-node caches only, the pre-sharing behaviour.  Either
     # setting is deterministic at any worker count; the knob exists so
-    # the cache-sharing benchmark can measure the uplift.
+    # the uplift can be measured.
     share_solver_caches: bool = True
     # Where exploration tasks run: "local" (inline / per-slot process
     # pools), "loopback" (the remote wire protocol run in-process, for
@@ -135,12 +135,11 @@ class OrchestratorConfig:
     # each; required by (and only meaningful for) transport="socket".
     remote_workers: list[str] | None = None
     # Worker slots the campaign may lose before failing: a dead slot's
-    # nodes are re-routed to survivors with their solver-cache replicas
-    # rebuilt by event-log replay, so results stay bit-identical to a
-    # failure-free run.  None = all but one slot (survive while any
-    # slot lives); 0 disables failover (a dead worker fails the
-    # campaign, the pre-failover behaviour).  Exceeding the budget
-    # raises WorkerFailoverError naming every dead worker.
+    # tasks are dispatched again, unchanged, on survivors, so results
+    # stay bit-identical to a failure-free run.  None = all but one
+    # slot (survive while any slot lives); 0 disables failover (a dead
+    # worker fails the campaign).  Exceeding the budget raises
+    # WorkerFailoverError naming every dead worker.
     max_worker_failures: int | None = None
     # Escape hatch for the chaos/fault-injection harness (not exposed
     # on the CLI): a zero-argument callable returning the
@@ -199,37 +198,25 @@ class CampaignResult:
     capture_wall_s: float = 0.0
     capture_blocked_s: float = 0.0
     capture_pickle_s: float = 0.0
-    # Solver-cache transport accounting (all zero on the unmetered
-    # inline transport, where nothing crosses a process boundary).
-    # "shipped" is what the delta protocol put on the wire; "full" is
-    # what pickling each node's whole cache per task — the pre-delta
-    # protocol — would have cost for the same dispatches.  These are
-    # measurements, not part of the determinism contract (they depend
-    # on worker count by construction).
+    # Solver-cache bytes that crossed a process boundary: each node's
+    # cache out with its task, each session's delta back in (both zero
+    # on the unmetered inline transport, where nothing leaves the
+    # process).  Measurements, not part of the determinism contract
+    # (they depend on the transport by construction).
     cache_bytes_shipped_out: int = 0
     cache_bytes_shipped_in: int = 0
-    # Merge events streamed to long-lived workers over a transport's
-    # push channel (loopback/socket), counted separately from the
-    # sync-piggybacked bytes so the dispatch benchmark can show the
-    # cadence change moved bytes off the task path.
-    cache_bytes_pushed: int = 0
-    cache_bytes_full_out: int = 0
-    cache_bytes_full_in: int = 0
     cache_entries_merged: int = 0
-    cache_syncs: int = 0
     # Which dispatch transport ran the campaign, and its total framed
     # wire traffic (0 for in-process transports with no frames).
     transport: str = "local"
     wire_bytes_sent: int = 0
     wire_bytes_received: int = 0
     # Failover accounting: worker slots lost mid-campaign (with their
-    # labels), tasks requeued onto survivors, and solver-cache replicas
-    # rebuilt from the coordinator's event history.  All zero on a
+    # labels) and tasks requeued onto survivors.  All zero on a
     # failure-free run; results are bit-identical either way.
     worker_failures: int = 0
     tasks_requeued: int = 0
     dead_workers: list[str] = field(default_factory=list)
-    cache_replica_rebuilds: int = 0
     max_worker_failures: int = 0
     # Per-node process-stable digests of final solver-cache state;
     # identical across worker counts and pipelining (determinism
@@ -283,19 +270,7 @@ class CampaignResult:
 
     def cache_bytes_shipped(self) -> int:
         """Solver-cache bytes actually shipped, both directions."""
-        return (self.cache_bytes_shipped_out + self.cache_bytes_shipped_in
-                + self.cache_bytes_pushed)
-
-    def cache_bytes_full_equivalent(self) -> int:
-        """What full-cache pickling would have shipped instead."""
-        return self.cache_bytes_full_out + self.cache_bytes_full_in
-
-    def cache_bytes_reduction(self) -> float:
-        """Fraction of cache transport the delta protocol eliminated."""
-        full = self.cache_bytes_full_equivalent()
-        if full <= 0:
-            return 0.0
-        return max(0.0, 1.0 - self.cache_bytes_shipped() / full)
+        return self.cache_bytes_shipped_out + self.cache_bytes_shipped_in
 
     def capture_hidden_fraction(self) -> float:
         """Fraction of snapshot-capture time hidden behind exploration.
@@ -431,8 +406,8 @@ class DiceOrchestrator:
 
         Sessions start in node order as their captures arrive and are
         finished and merged strictly in that order, and cycle N+1's
-        cache syncs are built only after cycle N's ``end_cycle``, so
-        fault reports, counters and cache state are the same in every
+        tasks are built only after cycle N's ``end_cycle``, so fault
+        reports, counters and cache state are the same in every
         mode.  Counters are per *merged* session: on
         ``stop_after_first_fault`` merging stops at the faulty session,
         the pipeline drains (an in-flight capture finishes, prefetched
@@ -475,16 +450,6 @@ class DiceOrchestrator:
                 share=config.share_solver_caches,
                 metered=not engine.inline,
             )
-            if shards is None:
-                # Whole sessions ship CacheSyncs, so the engine needs
-                # the coordinator (sync building, failover recovery)
-                # and push-capable transports stream merge events.
-                # Sharded sessions run cold private caches and send no
-                # sync: daemons would never apply pushed chunks.
-                engine.attach_coordinator(coordinator)
-                if (config.share_solver_caches
-                        and engine.push_channel is not None):
-                    coordinator.attach_push_channel(engine.push_channel)
             run = _CampaignRun(
                 config, engine, coordinator, claims_to_spec(self._claims),
                 shards,
@@ -649,12 +614,7 @@ class DiceOrchestrator:
     ) -> None:
         result.cache_bytes_shipped_out = coordinator.bytes_shipped_out
         result.cache_bytes_shipped_in = coordinator.bytes_shipped_in
-        result.cache_bytes_pushed = coordinator.bytes_pushed
-        result.cache_bytes_full_out = coordinator.bytes_full_out
-        result.cache_bytes_full_in = coordinator.bytes_full_in
         result.cache_entries_merged = coordinator.entries_merged
-        result.cache_syncs = coordinator.syncs
-        result.cache_replica_rebuilds = coordinator.rebuilds
         result.cache_state_fingerprints = coordinator.state_fingerprints()
 
     def _campaign_nodes(self, config: OrchestratorConfig) -> list[str]:
@@ -666,10 +626,10 @@ class DiceOrchestrator:
         if not nodes:
             raise ValueError("no explorer nodes")
         if len(set(nodes)) != len(nodes):
-            # Per-node state (the solver cache) assumes each node runs
-            # at most once per cycle; duplicates would make parallel
-            # modes diverge from serial, breaking the determinism
-            # contract.
+            # A node's solver cache is handed to its task by reference
+            # and written when that task's outcome is absorbed, which
+            # assumes one task in flight per node; duplicates would
+            # make parallel modes diverge from serial.
             raise ValueError(f"duplicate explorer nodes in {nodes!r}")
         return nodes
 
@@ -728,21 +688,17 @@ class DiceOrchestrator:
     ) -> "_Session":
         """Open one (cycle, node) session and submit its first tasks.
 
-        A whole session is one sticky :class:`ExplorationTask` carrying
-        the engine-built cache sync
-        (:meth:`ParallelCampaignEngine.sync_for`): normally a delta
-        sync against the node's sticky slot, or — after that slot died
-        — a recovery sync rebuilding the replica on the survivor the
-        node was re-routed to.
+        A whole session is one :class:`ExplorationTask` carrying the
+        node's warm solver cache.
 
         A sharded session fans out as *rounds* of up to ``run.shards``
-        hermetic :class:`FrontierShardTask`s; this submits round 0,
-        which partitions by seed lineage, so its shard count is bounded
-        by the grammar-seed count (every planned shard must start with
-        at least one entry).  Shards run *cold* private solver caches
-        (hermeticity over warmth — see docs/architecture.md); their
-        deltas still merge into the per-node mirrors, so cross-cycle
-        fingerprint evolution matches the configured sharing policy.
+        :class:`FrontierShardTask`s; this submits round 0, which
+        partitions by seed lineage, so its shard count is bounded by
+        the grammar-seed count (every planned shard must start with at
+        least one entry).  Shards run *cold* private solver caches
+        (see docs/architecture.md); their deltas still merge into the
+        per-node caches, so cross-cycle fingerprint evolution matches
+        the configured sharing policy.
         """
         config = run.config
         snapshot = captured.snapshot
@@ -768,7 +724,9 @@ class DiceOrchestrator:
                         **self._task_fields(run, session),
                         strategy=config.strategy,
                         frontier=config.frontier,
-                        cache_sync=run.engine.sync_for(session.node),
+                        solver_cache=run.coordinator.checkout(
+                            session.node
+                        ),
                     )
                 )
             ]
@@ -828,7 +786,6 @@ class DiceOrchestrator:
                         session.round == 0 and shard == 0
                     ),
                     cache_max_entries=run.config.solver_cache_size,
-                    token=run.coordinator.token,
                 )
             )
             for shard in range(plan.count)
@@ -840,7 +797,7 @@ class DiceOrchestrator:
         """Drive a session to completion and absorb what it learned.
 
         A whole session has one outcome, whose cache delta replays into
-        the node's mirror.  A sharded session loops over rounds: each
+        the node's cache.  A sharded session loops over rounds: each
         iteration resolves the current round's handles in shard order,
         absorbs the shard cache deltas in that same order, and merges
         the leftover frontiers first-writer-wins.  The leftover entries

@@ -11,18 +11,16 @@ and those daemons:
   length, 4-byte CRC-32 of the payload, then the pickled message
   tuple), the entire wire format; corruption anywhere decodes to a
   named ``ValueError``, never to silently different content;
-* :class:`RemoteWorkerState` — one daemon's long-lived state: the
-  per-node solver-cache :class:`~repro.core.parallel.ReplicaStore`
-  held warm across cycles (and campaigns — a new campaign token
-  resets it) plus serialized task execution;
+* :class:`RemoteWorkerState` — one daemon's worker slot: serialized
+  task execution and a task counter, nothing a campaign could leave
+  behind;
 * :class:`LoopbackTransport` — the remote protocol run fully
   in-process: every message round-trips through the frame codec, so
-  tests and CI exercise encode/decode, replica warm-keeping, and the
-  push channel without opening sockets;
+  tests and CI exercise encode/decode without opening sockets;
 * :class:`SocketTransport` — the real thing: one persistent TCP
   connection per worker slot, pipelined request/response (frames
   answered in order per connection), a reader thread resolving
-  futures, byte accounting for the dispatch benchmark;
+  futures, wire-byte accounting;
 * :class:`WorkerServer` / :func:`serve_worker` — the ``repro
   remote-worker`` daemon.
 
@@ -35,21 +33,16 @@ orchestrator → worker                          worker → orchestrator
                                                TaskOutcome)`` or ``("error",
                                                request_id, summary,
                                                traceback)``
-``("chunk", token, epoch, seq, packed)``       *(no response)*
-``("commit", token, epoch, chunks)``           *(no response)*
 ``("ping",)``                                  ``("pong", tasks_run)``
 =============================================  ==============================
 
-Determinism contract: a transport changes *where* a task runs and
-*when* merge bytes travel, never results.  The engine's sticky routing
-keeps each node's tasks on one slot/daemon, per-connection FIFO
-guarantees chunks and commits land between the cycles they separate,
-and pushed merge events are applied only when a task's
-:class:`~repro.core.parallel.CacheSync` references the committed epoch
-— the same point every other execution mode applies them — so fault
+Determinism contract: a transport changes *where* a task runs, never
+results.  A task carries everything it reads (snapshot, seed, the
+node's solver cache) and a daemon keeps nothing between tasks, so fault
 reports and cache ``state_fingerprints`` are bit-identical to serial
-mode at any worker count (gated by
-``benchmarks/bench_remote_dispatch.py`` and the CI remote-smoke job).
+mode at any worker count, whichever daemon a task lands on and however
+many campaigns share it (gated by ``tests/core/test_remote.py`` and the
+CI remote-smoke job).
 """
 
 from __future__ import annotations
@@ -58,7 +51,6 @@ import itertools
 import pickle
 import socket
 import struct
-import sys
 import threading
 import time
 import traceback
@@ -69,7 +61,6 @@ from concurrent.futures import Future
 from repro.core.parallel import (
     CampaignOutcome,
     CampaignTask,
-    ReplicaStore,
     WorkerLostError,
     run_task,
 )
@@ -80,8 +71,9 @@ from repro.core.parallel import (
 # a named decode error the connection layer classifies as a worker
 # death, never silently different campaign results.
 _HEADER = struct.Struct(">II")
-# Sanity bound, not a protocol limit: a task frame is ~100 KiB and a
-# merge chunk O(KB); anything near this is a corrupted length prefix.
+# Sanity bound, not a protocol limit: a task frame is a 0.7-1.4 MiB
+# snapshot plus the node's solver cache (under 2 MiB at its default
+# bound); anything near this is a corrupted length prefix.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 
@@ -202,72 +194,22 @@ def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
 # -- worker side --------------------------------------------------------------
 
 
-def _message_token(message: tuple) -> str | None:
-    """The campaign sync token a message carries, if any."""
-    kind = message[0]
-    if kind == "task":
-        sync = getattr(message[2], "cache_sync", None)
-        if sync is not None:
-            return sync.token
-        # Frontier shard tasks carry no sync but echo the campaign
-        # token directly, so a daemon scopes them like synced tasks.
-        return getattr(message[2], "token", None)
-    if kind in ("chunk", "commit"):
-        return message[1]
-    return None
-
-
 class RemoteWorkerState:
-    """One worker daemon's long-lived state.
+    """One worker daemon's slot.
 
     Tasks execute under a lock, strictly serialized: a daemon is one
-    worker *slot*, and its solver-cache replicas (``replicas``) assume
-    the per-slot event order the determinism contract prescribes.  The
-    state outlives connections and campaigns — replicas stay warm
-    across cycles, and a new campaign's sync token resets them.
-
-    One campaign at a time: the lock serializes messages, but a
-    *second* campaign's token would rescope the store under the first
-    one mid-run.  When callers identify their connection (``client``),
-    a frame carrying a new token while another live connection is
-    still using the current one is rejected instead of wiping the
-    store (sequential campaigns — the old connection gone — take over
-    silently, which is the designed hand-off).
+    worker *slot*, however many connections it serves.  Nothing a task
+    does outlives it — :func:`~repro.core.parallel.run_task` is a pure
+    function of the task — so the daemon serves any number of
+    campaigns, one after another or interleaved.
     """
 
     def __init__(self):
-        self.replicas = ReplicaStore()
         self.tasks_run = 0
         self._lock = threading.Lock()
-        # client id -> the sync token that connection last used.
-        self._claims: dict[int, str] = {}
 
-    def release(self, client: int) -> None:
-        """Forget a closed connection's campaign claim."""
-        with self._lock:
-            self._claims.pop(client, None)
-
-    def _claim(self, token: str | None, client: int | None) -> None:
-        """Record who is using the store; reject a campaign takeover."""
-        if token is None or client is None:
-            return
-        current = self.replicas.token
-        if (
-            current is not None
-            and token != current
-            and any(
-                owner != client and owned == current
-                for owner, owned in self._claims.items()
-            )
-        ):
-            raise RuntimeError(
-                "daemon is serving another campaign "
-                f"(token {current!r}); refusing token {token!r}"
-            )
-        self._claims[client] = token
-
-    def handle(self, message: tuple, client: int | None = None) -> tuple | None:
-        """Process one decoded message; returns the response or None.
+    def handle(self, message: tuple) -> tuple:
+        """Process one decoded message; returns the response.
 
         Task failures come back as ``("error", ...)`` frames rather
         than killing the daemon; control-flow exceptions
@@ -276,25 +218,16 @@ class RemoteWorkerState:
         """
         kind = message[0]
         with self._lock:
-            self._claim(_message_token(message), client)
             if kind == "task":
                 _, request_id, task = message
                 try:
-                    outcome = run_task(task, replicas=self.replicas)
+                    outcome = run_task(task)
                 except Exception as error:
                     return ("error", request_id,
                             f"{type(error).__name__}: {error}",
                             traceback.format_exc())
                 self.tasks_run += 1
                 return ("outcome", request_id, outcome)
-            if kind == "chunk":
-                _, token, epoch, seq, packed = message
-                self.replicas.stage_chunk(token, epoch, seq, packed)
-                return None
-            if kind == "commit":
-                _, token, epoch, chunks = message
-                self.replicas.commit_epoch(token, epoch, chunks)
-                return None
             if kind == "ping":
                 return ("pong", self.tasks_run)
         raise ValueError(f"unknown message kind {kind!r}")
@@ -304,13 +237,9 @@ class WorkerServer:
     """The ``repro remote-worker`` daemon: a TCP server around one
     :class:`RemoteWorkerState`.
 
-    Accepts any number of orchestrator connections over its lifetime
-    (campaigns come and go; the daemon and its warm replicas persist).
-    Each connection gets a handler thread; the state lock serializes
-    message handling, and the per-connection campaign claim rejects a
-    second concurrent campaign's frames instead of letting its token
-    rescope the store under the first (see
-    :class:`RemoteWorkerState`).
+    Accepts any number of orchestrator connections, from any number
+    of campaigns, over its lifetime.  Each connection gets a handler
+    thread; the state lock serializes task execution.
     """
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0):
@@ -320,10 +249,6 @@ class WorkerServer:
         self._stop = threading.Event()
         self._threads: list[threading.Thread] = []
         self._accept_thread: threading.Thread | None = None
-        # Client keys for RemoteWorkerState: a counter, not id(conn) —
-        # CPython recycles object addresses, so a released connection's
-        # id could collide with a later one's and adopt its claims.
-        self._client_keys = itertools.count(1)
 
     def start(self) -> "WorkerServer":
         """Serve on a background thread (tests, embedded workers)."""
@@ -357,40 +282,19 @@ class WorkerServer:
             self._threads.append(thread)
 
     def _serve_connection(self, conn: socket.socket) -> None:
-        client = next(self._client_keys)
         try:
             while not self._stop.is_set():
                 received = recv_message(conn)
                 if received is None:
                     return
-                message = received[0]
-                try:
-                    response = self.state.handle(message, client=client)
-                except Exception as error:
-                    # Protocol-level failures (claim rejection, merge
-                    # epoch mismatch, unknown kind) must not vanish
-                    # into a dead handler thread: tasks get an error
-                    # frame; push frames have no response channel, so
-                    # surface the cause in the daemon log and drop the
-                    # connection.
-                    if message[0] == "task":
-                        response = ("error", message[1],
-                                    f"{type(error).__name__}: {error}",
-                                    traceback.format_exc())
-                    else:
-                        print(
-                            f"repro remote-worker: {message[0]} frame "
-                            f"rejected: {error}",
-                            file=sys.stderr, flush=True,
-                        )
-                        return
-                if response is not None:
-                    conn.sendall(encode_frame(response))
+                conn.sendall(encode_frame(self.state.handle(received[0])))
         except (ConnectionError, OSError, EOFError, ValueError,
                 pickle.UnpicklingError):
-            return  # orchestrator went away; the daemon lives on
+            # The orchestrator went away, or sent a frame that does not
+            # decode to a known message; either way this connection is
+            # over and the daemon lives on.
+            return
         finally:
-            self.state.release(client)
             conn.close()
 
     def close(self) -> None:
@@ -437,15 +341,13 @@ class LoopbackTransport:
     """The remote protocol without the network.
 
     Each slot is a private :class:`RemoteWorkerState`, and every
-    message — tasks, outcomes, merge chunks, commits — round-trips
-    through :func:`encode_frame`/:func:`decode_frame`, so the full
+    message — task out, outcome back — round-trips through
+    :func:`encode_frame`/:func:`decode_frame`, so the full
     serialization path (and its byte counts) is exercised in-process.
     Execution is synchronous: :meth:`submit` returns an
     already-resolved future.  This is the transport tests and CI use
     to gate remote-dispatch determinism without socket plumbing.
     """
-
-    supports_push = True
 
     def __init__(self, slots: int = 2):
         self.slots = max(1, slots)
@@ -456,27 +358,21 @@ class LoopbackTransport:
         self._closed = False
         self._dead: set[int] = set()
 
-    def worker_state(self, slot: int) -> RemoteWorkerState:
-        """The slot's worker state (tests poke at replicas through it)."""
-        return self._states[slot]
-
     def slot_label(self, slot: int) -> str:
         return f"loopback slot {slot}"
 
     def discard_slot(self, slot: int) -> None:
-        """Retire a dead slot: no more tasks, excluded from broadcasts."""
+        """Retire a dead slot: no more tasks."""
         self._dead.add(slot)
 
     def alive(self, slot: int) -> bool:
         """Passive slot health: not retired, transport open."""
         return not self._closed and slot not in self._dead
 
-    def _exchange(self, slot: int, message: tuple) -> tuple | None:
+    def _exchange(self, slot: int, message: tuple) -> tuple:
         frame = encode_frame(message)
         self.bytes_sent += len(frame)
         response = self._states[slot].handle(decode_frame(frame))
-        if response is None:
-            return None
         frame = encode_frame(response)
         self.bytes_received += len(frame)
         return decode_frame(frame)
@@ -506,22 +402,6 @@ class LoopbackTransport:
         else:
             future.set_result(response[2])
         return future
-
-    def push_chunk(self, token: str, epoch: int, seq: int,
-                   packed: bytes) -> int:
-        return self._broadcast(("chunk", token, epoch, seq, packed))
-
-    def push_commit(self, token: str, epoch: int, chunks: int) -> int:
-        return self._broadcast(("commit", token, epoch, chunks))
-
-    def _broadcast(self, message: tuple) -> int:
-        if self._closed:
-            raise RuntimeError("loopback transport is closed")
-        before = self.bytes_sent
-        for slot in range(self.slots):
-            if slot not in self._dead:
-                self._exchange(slot, message)
-        return self.bytes_sent - before
 
     def close(self) -> None:
         self._closed = True
@@ -565,9 +445,8 @@ class _Connection:
 
         Campaign *start* is the one moment retrying is safe and useful
         (a daemon still booting, a load balancer warming up); once a
-        campaign is running, a lost daemon's replicas are gone and
-        reconnecting would be wrong — failover-by-replay onto a
-        surviving slot is the recovery path instead.
+        campaign is running, a lost daemon's task is dispatched again
+        on a surviving slot instead.
         """
         delay = backoff_s
         for attempt in range(max(1, attempts)):
@@ -594,7 +473,7 @@ class _Connection:
             address=self.address,
         )
 
-    def send(self, message: tuple) -> int:
+    def send(self, message: tuple) -> None:
         frame = encode_frame(message)
         with self._send_lock:
             if self.dead is not None:
@@ -610,7 +489,6 @@ class _Connection:
                 self.dead = error
                 raise self._died(error) from error
             self.bytes_sent += len(frame)
-        return len(frame)
 
     def submit(self, task: CampaignTask) -> "Future[CampaignOutcome]":
         future: Future[CampaignOutcome] = Future()
@@ -668,11 +546,12 @@ class _Connection:
             # A recv error caused by our own close() is a clean
             # shutdown, not a worker failure.
             error = None if self._closed else failure
-        if error is None and not self._closed and self._pending:
-            # Clean EOF with tasks still in flight: the worker died.
-            error = ConnectionError(
-                "worker closed the connection with tasks in flight"
-            )
+        if error is None and not self._closed:
+            # Clean EOF we did not ask for: the worker died, tasks in
+            # flight or not.  An idle connection must be marked dead
+            # too — the kernel would accept the next task frame, nobody
+            # would answer it, and its future would never resolve.
+            error = ConnectionError("worker closed the connection")
         if error is not None:
             with self._send_lock:
                 if self.dead is None:
@@ -739,19 +618,14 @@ class SocketTransport:
     opened eagerly — with bounded retry + exponential backoff, so a
     daemon still booting gets a grace period but a truly absent one
     fails the campaign at start rather than mid-cycle.  Byte counters
-    aggregate across connections for the dispatch benchmark.
+    aggregate across connections.
 
     Failover surface: a slot whose connection died resolves its
     futures with :class:`WorkerDiedError` (classifiable, names the
-    peer), :meth:`discard_slot` retires it permanently, and merge
-    broadcasts skip retired/dead slots instead of letting one broken
-    pipe sink the cycle — the slot's nodes are being requeued anyway.
+    peer) and :meth:`discard_slot` retires it permanently.
     :meth:`close` drops the connections and cancels undelivered
-    futures; the daemons — and their warm replicas — live on for the
-    next campaign.
+    futures; the daemons live on for the next campaign.
     """
-
-    supports_push = True
 
     def __init__(self, addresses, connect_timeout: float = 10.0,
                  connect_attempts: int = 3,
@@ -797,7 +671,7 @@ class SocketTransport:
         )
 
     def discard_slot(self, slot: int) -> None:
-        """Retire a dead slot: drop its connection, skip its broadcasts."""
+        """Retire a dead slot: drop its connection."""
         self._discarded.add(slot)
         self._connections[slot].discard(
             ConnectionError("worker slot retired after failure")
@@ -805,32 +679,6 @@ class SocketTransport:
 
     def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
         return self._connections[slot].submit(task)
-
-    def push_chunk(self, token: str, epoch: int, seq: int,
-                   packed: bytes) -> int:
-        return self._broadcast(("chunk", token, epoch, seq, packed))
-
-    def push_commit(self, token: str, epoch: int, chunks: int) -> int:
-        return self._broadcast(("commit", token, epoch, chunks))
-
-    def _broadcast(self, message: tuple) -> int:
-        """Send to every live slot; a dead slot cannot sink the merge.
-
-        A send failure marks that connection dead (its in-flight
-        futures resolve with the death error, which is the engine's
-        requeue trigger) and the broadcast carries on — the merge
-        events a dead slot missed travel inside the recovery sync its
-        nodes get when they are re-routed.
-        """
-        total = 0
-        for slot, conn in enumerate(self._connections):
-            if slot in self._discarded or conn.dead is not None:
-                continue
-            try:
-                total += conn.send(message)
-            except (RemoteWorkerError, OSError):
-                continue  # conn.dead is now set; failover will notice
-        return total
 
     def close(self) -> None:
         for conn in self._connections:

@@ -76,19 +76,13 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
             "cache_transport": {
                 "bytes_shipped_out": result.cache_bytes_shipped_out,
                 "bytes_shipped_in": result.cache_bytes_shipped_in,
-                "bytes_pushed": result.cache_bytes_pushed,
-                "bytes_full_equivalent_out": result.cache_bytes_full_out,
-                "bytes_full_equivalent_in": result.cache_bytes_full_in,
-                "bytes_reduction": round(result.cache_bytes_reduction(), 6),
                 "entries_merged": result.cache_entries_merged,
-                "syncs": result.cache_syncs,
             },
             # Dispatch transport: which backend ran the tasks, its
             # total framed wire traffic (0 for in-process backends),
-            # and the failover ledger — worker slots lost mid-campaign,
-            # tasks requeued onto survivors, and solver-cache replicas
-            # rebuilt from the event history (results are bit-identical
-            # to a failure-free run either way).
+            # and the failover ledger — worker slots lost mid-campaign
+            # and tasks requeued onto survivors (results are
+            # bit-identical to a failure-free run either way).
             "dispatch_transport": {
                 "transport": result.transport,
                 "wire_bytes_sent": result.wire_bytes_sent,
@@ -97,7 +91,6 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 "max_worker_failures": result.max_worker_failures,
                 "dead_workers": list(result.dead_workers),
                 "tasks_requeued": result.tasks_requeued,
-                "cache_replica_rebuilds": result.cache_replica_rebuilds,
             },
             # Hex-rendered so consumers that read JSON numbers as
             # doubles (> 2^53 loses bits) still compare exactly; the

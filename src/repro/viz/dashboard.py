@@ -118,21 +118,11 @@ def render_campaign(result: CampaignResult) -> str:
             else ""
         ),
     ]
-    if result.cache_syncs:
-        baseline = (
-            f" vs {result.cache_bytes_full_equivalent() / 1024:.1f} KiB "
-            f"full ({result.cache_bytes_reduction():.0%} saved)"
-        )
-        pushed = (
-            f" ({result.cache_bytes_pushed / 1024:.1f} KiB pushed)"
-            if result.cache_bytes_pushed
-            else ""
-        )
+    if result.cache_bytes_shipped():
         lines.append(
             f"cache transport     : "
-            f"{result.cache_bytes_shipped() / 1024:.1f} KiB shipped"
-            f"{pushed}{baseline}, {result.cache_entries_merged} "
-            "entries merged"
+            f"{result.cache_bytes_shipped() / 1024:.1f} KiB shipped, "
+            f"{result.cache_entries_merged} entries merged"
         )
     if result.differential_mode != "off":
         verdict = (
@@ -162,8 +152,7 @@ def render_campaign(result: CampaignResult) -> str:
         )
         lines.append(
             f"worker failover     : {result.worker_failures} slot(s) "
-            f"lost{dead}, {result.tasks_requeued} task(s) requeued, "
-            f"{result.cache_replica_rebuilds} replica(s) rebuilt"
+            f"lost{dead}, {result.tasks_requeued} task(s) requeued"
         )
     lines += [
         _rule(),

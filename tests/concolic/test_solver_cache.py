@@ -240,15 +240,15 @@ class TestDeltaProtocol:
         import pickle
 
         cache = self.warm(range(50))
-        full = cache.full_pickle_size()
-        delta_bytes = len(pickle.dumps(cache.take_delta("n1")))
-        restored = pickle.loads(
-            pickle.dumps(self.warm(range(50)).take_delta("n1"))
-        )
-        assert len(restored) == 50
-        # zlib-packed events beat the raw full-state pickle even when
-        # every entry is new (the worst case for a delta).
-        assert delta_bytes < full
+        cache.take_delta("n1")
+        solver = Solver(seed=1, cache=cache)
+        for value in range(50, 55):
+            solver.solve([eq(byte("x"), value)])
+        delta = cache.take_delta("n1")
+        assert pickle.loads(pickle.dumps(delta)) == delta
+        assert len(delta) == 5
+        # A delta is O(new entries), not O(cache size).
+        assert len(pickle.dumps(delta)) < len(pickle.dumps(cache)) / 5
 
     def test_state_fingerprint_tracks_content(self):
         a = self.warm(range(3))

@@ -7,14 +7,8 @@ reproducible instead of racing a real process kill:
 
 * ``PRE_DISPATCH`` — the slot dies before the task frame leaves the
   orchestrator; the worker never sees the task;
-* ``MID_TASK`` — the task reaches the worker (which may have mutated
-  its solver-cache replica!) but the response is lost;
-* ``CHUNK_COMMIT_GAP`` — the slot dies after receiving a merge
-  epoch's chunk frames but before the sealing commit (push-capable
-  transports only);
-* ``CYCLE_SYNC`` — the slot dies exactly when a task carrying a
-  cycle-boundary merge sync (``cache_sync.merge_id > 0``) is
-  dispatched to it.
+* ``MID_TASK`` — the task reaches the worker and runs, but the
+  response is lost.
 
 Kill occurrences are counted per ``(point, slot)`` in dispatch order,
 which the engine keeps deterministic — so a :class:`Kill` script
@@ -37,10 +31,8 @@ from repro.core.remote import WorkerDiedError
 
 PRE_DISPATCH = "pre-dispatch"
 MID_TASK = "mid-task"
-CHUNK_COMMIT_GAP = "chunk-commit-gap"
-CYCLE_SYNC = "cycle-sync"
 
-KILL_POINTS = (PRE_DISPATCH, MID_TASK, CHUNK_COMMIT_GAP, CYCLE_SYNC)
+KILL_POINTS = (PRE_DISPATCH, MID_TASK)
 
 
 @dataclass(frozen=True)
@@ -64,7 +56,6 @@ class ChaosTransport:
             )
         self.inner = inner
         self.slots = inner.slots
-        self.supports_push = getattr(inner, "supports_push", False)
         self._kills = list(kills)
         self._on_kill = on_kill
         self._counts: dict[tuple[str, int], int] = {}
@@ -80,9 +71,6 @@ class ChaosTransport:
     @property
     def bytes_received(self) -> int:
         return getattr(self.inner, "bytes_received", 0)
-
-    def worker_state(self, slot: int):
-        return self.inner.worker_state(slot)
 
     def slot_label(self, slot: int) -> str:
         label = getattr(self.inner, "slot_label", None)
@@ -128,10 +116,6 @@ class ChaosTransport:
     def submit(self, slot: int, task) -> Future:
         if slot in self.dead:
             return self._death_future(slot)
-        sync = getattr(task, "cache_sync", None)
-        if (sync is not None and sync.merge_id
-                and self._tripped(CYCLE_SYNC, slot)):
-            return self._death_future(slot)
         if self._tripped(PRE_DISPATCH, slot):
             return self._death_future(slot)
         inner_future = self.inner.submit(slot, task)
@@ -140,18 +124,6 @@ class ChaosTransport:
             # lost.  The inner future is deliberately abandoned.
             return self._death_future(slot)
         return inner_future
-
-    def push_chunk(self, token: str, epoch: int, seq: int,
-                   packed: bytes) -> int:
-        return self.inner.push_chunk(token, epoch, seq, packed)
-
-    def push_commit(self, token: str, epoch: int, chunks: int) -> int:
-        # The gap between a merge epoch's chunks and its commit: slots
-        # killed here hold staged-but-unsealed events.
-        for slot in range(self.slots):
-            if slot not in self.dead:
-                self._tripped(CHUNK_COMMIT_GAP, slot)
-        return self.inner.push_commit(token, epoch, chunks)
 
     def close(self) -> None:
         self.inner.close()

@@ -1,41 +1,32 @@
 """Worker failover under deterministic fault injection.
 
 The acceptance contract: a campaign that loses a worker slot at *any*
-protocol point — before dispatch, mid-task, in the gap between a merge
-epoch's chunk and commit frames, or exactly at a cycle-boundary sync —
-completes with fault reports and solver-cache ``state_fingerprint``s
-bit-identical to a serial run, and a campaign losing more slots than
-``max_worker_failures`` fails with a named error listing every dead
-worker (never a hang or a bare cancellation).
+protocol point — before dispatch or mid-task, on a cold cache or a
+warm, cross-node-merged one — completes with fault reports and
+solver-cache ``state_fingerprint``s bit-identical to a serial run, and
+a campaign losing more slots than ``max_worker_failures`` fails with a
+named error listing every dead worker (never a hang or a bare
+cancellation).
 
-Three layers: engine-level failover mechanics against a stub
-transport, replica reconstruction by event-log replay in isolation,
+Two layers: engine-level failover mechanics against a stub transport,
 and full campaigns over loopback and (marked ``slow_socket``) real
 socket daemons wrapped in the :class:`chaos.ChaosTransport` harness.
+What failover itself rests on — ``run_task`` being a pure function of
+the task — is tested in ``test_parallel.py``.
 """
 
 import pytest
 
 from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
-from chaos import (
-    CHUNK_COMMIT_GAP,
-    CYCLE_SYNC,
-    MID_TASK,
-    PRE_DISPATCH,
-    ChaosTransport,
-    Kill,
-)
+from chaos import MID_TASK, PRE_DISPATCH, ChaosTransport, Kill
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.checks import default_property_suite
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
-    CacheSync,
     ExplorationTask,
     ParallelCampaignEngine,
-    ReplicaStore,
-    SolverCacheCoordinator,
     WorkerFailoverError,
     is_transport_fatal,
 )
@@ -47,18 +38,17 @@ from repro.core.remote import (
 )
 
 # The quickstart faulty system explores nodes r1, r2, r3 over two
-# slots, so sticky routing pins r1,r3 -> slot 0 and r2 -> slot 1; the
-# Kill scripts below are written against that layout.
+# slots, and a whole cycle is submitted before any of it resolves, so
+# least-outstanding routing sends r1,r3 -> slot 0 and r2 -> slot 1 in
+# each cycle; the Kill scripts below are written against that layout.
 KILL_SCRIPTS = {
     # r2's first task never leaves the orchestrator.
     "pre-dispatch": Kill(PRE_DISPATCH, slot=1, occurrence=1),
-    # r3's first task runs on the worker (replica mutated!) but the
-    # response is lost.
+    # r3's first task runs on the worker but the response is lost.
     "mid-task": Kill(MID_TASK, slot=0, occurrence=2),
-    # Slot 1 dies holding cycle 1's staged-but-unsealed merge chunks.
-    "chunk-commit-gap": Kill(CHUNK_COMMIT_GAP, slot=1, occurrence=1),
-    # Slot 0 dies exactly when cycle 2's first merge-sync task lands.
-    "cycle-sync": Kill(CYCLE_SYNC, slot=0, occurrence=1),
+    # r2's cycle-2 task — carrying a warm cache that already folded
+    # cycle 1's cross-node merge — runs but the response is lost.
+    "mid-task-cycle-2": Kill(MID_TASK, slot=1, occurrence=2),
 }
 
 
@@ -98,8 +88,6 @@ def serial_reference():
 class StubTransport:
     """Two resolved-future slots; scripted slots die on every submit."""
 
-    supports_push = False
-
     def __init__(self, slots=2, dying=()):
         self.slots = slots
         self.dying = set(dying)
@@ -128,11 +116,10 @@ class StubTransport:
         pass
 
 
-def stub_task(index, node, cache_sync=None):
+def stub_task(index, node):
     return ExplorationTask(
         index=index, cycle=0, node=node, snapshot=None,
         suite=default_property_suite(), claims=(), seed=0,
-        cache_sync=cache_sync,
     )
 
 
@@ -143,12 +130,13 @@ class TestEngineFailover:
         outcomes = engine.run([stub_task(0, "a"), stub_task(1, "b")])
         # "a" was routed to slot 0, died, and re-ran on slot 1.
         assert outcomes == [(1, "a"), (1, "b")]
+        assert transport.submitted == [(0, "a"), (1, "b"), (1, "a")]
         assert engine.tasks_requeued == 1
         assert len(engine.failures) == 1
         assert engine.failures[0].worker == "stub slot 0"
         assert transport.discarded == {0}
-        # The dead slot never hosts a new node again.
-        assert engine.slot_for("c") == 1
+        # The dead slot never hosts a task again.
+        assert engine.next_slot() == 1
 
     def test_all_slots_dead_is_a_named_error(self):
         engine = ParallelCampaignEngine(
@@ -167,14 +155,6 @@ class TestEngineFailover:
                            match="max_worker_failures=0") as caught:
             engine.run([stub_task(0, "a")])
         assert "stub slot 0" in str(caught.value)
-
-    def test_synced_task_needs_a_coordinator_to_requeue(self):
-        engine = ParallelCampaignEngine(transport=StubTransport(dying={0}))
-        sync = CacheSync(node="a", token="t", max_entries=4,
-                         base_generation=0)
-        with pytest.raises(WorkerFailoverError,
-                           match="no cache coordinator"):
-            engine.run([stub_task(0, "a", cache_sync=sync)])
 
     def test_task_errors_are_not_requeued(self):
         """A deterministic task failure would fail on every slot;
@@ -197,108 +177,11 @@ class TestEngineFailover:
                 transport=StubTransport(), max_worker_failures=-1
             )
 
-    def test_strict_mode_records_no_recovery_history(self):
-        """With failover disabled (or a single slot) the first death
-        fails the campaign before any rebuild, so the coordinator must
-        not accumulate history bytes nobody can consume."""
-        coordinator = SolverCacheCoordinator(["n1"], max_entries=8)
-        engine = ParallelCampaignEngine(
-            transport=StubTransport(), max_worker_failures=0
-        )
-        engine.attach_coordinator(coordinator)
-        assert coordinator._record_history is False
-        single = ParallelCampaignEngine(workers=1)
-        relaxed = SolverCacheCoordinator(["n1"], max_entries=8)
-        single.attach_coordinator(relaxed)
-        assert relaxed._record_history is False
-        tolerant = ParallelCampaignEngine(transport=StubTransport())
-        enabled = SolverCacheCoordinator(["n1"], max_entries=8)
-        tolerant.attach_coordinator(enabled)
-        assert enabled._record_history is True
-
     def test_fatal_classification(self):
         assert is_transport_fatal(WorkerDiedError("gone"))
         assert is_transport_fatal(BrokenProcessPool("pool died"))
         assert not is_transport_fatal(ValueError("task bug"))
         assert not is_transport_fatal(RuntimeError("task bug"))
-
-
-# -- replica reconstruction by event-log replay -------------------------------
-
-
-class TestReplicaRecovery:
-    def seed_coordinator(self, max_entries=8):
-        """One cycle of work for two nodes, through a worker store."""
-        coordinator = SolverCacheCoordinator(["n1", "n2"],
-                                             max_entries=max_entries)
-        coordinator.enable_recovery_history()
-        store = ReplicaStore()
-        for node, keys in (("n1", [(1,), (2,)]), ("n2", [(3,), (4,)])):
-            replica = store.replica_for(coordinator.sync_for(node, slot=0))
-            for key in keys:
-                replica.store_model(key, {"x": key[0]})
-            coordinator.absorb(replica.take_delta(node))
-        coordinator.end_cycle()
-        return coordinator
-
-    def test_rebuilt_replica_is_bit_identical_to_the_mirror(self):
-        coordinator = self.seed_coordinator()
-        fresh = ReplicaStore()
-        rebuilt = fresh.replica_for(
-            coordinator.recovery_sync_for("n1", slot=1)
-        )
-        assert (
-            rebuilt.state_fingerprint()
-            == coordinator.cache_for("n1").state_fingerprint()
-        )
-        assert coordinator.rebuilds == 1
-        # The cross-node merge arrived with the rebuild: n2's entries
-        # are present and attributed as merged.
-        assert rebuilt.lookup_model((3,)) == {"x": 3}
-        assert rebuilt.is_merged((3,))
-        assert not rebuilt.is_merged((1,))
-
-    def test_rebuilt_replica_continues_the_delta_protocol(self):
-        """Post-rebuild generations line up, so the next outcome's
-        delta replays onto the mirror without a sync error."""
-        coordinator = self.seed_coordinator()
-        fresh = ReplicaStore()
-        rebuilt = fresh.replica_for(
-            coordinator.recovery_sync_for("n1", slot=1)
-        )
-        rebuilt.store_model((9,), {"x": 9})
-        coordinator.absorb(rebuilt.take_delta("n1"))  # must not raise
-        assert coordinator.cache_for("n1").lookup_model((9,)) == {"x": 9}
-
-    def test_rebuild_replays_fifo_eviction(self):
-        """Eviction order is state: a tiny cache's rebuild must walk
-        the same evictions the original replica performed."""
-        coordinator = self.seed_coordinator(max_entries=2)
-        fresh = ReplicaStore()
-        rebuilt = fresh.replica_for(
-            coordinator.recovery_sync_for("n1", slot=1)
-        )
-        assert (
-            rebuilt.state_fingerprint()
-            == coordinator.cache_for("n1").state_fingerprint()
-        )
-
-    def test_recovery_before_any_history_is_a_fresh_cache(self):
-        coordinator = SolverCacheCoordinator(["n1"], max_entries=8)
-        coordinator.enable_recovery_history()
-        fresh = ReplicaStore()
-        rebuilt = fresh.replica_for(
-            coordinator.recovery_sync_for("n1", slot=0)
-        )
-        assert rebuilt.generation == 0
-        assert len(rebuilt) == 0
-
-    def test_recovery_without_history_recording_is_refused(self):
-        """A rebuild from a log that missed early events would be
-        silently wrong — the coordinator must refuse instead."""
-        coordinator = SolverCacheCoordinator(["n1"], max_entries=8)
-        with pytest.raises(RuntimeError, match="recovery history"):
-            coordinator.recovery_sync_for("n1", slot=0)
 
 
 # -- scripted chaos campaigns: loopback ---------------------------------------
@@ -325,7 +208,6 @@ class TestLoopbackChaosCampaigns:
         assert chaos["transport"].kill_log  # the script really fired
         assert result.worker_failures == 1
         assert result.tasks_requeued >= 1
-        assert result.cache_replica_rebuilds >= 1
         assert len(result.dead_workers) == 1
         assert "loopback slot" in result.dead_workers[0]
 
@@ -376,11 +258,10 @@ class TestSocketChaosCampaigns:
     def test_kill_at_protocol_point_matches_serial(
         self, serial_reference, point
     ):
-        """The same four kill scripts over real TCP daemons, with the
+        """The same kill scripts over real TCP daemons, with the
         scripted kill also taking the daemon process's server down —
         so genuine connection teardown (broken pipes, half-closed
-        reads, skipped broadcasts) is exercised, not just the
-        synthetic fail-fast."""
+        reads) is exercised, not just the synthetic fail-fast."""
         with WorkerServer().start() as alpha, WorkerServer().start() as beta:
             servers = [alpha, beta]
             addresses = [f"{host}:{port}" for host, port in

@@ -5,6 +5,7 @@ and per-node exploration results must not depend on the worker count.
 Everything else (pickling, ordering, claims flattening) supports it.
 """
 
+import dataclasses
 import pickle
 
 import pytest
@@ -13,6 +14,7 @@ from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
 from repro import quickstart_system
 from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
+from repro.concolic.solver import SolverCache
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
     ExplorationTask,
@@ -22,7 +24,9 @@ from repro.core.parallel import (
     claims_to_spec,
     resolve_workers,
     run_exploration_task,
+    run_task,
 )
+from repro.core.remote import LoopbackTransport
 from repro.core.sharing import SharingRegistry
 
 
@@ -117,6 +121,41 @@ class TestExplorationTask:
         replayed = run_exploration_task(restored)
         assert replayed.report.executions == original.report.executions
         assert replayed.report.unique_paths == original.report.unique_paths
+
+    @pytest.mark.parametrize(
+        "make_transport",
+        [InlineTransport, lambda: LoopbackTransport(slots=1)],
+        ids=["inline", "loopback"],
+    )
+    def test_run_task_is_a_pure_function_of_the_task(self, make_transport):
+        """What failover rests on: dispatching the same warm-cache task
+        again yields the same outcome and leaves the task untouched."""
+        cold = dataclasses.replace(self.make_task(), inputs=6)
+        cache = SolverCache()
+        cache.replay_delta(
+            run_task(dataclasses.replace(cold, solver_cache=cache))
+            .cache_delta
+        )
+        # Another seed, so the warm run both hits the cache and adds to it.
+        task = pickle.loads(pickle.dumps(
+            dataclasses.replace(cold, solver_cache=cache, seed=14)
+        ))
+        before = task.solver_cache.state_fingerprint()
+        transport = make_transport()
+        first = transport.submit(0, task).result()
+        second = transport.submit(0, task).result()
+
+        def deterministic(report):
+            fields = dataclasses.asdict(report)
+            del fields["wall_time_s"]
+            return fields
+
+        assert first.report.solver_cache_hits > 0
+        assert len(first.cache_delta) > 0
+        assert deterministic(first.report) == deterministic(second.report)
+        assert first.cache_delta == second.cache_delta
+        assert first.cache_delta.base_generation == cache.generation
+        assert task.solver_cache.state_fingerprint() == before
 
     def test_exploration_config_carries_batch_parameters(self):
         config = self.make_task().exploration_config()

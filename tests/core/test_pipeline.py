@@ -208,7 +208,7 @@ class TestPipelinedDeterminism:
     def test_serial_campaign_gets_pipelined_capture(self):
         """workers=1 with the pipeline on overlaps the capture thread
         with inline exploration — bit-identical results, no transport
-        (cache_syncs stays 0, the serial contract)."""
+        (nothing ships, the serial contract)."""
         plain = run_campaign(workers=1, pipeline=False)
         overlapped = run_campaign(workers=1, pipeline=True)
         assert overlapped.pipelined and not plain.pipelined
@@ -219,7 +219,6 @@ class TestPipelinedDeterminism:
             plain.cache_state_fingerprints
             == overlapped.cache_state_fingerprints
         )
-        assert overlapped.cache_syncs == 0
         assert overlapped.cache_bytes_shipped() == 0
         assert overlapped.capture_wall_s > 0.0
 

@@ -9,6 +9,7 @@ across local-pool, loopback, and socket transports.
 
 import socket
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -19,7 +20,6 @@ from repro.core.parallel import (
     ExplorationTask,
     LocalPoolTransport,
     ParallelCampaignEngine,
-    SolverCacheCoordinator,
 )
 from repro.core.remote import (
     LoopbackTransport,
@@ -61,6 +61,13 @@ def campaign_fingerprint(result):
 @pytest.fixture(scope="module")
 def serial_reference():
     return run_campaign(workers=1, pipeline=False)
+
+
+def run_two_campaigns_at_once(**kwargs):
+    """Two orchestrators, one thread each, dispatching concurrently."""
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        campaigns = [pool.submit(run_campaign, **kwargs) for _ in range(2)]
+        return [campaign.result(timeout=240) for campaign in campaigns]
 
 
 class TestFrameCodec:
@@ -107,7 +114,7 @@ class TestRemoteWorkerState:
         """Ctrl-C stops the daemon; it must not become an error frame."""
         import repro.core.remote as remote_module
 
-        def interrupted(task, replicas=None):
+        def interrupted(task):
             raise KeyboardInterrupt
 
         monkeypatch.setattr(remote_module, "run_task", interrupted)
@@ -122,46 +129,6 @@ class TestRemoteWorkerState:
         with pytest.raises(ValueError, match="unknown message"):
             RemoteWorkerState().handle(("bogus",))
 
-    def test_concurrent_campaign_is_rejected_not_rescoped(self):
-        """A second live connection's campaign must not wipe the warm
-        replicas out from under the first; sequential hand-off (old
-        connection gone) still rescopes silently."""
-        state = RemoteWorkerState()
-        state.handle(("chunk", "campaign-A", 1, 0, b"x"), client=1)
-        with pytest.raises(RuntimeError, match="another campaign"):
-            state.handle(("chunk", "campaign-B", 1, 0, b"y"), client=2)
-        assert state.replicas.token == "campaign-A"
-        # Connection 1 closes: its claim lifts, B may take over.
-        state.release(1)
-        state.handle(("chunk", "campaign-B", 1, 0, b"y"), client=2)
-        assert state.replicas.token == "campaign-B"
-
-    def test_stale_release_cannot_evict_a_successor_claim(self):
-        """Regression: client keys were once ``id(conn)``; CPython
-        recycles addresses, so a dead connection's late ``release()``
-        could pop the claim of a successor that had adopted its id,
-        opening a silent campaign-takeover window.  Keys are allocated
-        by a counter now, so a stale release never touches any later
-        client's claim."""
-        state = RemoteWorkerState()
-        state.handle(("chunk", "campaign-A", 1, 0, b"x"), client=1)
-        # Connection 1 is replaced by connection 2 (distinct key), then
-        # 1's handler thread finally-releases late.
-        state.handle(("chunk", "campaign-A", 1, 1, b"y"), client=2)
-        state.release(1)
-        # Connection 2's claim must still guard the warm store.
-        with pytest.raises(RuntimeError, match="another campaign"):
-            state.handle(("chunk", "campaign-B", 1, 0, b"z"), client=3)
-        assert state.replicas.token == "campaign-A"
-
-    def test_server_client_keys_are_never_reused(self):
-        server = WorkerServer()
-        try:
-            keys = [next(server._client_keys) for _ in range(3)]
-        finally:
-            server.close()
-        assert keys == [1, 2, 3]
-
 
 class TestLoopbackCampaigns:
     def test_matches_serial_bit_for_bit(self, serial_reference):
@@ -172,38 +139,29 @@ class TestLoopbackCampaigns:
         )
         assert loopback.transport == "loopback"
 
-    def test_wire_and_push_bytes_counted(self):
+    def test_wire_bytes_counted(self):
         result = run_campaign(workers=2, transport="loopback")
         assert result.wire_bytes_sent > 0
         assert result.wire_bytes_received > 0
-        # Two cycles with sharing: the second cycle's merge events
-        # travelled over the push channel, not inside the syncs.
-        assert result.cache_bytes_pushed > 0
-        assert result.cache_bytes_shipped() > 0
+        # The caches travel inside those task frames.
+        assert 0 < result.cache_bytes_shipped_out < result.wire_bytes_sent
+        assert result.cache_bytes_shipped_in > 0
 
-    def test_push_channel_replaces_sync_blobs(self):
-        """With a push channel, syncs reference epochs but never carry
-        the blob — the bytes moved off the task dispatch path."""
-        transport = LoopbackTransport(slots=2)
-        engine = ParallelCampaignEngine(transport=transport)
-        coordinator = SolverCacheCoordinator(["n1", "n2"], max_entries=64)
-        coordinator.attach_push_channel(engine.push_channel)
-        for number, node in enumerate(("n1", "n2"), start=1):
-            slot = engine.slot_for(node)
-            replica = transport.worker_state(slot).replicas.replica_for(
-                coordinator.sync_for(node, slot=slot)
+    def test_one_worker_state_serves_two_interleaved_campaigns(
+        self, serial_reference
+    ):
+        """A worker keeps nothing between tasks, so two campaigns can
+        interleave their tasks on one slot without seeing each other."""
+        shared = LoopbackTransport(slots=1)
+        shared.close = lambda: None  # neither campaign owns it
+        results = run_two_campaigns_at_once(
+            transport_factory=lambda: shared
+        )
+        for result in results:
+            assert campaign_fingerprint(result) == campaign_fingerprint(
+                serial_reference
             )
-            replica.store_model((number,), {"x": number})
-            coordinator.absorb(replica.take_delta(node))
-        assert coordinator.bytes_pushed > 0  # chunks streamed mid-cycle
-        coordinator.end_cycle()
-        sync = coordinator.sync_for("n1", slot=engine.slot_for("n1"))
-        assert sync.merge_id == 1
-        assert sync.merge_blob is None
-        replica = transport.worker_state(
-            engine.slot_for("n1")
-        ).replicas.replica_for(sync)
-        assert replica.models_cached == 2  # both nodes' entries arrived
+        assert shared._states[0].tasks_run == 2 * 6  # 3 nodes x 2 cycles
 
     def test_worker_error_propagates_with_traceback(self):
         transport = LoopbackTransport(slots=1)
@@ -247,24 +205,18 @@ class TestSocketCampaigns:
         assert remote.wire_bytes_sent > 0
         assert remote.wire_bytes_received > 0
 
-    def test_daemons_stay_warm_and_rescope_per_campaign(
+    def test_one_daemon_serves_two_interleaved_campaigns(
         self, serial_reference, servers
     ):
-        addresses = self.addresses(servers)
-        first = run_campaign(transport="socket", remote_workers=addresses)
-        # Replicas survive the campaign (the daemon is long-lived) and
-        # every daemon ran its sticky share of the nodes.
-        warm = [sorted(server.state.replicas.caches) for server in servers]
-        assert sorted(node for nodes in warm for node in nodes) == [
-            "r1", "r2", "r3",
-        ]
-        assert all(server.state.tasks_run > 0 for server in servers)
-        # A second campaign re-scopes the token and still matches.
-        second = run_campaign(transport="socket", remote_workers=addresses)
-        assert campaign_fingerprint(first) == campaign_fingerprint(second)
-        assert campaign_fingerprint(second) == campaign_fingerprint(
-            serial_reference
+        daemon = servers[0]
+        results = run_two_campaigns_at_once(
+            transport="socket", remote_workers=self.addresses([daemon])
         )
+        for result in results:
+            assert campaign_fingerprint(result) == campaign_fingerprint(
+                serial_reference
+            )
+        assert daemon.state.tasks_run == 2 * 6  # 3 nodes x 2 cycles
 
     def test_unreachable_worker_fails_at_campaign_start(self):
         with socket.socket() as placeholder:
@@ -368,6 +320,37 @@ class TestAbortAndCleanup:
             assert caught.value.address == ("127.0.0.1", port)
             assert str(port) in str(caught.value)
             assert not transport.alive(0)
+        finally:
+            killer.join(timeout=2.0)
+            transport.close()
+            flaky.close()
+
+    def test_worker_hanging_up_while_idle_fails_the_next_submit(self):
+        """A daemon that dies between tasks is as dead as one that dies
+        mid-task: the next submit must fail over, not wait forever on a
+        frame the kernel accepted and nobody will answer."""
+        from repro.core.remote import WorkerDiedError
+
+        flaky = socket.create_server(("127.0.0.1", 0))
+
+        def accept_and_hang_up():
+            conn, _ = flaky.accept()
+            conn.close()
+
+        killer = threading.Thread(target=accept_and_hang_up, daemon=True)
+        killer.start()
+        transport = SocketTransport(
+            [f"127.0.0.1:{flaky.getsockname()[1]}"]
+        )
+        try:
+            transport._connections[0]._reader.join(timeout=10)  # its EOF
+            assert not transport.alive(0)
+            task = ExplorationTask(
+                index=0, cycle=0, node="r1", snapshot=None,
+                suite=default_property_suite(), claims=(), seed=0,
+            )
+            with pytest.raises(WorkerDiedError, match="died"):
+                transport.submit(0, task).result(timeout=10)
         finally:
             killer.join(timeout=2.0)
             transport.close()

@@ -3,14 +3,13 @@
 Two layers carry campaign state across process boundaries: the frame
 codec in :mod:`repro.core.remote` (length-prefixed pickle frames) and
 the solver-cache delta protocol in :mod:`repro.concolic.solver`
-(journalled events, take/replay, first-writer-wins merge).  Failover
-correctness rests on both being exact inverses under arbitrary inputs,
+(fork, journalled events, take/replay, first-writer-wins merge).  Result
+equality rests on both being exact inverses under arbitrary inputs,
 including hostile ones — truncated and corrupted frames must fail
 loudly with a *named* error, never return garbage or raise a stray
 ``AttributeError`` from pickle's opcode machinery.
 """
 
-import pickle
 import socket
 
 import pytest
@@ -18,20 +17,15 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from repro.concolic.solver import (  # noqa: E402
-    SolverCache,
-    model_events,
-    pack_events,
-    unpack_events,
-)
+from repro.concolic.solver import SolverCache, model_events  # noqa: E402
 from repro.core.remote import (  # noqa: E402
     decode_frame,
     encode_frame,
     recv_message,
 )
 
-# Messages are pickled tuples of primitives (request ids, tokens,
-# packed byte blobs); nested containers cover the task/outcome shapes.
+# Messages are pickled tuples of primitives (request ids, summaries);
+# nested containers cover the task/outcome shapes.
 primitives = st.one_of(
     st.integers(min_value=-(2 ** 63), max_value=2 ** 63 - 1),
     st.binary(max_size=200),
@@ -40,8 +34,7 @@ primitives = st.one_of(
     st.none(),
 )
 messages = st.tuples(
-    st.sampled_from(["task", "outcome", "error", "chunk", "commit",
-                     "ping", "pong"]),
+    st.sampled_from(["task", "outcome", "error", "ping", "pong"]),
     st.lists(
         st.one_of(
             primitives,
@@ -158,8 +151,7 @@ class TestCacheDeltaProperties:
         self, ops, max_entries
     ):
         """A delta replayed onto a mirror at the same base generation
-        reproduces the origin cache exactly — FIFO evictions included,
-        which is what makes failover's rebuild-by-replay sound."""
+        reproduces the origin cache exactly — FIFO evictions included."""
         origin = SolverCache(max_entries=max_entries)
         mirror = SolverCache(max_entries=max_entries)
         apply_ops(origin, ops)
@@ -187,7 +179,7 @@ class TestCacheDeltaProperties:
         origin = SolverCache(max_entries=8)
         apply_ops(origin, ops)
         delta = origin.take_delta("n")
-        if delta.count == 0:
+        if len(delta) == 0:
             return  # an empty delta replays anywhere by construction
         behind = SolverCache(max_entries=8)
         behind.store_model((1,), {"a": 1})  # generation mismatch
@@ -195,33 +187,30 @@ class TestCacheDeltaProperties:
             behind.replay_delta(delta)
 
     @settings(deadline=None)
-    @given(ops=store_ops)
-    def test_pack_unpack_round_trip_and_model_subset(self, ops):
-        origin = SolverCache(max_entries=64)
-        apply_ops(origin, ops)
-        delta = origin.take_delta("n")
-        events = unpack_events(delta.packed_events)
-        assert unpack_events(pack_events(events)) == events
-        assert len(events) == delta.count
-        broadcast = model_events(events)
-        assert all(event[0] == "m" for event in broadcast)
-        assert len(broadcast) == sum(1 for e in events if e[0] == "m")
-
-    @settings(deadline=None)
-    @given(ops=store_ops)
-    def test_delta_pickles_compressed_even_after_reading_events(
-        self, ops
+    @given(warm=store_ops, foreign=store_ops, ops=store_ops,
+           max_entries=st.sampled_from([2, 8, 64]))
+    def test_fork_explores_without_touching_the_original(
+        self, warm, foreign, ops, max_entries
     ):
-        """The cached ``events`` property must never leak into the
-        pickle — a delta ships compressed no matter what touched it."""
-        origin = SolverCache(max_entries=64)
-        apply_ops(origin, ops)
-        delta = origin.take_delta("n")
-        _ = delta.events  # populate the memo
-        clone = pickle.loads(pickle.dumps(delta))
-        assert clone.packed_events == delta.packed_events
-        assert clone.events == delta.events
-        assert clone.count == delta.count
+        """What a session does to the cache its task carried: explore
+        on a fork, ship the fork's delta, replay it onto the original."""
+        original = SolverCache(max_entries=max_entries)
+        apply_ops(original, warm)
+        donor = SolverCache(max_entries=64)
+        apply_ops(donor, foreign)
+        original.merge_delta(model_events(donor.take_delta("donor").events))
+        before = original.state_fingerprint()
+        fork = original.fork()
+        assert fork.state_fingerprint() == before
+        assert fork.max_entries == original.max_entries
+        assert all(
+            fork.is_merged(key) == original.is_merged(key)
+            for _, key, _ in warm + foreign
+        )
+        apply_ops(fork, ops)
+        assert original.state_fingerprint() == before
+        original.replay_delta(fork.take_delta("n"))
+        assert original.state_fingerprint() == fork.state_fingerprint()
 
     @settings(deadline=None)
     @given(ops=store_ops, foreign=store_ops)
@@ -238,7 +227,9 @@ class TestCacheDeltaProperties:
         }
         donor = SolverCache(max_entries=64)
         apply_ops(donor, foreign)
-        events = model_events(donor.take_delta("donor").events)
+        donated = donor.take_delta("donor").events
+        events = model_events(donated)
+        assert events == tuple(e for e in donated if e[0] == "m")
         generation_before = cache.generation
         cache.merge_delta(events)
         assert cache.generation == generation_before + len(events)

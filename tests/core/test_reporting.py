@@ -105,7 +105,6 @@ class TestDispatchTransportBlock:
             "max_worker_failures": 0,
             "dead_workers": [],
             "tasks_requeued": 0,
-            "cache_replica_rebuilds": 0,
         }
 
     def test_failover_ledger_round_trips_through_json(self):
@@ -117,7 +116,6 @@ class TestDispatchTransportBlock:
         result.max_worker_failures = 1
         result.dead_workers = ["127.0.0.1:7411"]
         result.tasks_requeued = 2
-        result.cache_replica_rebuilds = 2
         block = json.loads(campaign_to_json(result))["summary"][
             "dispatch_transport"
         ]
@@ -128,7 +126,6 @@ class TestDispatchTransportBlock:
         assert block["max_worker_failures"] == 1
         assert block["dead_workers"] == ["127.0.0.1:7411"]
         assert block["tasks_requeued"] == 2
-        assert block["cache_replica_rebuilds"] == 2
 
     def test_dead_worker_list_is_a_copy(self):
         """Serialization must not alias the result's mutable list."""

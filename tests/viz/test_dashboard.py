@@ -113,33 +113,27 @@ class TestTransportAndFailoverLines:
         assert "dispatch wire       : 4.0 KiB out / 2.0 KiB in" in text
         assert "(socket)" in text
 
-    def test_cache_transport_line_shows_shipped_and_pushed(self):
+    def test_cache_transport_line_shows_shipped_and_merged(self):
         result = CampaignResult(
-            cache_syncs=6,
-            cache_bytes_shipped_out=1024,
+            cache_bytes_shipped_out=3072,
             cache_bytes_shipped_in=1024,
-            cache_bytes_pushed=2048,
-            cache_bytes_full_out=51200,
-            cache_bytes_full_in=51200,
             cache_entries_merged=7,
         )
         text = render_campaign(result)
-        assert "cache transport     : 4.0 KiB shipped" in text
-        assert "(2.0 KiB pushed)" in text
-        assert "7 entries merged" in text
-        assert "96% saved" in text
+        assert (
+            "cache transport     : 4.0 KiB shipped, 7 entries merged"
+        ) in text
 
     def test_failover_line_names_dead_workers_and_counts(self):
         result = CampaignResult(
             worker_failures=1,
             tasks_requeued=3,
             dead_workers=["127.0.0.1:7411"],
-            cache_replica_rebuilds=2,
         )
         text = render_campaign(result)
         assert (
             "worker failover     : 1 slot(s) lost (127.0.0.1:7411), "
-            "3 task(s) requeued, 2 replica(s) rebuilt"
+            "3 task(s) requeued"
         ) in text
 
     def test_workers_line_names_the_transport(self):
