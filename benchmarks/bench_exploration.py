@@ -117,14 +117,13 @@ def test_strategy_sweep_sharded_across_workers(benchmark):
         ExplorationTask(
             index=index,
             cycle=0,
-            node="r2",
+            config=ExplorationConfig(
+                node="r2", seed=17, inputs=BUDGET // 2, strategy=strategy,
+                horizon=2.0,
+            ),
             snapshot=snapshot,
             suite=default_property_suite(),
             claims=claims,
-            seed=17,
-            inputs=BUDGET // 2,
-            strategy=strategy,
-            horizon=2.0,
         )
         for index, strategy in enumerate(
             ["concolic", "grammar", "random"]

@@ -212,6 +212,7 @@ def test_task_shipping_overhead(benchmark):
     budget for ``--workers`` (ship cost must stay well under one input's
     exploration cost; see bench_fig2's per-input measurement)."""
     from repro.checks import default_property_suite
+    from repro.core.explorer import ExplorationConfig
     from repro.core.parallel import ExplorationTask, claims_to_spec
     from repro.core.sharing import SharingRegistry
 
@@ -223,13 +224,12 @@ def test_task_shipping_overhead(benchmark):
     task = ExplorationTask(
         index=0,
         cycle=0,
-        node=topology.nodes_in_tier(2)[0],
+        config=ExplorationConfig(node=topology.nodes_in_tier(2)[0], seed=1),
         snapshot=snapshot,
         suite=default_property_suite(),
         claims=claims_to_spec(
             SharingRegistry.from_configs(live.initial_configs)
         ),
-        seed=1,
     )
 
     def ship_round_trip():

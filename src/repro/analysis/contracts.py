@@ -181,12 +181,9 @@ WORKER_ROOTS: tuple[str, ...] = ("repro.core.parallel",)
 # checks each is a dataclass whose fields are annotated with statically
 # picklable types.
 WIRE_DATACLASSES: dict[str, tuple[str, ...]] = {
-    "repro.core.parallel": (
-        "ExplorationTask",
-        "TaskOutcome",
-        "FrontierShardTask",
-        "ShardOutcome",
-    ),
+    "repro.core.parallel": ("ExplorationTask", "TaskOutcome"),
+    "repro.core.explorer": ("ExplorationConfig",),
+    "repro.concolic.frontier": ("FrontierShard",),
 }
 
 # Annotation tokens that must never appear on a wire-dataclass field:

@@ -23,7 +23,7 @@ checker distinguishes this from protocol-error NOTIFICATIONs.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, Callable
+from typing import Any
 
 from repro.bgp import faults
 from repro.bgp.damping import (
@@ -83,11 +83,6 @@ class BGPRouter(Process):
             if config.damping is not None
             else None
         )
-        # Hooks the explorer uses to observe the pipeline without
-        # monkey-patching: called with (route, verdict) after import
-        # policy, and with the decision-change list after each run.
-        self.on_import: Callable[[Route, bool], None] | None = None
-        self.on_decision: Callable[[list[RibChange]], None] | None = None
         for neighbor in config.neighbors:
             self.sessions[neighbor.peer] = Session(
                 peer=neighbor.peer,
@@ -381,12 +376,10 @@ class BGPRouter(Process):
             result = self._eval_filter(src, route, direction="import")
             if result.fell_through:
                 self._trace("filter_fell_through", peer=src,
-                            direction="import", prefix=str(route.prefix))
+                            direction="import", prefix=route.prefix)
             if result.accepted:
                 verdict = True
                 filtered = route.with_attributes(result.attributes)
-        if self.on_import is not None:
-            self.on_import(route, verdict)
         if not verdict:
             # Treat-as-withdraw for routes that fail checks or policy;
             # losing a previously-held route this way is a flap too
@@ -407,7 +400,7 @@ class BGPRouter(Process):
             return
         suppressed = self.dampener.record_flap(peer, prefix, kind, self.now)
         if suppressed:
-            self._trace("route_suppressed", peer=peer, prefix=str(prefix))
+            self._trace("route_suppressed", peer=peer, prefix=prefix)
             eta = self.dampener.reuse_eta(peer, prefix, self.now)
             if eta is not None and self.network is not None:
                 self.set_timer(f"reuse:{peer}|{prefix}", eta + 0.01)
@@ -415,14 +408,14 @@ class BGPRouter(Process):
     def _ingress_ok(self, src: str, route: Route) -> bool:
         path = route.attributes.as_path
         if path.contains(self.config.local_as):
-            self._trace("loop_rejected", peer=src, prefix=str(route.prefix))
+            self._trace("loop_rejected", peer=src, prefix=route.prefix)
             return False
         if route.source == SOURCE_EBGP:
             neighbor = self.config.neighbor(src)
             first = path.first_as()
             if first is not None and first != neighbor.peer_as:
                 self._trace("first_as_mismatch", peer=src,
-                            prefix=str(route.prefix))
+                            prefix=route.prefix)
                 return False
         return True
 
@@ -464,12 +457,10 @@ class BGPRouter(Process):
                 changes.append(change)
                 self._trace(
                     "rib_change",
-                    prefix=str(prefix),
+                    prefix=prefix,
                     transition=change.kind,
                     via=None if best is None else (best.peer or "local"),
                 )
-        if self.on_decision is not None and changes:
-            self.on_decision(changes)
         return changes
 
     def _select(self, candidates: list[Route]) -> Route | None:
@@ -598,7 +589,7 @@ class BGPRouter(Process):
         if result is not None:
             if result.fell_through:
                 self._trace("filter_fell_through", peer=peer,
-                            direction="export", prefix=str(route.prefix))
+                            direction="export", prefix=route.prefix)
             if not result.accepted:
                 return None
             attrs = result.attributes
@@ -680,9 +671,17 @@ class BGPRouter(Process):
             if session.is_established()
         )
 
-    def _trace(self, kind: str, **detail: Any) -> None:
-        if self.network is not None:
-            self.network.trace.record(self.now, kind, self.name, **detail)
+    def _trace(self, kind: str, prefix: Prefix | str | None = None,
+               **detail: Any) -> None:
+        """Record one event, formatting ``prefix`` only when something
+        records: clones run with tracing off, and this is called per
+        RIB change."""
+        network = self.network
+        if network is None or not network.trace.enabled:
+            return
+        if prefix is not None:
+            detail["prefix"] = str(prefix)
+        network.trace.record(self.now, kind, self.name, **detail)
 
     # -- checkpoint contract --------------------------------------------------------------
 

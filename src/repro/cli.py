@@ -32,6 +32,7 @@ import sys
 
 from repro import DiceOrchestrator, OrchestratorConfig, quickstart_system
 from repro.checks import default_property_suite
+from repro.concolic.frontier import FrontierDiscipline
 from repro.core.live import LiveSystem
 from repro.core.offline import OfflineParserTester
 from repro.core.reporting import save_campaign
@@ -205,17 +206,18 @@ def build_parser() -> argparse.ArgumentParser:
                                "is needed (results are identical either "
                                "way)")
     campaign.add_argument("--frontier", default="bfs",
-                          choices=("bfs", "dfs", "coverage", "sharded"),
+                          choices=[d.value for d in FrontierDiscipline],
                           help="branch-frontier discipline for concolic "
-                               "exploration; 'sharded' splits each "
-                               "session's frontier into parallel shard "
-                               "tasks with work stealing at round "
-                               "boundaries")
+                               "exploration: the pop order of a whole "
+                               "session's frontier and of every shard's "
+                               "alike")
     campaign.add_argument("--frontier-shards", type=_positive_int,
                           default=1, metavar="N",
                           help="max shard tasks per session round; > 1 "
-                               "implies --frontier sharded (results "
-                               "depend on N but not on the worker count)")
+                               "splits each session's frontier into "
+                               "parallel shard tasks with work stealing "
+                               "at round boundaries (results depend on N "
+                               "but not on the worker count)")
     campaign.add_argument("--solver-cache-size", type=_positive_int,
                           default=4096,
                           help="FIFO bound for each explorer node's "

@@ -15,11 +15,11 @@ Crashes (unexpected exceptions from the program) are first-class results:
 DiCE's explorer harvests them as programming-error fault candidates.
 
 Configuration lives in one place: :class:`ExplorationSpec` names the
-frontier discipline, budgets, stop conditions and shard policy, and the
-module-level :func:`explore` is the single entry point.  The queue and
-dedup state live in an explicit :class:`~repro.concolic.frontier.
-Frontier` value, so a session's unexplored branches can be shipped to
-other workers (see :meth:`ConcolicEngine.run_shard`).
+frontier discipline, budgets and stop conditions, and the module-level
+:func:`explore` is the single entry point.  The queue and dedup state
+live in an explicit :class:`~repro.concolic.frontier.Frontier` value,
+so a session's unexplored branches can be shipped to other workers
+(see :meth:`ConcolicEngine.run_shard`).
 
 The module also provides :class:`RandomByteExplorer`, the byte-flipping
 fuzzer used as the baseline in EXP-EXPLORE.  It shares the execution and
@@ -30,7 +30,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 from repro.concolic import path as pathmod
 from repro.concolic.expr import shape_hash
@@ -38,7 +38,6 @@ from repro.concolic.frontier import (
     Frontier,
     FrontierDiscipline,
     FrontierEntry,
-    plan_round,
     resolve_discipline,
 )
 from repro.concolic.solver import Solver
@@ -63,10 +62,6 @@ class ExplorationSpec:
     max_executions: int = 200
     max_branches_per_run: int = 50_000
     stop_on_first_crash: bool = False
-    # Shard policy for the SHARDED discipline: the intra-session
-    # parallelism ceiling.  Ignored (must stay 1) for the serial
-    # disciplines.
-    shards: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "frontier", resolve_discipline(self.frontier))
@@ -74,12 +69,6 @@ class ExplorationSpec:
             raise ValueError("max_executions must be >= 1")
         if self.max_branches_per_run < 1:
             raise ValueError("max_branches_per_run must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
-        if self.shards > 1 and self.frontier is not FrontierDiscipline.SHARDED:
-            raise ValueError(
-                "shards > 1 requires the 'sharded' frontier discipline"
-            )
 
 
 @dataclass
@@ -118,7 +107,6 @@ class ExplorationResult:
     # Cache hits served by entries another node contributed via the
     # orchestrator's cross-node merge.
     solver_cache_merged_hits: int = 0
-    divergences: int = 0
     frontier_exhausted: bool = False
     duration: float = 0.0
     # Unique branch constraints seen (offset-sensitive) and unique
@@ -183,11 +171,8 @@ class ConcolicEngine:
 
     def explore(self, seed_inputs: list[SymBytes]) -> ExplorationResult:
         """Run generational search from the given seeds."""
-        spec = self._spec
-        frontier = Frontier.from_seeds(seed_inputs, spec.frontier)
-        if spec.frontier is FrontierDiscipline.SHARDED:
-            return self._explore_sharded(frontier)
-        return self.run_shard(frontier, spec.max_executions)
+        frontier = Frontier.from_seeds(seed_inputs, self._spec.frontier)
+        return self.run_shard(frontier, self._spec.max_executions)
 
     def run_shard(self, frontier: Frontier, budget: int) -> ExplorationResult:
         """Run the generational loop over an explicit frontier.
@@ -207,93 +192,28 @@ class ConcolicEngine:
         while frontier.entries and result.executions < budget:
             entry = frontier.pop()
             execution = self.run_once(entry.input, entry.bound)
-            result.executions += 1
-            for constraint, _ in execution.branches:
-                frontier.seen_constraints.add(constraint.fp)
-                frontier.seen_shapes.add(shape_hash(constraint))
-            sig = execution.signature
-            if sig not in frontier.seen_paths:
-                frontier.seen_paths.add(sig)
-                result.unique_paths += 1
-            result.progress.append((result.executions, result.unique_paths))
-            if execution.crashed:
-                result.crashes.append(execution)
-                if self._spec.stop_on_first_crash:
-                    break
+            _observe(result, execution, frontier)
+            if execution.crashed and self._spec.stop_on_first_crash:
+                break
             for child in self._expand(execution, frontier, entry.lineage):
                 frontier.push(child)
         result.frontier_exhausted = not frontier.entries
-        result.duration = time.perf_counter() - started
-        result.branch_coverage = len(frontier.seen_constraints)
-        result.shape_coverage = len(frontier.seen_shapes)
+        _close(result, frontier, started)
         self._record_solver_stats(result, stats_base)
         return result
 
-    def _explore_sharded(self, frontier: Frontier) -> ExplorationResult:
-        """Round-structured sharded search, run inline.
-
-        The single-process reference for the campaign layer's
-        distributed form: partition by lineage, explore each shard
-        breadth-first under its budget slice, merge first-writer-wins,
-        then re-deal leftovers (work stealing) until budget or frontier
-        runs dry.
-        """
-        spec = self._spec
+    def run_each(self, inputs: Iterable[SymBytes]) -> ExplorationResult:
+        """Run every input once, feedback-free: no branch is negated
+        and the solver is never asked.  What the grammar-only and
+        random-mutation strategies are, measured exactly as
+        :meth:`run_shard` measures a concolic run."""
         started = time.perf_counter()
-        total = ExplorationResult()
-        round_index = 0
-        plan = plan_round(
-            len(frontier.entries), spec.max_executions, spec.shards
-        )
-        while plan is not None:
-            shards = (
-                frontier.partition(plan.count) if round_index == 0
-                else frontier.split(plan.count)
-            )
-            stop = False
-            for shard, shard_budget in zip(shards, plan.budgets,
-                                           strict=True):
-                shard_result = self.run_shard(shard, shard_budget)
-                self._absorb_shard_result(total, shard_result)
-                if shard_result.crashes and spec.stop_on_first_crash:
-                    stop = True
-            frontier = Frontier.merge(shards, spec.frontier)
-            total.progress.append(
-                (total.executions, len(frontier.seen_paths))
-            )
-            if stop:
-                break
-            round_index += 1
-            plan = plan_round(
-                len(frontier.entries),
-                spec.max_executions - total.executions,
-                spec.shards,
-            )
-        total.frontier_exhausted = not frontier.entries
-        total.unique_paths = len(frontier.seen_paths)
-        total.branch_coverage = len(frontier.seen_constraints)
-        total.shape_coverage = len(frontier.seen_shapes)
-        total.duration = time.perf_counter() - started
-        return total
-
-    @staticmethod
-    def _absorb_shard_result(
-        total: ExplorationResult, shard: ExplorationResult
-    ) -> None:
-        """Fold one shard's counters into the session total.
-
-        ``unique_paths`` and the coverage counters are deliberately
-        *not* summed — overlaps between shards make them set-sized
-        quantities, recomputed from the merged frontier.
-        """
-        total.executions += shard.executions
-        total.crashes.extend(shard.crashes)
-        total.divergences += shard.divergences
-        total.solver_queries += shard.solver_queries
-        total.solver_sat += shard.solver_sat
-        total.solver_cache_hits += shard.solver_cache_hits
-        total.solver_cache_misses += shard.solver_cache_misses
-        total.solver_cache_merged_hits += shard.solver_cache_merged_hits
+        result = ExplorationResult()
+        seen = Frontier()
+        for sym_input in inputs:
+            _observe(result, self.run_once(sym_input), seen)
+        _close(result, seen, started)
+        return result
 
     def _solver_stats_snapshot(self) -> tuple[int, int, int, int, int]:
         stats = self._solver.stats
@@ -351,6 +271,29 @@ class ConcolicEngine:
         return children
 
 
+def _observe(result: ExplorationResult, execution: Execution,
+             seen: Frontier) -> None:
+    """Account one execution: count it, fold its branches into the
+    coverage sets, dedup its path, sample progress, collect a crash."""
+    result.executions += 1
+    for constraint, _ in execution.branches:
+        seen.seen_constraints.add(constraint.fp)
+        seen.seen_shapes.add(shape_hash(constraint))
+    sig = execution.signature
+    if sig not in seen.seen_paths:
+        seen.seen_paths.add(sig)
+        result.unique_paths += 1
+    result.progress.append((result.executions, result.unique_paths))
+    if execution.crashed:
+        result.crashes.append(execution)
+
+
+def _close(result: ExplorationResult, seen: Frontier, started: float) -> None:
+    result.branch_coverage = len(seen.seen_constraints)
+    result.shape_coverage = len(seen.seen_shapes)
+    result.duration = time.perf_counter() - started
+
+
 def explore(
     program: Program,
     seed_inputs: list[SymBytes],
@@ -359,9 +302,9 @@ def explore(
 ) -> ExplorationResult:
     """Run one exploration session — the single configured entry point.
 
-    ``spec`` carries every knob (discipline, budgets, stop conditions,
-    shard policy); ``solver`` is injected by callers that share a
-    solver cache or need a derived seed.
+    ``spec`` carries every knob (discipline, budgets, stop conditions);
+    ``solver`` is injected by callers that share a solver cache or need
+    a derived seed.
     """
     return ConcolicEngine(program, solver=solver, spec=spec).explore(
         seed_inputs
@@ -381,7 +324,6 @@ class RandomByteExplorer:
                  max_branches_per_run: int = 50_000):
         import random as _random
 
-        self._program = program
         self._rng = _random.Random(seed)
         self._max_executions = max_executions
         self._engine = ConcolicEngine(
@@ -394,31 +336,10 @@ class RandomByteExplorer:
 
     def explore(self, seed_inputs: list[SymBytes]) -> ExplorationResult:
         """Run the random-mutation loop from the given seeds."""
-        started = time.perf_counter()
-        result = ExplorationResult()
-        seen_paths: set[int] = set()
-        seen_constraints: set[int] = set()
-        seen_shapes: set[int] = set()
-        current = list(seed_inputs)
-        while result.executions < self._max_executions:
-            base = current[result.executions % len(current)]
-            mutated = self._mutate(base)
-            execution = self._engine.run_once(mutated)
-            result.executions += 1
-            for constraint, _ in execution.branches:
-                seen_constraints.add(constraint.fp)
-                seen_shapes.add(shape_hash(constraint))
-            sig = execution.signature
-            if sig not in seen_paths:
-                seen_paths.add(sig)
-                result.unique_paths += 1
-            result.progress.append((result.executions, result.unique_paths))
-            if execution.crashed:
-                result.crashes.append(execution)
-        result.duration = time.perf_counter() - started
-        result.branch_coverage = len(seen_constraints)
-        result.shape_coverage = len(seen_shapes)
-        return result
+        return self._engine.run_each(
+            self._mutate(seed_inputs[index % len(seed_inputs)])
+            for index in range(self._max_executions)
+        )
 
     def _mutate(self, sym_input: SymBytes) -> SymBytes:
         offsets = sorted(sym_input.variables())

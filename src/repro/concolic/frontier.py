@@ -42,27 +42,19 @@ class FrontierDiscipline(enum.Enum):
     """How the engine orders unexplored branches.
 
     ``BFS`` is the SAGE-style generational default, ``DFS`` rewards
-    depth, ``COVERAGE`` serves novel flips first (with an explicit FIFO
-    fallback once novelty is exhausted), and ``SHARDED`` is the
-    partitionable discipline: the frontier is split by seed lineage
-    into shards explored breadth-first, with leftovers pooled and
-    redistributed at round barriers.
+    depth, and ``COVERAGE`` serves novel flips first (with an explicit
+    FIFO fallback once novelty is exhausted).  The pop order of a whole
+    session's frontier and of every shard of a sharded one alike: how
+    many shards a session fans out into is a count the campaign
+    configures, not a discipline.
     """
 
     BFS = "bfs"
     DFS = "dfs"
     COVERAGE = "coverage"
-    SHARDED = "sharded"
 
     def __str__(self) -> str:  # argparse/report friendliness
         return self.value
-
-    @property
-    def within_shard(self) -> "FrontierDiscipline":
-        """The pop order a single shard of this discipline uses."""
-        if self is FrontierDiscipline.SHARDED:
-            return FrontierDiscipline.BFS
-        return self
 
 
 def resolve_discipline(value: "FrontierDiscipline | str") -> FrontierDiscipline:
@@ -145,10 +137,9 @@ class Frontier:
         than an accident of a ``next(..., 0)`` default.
         """
         entries = self.entries
-        discipline = self.discipline.within_shard
-        if discipline is FrontierDiscipline.DFS:
+        if self.discipline is FrontierDiscipline.DFS:
             return entries.pop()
-        if discipline is FrontierDiscipline.COVERAGE:
+        if self.discipline is FrontierDiscipline.COVERAGE:
             for index, entry in enumerate(entries):
                 if entry.novel:
                     return entries.pop(index)
@@ -183,6 +174,12 @@ class Frontier:
             shards[position % count].entries.append(entry)
         return shards
 
+    def copy(self) -> "Frontier":
+        """An independent frontier with the same queue and dedup state."""
+        clone = self._empty_clone()
+        clone.entries = list(self.entries)
+        return clone
+
     def _empty_clone(self) -> "Frontier":
         return Frontier(
             discipline=self.discipline,
@@ -193,12 +190,10 @@ class Frontier:
         )
 
     @classmethod
-    def merge(
-        cls,
-        shards: list["Frontier"],
-        discipline: "FrontierDiscipline | str" = FrontierDiscipline.SHARDED,
-    ) -> "Frontier":
-        """Absorb shards in order with first-writer-wins dedup.
+    def merge(cls, shards: list["Frontier"]) -> "Frontier":
+        """Absorb one round's shards (at least one) in order with
+        first-writer-wins dedup; the merged frontier keeps their
+        discipline.
 
         Dedup is against the keys *accepted by this merge*, not against
         the shards' ``seen_flips``: every shard inherits the parent's
@@ -213,7 +208,7 @@ class Frontier:
         constraint set so the coverage discipline never chases stale
         novelty.
         """
-        merged = cls(discipline=resolve_discipline(discipline))
+        merged = cls(discipline=shards[0].discipline)
         accepted: set[int] = set()
         for shard in shards:
             for entry in shard.entries:
@@ -234,6 +229,25 @@ class Frontier:
             for entry in merged.entries
         ]
         return merged
+
+
+@dataclass(frozen=True)
+class FrontierShard:
+    """One slice of a sharded session: which, how much, over what.
+
+    ``frontier is None`` marks a round-0 shard: the worker regenerates
+    the session's grammar seeds deterministically from the config's
+    seed and takes partition ``index`` of ``count`` by seed lineage.
+    Later rounds carry their (picklable) :class:`Frontier` slice
+    explicitly — produced by the orchestrator's deterministic merge
+    and re-split at the previous round boundary.
+    """
+
+    round: int  # epoch within the session (0 = from grammar seeds)
+    index: int
+    count: int
+    budget: int  # executions this shard may spend
+    frontier: Frontier | None = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)

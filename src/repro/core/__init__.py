@@ -41,7 +41,7 @@ from repro.core.parallel import (
     ParallelCampaignEngine,
     TaskOutcome,
     resolve_workers,
-    run_exploration_task,
+    run_task,
 )
 from repro.core.pipeline import (
     CaptureRequest,
@@ -83,7 +83,7 @@ __all__ = [
     "ExplorationTask",
     "TaskOutcome",
     "ParallelCampaignEngine",
-    "run_exploration_task",
+    "run_task",
     "resolve_workers",
     "LoopbackTransport",
     "SocketTransport",

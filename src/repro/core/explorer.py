@@ -13,7 +13,7 @@ exploration input it:
 
 A session spends one clone more than its inputs, the null probe; to pick
 the peer and seed the grammar it restores the node's own checkpoint
-alone (:meth:`Explorer._probe_router`), not the system.
+alone, once (:meth:`Explorer._open_session`), not the system.
 
 Input generation implements all three of the paper's path-explosion
 mitigations: exploration starts from current state (the snapshot), it
@@ -36,12 +36,14 @@ from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
 from repro.concolic.engine import (
     ConcolicEngine,
+    ExplorationResult,
     ExplorationSpec,
     RandomByteExplorer,
 )
 from repro.concolic.frontier import (
     Frontier,
     FrontierDiscipline,
+    FrontierShard,
     resolve_discipline,
 )
 from repro.concolic.grammar import UpdateGrammar
@@ -63,7 +65,12 @@ ALL_STRATEGIES = (STRATEGY_CONCOLIC, STRATEGY_RANDOM, STRATEGY_GRAMMAR)
 
 @dataclass
 class ExplorationConfig:
-    """Parameters for one node-exploration session."""
+    """Parameters for one node-exploration session.
+
+    The campaign builds one per (cycle, node) session, ``seed`` already
+    derived, and every task of the session — the whole-session task or
+    each of its frontier shards — ships this object as it is.
+    """
 
     node: str
     inputs: int = 30
@@ -218,32 +225,16 @@ class Explorer:
     def explore(self, config: ExplorationConfig) -> NodeExplorationReport:
         """Run one exploration session; see module docstring."""
         started = time.perf_counter()
-        report = NodeExplorationReport(
-            node=config.node,
-            strategy=config.strategy,
-            snapshot_id=self._snapshot.snapshot_id,
-        )
-        peer = self._pick_peer(config)
+        report, peer, grammar = self._open_session(config)
         if peer is None:
-            report.skipped_reason = (
-                f"{config.node} has no established session in the snapshot"
-            )
-            report.wall_time_s = time.perf_counter() - started
-            return report
+            return self._close_session(report, started)
         # Null probe: one clone with *no* injected input, observing the
         # system's natural evolution from the snapshot.  Behavioural
         # deviations that need no trigger (an oscillation already in
         # flight, a crash loop) are caught here deterministically,
         # independent of what the generated inputs happen to perturb.
         self._null_probe(config, report)
-        rng = random.Random(derive_seed(config.seed, f"grammar/{config.node}"))
-        grammar = self._grammar_for_node(config, rng)
-        seeds = [
-            generated.symbolic(prefix="u")
-            for generated in grammar.generate_many(
-                max(1, config.grammar_seeds)
-            )
-        ]
+        seeds = self._seeds(config, grammar)
         program = self._make_program(config, peer, report)
         if config.strategy == STRATEGY_CONCOLIC:
             engine = ConcolicEngine(
@@ -265,106 +256,116 @@ class Explorer:
             engine = ConcolicEngine(
                 program, spec=config.exploration_spec()
             )
-            result = self._grammar_only(engine, grammar, config.inputs)
-        report.executions = result.executions
-        report.unique_paths = result.unique_paths
-        report.branch_coverage = result.branch_coverage
-        report.shape_coverage = result.shape_coverage
-        report.crashes = len(result.crashes)
-        report.clones_created = self._clone_counter
-        report.solver_queries = result.solver_queries
-        report.solver_sat = result.solver_sat
-        report.solver_cache_hits = result.solver_cache_hits
-        report.solver_cache_misses = result.solver_cache_misses
-        report.solver_cache_merged_hits = result.solver_cache_merged_hits
-        report.wall_time_s = time.perf_counter() - started
-        return report
+            result = engine.run_each(
+                grammar.generate().symbolic(prefix="u")
+                for _ in range(config.inputs)
+            )
+        return self._close_session(report, started, result)
 
     def explore_shard(
-        self,
-        config: ExplorationConfig,
-        *,
-        shard: int,
-        shard_count: int,
-        budget: int,
-        round_index: int = 0,
-        frontier: Frontier | None = None,
-        include_null_probe: bool = False,
+        self, config: ExplorationConfig, shard: FrontierShard
     ) -> tuple[NodeExplorationReport, Frontier]:
         """Run one shard of a sharded concolic session.
 
         Hermetic by construction: everything the shard does is a
         function of its arguments plus this explorer's snapshot/suite/
         claims — a private clone counter, a solver seeded from
-        ``(config.seed, round, shard)``, and (in round 0) the full
-        grammar seed list re-derived identically on every shard before
-        each keeps its lineage partition.  Placement therefore cannot
-        change the outcome, and a killed shard re-runs anywhere.
+        ``(config.seed, round, shard)``, and (in round 0, marked by
+        ``shard.frontier is None``) the full grammar seed list
+        re-derived identically on every shard before each keeps its
+        lineage partition.  Placement therefore cannot change the
+        outcome, and a killed shard re-runs anywhere.  The session's
+        null probe rides on round 0's shard 0, exactly once per session.
 
-        Returns the shard's report plus the post-run frontier (consumed
+        Returns the shard's report plus its post-run frontier (consumed
         entries gone, solved children and dedup digests added) for the
-        orchestrator's deterministic merge.
+        orchestrator's deterministic merge; the frontier handed in is
+        left as it was.
         """
         started = time.perf_counter()
+        report, peer, grammar = self._open_session(config)
+        if peer is None:
+            return (self._close_session(report, started),
+                    Frontier(discipline=config.frontier))
+        if shard.round == 0 and shard.index == 0:
+            self._null_probe(config, report)
+        if shard.frontier is None:
+            root = Frontier.from_seeds(
+                self._seeds(config, grammar), config.frontier
+            )
+            frontier = root.partition(shard.count)[shard.index]
+        else:
+            frontier = shard.frontier.copy()
+        engine = ConcolicEngine(
+            self._make_program(config, peer, report),
+            solver=Solver(
+                seed=derive_seed(
+                    config.seed, f"solver/r{shard.round}/s{shard.index}"
+                ),
+                cache=self.solver_cache,
+            ),
+            spec=config.exploration_spec(),
+        )
+        result = engine.run_shard(frontier, shard.budget)
+        return self._close_session(report, started, result), frontier
+
+    def _open_session(
+        self, config: ExplorationConfig
+    ) -> tuple[NodeExplorationReport, str | None, UpdateGrammar]:
+        """What every session starts from — an empty report, the peer
+        to impersonate (None = no established session: skip) and the
+        node's grammar — read off **one** restore of the node's
+        checkpoint.  The grammar copies its pools and draws nothing
+        until asked for a message."""
         report = NodeExplorationReport(
             node=config.node,
             strategy=config.strategy,
             snapshot_id=self._snapshot.snapshot_id,
         )
-        peer = self._pick_peer(config)
+        rng = random.Random(derive_seed(config.seed, f"grammar/{config.node}"))
+        with self._probe_router(config.node) as router:
+            if config.peer is None:
+                peer = next(iter(router.established_peers()), None)
+            else:
+                session = router.sessions.get(config.peer)
+                established = session is not None and session.is_established()
+                peer = config.peer if established else None
+            grammar = UpdateGrammar.for_router(router, rng)
         if peer is None:
             report.skipped_reason = (
                 f"{config.node} has no established session in the snapshot"
             )
-            report.wall_time_s = time.perf_counter() - started
-            return report, Frontier(discipline=FrontierDiscipline.SHARDED)
-        if include_null_probe:
-            self._null_probe(config, report)
-        program = self._make_program(config, peer, report)
-        if frontier is None:
-            # Round 0: every shard derives the identical seed list (the
-            # grammar RNG depends only on the session seed), then keeps
-            # its own lineage partition.
-            rng = random.Random(
-                derive_seed(config.seed, f"grammar/{config.node}")
+        return report, peer, grammar
+
+    @staticmethod
+    def _seeds(config: ExplorationConfig,
+               grammar: UpdateGrammar) -> list[SymBytes]:
+        return [
+            generated.symbolic(prefix="u")
+            for generated in grammar.generate_many(
+                max(1, config.grammar_seeds)
             )
-            grammar = self._grammar_for_node(config, rng)
-            seeds = [
-                generated.symbolic(prefix="u")
-                for generated in grammar.generate_many(
-                    max(1, config.grammar_seeds)
-                )
-            ]
-            root = Frontier.from_seeds(seeds, FrontierDiscipline.SHARDED)
-            frontier = root.partition(shard_count)[shard]
-        engine = ConcolicEngine(
-            program,
-            solver=Solver(
-                seed=derive_seed(
-                    config.seed, f"solver/r{round_index}/s{shard}"
-                ),
-                cache=self.solver_cache,
-            ),
-            spec=ExplorationSpec(
-                frontier=FrontierDiscipline.SHARDED,
-                max_executions=max(1, budget),
-                max_branches_per_run=config.max_branches_per_run,
-            ),
-        )
-        result = engine.run_shard(frontier, budget)
-        report.executions = result.executions
-        report.unique_paths = result.unique_paths
-        report.branch_coverage = result.branch_coverage
-        report.shape_coverage = result.shape_coverage
-        report.crashes = len(result.crashes)
+        ]
+
+    def _close_session(
+        self, report: NodeExplorationReport, started: float,
+        result: ExplorationResult | None = None,
+    ) -> NodeExplorationReport:
+        """Fill the report from the engine's result (None = skipped)."""
+        if result is not None:
+            report.executions = result.executions
+            report.unique_paths = result.unique_paths
+            report.branch_coverage = result.branch_coverage
+            report.shape_coverage = result.shape_coverage
+            report.crashes = len(result.crashes)
+            report.solver_queries = result.solver_queries
+            report.solver_sat = result.solver_sat
+            report.solver_cache_hits = result.solver_cache_hits
+            report.solver_cache_misses = result.solver_cache_misses
+            report.solver_cache_merged_hits = result.solver_cache_merged_hits
         report.clones_created = self._clone_counter
-        report.solver_queries = result.solver_queries
-        report.solver_sat = result.solver_sat
-        report.solver_cache_hits = result.solver_cache_hits
-        report.solver_cache_misses = result.solver_cache_misses
-        report.solver_cache_merged_hits = result.solver_cache_merged_hits
         report.wall_time_s = time.perf_counter() - started
-        return report, frontier
+        return report
 
     def vet_change(
         self,
@@ -419,49 +420,6 @@ class Explorer:
             clone.run(until=clone.sim.now + config.horizon)
             for violation in self._suite.check_all(context):
                 report.violations.append((violation, context.input_summary))
-
-    def _grammar_only(self, engine: ConcolicEngine, grammar: UpdateGrammar,
-                      budget: int):
-        from repro.concolic.engine import ExplorationResult
-
-        from repro.concolic.expr import shape_hash
-
-        result = ExplorationResult()
-        seen_paths = set()
-        seen_constraints = set()
-        seen_shapes = set()
-        for _ in range(budget):
-            generated = grammar.generate()
-            execution = engine.run_once(generated.symbolic(prefix="u"))
-            result.executions += 1
-            for constraint, _ in execution.branches:
-                seen_constraints.add(constraint.fp)
-                seen_shapes.add(shape_hash(constraint))
-            signature = execution.signature
-            if signature not in seen_paths:
-                seen_paths.add(signature)
-                result.unique_paths += 1
-            result.progress.append((result.executions, result.unique_paths))
-            if execution.crashed:
-                result.crashes.append(execution)
-        result.branch_coverage = len(seen_constraints)
-        result.shape_coverage = len(seen_shapes)
-        return result
-
-    def _grammar_for_node(self, config: ExplorationConfig,
-                          rng: random.Random) -> UpdateGrammar:
-        with self._probe_router(config.node) as router:
-            return UpdateGrammar.for_router(router, rng)
-
-    def _pick_peer(self, config: ExplorationConfig) -> str | None:
-        with self._probe_router(config.node) as router:
-            if config.peer is not None:
-                session = router.sessions.get(config.peer)
-                if session is not None and session.is_established():
-                    return config.peer
-                return None
-            established = router.established_peers()
-            return established[0] if established else None
 
     def _make_program(self, config: ExplorationConfig, peer: str,
                       report: NodeExplorationReport):

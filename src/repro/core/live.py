@@ -20,7 +20,6 @@ from repro.core.checkpoint import NodeCheckpoint
 from repro.core.snapshot import SnapshotCoordinator
 from repro.net.link import LinkProfile
 from repro.net.network import Network
-from repro.net.trace import TraceRecorder
 
 LinkSpec = tuple[str, str, LinkProfile]
 
@@ -57,13 +56,12 @@ class LiveSystem:
         configs: Iterable[RouterConfig],
         links: Iterable[LinkSpec],
         seed: int = 0,
-        trace_enabled: bool = True,
         connect_delay: float = 0.1,
     ) -> "LiveSystem":
         """Construct the network, add routers, wire links."""
         configs = list(configs)
         links = list(links)
-        network = Network(seed=seed, trace=TraceRecorder(enabled=trace_enabled))
+        network = Network(seed=seed)
         for config in configs:
             network.add_process(BGPRouter(config, connect_delay=connect_delay))
         for a, b, profile in links:
@@ -120,8 +118,7 @@ class LiveSystem:
                         change: ConfigChange) -> None:
         """Apply the change at simulated time ``at``."""
         self.network.sim.schedule_at(
-            at, lambda: self.apply_change(node, change),
-            label=f"config:{node}",
+            at, lambda: self.apply_change(node, change)
         )
 
     def enable_churn(
@@ -147,9 +144,9 @@ class LiveSystem:
                 change = AddNetwork(prefix)
             self.apply_change(node, change)
             self._churn_count += 1
-            self.network.sim.schedule(period, flip, label=f"churn:{node}")
+            self.network.sim.schedule(period, flip)
 
-        self.network.sim.schedule_at(start_at, flip, label=f"churn:{node}")
+        self.network.sim.schedule_at(start_at, flip)
 
     @property
     def churn_events(self) -> int:

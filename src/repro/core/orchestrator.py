@@ -31,8 +31,10 @@ handed, not a loop of its own:
   at ``workers=1`` (the serial reference), local process pools above
   that, or remote worker daemons via ``OrchestratorConfig.transport``
   (:mod:`repro.core.remote`);
-* the **session planner**: a session is one whole-session task, or —
-  with a sharded frontier — rounds of frontier shard tasks.
+* the **session planner**: a session is one
+  :class:`~repro.core.parallel.ExplorationTask` — or, with
+  ``frontier_shards > 1``, rounds of tasks that each carry one
+  :class:`~repro.concolic.frontier.FrontierShard` of it.
 
 The merge is performed in deterministic task order whatever the three
 are, so a campaign's fault reports do not depend on the worker count,
@@ -51,11 +53,14 @@ from typing import Callable, Iterator
 
 from repro.concolic.frontier import (
     Frontier,
-    FrontierDiscipline,
+    FrontierShard,
+    ShardPlan,
     plan_round,
     resolve_discipline,
 )
+from repro.concolic.solver import SolverCache
 from repro.core.explorer import (
+    ExplorationConfig,
     Explorer,
     NodeExplorationReport,
     STRATEGY_CONCOLIC,
@@ -65,9 +70,9 @@ from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.parallel import (
     ClaimSpec,
     ExplorationTask,
-    FrontierShardTask,
     ParallelCampaignEngine,
     SolverCacheCoordinator,
+    TaskHandle,
     claims_to_spec,
     resolve_workers,
 )
@@ -146,17 +151,18 @@ class OrchestratorConfig:
     # WorkerTransport the campaign engine should dispatch on, taking
     # precedence over `transport`/`remote_workers`.
     transport_factory: Callable | None = None
-    # Branch-frontier discipline for concolic exploration: "bfs" (the
-    # SAGE-style generational default), "dfs", "coverage", or
-    # "sharded" (partition each session's frontier into shard tasks
-    # with work stealing at round barriers); --frontier on the CLI.
+    # Branch-frontier discipline for concolic exploration — the pop
+    # order of a whole session's frontier and of every shard's alike:
+    # "bfs" (the SAGE-style generational default), "dfs" or
+    # "coverage"; --frontier on the CLI.
     frontier: str = "bfs"
-    # Maximum shard tasks per session round when the frontier is
-    # sharded; > 1 implies frontier="sharded".  The shard decomposition
-    # is part of the campaign *configuration* — results at a given
-    # shard count are identical at any worker count, so workers=1 with
-    # the same shard count is the serial reference for sharded runs.
-    # --frontier-shards on the CLI.
+    # Maximum shard tasks per session round; > 1 partitions each
+    # session's frontier into shard tasks with work stealing at round
+    # barriers.  The shard decomposition is part of the campaign
+    # *configuration* — results at a given shard count are identical
+    # at any worker count, so workers=1 with the same shard count is
+    # the serial reference for sharded runs.  --frontier-shards on the
+    # CLI.
     frontier_shards: int = 1
     # Differential-oracle pre-pass: "off", "reference" (pure-python
     # fixpoint oracle), or "bird" (real BIRD daemons in namespaces).
@@ -401,7 +407,7 @@ class DiceOrchestrator:
           ``workers=1`` local that is the inline transport, the serial
           reference every other transport must equal;
         * the **session planner** decides what a session *is* — one
-          whole-session task, or rounds of frontier shard tasks
+          task, or rounds of tasks carrying one frontier shard each
           (:meth:`_start_session` / :meth:`_finish_session`).
 
         Sessions start in node order as their captures arrive and are
@@ -466,7 +472,7 @@ class DiceOrchestrator:
                     self._merge_node_report(
                         result, report,
                         snapshot_id=session.snapshot_id,
-                        detected_at=session.detected_at,
+                        detected_at=session.captured.detected_at,
                         started=started,
                     )
                     if config.stop_after_first_fault and result.reports:
@@ -529,13 +535,13 @@ class DiceOrchestrator:
 
     @staticmethod
     def _session_shards(config: OrchestratorConfig) -> int | None:
-        """The session planner the frontier knobs select: the maximum
+        """The session planner ``frontier_shards`` selects: the maximum
         shard tasks per round of a sharded session, or None for whole
-        sessions.  ``frontier_shards > 1`` implies the sharded
-        discipline."""
-        shards = max(1, config.frontier_shards)
-        discipline = resolve_discipline(config.frontier)
-        if shards == 1 and discipline is not FrontierDiscipline.SHARDED:
+        sessions.  An unknown ``frontier`` fails here, before anything
+        is captured."""
+        resolve_discipline(config.frontier)
+        shards = config.frontier_shards
+        if shards <= 1:
             return None
         if config.strategy != STRATEGY_CONCOLIC:
             raise ValueError(
@@ -688,46 +694,39 @@ class DiceOrchestrator:
     ) -> "_Session":
         """Open one (cycle, node) session and submit its first tasks.
 
-        A whole session is one :class:`ExplorationTask` carrying the
-        node's warm solver cache.
+        The session's parameters are stated here, once: every task of
+        the session ships this :class:`ExplorationConfig`.  A whole
+        session is one task carrying the node's warm solver cache.
 
         A sharded session fans out as *rounds* of up to ``run.shards``
-        :class:`FrontierShardTask`s; this submits round 0, which
-        partitions by seed lineage, so its shard count is bounded by
-        the grammar-seed count (every planned shard must start with at
-        least one entry).  Shards run *cold* private solver caches
-        (see docs/architecture.md); their deltas still merge into the
+        shard tasks; this submits round 0, which partitions by seed
+        lineage, so its shard count is bounded by the grammar-seed
+        count (every planned shard must start with at least one
+        entry).  Shards start from *empty* solver caches (see
+        docs/architecture.md); their deltas still merge into the
         per-node caches, so cross-cycle fingerprint evolution matches
         the configured sharing policy.
         """
         config = run.config
-        snapshot = captured.snapshot
         session = _Session(
-            cycle=captured.cycle,
-            node=captured.node,
-            snapshot=snapshot,
-            snapshot_blob=captured.payload,
-            # A pre-pickled payload replaces the snapshot object; the
-            # id then comes back on the first outcome (workers resolve
-            # the payload anyway).
-            snapshot_id=snapshot.snapshot_id if snapshot is not None else "",
-            detected_at=captured.detected_at,
-            seed=derive_seed(
-                config.seed, f"cycle{captured.cycle}/{captured.node}"
+            captured=captured,
+            config=ExplorationConfig(
+                node=captured.node,
+                inputs=config.inputs_per_node,
+                strategy=config.strategy,
+                horizon=config.horizon,
+                grammar_seeds=config.grammar_seeds,
+                seed=derive_seed(
+                    config.seed, f"cycle{captured.cycle}/{captured.node}"
+                ),
+                frontier=config.frontier,
             ),
             budget_left=config.inputs_per_node,
         )
         if run.shards is None:
             session.handles = [
-                run.engine.submit(
-                    ExplorationTask(
-                        **self._task_fields(run, session),
-                        strategy=config.strategy,
-                        frontier=config.frontier,
-                        solver_cache=run.coordinator.checkout(
-                            session.node
-                        ),
-                    )
+                self._submit(
+                    run, session, run.coordinator.checkout(captured.node)
                 )
             ]
             return session
@@ -735,60 +734,61 @@ class DiceOrchestrator:
             max(1, config.grammar_seeds), session.budget_left, run.shards
         )
         if plan is not None:
-            self._submit_shard_round(run, session, plan, None)
+            # Round 0 ships no frontier: workers re-derive the seed
+            # list and keep their lineage partition.
+            self._submit_shard_round(
+                run, session, plan, [None] * plan.count
+            )
         return session
 
-    def _task_fields(self, run: "_CampaignRun", session: "_Session") -> dict:
-        """The fields every task of one session carries, whole or shard."""
-        config = run.config
-        return dict(
-            index=next(run.task_index),
-            cycle=session.cycle,
-            node=session.node,
-            snapshot=session.snapshot,
-            snapshot_blob=session.snapshot_blob,
-            suite=self._suite,
-            claims=run.claims_spec,
-            seed=session.seed,
-            inputs=config.inputs_per_node,
-            horizon=config.horizon,
-            grammar_seeds=config.grammar_seeds,
-            detected_at=session.detected_at,
-            process_factory=self._factory,
+    def _submit(
+        self,
+        run: "_CampaignRun",
+        session: "_Session",
+        solver_cache: SolverCache,
+        shard: FrontierShard | None = None,
+    ) -> TaskHandle:
+        """Build and submit one task of ``session``, whole or shard."""
+        captured = session.captured
+        return run.engine.submit(
+            ExplorationTask(
+                index=next(run.task_index),
+                cycle=captured.cycle,
+                config=session.config,
+                snapshot=captured.snapshot,
+                snapshot_blob=captured.payload,
+                suite=self._suite,
+                claims=run.claims_spec,
+                detected_at=captured.detected_at,
+                process_factory=self._factory,
+                solver_cache=solver_cache,
+                shard=shard,
+            )
         )
 
     def _submit_shard_round(
         self,
         run: "_CampaignRun",
         session: "_Session",
-        plan,
-        frontiers: list[Frontier] | None,
+        plan: ShardPlan,
+        frontiers: list[Frontier | None],
     ) -> None:
-        """Submit one round's shard tasks in shard order.
-
-        ``frontiers is None`` marks round 0 (workers re-derive the seed
-        list and keep their lineage partition); later rounds ship each
-        shard its slice of the merged frontier.  The null probe rides
-        on round 0's shard 0, exactly once per session.
-        """
+        """Submit one round's shard tasks in shard order, each with its
+        slice of the merged frontier and an empty solver cache (built
+        here, so unmetered)."""
         session.handles = [
-            run.engine.submit(
-                FrontierShardTask(
-                    **self._task_fields(run, session),
+            self._submit(
+                run, session,
+                SolverCache(max_entries=run.config.solver_cache_size),
+                FrontierShard(
                     round=session.round,
-                    shard=shard,
-                    shard_count=plan.count,
-                    budget=plan.budgets[shard],
-                    frontier=(
-                        None if frontiers is None else frontiers[shard]
-                    ),
-                    include_null_probe=(
-                        session.round == 0 and shard == 0
-                    ),
-                    cache_max_entries=run.config.solver_cache_size,
-                )
+                    index=index,
+                    count=plan.count,
+                    budget=plan.budgets[index],
+                    frontier=frontier,
+                ),
             )
-            for shard in range(plan.count)
+            for index, frontier in enumerate(frontiers)
         ]
 
     def _finish_session(
@@ -814,12 +814,11 @@ class DiceOrchestrator:
             run.coordinator.absorb(outcome.cache_delta)
             session.snapshot_id = outcome.snapshot_id
             return outcome.report
-        final = Frontier(discipline=FrontierDiscipline.SHARDED)
+        final = Frontier()
         while session.handles:
             outcomes = [handle.result() for handle in session.handles]
             session.handles = []
-            if not session.snapshot_id and outcomes:
-                session.snapshot_id = outcomes[0].snapshot_id
+            session.snapshot_id = outcomes[0].snapshot_id
             for outcome in outcomes:
                 run.coordinator.absorb_shard(outcome.cache_delta)
                 session.reports.append(outcome.report)
@@ -846,12 +845,11 @@ class DiceOrchestrator:
 
         Additive counters sum across shards; set-derived counters
         (unique paths, branch/shape coverage) are recomputed from the
-        final merged frontier, exactly as the engine's inline sharded
-        mode recomputes them — summing per-shard values would double
+        final merged frontier — summing per-shard values would double
         count paths two shards both reached.
         """
         report = NodeExplorationReport(
-            node=session.node,
+            node=session.config.node,
             strategy=STRATEGY_CONCOLIC,
             snapshot_id=session.snapshot_id,
         )
@@ -894,14 +892,13 @@ class _CampaignRun:
 class _Session:
     """In-flight state of one (cycle, node) exploration session."""
 
-    cycle: int
-    node: str
-    snapshot_id: str
-    detected_at: float
-    seed: int
-    snapshot: object = None
-    snapshot_blob: bytes | None = None
+    captured: CapturedSnapshot
+    # The session's parameters, stated once; every task ships it.
+    config: ExplorationConfig
     budget_left: int = 0
+    # A pre-pickled payload replaces the snapshot object, so the id is
+    # read off the session's first outcome.
+    snapshot_id: str = ""
     round: int = 0
     # The tasks in flight — the whole session's one task, or the current
     # round's shards — submitted and resolved in order; empty once a

@@ -8,18 +8,20 @@ module runs those sessions as tasks on worker slots — one inline slot
 in the campaign's own process at ``workers=1``, worker processes or
 remote daemons above that:
 
-* an :class:`ExplorationTask` is the picklable unit of work — snapshot
-  (or a pre-pickled snapshot payload), node, strategy, per-task derived
-  seed, input batch, property suite, origination claims and the node's
-  warm :class:`~repro.concolic.solver.SolverCache`;
-* a :class:`FrontierShardTask` is the finer-grained, intra-session unit:
-  one partition of one session's concolic frontier plus an execution
-  budget, on a fresh private solver cache;
+* an :class:`ExplorationTask` is the picklable unit of work — the
+  session's :class:`~repro.core.explorer.ExplorationConfig` (node,
+  strategy, budget, per-session derived seed, frontier discipline),
+  the snapshot (or a pre-pickled snapshot payload), the property
+  suite, origination claims and a
+  :class:`~repro.concolic.solver.SolverCache` to start from.  With
+  ``shard=None`` it is the whole session; with a
+  :class:`~repro.concolic.frontier.FrontierShard` it is one slice of
+  it — one partition of the session's concolic frontier plus an
+  execution budget;
 * :func:`run_task` is the worker entry point (a module-level function,
-  so it survives both fork and spawn start methods), dispatching to
-  :func:`run_exploration_task` or :func:`run_frontier_shard`.  It is a
-  **pure function of the task**: workers hold no state between tasks,
-  so any task can run — or rerun after a worker death — on *any* slot;
+  so it survives both fork and spawn start methods).  It is a **pure
+  function of the task**: workers hold no state between tasks, so any
+  task can run — or rerun after a worker death — on *any* slot;
 * :class:`ParallelCampaignEngine` routes each task to the live slot
   with the least outstanding work and returns outcomes **in task
   order**, regardless of worker completion order, so the orchestrator's
@@ -30,20 +32,22 @@ remote daemons above that:
   and TCP-socket transports in :mod:`repro.core.remote`.
 
 A node's warm solver cache lives in exactly one place, the
-orchestrator-side :class:`SolverCacheCoordinator`.  A whole-session
-task carries the cache it starts from, explores on a private
+orchestrator-side :class:`SolverCacheCoordinator`.  A task carries the
+cache it starts from — the node's warm one for a whole session, an
+empty one for a shard — explores on a private
 :meth:`~repro.concolic.solver.SolverCache.fork` of it, and its outcome
-carries only the entries the session added
-(:class:`~repro.concolic.solver.CacheDelta`); the coordinator replays
-each delta into the node's cache in task order and folds all nodes' new
+carries only the entries it added
+(:class:`~repro.concolic.solver.CacheDelta`); the coordinator folds
+each delta into the node's cache in task order and all nodes' new
 entries into all caches between cycles in a fixed order.
 
-Determinism is by construction: each task carries a seed derived via
-:func:`repro.util.rng.derive_seed` from the campaign seed and the task's
-(cycle, node) identity, snapshots are captured serially in the main
-process (the live system is single-threaded state), cache state is a
-pure function of the (deterministic) delta sequence, and only the
-exploration — clone, inject, propagate, check — fans out.
+Determinism is by construction: each task's config carries a seed
+derived via :func:`repro.util.rng.derive_seed` from the campaign seed
+and the session's (cycle, node) identity, snapshots are captured
+serially in the main process (the live system is single-threaded
+state), cache state is a pure function of the (deterministic) delta
+sequence, and only the exploration — clone, inject, propagate, check —
+fans out.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
 from repro.bgp.ip import Prefix
-from repro.concolic.frontier import Frontier, FrontierDiscipline
+from repro.concolic.frontier import Frontier, FrontierShard
 from repro.concolic.solver import (
     CacheDelta,
     CacheEvent,
@@ -67,7 +71,6 @@ from repro.core.explorer import (
     ExplorationConfig,
     Explorer,
     NodeExplorationReport,
-    STRATEGY_CONCOLIC,
 )
 from repro.core.live import bgp_process_factory
 from repro.core.properties import PropertySuite
@@ -121,7 +124,7 @@ class WorkerTransport(Protocol):
 
     slots: int
 
-    def submit(self, slot: int, task: "CampaignTask") -> "Future[CampaignOutcome]":
+    def submit(self, slot: int, task: "ExplorationTask") -> "Future[TaskOutcome]":
         """Schedule one task on ``slot``; the future yields its outcome."""
         ...
 
@@ -160,7 +163,8 @@ class SolverCacheCoordinator:
     and explores on a private fork of it; :meth:`absorb` replays the
     outcome's :class:`~repro.concolic.solver.CacheDelta` into the
     node's cache, which therefore steps through exactly the states the
-    session's fork did, evictions included.
+    session's fork did, evictions included.  Shard tasks start from an
+    empty cache and :meth:`absorb_shard` merges what they found.
 
     A node's cache is written only by :meth:`absorb` of that node's own
     outcome and by :meth:`end_cycle`, and both run after the node's
@@ -221,7 +225,7 @@ class SolverCacheCoordinator:
     def absorb_shard(self, delta: CacheDelta | None) -> None:
         """Fold one frontier shard's delta into the node's cache.
 
-        Shards run *fresh* private solver caches, so their deltas all
+        Shards start from empty solver caches, so their deltas all
         start from generation 0 and cannot be replayed onto the warm
         cache like whole-session deltas; they are **merged**
         first-writer-wins in shard order instead — the same discipline
@@ -269,11 +273,38 @@ class SolverCacheCoordinator:
 # -- tasks and outcomes ------------------------------------------------------
 
 
-class _SnapshotPayload:
-    """What both task kinds share: a snapshot, live or pre-pickled."""
+@dataclass(frozen=True)
+class ExplorationTask:
+    """One node-exploration session, or one shard of one, ready to ship.
 
+    Everything here must pickle: the session config, the snapshot
+    (checkpoints + channel state) or its pre-pickled payload, the
+    property suite (stateless check objects), the flattened claims, a
+    module-level process factory, and the solver cache.
+    """
+
+    index: int  # position in the campaign's deterministic task order
+    cycle: int
+    config: ExplorationConfig
     snapshot: Snapshot | None
-    snapshot_blob: bytes | None
+    suite: PropertySuite
+    claims: ClaimSpec
+    detected_at: float = 0.0  # live simulated time at capture
+    process_factory: ProcessFactory = bgp_process_factory
+    # The cache the task starts from: the node's warm one
+    # (SolverCacheCoordinator.checkout) for a whole session, an empty
+    # one for a shard — shards of one session run concurrently, so
+    # there is no one warm state they could all start from.  The worker
+    # explores on a fork and never writes to this one, so the same task
+    # can be dispatched again.  None means a private fresh cache and no
+    # delta in the outcome.
+    solver_cache: SolverCache | None = field(default=None, repr=False)
+    # Pre-pickled snapshot payload, produced on the capture thread so
+    # executor-side task pickling is a near-memcpy (bytes re-pickle
+    # cheaply); used when ``snapshot`` is None.
+    snapshot_blob: bytes | None = field(default=None, repr=False)
+    # None = the whole session.
+    shard: FrontierShard | None = None
 
     def resolve_snapshot(self) -> Snapshot:
         """The snapshot to explore, unpickling the payload if needed."""
@@ -286,60 +317,15 @@ class _SnapshotPayload:
         return pickle.loads(self.snapshot_blob)
 
 
-@dataclass(frozen=True)
-class ExplorationTask(_SnapshotPayload):
-    """One node-exploration session, ready to ship to a worker.
-
-    Everything here must pickle: the snapshot (checkpoints + channel
-    state) or its pre-pickled payload, the property suite (stateless
-    check objects), the flattened claims, a module-level process
-    factory, and the node's solver cache.
-    """
-
-    index: int  # position in the campaign's deterministic task order
-    cycle: int
-    node: str
-    snapshot: Snapshot | None
-    suite: PropertySuite
-    claims: ClaimSpec
-    seed: int  # already derived per (cycle, node)
-    inputs: int = 30
-    strategy: str = STRATEGY_CONCOLIC
-    horizon: float = 5.0
-    grammar_seeds: int = 3
-    max_branches_per_run: int = 20_000
-    # Branch-frontier discipline the session's concolic engine uses
-    # (enum member or legacy string; resolved by ExplorationConfig).
-    frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
-    detected_at: float = 0.0  # live simulated time at capture
-    process_factory: ProcessFactory = bgp_process_factory
-    # The node's warm solver cache (SolverCacheCoordinator.checkout).
-    # The worker explores on a fork and never writes to this one, so
-    # the same task can be dispatched again.  None means the session
-    # runs with a private fresh cache and returns no delta.
-    solver_cache: SolverCache | None = field(default=None, repr=False)
-    # Pre-pickled snapshot payload, produced on the capture thread so
-    # executor-side task pickling is a near-memcpy (bytes re-pickle
-    # cheaply); used when ``snapshot`` is None.
-    snapshot_blob: bytes | None = field(default=None, repr=False)
-
-    def exploration_config(self) -> ExplorationConfig:
-        """The per-session config the explorer consumes."""
-        return ExplorationConfig(
-            node=self.node,
-            inputs=self.inputs,
-            strategy=self.strategy,
-            horizon=self.horizon,
-            grammar_seeds=self.grammar_seeds,
-            seed=self.seed,
-            max_branches_per_run=self.max_branches_per_run,
-            frontier=self.frontier,
-        )
-
-
 @dataclass
 class TaskOutcome:
-    """What one task produced, tagged for deterministic merging."""
+    """What one task produced, tagged for deterministic merging.
+
+    The orchestrator absorbs outcomes in task order — for shards that
+    is (round, shard) order — never completion order, so the merged
+    session report, the merged frontier handed to the next round, and
+    the solver-cache state are identical at any worker count.
+    """
 
     index: int
     cycle: int
@@ -347,13 +333,26 @@ class TaskOutcome:
     snapshot_id: str
     detected_at: float
     report: NodeExplorationReport = field(repr=False)
-    # Only the entries this session added — O(KB) — instead of the
-    # whole updated cache; None when the task carried no cache.
+    # Only the entries this task added — O(KB) — instead of the whole
+    # updated cache; None when the task carried no cache.  A whole
+    # session's delta replays onto the node's cache; a shard's starts
+    # from generation 0 and is merged.
     cache_delta: CacheDelta | None = field(default=None, repr=False)
+    # A shard's leftover frontier (un-popped entries + everything it
+    # learned), merged by the orchestrator at the round boundary; None
+    # for a whole session.
+    frontier: Frontier | None = field(default=None, repr=False)
 
 
-def run_exploration_task(task: ExplorationTask) -> TaskOutcome:
-    """Worker entry point: run one exploration session start to finish."""
+def run_task(task: ExplorationTask) -> TaskOutcome:
+    """Worker entry point: run one task start to finish.
+
+    The single function every transport submits (module-level, so it
+    survives fork and spawn), and a pure function of the task: it reads
+    nothing the task does not carry and writes to nothing the task
+    carries, so dispatching the same task again — on any slot — yields
+    the same outcome.
+    """
     snapshot = task.resolve_snapshot()
     cache = (
         task.solver_cache.fork() if task.solver_cache is not None else None
@@ -365,158 +364,21 @@ def run_exploration_task(task: ExplorationTask) -> TaskOutcome:
         process_factory=task.process_factory,
         solver_cache=cache,
     )
-    report = explorer.explore(task.exploration_config())
+    if task.shard is None:
+        report, frontier = explorer.explore(task.config), None
+    else:
+        report, frontier = explorer.explore_shard(task.config, task.shard)
+    node = task.config.node
     return TaskOutcome(
         index=task.index,
         cycle=task.cycle,
-        node=task.node,
+        node=node,
         snapshot_id=snapshot.snapshot_id,
         detected_at=task.detected_at,
         report=report,
-        cache_delta=(
-            cache.take_delta(task.node) if cache is not None else None
-        ),
-    )
-
-
-@dataclass(frozen=True)
-class FrontierShardTask(_SnapshotPayload):
-    """One shard of one session's concolic frontier, ready to ship.
-
-    The intra-session unit of work: where :class:`ExplorationTask`
-    ships a *whole* node-exploration session, a shard task ships one
-    partition of that session's unexplored-branch frontier plus an
-    execution budget.  The worker builds a fresh explorer and a fresh
-    private solver cache (shards of one session run concurrently, so
-    there is no one warm state they could all start from).
-
-    ``frontier is None`` marks a round-0 task: the worker regenerates
-    the session's grammar seeds deterministically from ``seed`` and
-    takes partition ``shard`` of ``shard_count`` by seed lineage.
-    Later rounds carry their (picklable) :class:`Frontier` shard
-    explicitly — produced by the orchestrator's deterministic merge
-    and re-split at the previous round boundary.
-    """
-
-    index: int  # position in the campaign's deterministic task order
-    cycle: int
-    node: str
-    round: int  # epoch within the session (0 = from grammar seeds)
-    shard: int
-    shard_count: int
-    budget: int  # executions this shard may spend
-    snapshot: Snapshot | None
-    suite: PropertySuite
-    claims: ClaimSpec
-    seed: int  # already derived per (cycle, node) — shared by all shards
-    inputs: int = 30  # the whole session's budget (for config echo)
-    horizon: float = 5.0
-    grammar_seeds: int = 3
-    max_branches_per_run: int = 20_000
-    detected_at: float = 0.0
-    process_factory: ProcessFactory = bgp_process_factory
-    frontier: Frontier | None = field(default=None, repr=False)
-    include_null_probe: bool = False
-    cache_max_entries: int = 4096
-    snapshot_blob: bytes | None = field(default=None, repr=False)
-
-    def exploration_config(self) -> ExplorationConfig:
-        """The per-session config the explorer consumes."""
-        return ExplorationConfig(
-            node=self.node,
-            inputs=self.inputs,
-            strategy=STRATEGY_CONCOLIC,
-            horizon=self.horizon,
-            grammar_seeds=self.grammar_seeds,
-            seed=self.seed,
-            max_branches_per_run=self.max_branches_per_run,
-            frontier=FrontierDiscipline.SHARDED,
-        )
-
-
-@dataclass
-class ShardOutcome:
-    """What one frontier shard produced, tagged for ordered absorption.
-
-    The orchestrator absorbs shard outcomes in (round, shard) order —
-    never completion order — so the merged session report, the merged
-    frontier handed to the next round, and the solver-cache state are
-    identical at any worker count.
-    """
-
-    index: int
-    cycle: int
-    node: str
-    round: int
-    shard: int
-    snapshot_id: str
-    detected_at: float
-    report: NodeExplorationReport = field(repr=False)
-    # The shard's leftover frontier (un-popped entries + everything it
-    # learned), merged by the orchestrator at the round boundary.
-    frontier: Frontier = field(repr=False)
-    # The shard's private fresh-cache delta (base generation 0); folded
-    # into the node's cache with merge_delta, never replayed.
-    cache_delta: CacheDelta | None = field(default=None, repr=False)
-
-
-def run_frontier_shard(task: FrontierShardTask) -> ShardOutcome:
-    """Worker entry point: run one frontier shard start to finish.
-
-    The shard runs against a fresh private :class:`SolverCache` whose
-    delta ships back whole (its base generation is 0 by construction).
-    Cold caches are the price of running one session's shards
-    concurrently — the shard's speedup comes from parallelising the
-    *executions*, which dominate solver time on hot sessions.
-    """
-    snapshot = task.resolve_snapshot()
-    cache = SolverCache(max_entries=task.cache_max_entries)
-    explorer = Explorer(
-        snapshot,
-        task.suite,
-        claims_from_spec(task.claims),
-        process_factory=task.process_factory,
-        solver_cache=cache,
-    )
-    report, frontier = explorer.explore_shard(
-        task.exploration_config(),
-        shard=task.shard,
-        shard_count=task.shard_count,
-        budget=task.budget,
-        round_index=task.round,
-        frontier=task.frontier,
-        include_null_probe=task.include_null_probe,
-    )
-    return ShardOutcome(
-        index=task.index,
-        cycle=task.cycle,
-        node=task.node,
-        round=task.round,
-        shard=task.shard,
-        snapshot_id=snapshot.snapshot_id,
-        detected_at=task.detected_at,
-        report=report,
+        cache_delta=cache.take_delta(node) if cache is not None else None,
         frontier=frontier,
-        cache_delta=cache.take_delta(task.node),
     )
-
-
-CampaignTask = ExplorationTask | FrontierShardTask
-CampaignOutcome = TaskOutcome | ShardOutcome
-
-
-def run_task(task: CampaignTask) -> CampaignOutcome:
-    """Worker entry point dispatching on task kind.
-
-    The single function every transport submits (module-level, so it
-    survives fork and spawn), and a pure function of the task: it reads
-    nothing the task does not carry and writes to nothing the task
-    carries, so dispatching the same task again — on any slot — yields
-    the same outcome.
-    """
-    if isinstance(task, FrontierShardTask):
-        return run_frontier_shard(task)
-    return run_exploration_task(task)
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -616,8 +478,8 @@ class InlineTransport:
     slots = 1
     inline = True
 
-    def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
-        future: Future[CampaignOutcome] = Future()
+    def submit(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
+        future: Future[TaskOutcome] = Future()
         try:
             future.set_result(run_task(task))
         except Exception as error:
@@ -645,9 +507,9 @@ class LocalPoolTransport:
         self._pools: list[ProcessPoolExecutor | None] = [None] * self.slots
         self._dead: set[int] = set()
 
-    def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
+    def submit(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
         if slot in self._dead:
-            future: Future[CampaignOutcome] = Future()
+            future: Future[TaskOutcome] = Future()
             future.set_exception(
                 WorkerLostError(f"local pool slot {slot} is dead")
             )
@@ -688,8 +550,8 @@ class TaskHandle:
     """
 
     def __init__(self, engine: "ParallelCampaignEngine",
-                 task: CampaignTask, slot: int,
-                 future: "Future[CampaignOutcome]"):
+                 task: ExplorationTask, slot: int,
+                 future: "Future[TaskOutcome]"):
         self._engine = engine
         self.task = task
         self.slot = slot
@@ -698,7 +560,7 @@ class TaskHandle:
     def done(self) -> bool:
         return self.future.done()
 
-    def result(self) -> CampaignOutcome:
+    def result(self) -> TaskOutcome:
         """The task's outcome, retrying across worker deaths."""
         return self._engine._resolve(self)
 
@@ -820,7 +682,7 @@ class ParallelCampaignEngine:
             key=lambda slot: (self._outstanding.get(slot, 0), slot),
         )
 
-    def submit(self, task: CampaignTask) -> TaskHandle:
+    def submit(self, task: ExplorationTask) -> TaskHandle:
         """Schedule one task; returns a handle resolving to its outcome.
 
         The incremental interface the campaign loop uses: it submits
@@ -832,7 +694,7 @@ class ParallelCampaignEngine:
         slot = self.next_slot()
         return TaskHandle(self, task, slot, self._dispatch(slot, task))
 
-    def _dispatch(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
+    def _dispatch(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
         """Submit to the transport; dispatch-time errors become the
         future's exception so failover handles them at resolve time.
         Control-flow exceptions (Ctrl-C on the inline path) propagate.
@@ -841,7 +703,7 @@ class ParallelCampaignEngine:
         try:
             return self._transport.submit(slot, task)
         except Exception as error:
-            future: Future[CampaignOutcome] = Future()
+            future: Future[TaskOutcome] = Future()
             future.set_exception(error)
             return future
 
@@ -875,7 +737,7 @@ class ParallelCampaignEngine:
         if count > 0:
             self._outstanding[slot] = count - 1
 
-    def _resolve(self, handle: TaskHandle) -> CampaignOutcome:
+    def _resolve(self, handle: TaskHandle) -> TaskOutcome:
         """Resolve one handle, failing over across worker deaths.
 
         A task whose slot died is dispatched again, unchanged, wherever
@@ -898,7 +760,7 @@ class ParallelCampaignEngine:
                 self._release_slot(handle.slot)
                 return outcome
 
-    def run(self, tasks: Sequence[CampaignTask]) -> list[CampaignOutcome]:
+    def run(self, tasks: Sequence[ExplorationTask]) -> list[TaskOutcome]:
         """Execute a batch; outcomes come back sorted by task index."""
         ordered = sorted(tasks, key=lambda task: task.index)
         handles = [self.submit(task) for task in ordered]

@@ -1,10 +1,10 @@
 """Remote worker transport: exploration tasks over a wire.
 
 The campaign loop scales past one machine by dispatching the already
-picklable :class:`~repro.core.parallel.ExplorationTask`s (and the
-intra-session :class:`~repro.core.parallel.FrontierShardTask`s) to
-long-lived worker daemons instead of local pool processes.  This module supplies
-everything between :class:`~repro.core.parallel.ParallelCampaignEngine`
+picklable :class:`~repro.core.parallel.ExplorationTask`s — whole
+sessions and frontier shards alike — to long-lived worker daemons
+instead of local pool processes.  This module supplies everything
+between :class:`~repro.core.parallel.ParallelCampaignEngine`
 and those daemons:
 
 * a **frame codec** — length-prefixed pickle frames (4-byte big-endian
@@ -59,8 +59,8 @@ from collections import deque
 from concurrent.futures import Future
 
 from repro.core.parallel import (
-    CampaignOutcome,
-    CampaignTask,
+    ExplorationTask,
+    TaskOutcome,
     WorkerLostError,
     run_task,
 )
@@ -377,10 +377,10 @@ class LoopbackTransport:
         self.bytes_received += len(frame)
         return decode_frame(frame)
 
-    def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
+    def submit(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
         if self._closed:
             raise RuntimeError("loopback transport is closed")
-        future: Future[CampaignOutcome] = Future()
+        future: Future[TaskOutcome] = Future()
         if slot in self._dead:
             future.set_exception(
                 WorkerDiedError(
@@ -490,8 +490,8 @@ class _Connection:
                 raise self._died(error) from error
             self.bytes_sent += len(frame)
 
-    def submit(self, task: CampaignTask) -> "Future[CampaignOutcome]":
-        future: Future[CampaignOutcome] = Future()
+    def submit(self, task: ExplorationTask) -> "Future[TaskOutcome]":
+        future: Future[TaskOutcome] = Future()
         request_id = next(self._request_ids)
         with self._pending_lock:
             self._pending.append((request_id, future))
@@ -677,7 +677,7 @@ class SocketTransport:
             ConnectionError("worker slot retired after failure")
         )
 
-    def submit(self, slot: int, task: CampaignTask) -> "Future[CampaignOutcome]":
+    def submit(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
         return self._connections[slot].submit(task)
 
     def close(self) -> None:

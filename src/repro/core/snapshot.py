@@ -36,6 +36,7 @@ from typing import Any, Callable
 from repro.core.checkpoint import NodeCheckpoint, capture
 from repro.net.network import Network
 from repro.net.node import Process
+from repro.net.trace import TraceRecorder
 from repro.util.ids import IdGenerator
 
 _snapshot_ids = IdGenerator("snap")
@@ -76,21 +77,16 @@ class Snapshot:
         """Simulated seconds from initiation to a closed cut."""
         return self.completed_at - self.taken_at
 
-    def clone(
-        self,
-        process_factory: ProcessFactory,
-        seed: int = 0,
-        trace_enabled: bool = True,
-    ) -> Network:
+    def clone(self, process_factory: ProcessFactory, seed: int = 0) -> Network:
         """Materialize an isolated copy of the captured system.
 
         Figure 2, steps 3-5 run one exploration input per clone.  The
         clone's clock starts at zero; recorded channel messages are
-        scheduled at their captured relative offsets.
+        scheduled at their captured relative offsets.  A clone records
+        no trace: property checks read its state, nothing reads its
+        history, and it is dropped when its input has been checked.
         """
-        from repro.net.trace import TraceRecorder
-
-        clone = Network(seed=seed, trace=TraceRecorder(enabled=trace_enabled))
+        clone = Network(seed=seed, trace=TraceRecorder(enabled=False))
         for name in sorted(self.checkpoints):
             checkpoint = self.checkpoints[name]
             process = process_factory(checkpoint)

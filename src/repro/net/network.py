@@ -153,7 +153,7 @@ class Network:
             self._in_flight.pop(token, None)
             self._deliver(src, dst, payload)
 
-        event = self.sim.schedule(delay, deliver, label=f"deliver:{src}->{dst}")
+        event = self.sim.schedule(delay, deliver)
         self._in_flight[token] = InFlightMessage(
             src, dst, payload, self.sim.now + delay, event
         )

@@ -69,10 +69,9 @@ class Process:
         """Arm (or re-arm) the named timer ``delay`` seconds from now."""
         assert self.network is not None, f"{self.name} is not attached"
         self.cancel_timer(name)
-        event = self.network.sim.schedule(
-            delay, lambda: self._fire_timer(name), label=f"timer:{self.name}:{name}"
+        self._timers[name] = self.network.sim.schedule(
+            delay, lambda: self._fire_timer(name)
         )
-        self._timers[name] = event
 
     def cancel_timer(self, name: str) -> None:
         """Cancel the named timer if armed."""

@@ -32,7 +32,6 @@ class Event:
     seq: int
     callback: Callable[[], None] = field(compare=False)
     cancelled: bool = field(default=False, compare=False)
-    label: str = field(default="", compare=False)
 
     def cancel(self) -> None:
         """Mark the event so the loop skips it when popped."""
@@ -64,22 +63,18 @@ class Simulator:
         """Number of events still queued (including cancelled ones)."""
         return sum(1 for event in self._queue if not event.cancelled)
 
-    def schedule(
-        self, delay: float, callback: Callable[[], None], label: str = ""
-    ) -> Event:
+    def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""
         if delay < 0:
             raise ValueError(f"cannot schedule into the past (delay={delay})")
-        event = Event(self._now + delay, self._seq, callback, label=label)
+        event = Event(self._now + delay, self._seq, callback)
         self._seq += 1
         heapq.heappush(self._queue, event)
         return event
 
-    def schedule_at(
-        self, when: float, callback: Callable[[], None], label: str = ""
-    ) -> Event:
+    def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``when``."""
-        return self.schedule(when - self._now, callback, label=label)
+        return self.schedule(when - self._now, callback)
 
     def clear(self) -> None:
         """Drop every queued event without running it."""
@@ -121,13 +116,3 @@ class Simulator:
         if until is not None and self._now < until:
             self._now = until
         return self._now
-
-    def run_until_idle(self, quiescence: float = 0.0, deadline: float = 1e9) -> float:
-        """Run until no events remain, or ``deadline`` simulated seconds.
-
-        ``quiescence`` exists for symmetry with convergence detection in
-        higher layers; the core loop itself is idle exactly when its queue
-        is empty.
-        """
-        del quiescence
-        return self.run(until=deadline if self._queue else None)

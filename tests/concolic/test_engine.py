@@ -8,7 +8,7 @@ from repro.concolic.engine import (
     RandomByteExplorer,
     explore,
 )
-from repro.concolic.frontier import Frontier, FrontierDiscipline
+from repro.concolic.frontier import Frontier, FrontierDiscipline, plan_round
 from repro.concolic.path import flip_at, flip_signature, held_path, signature
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import SymBytes
@@ -192,7 +192,6 @@ class TestExplorationSpec:
     def test_defaults(self):
         spec = ExplorationSpec()
         assert spec.frontier is FrontierDiscipline.BFS
-        assert spec.shards == 1
 
     def test_string_disciplines_resolve_to_the_enum(self):
         assert (ExplorationSpec(frontier="dfs").frontier
@@ -203,19 +202,11 @@ class TestExplorationSpec:
             ExplorationSpec(max_executions=0)
         with pytest.raises(ValueError, match="max_branches_per_run"):
             ExplorationSpec(max_branches_per_run=0)
-        with pytest.raises(ValueError, match="shards"):
-            ExplorationSpec(shards=0)
-
-    def test_shards_require_the_sharded_discipline(self):
-        with pytest.raises(ValueError, match="sharded"):
-            ExplorationSpec(frontier="bfs", shards=2)
-        assert ExplorationSpec(frontier="sharded", shards=4).shards == 4
 
     def test_spec_pickles(self):
         import pickle
 
-        spec = ExplorationSpec(frontier="sharded", shards=4,
-                               max_executions=50)
+        spec = ExplorationSpec(frontier="coverage", max_executions=50)
         assert pickle.loads(pickle.dumps(spec)) == spec
 
     def test_engine_exposes_its_spec(self):
@@ -246,33 +237,55 @@ class TestExplorationSpec:
         assert result.crashes
 
 
+def explore_in_rounds(engine, seeds, budget, max_shards):
+    """The campaign's shard rounds, composed from the same primitives:
+    partition by lineage, run each shard under its budget slice, merge
+    first-writer-wins, re-deal the leftovers."""
+    merged = Frontier.from_seeds(seeds)
+    plan = plan_round(len(merged), budget, max_shards)
+    shards = merged.partition(plan.count) if plan else []
+    crashes = 0
+    while plan is not None:
+        for shard, slice_ in zip(shards, plan.budgets, strict=True):
+            result = engine.run_shard(shard, slice_)
+            budget -= result.executions
+            crashes += len(result.crashes)
+        merged = Frontier.merge(shards)
+        plan = plan_round(len(merged), budget, max_shards)
+        shards = merged.split(plan.count) if plan else []
+    return merged, crashes
+
+
 class TestShardedExploration:
-    def spec(self, shards):
-        return ExplorationSpec(frontier="sharded", shards=shards,
-                               max_executions=40)
+    def spec(self):
+        return ExplorationSpec(max_executions=40)
 
     def test_sharded_explore_finds_every_path(self):
-        engine = ConcolicEngine(branchy_program, spec=self.spec(4))
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
-        assert result.unique_paths == 5
-        assert result.crashes
-        assert result.frontier_exhausted
+        engine = ConcolicEngine(branchy_program, spec=self.spec())
+        final, crashes = explore_in_rounds(
+            engine, [SymBytes.mark_all(b"\x00\x00")], 40, 4
+        )
+        assert len(final.seen_paths) == 5
+        assert crashes == 1
+        assert not final.entries  # exhausted
 
     def test_shard_count_does_not_change_the_outcome(self):
         def summary(shards):
             engine = ConcolicEngine(
-                branchy_program, solver=Solver(seed=3), spec=self.spec(shards)
+                branchy_program, solver=Solver(seed=3), spec=self.spec()
             )
-            result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
-            return (result.unique_paths, result.branch_coverage,
-                    result.shape_coverage, len(result.crashes))
+            final, crashes = explore_in_rounds(
+                engine, [SymBytes.mark_all(b"\x00\x00")], 40, shards
+            )
+            return (len(final.seen_paths), len(final.seen_constraints),
+                    len(final.seen_shapes), crashes, len(final))
 
         assert summary(1) == summary(2) == summary(4)
 
     def test_run_shard_respects_budget_and_mutates_the_frontier(self):
-        engine = ConcolicEngine(branchy_program, spec=self.spec(1))
+        engine = ConcolicEngine(branchy_program, spec=self.spec())
         frontier = Frontier.from_seeds(
-            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.SHARDED
+            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
         )
         result = engine.run_shard(frontier, budget=1)
         assert result.executions == 1
@@ -285,9 +298,9 @@ class TestShardedExploration:
     def test_shard_results_report_solver_stats_as_deltas(self):
         """Shards share one engine/solver here; summing per-shard
         counters must equal the totals, never double-count."""
-        engine = ConcolicEngine(branchy_program, spec=self.spec(1))
+        engine = ConcolicEngine(branchy_program, spec=self.spec())
         frontier = Frontier.from_seeds(
-            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.SHARDED
+            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
         )
         first = engine.run_shard(frontier, budget=2)
         second = engine.run_shard(frontier, budget=100)

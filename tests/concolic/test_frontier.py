@@ -43,20 +43,27 @@ class TestDisciplineResolution:
 
     def test_legacy_strings_resolve(self):
         assert resolve_discipline("bfs") is FrontierDiscipline.BFS
-        assert resolve_discipline("sharded") is FrontierDiscipline.SHARDED
+        assert resolve_discipline("coverage") is FrontierDiscipline.COVERAGE
 
     def test_unknown_value_rejected(self):
         with pytest.raises(ValueError, match="spiral"):
             resolve_discipline("spiral")
+        # A shard count is not a pop order.
+        with pytest.raises(ValueError, match="unknown frontier discipline"):
+            resolve_discipline("sharded")
 
     def test_str_is_the_wire_value(self):
         assert str(FrontierDiscipline.COVERAGE) == "coverage"
 
-    def test_within_shard_order(self):
-        assert (FrontierDiscipline.SHARDED.within_shard
-                is FrontierDiscipline.BFS)
-        assert (FrontierDiscipline.DFS.within_shard
-                is FrontierDiscipline.DFS)
+    def test_shards_pop_by_the_session_discipline(self):
+        """A shard pops by its session's discipline, every round: the
+        slices of a split and the merge of a round keep it."""
+        first, second = frontier_with([1, 2, 3], FrontierDiscipline.DFS).split(2)
+        assert [first.pop().key for _ in range(2)] == [3, 1]
+        merged = Frontier.merge([first, second])
+        assert merged.discipline is FrontierDiscipline.DFS
+        assert all(shard.discipline is FrontierDiscipline.DFS
+                   for shard in merged.partition(2))
 
 
 class TestPopOrder:
@@ -67,10 +74,6 @@ class TestPopOrder:
     def test_dfs_is_lifo(self):
         frontier = frontier_with([1, 2, 3], FrontierDiscipline.DFS)
         assert [frontier.pop().key for _ in range(3)] == [3, 2, 1]
-
-    def test_sharded_pops_bfs_within_a_shard(self):
-        frontier = frontier_with([1, 2, 3], FrontierDiscipline.SHARDED)
-        assert [frontier.pop().key for _ in range(3)] == [1, 2, 3]
 
     def test_coverage_serves_novel_entries_first(self):
         frontier = Frontier(discipline=FrontierDiscipline.COVERAGE)
@@ -93,7 +96,7 @@ class TestPopOrder:
 class TestSeeding:
     def test_from_seeds_assigns_lineage_and_flip_keys(self):
         seeds = [SymBytes(b"\x00", {}), SymBytes(b"\x01", {})]
-        frontier = Frontier.from_seeds(seeds, FrontierDiscipline.SHARDED)
+        frontier = Frontier.from_seeds(seeds, FrontierDiscipline.BFS)
         assert [e.lineage for e in frontier.entries] == [0, 1]
         assert frontier.seen_flips == {seed_key(0), seed_key(1)}
         assert all(e.novel for e in frontier.entries)
@@ -107,7 +110,7 @@ class TestSeeding:
 
 class TestPartitionAndSplit:
     def test_partition_routes_by_lineage(self):
-        frontier = Frontier(discipline=FrontierDiscipline.SHARDED)
+        frontier = Frontier(discipline=FrontierDiscipline.BFS)
         for lineage in range(6):
             frontier.push(entry(10 + lineage, lineage=lineage))
         shards = frontier.partition(2)
@@ -118,13 +121,13 @@ class TestPartitionAndSplit:
         # All entries share one hot lineage; split must still spread
         # them — that is the whole point of the round barrier.
         frontier = frontier_with([1, 2, 3, 4, 5],
-                                 FrontierDiscipline.SHARDED, lineage=7)
+                                 FrontierDiscipline.BFS, lineage=7)
         shards = frontier.split(2)
         assert [e.key for e in shards[0].entries] == [1, 3, 5]
         assert [e.key for e in shards[1].entries] == [2, 4]
 
     def test_shards_get_private_dedup_sets(self):
-        frontier = frontier_with([1], FrontierDiscipline.SHARDED)
+        frontier = frontier_with([1], FrontierDiscipline.BFS)
         frontier.seen_paths.add(99)
         shards = frontier.split(2)
         shards[0].seen_paths.add(100)
@@ -139,7 +142,7 @@ class TestMerge:
         its siblings' queued entry keys included.  A merge that dedups
         against ``seen_flips`` would silently drop every un-run
         leftover held by shards after the first."""
-        parent = frontier_with([1, 2], FrontierDiscipline.SHARDED)
+        parent = frontier_with([1, 2], FrontierDiscipline.BFS)
         parent.seen_flips |= {1, 2}
         first, second = parent.split(2)
         ran = first.pop()  # shard 0 executes its entry...
@@ -152,8 +155,8 @@ class TestMerge:
         assert [e.key for e in merged.entries] == [10, 2]
 
     def test_duplicate_pushes_keep_the_earlier_shard_copy(self):
-        first = frontier_with([], FrontierDiscipline.SHARDED)
-        second = frontier_with([], FrontierDiscipline.SHARDED)
+        first = frontier_with([], FrontierDiscipline.BFS)
+        second = frontier_with([], FrontierDiscipline.BFS)
         first.push(entry(7, bound=1))
         second.push(entry(7, bound=2))
         second.push(entry(8))
@@ -161,8 +164,8 @@ class TestMerge:
         assert [(e.key, e.bound) for e in merged.entries] == [(7, 1), (8, 0)]
 
     def test_merge_unions_dedup_state(self):
-        first = frontier_with([], FrontierDiscipline.SHARDED)
-        second = frontier_with([], FrontierDiscipline.SHARDED)
+        first = frontier_with([], FrontierDiscipline.BFS)
+        second = frontier_with([], FrontierDiscipline.BFS)
         first.seen_paths.add(1)
         second.seen_paths.add(2)
         first.seen_constraints.add(3)
@@ -176,15 +179,25 @@ class TestMerge:
         """Shard A queues a flip promising constraint 42; shard B saw
         constraint 42 this round.  After the merge the entry must not
         still claim novelty."""
-        first = frontier_with([], FrontierDiscipline.SHARDED)
+        first = frontier_with([], FrontierDiscipline.BFS)
         first.push(entry(7, novel=True, novelty_key=42))
-        second = frontier_with([], FrontierDiscipline.SHARDED)
+        second = frontier_with([], FrontierDiscipline.BFS)
         second.seen_constraints.add(42)
         merged = Frontier.merge([first, second])
         assert merged.entries[0].novel is False
 
+    def test_copy_shares_no_mutable_state(self):
+        frontier = frontier_with([1, 2])
+        frontier.seen_paths.add(9)
+        clone = frontier.copy()
+        assert clone == frontier
+        clone.pop()
+        clone.seen_paths.add(10)
+        assert [e.key for e in frontier.entries] == [1, 2]
+        assert frontier.seen_paths == {9}
+
     def test_root_seeds_stay_novel_through_merge(self):
-        first = frontier_with([], FrontierDiscipline.SHARDED)
+        first = frontier_with([], FrontierDiscipline.BFS)
         first.push(entry(seed_key(0), novel=True, novelty_key=None))
         merged = Frontier.merge([first])
         assert merged.entries[0].novel is True
@@ -193,12 +206,12 @@ class TestMerge:
 class TestPickling:
     def test_frontier_round_trips(self):
         frontier = Frontier.from_seeds(
-            [SymBytes(b"\x05\x06", {})], FrontierDiscipline.SHARDED
+            [SymBytes(b"\x05\x06", {})], FrontierDiscipline.BFS
         )
         frontier.seen_paths.add(11)
         frontier.seen_constraints.add(12)
         loaded = pickle.loads(pickle.dumps(frontier))
-        assert loaded.discipline is FrontierDiscipline.SHARDED
+        assert loaded.discipline is FrontierDiscipline.BFS
         assert [e.key for e in loaded.entries] == [seed_key(0)]
         assert bytes(loaded.entries[0].input) == b"\x05\x06"
         assert loaded.seen_paths == frontier.seen_paths
@@ -258,17 +271,13 @@ class TestDisciplines:
         with pytest.raises(ValueError, match="spiral"):
             ExplorationSpec(frontier="spiral")
 
-    @pytest.mark.parametrize(
-        "frontier", ["bfs", "dfs", "coverage", "sharded"]
-    )
+    @pytest.mark.parametrize("frontier", ["bfs", "dfs", "coverage"])
     def test_all_disciplines_reach_the_bottom(self, frontier):
         engine = engine_for(frontier, max_executions=60)
         result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])
         assert result.crashes, f"{frontier} missed the deep crash"
 
-    @pytest.mark.parametrize(
-        "frontier", ["bfs", "dfs", "coverage", "sharded"]
-    )
+    @pytest.mark.parametrize("frontier", ["bfs", "dfs", "coverage"])
     def test_path_accounting_consistent(self, frontier):
         engine = engine_for(frontier, max_executions=40)
         result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])

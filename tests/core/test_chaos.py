@@ -23,6 +23,7 @@ from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 from repro.checks import default_property_suite
+from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
     ExplorationTask,
@@ -95,7 +96,7 @@ class StubTransport:
         self.submitted = []
 
     def submit(self, slot, task):
-        self.submitted.append((slot, task.node))
+        self.submitted.append((slot, task.config.node))
         future = Future()
         if slot in self.dying:
             future.set_exception(
@@ -103,7 +104,7 @@ class StubTransport:
                                 address=f"stub-{slot}")
             )
         else:
-            future.set_result((slot, task.node))
+            future.set_result((slot, task.config.node))
         return future
 
     def slot_label(self, slot):
@@ -118,8 +119,8 @@ class StubTransport:
 
 def stub_task(index, node):
     return ExplorationTask(
-        index=index, cycle=0, node=node, snapshot=None,
-        suite=default_property_suite(), claims=(), seed=0,
+        index=index, cycle=0, config=ExplorationConfig(node=node),
+        snapshot=None, suite=default_property_suite(), claims=(),
     )
 
 

@@ -265,10 +265,10 @@ class TestCloneRelease:
             explorer.explore(ExplorationConfig(
                 node=node, inputs=3, seed=1, grammar_seeds=1))
         ))
-        # null probe, one per input; the peer pick and the grammar each
-        # restore the one router they read, not a clone
+        # null probe, one per input; the peer pick and the grammar read
+        # one restore of the one router, not a clone
         assert len(clones) == reports[0].clones_created == 4
-        assert len(probes) == 2
+        assert len(probes) == 1
         assert reports[0].executions == 3
         for clone in clones + probes:
             assert clone.processes == {}

@@ -6,7 +6,8 @@ identical decomposition over the inline transport IS the serial
 reference, and fault reports, per-node path/coverage counters, and
 solver-cache ``state_fingerprint``s are bit-identical at any worker
 count, over any transport, pipelined or not — even when a worker slot
-dies holding a shard mid-round.
+dies holding a shard mid-round.  The shard count is a count, not a pop
+order: ``frontier`` names the discipline every shard pops by.
 """
 
 import pytest
@@ -57,18 +58,43 @@ class TestShardedCampaigns:
         assert serial_reference.inputs_explored > 0
         assert serial_reference.cycles_completed == 2
 
-    def test_shards_flag_implies_the_sharded_discipline(self):
-        # No explicit --frontier sharded needed: shards > 1 routes the
-        # campaign through the sharded path (node reports carry the
-        # merged-frontier coverage counters, identical either way).
-        implied = run_campaign(workers=1, shards=2)
-        explicit = run_campaign(workers=1, shards=2, frontier="sharded")
-        assert campaign_fingerprint(implied) == campaign_fingerprint(explicit)
+    def test_sharded_is_not_a_discipline(self):
+        """How many shards is ``frontier_shards``; naming it as a pop
+        order is the unknown-discipline error, raised before anything
+        is captured."""
+        live = faulty_live()
+        dice = DiceOrchestrator(live, default_property_suite())
+        before = live.network.sim.now
+        with pytest.raises(ValueError, match="unknown frontier discipline"):
+            dice.run_campaign(OrchestratorConfig(frontier="sharded"))
+        assert live.network.sim.now == before
 
-    def test_sharded_with_one_shard_still_runs(self):
-        result = run_campaign(workers=1, shards=1, frontier="sharded")
-        assert result.reports
-        assert result.cycles_completed == 2
+
+class TestDisciplineUnderSharding:
+    """``frontier`` is the pop order of every shard (at the parent
+    commit three shards silently explored breadth-first)."""
+
+    @staticmethod
+    def run(frontier, **kwargs):
+        # Three seeds over three shards, two executions each: every
+        # shard's second pop is where the orders part.
+        return run_campaign(shards=3, frontier=frontier, **kwargs)
+
+    def test_dfs_shards_differ_from_bfs_shards(self):
+        def counters(result):
+            return [(n.node, n.unique_paths, n.branch_coverage,
+                     n.shape_coverage, n.solver_queries)
+                    for n in result.node_reports]
+
+        assert counters(self.run("dfs")) != counters(self.run("bfs"))
+
+    @pytest.mark.parametrize("kwargs", [
+        dict(workers=2, transport="loopback"), dict(workers=2),
+    ], ids=["loopback", "pool"])
+    def test_dfs_shards_match_their_serial_reference(self, kwargs):
+        assert campaign_fingerprint(self.run("dfs", **kwargs)) == (
+            campaign_fingerprint(self.run("dfs"))
+        )
 
 
 class TestWorkerCountEquality:
@@ -84,8 +110,8 @@ class TestWorkerCountEquality:
         assert campaign_fingerprint(result) == campaign_fingerprint(
             serial_reference
         )
-        # Shards run fresh private caches: none ships out, deltas
-        # still come back.
+        # Shards start from empty caches the campaign does not meter:
+        # nothing counts as shipped out, deltas still come back.
         assert result.cache_bytes_shipped_out == 0
         assert result.cache_bytes_shipped_in > 0
 

@@ -5,6 +5,7 @@ and per-node exploration results must not depend on the worker count.
 Everything else (pickling, ordering, claims flattening) supports it.
 """
 
+import copy
 import dataclasses
 import pickle
 
@@ -14,7 +15,9 @@ from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
 from repro import quickstart_system
 from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
+from repro.concolic.frontier import Frontier, FrontierShard
 from repro.concolic.solver import SolverCache
+from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
     ExplorationTask,
@@ -23,7 +26,6 @@ from repro.core.parallel import (
     claims_from_spec,
     claims_to_spec,
     resolve_workers,
-    run_exploration_task,
     run_task,
 )
 from repro.core.remote import LoopbackTransport
@@ -87,7 +89,7 @@ class TestDeterminism:
 
 
 class TestExplorationTask:
-    def make_task(self, index=0):
+    def make_task(self, index=0, **config):
         live = quickstart_system(seed=7)
         live.converge()
         snapshot = live.coordinator.capture("r2")
@@ -95,21 +97,20 @@ class TestExplorationTask:
         return ExplorationTask(
             index=index,
             cycle=0,
-            node="r2",
+            config=ExplorationConfig(
+                **{"node": "r2", "seed": 13, "inputs": 3, "horizon": 1.0,
+                   **config}
+            ),
             snapshot=snapshot,
             suite=default_property_suite(),
             claims=claims_to_spec(claims),
-            seed=13,
-            inputs=3,
-            horizon=1.0,
             detected_at=live.network.sim.now,
         )
 
     def test_pickle_round_trip(self):
         task = self.make_task()
         restored = pickle.loads(pickle.dumps(task))
-        assert restored.node == task.node
-        assert restored.seed == task.seed
+        assert restored.config == task.config
         assert restored.claims == task.claims
         assert restored.snapshot.snapshot_id == task.snapshot.snapshot_id
         assert sorted(restored.snapshot.checkpoints) == sorted(
@@ -117,8 +118,8 @@ class TestExplorationTask:
         )
         # The restored task must be executable, not just structurally
         # equal: run it and compare against the original.
-        original = run_exploration_task(task)
-        replayed = run_exploration_task(restored)
+        original = run_task(task)
+        replayed = run_task(restored)
         assert replayed.report.executions == original.report.executions
         assert replayed.report.unique_paths == original.report.unique_paths
 
@@ -128,40 +129,79 @@ class TestExplorationTask:
         ids=["inline", "loopback"],
     )
     def test_run_task_is_a_pure_function_of_the_task(self, make_transport):
-        """What failover rests on: dispatching the same warm-cache task
-        again yields the same outcome and leaves the task untouched."""
-        cold = dataclasses.replace(self.make_task(), inputs=6)
+        """What failover rests on: dispatching the same task again — a
+        warm-cache session, a round-0 shard, a later-round shard with a
+        shipped frontier — yields the same outcome and leaves the task
+        untouched."""
+        cold = self.make_task(inputs=6)
         cache = SolverCache()
         cache.replay_delta(
             run_task(dataclasses.replace(cold, solver_cache=cache))
             .cache_delta
         )
         # Another seed, so the warm run both hits the cache and adds to it.
-        task = pickle.loads(pickle.dumps(
-            dataclasses.replace(cold, solver_cache=cache, seed=14)
-        ))
-        before = task.solver_cache.state_fingerprint()
-        transport = make_transport()
-        first = transport.submit(0, task).result()
-        second = transport.submit(0, task).result()
+        session = dataclasses.replace(
+            cold, solver_cache=cache,
+            config=dataclasses.replace(cold.config, seed=14),
+        )
+        round0 = dataclasses.replace(
+            cold, solver_cache=SolverCache(),
+            shard=FrontierShard(round=0, index=1, count=2, budget=2),
+        )
+        leftovers = Frontier.merge([
+            run_task(dataclasses.replace(round0, shard=dataclasses.replace(
+                round0.shard, index=index))).frontier
+            for index in range(2)
+        ])
+        assert leftovers.entries
+        round1 = dataclasses.replace(
+            round0,
+            shard=FrontierShard(round=1, index=0, count=1, budget=2,
+                                frontier=leftovers),
+        )
 
-        def deterministic(report):
-            fields = dataclasses.asdict(report)
+        def frontier_state(frontier):
+            # SymBytes compares by identity: compare what it holds.
+            return None if frontier is None else (
+                [(e.key, e.bound, e.novel, e.lineage, e.input.concrete)
+                 for e in frontier.entries],
+                frontier.seen_paths, frontier.seen_flips,
+                frontier.seen_constraints, frontier.seen_shapes,
+            )
+
+        def deterministic(outcome):
+            fields = dataclasses.asdict(outcome.report)
             del fields["wall_time_s"]
-            return fields
+            return (fields, outcome.cache_delta,
+                    frontier_state(outcome.frontier))
 
-        assert first.report.solver_cache_hits > 0
-        assert len(first.cache_delta) > 0
-        assert deterministic(first.report) == deterministic(second.report)
-        assert first.cache_delta == second.cache_delta
-        assert first.cache_delta.base_generation == cache.generation
-        assert task.solver_cache.state_fingerprint() == before
+        transport = make_transport()
+        for task in (session, round0, round1):
+            task = pickle.loads(pickle.dumps(task))
+            cache_before = task.solver_cache.state_fingerprint()
+            shipped = task.shard.frontier if task.shard else None
+            frontier_before = copy.deepcopy(frontier_state(shipped))
+            first = transport.submit(0, task).result()
+            second = transport.submit(0, task).result()
+            assert deterministic(first) == deterministic(second)
+            assert task.solver_cache.state_fingerprint() == cache_before
+            assert frontier_state(shipped) == frontier_before
+            if task.shard is None:
+                assert first.frontier is None
+                assert first.report.solver_cache_hits > 0
+                assert len(first.cache_delta) > 0
+                assert first.cache_delta.base_generation == cache.generation
+            else:
+                assert first.report.executions == 2
+                assert first.frontier.entries
+                assert first.cache_delta.base_generation == 0
 
     def test_exploration_config_carries_batch_parameters(self):
-        config = self.make_task().exploration_config()
-        assert config.node == "r2"
-        assert config.inputs == 3
-        assert config.seed == 13
+        """The config a task carries is the one its session runs under."""
+        outcome = run_task(self.make_task())
+        assert outcome.node == outcome.report.node == "r2"
+        assert outcome.report.executions == 3
+        assert outcome.report.strategy == "concolic"
 
     def test_engine_returns_outcomes_in_task_order(self):
         tasks = [self.make_task(index=i) for i in range(3)]
@@ -223,12 +263,10 @@ class TestInlineSubmit:
     def test_task_errors_land_in_the_future(self, monkeypatch):
         import repro.core.parallel as parallel_module
 
-        def failing(task, replicas=None):
+        def failing(task):
             raise ValueError("exploration blew up")
 
-        monkeypatch.setattr(
-            parallel_module, "run_exploration_task", failing
-        )
+        monkeypatch.setattr(parallel_module, "run_task", failing)
         future = InlineTransport().submit(0, None)
         with pytest.raises(ValueError, match="blew up"):
             future.result()
@@ -237,17 +275,16 @@ class TestInlineSubmit:
     def test_control_flow_exceptions_reraise(self, monkeypatch, interrupt):
         import repro.core.parallel as parallel_module
 
-        def interrupted(task, replicas=None):
+        def interrupted(task):
             raise interrupt
 
-        monkeypatch.setattr(
-            parallel_module, "run_exploration_task", interrupted
-        )
+        monkeypatch.setattr(parallel_module, "run_task", interrupted)
         engine = ParallelCampaignEngine(workers=1)
         with pytest.raises(interrupt):
             engine.submit(
                 ExplorationTask(
-                    index=0, cycle=0, node="r1", snapshot=None,
-                    suite=default_property_suite(), claims=(), seed=0,
+                    index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                    snapshot=None, suite=default_property_suite(),
+                    claims=(),
                 )
             )

@@ -15,6 +15,7 @@ import pytest
 
 from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
 from repro.checks import default_property_suite
+from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
     ExplorationTask,
@@ -99,8 +100,8 @@ class TestRemoteWorkerState:
     def test_task_failure_becomes_error_frame(self):
         state = RemoteWorkerState()
         broken = ExplorationTask(
-            index=0, cycle=0, node="r1", snapshot=None,
-            suite=default_property_suite(), claims=(), seed=0,
+            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            snapshot=None, suite=default_property_suite(), claims=(),
         )
         kind, request_id, summary, trace = state.handle(
             ("task", 5, broken)
@@ -119,8 +120,8 @@ class TestRemoteWorkerState:
 
         monkeypatch.setattr(remote_module, "run_task", interrupted)
         broken = ExplorationTask(
-            index=0, cycle=0, node="r1", snapshot=None,
-            suite=default_property_suite(), claims=(), seed=0,
+            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            snapshot=None, suite=default_property_suite(), claims=(),
         )
         with pytest.raises(KeyboardInterrupt):
             RemoteWorkerState().handle(("task", 1, broken))
@@ -166,8 +167,8 @@ class TestLoopbackCampaigns:
     def test_worker_error_propagates_with_traceback(self):
         transport = LoopbackTransport(slots=1)
         broken = ExplorationTask(
-            index=0, cycle=0, node="r1", snapshot=None,
-            suite=default_property_suite(), claims=(), seed=0,
+            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            snapshot=None, suite=default_property_suite(), claims=(),
         )
         future = transport.submit(0, broken)
         with pytest.raises(RemoteWorkerError, match="ValueError"):
@@ -311,8 +312,8 @@ class TestAbortAndCleanup:
         transport = SocketTransport([f"127.0.0.1:{port}"])
         try:
             task = ExplorationTask(
-                index=0, cycle=0, node="r1", snapshot=None,
-                suite=default_property_suite(), claims=(), seed=0,
+                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)
             with pytest.raises(WorkerDiedError, match="died") as caught:
@@ -346,8 +347,8 @@ class TestAbortAndCleanup:
             transport._connections[0]._reader.join(timeout=10)  # its EOF
             assert not transport.alive(0)
             task = ExplorationTask(
-                index=0, cycle=0, node="r1", snapshot=None,
-                suite=default_property_suite(), claims=(), seed=0,
+                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                snapshot=None, suite=default_property_suite(), claims=(),
             )
             with pytest.raises(WorkerDiedError, match="died"):
                 transport.submit(0, task).result(timeout=10)
@@ -372,8 +373,8 @@ class TestAbortAndCleanup:
         )
         try:
             task = ExplorationTask(
-                index=0, cycle=0, node="r1", snapshot=None,
-                suite=default_property_suite(), claims=(), seed=0,
+                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)
             assert not future.done()

@@ -64,6 +64,20 @@ class TestParser:
                 ["campaign", "--transport", "carrier-pigeon"]
             )
 
+    def test_frontier_choices_are_the_disciplines(self):
+        from repro.concolic.frontier import FrontierDiscipline
+
+        for discipline in FrontierDiscipline:
+            args = build_parser().parse_args(
+                ["campaign", "--frontier", discipline.value,
+                 "--frontier-shards", "3"]
+            )
+            assert args.frontier == discipline.value
+            assert args.frontier_shards == 3
+        # A shard count is --frontier-shards, not a discipline.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["campaign", "--frontier", "sharded"])
+
     def test_max_worker_failures_flag(self):
         args = build_parser().parse_args(["campaign"])
         assert args.max_worker_failures is None  # auto: all but one
