@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Five measurements:
+Six measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -12,6 +12,10 @@ Five measurements:
 * the clones one exploration session spends beyond one per input —
   expected: exactly 1, the null probe (reading the explored router
   restores that one checkpoint, not the system); a counter, so gated;
+* what a task ships — attribute values per attribute object in a
+  converged 40-router snapshot and the size of its pickle — expected:
+  exactly 1.0 (a network's routers hold one object per distinct value)
+  and ~470 KiB; both deterministic, so gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -22,6 +26,7 @@ Run:  pytest benchmarks/bench_overhead.py --benchmark-only -s
 """
 
 import pickle
+import time
 
 import pytest
 
@@ -204,6 +209,51 @@ def test_live_slowdown_with_dice_attached(benchmark):
     )
     # Markers add a bounded, small number of events.
     assert overhead < 0.25
+
+
+def test_snapshot_sharing(benchmark):
+    """What a task ships: on a converged 40-router internet every
+    distinct attribute value is one object in the snapshot (routers hand
+    each other the same decoded message and keep one set per value), so
+    pickle writes it once.  The ratio and the size are deterministic and
+    gated; the two timings are informational."""
+    topology = build_internet(
+        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
+    )
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
+    held = {}
+    for checkpoint in snapshot.checkpoints.values():
+        state = checkpoint.state
+        ribs = [state["loc_rib"], *state["adj_rib_in"].values(),
+                *state["adj_rib_out"].values()]
+        for rib in ribs:
+            for route in rib:
+                held[id(route.attributes)] = route.attributes
+    values = len(set(held.values()))
+    sharing = values / len(held)
+    blob = benchmark(lambda: pickle.dumps(snapshot))
+    dumps_ms = benchmark.stats.stats.min * 1000
+    started = time.perf_counter()
+    restored = pickle.loads(blob)
+    loads_ms = (time.perf_counter() - started) * 1000
+    print(
+        f"\n  {values} attribute values in {len(held)} "
+        f"objects (sharing {sharing:.2f}); pickle {len(blob) / 1024:.0f} KiB, "
+        f"dumps {dumps_ms:.1f} ms, loads {loads_ms:.1f} ms"
+    )
+    benchlib.record(
+        "overhead",
+        metrics={
+            "snapshot_attr_sharing": round(sharing, 4),
+            "snapshot_pickle_kib": round(len(blob) / 1024, 1),
+            "snapshot_dumps_ms": round(dumps_ms, 2),
+            "snapshot_loads_ms": round(loads_ms, 2),
+        },
+    )
+    assert restored.node_count == snapshot.node_count
+    assert sharing == 1.0
 
 
 def test_task_shipping_overhead(benchmark):

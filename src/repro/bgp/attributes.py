@@ -206,6 +206,9 @@ class AsPath:
     def __deepcopy__(self, memo) -> "AsPath":
         return self  # immutable
 
+    def __reduce__(self):
+        return (AsPath, (self.segments,))
+
 
 # Per-type flag templates: (required optional bit, required transitive bit).
 _FLAG_RULES: dict[int, tuple[bool, bool]] = {
@@ -238,7 +241,7 @@ class PathAttributes:
     unrecognized optional-transitive attributes through, per RFC 4271 9.
     """
 
-    __slots__ = (
+    _FIELDS = (
         "origin",
         "as_path",
         "next_hop",
@@ -249,6 +252,10 @@ class PathAttributes:
         "communities",
         "unknown",
     )
+    # ``_key`` is derived from the fields, once, in ``__init__``: the
+    # set is immutable, and equality, hashing, NLRI packing and the
+    # attribute cache all probe by it.
+    __slots__ = _FIELDS + ("_key",)
 
     def __init__(
         self,
@@ -271,12 +278,42 @@ class PathAttributes:
         self.aggregator = aggregator
         self.communities = tuple(communities)
         self.unknown = tuple(unknown)
+        self._key = (
+            int(origin),
+            self.as_path.segments,
+            None if next_hop is None else int(next_hop),
+            None if med is None else int(med),
+            None if local_pref is None else int(local_pref),
+            bool(atomic_aggregate),
+            None if aggregator is None
+            else (int(aggregator[0]), int(aggregator[1])),
+            tuple(map(int, self.communities)),
+            self.unknown,
+        )
 
     def replace(self, **changes: Any) -> "PathAttributes":
         """Return a copy with the given fields replaced."""
-        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields = {name: getattr(self, name) for name in self._FIELDS}
         fields.update(changes)
         return PathAttributes(**fields)
+
+    def __reduce__(self):
+        # Positional, so a pickle holds the nine values and not a
+        # name -> value dict per set; ``_key`` is rebuilt on load.
+        return (
+            PathAttributes,
+            tuple(getattr(self, name) for name in self._FIELDS),
+        )
+
+    def is_concrete(self) -> bool:
+        """False when a field holds a symbolic value.  Only ORIGIN, MED,
+        LOCAL_PREF and communities can: the decoder concretizes the rest."""
+        return (
+            type(self.origin) is int
+            and (self.med is None or type(self.med) is int)
+            and (self.local_pref is None or type(self.local_pref) is int)
+            and all(type(c) is int for c in self.communities)
+        )
 
     def has_community(self, value: int) -> bool:
         """Membership test written as explicit equality for symbolic flow."""
@@ -287,31 +324,15 @@ class PathAttributes:
 
     def key(self) -> tuple:
         """A hashable identity tuple (concretized) for change detection."""
-        next_hop = None if self.next_hop is None else int(self.next_hop)
-        med = None if self.med is None else int(self.med)
-        local_pref = None if self.local_pref is None else int(self.local_pref)
-        aggregator = (
-            None
-            if self.aggregator is None
-            else (int(self.aggregator[0]), int(self.aggregator[1]))
-        )
-        return (
-            int(self.origin),
-            self.as_path.segments,
-            next_hop,
-            med,
-            local_pref,
-            bool(self.atomic_aggregate),
-            aggregator,
-            tuple(int(c) for c in self.communities),
-            self.unknown,
-        )
+        return self._key
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, PathAttributes) and self.key() == other.key()
+        return self is other or (
+            isinstance(other, PathAttributes) and self._key == other._key
+        )
 
     def __hash__(self) -> int:
-        return hash(self.key())
+        return hash(self._key)
 
     def __repr__(self) -> str:
         parts = [f"origin={Origin.name(self.origin)}", f"as_path=[{self.as_path}]"]

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.bgp.ip import IPv4Address
+
 
 class SessionState:
     """Session states; a subset of the RFC 4271 names."""
@@ -49,7 +51,7 @@ class Session:
     state: str = SessionState.IDLE
     hold_time: int = 90
     negotiated_hold_time: int = 90
-    peer_bgp_id: int | None = None
+    peer_bgp_id: IPv4Address | None = None
     established_at: float | None = None
     stats: SessionStats = field(default_factory=SessionStats)
 

@@ -69,6 +69,9 @@ class IPv4Address:
     def __deepcopy__(self, memo) -> "IPv4Address":
         return self  # immutable
 
+    def __reduce__(self):
+        return (IPv4Address, (self.value,))
+
 
 def _parse_dotted(text: str) -> int:
     parts = text.strip().split(".")
@@ -185,12 +188,14 @@ class Prefix:
 
     def __hash__(self) -> int:
         # Integers only, so the value is the same in every process (a
-        # str in the tuple salts it by PYTHONHASHSEED).  Not cached in a
-        # slot: slots are pickled, into every snapshot.
+        # str in the tuple salts it by PYTHONHASHSEED).
         return hash((self.network, self.length))
 
     def __deepcopy__(self, memo) -> "Prefix":
         return self  # immutable
+
+    def __reduce__(self):
+        return (Prefix, (self.network, self.length))
 
 
 def _mask(length: int) -> int:

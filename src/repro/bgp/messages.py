@@ -43,8 +43,13 @@ _TYPE_NAMES = {
 
 
 class BGPMessage:
-    """Base class: encoding frame shared by all message types."""
+    """Base class: encoding frame shared by all message types.
 
+    A message is read-only once built: every receiver of the same wire
+    bytes is handed the same decoded object (``BGPRouter._decode``).
+    """
+
+    __slots__ = ()
     type_code = 0
 
     def body(self) -> bytes:
@@ -72,6 +77,7 @@ class BGPMessage:
 class OpenMessage(BGPMessage):
     """OPEN: version, my-AS, hold time, BGP identifier."""
 
+    __slots__ = ("version", "my_as", "hold_time", "bgp_id")
     type_code = TYPE_OPEN
 
     def __init__(self, my_as: int, hold_time: int, bgp_id: IPv4Address,
@@ -100,6 +106,7 @@ class OpenMessage(BGPMessage):
 class UpdateMessage(BGPMessage):
     """UPDATE: withdrawn routes, path attributes, announced NLRI."""
 
+    __slots__ = ("withdrawn", "attributes", "nlri")
     type_code = TYPE_UPDATE
 
     def __init__(
@@ -140,6 +147,7 @@ class UpdateMessage(BGPMessage):
 class NotificationMessage(BGPMessage):
     """NOTIFICATION: error code/subcode; closes the session."""
 
+    __slots__ = ("code", "subcode", "data")
     type_code = TYPE_NOTIFICATION
 
     def __init__(self, code: int, subcode: int = 0, data: bytes = b""):
@@ -162,6 +170,7 @@ class NotificationMessage(BGPMessage):
 class KeepaliveMessage(BGPMessage):
     """KEEPALIVE: header only."""
 
+    __slots__ = ()
     type_code = TYPE_KEEPALIVE
 
     def __repr__(self) -> str:

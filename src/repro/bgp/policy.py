@@ -359,9 +359,35 @@ class _Evaluator:
             changes["communities"] = tuple(self._communities)
         if "bgp_path" in self._writes:
             changes["as_path"] = self._path
+        # A route that merely carries a MED or LOCAL_PREF, or a write of
+        # the value already there, leaves the set as it is: one object
+        # fewer per evaluated route, and one attribute-cache probe.
+        changes = {
+            name: value
+            for name, value in changes.items()
+            if not _unchanged(value, getattr(attrs, name))
+        }
         if not changes:
             return attrs
         return attrs.replace(**changes)
+
+
+def _unchanged(new: Any, old: Any) -> bool:
+    """True when ``new`` is provably the value ``old``.
+
+    Never compares a symbolic value: ``==`` on one records a branch the
+    filter did not take.  Such a value counts as changed unless it is
+    the same object.
+    """
+    if new is old:
+        return True
+    if type(new) is tuple:
+        return (
+            type(old) is tuple
+            and len(new) == len(old)
+            and all(map(_unchanged, new, old))
+        )
+    return type(new) is int and type(old) is int and new == old
 
 
 class Filter:

@@ -74,6 +74,17 @@ class Route:
         if type(self.sym) is not _ReadOnlyDict:
             object.__setattr__(self, "sym", _ReadOnlyDict(self.sym))
 
+    def __reduce_ex__(self, protocol: int):
+        # Without shadows (every route outside an exploration clone) a
+        # pickle holds the seven values, not a name -> value dict.
+        if self.sym:
+            return super().__reduce_ex__(protocol)
+        return (
+            Route,
+            (self.prefix, self.attributes, self.source, self.peer,
+             self.peer_as, self.peer_bgp_id, self.received_at),
+        )
+
     def with_attributes(self, attributes: PathAttributes) -> "Route":
         """Copy with replaced attributes (policy actions use this)."""
         return replace(self, attributes=attributes)

@@ -41,7 +41,7 @@ from repro.bgp.config import ConfigChange, RouterConfig
 from repro.bgp.decision import best_route
 from repro.bgp.errors import BGPError, OpenMessageError
 from repro.bgp.fsm import Session, SessionState
-from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.ip import Prefix
 from repro.bgp.messages import (
     BGPMessage,
     KeepaliveMessage,
@@ -106,7 +106,9 @@ class BGPRouter(Process):
         self._propagate(changes)
 
     def _static_route(self, prefix: Prefix) -> Route:
-        attrs = PathAttributes(next_hop=IPv4Address(self.config.router_id))
+        attrs = self._canonical(
+            PathAttributes(next_hop=self.config.router_id)
+        )
         return Route(
             prefix=prefix,
             attributes=attrs,
@@ -150,7 +152,7 @@ class BGPRouter(Process):
             return  # not a configured neighbor; a real router drops the TCP
         try:
             try:
-                message = decode_message(data)
+                message = self._decode(data)
             except BGPError as error:
                 self._protocol_error(src, error)
                 return
@@ -164,6 +166,42 @@ class BGPRouter(Process):
             # daemon dies and restarts; DiCE's crash checker observes
             # the incremented counter.
             self._crash(f"{type(crash).__name__}: {crash}")
+
+    def _decode(self, data: Any) -> BGPMessage:
+        """``decode_message(data)``, run once per distinct ``bytes`` this
+        network delivers.
+
+        ``decode_message`` is a pure function of its whole input, so
+        every receiver of the same bytes is handed the same (read-only)
+        message — and with it the same attribute set and prefixes, which
+        is where routers come to share what they learn.  Only an exact
+        ``bytes`` is looked up: a symbolic buffer always takes the
+        decoder, so the concolic engine records every constraint.  Only
+        a successful decode is kept: an input that errors, or crashes
+        the decoder, does so on every delivery.
+        """
+        network = self.network
+        if network is None or type(data) is not bytes:
+            return decode_message(data)
+        message = network.interned.get(data)
+        if message is None:
+            message = network.intern(data, decode_message(data))
+        return message
+
+    def _canonical(self, attrs: PathAttributes) -> PathAttributes:
+        """This network's one object for ``attrs``' value, as BIRD's
+        ``rta_lookup`` and FRR's ``attrhash`` keep one per daemon.
+
+        A set holding a symbolic value is returned as it is and never
+        kept: its key is concretized, so it would alias a concrete set
+        and drop the expressions the concolic engine follows.
+        """
+        network = self.network
+        if network is None or not attrs.is_concrete():
+            return attrs
+        key = attrs.key()
+        found = network.interned.get(key)
+        return found if found is not None else network.intern(key, attrs)
 
     def _dispatch(self, src: str, message: BGPMessage) -> None:
         session = self.sessions[src]
@@ -249,7 +287,7 @@ class BGPRouter(Process):
             # drop the stale session (and its routes), then continue the
             # new handshake immediately.
             self._reset_session(src, restart=False)
-        session.peer_bgp_id = int(message.bgp_id)
+        session.peer_bgp_id = message.bgp_id
         session.negotiated_hold_time = min(session.hold_time, message.hold_time) \
             if message.hold_time else 0
         if session.state in (SessionState.IDLE, SessionState.CONNECT):
@@ -344,18 +382,13 @@ class BGPRouter(Process):
         session = self.sessions[src]
         neighbor = self.config.neighbor(src)
         source = SOURCE_IBGP if neighbor.is_ibgp(self.config.local_as) else SOURCE_EBGP
-        peer_id = (
-            IPv4Address(session.peer_bgp_id)
-            if session.peer_bgp_id is not None
-            else None
-        )
         return Route(
             prefix=prefix,
             attributes=attributes,
             source=source,
             peer=src,
             peer_as=neighbor.peer_as,
-            peer_bgp_id=peer_id,
+            peer_bgp_id=session.peer_bgp_id,
             received_at=self.now,
         )
 
@@ -379,7 +412,9 @@ class BGPRouter(Process):
                             direction="import", prefix=route.prefix)
             if result.accepted:
                 verdict = True
-                filtered = route.with_attributes(result.attributes)
+                filtered = route.with_attributes(
+                    self._canonical(result.attributes)
+                )
         if not verdict:
             # Treat-as-withdraw for routes that fail checks or policy;
             # losing a previously-held route this way is a flap too
@@ -434,7 +469,7 @@ class BGPRouter(Process):
 
     def _candidates(self, prefix: Prefix) -> list[Route]:
         routes = []
-        if prefix in set(self.config.networks):
+        if prefix in self.config.networks:
             routes.append(self._static_route(prefix))
         for peer in sorted(self.adj_rib_in):
             route = self.adj_rib_in[peer].get(prefix)
@@ -596,16 +631,13 @@ class BGPRouter(Process):
         if not is_ibgp_peer:
             attrs = attrs.replace(
                 as_path=attrs.as_path.prepend(self.config.local_as),
-                next_hop=IPv4Address(self.config.router_id),
+                next_hop=self.config.router_id,
                 local_pref=None,
                 med=neighbor.export_med,
             )
-        else:
-            lp = attrs.local_pref
-            if lp is None:
-                lp = self.config.default_local_pref
-            attrs = attrs.replace(local_pref=lp)
-        return exported.with_attributes(attrs)
+        elif attrs.local_pref is None:
+            attrs = attrs.replace(local_pref=self.config.default_local_pref)
+        return exported.with_attributes(self._canonical(attrs))
 
     def _mrai_expired(self, peer: str) -> None:
         """Flush coalesced changes; re-arm while traffic continues."""

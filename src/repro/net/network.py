@@ -13,7 +13,7 @@ It also implements the two hooks DiCE needs from its substrate:
 
 from __future__ import annotations
 
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Hashable, Iterable
 
 from repro.net.link import Link, LinkProfile
 from repro.net.node import Process
@@ -41,6 +41,9 @@ class InFlightMessage:
 class Network:
     """A set of processes joined by links, driven by one simulator."""
 
+    # Entries ``interned`` may hold before it is dropped whole.
+    INTERN_LIMIT = 1 << 15
+
     def __init__(self, seed: int = 0, trace: TraceRecorder | None = None):
         self.sim = Simulator(seed)
         self.trace = trace if trace is not None else TraceRecorder()
@@ -51,6 +54,13 @@ class Network:
         self._delivery_taps: list[Callable[[str, str, Any], None]] = []
         self._interceptors: list[Callable[[str, str, Any], bool]] = []
         self._started = False
+        # Immutable values this network's processes hold one object of
+        # per distinct value, keyed by content (a BGP router keeps a
+        # decoded message under its wire bytes and an attribute set
+        # under its key), so that everything pickled with the network's
+        # state holds each once.  A value is a pure function of its key:
+        # what the table holds decides object identity and nothing else.
+        self.interned: dict[Hashable, Any] = {}
 
     # -- construction --------------------------------------------------------
 
@@ -203,6 +213,17 @@ class Network:
         """Unregister a previously added interceptor."""
         self._interceptors.remove(callback)
 
+    def intern(self, key: Hashable, value: Any) -> Any:
+        """Keep ``value`` as the one object for ``key``; returns it.
+
+        Bounded by dropping everything on overflow: a dropped entry
+        costs its next user a second, equal object and nothing else.
+        """
+        if len(self.interned) >= self.INTERN_LIMIT:
+            self.interned.clear()
+        self.interned[key] = value
+        return value
+
     # -- snapshot hooks ------------------------------------------------------------
 
     def in_flight(self) -> list[InFlightMessage]:
@@ -236,4 +257,5 @@ class Network:
         self._in_flight.clear()
         self._delivery_taps.clear()
         self._interceptors.clear()
+        self.interned.clear()
         self.sim.clear()

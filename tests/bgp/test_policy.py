@@ -260,3 +260,64 @@ class TestSymbolicShadows:
             "filter f { if net ~ [ 192.168.0.0/16 ] then accept; reject; }"
         )
         assert run(source, route).accepted
+
+
+class TestResultAllocatesOnlyOnChange:
+    """The accepted route's attribute set is the input *object* unless
+    the filter changed a value: one allocation and one attribute-cache
+    probe fewer per evaluated route."""
+
+    CARRIES = dict(local_pref=120, med=30,
+                   communities=(0xFDE90007, 0xFDE90008))
+
+    @pytest.mark.parametrize("source", [
+        "filter f { accept; }",
+        "filter f { if bgp_med = 30 then accept; reject; }",
+        # writes of the value already there
+        "filter f { bgp_local_pref = 120; bgp_med = 30; bgp_origin = 0; accept; }",
+        "filter f { bgp_community.add((65001,7)); accept; }",
+        "filter f { bgp_community.delete((65001,9)); accept; }",
+    ])
+    def test_unchanged_values_return_the_input_set(self, source):
+        route = make_route(**self.CARRIES)
+        assert run(source, route).attributes is route.attributes
+
+    @pytest.mark.parametrize("source, field, value", [
+        ("filter f { bgp_local_pref = 121; accept; }", "local_pref", 121),
+        ("filter f { bgp_med = 0; accept; }", "med", 0),
+        ("filter f { bgp_origin = 2; accept; }", "origin", 2),
+        ("filter f { bgp_community.add((65001,9)); accept; }", "communities",
+         (0xFDE90007, 0xFDE90008, 0xFDE90009)),
+        ("filter f { bgp_community.delete((65001,7)); accept; }",
+         "communities", (0xFDE90008,)),
+    ])
+    def test_a_changed_value_builds_one_new_set(self, source, field, value):
+        route = make_route(**self.CARRIES)
+        result = run(source, route).attributes
+        assert result is not route.attributes
+        assert getattr(result, field) == value
+        assert result == route.attributes.replace(**{field: value})
+
+    def test_writing_an_absent_attribute_sets_it(self):
+        route = make_route()
+        result = run("filter f { bgp_med = 0; accept; }", route).attributes
+        assert route.attributes.med is None and result.med == 0
+
+    def test_a_symbolic_value_is_carried_and_never_compared(self):
+        """``==`` on a symbolic value records a branch the filter did
+        not take: assembling the result must not add one."""
+        from repro.concolic.expr import Var
+        from repro.concolic.symbolic import PathRecorder, SymInt
+
+        shadow = SymInt(Var("m", 0, 255), 30)
+        route = replace(make_route(**self.CARRIES), sym={"med": shadow})
+        with PathRecorder() as recorder:
+            result = run("filter f { accept; }", route).attributes
+        assert recorder.branches == []
+        assert result.med is shadow
+        assert result is not route.attributes
+        carried = replace(route, attributes=result, sym={})
+        with PathRecorder() as recorder:
+            again = run("filter f { accept; }", carried).attributes
+        assert recorder.branches == []
+        assert again is result

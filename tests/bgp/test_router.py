@@ -77,7 +77,7 @@ class TestSessionEstablishment:
         live = build_line()
         live.run(until=5)
         session = live.router("r1").sessions["r2"]
-        assert session.peer_bgp_id == int(IPv4Address("172.16.0.2"))
+        assert session.peer_bgp_id == IPv4Address("172.16.0.2")
 
     def test_wrong_peer_as_refused(self):
         configs = [

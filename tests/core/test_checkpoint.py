@@ -99,31 +99,41 @@ _STATE_ATTRS = (
 )
 
 
-def mutable_objects(*roots) -> dict[int, object]:
-    """Every object reachable from ``roots`` that is not an immutable
-    leaf, keyed by identity.  Tuples are looked through."""
-    found: dict[int, object] = {}
+def reachable(*roots, leaves: tuple = ()) -> list[object]:
+    """Every object reachable from ``roots``, once each (by identity).
+    Atoms, callables and instances of ``leaves`` are neither listed nor
+    looked into."""
+    seen: dict[int, object] = {}
     stack = list(roots)
     while stack:
         obj = stack.pop()
-        if isinstance(obj, _SHAREABLE) or callable(obj):
+        if id(obj) in seen or isinstance(obj, _ATOMS + leaves) or callable(obj):
             continue
-        if isinstance(obj, (tuple, frozenset)):
-            stack.extend(obj)
-            continue
-        if id(obj) in found:
-            continue
-        found[id(obj)] = obj
+        seen[id(obj)] = obj
         if isinstance(obj, dict):
             stack.extend(obj.keys())
             stack.extend(obj.values())
-        elif isinstance(obj, (list, set, deque)):
+        elif isinstance(obj, (list, tuple, set, frozenset, deque)):
             stack.extend(obj)
         else:
-            slots = getattr(type(obj), "__slots__", ())
-            stack.extend(getattr(obj, slot) for slot in slots if hasattr(obj, slot))
+            for klass in type(obj).__mro__:
+                stack.extend(
+                    getattr(obj, slot)
+                    for slot in getattr(klass, "__slots__", ())
+                    if hasattr(obj, slot)
+                )
             stack.extend(getattr(obj, "__dict__", {}).values())
-    return found
+    return list(seen.values())
+
+
+def mutable_objects(*roots) -> dict[int, object]:
+    """Every object reachable from ``roots`` that is not an immutable
+    leaf, keyed by identity.  Tuples are looked through."""
+    return {
+        id(obj): obj
+        for obj in reachable(*roots, leaves=_IMMUTABLE_LEAVES)
+        if not isinstance(obj, (tuple, frozenset))
+    }
 
 
 def router_state_objects(network) -> dict[int, object]:
@@ -227,6 +237,57 @@ class TestZeroCopyIsolation:
                     f"{first} and {second} share "
                     f"{sorted({type(holders[first][k]).__name__ for k in shared})}"
                 )
+
+    def test_routers_share_leaves_and_no_container(self, demo27_mid_churn):
+        """Routers of one network now hold the *same* attribute sets,
+        AS paths, prefixes and addresses (one object per distinct value
+        on the wire).  Everything two routers have in common must be an
+        immutable leaf: no container is reachable from both."""
+        live, _ = demo27_mid_churn
+        owner: dict[int, str] = {}
+        for name, router in sorted(live.network.processes.items()):
+            mine = mutable_objects(
+                *(getattr(router, attr) for attr in _STATE_ATTRS)
+            )
+            for key, obj in mine.items():
+                assert key not in owner, (
+                    f"{name} and {owner[key]} share a {type(obj).__name__}"
+                )
+                owner[key] = name
+        def state_of(name):
+            router = live.router(name)
+            return {
+                id(obj): obj
+                for obj in reachable(
+                    *(getattr(router, attr) for attr in _STATE_ATTRS)
+                )
+            }
+
+        first, second = state_of("t1-1"), state_of("t1-2")  # neighbors
+        shared = {type(first[key]) for key in first.keys() & second.keys()}
+        assert {PathAttributes, AsPath, Prefix, IPv4Address} <= shared
+        # ... and nothing else but the tuples inside those leaves and
+        # the one empty read-only ``Route.sym`` every plain route has.
+        no_sym = type(Route(Prefix("10.0.0.0/8"), PathAttributes()).sym)
+        assert shared <= set(_IMMUTABLE_LEAVES) | {tuple, no_sym}
+
+    @pytest.mark.parametrize("pickled", [False, True],
+                             ids=["captured", "unpickled"])
+    def test_one_attribute_object_per_distinct_value(
+        self, demo27_mid_churn, pickled
+    ):
+        """774 values in 2 577 objects on converged demo27 before the
+        routers shared what they learn; pickle's memo carries the
+        sharing across the wire, so a worker's copy is as small."""
+        _, snapshot = demo27_mid_churn
+        if pickled:
+            snapshot = pickle.loads(pickle.dumps(snapshot))
+        sets = [
+            obj for obj in reachable(snapshot.checkpoints)
+            if type(obj) is PathAttributes
+        ]
+        assert len(sets) > 500
+        assert len(sets) == len(set(sets))
 
     def test_routes_are_shared_not_copied(self, demo27_mid_churn):
         _, snapshot = demo27_mid_churn

@@ -148,6 +148,64 @@ class TestExplore:
         assert "programming_error" in classes
 
 
+class TestSessionIgnoresProcessHistory:
+    """Routers keep decoded messages and attribute sets in tables (one
+    object per distinct value, ``Network.interned``).  A table belongs to
+    one network, so a clone starts with none of what an earlier clone,
+    session or the live system learnt — and a session must come out the
+    same whatever ran before it in the process."""
+
+    def session(self, snapshot, claims, monkeypatch, seed):
+        from repro.concolic.engine import ConcolicEngine
+
+        executions = []
+        run_once = ConcolicEngine.run_once
+
+        def recording(engine, sym_input, bound=0):
+            execution = run_once(engine, sym_input, bound)
+            executions.append((
+                execution.input.concrete,
+                execution.signature,
+                [(constraint.fp, taken)
+                 for constraint, taken in execution.branches],
+                type(execution.exception).__name__,
+            ))
+            return execution
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ConcolicEngine, "run_once", recording)
+            report = Explorer(
+                snapshot, default_property_suite(), claims
+            ).explore(ExplorationConfig(node="r2", inputs=40, seed=seed,
+                                        grammar_seeds=3))
+        outcome = dict(vars(report))
+        del outcome["wall_time_s"]
+        return executions, outcome
+
+    def test_cold_and_after_another_session(self, converged3_with_bug,
+                                            monkeypatch):
+        live = converged3_with_bug
+        snapshot = live.coordinator.capture("r2")
+        claims = SharingRegistry.from_configs(live.initial_configs)
+        cold = self.session(snapshot, claims, monkeypatch, seed=11)
+        assert len(cold[0]) == 40
+        assert any(branches for _, _, branches, _ in cold[0])
+        assert cold[1]["violations"]
+        self.session(snapshot, claims, monkeypatch, seed=12)  # warms what it can
+        live.run(until=live.network.sim.now + 40)  # keepalives, live tables
+        assert self.session(snapshot, claims, monkeypatch, seed=11) == cold
+
+    def test_a_clone_starts_with_empty_tables(self, converged3):
+        assert converged3.network.interned
+        explorer = make_explorer(converged3)
+        clones = track_clones(
+            explorer, on_clone=lambda clone: sizes.append(len(clone.interned))
+        )
+        sizes = []
+        explorer.explore(ExplorationConfig(node="r2", inputs=3, seed=1))
+        assert len(clones) == 4 and sizes == [0, 0, 0, 0]
+
+
 class TestSelectionExploration:
     def test_selection_needs_multiple_candidates(self, converged3):
         explorer = make_explorer(converged3)

@@ -132,7 +132,9 @@ class TestExplorationTask:
         """What failover rests on: dispatching the same task again — a
         warm-cache session, a round-0 shard, a later-round shard with a
         shipped frontier — yields the same outcome and leaves the task
-        untouched."""
+        untouched, whatever else the process ran in between (a clone's
+        routers remember decoded messages and attribute sets, but only
+        in their own network's table)."""
         cold = self.make_task(inputs=6)
         cache = SolverCache()
         cache.replay_delta(
@@ -176,6 +178,7 @@ class TestExplorationTask:
                     frontier_state(outcome.frontier))
 
         transport = make_transport()
+        outcomes = []
         for task in (session, round0, round1):
             task = pickle.loads(pickle.dumps(task))
             cache_before = task.solver_cache.state_fingerprint()
@@ -184,6 +187,7 @@ class TestExplorationTask:
             first = transport.submit(0, task).result()
             second = transport.submit(0, task).result()
             assert deterministic(first) == deterministic(second)
+            outcomes.append((task, deterministic(first)))
             assert task.solver_cache.state_fingerprint() == cache_before
             assert frontier_state(shipped) == frontier_before
             if task.shard is None:
@@ -195,6 +199,8 @@ class TestExplorationTask:
                 assert first.report.executions == 2
                 assert first.frontier.entries
                 assert first.cache_delta.base_generation == 0
+        for task, expected in outcomes:  # again, after the other two ran
+            assert deterministic(transport.submit(0, task).result()) == expected
 
     def test_exploration_config_carries_batch_parameters(self):
         """The config a task carries is the one its session runs under."""

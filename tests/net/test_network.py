@@ -239,9 +239,22 @@ class TestTimers:
         assert state["timers"]["x"] == pytest.approx(3.0)
 
 
+class TestInterned:
+    def test_one_object_per_key_until_the_bound_drops_the_table(self):
+        net = Network()
+        net.INTERN_LIMIT = 3
+        values = [object() for _ in range(4)]
+        for key, value in enumerate(values[:3]):
+            assert net.intern(key, value) is value
+        assert [net.interned.get(key) for key in range(3)] == values[:3]
+        assert net.intern(3, values[3]) is values[3]  # overflow
+        assert net.interned == {3: values[3]}
+
+
 class TestClose:
     def test_closed_network_is_empty_and_detached(self):
         net, a, b = two_node_net()
+        net.intern("key", "value")
         net.tap_deliveries(lambda src, dst, payload: None)
         net.add_interceptor(lambda src, dst, payload: False)
         net.start()
@@ -252,6 +265,7 @@ class TestClose:
         assert net.processes == {}
         assert list(net.links()) == []
         assert net.in_flight() == []
+        assert net.interned == {}
         assert net.quiescent()
         assert net.run(until=5.0) == 5.0  # nothing left to deliver
         assert b.inbox == []
