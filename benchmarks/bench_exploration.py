@@ -116,7 +116,6 @@ def test_strategy_sweep_sharded_across_workers(benchmark):
     tasks = [
         ExplorationTask(
             index=index,
-            cycle=0,
             config=ExplorationConfig(
                 node="r2", seed=17, inputs=BUDGET // 2, strategy=strategy,
                 horizon=2.0,

@@ -66,9 +66,6 @@ def test_fig1_exploration_cycle(benchmark):
             "inputs_explored": result.inputs_explored,
             "clones_created": result.clones_created,
             "cycle_wall_s": round(result.wall_time_s, 3),
-            "solver_cache_hit_rate": round(
-                result.solver_cache_hit_rate(), 4
-            ),
         },
         config={"nodes": 27, "workers": benchlib.workers()},
     )

@@ -16,8 +16,8 @@ Three campaigns over one transit router of the 27-router demo topology:
   defined against.
 
 Reported: wall-clock speedup of B over A, plus the equality check
-B == C on fault classes, per-node path/coverage counters and
-solver-cache ``state_fingerprint``s (``all_identical`` — gated by CI;
+B == C on fault classes and per-node counters — paths, coverage,
+clones, crashes, solver queries (``all_identical`` — gated by CI;
 worker count must never change what DiCE finds).
 
 The exit status is non-zero when ``all_identical`` fails or the
@@ -77,10 +77,11 @@ def campaign_summary(result):
         result.fault_classes_found(),
         sorted(
             (report.node, report.executions, report.unique_paths,
-             report.branch_coverage, report.shape_coverage)
+             report.branch_coverage, report.shape_coverage,
+             report.clones_created, report.crashes,
+             report.solver_queries, report.solver_sat)
             for report in result.node_reports
         ),
-        sorted(result.cache_state_fingerprints.items()),
     )
 
 

@@ -273,7 +273,6 @@ def test_task_shipping_overhead(benchmark):
     snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
     task = ExplorationTask(
         index=0,
-        cycle=0,
         config=ExplorationConfig(node=topology.nodes_in_tier(2)[0], seed=1),
         snapshot=snapshot,
         suite=default_property_suite(),

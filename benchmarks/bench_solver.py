@@ -20,7 +20,7 @@ from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
 from repro.concolic import path as pathmod
 from repro.concolic.grammar import UpdateGrammar
-from repro.concolic.solver import Solver, SolverCache
+from repro.concolic.solver import Solver
 from repro.concolic.symbolic import PathRecorder
 
 
@@ -89,40 +89,6 @@ def test_solver_throughput_on_decoder_paths(benchmark, queries):
     # Decoder constraints are the solver's home turf: most queries with
     # a reachable other arm must be solved.
     assert rate > 0.5
-
-
-def test_solver_cache_warm_repeat(queries):
-    """Repeated-campaign shape: the same query set, cold vs warm cache.
-
-    Campaign cycles re-record mostly identical path conditions, which
-    the orchestrator's per-node cache answers without re-solving; this
-    isolates that effect on the solver alone.
-    """
-    cache = SolverCache()
-
-    def solve_all(seed):
-        solver = Solver(seed=seed, cache=cache)
-        started = time.perf_counter()
-        for constraints, hint in queries:
-            solver.solve(constraints, hint=hint)
-        return solver, time.perf_counter() - started
-
-    _, cold_s = solve_all(1)
-    warm_solver, warm_s = solve_all(1)
-    speedup = cold_s / max(warm_s, 1e-9)
-    hit_rate = warm_solver.stats.cache_hit_rate()
-    print(
-        f"\n  cold={cold_s * 1000:.1f}ms warm={warm_s * 1000:.1f}ms "
-        f"({speedup:.1f}x) warm hit rate={hit_rate:.0%}"
-    )
-    benchlib.record(
-        "solver",
-        metrics={"warm_cache_speedup": round(speedup, 3),
-                 "warm_cache_hit_rate": round(hit_rate, 4)},
-    )
-    # Every satisfiable system must come straight from the cache on the
-    # warm pass (failures are re-tried only under different hints).
-    assert hit_rate > 0.5
 
 
 def test_solver_single_query_latency(benchmark, queries):

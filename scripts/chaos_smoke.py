@@ -8,9 +8,8 @@ exact protocol points; this script is the unscripted complement the CI
 watchdog that hard-kills one daemon as soon as it has served a task —
 so the death lands mid-campaign at whatever protocol point the race
 produces.  Failover must absorb it: the campaign completes, and its
-fault classes and solver-cache ``state_fingerprint``s must equal a
-serial run's bit-for-bit, with exactly one worker failure on the
-ledger.
+fault classes and per-node counters must equal a serial run's
+bit-for-bit, with exactly one worker failure on the ledger.
 
 Usage: PYTHONPATH=src python scripts/chaos_smoke.py
 """
@@ -36,6 +35,15 @@ from repro.core.reporting import campaign_to_dict  # noqa: E402
 from repro.topo.demo27 import build_demo27  # noqa: E402
 
 NODES = ["tr-1", "tr-2", "st-1"]
+# Per-node counters a worker death must not change.
+COUNTERS = ("node", "executions", "unique_paths", "branch_coverage",
+            "clones_created", "crashes", "solver_queries", "solver_sat")
+
+
+def node_counters(report: dict) -> list[list]:
+    """The equality-gated counters of every merged session, in order."""
+    return [[node[key] for key in COUNTERS]
+            for node in report["node_reports"]]
 
 
 def start_daemon():
@@ -135,9 +143,11 @@ def main() -> int:
             f"{serial_summary['fault_classes_found']} vs "
             f"{chaos_summary['fault_classes_found']}"
         )
-    if (serial_summary["cache_state_fingerprints"]
-            != chaos_summary["cache_state_fingerprints"]):
-        failures.append("cache state fingerprints diverged")
+    if node_counters(serial) != node_counters(chaos):
+        failures.append(
+            "per-node counters diverged: "
+            f"{node_counters(serial)} vs {node_counters(chaos)}"
+        )
     if dispatch["worker_failures"] != 1:
         failures.append(
             f"expected exactly 1 worker failure, ledger says "
@@ -158,7 +168,7 @@ def main() -> int:
         return 1
     print(
         "chaos == serial: fault classes "
-        f"{chaos_summary['fault_classes_found']}, fingerprints match, "
+        f"{chaos_summary['fault_classes_found']}, counters match, "
         f"{dispatch['tasks_requeued']} task(s) requeued after losing "
         f"{dispatch['dead_workers']}",
         flush=True,

@@ -32,17 +32,7 @@ import sys
 # anything derived from them ("speedup", "hidden_capture_fraction"):
 # those stay informational because shared-runner timing noise would
 # fail CI without a real regression.
-#
-# Solver-cache transport bytes and cross-node hit rates are not gated
-# here: no stand-alone bench measures them.  What they stood guard over
-# — every transport and sharing setting equals serial — is asserted by
-# tests/core/test_remote.py (test_matches_serial_bit_for_bit, loopback
-# and socket), tests/core/test_cache_sharing.py::TestMergeDeterminism
-# (incl. test_sharing_never_reduces_hits), the CI remote-smoke job and
-# benchmarks/e2e/verify.py.
 GATED_METRICS = {
-    "parallel_cache_hit_rate": "higher",
-    "serial_cache_hit_rate": "higher",
     "sat_rate": "higher",
     "unique_paths": "higher",
     "branch_coverage": "higher",

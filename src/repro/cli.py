@@ -75,15 +75,16 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if topology is not None:
         print(render_topology(topology))
         print()
+    deadline = 600.0
     if args.differential != "off":
         # The oracle pre-pass diffs the *final* state, so wait out
         # MRAI flushes and damping reuse timers, not just RIB quiet.
         from repro.differential.extract import settle_live
 
-        converged_at = settle_live(live, deadline=600)
+        converged_at = settle_live(live, deadline=deadline)
     else:
-        converged_at = live.converge(deadline=600)
-    print(f"converged at t={converged_at:.1f}s")
+        converged_at = live.converge(deadline=deadline)
+    print(_convergence_line(converged_at, deadline))
     print(render_live_system(live))
     print()
     dice = DiceOrchestrator(live, default_property_suite())
@@ -99,8 +100,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             pipeline=args.pipeline,
             frontier=args.frontier,
             frontier_shards=args.frontier_shards,
-            solver_cache_size=args.solver_cache_size,
-            share_solver_caches=args.share_solver_caches,
             transport=args.transport,
             remote_workers=remote_workers,
             max_worker_failures=args.max_worker_failures,
@@ -112,6 +111,19 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         save_campaign(result, args.report)
         print(f"\nJSON report written to {args.report}")
     return 1 if (args.fail_on_fault and result.reports) else 0
+
+
+def _convergence_line(converged_at: float, deadline: float) -> str:
+    """What the operator is told about convergence.
+
+    ``LiveSystem.converge`` and ``settle_live`` return the clock they
+    stopped at, which is the deadline (or a settle window past it) when
+    the system never quiesced — an oscillating gadget — so that clock
+    is not a convergence time.
+    """
+    if converged_at >= deadline:
+        return f"did not converge by t={deadline:.1f}s"
+    return f"converged at t={converged_at:.1f}s"
 
 
 def _parse_remote_workers(text: str | None) -> list[str] | None:
@@ -218,16 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
                                "parallel shard tasks with work stealing "
                                "at round boundaries (results depend on N "
                                "but not on the worker count)")
-    campaign.add_argument("--solver-cache-size", type=_positive_int,
-                          default=4096,
-                          help="FIFO bound for each explorer node's "
-                               "solver constraint cache (>= 1)")
-    campaign.add_argument("--share-solver-caches",
-                          action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="fold every node's newly solved constraint "
-                               "systems into every other node's cache "
-                               "between cycles (deterministic either way)")
     campaign.add_argument("--transport", default="local",
                           choices=("local", "loopback", "socket"),
                           help="where exploration tasks run: in-process "

@@ -102,11 +102,6 @@ class ExplorationResult:
     crashes: list[Execution] = field(default_factory=list)
     solver_queries: int = 0
     solver_sat: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    # Cache hits served by entries another node contributed via the
-    # orchestrator's cross-node merge.
-    solver_cache_merged_hits: int = 0
     frontier_exhausted: bool = False
     duration: float = 0.0
     # Unique branch constraints seen (offset-sensitive) and unique
@@ -188,7 +183,8 @@ class ConcolicEngine:
         """
         started = time.perf_counter()
         result = ExplorationResult()
-        stats_base = self._solver_stats_snapshot()
+        stats = self._solver.stats
+        queries, sat = stats.queries, stats.sat
         while frontier.entries and result.executions < budget:
             entry = frontier.pop()
             execution = self.run_once(entry.input, entry.bound)
@@ -199,7 +195,8 @@ class ConcolicEngine:
                 frontier.push(child)
         result.frontier_exhausted = not frontier.entries
         _close(result, frontier, started)
-        self._record_solver_stats(result, stats_base)
+        result.solver_queries = stats.queries - queries
+        result.solver_sat = stats.sat - sat
         return result
 
     def run_each(self, inputs: Iterable[SymBytes]) -> ExplorationResult:
@@ -214,21 +211,6 @@ class ConcolicEngine:
             _observe(result, self.run_once(sym_input), seen)
         _close(result, seen, started)
         return result
-
-    def _solver_stats_snapshot(self) -> tuple[int, int, int, int, int]:
-        stats = self._solver.stats
-        return (stats.queries, stats.sat, stats.cache_hits,
-                stats.cache_misses, stats.cache_merged_hits)
-
-    def _record_solver_stats(
-        self, result: ExplorationResult, base: tuple[int, int, int, int, int]
-    ) -> None:
-        stats = self._solver.stats
-        result.solver_queries = stats.queries - base[0]
-        result.solver_sat = stats.sat - base[1]
-        result.solver_cache_hits = stats.cache_hits - base[2]
-        result.solver_cache_misses = stats.cache_misses - base[3]
-        result.solver_cache_merged_hits = stats.cache_merged_hits - base[4]
 
     def _expand(
         self,
@@ -303,8 +285,7 @@ def explore(
     """Run one exploration session — the single configured entry point.
 
     ``spec`` carries every knob (discipline, budgets, stop conditions);
-    ``solver`` is injected by callers that share a solver cache or need
-    a derived seed.
+    ``solver`` is injected by callers that need a derived seed.
     """
     return ConcolicEngine(program, solver=solver, spec=spec).explore(
         seed_inputs

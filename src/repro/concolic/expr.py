@@ -15,10 +15,12 @@ Every node also carries a **structural fingerprint** (``fp``): a 64-bit
 digest of the node's exact shape, computed bottom-up at construction
 (children are immutable, so a parent's fingerprint is O(1) from its
 children's).  Fingerprints are process-stable — they never touch
-Python's salted ``hash`` — which makes them usable as solver-cache keys
-that ship across process boundaries; :class:`repro.concolic.solver.
-SolverCache` builds its keys from them instead of ``repr``-ing whole
-ASTs per query.  Like ``repr``, the fingerprint is order-*sensitive*
+Python's salted ``hash`` — which makes them usable as identities that
+ship across process boundaries: the concolic frontier dedups flips,
+paths and covered branches by them (:mod:`repro.concolic.path`,
+:mod:`repro.concolic.frontier`), and the solver's refutation pre-pass
+groups constraints on the same term by them, instead of ``repr``-ing
+whole ASTs.  Like ``repr``, the fingerprint is order-*sensitive*
 for commutative operators (``a + b`` and ``b + a`` fingerprint
 differently), so it refines structural identity rather than ``__eq__``.
 """
@@ -82,10 +84,11 @@ def _fp_int(value: int) -> tuple[int, ...]:
 
     ``(sign, limb count, limbs...)`` — distinct integers always yield
     distinct part sequences, and concatenations of such sequences stay
-    uniquely decodable (the limb count delimits each).  The solver's
-    failure cache trusts fingerprint keys without re-verification, so
-    every integer entering a fingerprint must go through this rather
-    than being masked to 64 bits.
+    uniquely decodable (the limb count delimits each).  Frontier dedup
+    drops a flip whose digest it has seen and the refutation pre-pass
+    intersects constraints whose terms share one, both without
+    comparing trees, so every integer entering a fingerprint must go
+    through this rather than being masked to 64 bits.
     """
     magnitude = abs(value)
     limbs = []
@@ -364,7 +367,7 @@ class Constraint:
     """One recorded branch: ``left <op> right`` held (or not) at runtime.
 
     ``fp`` fingerprints the whole comparison (see module docstring);
-    the solver cache keys constraint systems on it in O(1) per
+    frontier dedup and branch coverage key on it in O(1) per
     constraint instead of rendering ASTs with ``repr``.
     """
 

@@ -20,7 +20,7 @@ can ship, split and merge:
 * :meth:`merge` is the deterministic intra-session merge: shards are
   absorbed in shard order, and an entry is dropped when any
   earlier-absorbed shard already saw its flip digest
-  (first-writer-wins, the same discipline as the solver-cache merge).
+  (first-writer-wins).
 
 All of it is pure data manipulation — no wall-clock, no RNG — so the
 merged frontier is a function of the shard outcomes alone, independent

@@ -34,14 +34,10 @@ unsatisfiable; *exhausted* means steps 2 and 3 spent their whole budget
 (``max_repair_rounds`` rounds, then ``max_restarts`` restarts of as
 many) without a model — possibly unsat, possibly just hard.
 
-Exploration re-solves structurally identical systems constantly: the
-same decoder branch negated under different grammar seeds produces the
-same normalized constraint system.  :class:`SolverCache` memoizes both
-outcomes — models (re-verified against the full constraint set on every
-hit, so cached answers stay sound) and failures (keyed by hint as well,
-since a different starting point may still succeed).  Hit/miss counters
-land in :class:`SolverStats` for the EXP-SOLVER and parallel-scaling
-benchmarks.
+Every query is solved; nothing is remembered between queries.  The
+concolic engine never asks the same flip twice in a session (its
+frontier dedups flips by digest), and the refutation pre-pass answers a
+dead branch in microseconds, so a memo would have nothing left to save.
 """
 
 from __future__ import annotations
@@ -58,10 +54,10 @@ _INF = float("inf")
 class SolverStats:
     """Counters for the EXP-SOLVER benchmark.
 
-    Every query ends in exactly one outcome — ``cache_hits``,
-    ``refuted`` (proved unsatisfiable before any search), ``repaired``
-    (the hint-guided repair found a model), ``random_search`` (a restart
-    did) or ``exhausted`` (the budget ran out) — so the five sum to
+    Every query ends in exactly one outcome — ``refuted`` (proved
+    unsatisfiable before any search), ``repaired`` (the hint-guided
+    repair found a model), ``random_search`` (a restart did) or
+    ``exhausted`` (the budget ran out) — so the four sum to
     ``queries``.
     """
 
@@ -74,293 +70,6 @@ class SolverStats:
     exhausted: int = 0
     repair_rounds: int = 0
     random_restarts: int = 0
-    cache_hits: int = 0
-    cache_misses: int = 0
-    # Hits answered by an entry another node's exploration contributed
-    # via the cross-node merge (see CacheDelta) — the sharing layer's
-    # headline number.
-    cache_merged_hits: int = 0
-
-    def cache_hit_rate(self) -> float:
-        """Fraction of queries answered from the cache."""
-        total = self.cache_hits + self.cache_misses
-        return self.cache_hits / total if total else 0.0
-
-
-# Journal events: ("m", key, ((name, value), ...)) for a stored model,
-# ("f", failure_key) for a stored failure.  Tuples of ints/strings only,
-# so deltas pickle small and deterministically.
-CacheEvent = tuple
-
-
-def model_events(events: tuple[CacheEvent, ...]) -> tuple[CacheEvent, ...]:
-    """The subset of an event sequence the cross-node merge folds:
-    stored models.
-
-    Failure entries are keyed by the originating node's concrete hint,
-    which other nodes will essentially never query, so merging them
-    would double every cache for no hits.
-    """
-    return tuple(event for event in events if event[0] == "m")
-
-
-@dataclass(frozen=True)
-class CacheDelta:
-    """The store events one cache accumulated since it was forked.
-
-    Replayed in order onto a cache whose ``generation`` equals
-    ``base_generation``, the events reproduce the originating cache's
-    state exactly — including FIFO evictions, which are a deterministic
-    function of the event sequence.  This is what a task's outcome
-    carries back instead of the cache it explored on: O(new entries per
-    session) rather than O(cache size).
-    """
-
-    node: str
-    base_generation: int
-    events: tuple[CacheEvent, ...] = field(repr=False)
-
-    def __len__(self) -> int:
-        return len(self.events)
-
-
-class SolverCache:
-    """Memoized normalized-constraint-system → model / unsat lookups.
-
-    Determinism contract: a cache is picklable, evolves identically for
-    an identical event sequence (FIFO eviction, no hashing of live
-    objects), and can never change a solver's *answers* — only whether
-    they were recomputed.  The orchestrator relies on this to keep one
-    authoritative cache per explorer node: a session explores on a
-    :meth:`fork` of it, every store is journalled, :meth:`take_delta`
-    drains the journal, and :meth:`replay_delta` / :meth:`merge_delta`
-    re-apply events — so the authoritative cache steps through the
-    states the session's copy did, at any worker count.
-
-    The key is the sorted tuple of constraint fingerprints
-    (:attr:`repro.concolic.expr.Constraint.fp` — process-stable 64-bit
-    structural digests, memoized at construction, so key building is
-    O(1) per constraint).  Sorting makes the key order-insensitive (a
-    constraint system is a conjunction).
-
-    Models are cached unconditionally: the caller re-verifies them
-    against the full constraint set, so a stale or colliding entry can
-    only cost a miss, never an unsound answer.  Failure entries are
-    trusted without re-verification, which is still safe in the
-    solver's contract: ``None`` never promises more than "no model
-    found" (the search is incomplete by design), so the ~2^-64
-    residual chance of a fingerprint collision can only suppress one
-    search, never produce a wrong model.  Failures are cached per
-    ``(system, hint, search budget)``: a failed search says nothing
-    about what a different starting point or a bigger budget would
-    find, so a low-budget solver can never suppress a full-budget one
-    sharing its cache.  Seeds are deliberately *not* part of the key —
-    the orchestrator re-derives solver seeds every cycle, and keying on
-    them would forfeit every cross-cycle hit.
-    """
-
-    def __init__(self, max_entries: int = 4096):
-        if max_entries < 1:
-            raise ValueError(
-                f"max_entries must be >= 1, got {max_entries} "
-                "(use Solver(enable_cache=False) to disable caching)"
-            )
-        self._max_entries = max_entries
-        self._models: dict[tuple[int, ...], dict[str, int]] = {}
-        # Dict-as-ordered-set: FIFO eviction stays deterministic across
-        # processes (set.pop order depends on randomized string hashes).
-        self._failures: dict[tuple, None] = {}
-        # Generation counts every event this cache has processed
-        # (journalled stores *and* merged foreign events); the journal
-        # holds this cache's own stores since take_delta.
-        self._generation = 0
-        self._journal: list[CacheEvent] = []
-        # Model keys contributed by merge_delta (another node solved
-        # them) and not since re-solved locally; lookups against them
-        # are the cross-node hits SolverStats.cache_merged_hits counts.
-        self._merged_keys: set[tuple[int, ...]] = set()
-
-    @staticmethod
-    def key(constraints: list[Constraint]) -> tuple[int, ...]:
-        """The normalized cache key for one constraint system."""
-        return tuple(sorted(constraint.fp for constraint in constraints))
-
-    @staticmethod
-    def _hint_key(hint: dict[str, int] | None) -> tuple:
-        return tuple(sorted(hint.items())) if hint else ()
-
-    def lookup_model(self, key: tuple[int, ...]) -> dict[str, int] | None:
-        """A previously found model for this system, if any."""
-        return self._models.get(key)
-
-    def is_merged(self, key: tuple[int, ...]) -> bool:
-        """True when this system's model came from another node."""
-        return key in self._merged_keys
-
-    def is_failure(self, key: tuple[int, ...],
-                   hint: dict[str, int] | None,
-                   budget: tuple[int, ...] = ()) -> bool:
-        """True when this exact (system, hint, budget) query failed."""
-        return (key, self._hint_key(hint), budget) in self._failures
-
-    @property
-    def models_cached(self) -> int:
-        """Number of cached satisfiable systems."""
-        return len(self._models)
-
-    @property
-    def max_entries(self) -> int:
-        """The FIFO eviction bound for each entry class."""
-        return self._max_entries
-
-    @property
-    def generation(self) -> int:
-        """Total events processed; what a delta's base must match."""
-        return self._generation
-
-    def store_model(self, key: tuple[int, ...],
-                    model: dict[str, int]) -> None:
-        """Remember a verified model for this system."""
-        self._journal.append(("m", key, tuple(sorted(model.items()))))
-        self._apply_model(key, model)
-
-    def store_failure(self, key: tuple[int, ...],
-                      hint: dict[str, int] | None,
-                      budget: tuple[int, ...] = ()) -> None:
-        """Remember that this (system, hint, budget) found no model."""
-        failure_key = (key, self._hint_key(hint), budget)
-        self._journal.append(("f", failure_key))
-        self._apply_failure(failure_key)
-
-    def __len__(self) -> int:
-        return len(self._models) + len(self._failures)
-
-    # -- fork / delta / replay --
-
-    def fork(self) -> "SolverCache":
-        """A private copy to explore on: same entries, generation and
-        bound, empty journal.
-
-        The copy is shallow — stored models are shared — which is safe
-        because nothing mutates one (:meth:`Solver.solve` hands out
-        ``dict(cached)``); stores and evictions on the fork touch only
-        the fork's own dicts.
-        """
-        fork = SolverCache(max_entries=self._max_entries)
-        fork._models = dict(self._models)
-        fork._failures = dict(self._failures)
-        fork._merged_keys = set(self._merged_keys)
-        fork._generation = self._generation
-        return fork
-
-    def take_delta(self, node: str = "") -> CacheDelta:
-        """Drain the journal into a shippable delta.
-
-        ``base_generation`` is the generation a receiving cache must be
-        at for replay to reproduce this cache's state.
-        """
-        delta = CacheDelta(
-            node=node,
-            base_generation=self._generation - len(self._journal),
-            events=tuple(self._journal),
-        )
-        self._journal.clear()
-        return delta
-
-    def replay_delta(self, delta: CacheDelta) -> None:
-        """Re-execute a delta's events exactly.
-
-        The receiver must be at ``delta.base_generation`` — replaying
-        onto any other state would not reproduce the origin cache.
-        Replayed events are not re-journalled (the origin already
-        shipped them).
-        """
-        if self._generation != delta.base_generation:
-            raise ValueError(
-                f"cache at generation {self._generation} cannot replay a "
-                f"delta based on generation {delta.base_generation}"
-            )
-        for event in delta.events:
-            if event[0] == "m":
-                self._apply_model(event[1], dict(event[2]))
-            else:
-                self._apply_failure(event[1])
-
-    def merge_delta(self, events: tuple[CacheEvent, ...]) -> int:
-        """Fold another node's events in, first-writer-wins.
-
-        Unlike :meth:`replay_delta`, entries already present are kept
-        untouched: a node's own verified answers are never replaced, so
-        merging can turn a future miss into a hit but never changes
-        which model an already-cached system returns.  Every event
-        advances the generation (applied or skipped), so the generation
-        is a function of the event sequence alone; merged events are
-        not journalled (the orchestrator folded them in the first
-        place).  Returns the number of entries actually added.
-        """
-        added = 0
-        for event in events:
-            self._generation += 1
-            if event[0] == "m":
-                key = event[1]
-                if key in self._models:
-                    continue
-                self._evict_models()
-                self._models[key] = dict(event[2])
-                self._merged_keys.add(key)
-            else:
-                failure_key = event[1]
-                if failure_key in self._failures:
-                    continue
-                self._evict_failures()
-                self._failures[failure_key] = None
-            added += 1
-        return added
-
-    def state_fingerprint(self) -> int:
-        """A process-stable digest of the full cache state.
-
-        Used by determinism tests and reports to assert that a node's
-        cache converged to bit-identical content in every execution
-        mode (entry order included — FIFO position is state).
-        """
-        from repro.concolic.expr import _fp_mix  # stable 64-bit mixer
-
-        acc = self._generation
-        for key, model in self._models.items():
-            acc = _fp_mix(acc, *key)
-            for name, value in sorted(model.items()):
-                acc = _fp_mix(acc, len(name), *name.encode(), value)
-        for (key, hint, budget) in self._failures:
-            acc = _fp_mix(acc, *key)
-            for name, value in hint:
-                acc = _fp_mix(acc, len(name), *name.encode(), value)
-            acc = _fp_mix(acc, *budget)
-        return acc
-
-    # -- internal event application (shared by store and replay) --
-
-    def _apply_model(self, key: tuple[int, ...],
-                     model: dict[str, int]) -> None:
-        self._generation += 1
-        self._evict_models()
-        self._merged_keys.discard(key)  # locally re-solved: ours now
-        self._models[key] = dict(model)
-
-    def _apply_failure(self, failure_key: tuple) -> None:
-        self._generation += 1
-        self._evict_failures()
-        self._failures[failure_key] = None
-
-    def _evict_models(self) -> None:
-        if len(self._models) >= self._max_entries:
-            oldest = next(iter(self._models))
-            del self._models[oldest]
-            self._merged_keys.discard(oldest)
-
-    def _evict_failures(self) -> None:
-        if len(self._failures) >= self._max_entries:
-            self._failures.pop(next(iter(self._failures)))
 
 
 @dataclass
@@ -507,8 +216,8 @@ def _refuted(constraints: list[Constraint]) -> bool:
     constraints that compare the same term with a constant are then
     intersected (``eq`` pins, ``lt``/``le``/``gt``/``ge`` narrow, ``ne``
     excludes points), which catches ``x == c`` beside ``x != c``.
-    Terms are grouped by fingerprint, so — like a cached failure — a
-    2^-64 collision could at worst suppress one search.
+    Terms are grouped by fingerprint, so a 2^-64 collision could at
+    worst suppress one search.
     """
     terms: dict[int, tuple[float, float, set[int]]] = {}
     for constraint in constraints:
@@ -611,21 +320,11 @@ class Solver:
     """See module docstring."""
 
     def __init__(self, seed: int = 0, max_repair_rounds: int = 200,
-                 max_restarts: int = 40, enable_cache: bool = True,
-                 cache: SolverCache | None = None):
+                 max_restarts: int = 40):
         self._rng = random.Random(seed)
         self._max_repair_rounds = max_repair_rounds
         self._max_restarts = max_restarts
-        self._cache = cache if cache is not None else (
-            SolverCache() if enable_cache else None
-        )
-        self._budget_key = (max_repair_rounds, max_restarts)
         self.stats = SolverStats()
-
-    @property
-    def cache(self) -> SolverCache | None:
-        """The memoization cache, when enabled."""
-        return self._cache
 
     # -- public API --
 
@@ -636,24 +335,10 @@ class Solver:
     ) -> dict[str, int] | None:
         """Find a verified model, starting near ``hint`` when given."""
         self.stats.queries += 1
-        key: tuple[int, ...] | None = None
-        if self._cache is not None:
-            key = self._cache.key(constraints)
-            cached = self._cache.lookup_model(key)
-            if cached is not None and self._verifies(constraints, cached):
-                self.stats.cache_hits += 1
-                if self._cache.is_merged(key):
-                    self.stats.cache_merged_hits += 1
-                self.stats.sat += 1
-                return dict(cached)
-            if self._cache.is_failure(key, hint, self._budget_key):
-                self.stats.cache_hits += 1
-                self.stats.unknown += 1
-                return None
-            self.stats.cache_misses += 1
         if _refuted(constraints):
             self.stats.refuted += 1
-            return self._no_model(key, hint)
+            self.stats.unknown += 1
+            return None
         problem = _Problem(list(constraints))
         assignment = self._initial_assignment(problem, hint)
         model = self._repair(problem, assignment)
@@ -663,32 +348,13 @@ class Solver:
             model = self._random_search(problem, hint)
             if model is None:
                 self.stats.exhausted += 1
-                return self._no_model(key, hint)
+                self.stats.unknown += 1
+                return None
             self.stats.random_search += 1
         self.stats.sat += 1
-        if key is not None:
-            self._cache.store_model(key, model)
         return model
 
-    def _no_model(self, key: tuple[int, ...] | None,
-                  hint: dict[str, int] | None) -> None:
-        """Count and journal a query that ends without a model."""
-        self.stats.unknown += 1
-        if key is not None:
-            self._cache.store_failure(key, hint, self._budget_key)
-
     # -- internals --
-
-    @staticmethod
-    def _verifies(constraints: list[Constraint],
-                  model: dict[str, int]) -> bool:
-        """Soundness gate for cache hits: the model must satisfy the
-        *current* constraint set (a key collision or an entry missing a
-        variable downgrades to a miss, never to a wrong answer)."""
-        try:
-            return all(constraint.holds(model) for constraint in constraints)
-        except KeyError:
-            return False
 
     def _initial_assignment(
         self, problem: _Problem, hint: dict[str, int] | None

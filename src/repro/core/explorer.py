@@ -47,7 +47,7 @@ from repro.concolic.frontier import (
     resolve_discipline,
 )
 from repro.concolic.grammar import UpdateGrammar
-from repro.concolic.solver import Solver, SolverCache
+from repro.concolic.solver import Solver
 from repro.concolic.symbolic import SymBytes, SymInt
 from repro.core.live import bgp_process_factory
 from repro.core.properties import CheckContext, PropertySuite, Violation
@@ -114,9 +114,6 @@ class NodeExplorationReport:
     skipped_reason: str | None = None
     solver_queries: int = 0
     solver_sat: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    solver_cache_merged_hits: int = 0
 
     @property
     def found_fault(self) -> bool:
@@ -155,10 +152,8 @@ class Explorer:
     Determinism contract: given the same snapshot, property suite,
     claims, and :class:`ExplorationConfig` (including its seed), an
     exploration session produces identical reports in any process —
-    every RNG is derived from the config seed, clones share nothing
-    mutable with the live system, and the hand-in solver cache only ever
-    short-circuits work it can prove equivalent (models are re-verified
-    on every hit).
+    every RNG is derived from the config seed and clones share nothing
+    mutable with the live system.
     """
 
     def __init__(
@@ -167,19 +162,12 @@ class Explorer:
         suite: PropertySuite,
         claims: SharingRegistry,
         process_factory=bgp_process_factory,
-        solver_cache: SolverCache | None = None,
     ):
         self._snapshot = snapshot
         self._suite = suite
         self._claims = claims
         self._factory = process_factory
         self._clone_counter = 0
-        # Shared across this explorer's sessions; the orchestrator hands
-        # in a per-node cache so repeated cycles over similar snapshots
-        # skip re-solving identical path-condition systems.
-        self.solver_cache = (
-            solver_cache if solver_cache is not None else SolverCache()
-        )
 
     # -- clone plumbing --
 
@@ -239,8 +227,7 @@ class Explorer:
         if config.strategy == STRATEGY_CONCOLIC:
             engine = ConcolicEngine(
                 program,
-                solver=Solver(seed=derive_seed(config.seed, "solver"),
-                              cache=self.solver_cache),
+                solver=Solver(seed=derive_seed(config.seed, "solver")),
                 spec=config.exploration_spec(),
             )
             result = engine.explore(seeds)
@@ -302,7 +289,6 @@ class Explorer:
                 seed=derive_seed(
                     config.seed, f"solver/r{shard.round}/s{shard.index}"
                 ),
-                cache=self.solver_cache,
             ),
             spec=config.exploration_spec(),
         )
@@ -360,9 +346,6 @@ class Explorer:
             report.crashes = len(result.crashes)
             report.solver_queries = result.solver_queries
             report.solver_sat = result.solver_sat
-            report.solver_cache_hits = result.solver_cache_hits
-            report.solver_cache_misses = result.solver_cache_misses
-            report.solver_cache_merged_hits = result.solver_cache_merged_hits
         report.clones_created = self._clone_counter
         report.wall_time_s = time.perf_counter() - started
         return report
@@ -523,8 +506,7 @@ class Explorer:
         seed_input = SymBytes.mark_all(bytes(initial), prefix="lp")
         engine = ConcolicEngine(
             program,
-            solver=Solver(seed=derive_seed(seed, "selection-solver"),
-                          cache=self.solver_cache),
+            solver=Solver(seed=derive_seed(seed, "selection-solver")),
             spec=ExplorationSpec(max_executions=max_executions),
         )
         result = engine.explore([seed_input])

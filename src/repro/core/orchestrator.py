@@ -49,7 +49,7 @@ import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, ClassVar, Iterator
 
 from repro.concolic.frontier import (
     Frontier,
@@ -58,7 +58,6 @@ from repro.concolic.frontier import (
     plan_round,
     resolve_discipline,
 )
-from repro.concolic.solver import SolverCache
 from repro.core.explorer import (
     ExplorationConfig,
     Explorer,
@@ -71,7 +70,6 @@ from repro.core.parallel import (
     ClaimSpec,
     ExplorationTask,
     ParallelCampaignEngine,
-    SolverCacheCoordinator,
     TaskHandle,
     claims_to_spec,
     resolve_workers,
@@ -90,10 +88,10 @@ from repro.util.rng import derive_seed
 class OrchestratorConfig:
     """Campaign-level knobs.
 
-    Determinism contract: with a fixed ``seed``, the fault reports,
-    per-node exploration counters, and per-node solver-cache evolution
-    of a campaign are a pure function of this config and the live
-    system's state — independent of ``workers`` and ``pipeline``.
+    Determinism contract: with a fixed ``seed``, the fault reports and
+    per-node exploration counters of a campaign are a pure function of
+    this config and the live system's state — independent of
+    ``workers`` and ``pipeline``.
     Per-task seeds derive from ``(seed, cycle, node)``, snapshots are
     captured in one fixed serial order, and outcomes merge in task
     order (see :mod:`repro.core.parallel` and
@@ -122,15 +120,6 @@ class OrchestratorConfig:
     # it.  Result-identical either way, so the knob is purely about
     # overlap vs. never touching the live system ahead of need.
     pipeline: bool = True
-    # FIFO bound for each explorer node's solver cache (models and
-    # failures each); --solver-cache-size on the CLI.
-    solver_cache_size: int = 4096
-    # Fold every node's newly solved constraint systems into every
-    # other node's cache between cycles (see SolverCacheCoordinator).
-    # Off = per-node caches only, the pre-sharing behaviour.  Either
-    # setting is deterministic at any worker count; the knob exists so
-    # the uplift can be measured.
-    share_solver_caches: bool = True
     # Where exploration tasks run: "local" (inline / per-slot process
     # pools), "loopback" (the remote wire protocol run in-process, for
     # tests and CI), or "socket" (repro remote-worker daemons at the
@@ -186,11 +175,6 @@ class CampaignResult:
     wall_time_s: float = 0.0
     workers: int = 1
     solver_queries: int = 0
-    solver_cache_hits: int = 0
-    solver_cache_misses: int = 0
-    # Hits answered by entries other nodes contributed via the
-    # cross-node cache merge.
-    solver_cache_merged_hits: int = 0
     # Capture-overlap accounting (see repro.core.pipeline): total wall
     # seconds spent capturing snapshots (including the live-advance
     # between captures), and how many of those seconds the campaign
@@ -204,14 +188,6 @@ class CampaignResult:
     capture_wall_s: float = 0.0
     capture_blocked_s: float = 0.0
     capture_pickle_s: float = 0.0
-    # Solver-cache bytes that crossed a process boundary: each node's
-    # cache out with its task, each session's delta back in (both zero
-    # on the unmetered inline transport, where nothing leaves the
-    # process).  Measurements, not part of the determinism contract
-    # (they depend on the transport by construction).
-    cache_bytes_shipped_out: int = 0
-    cache_bytes_shipped_in: int = 0
-    cache_entries_merged: int = 0
     # Which dispatch transport ran the campaign, and its total framed
     # wire traffic (0 for in-process transports with no frames).
     transport: str = "local"
@@ -224,10 +200,6 @@ class CampaignResult:
     tasks_requeued: int = 0
     dead_workers: list[str] = field(default_factory=list)
     max_worker_failures: int = 0
-    # Per-node process-stable digests of final solver-cache state;
-    # identical across worker counts and pipelining (determinism
-    # tests assert on them).
-    cache_state_fingerprints: dict[str, int] = field(default_factory=dict)
     # Differential-oracle pre-pass accounting (see
     # repro.checks.differential): which oracle ran, how many
     # divergences it found over how many (router, prefix) entries, its
@@ -259,25 +231,6 @@ class CampaignResult:
         """Distinct fault classes among the reports."""
         return sorted({report.fault_class for report in self.reports})
 
-    def solver_cache_hit_rate(self) -> float:
-        """Fraction of solver queries answered from the constraint cache."""
-        total = self.solver_cache_hits + self.solver_cache_misses
-        return self.solver_cache_hits / total if total else 0.0
-
-    def solver_cache_cross_node_hit_rate(self) -> float:
-        """Fraction of cached queries answered by another node's entry.
-
-        The cross-node sharing layer's contribution on top of the
-        per-node baseline (hit rate minus this is what isolated caches
-        would have delivered on the same query stream).
-        """
-        total = self.solver_cache_hits + self.solver_cache_misses
-        return self.solver_cache_merged_hits / total if total else 0.0
-
-    def cache_bytes_shipped(self) -> int:
-        """Solver-cache bytes actually shipped, both directions."""
-        return self.cache_bytes_shipped_out + self.cache_bytes_shipped_in
-
     def capture_hidden_fraction(self) -> float:
         """Fraction of snapshot-capture time hidden behind exploration.
 
@@ -289,6 +242,19 @@ class CampaignResult:
             return 0.0
         hidden = 1.0 - self.capture_blocked_s / self.capture_wall_s
         return min(1.0, max(0.0, hidden))
+
+    # -- benchmark compatibility --
+    # benchmarks/e2e/run.py and verify.py still read these names.  A
+    # campaign has no solver cache, so they are constants that nothing
+    # in this package reads or writes; delete them once the benchmark
+    # no longer names them.
+    solver_cache_hits: ClassVar[int] = 0
+    solver_cache_misses: ClassVar[int] = 0
+    cache_state_fingerprints: ClassVar[dict[str, int]] = {}
+
+    def cache_bytes_shipped(self) -> int:
+        """Always 0 (see the comment above)."""
+        return 0
 
 
 class DiceOrchestrator:
@@ -411,10 +377,10 @@ class DiceOrchestrator:
           (:meth:`_start_session` / :meth:`_finish_session`).
 
         Sessions start in node order as their captures arrive and are
-        finished and merged strictly in that order, and cycle N+1's
-        tasks are built only after cycle N's ``end_cycle``, so fault
-        reports, counters and cache state are the same in every
-        mode.  Counters are per *merged* session: on
+        finished and merged strictly in that order, every session of a
+        cycle before the next cycle's first, so fault reports and
+        counters are the same in every mode.  Counters are per
+        *merged* session: on
         ``stop_after_first_fault`` merging stops at the faulty session,
         the pipeline drains (an in-flight capture finishes, prefetched
         ones are discarded) and the engine cancels unstarted tasks.
@@ -440,8 +406,7 @@ class DiceOrchestrator:
                 SnapshotPipeline(
                     capture_one, requests, depth=len(nodes),
                     # Nothing leaves the process on the inline
-                    # transport, so there is no payload to pre-pickle
-                    # and no cache transport to meter.
+                    # transport, so there is no payload to pre-pickle.
                     prepare_fn=None if engine.inline else pickle.dumps,
                     background=config.pipeline,
                 ) as captures:
@@ -450,15 +415,8 @@ class DiceOrchestrator:
                 transport=config.transport,
                 pipelined=config.pipeline,
             )
-            coordinator = SolverCacheCoordinator(
-                nodes,
-                max_entries=config.solver_cache_size,
-                share=config.share_solver_caches,
-                metered=not engine.inline,
-            )
             run = _CampaignRun(
-                config, engine, coordinator, claims_to_spec(self._claims),
-                shards,
+                config, engine, claims_to_spec(self._claims), shards,
             )
             pending: deque[_Session] = deque()  # started, not yet merged
 
@@ -516,7 +474,6 @@ class DiceOrchestrator:
                 stopped = stopped or merge_pending()
                 if stopped:
                     break
-                coordinator.end_cycle()
                 result.cycles_completed = cycle + 1
             self._record_wire_stats(result, engine)
         if requests and not stopped:
@@ -527,7 +484,6 @@ class DiceOrchestrator:
             advanced = time.perf_counter() - advance_started
             result.capture_wall_s += advanced
             result.capture_blocked_s += advanced
-        self._finalize_cache_stats(result, coordinator)
         result.wall_time_s = time.perf_counter() - started
         return result
 
@@ -614,15 +570,6 @@ class DiceOrchestrator:
         ]
         result.max_worker_failures = engine.max_worker_failures
 
-    @staticmethod
-    def _finalize_cache_stats(
-        result: CampaignResult, coordinator: SolverCacheCoordinator
-    ) -> None:
-        result.cache_bytes_shipped_out = coordinator.bytes_shipped_out
-        result.cache_bytes_shipped_in = coordinator.bytes_shipped_in
-        result.cache_entries_merged = coordinator.entries_merged
-        result.cache_state_fingerprints = coordinator.state_fingerprints()
-
     def _campaign_nodes(self, config: OrchestratorConfig) -> list[str]:
         nodes = (
             list(config.explorer_nodes)
@@ -632,10 +579,9 @@ class DiceOrchestrator:
         if not nodes:
             raise ValueError("no explorer nodes")
         if len(set(nodes)) != len(nodes):
-            # A node's solver cache is handed to its task by reference
-            # and written when that task's outcome is absorbed, which
-            # assumes one task in flight per node; duplicates would
-            # make parallel modes diverge from serial.
+            # A session's seed derives from (cycle, node), so a node
+            # listed twice would explore twice per cycle on one seed —
+            # a mistyped node list, refused rather than doubling work.
             raise ValueError(f"duplicate explorer nodes in {nodes!r}")
         return nodes
 
@@ -667,9 +613,6 @@ class DiceOrchestrator:
         result.node_reports.append(node_report)
         result.clones_created += node_report.clones_created
         result.solver_queries += node_report.solver_queries
-        result.solver_cache_hits += node_report.solver_cache_hits
-        result.solver_cache_misses += node_report.solver_cache_misses
-        result.solver_cache_merged_hits += node_report.solver_cache_merged_hits
         inputs_before = result.inputs_explored
         result.inputs_explored += node_report.executions
         for violation, input_summary in node_report.violations:
@@ -696,16 +639,13 @@ class DiceOrchestrator:
 
         The session's parameters are stated here, once: every task of
         the session ships this :class:`ExplorationConfig`.  A whole
-        session is one task carrying the node's warm solver cache.
+        session is one task.
 
         A sharded session fans out as *rounds* of up to ``run.shards``
         shard tasks; this submits round 0, which partitions by seed
         lineage, so its shard count is bounded by the grammar-seed
         count (every planned shard must start with at least one
-        entry).  Shards start from *empty* solver caches (see
-        docs/architecture.md); their deltas still merge into the
-        per-node caches, so cross-cycle fingerprint evolution matches
-        the configured sharing policy.
+        entry).
         """
         config = run.config
         session = _Session(
@@ -724,11 +664,7 @@ class DiceOrchestrator:
             budget_left=config.inputs_per_node,
         )
         if run.shards is None:
-            session.handles = [
-                self._submit(
-                    run, session, run.coordinator.checkout(captured.node)
-                )
-            ]
+            session.handles = [self._submit(run, session)]
             return session
         plan = plan_round(
             max(1, config.grammar_seeds), session.budget_left, run.shards
@@ -745,7 +681,6 @@ class DiceOrchestrator:
         self,
         run: "_CampaignRun",
         session: "_Session",
-        solver_cache: SolverCache,
         shard: FrontierShard | None = None,
     ) -> TaskHandle:
         """Build and submit one task of ``session``, whole or shard."""
@@ -753,15 +688,12 @@ class DiceOrchestrator:
         return run.engine.submit(
             ExplorationTask(
                 index=next(run.task_index),
-                cycle=captured.cycle,
                 config=session.config,
                 snapshot=captured.snapshot,
                 snapshot_blob=captured.payload,
                 suite=self._suite,
                 claims=run.claims_spec,
-                detected_at=captured.detected_at,
                 process_factory=self._factory,
-                solver_cache=solver_cache,
                 shard=shard,
             )
         )
@@ -774,12 +706,10 @@ class DiceOrchestrator:
         frontiers: list[Frontier | None],
     ) -> None:
         """Submit one round's shard tasks in shard order, each with its
-        slice of the merged frontier and an empty solver cache (built
-        here, so unmetered)."""
+        slice of the merged frontier."""
         session.handles = [
             self._submit(
                 run, session,
-                SolverCache(max_entries=run.config.solver_cache_size),
                 FrontierShard(
                     round=session.round,
                     index=index,
@@ -794,12 +724,11 @@ class DiceOrchestrator:
     def _finish_session(
         self, run: "_CampaignRun", session: "_Session"
     ) -> NodeExplorationReport:
-        """Drive a session to completion and absorb what it learned.
+        """Drive a session to completion.
 
-        A whole session has one outcome, whose cache delta replays into
-        the node's cache.  A sharded session loops over rounds: each
-        iteration resolves the current round's handles in shard order,
-        absorbs the shard cache deltas in that same order, and merges
+        A whole session has one outcome.  A sharded session loops over
+        rounds: each iteration resolves the current round's handles in
+        shard order, folds their reports in that same order, and merges
         the leftover frontiers first-writer-wins.  The leftover entries
         and the unspent budget are then re-dealt round-robin over up to
         ``run.shards`` fresh tasks — work stealing at round barriers,
@@ -811,7 +740,6 @@ class DiceOrchestrator:
         if run.shards is None:
             (handle,) = session.handles
             outcome = handle.result()
-            run.coordinator.absorb(outcome.cache_delta)
             session.snapshot_id = outcome.snapshot_id
             return outcome.report
         final = Frontier()
@@ -820,7 +748,6 @@ class DiceOrchestrator:
             session.handles = []
             session.snapshot_id = outcomes[0].snapshot_id
             for outcome in outcomes:
-                run.coordinator.absorb_shard(outcome.cache_delta)
                 session.reports.append(outcome.report)
                 session.budget_left -= outcome.report.executions
             final = Frontier.merge(
@@ -863,11 +790,6 @@ class DiceOrchestrator:
             report.wall_time_s += shard_report.wall_time_s
             report.solver_queries += shard_report.solver_queries
             report.solver_sat += shard_report.solver_sat
-            report.solver_cache_hits += shard_report.solver_cache_hits
-            report.solver_cache_misses += shard_report.solver_cache_misses
-            report.solver_cache_merged_hits += (
-                shard_report.solver_cache_merged_hits
-            )
         report.unique_paths = len(final.seen_paths)
         report.branch_coverage = len(final.seen_constraints)
         report.shape_coverage = len(final.seen_shapes)
@@ -880,7 +802,6 @@ class _CampaignRun:
 
     config: OrchestratorConfig
     engine: ParallelCampaignEngine
-    coordinator: SolverCacheCoordinator
     claims_spec: ClaimSpec
     # Maximum shard tasks per session round; None = whole sessions.
     shards: int | None

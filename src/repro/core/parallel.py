@@ -12,9 +12,8 @@ remote daemons above that:
   session's :class:`~repro.core.explorer.ExplorationConfig` (node,
   strategy, budget, per-session derived seed, frontier discipline),
   the snapshot (or a pre-pickled snapshot payload), the property
-  suite, origination claims and a
-  :class:`~repro.concolic.solver.SolverCache` to start from.  With
-  ``shard=None`` it is the whole session; with a
+  suite and origination claims — nothing an earlier session learned.
+  With ``shard=None`` it is the whole session; with a
   :class:`~repro.concolic.frontier.FrontierShard` it is one slice of
   it — one partition of the session's concolic frontier plus an
   execution budget;
@@ -31,22 +30,11 @@ remote daemons above that:
   process pools (:class:`LocalPoolTransport`), or the remote loopback
   and TCP-socket transports in :mod:`repro.core.remote`.
 
-A node's warm solver cache lives in exactly one place, the
-orchestrator-side :class:`SolverCacheCoordinator`.  A task carries the
-cache it starts from — the node's warm one for a whole session, an
-empty one for a shard — explores on a private
-:meth:`~repro.concolic.solver.SolverCache.fork` of it, and its outcome
-carries only the entries it added
-(:class:`~repro.concolic.solver.CacheDelta`); the coordinator folds
-each delta into the node's cache in task order and all nodes' new
-entries into all caches between cycles in a fixed order.
-
 Determinism is by construction: each task's config carries a seed
 derived via :func:`repro.util.rng.derive_seed` from the campaign seed
 and the session's (cycle, node) identity, snapshots are captured
 serially in the main process (the live system is single-threaded
-state), cache state is a pure function of the (deterministic) delta
-sequence, and only the exploration — clone, inject, propagate, check —
+state), and only the exploration — clone, inject, propagate, check —
 fans out.
 """
 
@@ -61,12 +49,6 @@ from typing import Protocol, Sequence
 
 from repro.bgp.ip import Prefix
 from repro.concolic.frontier import Frontier, FrontierShard
-from repro.concolic.solver import (
-    CacheDelta,
-    CacheEvent,
-    SolverCache,
-    model_events,
-)
 from repro.core.explorer import (
     ExplorationConfig,
     Explorer,
@@ -133,141 +115,24 @@ class WorkerTransport(Protocol):
         ...
 
 
-# -- the per-node solver caches -----------------------------------------------
-
-
-def _dedup_events(events: list[CacheEvent]) -> tuple[CacheEvent, ...]:
-    """Drop repeated entries, first occurrence wins.
-
-    Several nodes solving the same system in one cycle each journal it;
-    folding one copy is enough because :meth:`SolverCache.merge_delta`
-    is first-writer-wins anyway — dedup just makes that decision once
-    instead of once per node.
-    """
-    seen: set = set()
-    deduped: list[CacheEvent] = []
-    for event in events:
-        identity = (event[0], event[1])
-        if identity in seen:
-            continue
-        seen.add(identity)
-        deduped.append(event)
-    return tuple(deduped)
+# -- benchmark compatibility -------------------------------------------------
+#
+# benchmarks/e2e/spans.py wraps these three methods by name when it
+# traces a campaign.  Nothing in this package creates or calls the
+# class; delete it once the benchmark's tracer no longer names it.
 
 
 class SolverCacheCoordinator:
-    """The one place a node's warm solver cache lives between tasks.
+    """An empty stand-in kept for the benchmark tracer (see above)."""
 
-    One instance drives one campaign, on every transport.  A
-    whole-session task is handed the node's cache (:meth:`checkout`)
-    and explores on a private fork of it; :meth:`absorb` replays the
-    outcome's :class:`~repro.concolic.solver.CacheDelta` into the
-    node's cache, which therefore steps through exactly the states the
-    session's fork did, evictions included.  Shard tasks start from an
-    empty cache and :meth:`absorb_shard` merges what they found.
+    def absorb(self, *args) -> None:
+        """Never called."""
 
-    A node's cache is written only by :meth:`absorb` of that node's own
-    outcome and by :meth:`end_cycle`, and both run after the node's
-    single in-flight task has resolved — so handing a task a
-    *reference* is safe: pickling transports copy by pickling, the
-    inline transport is isolated by the worker-side fork.
-
-    :meth:`end_cycle` folds every node's new entries into every node's
-    cache in fixed (task-order deltas, campaign node order) sequence —
-    the cross-node sharing step — so per-node cache state stays a pure
-    function of (seed, cycle, node): independent of worker count,
-    pipelining, and scheduling.
-
-    ``bytes_shipped_out`` / ``bytes_shipped_in`` count the solver-cache
-    bytes that cross a process boundary: each cache handed to a task,
-    each delta that came back.  Both are the ``len()`` of a pickle
-    taken only to be measured, so a campaign whose transport ships
-    nothing (``metered=False``: the inline transport hands object
-    references around) skips the pickling and reports zeros.
-    """
-
-    def __init__(self, nodes: Sequence[str], max_entries: int = 4096,
-                 share: bool = True, metered: bool = True):
-        self._nodes = list(nodes)
-        self._share = share
-        self._metered = metered
-        self._caches = {
-            node: SolverCache(max_entries=max_entries) for node in nodes
-        }
-        self._cycle_deltas: list[CacheDelta] = []
-        self.bytes_shipped_out = 0
-        self.bytes_shipped_in = 0
-        self.entries_merged = 0
-
-    def cache_for(self, node: str) -> SolverCache:
-        """One node's authoritative cache."""
-        return self._caches[node]
-
-    def checkout(self, node: str) -> SolverCache:
-        """The cache one whole-session task for ``node`` starts from;
-        counts the bytes shipping it costs."""
-        cache = self._caches[node]
-        if self._metered:
-            self.bytes_shipped_out += len(pickle.dumps(cache))
-        return cache
-
-    def absorb(self, delta: CacheDelta | None) -> None:
-        """Fold one whole-session outcome's delta into the node's cache.
-
-        The session ran on a fork of this cache, so the delta is
-        **replayed**: the cache lands on the fork's final state,
-        evictions included.
-        """
-        if delta is not None:
-            self._caches[delta.node].replay_delta(delta)
-            self._absorbed(delta)
-
-    def absorb_shard(self, delta: CacheDelta | None) -> None:
-        """Fold one frontier shard's delta into the node's cache.
-
-        Shards start from empty solver caches, so their deltas all
-        start from generation 0 and cannot be replayed onto the warm
-        cache like whole-session deltas; they are **merged**
-        first-writer-wins in shard order instead — the same discipline
-        as the cross-node merge, applied intra-session.
-        """
-        if delta is not None and len(delta):
-            self._caches[delta.node].merge_delta(delta.events)
-            self._absorbed(delta)
-
-    def _absorbed(self, delta: CacheDelta) -> None:
-        if self._metered:
-            self.bytes_shipped_in += len(pickle.dumps(delta))
-        if self._share:
-            self._cycle_deltas.append(delta)
+    def absorb_shard(self, *args) -> None:
+        """Never called."""
 
     def end_cycle(self) -> None:
-        """Cross-node merge: fold the cycle's new entries into every
-        node's cache, deduped, in campaign node order.
-
-        Only model events are merged: failure entries are keyed by the
-        originating node's concrete hint, which other nodes will
-        essentially never query.  (Inbound deltas still carry failures
-        — each node's own cache needs full fidelity.)
-        """
-        deltas = self._cycle_deltas
-        self._cycle_deltas = []
-        events = _dedup_events(
-            [
-                event
-                for delta in deltas
-                for event in model_events(delta.events)
-            ]
-        )
-        for node in self._nodes:
-            self.entries_merged += self._caches[node].merge_delta(events)
-
-    def state_fingerprints(self) -> dict[str, int]:
-        """Per-node process-stable digests of final cache state."""
-        return {
-            node: cache.state_fingerprint()
-            for node, cache in self._caches.items()
-        }
+        """Never called."""
 
 
 # -- tasks and outcomes ------------------------------------------------------
@@ -279,26 +144,16 @@ class ExplorationTask:
 
     Everything here must pickle: the session config, the snapshot
     (checkpoints + channel state) or its pre-pickled payload, the
-    property suite (stateless check objects), the flattened claims, a
-    module-level process factory, and the solver cache.
+    property suite (stateless check objects), the flattened claims and
+    a module-level process factory.
     """
 
     index: int  # position in the campaign's deterministic task order
-    cycle: int
     config: ExplorationConfig
     snapshot: Snapshot | None
     suite: PropertySuite
     claims: ClaimSpec
-    detected_at: float = 0.0  # live simulated time at capture
     process_factory: ProcessFactory = bgp_process_factory
-    # The cache the task starts from: the node's warm one
-    # (SolverCacheCoordinator.checkout) for a whole session, an empty
-    # one for a shard — shards of one session run concurrently, so
-    # there is no one warm state they could all start from.  The worker
-    # explores on a fork and never writes to this one, so the same task
-    # can be dispatched again.  None means a private fresh cache and no
-    # delta in the outcome.
-    solver_cache: SolverCache | None = field(default=None, repr=False)
     # Pre-pickled snapshot payload, produced on the capture thread so
     # executor-side task pickling is a near-memcpy (bytes re-pickle
     # cheaply); used when ``snapshot`` is None.
@@ -323,21 +178,14 @@ class TaskOutcome:
 
     The orchestrator absorbs outcomes in task order — for shards that
     is (round, shard) order — never completion order, so the merged
-    session report, the merged frontier handed to the next round, and
-    the solver-cache state are identical at any worker count.
+    session report and the merged frontier handed to the next round
+    are identical at any worker count.
     """
 
     index: int
-    cycle: int
     node: str
     snapshot_id: str
-    detected_at: float
     report: NodeExplorationReport = field(repr=False)
-    # Only the entries this task added — O(KB) — instead of the whole
-    # updated cache; None when the task carried no cache.  A whole
-    # session's delta replays onto the node's cache; a shard's starts
-    # from generation 0 and is merged.
-    cache_delta: CacheDelta | None = field(default=None, repr=False)
     # A shard's leftover frontier (un-popped entries + everything it
     # learned), merged by the orchestrator at the round boundary; None
     # for a whole session.
@@ -354,29 +202,21 @@ def run_task(task: ExplorationTask) -> TaskOutcome:
     the same outcome.
     """
     snapshot = task.resolve_snapshot()
-    cache = (
-        task.solver_cache.fork() if task.solver_cache is not None else None
-    )
     explorer = Explorer(
         snapshot,
         task.suite,
         claims_from_spec(task.claims),
         process_factory=task.process_factory,
-        solver_cache=cache,
     )
     if task.shard is None:
         report, frontier = explorer.explore(task.config), None
     else:
         report, frontier = explorer.explore_shard(task.config, task.shard)
-    node = task.config.node
     return TaskOutcome(
         index=task.index,
-        cycle=task.cycle,
-        node=node,
+        node=task.config.node,
         snapshot_id=snapshot.snapshot_id,
-        detected_at=task.detected_at,
         report=report,
-        cache_delta=cache.take_delta(node) if cache is not None else None,
         frontier=frontier,
     )
 
@@ -467,8 +307,8 @@ class InlineTransport:
     fact campaigns read off a transport (with ``getattr``; absent means
     "ships bytes"):
     :meth:`submit` resolves before returning and nothing leaves the
-    process, so there is nothing to pre-pickle, nothing to meter, and
-    every outcome can merge the moment its task was submitted.
+    process, so there is nothing to pre-pickle and every outcome can
+    merge the moment its task was submitted.
     Control-flow exceptions (``KeyboardInterrupt``, ``SystemExit``)
     propagate to the caller instead of being stuffed into the future:
     an operator's Ctrl-C must abort the campaign, not masquerade as one

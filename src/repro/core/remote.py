@@ -37,12 +37,12 @@ orchestrator → worker                          worker → orchestrator
 =============================================  ==============================
 
 Determinism contract: a transport changes *where* a task runs, never
-results.  A task carries everything it reads (snapshot, seed, the
-node's solver cache) and a daemon keeps nothing between tasks, so fault
-reports and cache ``state_fingerprints`` are bit-identical to serial
-mode at any worker count, whichever daemon a task lands on and however
-many campaigns share it (gated by ``tests/core/test_remote.py`` and the
-CI remote-smoke job).
+results.  A task carries everything it reads (snapshot, config and
+seed, suite, claims) and a daemon keeps nothing between tasks, so fault
+reports and per-node counters are bit-identical to serial mode at any
+worker count, whichever daemon a task lands on and however many
+campaigns share it (gated by ``tests/core/test_remote.py`` and the CI
+remote-smoke job).
 """
 
 from __future__ import annotations
@@ -71,9 +71,9 @@ from repro.core.parallel import (
 # a named decode error the connection layer classifies as a worker
 # death, never silently different campaign results.
 _HEADER = struct.Struct(">II")
-# Sanity bound, not a protocol limit: a task frame is a 0.7-1.4 MiB
-# snapshot plus the node's solver cache (under 2 MiB at its default
-# bound); anything near this is a corrupted length prefix.
+# Sanity bound, not a protocol limit: a task frame is a 0.25-0.8 MiB
+# snapshot plus about 1.3 KB of config, suite and claims;
+# anything near this is a corrupted length prefix.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
 
 

@@ -64,20 +64,6 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 result.capture_hidden_fraction(), 6
             ),
             "solver_queries": result.solver_queries,
-            "solver_cache_hits": result.solver_cache_hits,
-            "solver_cache_misses": result.solver_cache_misses,
-            "solver_cache_merged_hits": result.solver_cache_merged_hits,
-            "solver_cache_hit_rate": round(
-                result.solver_cache_hit_rate(), 6
-            ),
-            "solver_cache_cross_node_hit_rate": round(
-                result.solver_cache_cross_node_hit_rate(), 6
-            ),
-            "cache_transport": {
-                "bytes_shipped_out": result.cache_bytes_shipped_out,
-                "bytes_shipped_in": result.cache_bytes_shipped_in,
-                "entries_merged": result.cache_entries_merged,
-            },
             # Dispatch transport: which backend ran the tasks, its
             # total framed wire traffic (0 for in-process backends),
             # and the failover ledger — worker slots lost mid-campaign
@@ -91,15 +77,6 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 "max_worker_failures": result.max_worker_failures,
                 "dead_workers": list(result.dead_workers),
                 "tasks_requeued": result.tasks_requeued,
-            },
-            # Hex-rendered so consumers that read JSON numbers as
-            # doubles (> 2^53 loses bits) still compare exactly; the
-            # documented determinism check diffs these across worker
-            # counts.
-            "cache_state_fingerprints": {
-                node: format(fingerprint, "016x")
-                for node, fingerprint
-                in sorted(result.cache_state_fingerprints.items())
             },
             # Differential-oracle pre-pass (repro.checks.differential):
             # which independent oracle vetted the live system's
@@ -128,6 +105,8 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 "clones_created": nr.clones_created,
                 "violations": len(nr.violations),
                 "crashes": nr.crashes,
+                "solver_queries": nr.solver_queries,
+                "solver_sat": nr.solver_sat,
                 "skipped_reason": nr.skipped_reason,
             }
             for nr in result.node_reports

@@ -109,21 +109,7 @@ def render_campaign(result: CampaignResult) -> str:
             if result.pipelined
             else ""
         ),
-        f"solver cache        : {result.solver_cache_hits} hits / "
-        f"{result.solver_cache_misses} misses "
-        f"({result.solver_cache_hit_rate():.0%})"
-        + (
-            f", {result.solver_cache_merged_hits} cross-node"
-            if result.solver_cache_merged_hits
-            else ""
-        ),
     ]
-    if result.cache_bytes_shipped():
-        lines.append(
-            f"cache transport     : "
-            f"{result.cache_bytes_shipped() / 1024:.1f} KiB shipped, "
-            f"{result.cache_entries_merged} entries merged"
-        )
     if result.differential_mode != "off":
         verdict = (
             f"skipped ({result.differential_skipped})"

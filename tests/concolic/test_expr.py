@@ -134,7 +134,8 @@ class TestConstraint:
 
 
 class TestFingerprints:
-    """Structural fingerprints: process-stable solver-cache keys."""
+    """Structural fingerprints: process-stable identities for frontier
+    dedup and the refutation pre-pass."""
 
     def test_identical_trees_fingerprint_equal(self):
         def tree():
@@ -173,8 +174,9 @@ class TestFingerprints:
     def test_huge_constants_disambiguated(self):
         assert Const(1).fp != Const(1 + (1 << 64)).fp
         # Same bit length, same low 64 bits — only the high limb
-        # differs; the failure cache trusts keys unverified, so Const
-        # must feed its full magnitude into the fingerprint.
+        # differs; frontier dedup trusts digests without comparing
+        # trees, so Const must feed its full magnitude into the
+        # fingerprint.
         assert Const(1 << 65).fp != Const(3 << 64).fp
         assert Const(5).fp != Const(-5).fp
 

@@ -5,6 +5,7 @@ Completeness is best-effort, so tests assert success only on shapes the
 solver is designed for (decoder-style constraints).
 """
 
+import dataclasses
 import itertools
 import random
 
@@ -18,7 +19,12 @@ from repro.bgp.messages import UpdateMessage, decode_message
 from repro.concolic import path as pathmod
 from repro.concolic.expr import BinOp, Const, Constraint, UnOp, Var
 from repro.concolic.grammar import UpdateGrammar
-from repro.concolic.solver import Solver, _concat_terms, _decompose_concat
+from repro.concolic.solver import (
+    Solver,
+    SolverStats,
+    _concat_terms,
+    _decompose_concat,
+)
 from repro.concolic.symbolic import PathRecorder, SymBytes
 
 
@@ -429,15 +435,6 @@ class TestDeadBranchesAreRefuted:
         assert solver.solve(constraints) is None
         assert solver.stats.refuted == 1
 
-    def test_refutation_is_journalled_like_any_failure(self):
-        x = byte("x")
-        unsat = [Constraint("eq", x, Const(1)), Constraint("ne", x, Const(1))]
-        solver = Solver()
-        assert solver.solve(unsat, hint={"x": 1}) is None
-        assert solver.cache.is_failure(
-            solver.cache.key(unsat), {"x": 1}, (200, 40))
-        assert len(solver.cache.take_delta("n")) == 1
-
     def test_decoder_corpus_is_solved_or_refuted(self):
         """The ``bench_solver`` corpus: flips of 20 grammar-generated
         UPDATEs through the real decoder.  Every query without a model
@@ -462,7 +459,7 @@ class TestStats:
         solver = Solver(seed=1, max_repair_rounds=2, max_restarts=1)
         easy = [Constraint("eq", x, Const(1))]
         solver.solve(easy)                                # repaired
-        solver.solve(easy)                                # cache hit
+        solver.solve(easy)                                # solved again
         solver.solve([Constraint("gt", x, Const(999))])   # refuted
         # 251 is prime: no model, but nothing the pre-pass can prove.
         solver.solve([Constraint("eq", BinOp("mul", x, y), Const(251)),
@@ -470,8 +467,8 @@ class TestStats:
                       Constraint("gt", y, Const(1))])   # exhausted
         stats = solver.stats
         assert stats.queries == 4
-        assert (stats.cache_hits, stats.refuted, stats.repaired,
-                stats.random_search, stats.exhausted) == (1, 1, 1, 0, 1)
+        assert (stats.refuted, stats.repaired,
+                stats.random_search, stats.exhausted) == (1, 2, 0, 1)
         assert (stats.sat, stats.unknown) == (2, 2)
 
     def test_counters_advance(self):
@@ -481,3 +478,150 @@ class TestStats:
         assert solver.stats.queries == 2
         assert solver.stats.sat == 1
         assert solver.stats.unknown == 1
+
+    def test_stats_count_outcomes_and_effort_only(self):
+        assert {f.name for f in dataclasses.fields(SolverStats)} == {
+            "queries", "sat", "unknown", "refuted", "repaired",
+            "random_search", "exhausted", "repair_rounds",
+            "random_restarts",
+        }
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(_small_systems(), min_size=1, max_size=4),
+           st.integers(min_value=0, max_value=2**32))
+    def test_outcome_counters_partition_the_queries(self, systems, seed):
+        solver = Solver(seed=seed, max_repair_rounds=20, max_restarts=2)
+        for _, constraints in systems:
+            solver.solve(constraints)
+        stats = solver.stats
+        assert stats.queries == len(systems)
+        assert stats.sat == stats.repaired + stats.random_search
+        assert stats.unknown == stats.refuted + stats.exhausted
+        assert stats.sat + stats.unknown == stats.queries
+
+
+def decoder_system():
+    """A small satisfiable decoder-style system: a u16 field and a
+    range check on its low byte."""
+    a, b = byte("a"), byte("b")
+    return [
+        Constraint("eq", u16(a, b), Const(0x1234)),
+        Constraint("le", b, Const(0x80)),
+    ]
+
+
+def prime_product(x, y):
+    """``x * y == 251`` with both factors above 1: no model (251 is
+    prime), and nothing the refutation pre-pass can prove."""
+    return [Constraint("eq", BinOp("mul", x, y), Const(251)),
+            Constraint("gt", x, Const(1)),
+            Constraint("gt", y, Const(1))]
+
+
+class TestEveryQueryIsSolved:
+    """The solver remembers nothing between queries: each one is
+    refuted, repaired or searched afresh, so an answer depends only on
+    the query, its hint, the budget and the solver's random stream."""
+
+    def test_identical_query_is_solved_again(self):
+        solver = Solver(seed=1)
+        first = solver.solve(decoder_system())
+        second = solver.solve(decoder_system())
+        check_model(decoder_system(), first)
+        assert second == first
+        assert (solver.stats.queries, solver.stats.repaired,
+                solver.stats.sat) == (2, 2, 2)
+
+    def test_repeated_failure_searches_again(self):
+        x, y = byte("x"), byte("y")
+        solver = Solver(seed=1, max_repair_rounds=5, max_restarts=2)
+        assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
+        assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
+        assert solver.stats.exhausted == 2
+        assert solver.stats.random_restarts == 2 * 2
+
+    def test_budget_bounds_an_exhausted_search(self):
+        x, y = byte("x"), byte("y")
+        solver = Solver(seed=1, max_repair_rounds=5, max_restarts=3)
+        assert solver.solve(prime_product(x, y)) is None
+        # One repair pass from the hint, then one per restart.
+        assert solver.stats.repair_rounds <= 5 * (1 + 3)
+        assert solver.stats.random_restarts == 3
+
+    def test_bigger_budget_solves_what_a_smaller_one_gives_up_on(self):
+        """Two independent fixes need two repair rounds: a one-round
+        solver exhausts, a three-round solver finds the model."""
+        constraints = [Constraint("eq", byte("x"), Const(5)),
+                       Constraint("eq", byte("y"), Const(7))]
+        small = Solver(seed=1, max_repair_rounds=1, max_restarts=0)
+        assert small.solve(constraints) is None
+        assert small.stats.exhausted == 1
+        big = Solver(seed=1, max_repair_rounds=3, max_restarts=0)
+        assert big.solve(constraints) == {"x": 5, "y": 7}
+
+    def test_constraint_order_does_not_change_satisfiability(self):
+        constraints = decoder_system()
+        forward = Solver(seed=1).solve(constraints)
+        backward = Solver(seed=1).solve(list(reversed(constraints)))
+        check_model(constraints, forward)
+        check_model(constraints, backward)
+
+    def test_model_names_exactly_the_query_variables(self):
+        """A hint naming other variables neither leaks into the model
+        nor changes it."""
+        constraints = [Constraint("eq", byte("x"), Const(7))]
+        assert Solver(seed=1).solve(constraints, hint={"y": 7}) == {"x": 7}
+
+    def test_out_of_domain_hint_is_not_used(self):
+        constraints = [Constraint("gt", byte("x"), Const(10))]
+        model = Solver(seed=1).solve(constraints, hint={"x": 999})
+        check_model(constraints, model)
+        assert 0 <= model["x"] <= 255
+
+    def test_same_seed_same_answers(self):
+        """What campaign determinism rests on: a session's solver,
+        rebuilt from the same seed on any worker, answers the same query
+        sequence identically — search effort included."""
+        x, y = byte("x"), byte("y")
+        queries = [
+            decoder_system(),
+            [Constraint("eq", BinOp("add", x, y), Const(100)),
+             Constraint("gt", x, Const(90))],
+            prime_product(x, y),
+            [Constraint("ne", x, Const(0)), Constraint("lt", x, Const(3))],
+        ]
+        runs = []
+        for _ in range(2):
+            solver = Solver(seed=5, max_repair_rounds=20, max_restarts=4)
+            models = [solver.solve(query) for query in queries]
+            runs.append((models, dataclasses.asdict(solver.stats)))
+        assert runs[0] == runs[1]
+
+    def test_refuted_query_leaves_the_search_untouched(self):
+        """Refutation draws nothing from the solver's random stream, so
+        a dead branch asked in between cannot perturb later answers."""
+        x, y = byte("x"), byte("y")
+        hard = [Constraint("eq", BinOp("add", x, y), Const(300)),
+                Constraint("lt", x, Const(200))]
+        dead = [Constraint("eq", x, Const(1)), Constraint("ne", x, Const(1))]
+        expected = Solver(seed=3).solve(hard)
+        check_model(hard, expected)
+        interrupted = Solver(seed=3)
+        assert interrupted.solve(dead, hint={"x": 1}) is None
+        assert interrupted.stats.refuted == 1
+        assert interrupted.solve(hard) == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_systems().flatmap(
+        lambda system: st.tuples(st.just(system),
+                                 st.permutations(system[1]))))
+    def test_refutation_ignores_constraint_order(self, drawn):
+        """The per-term intersection is commutative: a dead branch is
+        refuted however its path condition happens to be ordered."""
+        (_, constraints), permuted = drawn
+        # Refutation runs before any search: a minimal budget suffices.
+        forward = Solver(max_repair_rounds=1, max_restarts=0)
+        backward = Solver(max_repair_rounds=1, max_restarts=0)
+        forward.solve(constraints)
+        backward.solve(list(permuted))
+        assert forward.stats.refuted == backward.stats.refuted

@@ -1,9 +1,9 @@
 """Shared fixtures for the campaign-determinism test suites.
 
-``tests/core/test_parallel.py`` and ``tests/core/test_pipeline.py``
-both assert that execution mode (worker count, capture pipelining)
-never changes campaign results; they must build the same faulty system
-and compare the same fingerprint fields, so those live here once.
+The equality matrices under ``tests/core/`` all assert that execution
+mode (worker count, capture pipelining, transport, failover) never
+changes campaign results; they must build the same faulty system and
+compare the same fingerprint fields, so those live here once.
 """
 
 import dataclasses
@@ -42,9 +42,22 @@ def report_fingerprint(result):
 
 
 def node_fingerprint(result):
-    """The deterministic per-node exploration counters."""
+    """The deterministic per-node exploration counters — what a session
+    found and what it cost, solver work included."""
     return [
         (n.node, n.executions, n.unique_paths, n.branch_coverage,
-         n.shape_coverage, n.crashes, len(n.violations))
+         n.shape_coverage, n.clones_created, n.crashes, len(n.violations),
+         n.solver_queries, n.solver_sat)
         for n in result.node_reports
     ]
+
+
+def campaign_fingerprint(result):
+    """Everything the determinism contract covers, in one tuple."""
+    return (
+        report_fingerprint(result),
+        node_fingerprint(result),
+        result.inputs_explored,
+        result.snapshots_taken,
+        result.solver_queries,
+    )

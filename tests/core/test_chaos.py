@@ -1,9 +1,9 @@
 """Worker failover under deterministic fault injection.
 
 The acceptance contract: a campaign that loses a worker slot at *any*
-protocol point — before dispatch or mid-task, on a cold cache or a
-warm, cross-node-merged one — completes with fault reports and
-solver-cache ``state_fingerprint``s bit-identical to a serial run, and
+protocol point — before dispatch or mid-task, in the first cycle or a
+later one — completes with fault reports and per-node counters
+bit-identical to a serial run, and
 a campaign losing more slots than ``max_worker_failures`` fails with a
 named error listing every dead worker (never a hang or a bare
 cancellation).
@@ -17,7 +17,7 @@ the task — is tested in ``test_parallel.py``.
 
 import pytest
 
-from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
+from campaign_helpers import campaign_fingerprint, faulty_live
 from chaos import MID_TASK, PRE_DISPATCH, ChaosTransport, Kill
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -47,8 +47,7 @@ KILL_SCRIPTS = {
     "pre-dispatch": Kill(PRE_DISPATCH, slot=1, occurrence=1),
     # r3's first task runs on the worker but the response is lost.
     "mid-task": Kill(MID_TASK, slot=0, occurrence=2),
-    # r2's cycle-2 task — carrying a warm cache that already folded
-    # cycle 1's cross-node merge — runs but the response is lost.
+    # r2's cycle-2 task runs but the response is lost.
     "mid-task-cycle-2": Kill(MID_TASK, slot=1, occurrence=2),
 }
 
@@ -64,17 +63,6 @@ def run_campaign(transport_factory=None, stop=False, **kwargs):
             transport_factory=transport_factory,
             **kwargs,
         )
-    )
-
-
-def campaign_fingerprint(result):
-    return (
-        report_fingerprint(result),
-        node_fingerprint(result),
-        result.solver_cache_hits,
-        result.solver_cache_misses,
-        result.solver_cache_merged_hits,
-        result.cache_state_fingerprints,
     )
 
 
@@ -119,7 +107,7 @@ class StubTransport:
 
 def stub_task(index, node):
     return ExplorationTask(
-        index=index, cycle=0, config=ExplorationConfig(node=node),
+        index=index, config=ExplorationConfig(node=node),
         snapshot=None, suite=default_property_suite(), claims=(),
     )
 

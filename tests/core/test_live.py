@@ -15,6 +15,19 @@ class TestBuildAndRun:
         assert when > 0
         assert live3.total_routes() == 9  # 3 prefixes x 3 routers
 
+    def test_quiet_system_converges_before_the_deadline(self, live3):
+        """The CLI tells convergence from a timeout by comparing the
+        returned clock with the deadline it passed in."""
+        assert live3.converge(deadline=600.0) < 600.0
+
+    def test_oscillating_system_runs_to_the_deadline(self):
+        from repro.core.live import LiveSystem
+        from repro.topo.gadgets import build_bad_gadget
+
+        configs, links = build_bad_gadget()
+        live = LiveSystem.build(configs, links, seed=7)
+        assert live.converge(deadline=20.0) >= 20.0
+
     def test_converge_is_idempotent(self, converged3):
         routes = converged3.total_routes()
         converged3.converge()

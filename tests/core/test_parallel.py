@@ -11,18 +11,23 @@ import pickle
 
 import pytest
 
-from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
+from campaign_helpers import (
+    campaign_fingerprint,
+    faulty_live,
+    node_fingerprint,
+    report_fingerprint,
+)
 from repro import quickstart_system
 from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
 from repro.concolic.frontier import Frontier, FrontierShard
-from repro.concolic.solver import SolverCache
 from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
     ExplorationTask,
     InlineTransport,
     ParallelCampaignEngine,
+    TaskOutcome,
     claims_from_spec,
     claims_to_spec,
     resolve_workers,
@@ -32,7 +37,7 @@ from repro.core.remote import LoopbackTransport
 from repro.core.sharing import SharingRegistry
 
 
-def run_campaign(workers, cycles=2, inputs=6):
+def run_campaign(workers, cycles=2, inputs=6, pipeline=True, stop=False):
     dice = DiceOrchestrator(faulty_live(), default_property_suite())
     return dice.run_campaign(
         OrchestratorConfig(
@@ -40,6 +45,8 @@ def run_campaign(workers, cycles=2, inputs=6):
             cycles=cycles,
             seed=9,
             workers=workers,
+            pipeline=pipeline,
+            stop_after_first_fault=stop,
         )
     )
 
@@ -55,9 +62,27 @@ class TestDeterminism:
         assert serial.fault_classes_found() == parallel.fault_classes_found()
         assert serial.inputs_explored == parallel.inputs_explored
         assert serial.snapshots_taken == parallel.snapshots_taken
-        # The per-node cache handoff must evolve identically too.
-        assert serial.solver_cache_hits == parallel.solver_cache_hits
-        assert serial.solver_cache_misses == parallel.solver_cache_misses
+        assert serial.solver_queries == parallel.solver_queries
+
+    def test_workers_and_pipeline_do_not_change_results(self):
+        """Identical fault reports and counters across workers ∈ {1, 2,
+        4} and pipeline on/off, over three cycles."""
+        reference = run_campaign(workers=1, pipeline=False, cycles=3)
+        assert reference.reports, "campaign should detect the seeded faults"
+        for workers, pipeline in ((2, False), (2, True), (4, True)):
+            other = run_campaign(workers=workers, pipeline=pipeline,
+                                 cycles=3)
+            assert campaign_fingerprint(other) == campaign_fingerprint(
+                reference
+            ), f"divergence at workers={workers} pipeline={pipeline}"
+
+    def test_abort_mid_cycle_matches_serial(self):
+        """Stopping at the first fault mid-cycle truncates a pooled
+        campaign exactly where the serial one stops."""
+        serial = run_campaign(workers=1, inputs=4, stop=True)
+        parallel = run_campaign(workers=3, inputs=4, stop=True)
+        assert serial.reports
+        assert campaign_fingerprint(serial) == campaign_fingerprint(parallel)
 
     def test_workers_recorded_on_result(self):
         result = run_campaign(workers=2, cycles=1, inputs=2)
@@ -96,7 +121,6 @@ class TestExplorationTask:
         claims = SharingRegistry.from_configs(live.initial_configs)
         return ExplorationTask(
             index=index,
-            cycle=0,
             config=ExplorationConfig(
                 **{"node": "r2", "seed": 13, "inputs": 3, "horizon": 1.0,
                    **config}
@@ -104,7 +128,6 @@ class TestExplorationTask:
             snapshot=snapshot,
             suite=default_property_suite(),
             claims=claims_to_spec(claims),
-            detected_at=live.network.sim.now,
         )
 
     def test_pickle_round_trip(self):
@@ -130,24 +153,14 @@ class TestExplorationTask:
     )
     def test_run_task_is_a_pure_function_of_the_task(self, make_transport):
         """What failover rests on: dispatching the same task again — a
-        warm-cache session, a round-0 shard, a later-round shard with a
+        whole session, a round-0 shard, a later-round shard with a
         shipped frontier — yields the same outcome and leaves the task
         untouched, whatever else the process ran in between (a clone's
         routers remember decoded messages and attribute sets, but only
         in their own network's table)."""
-        cold = self.make_task(inputs=6)
-        cache = SolverCache()
-        cache.replay_delta(
-            run_task(dataclasses.replace(cold, solver_cache=cache))
-            .cache_delta
-        )
-        # Another seed, so the warm run both hits the cache and adds to it.
-        session = dataclasses.replace(
-            cold, solver_cache=cache,
-            config=dataclasses.replace(cold.config, seed=14),
-        )
+        session = self.make_task(inputs=6)
         round0 = dataclasses.replace(
-            cold, solver_cache=SolverCache(),
+            session,
             shard=FrontierShard(round=0, index=1, count=2, budget=2),
         )
         leftovers = Frontier.merge([
@@ -174,33 +187,56 @@ class TestExplorationTask:
         def deterministic(outcome):
             fields = dataclasses.asdict(outcome.report)
             del fields["wall_time_s"]
-            return (fields, outcome.cache_delta,
-                    frontier_state(outcome.frontier))
+            return fields, frontier_state(outcome.frontier)
 
         transport = make_transport()
         outcomes = []
         for task in (session, round0, round1):
             task = pickle.loads(pickle.dumps(task))
-            cache_before = task.solver_cache.state_fingerprint()
             shipped = task.shard.frontier if task.shard else None
             frontier_before = copy.deepcopy(frontier_state(shipped))
             first = transport.submit(0, task).result()
             second = transport.submit(0, task).result()
             assert deterministic(first) == deterministic(second)
             outcomes.append((task, deterministic(first)))
-            assert task.solver_cache.state_fingerprint() == cache_before
             assert frontier_state(shipped) == frontier_before
             if task.shard is None:
                 assert first.frontier is None
-                assert first.report.solver_cache_hits > 0
-                assert len(first.cache_delta) > 0
-                assert first.cache_delta.base_generation == cache.generation
+                assert first.report.solver_queries > 0
             else:
                 assert first.report.executions == 2
                 assert first.frontier.entries
-                assert first.cache_delta.base_generation == 0
         for task, expected in outcomes:  # again, after the other two ran
             assert deterministic(transport.submit(0, task).result()) == expected
+
+    def test_task_carries_only_what_the_session_reads(self):
+        """Snapshot, config (seed included), suite and claims, plus the
+        routing index and the shard slice: nothing an earlier session
+        learned, so whole sessions and shards start alike."""
+        assert [f.name for f in dataclasses.fields(ExplorationTask)] == [
+            "index", "config", "snapshot", "suite", "claims",
+            "process_factory", "snapshot_blob", "shard",
+        ]
+
+    def test_outcome_carries_only_what_the_merge_reads(self):
+        assert [f.name for f in dataclasses.fields(TaskOutcome)] == [
+            "index", "node", "snapshot_id", "report", "frontier",
+        ]
+
+    def test_snapshot_blob_stands_in_for_the_snapshot(self):
+        task = self.make_task()
+        shipped = dataclasses.replace(
+            task, snapshot=None, snapshot_blob=pickle.dumps(task.snapshot)
+        )
+        restored = shipped.resolve_snapshot()
+        assert restored.snapshot_id == task.snapshot.snapshot_id
+        assert sorted(restored.checkpoints) == sorted(task.snapshot.checkpoints)
+        assert run_task(shipped).report.executions == 3
+
+    def test_task_without_snapshot_or_payload_is_refused(self):
+        task = dataclasses.replace(self.make_task(), snapshot=None)
+        with pytest.raises(ValueError, match="neither"):
+            task.resolve_snapshot()
 
     def test_exploration_config_carries_batch_parameters(self):
         """The config a task carries is the one its session runs under."""
@@ -289,7 +325,7 @@ class TestInlineSubmit:
         with pytest.raises(interrupt):
             engine.submit(
                 ExplorationTask(
-                    index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                    index=0, config=ExplorationConfig(node="r1"),
                     snapshot=None, suite=default_property_suite(),
                     claims=(),
                 )

@@ -7,13 +7,14 @@ abort/cleanup semantics — ``stop_after_first_fault`` and ``close()``
 across local-pool, loopback, and socket transports.
 """
 
+import dataclasses
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from campaign_helpers import faulty_live, node_fingerprint, report_fingerprint
+from campaign_helpers import campaign_fingerprint, faulty_live, report_fingerprint
 from repro.checks import default_property_suite
 from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
@@ -45,17 +46,6 @@ def run_campaign(workers=1, cycles=2, inputs=4, stop=False, **kwargs):
             stop_after_first_fault=stop,
             **kwargs,
         )
-    )
-
-
-def campaign_fingerprint(result):
-    return (
-        report_fingerprint(result),
-        node_fingerprint(result),
-        result.solver_cache_hits,
-        result.solver_cache_misses,
-        result.solver_cache_merged_hits,
-        result.cache_state_fingerprints,
     )
 
 
@@ -100,7 +90,7 @@ class TestRemoteWorkerState:
     def test_task_failure_becomes_error_frame(self):
         state = RemoteWorkerState()
         broken = ExplorationTask(
-            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            index=0, config=ExplorationConfig(node="r1"),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         kind, request_id, summary, trace = state.handle(
@@ -120,7 +110,7 @@ class TestRemoteWorkerState:
 
         monkeypatch.setattr(remote_module, "run_task", interrupted)
         broken = ExplorationTask(
-            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            index=0, config=ExplorationConfig(node="r1"),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         with pytest.raises(KeyboardInterrupt):
@@ -129,6 +119,26 @@ class TestRemoteWorkerState:
     def test_unknown_kind_is_loud(self):
         with pytest.raises(ValueError, match="unknown message"):
             RemoteWorkerState().handle(("bogus",))
+
+    def test_pong_counts_served_tasks_only(self):
+        """A daemon's only state is how many tasks it has served; a
+        failed task is answered but not counted."""
+        from repro import quickstart_system
+
+        live = quickstart_system(seed=7)
+        live.converge()
+        task = ExplorationTask(
+            index=0,
+            config=ExplorationConfig(node="r2", inputs=2, horizon=1.0),
+            snapshot=live.coordinator.capture("r2"),
+            suite=default_property_suite(), claims=(),
+        )
+        broken = dataclasses.replace(task, snapshot=None)
+        state = RemoteWorkerState()
+        assert state.handle(("task", 1, task))[0] == "outcome"
+        assert state.handle(("task", 2, broken))[0] == "error"
+        assert state.handle(("task", 3, task))[0] == "outcome"
+        assert state.handle(("ping",)) == ("pong", 2)
 
 
 class TestLoopbackCampaigns:
@@ -144,9 +154,59 @@ class TestLoopbackCampaigns:
         result = run_campaign(workers=2, transport="loopback")
         assert result.wire_bytes_sent > 0
         assert result.wire_bytes_received > 0
-        # The caches travel inside those task frames.
-        assert 0 < result.cache_bytes_shipped_out < result.wire_bytes_sent
-        assert result.cache_bytes_shipped_in > 0
+
+    def test_serial_campaign_puts_nothing_on_a_wire(self, serial_reference):
+        from repro.core.reporting import campaign_to_dict
+
+        assert serial_reference.transport == "local"
+        block = campaign_to_dict(serial_reference)["summary"][
+            "dispatch_transport"
+        ]
+        assert (block["wire_bytes_sent"], block["wire_bytes_received"]) == (
+            0, 0
+        )
+
+    def test_task_frames_carry_nothing_earlier_sessions_learned(self):
+        """A task frame is its snapshot payload plus a bounded envelope
+        (config, suite, claims, ids), so a node's third-cycle frame is
+        no bigger around its payload than its first — nothing a
+        session learned rides along with the next one."""
+        from repro.core.live import LiveSystem
+        from repro.topo.demo27 import build_demo27
+
+        class FrameLog(LoopbackTransport):
+            def __init__(self):
+                super().__init__(slots=2)
+                self.envelopes = []  # (node, frame bytes - payload bytes)
+
+            def _exchange(self, slot, message):
+                sent = self.bytes_sent
+                response = super()._exchange(slot, message)
+                task = message[2]
+                self.envelopes.append((
+                    task.config.node,
+                    self.bytes_sent - sent - len(task.snapshot_blob),
+                ))
+                return response
+
+        topology = build_demo27()
+        live = LiveSystem.build(topology.configs, topology.links, seed=0)
+        live.converge()
+        log = FrameLog()
+        result = DiceOrchestrator(live, default_property_suite()).run_campaign(
+            OrchestratorConfig(
+                inputs_per_node=2, cycles=3, seed=27, horizon=2.0,
+                grammar_seeds=2, explorer_nodes=["tr-1", "st-1"],
+                transport_factory=lambda: log,
+            )
+        )
+        assert result.solver_queries > 0  # sessions did learn something
+        cycles = [log.envelopes[index:index + 2] for index in (0, 2, 4)]
+        assert [node for node, _ in cycles[2]] == ["tr-1", "st-1"]
+        for (node, first), (_, last) in zip(cycles[0], cycles[2]):
+            assert 0 < first < 4096, node
+            # Task indices and request ids may pickle a byte wider.
+            assert last <= first + 16, node
 
     def test_one_worker_state_serves_two_interleaved_campaigns(
         self, serial_reference
@@ -167,7 +227,7 @@ class TestLoopbackCampaigns:
     def test_worker_error_propagates_with_traceback(self):
         transport = LoopbackTransport(slots=1)
         broken = ExplorationTask(
-            index=0, cycle=0, config=ExplorationConfig(node="r1"),
+            index=0, config=ExplorationConfig(node="r1"),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         future = transport.submit(0, broken)
@@ -249,19 +309,14 @@ class TestAbortAndCleanup:
             serial_abort
         )
         assert aborted.snapshots_taken == serial_abort.snapshots_taken
-        assert (
-            aborted.cache_state_fingerprints
-            == serial_abort.cache_state_fingerprints
+        assert campaign_fingerprint(aborted) == campaign_fingerprint(
+            serial_abort
         )
 
     def test_loopback_abort_matches_serial(self, serial_abort):
         aborted = run_campaign(workers=2, transport="loopback", stop=True)
-        assert report_fingerprint(aborted) == report_fingerprint(
+        assert campaign_fingerprint(aborted) == campaign_fingerprint(
             serial_abort
-        )
-        assert (
-            aborted.cache_state_fingerprints
-            == serial_abort.cache_state_fingerprints
         )
 
     def test_socket_abort_matches_serial_and_daemon_survives(
@@ -273,12 +328,8 @@ class TestAbortAndCleanup:
             aborted = run_campaign(
                 transport="socket", remote_workers=addresses, stop=True
             )
-            assert report_fingerprint(aborted) == report_fingerprint(
+            assert campaign_fingerprint(aborted) == campaign_fingerprint(
                 serial_abort
-            )
-            assert (
-                aborted.cache_state_fingerprints
-                == serial_abort.cache_state_fingerprints
             )
             # The daemons outlive the aborted campaign and still serve.
             follow_up = run_campaign(
@@ -312,7 +363,7 @@ class TestAbortAndCleanup:
         transport = SocketTransport([f"127.0.0.1:{port}"])
         try:
             task = ExplorationTask(
-                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                index=0, config=ExplorationConfig(node="r1"),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)
@@ -347,7 +398,7 @@ class TestAbortAndCleanup:
             transport._connections[0]._reader.join(timeout=10)  # its EOF
             assert not transport.alive(0)
             task = ExplorationTask(
-                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                index=0, config=ExplorationConfig(node="r1"),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             with pytest.raises(WorkerDiedError, match="died"):
@@ -373,7 +424,7 @@ class TestAbortAndCleanup:
         )
         try:
             task = ExplorationTask(
-                index=0, cycle=0, config=ExplorationConfig(node="r1"),
+                index=0, config=ExplorationConfig(node="r1"),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)

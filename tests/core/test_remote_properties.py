@@ -1,12 +1,10 @@
-"""Property-based round-trip tests for the wire-facing protocols.
+"""Property-based round-trip tests for the wire-facing protocol.
 
-Two layers carry campaign state across process boundaries: the frame
-codec in :mod:`repro.core.remote` (length-prefixed pickle frames) and
-the solver-cache delta protocol in :mod:`repro.concolic.solver`
-(fork, journalled events, take/replay, first-writer-wins merge).  Result
-equality rests on both being exact inverses under arbitrary inputs,
-including hostile ones — truncated and corrupted frames must fail
-loudly with a *named* error, never return garbage or raise a stray
+The frame codec in :mod:`repro.core.remote` (length-prefixed pickle
+frames) carries every task and outcome across process boundaries.
+Result equality rests on it being an exact inverse under arbitrary
+inputs, including hostile ones — truncated and corrupted frames must
+fail loudly with a *named* error, never return garbage or raise a stray
 ``AttributeError`` from pickle's opcode machinery.
 """
 
@@ -15,9 +13,21 @@ import socket
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import given, strategies as st  # noqa: E402
 
-from repro.concolic.solver import SolverCache, model_events  # noqa: E402
+from repro.bgp.ip import Prefix  # noqa: E402
+from repro.checks import default_property_suite  # noqa: E402
+from repro.concolic.frontier import FrontierDiscipline  # noqa: E402
+from repro.core.explorer import (  # noqa: E402
+    ExplorationConfig,
+    NodeExplorationReport,
+)
+from repro.core.parallel import (  # noqa: E402
+    ExplorationTask,
+    TaskOutcome,
+    claims_from_spec,
+    claims_to_spec,
+)
 from repro.core.remote import (  # noqa: E402
     decode_frame,
     encode_frame,
@@ -115,125 +125,103 @@ class TestFrameCodecProperties:
             right.close()
 
 
-# -- CacheDelta take/replay ---------------------------------------------------
+# -- task and outcome frames --------------------------------------------------
 
-cache_keys = st.lists(
-    st.integers(min_value=0, max_value=2 ** 64 - 1),
-    min_size=1, max_size=4,
-).map(tuple)
-models = st.dictionaries(
-    st.text(st.characters(min_codepoint=97, max_codepoint=122),
-            min_size=1, max_size=6),
-    st.integers(min_value=0, max_value=255),
-    max_size=4,
+node_names = st.text(
+    st.characters(min_codepoint=45, max_codepoint=122), min_size=1,
+    max_size=8,
 )
-store_ops = st.lists(
-    st.one_of(
-        st.tuples(st.just("m"), cache_keys, models),
-        st.tuples(st.just("f"), cache_keys, models),
+configs = st.builds(
+    ExplorationConfig,
+    node=node_names,
+    inputs=st.integers(min_value=1, max_value=10_000),
+    horizon=st.floats(min_value=0.1, max_value=600, allow_nan=False),
+    seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+    frontier=st.sampled_from(list(FrontierDiscipline)),
+)
+claim_specs = st.lists(
+    st.tuples(
+        st.tuples(st.integers(min_value=1, max_value=223),
+                  st.integers(min_value=0, max_value=255),
+                  st.sampled_from([8, 16, 24])).map(
+            lambda t: f"{t[0]}.{t[1] if t[2] > 8 else 0}.0.0/{t[2]}"),
+        st.integers(min_value=1, max_value=2 ** 32 - 1),
     ),
-    max_size=30,
-)
+    max_size=6,
+).map(tuple)
+counts = st.integers(min_value=0, max_value=10 ** 6)
 
 
-def apply_ops(cache, ops):
-    for kind, key, model in ops:
-        if kind == "m":
-            cache.store_model(key, model)
-        else:
-            cache.store_failure(key, model or None)
+def make_task(index, config, claims, blob):
+    return ExplorationTask(
+        index=index, config=config, snapshot=None,
+        suite=default_property_suite(), claims=claims, snapshot_blob=blob,
+    )
 
 
-class TestCacheDeltaProperties:
-    @settings(deadline=None)
-    @given(ops=store_ops, max_entries=st.integers(min_value=1, max_value=8))
-    def test_take_then_replay_reproduces_state_bit_exactly(
-        self, ops, max_entries
-    ):
-        """A delta replayed onto a mirror at the same base generation
-        reproduces the origin cache exactly — FIFO evictions included."""
-        origin = SolverCache(max_entries=max_entries)
-        mirror = SolverCache(max_entries=max_entries)
-        apply_ops(origin, ops)
-        mirror.replay_delta(origin.take_delta("n"))
-        assert mirror.state_fingerprint() == origin.state_fingerprint()
-        assert mirror.generation == origin.generation
-
-    @settings(deadline=None)
-    @given(ops=store_ops, split=st.integers(min_value=0, max_value=30))
-    def test_incremental_deltas_equal_one_big_delta(self, ops, split):
-        """Draining the journal mid-stream and replaying both deltas in
-        order lands on the same state as one end-of-stream delta."""
-        origin = SolverCache(max_entries=8)
-        piecewise = SolverCache(max_entries=8)
-        cut = min(split, len(ops))
-        apply_ops(origin, ops[:cut])
-        piecewise.replay_delta(origin.take_delta("n"))
-        apply_ops(origin, ops[cut:])
-        piecewise.replay_delta(origin.take_delta("n"))
-        assert piecewise.state_fingerprint() == origin.state_fingerprint()
-
-    @settings(deadline=None)
-    @given(ops=store_ops)
-    def test_replay_onto_wrong_generation_is_loud(self, ops):
-        origin = SolverCache(max_entries=8)
-        apply_ops(origin, ops)
-        delta = origin.take_delta("n")
-        if len(delta) == 0:
-            return  # an empty delta replays anywhere by construction
-        behind = SolverCache(max_entries=8)
-        behind.store_model((1,), {"a": 1})  # generation mismatch
-        with pytest.raises(ValueError, match="generation"):
-            behind.replay_delta(delta)
-
-    @settings(deadline=None)
-    @given(warm=store_ops, foreign=store_ops, ops=store_ops,
-           max_entries=st.sampled_from([2, 8, 64]))
-    def test_fork_explores_without_touching_the_original(
-        self, warm, foreign, ops, max_entries
-    ):
-        """What a session does to the cache its task carried: explore
-        on a fork, ship the fork's delta, replay it onto the original."""
-        original = SolverCache(max_entries=max_entries)
-        apply_ops(original, warm)
-        donor = SolverCache(max_entries=64)
-        apply_ops(donor, foreign)
-        original.merge_delta(model_events(donor.take_delta("donor").events))
-        before = original.state_fingerprint()
-        fork = original.fork()
-        assert fork.state_fingerprint() == before
-        assert fork.max_entries == original.max_entries
-        assert all(
-            fork.is_merged(key) == original.is_merged(key)
-            for _, key, _ in warm + foreign
+class TestTaskFrameProperties:
+    @given(index=st.integers(min_value=0, max_value=10 ** 6),
+           config=configs, claims=claim_specs,
+           blob=st.binary(max_size=2048))
+    def test_task_frame_round_trips(self, index, config, claims, blob):
+        task = make_task(index, config, claims, blob)
+        kind, request_id, decoded = decode_frame(
+            encode_frame(("task", 7, task))
         )
-        apply_ops(fork, ops)
-        assert original.state_fingerprint() == before
-        original.replay_delta(fork.take_delta("n"))
-        assert original.state_fingerprint() == fork.state_fingerprint()
+        assert (kind, request_id) == ("task", 7)
+        assert decoded.index == index
+        assert decoded.config == config
+        assert decoded.claims == claims
+        assert decoded.snapshot_blob == blob
+        assert decoded.snapshot is None and decoded.shard is None
 
-    @settings(deadline=None)
-    @given(ops=store_ops, foreign=store_ops)
-    def test_merge_is_first_writer_wins_and_generation_advances(
-        self, ops, foreign
+    @given(config=configs, claims=claim_specs,
+           blobs=st.tuples(st.binary(max_size=4096),
+                           st.binary(max_size=4096)))
+    def test_task_envelope_does_not_grow_with_the_payload(
+        self, config, claims, blobs
     ):
-        cache = SolverCache(max_entries=64)
-        apply_ops(cache, ops)
-        own_models = {
-            key: dict(model)
-            for key, model in [
-                (k, m) for kind, k, m in ops if kind == "m"
-            ]
+        """A frame is its snapshot payload plus an envelope fixed by the
+        config and claims; pickle's bytes opcode may take a few more
+        bytes for a longer payload, and that is all."""
+        envelopes = [
+            len(encode_frame(("task", 1, make_task(0, config, claims, blob))))
+            - len(blob)
+            for blob in blobs
+        ]
+        assert abs(envelopes[0] - envelopes[1]) <= 8
+
+    @given(node=node_names, executions=counts, unique_paths=counts,
+           branch_coverage=counts, clones_created=counts,
+           solver_queries=counts, solver_sat=counts)
+    def test_outcome_frame_round_trips_every_counter(
+        self, node, executions, unique_paths, branch_coverage,
+        clones_created, solver_queries, solver_sat,
+    ):
+        report = NodeExplorationReport(
+            node=node, strategy="concolic", snapshot_id="snap-1",
+            executions=executions, unique_paths=unique_paths,
+            branch_coverage=branch_coverage, clones_created=clones_created,
+            solver_queries=solver_queries, solver_sat=solver_sat,
+        )
+        outcome = TaskOutcome(index=3, node=node, snapshot_id="snap-1",
+                              report=report)
+        _, _, decoded = decode_frame(encode_frame(("outcome", 1, outcome)))
+        assert decoded.report == report
+        assert (decoded.index, decoded.node, decoded.frontier) == (
+            3, node, None
+        )
+
+    @given(spec=claim_specs)
+    def test_claim_spec_is_canonical(self, spec):
+        """Claims travel as sorted (prefix, asn) pairs: rebuilding them
+        in a worker and flattening again is a fixed point, whatever
+        order and duplicates the campaign side produced."""
+        canonical = claims_to_spec(claims_from_spec(spec))
+        assert claims_to_spec(claims_from_spec(canonical)) == canonical
+        assert canonical == tuple(sorted(
+            set(canonical), key=lambda pair: (Prefix(pair[0]), pair[1])
+        ))
+        assert set(canonical) == {
+            (str(Prefix(prefix)), asn) for prefix, asn in spec
         }
-        donor = SolverCache(max_entries=64)
-        apply_ops(donor, foreign)
-        donated = donor.take_delta("donor").events
-        events = model_events(donated)
-        assert events == tuple(e for e in donated if e[0] == "m")
-        generation_before = cache.generation
-        cache.merge_delta(events)
-        assert cache.generation == generation_before + len(events)
-        for key in own_models:
-            if cache.lookup_model(key) is not None:
-                # Never replaced by a merged foreign entry.
-                assert not cache.is_merged(key)

@@ -38,7 +38,7 @@ def sample_campaign():
             NodeExplorationReport(
                 node="r3", strategy="concolic", snapshot_id="snap-9",
                 executions=42, unique_paths=40, branch_coverage=120,
-                clones_created=44,
+                clones_created=44, solver_queries=17, solver_sat=11,
             )
         ],
         snapshots_taken=1,
@@ -72,8 +72,45 @@ class TestCampaignSerialization:
         assert data["summary"]["fault_classes_found"] == [
             "operator_mistake",
         ]
-        assert data["node_reports"][0]["node"] == "r3"
+        node = data["node_reports"][0]
+        assert node["node"] == "r3"
+        # What the CI equality gates compare across modes.
+        assert (node["clones_created"], node["solver_queries"],
+                node["solver_sat"]) == (44, 17, 11)
+        assert not any("cache" in key for key in data["summary"])
         assert len(data["reports"]) == 1
+
+    def test_node_report_keys(self):
+        """Every per-node counter the CI equality gates compare is in
+        the report, and nothing a run did not find is."""
+        node = campaign_to_dict(sample_campaign())["node_reports"][0]
+        assert set(node) == {
+            "node", "strategy", "snapshot_id", "executions",
+            "unique_paths", "branch_coverage", "clones_created",
+            "violations", "crashes", "solver_queries", "solver_sat",
+            "skipped_reason",
+        }
+
+    def test_real_campaign_counters_survive_json(self, converged3):
+        from repro.checks import default_property_suite
+        from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
+
+        result = DiceOrchestrator(
+            converged3, default_property_suite()
+        ).run_campaign(OrchestratorConfig(inputs_per_node=3, seed=1))
+        parsed = json.loads(campaign_to_json(result))
+        assert parsed["summary"]["solver_queries"] == result.solver_queries
+        counters = ("executions", "unique_paths", "branch_coverage",
+                    "clones_created", "crashes", "solver_queries",
+                    "solver_sat")
+        assert [
+            [node[key] for key in counters]
+            for node in parsed["node_reports"]
+        ] == [
+            [getattr(report, key) for key in counters]
+            for report in result.node_reports
+        ]
+        assert any(node["solver_sat"] for node in parsed["node_reports"])
 
     def test_json_parses(self):
         parsed = json.loads(campaign_to_json(sample_campaign()))

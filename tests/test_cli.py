@@ -26,22 +26,18 @@ class TestParser:
         args = build_parser().parse_args(["campaign", "--no-pipeline"])
         assert args.pipeline is False
 
-    def test_solver_cache_flags(self):
-        args = build_parser().parse_args(["campaign"])
-        assert args.solver_cache_size == 4096
-        assert args.share_solver_caches is True
-        args = build_parser().parse_args([
-            "campaign", "--solver-cache-size", "512",
-            "--no-share-solver-caches",
-        ])
-        assert args.solver_cache_size == 512
-        assert args.share_solver_caches is False
-
-    def test_non_positive_cache_size_rejected(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(
-                ["campaign", "--solver-cache-size", "0"]
-            )
+    @pytest.mark.parametrize("flags", [
+        ["--solver-cache-size", "512"],
+        ["--share-solver-caches"],
+        ["--no-share-solver-caches"],
+    ])
+    def test_solver_cache_flags_are_gone(self, flags, capsys):
+        """Every query is solved; there is no cache to size or share,
+        so a script still passing the old flags fails loudly."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["campaign", *flags])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_transport_flags(self):
         args = build_parser().parse_args(["campaign"])
@@ -124,13 +120,30 @@ class TestCampaignCommand:
         data = json.loads(path.read_text())
         assert data["summary"]["snapshots_taken"] == 1
 
-    def test_loopback_transport_campaign(self, capsys):
-        code = main([
-            "campaign", "--topology", "quickstart", "--inputs", "3",
-            "--nodes", "r2", "--workers", "2", "--transport", "loopback",
-        ])
-        assert code == 0
+    def test_loopback_transport_campaign(self, tmp_path, capsys):
+        """Over the wire or inline, a report states the same findings:
+        fault classes and per-node counters."""
+
+        def report(name, *extra):
+            path = tmp_path / name
+            code = main([
+                "campaign", "--topology", "quickstart", "--inputs", "3",
+                "--nodes", "r2", "--report", str(path), *extra,
+            ])
+            assert code == 0
+            data = json.loads(path.read_text())
+            for node_report in data["node_reports"]:
+                del node_report["snapshot_id"]  # process-global counter
+            return (data["summary"]["fault_classes_found"],
+                    data["node_reports"])
+
+        serial = report("serial.json", "--workers", "1")
+        assert "via loopback transport" not in capsys.readouterr().out
+        loopback = report("loopback.json", "--workers", "2",
+                          "--transport", "loopback")
         assert "via loopback transport" in capsys.readouterr().out
+        assert loopback == serial
+        assert serial[1][0]["solver_queries"] > 0
 
     def test_socket_transport_campaign_against_daemon(self, capsys):
         from repro.core.remote import WorkerServer
@@ -157,7 +170,28 @@ class TestCampaignCommand:
             "--nodes", "r1", "--horizon", "15", "--fail-on-fault",
         ])
         assert code == 1
-        assert "policy_conflict" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "policy_conflict" in out
+        # BAD GADGET never quiesces: the clock the deadline stopped is
+        # not a convergence time.
+        assert "did not converge by t=600.0s" in out
+        assert "converged at" not in out
+
+
+class TestConvergenceLine:
+    @pytest.mark.parametrize("stopped_at,expected", [
+        (12.34, "converged at t=12.3s"),
+        (599.9, "converged at t=599.9s"),
+        # converge() stops exactly at the deadline; settle_live may run
+        # one settle window past it.  Neither clock is a convergence.
+        (600.0, "did not converge by t=600.0s"),
+        (601.0, "did not converge by t=600.0s"),
+    ])
+    def test_deadline_clock_is_not_a_convergence_time(self, stopped_at,
+                                                      expected):
+        from repro.cli import _convergence_line
+
+        assert _convergence_line(stopped_at, deadline=600.0) == expected
 
 
 class TestOfflineCommand:

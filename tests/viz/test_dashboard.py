@@ -101,7 +101,6 @@ class TestTransportAndFailoverLines:
         text = render_campaign(CampaignResult())
         assert "dispatch wire" not in text
         assert "worker failover" not in text
-        assert "cache transport" not in text
 
     def test_dispatch_wire_line_shows_transport_and_kib(self):
         result = CampaignResult(
@@ -112,17 +111,6 @@ class TestTransportAndFailoverLines:
         text = render_campaign(result)
         assert "dispatch wire       : 4.0 KiB out / 2.0 KiB in" in text
         assert "(socket)" in text
-
-    def test_cache_transport_line_shows_shipped_and_merged(self):
-        result = CampaignResult(
-            cache_bytes_shipped_out=3072,
-            cache_bytes_shipped_in=1024,
-            cache_entries_merged=7,
-        )
-        text = render_campaign(result)
-        assert (
-            "cache transport     : 4.0 KiB shipped, 7 entries merged"
-        ) in text
 
     def test_failover_line_names_dead_workers_and_counts(self):
         result = CampaignResult(
@@ -141,3 +129,23 @@ class TestTransportAndFailoverLines:
             CampaignResult(workers=2, transport="loopback")
         )
         assert "workers             : 2 via loopback transport" in text
+
+    def test_pipelined_workers_line_shows_hidden_capture(self):
+        text = render_campaign(CampaignResult(
+            workers=2, pipelined=True,
+            capture_wall_s=2.0, capture_blocked_s=0.5,
+        ))
+        assert "workers             : 2 (pipelined capture, 75% hidden)" in text
+
+    def test_busiest_campaign_names_no_solver_cache(self):
+        """Transport, failover and capture lines all render; no line
+        speaks of a solver cache, which campaigns no longer have."""
+        text = render_campaign(CampaignResult(
+            workers=3, transport="socket", pipelined=True,
+            capture_wall_s=1.0, capture_blocked_s=0.2,
+            wire_bytes_sent=8192, wire_bytes_received=1024,
+            worker_failures=1, tasks_requeued=2, dead_workers=["h:1"],
+            solver_queries=99,
+        ))
+        assert "dispatch wire" in text and "worker failover" in text
+        assert "cache" not in text.lower()
