@@ -107,7 +107,7 @@ def run_campaign(**kwargs):
 
 def main() -> int:
     print("serial reference campaign...", flush=True)
-    serial = campaign_to_dict(run_campaign(workers=1, pipeline=False))
+    serial = campaign_to_dict(run_campaign(workers=1))
 
     daemons = [start_daemon(), start_daemon()]
     addresses = [address for _, address in daemons]

@@ -29,7 +29,7 @@ import sys
 
 # metric name -> direction ("higher" is better / "lower" is better).
 # Counters and deterministic rates only — never wall-clock seconds or
-# anything derived from them ("speedup", "hidden_capture_fraction"):
+# anything derived from them ("speedup"):
 # those stay informational because shared-runner timing noise would
 # fail CI without a real regression.
 GATED_METRICS = {

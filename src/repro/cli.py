@@ -97,7 +97,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             horizon=args.horizon,
             seed=args.seed,
             workers=args.workers,
-            pipeline=args.pipeline,
             frontier=args.frontier,
             frontier_shards=args.frontier_shards,
             transport=args.transport,
@@ -209,14 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exploration worker slots "
                                "(default: one per CPU; 1 = inline in "
                                "this process, the serial reference)")
-    campaign.add_argument("--pipeline", action=argparse.BooleanOptionalAction,
-                          default=True,
-                          help="capture snapshots on a background thread, "
-                               "overlapped with exploration at any worker "
-                               "count; --no-pipeline captures on the "
-                               "campaign's own thread when each snapshot "
-                               "is needed (results are identical either "
-                               "way)")
     campaign.add_argument("--frontier", default="bfs",
                           choices=[d.value for d in FrontierDiscipline],
                           help="branch-frontier discipline for concolic "

@@ -17,11 +17,11 @@ The pieces map one-to-one onto Figure 2 of the paper:
 
 :mod:`live` wraps a network of BGP routers as "the deployed system"
 DiCE runs alongside.  :mod:`parallel` shards step 3's independent
-node-exploration sessions across worker slots, :mod:`remote` puts
+node-exploration sessions across worker slots and :mod:`remote` puts
 those slots on long-lived worker daemons over TCP (or an in-process
-loopback), and :mod:`pipeline` overlaps step 2's snapshot captures
-with step 3's exploration on a background thread — all without
-changing any campaign result.
+loopback), without changing any campaign result.  :mod:`pipeline`
+takes step 2's snapshot captures in the campaign's fixed order, each
+when the campaign asks for it.
 """
 
 from repro.core.checkpoint import NodeCheckpoint, checkpoint_size

@@ -15,17 +15,12 @@ stamped with wall-clock time since campaign start — the EXP-FAULTS
 time-to-detection measurements fall straight out of a campaign run.
 
 That loop exists once (:meth:`DiceOrchestrator._run_campaign_inner`).
-Everything built around it only changes *when* a capture runs and
-*where* a session runs, and each of those is an object the loop is
-handed, not a loop of its own:
+Snapshots are always captured on the loop's own thread, one at a time,
+in one fixed order, when the loop asks for them
+(:mod:`repro.core.pipeline`) — the live system is singular.  Execution
+mode only changes *where* a session runs and what a session *is*, and
+each of those is an object the loop is handed, not a loop of its own:
 
-* the **capture source** (:mod:`repro.core.pipeline`): snapshots are
-  always captured in the main *process*, one at a time, in one fixed
-  order — the live system is singular — but with
-  ``OrchestratorConfig.pipeline`` enabled (the default) a background
-  thread runs them ahead of exploration, so capture time hides behind
-  it; with the knob off they run on the loop's own thread when asked
-  for;
 * the **engine** (:mod:`repro.core.parallel`): every session is
   dispatched as tasks on a worker transport — inline in this process
   at ``workers=1`` (the serial reference), local process pools above
@@ -36,10 +31,9 @@ handed, not a loop of its own:
   ``frontier_shards > 1``, rounds of tasks that each carry one
   :class:`~repro.concolic.frontier.FrontierShard` of it.
 
-The merge is performed in deterministic task order whatever the three
+The merge is performed in deterministic task order whatever the two
 are, so a campaign's fault reports do not depend on the worker count,
-on pipelining, on the shard count's placement, or on the dispatch
-transport.
+on the shard count's placement, or on the dispatch transport.
 """
 
 from __future__ import annotations
@@ -91,7 +85,7 @@ class OrchestratorConfig:
     Determinism contract: with a fixed ``seed``, the fault reports and
     per-node exploration counters of a campaign are a pure function of
     this config and the live system's state — independent of
-    ``workers`` and ``pipeline``.
+    ``workers`` and ``transport``.
     Per-task seeds derive from ``(seed, cycle, node)``, snapshots are
     captured in one fixed serial order, and outcomes merge in task
     order (see :mod:`repro.core.parallel` and
@@ -114,12 +108,6 @@ class OrchestratorConfig:
     # and the serial reference tests compare against), None = one
     # worker per CPU.
     workers: int | None = 1
-    # Capture upcoming snapshots on a background thread, up to one
-    # cycle ahead of exploration, at any worker count; off = each
-    # capture runs on the campaign's own thread when the loop asks for
-    # it.  Result-identical either way, so the knob is purely about
-    # overlap vs. never touching the live system ahead of need.
-    pipeline: bool = True
     # Where exploration tasks run: "local" (inline / per-slot process
     # pools), "loopback" (the remote wire protocol run in-process, for
     # tests and CI), or "socket" (repro remote-worker daemons at the
@@ -161,6 +149,13 @@ class OrchestratorConfig:
     # --differential on the CLI.
     differential: str = "off"
 
+    # -- benchmark compatibility --
+    # benchmarks/e2e/workloads.py and verify.py still pass this name.
+    # Every capture runs on the campaign's own thread when the loop
+    # asks for it, so nothing in this package reads it; delete it once
+    # the benchmark no longer names it.
+    pipeline: bool = True
+
 
 @dataclass
 class CampaignResult:
@@ -177,17 +172,12 @@ class CampaignResult:
     solver_queries: int = 0
     # Capture-overlap accounting (see repro.core.pipeline): total wall
     # seconds spent capturing snapshots (including the live-advance
-    # between captures), and how many of those seconds the campaign
-    # waited on a capture with no submitted work outstanding.  On the
-    # inline transport without prefetch the two are equal; otherwise
+    # between captures and payload pickling), and how many of those
+    # seconds the campaign captured with no submitted work outstanding.
+    # On the inline transport the two are equal; on pooled transports
     # their gap is capture time hidden behind exploration.
-    # capture_pickle_s is the slice of capture_wall_s spent pre-pickling
-    # task payloads (on the capture thread, when prefetching) so
-    # dispatch only hands bytes around; 0 on the inline transport.
-    pipelined: bool = False
     capture_wall_s: float = 0.0
     capture_blocked_s: float = 0.0
-    capture_pickle_s: float = 0.0
     # Which dispatch transport ran the campaign, and its total framed
     # wire traffic (0 for in-process transports with no frames).
     transport: str = "local"
@@ -205,8 +195,8 @@ class CampaignResult:
     # divergences it found over how many (router, prefix) entries, its
     # wall-clock cost, and — when it could not run — why it was
     # skipped.  The pre-pass executes once in the main process over
-    # the singular live system, so these are independent of workers,
-    # pipelining, and transport by construction.
+    # the singular live system, so these are independent of workers
+    # and transport by construction.
     differential_mode: str = "off"
     divergences: int = 0
     prefixes_checked: int = 0
@@ -234,9 +224,9 @@ class CampaignResult:
     def capture_hidden_fraction(self) -> float:
         """Fraction of snapshot-capture time hidden behind exploration.
 
-        0.0 when every capture blocks the loop (inline transport, no
-        prefetch); approaches 1.0 when captures fully overlap
-        exploration.
+        0.0 when every capture blocks the loop (inline transport);
+        approaches 1.0 when worker slots explore throughout every
+        capture.
         """
         if self.capture_wall_s <= 0.0:
             return 0.0
@@ -362,12 +352,8 @@ class DiceOrchestrator:
         """The one campaign loop: capture, start session, finish, merge.
 
         Execution mode is configuration of this loop, never a different
-        loop.  Three objects carry it:
+        loop.  Two objects carry it:
 
-        * the **capture source** (:class:`SnapshotPipeline`) decides
-          *when* a capture runs — prefetched on a background thread
-          (``config.pipeline``) or on this thread when asked for — and
-          always runs them one at a time in ``plan_captures`` order;
         * the **engine** decides *where* a session's tasks run — on
           whatever transport :meth:`_build_engine` returns; at
           ``workers=1`` local that is the inline transport, the serial
@@ -376,14 +362,16 @@ class DiceOrchestrator:
           task, or rounds of tasks carrying one frontier shard each
           (:meth:`_start_session` / :meth:`_finish_session`).
 
+        Every capture runs on this thread, in ``plan_captures`` order,
+        when the loop asks for it (:class:`SnapshotPipeline`).
         Sessions start in node order as their captures arrive and are
         finished and merged strictly in that order, every session of a
         cycle before the next cycle's first, so fault reports and
         counters are the same in every mode.  Counters are per
-        *merged* session: on
-        ``stop_after_first_fault`` merging stops at the faulty session,
-        the pipeline drains (an in-flight capture finishes, prefetched
-        ones are discarded) and the engine cancels unstarted tasks.
+        *merged* session: on ``stop_after_first_fault`` merging stops
+        at the faulty session and the engine cancels unstarted tasks.
+        An inline campaign has then taken exactly one capture per
+        merged session, and a pooled one none past the faulting cycle.
         """
         started = time.perf_counter()
         nodes = self._campaign_nodes(config)
@@ -402,18 +390,15 @@ class DiceOrchestrator:
             snapshot = self._capture(request.node, config.snapshot_mode)
             return snapshot, self._live.network.sim.now
 
-        with self._build_engine(config, workers) as engine, \
-                SnapshotPipeline(
-                    capture_one, requests, depth=len(nodes),
-                    # Nothing leaves the process on the inline
-                    # transport, so there is no payload to pre-pickle.
-                    prepare_fn=None if engine.inline else pickle.dumps,
-                    background=config.pipeline,
-                ) as captures:
+        with self._build_engine(config, workers) as engine:
+            captures = SnapshotPipeline(
+                capture_one, requests,
+                # Nothing leaves the process on the inline transport,
+                # so there is no payload to pre-pickle.
+                prepare_fn=None if engine.inline else pickle.dumps,
+            )
             result = CampaignResult(
-                workers=engine.workers,
-                transport=config.transport,
-                pipelined=config.pipeline,
+                workers=engine.workers, transport=config.transport,
             )
             run = _CampaignRun(
                 config, engine, claims_to_spec(self._claims), shards,
@@ -440,26 +425,19 @@ class DiceOrchestrator:
             stopped = False
             for cycle in range(config.cycles):
                 for _ in nodes:
-                    # A capture wait only *exposes* capture time when
-                    # no submitted work is outstanding; waiting while
-                    # worker slots still explore is overlap working as
-                    # intended, so it does not count as blocked.
+                    # A capture only *exposes* its time when no
+                    # submitted work is outstanding; capturing while
+                    # worker slots still explore is overlap, so it does
+                    # not count as blocked.
                     busy = any(
                         not handle.done()
                         for session in pending
                         for handle in session.handles
                     )
-                    waited = time.perf_counter()
                     captured = captures.next_capture()
-                    if not busy:
-                        result.capture_blocked_s += (
-                            time.perf_counter() - waited
-                        )
-                    # Account capture cost per *consumed* capture (the
-                    # producer's aggregate would race with an abort and
-                    # count prefetched-then-discarded work).
                     result.capture_wall_s += captured.capture_wall_s
-                    result.capture_pickle_s += captured.prepare_wall_s
+                    if not busy:
+                        result.capture_blocked_s += captured.capture_wall_s
                     pending.append(self._start_session(run, captured))
                     # An inline session already ran inside submit: merge
                     # it now, so an early stop takes no further capture

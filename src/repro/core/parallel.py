@@ -154,9 +154,10 @@ class ExplorationTask:
     suite: PropertySuite
     claims: ClaimSpec
     process_factory: ProcessFactory = bgp_process_factory
-    # Pre-pickled snapshot payload, produced on the capture thread so
-    # executor-side task pickling is a near-memcpy (bytes re-pickle
-    # cheaply); used when ``snapshot`` is None.
+    # Pre-pickled snapshot payload, produced once per capture and
+    # shared by every task of the session, so executor-side task
+    # pickling is a near-memcpy (bytes re-pickle cheaply); used when
+    # ``snapshot`` is None.
     snapshot_blob: bytes | None = field(default=None, repr=False)
     # None = the whole session.
     shard: FrontierShard | None = None
@@ -489,7 +490,7 @@ class ParallelCampaignEngine:
         """Release the transport's workers.
 
         Tasks already submitted but not yet started are cancelled —
-        relevant when a pipelined campaign aborts on
+        relevant when a pooled campaign aborts on
         ``stop_after_first_fault``; results merged before the abort are
         unaffected.
         """

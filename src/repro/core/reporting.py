@@ -56,10 +56,8 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
             "cycles_completed": result.cycles_completed,
             "wall_time_s": round(result.wall_time_s, 6),
             "workers": result.workers,
-            "pipelined": result.pipelined,
             "capture_wall_s": round(result.capture_wall_s, 6),
             "capture_blocked_s": round(result.capture_blocked_s, 6),
-            "capture_pickle_s": round(result.capture_pickle_s, 6),
             "capture_hidden_fraction": round(
                 result.capture_hidden_fraction(), 6
             ),

@@ -128,10 +128,10 @@ class SnapshotCoordinator:
     Determinism contract: a capture is a pure function of the live
     network's state — it drives the simulator only through its ordinary
     deterministic event loop, and checkpoint/channel contents are
-    recorded in sorted order.  Callers may move captures between
-    threads (see :class:`repro.core.pipeline.SnapshotPipeline`)
-    provided only one thread touches the network at a time; the
-    coordinator itself holds no hidden mutable state beyond the
+    recorded in sorted order.  Only one thread may touch the network
+    at a time; a campaign captures on its own thread (see
+    :class:`repro.core.pipeline.SnapshotPipeline`).  The coordinator
+    itself holds no hidden mutable state beyond the
     ``snapshots_taken`` counter.
     """
 

@@ -102,12 +102,6 @@ def render_campaign(result: CampaignResult) -> str:
             f" via {result.transport} transport"
             if result.transport != "local"
             else ""
-        )
-        + (
-            f" (pipelined capture, "
-            f"{result.capture_hidden_fraction():.0%} hidden)"
-            if result.pipelined
-            else ""
         ),
     ]
     if result.differential_mode != "off":

@@ -1,7 +1,7 @@
 """Shared fixtures for the campaign-determinism test suites.
 
 The equality matrices under ``tests/core/`` all assert that execution
-mode (worker count, capture pipelining, transport, failover) never
+mode (worker count, shard placement, transport, failover) never
 changes campaign results; they must build the same faulty system and
 compare the same fingerprint fields, so those live here once.
 """

@@ -68,7 +68,7 @@ def run_campaign(transport_factory=None, stop=False, **kwargs):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    return run_campaign(workers=1, pipeline=False)
+    return run_campaign(workers=1)
 
 
 # -- engine-level failover mechanics ------------------------------------------
@@ -199,18 +199,6 @@ class TestLoopbackChaosCampaigns:
         assert result.tasks_requeued >= 1
         assert len(result.dead_workers) == 1
         assert "loopback slot" in result.dead_workers[0]
-
-    def test_kill_without_pipeline_matches_serial(self, serial_reference):
-        def factory():
-            return ChaosTransport(
-                LoopbackTransport(slots=2), [KILL_SCRIPTS["mid-task"]]
-            )
-
-        result = run_campaign(transport_factory=factory, pipeline=False)
-        assert campaign_fingerprint(result) == campaign_fingerprint(
-            serial_reference
-        )
-        assert result.worker_failures == 1
 
     def test_exceeding_the_budget_names_every_dead_worker(self):
         def factory():

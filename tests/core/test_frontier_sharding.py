@@ -5,8 +5,8 @@ The sharding contract: the shard decomposition is *configuration*
 identical decomposition over the inline transport IS the serial
 reference, and fault reports and per-node counters (paths, coverage,
 clones, solver queries) are bit-identical at any worker count, over
-any transport, pipelined or not — even when a worker slot
-dies holding a shard mid-round.  The shard count is a count, not a pop
+any transport — even when a worker slot dies holding a shard
+mid-round.  The shard count is a count, not a pop
 order: ``frontier`` names the discipline every shard pops by.
 """
 
@@ -95,12 +95,6 @@ class TestWorkerCountEquality:
 
     def test_loopback_matches_serial(self, serial_reference):
         result = run_campaign(workers=2, transport="loopback")
-        assert campaign_fingerprint(result) == campaign_fingerprint(
-            serial_reference
-        )
-
-    def test_unpipelined_matches_pipelined(self, serial_reference):
-        result = run_campaign(workers=2, pipeline=False)
         assert campaign_fingerprint(result) == campaign_fingerprint(
             serial_reference
         )

@@ -37,7 +37,7 @@ from repro.core.remote import LoopbackTransport
 from repro.core.sharing import SharingRegistry
 
 
-def run_campaign(workers, cycles=2, inputs=6, pipeline=True, stop=False):
+def run_campaign(workers, cycles=2, inputs=6, stop=False):
     dice = DiceOrchestrator(faulty_live(), default_property_suite())
     return dice.run_campaign(
         OrchestratorConfig(
@@ -45,7 +45,6 @@ def run_campaign(workers, cycles=2, inputs=6, pipeline=True, stop=False):
             cycles=cycles,
             seed=9,
             workers=workers,
-            pipeline=pipeline,
             stop_after_first_fault=stop,
         )
     )
@@ -64,17 +63,16 @@ class TestDeterminism:
         assert serial.snapshots_taken == parallel.snapshots_taken
         assert serial.solver_queries == parallel.solver_queries
 
-    def test_workers_and_pipeline_do_not_change_results(self):
+    def test_worker_counts_do_not_change_results(self):
         """Identical fault reports and counters across workers ∈ {1, 2,
-        4} and pipeline on/off, over three cycles."""
-        reference = run_campaign(workers=1, pipeline=False, cycles=3)
+        4}, over three cycles."""
+        reference = run_campaign(workers=1, cycles=3)
         assert reference.reports, "campaign should detect the seeded faults"
-        for workers, pipeline in ((2, False), (2, True), (4, True)):
-            other = run_campaign(workers=workers, pipeline=pipeline,
-                                 cycles=3)
+        for workers in (2, 4):
+            other = run_campaign(workers=workers, cycles=3)
             assert campaign_fingerprint(other) == campaign_fingerprint(
                 reference
-            ), f"divergence at workers={workers} pipeline={pipeline}"
+            ), f"divergence at workers={workers}"
 
     def test_abort_mid_cycle_matches_serial(self):
         """Stopping at the first fault mid-cycle truncates a pooled

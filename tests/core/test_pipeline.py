@@ -1,9 +1,10 @@
-"""Tests for pipelined snapshot capture.
+"""Tests for the campaign's capture source.
 
-Two layers: unit tests of :class:`SnapshotPipeline`'s ordering, drain,
-and error semantics against a fake capture function, and end-to-end
-determinism tests asserting that pipelined campaigns produce results
-bit-identical to serial ones — including under mid-cycle abort.
+Two layers: unit tests of :class:`SnapshotPipeline`'s ordering,
+on-demand and error semantics against a fake capture function, and
+campaign-level tests asserting that captures run on the campaign's own
+thread, one per session it merges, that an early stop takes no capture
+past the faulting cycle, and that pooled results match serial ones.
 """
 
 import threading
@@ -19,8 +20,13 @@ from campaign_helpers import (
 )
 from repro.checks import default_property_suite
 from repro.core.explorer import Explorer
-from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
+from repro.core.orchestrator import (
+    CampaignResult,
+    DiceOrchestrator,
+    OrchestratorConfig,
+)
 from repro.core.pipeline import SnapshotPipeline, plan_captures
+from repro.core.remote import LoopbackTransport
 from repro.core.snapshot import SnapshotCoordinator
 
 
@@ -49,30 +55,17 @@ class TestSnapshotPipeline:
             return object(), float(request.index)
 
         plan = requests(3)
-        with SnapshotPipeline(capture, plan, depth=2) as pipeline:
-            consumed = [pipeline.next_capture() for _ in plan]
+        pipeline = SnapshotPipeline(capture, plan)
+        consumed = [pipeline.next_capture() for _ in plan]
         assert captured_order == [(r.cycle, r.node) for r in plan]
         assert [c.index for c in consumed] == [r.index for r in plan]
         assert [c.detected_at for c in consumed] == [
             float(r.index) for r in plan
         ]
-        assert pipeline.captures_completed == len(plan)
-
-    def test_single_producer_thread_owns_captures(self):
-        threads = set()
-
-        def capture(request):
-            threads.add(threading.current_thread().name)
-            return object(), 0.0
-
-        with SnapshotPipeline(capture, requests(2), depth=1) as pipeline:
-            for _ in range(4):
-                pipeline.next_capture()
-        assert threads == {"snapshot-pipeline"}
 
     def test_same_thread_scheduler_captures_on_demand(self):
-        """background=False: each capture runs on the consumer, inside
-        next_capture — never ahead of need."""
+        """Each capture runs on the consumer, inside next_capture —
+        never ahead of need."""
         calls = []
 
         def capture(request):
@@ -80,56 +73,84 @@ class TestSnapshotPipeline:
             return object(), float(request.index)
 
         plan = requests(2)
-        with SnapshotPipeline(capture, plan, background=False) as pipeline:
-            assert calls == []
-            consumed = [pipeline.next_capture() for _ in plan[:3]]
-            assert len(calls) == 3
+        pipeline = SnapshotPipeline(capture, plan)
+        assert calls == []
+        consumed = [pipeline.next_capture() for _ in plan[:3]]
         assert calls == [
             (r.index, threading.current_thread()) for r in plan[:3]
         ]
         assert [c.index for c in consumed] == [0, 1, 2]
-        assert pipeline.hidden_fraction() == 0.0
 
-    def test_consuming_past_the_plan_raises(self):
-        with SnapshotPipeline(lambda r: (object(), 0.0), requests(1),
-                              depth=1) as pipeline:
-            for _ in range(2):
-                pipeline.next_capture()
-            with pytest.raises(IndexError):
-                pipeline.next_capture()
+    def test_single_producer_thread_owns_captures(self):
+        """One thread owns every capture — the consumer's: the capture
+        source starts no thread of its own."""
+        before = set(threading.enumerate())
+        threads, alive = set(), []
+
+        def capture(request):
+            threads.add(threading.current_thread())
+            alive.append(set(threading.enumerate()))
+            return object(), 0.0
+
+        pipeline = SnapshotPipeline(capture, requests(2))
+        for _ in range(4):
+            pipeline.next_capture()
+        assert threads == {threading.current_thread()}
+        assert all(running <= before for running in alive)
 
     def test_bounded_prefetch(self):
-        """The producer never runs more than depth+1 captures ahead."""
+        """Nothing is captured ahead of the consumer: after every
+        next_capture exactly the captures asked for have run."""
         started = []
-        release = threading.Event()
 
         def capture(request):
             started.append(request.index)
-            release.wait(2.0)
             return object(), 0.0
 
-        pipeline = SnapshotPipeline(capture, requests(4), depth=2)
-        try:
-            time.sleep(0.3)
-            # Nothing consumed: at most depth enqueued + 1 in flight.
-            assert len(started) <= 3
-        finally:
-            release.set()
-            pipeline.close()
+        pipeline = SnapshotPipeline(capture, requests(4))
+        assert started == []
+        for consumed in range(1, 9):
+            pipeline.next_capture()
+            assert started == list(range(consumed))
 
-    def test_close_drains_and_stops_producing(self):
+    def test_prepared_payload_replaces_the_snapshot(self):
+        """With a prepare_fn each capture is pickled once, on the
+        consumer, and the payload stands in for the snapshot; without
+        one the snapshot object is handed over as captured."""
+        prepared = []
+
+        def prepare(snapshot):
+            prepared.append((snapshot, threading.current_thread()))
+            return f"blob-{snapshot}".encode()
+
         def capture(request):
-            time.sleep(0.01)
-            return object(), 0.0
+            return request.index, 0.0
 
-        pipeline = SnapshotPipeline(capture, requests(50), depth=1)
-        pipeline.next_capture()
-        pipeline.close()
-        produced_at_close = pipeline.captures_completed
-        assert produced_at_close < 100  # plan is 100 requests long
-        time.sleep(0.1)
-        # The producer thread is gone; nothing new appears.
-        assert pipeline.captures_completed == produced_at_close
+        pipeline = SnapshotPipeline(capture, requests(1), prepare_fn=prepare)
+        consumed = [pipeline.next_capture() for _ in range(2)]
+        assert prepared == [(0, threading.current_thread()),
+                            (1, threading.current_thread())]
+        assert [c.payload for c in consumed] == [b"blob-0", b"blob-1"]
+        assert all(c.snapshot is None for c in consumed)
+
+        plain = SnapshotPipeline(capture, requests(1)).next_capture()
+        assert (plain.snapshot, plain.payload) == (0, None)
+
+    def test_capture_wall_covers_pickling(self):
+        def prepare(snapshot):
+            time.sleep(0.02)
+            return b"blob"
+
+        pipeline = SnapshotPipeline(lambda r: (object(), 0.0), requests(1),
+                                    prepare_fn=prepare)
+        assert pipeline.next_capture().capture_wall_s >= 0.02
+
+    def test_consuming_past_the_plan_raises(self):
+        pipeline = SnapshotPipeline(lambda r: (object(), 0.0), requests(1))
+        for _ in range(2):
+            pipeline.next_capture()
+        with pytest.raises(IndexError):
+            pipeline.next_capture()
 
     def test_capture_errors_reraise_in_consumer(self):
         def capture(request):
@@ -137,22 +158,30 @@ class TestSnapshotPipeline:
                 raise TimeoutError("cut never closed")
             return object(), 0.0
 
-        with SnapshotPipeline(capture, requests(2), depth=2) as pipeline:
+        pipeline = SnapshotPipeline(capture, requests(2))
+        pipeline.next_capture()
+        with pytest.raises(TimeoutError, match="cut never closed"):
             pipeline.next_capture()
-            with pytest.raises(TimeoutError, match="cut never closed"):
-                pipeline.next_capture()
 
     def test_hidden_fraction_bounds(self):
-        with SnapshotPipeline(lambda r: (object(), 0.0), requests(1),
-                              depth=1) as pipeline:
-            pipeline.next_capture()
-        assert 0.0 <= pipeline.hidden_fraction() <= 1.0
+        """The capture time a campaign hid behind exploration stays
+        within [0, 1] whatever its timings."""
+        def hidden(wall, blocked):
+            return CampaignResult(
+                capture_wall_s=wall, capture_blocked_s=blocked,
+            ).capture_hidden_fraction()
+
+        assert hidden(0.0, 0.0) == 0.0  # no capture taken
+        assert hidden(2.0, 2.0) == 0.0  # every capture blocked (inline)
+        assert hidden(2.0, 0.5) == 0.75
+        assert hidden(2.0, 0.0) == 1.0
+        assert hidden(2.0, 2.5) == 0.0  # timer jitter never goes negative
 
 
-# -- end-to-end determinism --
+# -- campaigns --
 
 
-def run_campaign(workers, pipeline, stop=False, cycles=2, inputs=4):
+def run_campaign(workers, stop=False, cycles=2, inputs=4, **kwargs):
     dice = DiceOrchestrator(faulty_live(), default_property_suite())
     return dice.run_campaign(
         OrchestratorConfig(
@@ -160,17 +189,42 @@ def run_campaign(workers, pipeline, stop=False, cycles=2, inputs=4):
             cycles=cycles,
             seed=9,
             workers=workers,
-            pipeline=pipeline,
             stop_after_first_fault=stop,
+            **kwargs,
         )
     )
 
 
+@pytest.fixture
+def counted(monkeypatch):
+    """Record every session explored in this process and, for every
+    capture, its initiator and the threads alive while it ran."""
+    calls = {"explored": [], "captured": [], "threads": []}
+    explore, capture = Explorer.explore, SnapshotCoordinator.capture
+
+    def counting_explore(self, config):
+        calls["explored"].append(config.node)
+        return explore(self, config)
+
+    def counting_capture(self, initiator, *args, **kwargs):
+        calls["captured"].append(initiator)
+        calls["threads"].append(
+            (threading.current_thread(), set(threading.enumerate()))
+        )
+        return capture(self, initiator, *args, **kwargs)
+
+    monkeypatch.setattr(Explorer, "explore", counting_explore)
+    monkeypatch.setattr(SnapshotCoordinator, "capture", counting_capture)
+    return calls
+
+
 class TestPipelinedDeterminism:
     def test_pipelined_matches_serial(self):
-        """Fault reports and counters are identical."""
-        serial = run_campaign(workers=1, pipeline=False)
-        piped = run_campaign(workers=3, pipeline=True)
+        """A pooled campaign captures each node while the sessions it
+        already submitted explore; fault reports and counters are
+        identical to the serial run's."""
+        serial = run_campaign(workers=1)
+        piped = run_campaign(workers=3)
         assert serial.reports, "campaign should detect the seeded faults"
         assert report_fingerprint(serial) == report_fingerprint(piped)
         assert node_fingerprint(serial) == node_fingerprint(piped)
@@ -178,23 +232,25 @@ class TestPipelinedDeterminism:
         assert serial.inputs_explored == piped.inputs_explored
         assert serial.snapshots_taken == piped.snapshots_taken
         assert serial.solver_queries == piped.solver_queries
-        assert piped.pipelined and not serial.pipelined
 
-    def test_pipelined_matches_batch_parallel(self):
-        """The pipeline knob alone changes nothing at equal workers."""
+    def test_pipelined_matches_batch_parallel(self, counted):
+        """The benchmark-compatibility ``pipeline`` knob is inert on a
+        pooled engine too: on or off, equal workers give the same
+        results from the same captures."""
         batch = run_campaign(workers=3, pipeline=False, cycles=1)
         piped = run_campaign(workers=3, pipeline=True, cycles=1)
         assert report_fingerprint(batch) == report_fingerprint(piped)
         assert node_fingerprint(batch) == node_fingerprint(piped)
         assert batch.snapshots_taken == piped.snapshots_taken
+        assert counted["captured"] == ["r1", "r2", "r3"] * 2
 
     def test_stop_after_first_fault_abort_matches_serial(self):
-        """Mid-cycle abort drains the pipeline; counters match serial."""
-        serial = run_campaign(workers=1, pipeline=False, stop=True)
+        """A mid-cycle abort truncates pooled campaigns where the
+        serial one stops."""
+        serial = run_campaign(workers=1, stop=True)
         assert serial.reports
-        for workers, pipeline in ((3, True), (2, False)):
-            pooled = run_campaign(workers=workers, pipeline=pipeline,
-                                  stop=True)
+        for workers in (3, 2):
+            pooled = run_campaign(workers=workers, stop=True)
             assert report_fingerprint(serial) == report_fingerprint(pooled)
             assert serial.snapshots_taken == pooled.snapshots_taken
             assert serial.inputs_explored == pooled.inputs_explored
@@ -202,80 +258,128 @@ class TestPipelinedDeterminism:
 
     def test_capture_stats_populated(self):
         for workers in (1, 2):
-            for pipeline in (False, True):
-                result = run_campaign(workers=workers, pipeline=pipeline,
-                                      cycles=1)
-                assert result.capture_wall_s > 0.0
-                assert result.capture_blocked_s >= 0.0
-                assert 0.0 <= result.capture_hidden_fraction() <= 1.0
+            result = run_campaign(workers=workers, cycles=1)
+            assert result.capture_wall_s > 0.0
+            assert result.capture_blocked_s >= 0.0
+            assert 0.0 <= result.capture_hidden_fraction() <= 1.0
+            if workers == 1:
+                # Inline, nothing explores while a capture runs.
+                assert result.capture_blocked_s == result.capture_wall_s
 
     def test_pipelined_prepickles_payloads(self):
-        """A pooled campaign pickles each snapshot once, on the capture
-        side, so dispatch only hands bytes around."""
-        result = run_campaign(workers=2, pipeline=True)
-        assert result.capture_pickle_s > 0.0
-        assert result.capture_pickle_s <= result.capture_wall_s
+        """A pooled campaign pickles each snapshot once, when it is
+        captured: every task ships bytes, and every shard of every
+        round of a session ships the same bytes."""
+        transports = []
 
-    def test_serial_campaign_gets_pipelined_capture(self):
-        """workers=1 with the pipeline on overlaps the capture thread
-        with inline exploration — bit-identical results, no transport
-        (nothing ships, the serial contract)."""
-        plain = run_campaign(workers=1, pipeline=False)
-        overlapped = run_campaign(workers=1, pipeline=True)
-        assert overlapped.pipelined and not plain.pipelined
-        assert campaign_fingerprint(plain) == campaign_fingerprint(
-            overlapped
+        class Recording(LoopbackTransport):
+            def __init__(self):
+                super().__init__(slots=2)
+                self.tasks = []
+                transports.append(self)
+
+            def submit(self, slot, task):
+                self.tasks.append(task)
+                return super().submit(slot, task)
+
+        result = run_campaign(workers=2, inputs=6, frontier_shards=3,
+                              transport_factory=Recording)
+        (transport,) = transports
+        assert all(task.snapshot is None for task in transport.tasks)
+        blobs = {}
+        for task in transport.tasks:
+            blobs.setdefault(task.config.seed, set()).add(
+                id(task.snapshot_blob)
+            )
+        assert len(blobs) == result.snapshots_taken
+        assert all(len(ids) == 1 for ids in blobs.values())
+        assert len(transport.tasks) > len(blobs)  # shards, several rounds
+
+    def test_inline_campaign_prepickles_nothing(self, monkeypatch):
+        """Nothing leaves the process on the inline transport, so its
+        captures are handed over as snapshot objects, never pickled."""
+        consumed = []
+        next_capture = SnapshotPipeline.next_capture
+
+        def recording(self):
+            captured = next_capture(self)
+            consumed.append(captured)
+            return captured
+
+        monkeypatch.setattr(SnapshotPipeline, "next_capture", recording)
+        result = run_campaign(workers=1)
+        assert len(consumed) == result.snapshots_taken
+        assert all(c.payload is None and c.snapshot is not None
+                   for c in consumed)
+
+    def test_pipeline_knob_is_inert(self, counted):
+        """``OrchestratorConfig.pipeline`` survives only for the frozen
+        benchmark's sake: on or off, a campaign gives the same result
+        and starts no thread."""
+        before = set(threading.enumerate())
+        results = [
+            run_campaign(workers=1, pipeline=pipeline)
+            for pipeline in (True, False)
+        ]
+        assert campaign_fingerprint(results[0]) == campaign_fingerprint(
+            results[1]
         )
-        assert overlapped.capture_pickle_s == 0.0
-        assert overlapped.capture_wall_s > 0.0
-
-    def test_serial_pipelined_abort_matches_serial(self):
-        plain = run_campaign(workers=1, pipeline=False, stop=True)
-        overlapped = run_campaign(workers=1, pipeline=True, stop=True)
-        assert plain.reports
-        assert report_fingerprint(plain) == report_fingerprint(overlapped)
-        assert plain.snapshots_taken == overlapped.snapshots_taken
-        assert plain.inputs_explored == overlapped.inputs_explored
+        assert counted["threads"]
+        for thread, alive in counted["threads"]:
+            assert thread is threading.current_thread()
+            assert alive <= before
 
     @pytest.mark.parametrize("pipeline", [False, True])
-    def test_inline_early_stop_does_no_extra_work(self, pipeline,
-                                                  monkeypatch):
-        """workers=1 merges each session the moment it ran, so an early
-        stop runs no further session — and, without prefetch, takes no
-        further capture and does not advance the live system past the
-        faulting one (a later campaign on the same system sees it)."""
-        explored, captured = [], []
-        explore, capture = Explorer.explore, SnapshotCoordinator.capture
-
-        def counting_explore(self, config):
-            explored.append(config.node)
-            return explore(self, config)
-
-        def counting_capture(self, initiator, *args, **kwargs):
-            captured.append(initiator)
-            return capture(self, initiator, *args, **kwargs)
-
-        monkeypatch.setattr(Explorer, "explore", counting_explore)
-        monkeypatch.setattr(SnapshotCoordinator, "capture", counting_capture)
+    def test_inline_early_stop_does_no_extra_work(self, pipeline, counted):
+        """The default campaign merges each inline session the moment it
+        ran, so an early stop runs no further session, takes exactly
+        one capture per merged session, and does not advance the live
+        system past the faulting one (a later campaign on the same
+        system sees it).  The benchmark-compatibility ``pipeline``
+        knob — on by default, and once a capture thread that ran ahead
+        — changes none of it."""
         live = faulty_live()
         result = DiceOrchestrator(live, default_property_suite()).run_campaign(
             OrchestratorConfig(
-                inputs_per_node=4, cycles=2, seed=9, workers=1,
-                pipeline=pipeline, stop_after_first_fault=True,
+                inputs_per_node=4, cycles=2, seed=9, pipeline=pipeline,
+                stop_after_first_fault=True,
                 # r3's session is the first to report a fault.
                 explorer_nodes=["r1", "r3", "r2"],
             )
         )
         assert result.reports
         assert [n.node for n in result.node_reports] == ["r1", "r3"]
-        assert len(explored) == len(result.node_reports)
-        if not pipeline:
-            assert len(captured) == result.snapshots_taken
-            assert live.network.sim.now == result.reports[-1].detected_at
+        assert len(counted["explored"]) == len(result.node_reports)
+        assert len(counted["captured"]) == result.snapshots_taken
+        assert live.network.sim.now == result.reports[-1].detected_at
+        for thread, alive in counted["threads"]:
+            assert thread is threading.current_thread()
+            assert "snapshot-pipeline" not in {t.name for t in alive}
+
+    @pytest.mark.parametrize("transport", ["local", "loopback"])
+    def test_pooled_early_stop_captures_nothing_past_the_fault(
+        self, transport, counted
+    ):
+        """A pooled campaign submits a whole cycle before merging it, so
+        an early stop in cycle 0 has captured that cycle's nodes and
+        nothing of the cycles after it, over any transport."""
+        nodes = ["r1", "r3", "r2"]
+        result = DiceOrchestrator(
+            faulty_live(), default_property_suite()
+        ).run_campaign(
+            OrchestratorConfig(
+                inputs_per_node=4, cycles=3, seed=9, workers=2,
+                transport=transport,
+                stop_after_first_fault=True, explorer_nodes=nodes,
+            )
+        )
+        assert result.reports
+        assert result.cycles_completed == 0
+        assert counted["captured"] == nodes
 
     def test_campaign_nodes_visited_once_per_cycle(self):
-        piped = run_campaign(workers=2, pipeline=True, cycles=2)
-        assert [n.node for n in piped.node_reports] == [
+        result = run_campaign(workers=2, cycles=2)
+        assert [n.node for n in result.node_reports] == [
             "r1", "r2", "r3", "r1", "r2", "r3",
         ]
-        assert piped.cycles_completed == 2
+        assert result.cycles_completed == 2

@@ -51,7 +51,7 @@ def run_campaign(workers=1, cycles=2, inputs=4, stop=False, **kwargs):
 
 @pytest.fixture(scope="module")
 def serial_reference():
-    return run_campaign(workers=1, pipeline=False)
+    return run_campaign(workers=1)
 
 
 def run_two_campaigns_at_once(**kwargs):
@@ -300,7 +300,7 @@ class TestAbortAndCleanup:
 
     @pytest.fixture(scope="class")
     def serial_abort(self):
-        return run_campaign(workers=1, pipeline=False, stop=True)
+        return run_campaign(workers=1, stop=True)
 
     def test_local_pool_abort_matches_serial(self, serial_abort):
         aborted = run_campaign(workers=2, stop=True)

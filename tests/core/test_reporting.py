@@ -78,6 +78,8 @@ class TestCampaignSerialization:
         assert (node["clones_created"], node["solver_queries"],
                 node["solver_sat"]) == (44, 17, 11)
         assert not any("cache" in key for key in data["summary"])
+        assert "pipelined" not in data["summary"]
+        assert "capture_pickle_s" not in data["summary"]
         assert len(data["reports"]) == 1
 
     def test_node_report_keys(self):

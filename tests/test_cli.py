@@ -21,10 +21,17 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["campaign", "--topology", "atlantis"])
 
-    def test_pipeline_flag(self):
-        assert build_parser().parse_args(["campaign"]).pipeline is True
-        args = build_parser().parse_args(["campaign", "--no-pipeline"])
-        assert args.pipeline is False
+    def test_pipeline_flag(self, capsys):
+        """Every capture runs on the campaign's own thread when it is
+        needed; there is no capture thread to switch, so a script still
+        passing either flag fails loudly."""
+        for flag in ("--pipeline", "--no-pipeline"):
+            with pytest.raises(SystemExit) as exit_info:
+                build_parser().parse_args(["campaign", flag])
+            assert exit_info.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+        assert not hasattr(build_parser().parse_args(["campaign"]),
+                           "pipeline")
 
     @pytest.mark.parametrize("flags", [
         ["--solver-cache-size", "512"],

@@ -130,18 +130,20 @@ class TestTransportAndFailoverLines:
         )
         assert "workers             : 2 via loopback transport" in text
 
-    def test_pipelined_workers_line_shows_hidden_capture(self):
+    def test_workers_line_names_no_capture_mode(self):
+        """Captures always run on the campaign's own thread, so the
+        workers line has no capture mode to report."""
         text = render_campaign(CampaignResult(
-            workers=2, pipelined=True,
-            capture_wall_s=2.0, capture_blocked_s=0.5,
+            workers=2, capture_wall_s=2.0, capture_blocked_s=0.5,
         ))
-        assert "workers             : 2 (pipelined capture, 75% hidden)" in text
+        assert "workers             : 2\n" in text
+        assert "pipelined" not in text
 
     def test_busiest_campaign_names_no_solver_cache(self):
         """Transport, failover and capture lines all render; no line
         speaks of a solver cache, which campaigns no longer have."""
         text = render_campaign(CampaignResult(
-            workers=3, transport="socket", pipelined=True,
+            workers=3, transport="socket",
             capture_wall_s=1.0, capture_blocked_s=0.2,
             wire_bytes_sent=8192, wire_bytes_received=1024,
             worker_failures=1, tasks_requeued=2, dead_workers=["h:1"],
