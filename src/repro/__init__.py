@@ -26,6 +26,8 @@ Quickstart::
         print(report.headline())
 """
 
+import logging
+
 from repro.bgp import BGPRouter, RouterConfig, NeighborConfig, Prefix, IPv4Address
 from repro.core import (
     CampaignResult,
@@ -38,6 +40,10 @@ from repro.core import (
 from repro.net import LinkProfile, Network
 
 __version__ = "1.0.0"
+
+# ``repro.*`` records are the embedding application's to route; without
+# a handler here, ``logging.lastResort`` would print them to stderr.
+logging.getLogger(__name__).addHandler(logging.NullHandler())
 
 __all__ = [
     "BGPRouter",

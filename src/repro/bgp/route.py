@@ -118,7 +118,7 @@ class Route:
         return self.attributes.as_path.origin_as()
 
     def describe(self) -> str:
-        """One-line rendering for traces and the dashboard."""
+        """One-line rendering for reports and the dashboard."""
         via = self.peer if self.peer is not None else "local"
         return (
             f"{self.prefix} via {via} ({self.source}) "

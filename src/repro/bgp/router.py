@@ -15,13 +15,18 @@ same entry point (:meth:`handle_raw`) as normal traffic.
 
 Crash semantics: an unexpected exception in the update pipeline (e.g. an
 injected programming-error bug) is caught at the top of the handler the
-way a supervised daemon restart would be — the event is traced as
+way a supervised daemon restart would be — the event is logged as
 ``router_crash``, all sessions reset, and RIBs clear.  DiCE's crash
 checker distinguishes this from protocol-error NOTIFICATIONs.
+
+Events worth an operator's attention go to this module's logger at
+``DEBUG`` as ``<event> <router> t=<simulated time> ...``; nothing reads
+them back (the checks read the Loc-RIB journal and session counters).
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import replace
 from typing import Any
 
@@ -53,6 +58,8 @@ from repro.bgp.messages import (
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC, Route
 from repro.net.node import Process
+
+_log = logging.getLogger(__name__)
 
 # Timer names.
 _T_CONNECT = "connect"
@@ -216,13 +223,13 @@ class BGPRouter(Process):
             self._handle_update(src, message)
         elif isinstance(message, NotificationMessage):
             session.stats.notifications_received += 1
-            self._trace("notification_received", peer=src, code=message.code,
-                        subcode=message.subcode)
+            _log.debug("notification_received %s t=%.3f peer=%s code=%s/%s",
+                       self.name, self.now, src, message.code, message.subcode)
             self._reset_session(src)
 
     def _protocol_error(self, src: str, error: BGPError) -> None:
-        self._trace("protocol_error", peer=src, code=error.code,
-                    subcode=error.subcode, detail=str(error))
+        _log.debug("protocol_error %s t=%.3f peer=%s code=%s/%s: %s",
+                   self.name, self.now, src, error.code, error.subcode, error)
         if self.sessions[src].state != SessionState.IDLE:
             self.send_message(src, NotificationMessage.from_error(error))
         self._reset_session(src)
@@ -230,7 +237,7 @@ class BGPRouter(Process):
     def _crash(self, detail: str) -> None:
         self.crash_count += 1
         self.last_crash = detail
-        self._trace("router_crash", detail=detail)
+        _log.debug("router_crash %s t=%.3f: %s", self.name, self.now, detail)
         # Daemon restart: all sessions drop, all learned state is lost.
         for peer in list(self.sessions):
             self._reset_session(peer, restart=True)
@@ -260,7 +267,8 @@ class BGPRouter(Process):
             reuse_peer, _, prefix_text = peer.partition("|")
             changes = self._run_decision([Prefix(prefix_text)])
             self._propagate(changes)
-            self._trace("route_reused", peer=reuse_peer, prefix=prefix_text)
+            _log.debug("route_reused %s t=%.3f peer=%s prefix=%s",
+                       self.name, self.now, reuse_peer, prefix_text)
 
     def _send_open(self, peer: str) -> None:
         session = self.sessions[peer]
@@ -302,7 +310,8 @@ class BGPRouter(Process):
         if session.state == SessionState.OPEN_CONFIRM:
             session.transition(SessionState.ESTABLISHED)
             session.established_at = self.now
-            self._trace("session_established", peer=src)
+            _log.debug("session_established %s t=%.3f peer=%s",
+                       self.name, self.now, src)
             self._arm_keepalive(src)
             self._advertise_full_table(src)
         self._arm_hold(src)
@@ -324,7 +333,8 @@ class BGPRouter(Process):
             self._arm_keepalive(peer)
 
     def _hold_expired(self, peer: str) -> None:
-        self._trace("hold_timer_expired", peer=peer)
+        _log.debug("hold_timer_expired %s t=%.3f peer=%s",
+                   self.name, self.now, peer)
         session = self.sessions[peer]
         if session.state != SessionState.IDLE:
             self.send_message(peer, NotificationMessage(code=4))
@@ -341,7 +351,8 @@ class BGPRouter(Process):
         self.adj_rib_out[peer].clear()
         affected = self.adj_rib_in[peer].clear()
         if was_established:
-            self._trace("session_reset", peer=peer)
+            _log.debug("session_reset %s t=%.3f peer=%s",
+                       self.name, self.now, peer)
         if affected:
             changes = self._run_decision(affected)
             self._propagate(changes)
@@ -408,8 +419,8 @@ class BGPRouter(Process):
         if self._ingress_ok(src, route):
             result = self._eval_filter(src, route, direction="import")
             if result.fell_through:
-                self._trace("filter_fell_through", peer=src,
-                            direction="import", prefix=route.prefix)
+                _log.debug("filter_fell_through %s t=%.3f peer=%s import "
+                           "prefix=%s", self.name, self.now, src, route.prefix)
             if result.accepted:
                 verdict = True
                 filtered = route.with_attributes(
@@ -435,7 +446,8 @@ class BGPRouter(Process):
             return
         suppressed = self.dampener.record_flap(peer, prefix, kind, self.now)
         if suppressed:
-            self._trace("route_suppressed", peer=peer, prefix=prefix)
+            _log.debug("route_suppressed %s t=%.3f peer=%s prefix=%s",
+                       self.name, self.now, peer, prefix)
             eta = self.dampener.reuse_eta(peer, prefix, self.now)
             if eta is not None and self.network is not None:
                 self.set_timer(f"reuse:{peer}|{prefix}", eta + 0.01)
@@ -443,14 +455,15 @@ class BGPRouter(Process):
     def _ingress_ok(self, src: str, route: Route) -> bool:
         path = route.attributes.as_path
         if path.contains(self.config.local_as):
-            self._trace("loop_rejected", peer=src, prefix=route.prefix)
+            _log.debug("loop_rejected %s t=%.3f peer=%s prefix=%s",
+                       self.name, self.now, src, route.prefix)
             return False
         if route.source == SOURCE_EBGP:
             neighbor = self.config.neighbor(src)
             first = path.first_as()
             if first is not None and first != neighbor.peer_as:
-                self._trace("first_as_mismatch", peer=src,
-                            prefix=route.prefix)
+                _log.debug("first_as_mismatch %s t=%.3f peer=%s prefix=%s",
+                           self.name, self.now, src, route.prefix)
                 return False
         return True
 
@@ -490,12 +503,6 @@ class BGPRouter(Process):
             change = self.loc_rib.set(self.now, prefix, best)
             if change is not None:
                 changes.append(change)
-                self._trace(
-                    "rib_change",
-                    prefix=prefix,
-                    transition=change.kind,
-                    via=None if best is None else (best.peer or "local"),
-                )
         return changes
 
     def _select(self, candidates: list[Route]) -> Route | None:
@@ -623,8 +630,8 @@ class BGPRouter(Process):
         result = self._eval_filter(peer, exported, direction="export")
         if result is not None:
             if result.fell_through:
-                self._trace("filter_fell_through", peer=peer,
-                            direction="export", prefix=route.prefix)
+                _log.debug("filter_fell_through %s t=%.3f peer=%s export "
+                           "prefix=%s", self.name, self.now, peer, route.prefix)
             if not result.accepted:
                 return None
             attrs = result.attributes
@@ -661,7 +668,8 @@ class BGPRouter(Process):
         """Apply a runtime configuration change and reconverge."""
         old_networks = set(self.config.networks)
         self.config = change.apply(self.config)
-        self._trace("config_change", change=change.describe())
+        _log.debug("config_change %s t=%.3f: %s",
+                   self.name, self.now, change.describe())
         new_networks = set(self.config.networks)
         # Sorted: set iteration order is salted-hash order, and dirty
         # feeds the decision/propagation sequence — message ordering
@@ -702,18 +710,6 @@ class BGPRouter(Process):
             peer for peer, session in self.sessions.items()
             if session.is_established()
         )
-
-    def _trace(self, kind: str, prefix: Prefix | str | None = None,
-               **detail: Any) -> None:
-        """Record one event, formatting ``prefix`` only when something
-        records: clones run with tracing off, and this is called per
-        RIB change."""
-        network = self.network
-        if network is None or not network.trace.enabled:
-            return
-        if prefix is not None:
-            detail["prefix"] = str(prefix)
-        network.trace.record(self.now, kind, self.name, **detail)
 
     # -- checkpoint contract --------------------------------------------------------------
 

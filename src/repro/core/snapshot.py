@@ -36,7 +36,6 @@ from typing import Any, Callable
 from repro.core.checkpoint import NodeCheckpoint, capture
 from repro.net.network import Network
 from repro.net.node import Process
-from repro.net.trace import TraceRecorder
 from repro.util.ids import IdGenerator
 
 _snapshot_ids = IdGenerator("snap")
@@ -82,11 +81,9 @@ class Snapshot:
 
         Figure 2, steps 3-5 run one exploration input per clone.  The
         clone's clock starts at zero; recorded channel messages are
-        scheduled at their captured relative offsets.  A clone records
-        no trace: property checks read its state, nothing reads its
-        history, and it is dropped when its input has been checked.
+        scheduled at their captured relative offsets.
         """
-        clone = Network(seed=seed, trace=TraceRecorder(enabled=False))
+        clone = Network(seed=seed)
         for name in sorted(self.checkpoints):
             checkpoint = self.checkpoints[name]
             process = process_factory(checkpoint)

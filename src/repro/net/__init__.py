@@ -16,7 +16,6 @@ from repro.net.sim import Simulator, Event
 from repro.net.node import Process
 from repro.net.link import Link, LinkProfile
 from repro.net.network import Network
-from repro.net.trace import TraceRecorder, TraceEvent
 
 __all__ = [
     "Simulator",
@@ -25,6 +24,4 @@ __all__ = [
     "Link",
     "LinkProfile",
     "Network",
-    "TraceRecorder",
-    "TraceEvent",
 ]

@@ -18,7 +18,6 @@ from typing import Any, Callable, Hashable, Iterable
 from repro.net.link import Link, LinkProfile
 from repro.net.node import Process
 from repro.net.sim import Event, Simulator
-from repro.net.trace import TraceRecorder
 
 
 class InFlightMessage:
@@ -44,14 +43,12 @@ class Network:
     # Entries ``interned`` may hold before it is dropped whole.
     INTERN_LIMIT = 1 << 15
 
-    def __init__(self, seed: int = 0, trace: TraceRecorder | None = None):
+    def __init__(self, seed: int = 0):
         self.sim = Simulator(seed)
-        self.trace = trace if trace is not None else TraceRecorder()
         self.processes: dict[str, Process] = {}
         self._links: dict[frozenset[str], Link] = {}
         self._in_flight: dict[int, InFlightMessage] = {}
         self._in_flight_seq = 0
-        self._delivery_taps: list[Callable[[str, str, Any], None]] = []
         self._interceptors: list[Callable[[str, str, Any], bool]] = []
         self._started = False
         # Immutable values this network's processes hold one object of
@@ -147,10 +144,7 @@ class Network:
         delay = link.delay_for(src, dst, payload, self.sim.now, rng,
                                reliable=reliable)
         if delay is None:
-            self.trace.record(self.sim.now, "drop", src, dst=dst)
             return False
-        self.trace.record(self.sim.now, "send", src, dst=dst,
-                          msg=type(payload).__name__)
         self._schedule_delivery(src, dst, payload, delay)
         return True
 
@@ -177,10 +171,6 @@ class Network:
         for interceptor in list(self._interceptors):
             if interceptor(src, dst, payload):
                 return  # consumed (e.g. a snapshot marker)
-        self.trace.record(self.sim.now, "recv", dst, src=src,
-                          msg=type(payload).__name__)
-        for tap in self._delivery_taps:
-            tap(src, dst, payload)
         process.on_message(src, payload)
 
     def inject(self, src: str, dst: str, payload: Any, delay: float = 0.0) -> None:
@@ -191,19 +181,17 @@ class Network:
         """
         self._schedule_delivery(src, dst, payload, delay)
 
-    def tap_deliveries(self, callback: Callable[[str, str, Any], None]) -> None:
-        """Observe every delivery (src, dst, payload) just before handling."""
-        self._delivery_taps.append(callback)
-
     def add_interceptor(
         self, callback: Callable[[str, str, Any], bool]
     ) -> None:
         """Register a delivery interceptor.
 
         Interceptors run before the destination process; returning True
-        consumes the message.  The snapshot protocol uses this to carry
-        its markers over the same FIFO channels as protocol traffic
-        without the application ever seeing them.
+        consumes the message, returning False lets it through (so an
+        observer is an interceptor that returns False).  The snapshot
+        protocol uses this to carry its markers over the same FIFO
+        channels as protocol traffic without the application ever
+        seeing them.
         """
         self._interceptors.append(callback)
 
@@ -255,7 +243,6 @@ class Network:
         self.processes.clear()
         self._links.clear()
         self._in_flight.clear()
-        self._delivery_taps.clear()
         self._interceptors.clear()
         self.interned.clear()
         self.sim.clear()

@@ -177,6 +177,25 @@ class TestRouterIntegration:
         live.run(until=live.network.sim.now + 200)
         assert r2.loc_rib.get(flapper) is not None
 
+    def test_suppression_and_reuse_logged(self, router_events):
+        from repro.bgp.config import AddNetwork, RemoveNetwork
+        from repro.bgp.ip import Prefix as Pfx
+
+        params = DampingParams(half_life_s=20.0)
+        live = self._flapping_live(params)
+        flapper = Pfx("10.1.0.0/16")
+        for _ in range(3):
+            live.apply_change("r1", RemoveNetwork(flapper))
+            live.converge()
+            live.apply_change("r1", AddNetwork(flapper))
+            live.converge()
+        # Each flap past the threshold (re)logs the suppression.
+        suppressed = router_events("route_suppressed")
+        assert suppressed and set(suppressed) == {("r2", "r1")}
+        assert router_events("route_reused") == []
+        live.run(until=live.network.sim.now + 200)
+        assert router_events("route_reused") == [("r2", "r1")]
+
     def test_without_damping_route_stays(self):
         from repro.bgp.config import AddNetwork, RemoveNetwork
         from repro.bgp.ip import Prefix as Pfx

@@ -156,7 +156,7 @@ class TestRoutePropagation:
 
 
 class TestLoopPrevention:
-    def test_own_as_in_path_rejected(self):
+    def test_own_as_in_path_rejected(self, router_events):
         live = build_line()
         live.converge()
         r2 = live.router("r2")
@@ -169,9 +169,9 @@ class TestLoopPrevention:
         )
         r2.handle_raw("r1", looped.encode())
         assert r2.loc_rib.get(Prefix("10.77.0.0/16")) is None
-        assert live.network.trace.count("loop_rejected") == 1
+        assert router_events("loop_rejected") == [("r2", "r1")]
 
-    def test_first_as_enforced(self):
+    def test_first_as_enforced(self, router_events):
         live = build_line()
         live.converge()
         r2 = live.router("r2")
@@ -184,7 +184,7 @@ class TestLoopPrevention:
         )
         r2.handle_raw("r1", spoofed.encode())
         assert r2.loc_rib.get(Prefix("10.77.0.0/16")) is None
-        assert live.network.trace.count("first_as_mismatch") == 1
+        assert router_events("first_as_mismatch") == [("r2", "r1")]
 
 
 class TestPolicyIntegration:
@@ -293,13 +293,14 @@ class TestCrashSemantics:
         assert r2.established_peers() == ["r1", "r3"]
         assert r2.loc_rib.get(P_R1) is not None
 
-    def test_protocol_error_is_not_a_crash(self):
+    def test_protocol_error_is_not_a_crash(self, router_events):
         live = build_line()
         live.converge()
         r2 = live.router("r2")
         r2.handle_raw("r1", b"\x00" * 19)
         assert r2.crash_count == 0
-        assert live.network.trace.count("protocol_error") == 1
+        assert router_events("protocol_error") == [("r2", "r1")]
+        assert router_events("router_crash") == []
 
     def test_malformed_input_resets_session(self):
         live = build_line()
@@ -317,15 +318,75 @@ class TestCrashSemantics:
 
 
 class TestHoldTimer:
-    def test_hold_expiry_resets_session(self):
+    def test_hold_expiry_resets_session(self, router_events):
         live = build_line()
         live.converge()
         r1, r2 = live.router("r1"), live.router("r2")
         # Sever the link so keepalives stop flowing.
         live.network.link_between("r1", "r2").set_up(False)
         live.run(until=live.network.sim.now + 120)
-        assert live.network.trace.count("hold_timer_expired") >= 1
+        expired = set(router_events("hold_timer_expired"))
+        assert expired and expired <= {("r1", "r2"), ("r2", "r1")}
         assert r2.loc_rib.get(P_R1) is None or not r2.sessions["r1"].is_established()
+
+
+class TestEventLog:
+    """Router events worth an operator's attention go to the
+    ``repro.bgp.router`` logger at ``DEBUG``, naming router and peer."""
+
+    def test_session_established_logged_per_side(self, router_events):
+        live = build_line()
+        live.run(until=5)
+        assert sorted(router_events("session_established")) == [
+            ("r1", "r2"), ("r2", "r1"), ("r2", "r3"), ("r3", "r2"),
+        ]
+
+    def test_notification_and_reset_logged_on_both_ends(self, router_events):
+        live = build_line()
+        live.converge()
+        live.router("r2").handle_raw("r1", b"\xff" * 19)
+        live.run(until=live.network.sim.now + 1)
+        assert router_events("notification_received") == [("r1", "r2")]
+        assert sorted(router_events("session_reset")) == [
+            ("r1", "r2"), ("r2", "r1"),
+        ]
+
+    def test_config_change_logged(self, router_events):
+        live = build_line()
+        live.converge()
+        live.apply_change("r3", AddNetwork(Prefix("10.55.0.0/16")))
+        assert router_events("config_change") == [("r3", None)]
+
+    def test_crash_logged_without_peer(self, router_events):
+        live = build_line(
+            r2_extra={"enabled_bugs": frozenset({faults.BUG_COMMUNITY_CRASH})}
+        )
+        live.converge()
+        message = UpdateMessage(
+            attributes=PathAttributes(
+                as_path=AsPath.from_sequence(65001),
+                next_hop=IPv4Address("172.16.0.1"),
+                communities=(faults.COMMUNITY_CRASH_VALUE,),
+            ),
+            nlri=(Prefix("10.66.0.0/16"),),
+        )
+        live.router("r2").handle_raw("r1", message.encode())
+        assert router_events("router_crash") == [("r2", None)]
+        assert router_events("protocol_error") == []
+
+    def test_filter_fall_through_logged(self, router_events):
+        no_verdict = Filter.compile("filter imp_open { bgp_med = 5; }")
+        live = build_line(
+            filters={
+                "r1": {"import_filter": "imp_open"},
+                "compiled": {"imp_open": no_verdict},
+            }
+        )
+        live.converge()
+        assert live.router("r2").loc_rib.get(P_R1) is None
+        assert ("r2", "r1") in router_events("filter_fell_through")
+        assert {router for router, _ in router_events("filter_fell_through")} \
+            == {"r2"}
 
 
 class TestCheckpointContract:

@@ -1,7 +1,11 @@
 """Tests for the live-system wrapper."""
 
+import gc
+import tracemalloc
+
 from repro.bgp.config import AddNetwork, RemoveNetwork
 from repro.bgp.ip import Prefix
+from repro.core.live import LiveSystem
 
 
 class TestBuildAndRun:
@@ -21,7 +25,6 @@ class TestBuildAndRun:
         assert live3.converge(deadline=600.0) < 600.0
 
     def test_oscillating_system_runs_to_the_deadline(self):
-        from repro.core.live import LiveSystem
         from repro.topo.gadgets import build_bad_gadget
 
         configs, links = build_bad_gadget()
@@ -38,6 +41,31 @@ class TestBuildAndRun:
             Prefix("10.1.0.0/16"), Prefix("10.2.0.0/16"),
             Prefix("10.3.0.0/16"),
         ]
+
+
+class TestFootprint:
+    def test_quiet_live_heap_stays_flat(self, demo27_topology):
+        """A converged system exchanging only keepalives keeps no
+        history: 600 quiet simulated seconds leave the heap where they
+        found it (the Loc-RIB journal is bounded and nothing else
+        records)."""
+        live = LiveSystem.build(
+            demo27_topology.configs, demo27_topology.links, seed=0
+        )
+        live.converge()
+        # Traced from here, so every armed timer and scheduled delivery
+        # is counted before the first reading, not as growth.
+        tracemalloc.start()
+        try:
+            live.run(until=live.network.sim.now + 60)
+            gc.collect()
+            before, _ = tracemalloc.get_traced_memory()
+            live.run(until=live.network.sim.now + 600)
+            gc.collect()
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert after - before < 256 * 1024
 
 
 class TestOperatorActions:

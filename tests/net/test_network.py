@@ -115,23 +115,36 @@ class TestTransport:
         assert not all(results)
 
 
-class TestObservation:
-    def test_trace_records_send_and_recv(self):
-        net, _, _ = two_node_net()
-        net.start()
-        net.transmit("a", "b", "x")
-        net.run()
-        assert net.trace.count("send") >= 1
-        assert net.trace.count("recv") >= 1
+def observed_net():
+    """Two-node network with a delivery tap: an interceptor that
+    records each delivery and returns False."""
+    net, a, b = two_node_net()
+    seen = []
 
+    def observe(src, dst, payload):
+        seen.append((src, dst, payload))
+        return False
+
+    net.add_interceptor(observe)
+    return net, a, b, seen
+
+
+class TestObservation:
     def test_delivery_tap_sees_payload(self):
-        net, _, _ = two_node_net()
-        seen = []
-        net.tap_deliveries(lambda s, d, p: seen.append((s, d, p)))
+        net, _, _, seen = observed_net()
         net.start()
         net.transmit("a", "b", "x")
         net.run()
-        assert ("a", "b", "x") in seen
+        assert seen == [("a", "b", "x"), ("b", "a", "ack:x")]
+
+    def test_interceptor_returning_false_lets_message_through(self):
+        net, a, b, seen = observed_net()
+        net.start()
+        net.transmit("a", "b", "x")
+        net.run()
+        assert seen
+        assert b.inbox == [("a", "x")]
+        assert a.inbox == [("b", "ack:x")]
 
     def test_interceptor_consumes(self):
         net, _, b = two_node_net()
@@ -255,7 +268,6 @@ class TestClose:
     def test_closed_network_is_empty_and_detached(self):
         net, a, b = two_node_net()
         net.intern("key", "value")
-        net.tap_deliveries(lambda src, dst, payload: None)
         net.add_interceptor(lambda src, dst, payload: False)
         net.start()
         a.send("b", "in flight")
