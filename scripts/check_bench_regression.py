@@ -52,6 +52,13 @@ GATED_METRICS = {
     # them are wall-clock, so informational).
     "snapshot_attr_sharing": "higher",
     "snapshot_pickle_kib": "lower",
+    # bench_event_loop: heap entries written per event run on the
+    # bad-gadget null probe, 2.00 while every re-armed hold timer
+    # scheduled a new event and 1.00 since it moves the armed one; and
+    # objects the cyclic collector tracks for a converged 40-router
+    # internet, 39 291 with 3 809 dead events queued, 22 704 since.
+    "queue_pushes_per_event": "lower",
+    "live_gc_objects": "lower",
 }
 
 # Booleans that must never flip to False once True.

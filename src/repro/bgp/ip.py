@@ -19,9 +19,11 @@ T = TypeVar("T")
 class IPv4Address:
     """An immutable IPv4 address backed by a 32-bit integer."""
 
-    __slots__ = ("value",)
+    # ``_hash`` is filled in by the first ``__hash__``.
+    __slots__ = ("value", "_hash")
 
     def __init__(self, value: "int | str | IPv4Address"):
+        self._hash: int | None = None
         if isinstance(value, IPv4Address):
             self.value = value.value
             return
@@ -61,7 +63,12 @@ class IPv4Address:
         return self.value <= other.value
 
     def __hash__(self) -> int:
-        return hash(("IPv4Address", self.value))
+        # The integer alone: a str beside it would salt the value by
+        # PYTHONHASHSEED, so it would differ from process to process.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(self.value)
+        return cached
 
     def __int__(self) -> int:
         return self.value
@@ -96,7 +103,9 @@ class Prefix:
     rely on this.
     """
 
-    __slots__ = ("network", "length")
+    # ``_hash`` is filled in by the first ``__hash__``; ``__reduce__``
+    # reruns the constructor, so it is never pickled.
+    __slots__ = ("network", "length", "_hash")
 
     def __init__(self, network: "int | str | IPv4Address", length: int | None = None):
         if isinstance(network, str) and "/" in network:
@@ -122,6 +131,7 @@ class Prefix:
             )
         self.network = network
         self.length = length
+        self._hash: int | None = None
 
     @staticmethod
     def from_wire(length: int, packed: bytes) -> "Prefix":
@@ -188,8 +198,12 @@ class Prefix:
 
     def __hash__(self) -> int:
         # Integers only, so the value is the same in every process (a
-        # str in the tuple salts it by PYTHONHASHSEED).
-        return hash((self.network, self.length))
+        # str in the tuple salts it by PYTHONHASHSEED).  Prefixes key
+        # every RIB and change map, so it is computed once.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash((self.network, self.length))
+        return cached
 
     def __deepcopy__(self, memo) -> "Prefix":
         return self  # immutable

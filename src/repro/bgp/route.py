@@ -9,7 +9,7 @@ on-the-wire part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 from repro.bgp.attributes import PathAttributes
@@ -87,7 +87,9 @@ class Route:
 
     def with_attributes(self, attributes: PathAttributes) -> "Route":
         """Copy with replaced attributes (policy actions use this)."""
-        return replace(self, attributes=attributes)
+        return Route(self.prefix, attributes, self.source, self.peer,
+                     self.peer_as, self.peer_bgp_id, self.received_at,
+                     self.sym)
 
     def effective_local_pref(self, default: int = 100) -> Any:
         """LOCAL_PREF to use in the decision process.

@@ -42,7 +42,7 @@ from repro.bgp.attributes import (
     COMMUNITY_NO_EXPORT,
     PathAttributes,
 )
-from repro.bgp.config import ConfigChange, RouterConfig
+from repro.bgp.config import ConfigChange, NeighborConfig, RouterConfig
 from repro.bgp.decision import best_route
 from repro.bgp.errors import BGPError, OpenMessageError
 from repro.bgp.fsm import Session, SessionState
@@ -73,6 +73,11 @@ class BGPRouter(Process):
     def __init__(self, config: RouterConfig, connect_delay: float = 0.1):
         super().__init__(config.name)
         self.config = config
+        # ``config.neighbors`` by peer, for ``_neighbor``; built from the
+        # config object ``_neighbors_of`` and rebuilt once ``config`` is
+        # another one (callers assign it directly).
+        self._neighbors: dict[str, NeighborConfig] = {}
+        self._neighbors_of: RouterConfig | None = None
         self.connect_delay = connect_delay
         self.sessions: dict[str, Session] = {}
         self.adj_rib_in: dict[str, AdjRibIn] = {}
@@ -141,7 +146,7 @@ class BGPRouter(Process):
             stats.opens_sent += 1
         elif isinstance(message, NotificationMessage):
             stats.notifications_sent += 1
-        self.send(peer, message.encode())
+        self.send(peer, self._encode(message))
 
     def on_message(self, src: str, payload: Any) -> None:
         """Entry point for deliveries from the network (wire bytes)."""
@@ -194,6 +199,33 @@ class BGPRouter(Process):
         if message is None:
             message = network.intern(data, decode_message(data))
         return message
+
+    def _encode(self, message: BGPMessage) -> bytes:
+        """``message.encode()``, run once per distinct concrete UPDATE
+        this network sends.
+
+        A change exported alike to several peers is one UPDATE, so each
+        of them is sent the same ``bytes`` object, which every receiver's
+        delivery memo (:meth:`_decode`) then hashes once.  The key is
+        tagged, so it can equal no other kind of entry in the table.  An
+        UPDATE whose attribute set holds a symbolic value is encoded
+        every time and never kept, as :meth:`_canonical` never keeps
+        the set.
+        """
+        network = self.network
+        if network is None or type(message) is not UpdateMessage:
+            return message.encode()
+        attributes = message.attributes
+        if attributes is None:
+            key = ("UPDATE", message.withdrawn, None, message.nlri)
+        elif attributes.is_concrete():
+            key = ("UPDATE", message.withdrawn, attributes.key(), message.nlri)
+        else:
+            return message.encode()
+        data = network.interned.get(key)
+        if data is None:
+            data = network.intern(key, message.encode())
+        return data
 
     def _canonical(self, attrs: PathAttributes) -> PathAttributes:
         """This network's one object for ``attrs``' value, as BIRD's
@@ -388,10 +420,18 @@ class BGPRouter(Process):
             changes = self._run_decision(dirty)
             self._propagate(changes)
 
+    def _neighbor(self, peer: str) -> NeighborConfig:
+        """``self.config.neighbor(peer)``, by one dict lookup."""
+        config = self.config
+        if config is not self._neighbors_of:
+            self._neighbors = {n.peer: n for n in config.neighbors}
+            self._neighbors_of = config
+        return self._neighbors[peer]
+
     def _build_route(self, src: str, prefix: Prefix,
                      attributes: PathAttributes) -> Route:
         session = self.sessions[src]
-        neighbor = self.config.neighbor(src)
+        neighbor = self._neighbor(src)
         source = SOURCE_IBGP if neighbor.is_ibgp(self.config.local_as) else SOURCE_EBGP
         return Route(
             prefix=prefix,
@@ -459,7 +499,7 @@ class BGPRouter(Process):
                        self.name, self.now, src, route.prefix)
             return False
         if route.source == SOURCE_EBGP:
-            neighbor = self.config.neighbor(src)
+            neighbor = self._neighbor(src)
             first = path.first_as()
             if first is not None and first != neighbor.peer_as:
                 _log.debug("first_as_mismatch %s t=%.3f peer=%s prefix=%s",
@@ -468,7 +508,7 @@ class BGPRouter(Process):
         return True
 
     def _eval_filter(self, src: str, route: Route, direction: str):
-        neighbor = self.config.neighbor(src)
+        neighbor = self._neighbor(src)
         name = (
             neighbor.import_filter if direction == "import"
             else neighbor.export_filter
@@ -522,11 +562,15 @@ class BGPRouter(Process):
 
     def _apply_semantic_bugs(self, route: Route) -> Route:
         """Overlay the off-by-one / MED-overflow bugs as symbolic shadows."""
+        off_by_one = self.config.bug_enabled(faults.BUG_ASPATH_OFF_BY_ONE)
+        med_overflow = self.config.bug_enabled(faults.BUG_MED_SIGNED_OVERFLOW)
+        if not (off_by_one or med_overflow):
+            return route
         shadows = dict(route.sym)
-        if self.config.bug_enabled(faults.BUG_ASPATH_OFF_BY_ONE):
+        if off_by_one:
             true_len = shadows.get("path_len", route.attributes.as_path.length())
             shadows["path_len"] = faults.buggy_path_length(true_len, True)
-        if self.config.bug_enabled(faults.BUG_MED_SIGNED_OVERFLOW):
+        if med_overflow:
             med = shadows.get(
                 "med",
                 route.attributes.med if route.attributes.med is not None else 0,
@@ -606,7 +650,7 @@ class BGPRouter(Process):
 
     def _export_route(self, peer: str, route: Route) -> Route | None:
         """Egress processing toward one neighbor; None = do not advertise."""
-        neighbor = self.config.neighbor(peer)
+        neighbor = self._neighbor(peer)
         is_ibgp_peer = neighbor.is_ibgp(self.config.local_as)
         # Do not send a route back to the peer it came from.
         if route.peer == peer:

@@ -38,6 +38,7 @@ on the shard count's placement, or on the dispatch transport.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import pickle
 import time
@@ -322,9 +323,23 @@ class DiceOrchestrator:
         main process, over the singular live system — before
         exploration advances it — so its verdict is byte-identical at
         any worker count, shard count, or transport.
+
+        The campaign runs with everything that exists when it starts —
+        the live system above all — frozen out of the cyclic garbage
+        collector (``gc.freeze``), so that no collection during the
+        campaign walks the live heap again; ``gc.unfreeze`` hands it
+        back on the way out, raised or not.  Both calls are O(1).  A
+        caller that has frozen the heap itself is left to unfreeze it.
         """
-        prepass_reports, prepass_stats = self._differential_prepass(config)
-        result = self._run_campaign_inner(config)
+        freeze = gc.get_freeze_count() == 0
+        if freeze:
+            gc.freeze()
+        try:
+            prepass_reports, prepass_stats = self._differential_prepass(config)
+            result = self._run_campaign_inner(config)
+        finally:
+            if freeze:
+                gc.unfreeze()
         result.differential_mode = prepass_stats["mode"]
         result.divergences = prepass_stats["divergences"]
         result.prefixes_checked = prepass_stats["prefixes_checked"]

@@ -89,11 +89,6 @@ class Link:
         self.delivered = 0
         self.dropped = 0
 
-    @property
-    def endpoints(self) -> frozenset[str]:
-        """The unordered endpoint pair."""
-        return frozenset((self.a, self.b))
-
     def other(self, name: str) -> str:
         """The endpoint opposite ``name``."""
         if name == self.a:

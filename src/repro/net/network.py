@@ -46,7 +46,13 @@ class Network:
     def __init__(self, seed: int = 0):
         self.sim = Simulator(seed)
         self.processes: dict[str, Process] = {}
-        self._links: dict[frozenset[str], Link] = {}
+        self._links: list[Link] = []
+        # src -> dst -> [link, the link's RNG stream]: one entry per link,
+        # reached from both endpoints, so a message finds its link and
+        # loss/jitter stream by two dict lookups.  The stream is None
+        # until the link first carries a message, so a clone pays only
+        # for the streams of the links it uses.
+        self._wires: dict[str, dict[str, list[Any]]] = {}
         self._in_flight: dict[int, InFlightMessage] = {}
         self._in_flight_seq = 0
         self._interceptors: list[Callable[[str, str, Any], bool]] = []
@@ -76,29 +82,27 @@ class Network:
         for name in (a, b):
             if name not in self.processes:
                 raise KeyError(f"unknown process {name!r}")
-        key = frozenset((a, b))
-        if key in self._links:
+        if b in self._wires.get(a, ()):
             raise ValueError(f"link {a}<->{b} already exists")
         link = Link(a, b, profile)
-        self._links[key] = link
+        self._links.append(link)
+        wire: list[Any] = [link, None]
+        self._wires.setdefault(a, {})[b] = wire
+        self._wires.setdefault(b, {})[a] = wire
         return link
 
     def link_between(self, a: str, b: str) -> Link | None:
         """The link joining ``a`` and ``b``, if any."""
-        return self._links.get(frozenset((a, b)))
+        wire = self._wires.get(a, {}).get(b)
+        return None if wire is None else wire[0]
 
     def links(self) -> Iterable[Link]:
-        """All links."""
-        return self._links.values()
+        """All links, in the order they were added."""
+        return self._links
 
     def neighbors(self, name: str) -> list[str]:
         """Names of processes directly linked to ``name``, sorted."""
-        found = [
-            link.other(name)
-            for link in self._links.values()
-            if name in link.endpoints
-        ]
-        return sorted(found)
+        return sorted(self._wires.get(name, ()))
 
     # -- running ---------------------------------------------------------------
 
@@ -137,10 +141,15 @@ class Network:
         FIFO order — used for control traffic like snapshot markers,
         which in a real deployment rides a reliable transport.
         """
-        link = self.link_between(src, dst)
-        if link is None:
-            raise KeyError(f"no link between {src!r} and {dst!r}")
-        rng = self.sim.random.stream(f"link/{min(src, dst)}/{max(src, dst)}")
+        try:
+            wire = self._wires[src][dst]
+        except KeyError:
+            raise KeyError(f"no link between {src!r} and {dst!r}") from None
+        link, rng = wire
+        if rng is None:
+            rng = wire[1] = self.sim.random.stream(
+                f"link/{min(src, dst)}/{max(src, dst)}"
+            )
         delay = link.delay_for(src, dst, payload, self.sim.now, rng,
                                reliable=reliable)
         if delay is None:
@@ -242,6 +251,7 @@ class Network:
             process.detach()
         self.processes.clear()
         self._links.clear()
+        self._wires.clear()
         self._in_flight.clear()
         self._interceptors.clear()
         self.interned.clear()

@@ -2,6 +2,9 @@
 
 A :class:`Process` is a named node attached to a :class:`~repro.net.network.
 Network`.  Subclasses implement :meth:`on_message` and may arm named timers.
+Re-arming a named timer at a later deadline — as BGP does with its hold
+timer on every message — moves its one simulator event instead of
+leaving a cancelled event in the queue.
 The base class also defines the checkpoint contract used by DiCE
 (:meth:`export_state` / :meth:`import_state`): subclasses return their
 full protocol state as fresh containers over immutable leaves, and can be
@@ -66,12 +69,22 @@ class Process:
         return self.network.sim.now
 
     def set_timer(self, name: str, delay: float) -> None:
-        """Arm (or re-arm) the named timer ``delay`` seconds from now."""
+        """Arm (or re-arm) the named timer ``delay`` seconds from now.
+
+        Re-arming hands the armed event to :meth:`Simulator.postpone`
+        rather than cancelling it and scheduling another.
+        """
         assert self.network is not None, f"{self.name} is not attached"
-        self.cancel_timer(name)
-        self._timers[name] = self.network.sim.schedule(
-            delay, lambda: self._fire_timer(name)
-        )
+        sim = self.network.sim
+        # Popped and inserted again, never updated in place: the dict is
+        # in the order timers were last armed, as with cancel + schedule,
+        # and export_state (so every checkpoint's bytes) follows it.
+        event = self._timers.pop(name, None)
+        if event is None:
+            event = sim.schedule(delay, lambda: self._fire_timer(name))
+        else:
+            event = sim.postpone(event, delay)
+        self._timers[name] = event
 
     def cancel_timer(self, name: str) -> None:
         """Cancel the named timer if armed."""

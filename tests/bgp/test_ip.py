@@ -1,6 +1,10 @@
 """Tests for IPv4 addresses, prefixes, and the radix trie."""
 
 import copy
+import os
+import pickle
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given
@@ -44,6 +48,25 @@ class TestIPv4Address:
     def test_deepcopy_identity(self):
         address = IPv4Address("1.2.3.4")
         assert copy.deepcopy(address) is address
+
+    def test_hash_is_the_same_in_every_process(self):
+        """Hashes of leaves decide dict and set layout inside a task, so
+        they must not depend on the interpreter's string-hash salt."""
+        program = (
+            "from repro.bgp.ip import IPv4Address, Prefix\n"
+            "print(hash(IPv4Address('10.0.1.1')), hash(Prefix('10.1.0.0/16')))"
+        )
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.dirname(os.path.abspath(__file__)))), "src")
+        outputs = {
+            subprocess.run(
+                [sys.executable, "-c", program], check=True,
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": salt},
+            ).stdout
+            for salt in ("1", "2")
+        }
+        assert len(outputs) == 1
 
     @given(st.integers(min_value=0, max_value=2**32 - 1))
     def test_str_parse_roundtrip(self, value):
@@ -106,6 +129,16 @@ class TestPrefix:
     def test_from_wire_masks_stray_bits(self):
         decoded = Prefix.from_wire(8, bytes([0x0A]))
         assert decoded == Prefix("10.0.0.0/8")
+
+    @pytest.mark.parametrize("leaf", [Prefix("10.1.0.0/16"),
+                                      IPv4Address("10.0.1.1")])
+    def test_hashing_pickles_nothing_new(self, leaf):
+        """The hash kept in a slot is rebuilt by the constructor that
+        ``__reduce__`` reruns, never written into a pickle."""
+        before = pickle.dumps(leaf)
+        hash(leaf)
+        assert pickle.dumps(leaf) == before
+        assert hash(pickle.loads(before)) == hash(leaf)
 
     def test_sortable(self):
         prefixes = [Prefix("10.1.0.0/16"), Prefix("10.0.0.0/8")]

@@ -234,6 +234,71 @@ class TestAttributeCache:
         assert first.attributes is not again.attributes
 
 
+class TestEncodingCache:
+    """A network encodes each distinct concrete UPDATE once: every peer
+    offered it is sent the same ``bytes``, which the delivery memo then
+    hashes once."""
+
+    @staticmethod
+    def sending_router():
+        network, router = attached_router()
+        sent = []
+        router.send = lambda dst, payload: sent.append(payload)
+        return network, router, sent
+
+    @pytest.mark.parametrize("build", [
+        lambda: UpdateMessage(
+            attributes=PathAttributes(next_hop=IPv4Address("10.0.0.1"),
+                                      med=5),
+            nlri=(Prefix("10.1.0.0/16"), Prefix("10.2.0.0/16")),
+        ),
+        lambda: UpdateMessage(withdrawn=(Prefix("10.1.0.0/16"),)),
+    ], ids=["announce", "withdraw"])
+    def test_equal_updates_are_encoded_once(self, build):
+        network, router, sent = self.sending_router()
+        with mock.patch.object(UpdateMessage, "encode", autospec=True,
+                               side_effect=BGPMessage.encode) as encode:
+            router.send_message("p", build())
+            router.send_message("p", build())
+            assert encode.call_count == 1
+        assert sent[0] == build().encode()
+        assert sent[1] is sent[0]
+
+    def test_a_symbolic_update_is_encoded_every_time_and_never_kept(self):
+        network, router, sent = self.sending_router()
+        shadow = SymInt(Var("x", 0, 255), 5)
+        attributes = PathAttributes(next_hop=IPv4Address("10.0.0.1"),
+                                    med=shadow)
+        for _ in range(2):
+            router.send_message("p", UpdateMessage(
+                attributes=attributes, nlri=(Prefix("10.1.0.0/16"),)
+            ))
+        assert sent[0] == sent[1]
+        assert sent[1] is not sent[0]
+        assert not network.interned
+
+    def test_peers_offered_one_update_share_its_bytes(self):
+        live = quickstart_system(seed=5)
+        live.converge()
+        delivered = []
+
+        def observe(src, dst, payload):
+            delivered.append((src, dst, payload))
+            return False
+
+        live.network.add_interceptor(observe)
+        prefix = Prefix("10.9.0.0/16")
+        live.apply_change("r2", AddNetwork(prefix))
+        live.run(until=live.network.sim.now + 5)
+        offers = [
+            (dst, payload) for src, dst, payload in delivered
+            if src == "r2" and payload[18] == messages.TYPE_UPDATE
+            and prefix in decode_message(payload).nlri
+        ]
+        assert sorted(dst for dst, _ in offers) == ["r1", "r3"]
+        assert offers[0][1] is offers[1][1]
+
+
 class TestDeliveredMessagesAreReadOnly:
     """Every receiver of the same bytes holds the same message object,
     so a handler that wrote to one would write to all of them."""

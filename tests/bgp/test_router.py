@@ -1,5 +1,7 @@
 """Router behaviour tests: sessions, update pipeline, policy, export."""
 
+from dataclasses import replace
+
 from repro.bgp import faults
 from repro.bgp.attributes import (
     AsPath,
@@ -143,6 +145,22 @@ class TestRoutePropagation:
         r2 = live.router("r2")
         # r2 must not have advertised r1's prefix back to r1.
         assert r2.adj_rib_out["r1"].advertised(P_R1) is None
+
+    def test_an_assigned_config_replaces_the_neighbor_table(self):
+        """Callers assign ``config`` directly; the per-peer table the
+        router reads neighbors from must follow it."""
+        live = build_line()
+        live.converge()
+        r2 = live.router("r2")
+        r2.config = replace(r2.config, neighbors=(
+            r2.config.neighbor("r1"),
+            replace(r2.config.neighbor("r3"), export_med=7),
+        ))
+        new_prefix = Prefix("10.55.0.0/16")
+        live.apply_change("r2", AddNetwork(new_prefix))
+        live.converge()
+        assert live.router("r3").loc_rib.get(new_prefix).attributes.med == 7
+        assert live.router("r1").loc_rib.get(new_prefix).attributes.med is None
 
     def test_update_suppression(self):
         live = build_line()

@@ -1,6 +1,7 @@
 """Tests for the campaign orchestrator."""
 
 import dataclasses
+import gc
 
 import pytest
 
@@ -187,3 +188,81 @@ class TestBenchmarkCompatibilityNames:
         assert (result.solver_cache_hits, result.solver_cache_misses,
                 result.cache_state_fingerprints,
                 result.cache_bytes_shipped()) == (0, 0, {}, 0)
+
+
+class TestGcFreezeBracket:
+    """A campaign runs with the heap it started on frozen out of the
+    cyclic collector, and hands it back however it ends."""
+
+    CONFIG = dict(inputs_per_node=3, cycles=1, seed=1, explorer_nodes=["r2"])
+
+    @staticmethod
+    def signature(result):
+        return (
+            [(r.fault_class, r.property_name, r.node, r.input_summary,
+              r.inputs_explored, r.detected_at) for r in result.reports],
+            [(n.node, n.executions, n.unique_paths, n.branch_coverage,
+              n.clones_created, n.crashes, n.solver_queries, n.solver_sat)
+             for n in result.node_reports],
+        )
+
+    def test_frozen_during_the_campaign_and_unfrozen_after(
+        self, converged3, monkeypatch
+    ):
+        dice = make_orchestrator(converged3)
+        inner = dice._run_campaign_inner
+        frozen = []
+
+        def observed(config):
+            frozen.append(gc.get_freeze_count())
+            return inner(config)
+
+        monkeypatch.setattr(dice, "_run_campaign_inner", observed)
+        assert gc.get_freeze_count() == 0
+        dice.run_campaign(OrchestratorConfig(**self.CONFIG))
+        assert frozen and frozen[0] > 0
+        assert gc.get_freeze_count() == 0
+
+    def test_unfrozen_after_a_campaign_that_raises(self, converged3,
+                                                    monkeypatch):
+        dice = make_orchestrator(converged3)
+
+        def fails(config):
+            assert gc.get_freeze_count() > 0
+            raise RuntimeError("session failed")
+
+        monkeypatch.setattr(dice, "_run_campaign_inner", fails)
+        with pytest.raises(RuntimeError, match="session failed"):
+            dice.run_campaign(OrchestratorConfig(**self.CONFIG))
+        assert gc.get_freeze_count() == 0
+
+    def test_a_callers_own_freeze_is_left_alone(self, converged3):
+        gc.freeze()
+        try:
+            held = gc.get_freeze_count()
+            assert held > 0
+            make_orchestrator(converged3).run_campaign(
+                OrchestratorConfig(**self.CONFIG)
+            )
+            assert gc.get_freeze_count() == held
+        finally:
+            gc.unfreeze()
+
+    def test_results_equal_a_campaign_without_the_collector(self):
+        from repro import quickstart_system
+
+        def campaign():
+            live = quickstart_system(seed=42)
+            live.converge()
+            return make_orchestrator(live).run_campaign(
+                OrchestratorConfig(**self.CONFIG)
+            )
+
+        frozen = campaign()
+        gc.disable()
+        try:
+            collector_off = campaign()
+        finally:
+            gc.enable()
+        assert self.signature(frozen) == self.signature(collector_off)
+        assert frozen.inputs_explored == 3

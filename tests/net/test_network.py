@@ -105,6 +105,21 @@ class TestTransport:
         net.run()
         assert b.inbox == [("phantom", "spoofed")]
 
+    def test_both_directions_draw_from_the_links_named_stream(self):
+        net = Network(seed=3)
+        net.add_process(Echo("a"))
+        net.add_process(Echo("b"))
+        link = net.add_link("b", "a", LinkProfile(loss=0.5))
+        assert net.link_between("a", "b") is link
+        assert net.link_between("b", "a") is link
+        assert list(net.links()) == [link]
+        assert net.link_between("a", "ghost") is None
+        net.start()
+        sent = [net.transmit(src, dst, i)
+                for i, (src, dst) in enumerate([("a", "b"), ("b", "a")] * 20)]
+        reference = Network(seed=3).sim.random.stream("link/a/b")
+        assert sent == [reference.random() >= 0.5 for _ in sent]
+
     def test_loss_reported_by_transmit(self):
         net = Network(seed=1)
         net.add_process(Echo("a"))
