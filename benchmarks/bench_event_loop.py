@@ -1,8 +1,8 @@
 """EXP-LOOP — what the event loop and one BGP UPDATE cost.
 
 The simulator runs every clone DiCE explores and the live system beside
-it, so its constant costs per message are paid on both sides.  Four
-numbers, two of them deterministic and gated by CI:
+it, so its constant costs per message are paid on both sides.  Six
+numbers, four of them deterministic and gated by CI:
 
 * ``queue_pushes_per_event`` — heap entries written (schedule + push
   back) per event run, over the null probe of the bad-gadget hunt: a
@@ -20,6 +20,11 @@ numbers, two of them deterministic and gated by CI:
   peer.  Wall-clock, so informational.
 * ``policy_evaluate_us`` — one import-filter evaluation on the same
   router.  Informational.
+* ``policy_calls_per_eval`` — Python and C calls (``sys.setprofile``
+  events) per ``Filter.evaluate``, replaying every evaluation a
+  40-router internet made while it converged.  Gated "lower".
+* ``internet40_filter_objects`` — distinct ``Filter`` objects in that
+  internet's configs.  Gated "lower".
 
 Run:  python benchmarks/bench_event_loop.py [--json DIR]
 """
@@ -39,6 +44,7 @@ from repro import LiveSystem, quickstart_system
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.ip import Prefix
 from repro.bgp.messages import UpdateMessage
+from repro.bgp.policy import Filter
 from repro.core.live import bgp_process_factory
 from repro.net import sim as sim_module
 from repro.topo.demo27 import build_demo27
@@ -160,6 +166,44 @@ def update_costs(seed: int, rounds: int) -> dict:
     }
 
 
+def policy_costs(seed: int) -> dict:
+    """Calls per filter evaluation, and filter objects, on internet40."""
+    topology = build_internet(INTERNET40)
+    evaluations = []
+    evaluate = Filter.evaluate
+
+    def recording(policy, route, default_local_pref=100):
+        evaluations.append((policy, route, default_local_pref))
+        return evaluate(policy, route, default_local_pref)
+
+    Filter.evaluate = recording
+    try:
+        live = LiveSystem.build(topology.configs, topology.links, seed=seed)
+        live.converge(deadline=600)
+    finally:
+        Filter.evaluate = evaluate
+    events = 0
+
+    def count(frame, event, arg):
+        nonlocal events
+        if event in ("call", "c_call"):
+            events += 1
+
+    sys.setprofile(count)
+    try:
+        for policy, route, default_local_pref in evaluations:
+            policy.evaluate(route, default_local_pref)
+    finally:
+        sys.setprofile(None)
+    filters = {id(policy) for config in topology.configs
+               for policy in config.filters.values()}
+    return {
+        "policy_calls_per_eval": round(events / len(evaluations), 2),
+        "policy_evaluations": len(evaluations),
+        "internet40_filter_objects": len(filters),
+    }
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=0)
@@ -175,6 +219,7 @@ def main(argv: list[str] | None = None) -> int:
         "probe_events": events,
         "probe_pushes": pushes,
         **live_heap(args.seed),
+        **policy_costs(args.seed),
         **update_costs(args.seed, args.rounds),
     }
     config = {"seed": args.seed, "rounds": args.rounds,

@@ -9,7 +9,7 @@ concolic exploration exercises the same classes of decision points:
 * Adj-RIB-In / Loc-RIB / Adj-RIB-Out (``rib``) and the route selection
   process (``decision``) — the "locally most preferred" condition the
   paper marks symbolic;
-* a BIRD-style filter language with an interpreter (``policy_lang``,
+* a BIRD-style filter language with a compiler (``policy_lang``,
   ``policy``) — so configuration, not just code, contributes constraints;
 * injectable programming-error bugs (``faults``) for the fault-detection
   experiments.

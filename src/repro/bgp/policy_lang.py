@@ -24,11 +24,12 @@ prefix literals, prefix sets with BIRD's ``+`` / ``-`` / ``{lo,hi}``
 modifiers, AS-path sets (membership of an ASN), attribute reads, ``.len``,
 comparison operators including ``~`` (match), and ``&&`` / ``||`` / ``!``.
 
-The interpreter lives in :mod:`repro.bgp.policy`.
+The compiler lives in :mod:`repro.bgp.policy`.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Any
 
@@ -52,9 +53,12 @@ _KEYWORDS = {
     "filter", "if", "then", "else", "accept", "reject", "true", "false",
 }
 
-_PUNCT = (
-    "&&", "||", "!=", "<=", ">=", "=", "<", ">", "~", "!", "{", "}", "(",
-    ")", "[", "]", ";", ",", ".", "+", "-", "/",
+# One token per match; ASCII only, so a letter or digit is A-Z, a-z, _
+# or 0-9 and any other character outside a comment is an error.
+_TOKEN = re.compile(
+    r"(?P<newline>\n)|(?P<space>[ \t\r]+)|(?P<comment>#[^\n]*)"
+    r"|(?P<int>[0-9]+)|(?P<word>[A-Za-z_][A-Za-z0-9_]*)"
+    r"|(?P<punct>&&|\|\||[!<>]=|[=<>~!{}()\[\];,.+\-/])"
 )
 
 
@@ -69,52 +73,28 @@ class Token:
 
 
 def tokenize(source: str) -> list[Token]:
-    """Split ``source`` into tokens; ``#`` starts a line comment."""
+    """Split ``source`` into tokens; ``#`` starts a line comment.
+
+    A comment advances no column: the newline that ends it resets it."""
     tokens: list[Token] = []
-    line = 1
-    column = 1
-    index = 0
-    size = len(source)
+    line = column = 1
+    index, size = 0, len(source)
     while index < size:
-        char = source[index]
-        if char == "\n":
-            line += 1
-            column = 1
-            index += 1
+        match = _TOKEN.match(source, index)
+        if match is None:
+            raise PolicySyntaxError(
+                f"unexpected character {source[index]!r}", line, column
+            )
+        kind, text, index = match.lastgroup, match.group(), match.end()
+        if kind == "newline":
+            line, column = line + 1, 1
             continue
-        if char in " \t\r":
-            index += 1
-            column += 1
-            continue
-        if char == "#":
-            while index < size and source[index] != "\n":
-                index += 1
-            continue
-        if char.isdigit():
-            start = index
-            while index < size and source[index].isdigit():
-                index += 1
-            text = source[start:index]
-            tokens.append(Token("int", text, line, column))
-            column += len(text)
-            continue
-        if char.isalpha() or char == "_":
-            start = index
-            while index < size and (source[index].isalnum() or source[index] == "_"):
-                index += 1
-            text = source[start:index]
+        if kind == "word":
             kind = "keyword" if text in _KEYWORDS else "ident"
+        if kind in ("int", "ident", "keyword", "punct"):
             tokens.append(Token(kind, text, line, column))
+        if kind != "comment":
             column += len(text)
-            continue
-        for punct in _PUNCT:
-            if source.startswith(punct, index):
-                tokens.append(Token("punct", punct, line, column))
-                index += len(punct)
-                column += len(punct)
-                break
-        else:
-            raise PolicySyntaxError(f"unexpected character {char!r}", line, column)
     tokens.append(Token("eof", "", line, column))
     return tokens
 

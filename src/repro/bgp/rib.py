@@ -21,7 +21,6 @@ calls no mutator and journals nothing — it is not a route change.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -29,14 +28,22 @@ from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
 from repro.bgp.route import Route
 
 
-@dataclass(frozen=True)
 class RibChange:
-    """One Loc-RIB transition for a prefix."""
+    """One Loc-RIB transition for a prefix.
 
-    time: float
-    prefix: Prefix
-    old: Route | None
-    new: Route | None
+    Slotted, and like :class:`Route` never written after ``__init__``:
+    pending MRAI exports hold changes, and checkpoints share them.
+    Equality and hash cover every field.
+    """
+
+    __slots__ = ("time", "prefix", "old", "new")
+
+    def __init__(self, time: float, prefix: Prefix, old: Route | None,
+                 new: Route | None):
+        self.time = time
+        self.prefix = prefix
+        self.old = old
+        self.new = new
 
     @property
     def kind(self) -> str:
@@ -46,6 +53,24 @@ class RibChange:
         if self.new is None:
             return "withdraw"
         return "replace"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not RibChange:
+            return NotImplemented
+        return _change_fields(self) == _change_fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_change_fields(self))
+
+    def __repr__(self) -> str:
+        return (f"RibChange(time={self.time!r}, prefix={self.prefix!r}, "
+                f"old={self.old!r}, new={self.new!r})")
+
+    def __reduce__(self):
+        return (RibChange, _change_fields(self))
+
+
+_change_fields = attrgetter(*RibChange.__slots__)
 
 
 class AdjRibIn:

@@ -9,7 +9,7 @@ on-the-wire part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Any, Mapping
 
 from repro.bgp.attributes import PathAttributes
@@ -32,7 +32,7 @@ class _ReadOnlyDict(dict):
 
     def _read_only(self, *args: Any, **kwargs: Any):
         raise TypeError(
-            "Route.sym is read-only; build a new Route with dataclasses.replace"
+            "Route.sym is read-only; build a new Route with Route.replace"
         )
 
     __setitem__ = __delitem__ = __ior__ = _read_only
@@ -48,42 +48,74 @@ class _ReadOnlyDict(dict):
 _NO_SYM = _ReadOnlyDict()
 
 
-@dataclass(frozen=True)
 class Route:
-    """One candidate path to ``prefix``."""
+    """One candidate path to ``prefix``.
 
-    prefix: Prefix
-    attributes: PathAttributes
-    source: str = SOURCE_STATIC
-    peer: str | None = None
-    peer_as: int | None = None
-    peer_bgp_id: IPv4Address | None = None
-    received_at: float = 0.0
-    # Symbolic shadows attached by the explorer: maps field names (e.g.
-    # "local_pref", "med", "preferred") to symbolic expressions, so the
-    # policy interpreter and decision process can branch symbolically
-    # even after the concrete values were fixed.  Not part of identity.
-    # Read-only: planting a shadow means building a new Route.
-    sym: Mapping[str, Any] = field(
-        default_factory=lambda: _NO_SYM, compare=False, hash=False
-    )
+    A slotted record: the live router, its checkpoints and every clone
+    share one object, so nothing assigns a slot after ``__init__``
+    (``tests/core/test_state_properties.py`` checks it).  Equality and
+    hash cover every field but ``sym``.
+    """
 
-    def __post_init__(self):
-        if self.source not in (SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC):
-            raise ValueError(f"bad route source {self.source!r}")
-        if type(self.sym) is not _ReadOnlyDict:
-            object.__setattr__(self, "sym", _ReadOnlyDict(self.sym))
+    _FIELDS = ("prefix", "attributes", "source", "peer", "peer_as",
+               "peer_bgp_id", "received_at")
+    __slots__ = _FIELDS + ("sym",)
+
+    def __init__(
+        self,
+        prefix: Prefix,
+        attributes: PathAttributes,
+        source: str = SOURCE_STATIC,
+        peer: str | None = None,
+        peer_as: int | None = None,
+        peer_bgp_id: IPv4Address | None = None,
+        received_at: float = 0.0,
+        sym: Mapping[str, Any] = _NO_SYM,
+    ):
+        if source not in (SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC):
+            raise ValueError(f"bad route source {source!r}")
+        self.prefix = prefix
+        self.attributes = attributes
+        self.source = source
+        self.peer = peer
+        self.peer_as = peer_as
+        self.peer_bgp_id = peer_bgp_id
+        self.received_at = received_at
+        # Symbolic shadows attached by the explorer: maps field names (e.g.
+        # "local_pref", "med", "preferred") to symbolic expressions, so
+        # policy filters and the decision process can branch symbolically
+        # even after the concrete values were fixed.  Read-only: planting
+        # a shadow means building a new Route.
+        if type(sym) is not _ReadOnlyDict:
+            sym = _ReadOnlyDict(sym) if sym else _NO_SYM
+        self.sym = sym
+
+    def replace(self, **changes: Any) -> "Route":
+        """A copy with the given fields (``sym`` among them) replaced."""
+        fields = {name: getattr(self, name) for name in self.__slots__}
+        fields.update(changes)
+        return Route(**fields)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not Route:
+            return NotImplemented
+        return _fields(self) == _fields(other)
+
+    def __hash__(self) -> int:
+        return hash(_fields(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(
+            f"{name}={getattr(self, name)!r}" for name in self.__slots__
+        )
+        return f"Route({fields})"
 
     def __reduce_ex__(self, protocol: int):
-        # Without shadows (every route outside an exploration clone) a
-        # pickle holds the seven values, not a name -> value dict.
-        if self.sym:
-            return super().__reduce_ex__(protocol)
-        return (
-            Route,
-            (self.prefix, self.attributes, self.source, self.peer,
-             self.peer_as, self.peer_bgp_id, self.received_at),
-        )
+        # Positional: a pickle holds the values, not a name -> value
+        # dict, and a route without shadows (every route outside an
+        # exploration clone) the seven fields alone.
+        fields = _fields(self)
+        return (Route, fields + (self.sym,) if self.sym else fields)
 
     def with_attributes(self, attributes: PathAttributes) -> "Route":
         """Copy with replaced attributes (policy actions use this)."""
@@ -127,3 +159,6 @@ class Route:
             f"path [{self.attributes.as_path}] "
             f"lp={self.attributes.local_pref} med={self.attributes.med}"
         )
+
+
+_fields = attrgetter(*Route._FIELDS)

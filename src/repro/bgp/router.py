@@ -27,7 +27,6 @@ them back (the checks read the Loc-RIB journal and session counters).
 from __future__ import annotations
 
 import logging
-from dataclasses import replace
 from typing import Any
 
 from repro.bgp import faults
@@ -315,7 +314,7 @@ class BGPRouter(Process):
         )
 
     def _handle_open(self, src: str, message: OpenMessage) -> None:
-        session = self.sessions[src]
+        session: Session = self.sessions[src]
         self.cancel_timer(f"{_T_CONNECT}:{src}")
         if message.my_as != session.peer_as:
             raise OpenMessageError(
@@ -578,7 +577,7 @@ class BGPRouter(Process):
             shadows["med"] = faults.buggy_med(med, True)
         if shadows == route.sym:
             return route
-        return replace(route, sym=shadows)
+        return route.replace(sym=shadows)
 
     # -- export -------------------------------------------------------------------
 
@@ -670,7 +669,7 @@ class BGPRouter(Process):
         if not is_ibgp_peer and attrs.as_path.contains(neighbor.peer_as):
             return None
         # Symbolic shadows stay local: they never reach the wire.
-        exported = replace(route, sym={}) if route.sym else route
+        exported = route.replace(sym={}) if route.sym else route
         result = self._eval_filter(peer, exported, direction="export")
         if result is not None:
             if result.fell_through:

@@ -30,7 +30,7 @@ from __future__ import annotations
 import random
 import time
 from contextlib import closing, contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
@@ -494,8 +494,8 @@ class Explorer:
                     # Routes are shared with the snapshot and its other
                     # clones: plant the shadow on a copy, in this RIB
                     # only.
-                    rib.update(replace(
-                        route, sym={**route.sym, "local_pref": shadow}
+                    rib.update(route.replace(
+                        sym={**route.sym, "local_pref": shadow}
                     ))
                 clone_router.rerun_decision([target])
                 best = clone_router.loc_rib.get(target)

@@ -132,7 +132,7 @@ class _Reject(Exception):
 class _PolicyMachine:
     """Runs one filter definition over one candidate route.
 
-    Same observable semantics as the simulator's interpreter, reached by
+    Same observable semantics as the simulator's compiled filters, reached by
     a different construction: statement execution raises on verdicts
     instead of threading return values, and the working state lives in
     one plain dict.

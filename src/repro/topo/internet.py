@@ -18,7 +18,10 @@ Gao–Rexford:
 
 Policies are *generated filter source text*, compiled by the real
 policy parser — so exploration of any node's behaviour runs through the
-configuration interpreter exactly as the paper describes.
+configured policy exactly as the paper describes.  As BIRD protocols
+name one shared filter, every session of a role — import from, or
+export to, a customer, peer or provider — references one compiled
+:class:`Filter`: six per topology, whatever its size, each parsed once.
 """
 
 from __future__ import annotations
@@ -234,6 +237,14 @@ def build_internet(params: TopologyParams) -> InternetTopology:
         for provider in providers:
             connect(name, provider, REL_PROVIDER)
 
+    role_filters: dict[str, Filter] = {}
+    for relationship in (REL_CUSTOMER, REL_PEER, REL_PROVIDER):
+        for filter_name, render in ((f"imp_{relationship}", _import_filter),
+                                    (f"exp_{relationship}", _export_filter)):
+            role_filters[filter_name] = Filter.compile(
+                render(filter_name, relationship)
+            )
+
     configs = []
     for index, name in enumerate(names):
         neighbors = []
@@ -242,14 +253,10 @@ def build_internet(params: TopologyParams) -> InternetTopology:
             peer for (a, peer) in relationships if a == name
         ):
             relationship = relationships[(name, other)]
-            import_name = f"imp_{other.replace('-', '_')}"
-            export_name = f"exp_{other.replace('-', '_')}"
-            filters[import_name] = Filter.compile(
-                _import_filter(import_name, relationship)
-            )
-            filters[export_name] = Filter.compile(
-                _export_filter(export_name, relationship)
-            )
+            import_name = f"imp_{relationship}"
+            export_name = f"exp_{relationship}"
+            filters[import_name] = role_filters[import_name]
+            filters[export_name] = role_filters[export_name]
             neighbors.append(
                 NeighborConfig(
                     peer=other,

@@ -1,7 +1,5 @@
 """Tests for the BGP decision process."""
 
-from dataclasses import replace
-
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -105,7 +103,7 @@ class TestTieBreakChain:
     def test_symbolic_shadow_overrides_local_pref(self):
         a = route(local_pref=50)
         b = route(local_pref=200, peer="p2")
-        a = replace(a, sym={"local_pref": 500})
+        a = a.replace(sym={"local_pref": 500})
         assert compare_routes(a, b) < 0
 
 

@@ -1,6 +1,4 @@
-"""Tests for the filter interpreter."""
-
-from dataclasses import replace
+"""Tests for the filter compiler."""
 
 import pytest
 
@@ -244,7 +242,7 @@ class TestRuntimeErrors:
 class TestSymbolicShadows:
     def test_shadowed_local_pref_read(self):
         route = make_route(local_pref=100)
-        route = replace(route, sym={"local_pref": 55})
+        route = route.replace(sym={"local_pref": 55})
         result = run(
             "filter f { if bgp_local_pref = 55 then accept; reject; }", route
         )
@@ -253,8 +251,8 @@ class TestSymbolicShadows:
     def test_shadowed_prefix_match(self):
         route = make_route("10.1.0.0/16")
         # Shadow pretends the prefix is 192.168/16.
-        route = replace(
-            route, sym={"pfx_network": 0xC0A80000, "pfx_length": 16}
+        route = route.replace(
+            sym={"pfx_network": 0xC0A80000, "pfx_length": 16}
         )
         source = (
             "filter f { if net ~ [ 192.168.0.0/16 ] then accept; reject; }"
@@ -310,13 +308,13 @@ class TestResultAllocatesOnlyOnChange:
         from repro.concolic.symbolic import PathRecorder, SymInt
 
         shadow = SymInt(Var("m", 0, 255), 30)
-        route = replace(make_route(**self.CARRIES), sym={"med": shadow})
+        route = make_route(**self.CARRIES).replace(sym={"med": shadow})
         with PathRecorder() as recorder:
             result = run("filter f { accept; }", route).attributes
         assert recorder.branches == []
         assert result.med is shadow
         assert result is not route.attributes
-        carried = replace(route, attributes=result, sym={})
+        carried = route.replace(attributes=result, sym={})
         with PathRecorder() as recorder:
             again = run("filter f { accept; }", carried).attributes
         assert recorder.branches == []

@@ -1,5 +1,7 @@
 """Tests for the three RIBs."""
 
+import pickle
+
 from hypothesis import given
 from hypothesis import strategies as st
 from test_ip import naive_longest_match
@@ -25,6 +27,27 @@ def route(prefix=P1, peer="p1", local_pref=None, asns=(65001,)):
         peer=peer,
         peer_as=asns[0],
     )
+
+
+class TestRibChange:
+    def test_equality_and_hash_are_the_fields(self):
+        change = RibChange(1.0, P1, None, route())
+        again = RibChange(1.0, P1, None, route())
+        assert change == again and hash(change) == hash(again)
+        assert hash(change) == hash((1.0, P1, None, change.new))
+        assert change != RibChange(2.0, P1, None, route())
+        assert change != RibChange(1.0, P1, route(), route())
+
+    def test_the_shadows_of_its_routes_do_not_count(self):
+        change = RibChange(1.0, P1, None, route())
+        shadowed = RibChange(1.0, P1, None, route().replace(sym={"med": 1}))
+        assert change == shadowed and hash(change) == hash(shadowed)
+
+    def test_pickles_positionally(self):
+        change = RibChange(1.0, P1, route(), None)
+        assert change.__reduce__() == (RibChange, (1.0, P1, change.old, None))
+        assert pickle.loads(pickle.dumps(change)) == change
+        assert change.kind == "withdraw"
 
 
 class TestAdjRibIn:

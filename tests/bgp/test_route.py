@@ -1,7 +1,6 @@
 """Tests for route objects."""
 
 import pickle
-from dataclasses import replace
 
 import pytest
 
@@ -54,7 +53,7 @@ class TestRoute:
             attributes=route.attributes.replace(local_pref=150)
         )
         assert route.effective_local_pref() == 150
-        route = replace(route, sym={"local_pref": 999})
+        route = route.replace(sym={"local_pref": 999})
         assert route.effective_local_pref() == 999
 
     def test_effective_med_priority(self):
@@ -62,13 +61,36 @@ class TestRoute:
         assert route.effective_med() == 0
         route = make_route(attributes=route.attributes.replace(med=5))
         assert route.effective_med() == 5
-        route = replace(route, sym={"med": 77})
+        route = route.replace(sym={"med": 77})
         assert route.effective_med() == 77
 
     def test_sym_excluded_from_equality(self):
         a = make_route()
         b = make_route(sym={"local_pref": 1})
         assert a == b
+        assert hash(a) == hash(b)
+        # the hash a frozen dataclass had: every field but sym, as a tuple
+        assert hash(a) == hash((a.prefix, a.attributes, a.source, a.peer,
+                                a.peer_as, a.peer_bgp_id, a.received_at))
+        assert a != make_route(peer="p2")
+        assert a != make_route(received_at=1.0)
+        assert a.__eq__("a route") is NotImplemented
+
+    def test_replace_copies_every_other_field(self):
+        route = make_route(sym={"med": 5}, received_at=2.0)
+        moved = route.replace(peer="p2")
+        assert (moved.peer, route.peer) == ("p2", "p1")
+        assert moved.sym == {"med": 5} and moved.received_at == 2.0
+        assert moved.attributes is route.attributes
+        assert route.replace(sym={}).sym == {}
+        with pytest.raises(ValueError):
+            route.replace(source="carrier-pigeon")
+        with pytest.raises(TypeError):
+            route.replace(colour="red")
+
+    def test_a_route_has_no_dict_to_grow(self):
+        with pytest.raises(AttributeError):
+            make_route().scratch = 1
 
     def test_sym_is_read_only_and_pickles(self):
         route = make_route(sym={"local_pref": 1})

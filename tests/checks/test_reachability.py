@@ -57,16 +57,14 @@ class TestGlobalChecks:
 
     def test_loop_detection_on_crafted_state(self, converged3):
         """Manufacture a two-node forwarding loop in Loc-RIBs."""
-        import dataclasses
-
         r2 = converged3.router("r2")
         r3 = converged3.router("r3")
         prefix = Prefix("10.1.0.0/16")
         route_at_r2 = r2.loc_rib.get(prefix)
-        looped_r2 = dataclasses.replace(route_at_r2, peer="r3")
+        looped_r2 = route_at_r2.replace(peer="r3")
         r2.loc_rib.set(0.0, prefix, looped_r2)
         route_at_r3 = r3.loc_rib.get(prefix)
-        looped_r3 = dataclasses.replace(route_at_r3, peer="r2")
+        looped_r3 = route_at_r3.replace(peer="r2")
         r3.loc_rib.set(0.0, prefix, looped_r3)
         loops = find_forwarding_loops(converged3.network, [prefix])
         assert any(node == "r2" for node, _, _ in loops)

@@ -9,6 +9,7 @@ the fixtures used elsewhere.
 import ast
 import copy
 import pickle
+import re
 from pathlib import Path
 
 import pytest
@@ -22,6 +23,7 @@ from repro.bgp.config import NeighborConfig, RouterConfig
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import Filter
+from repro.bgp.rib import RibChange
 from repro.bgp.route import SOURCE_EBGP, Route
 from repro.bgp.router import BGPRouter
 from repro.core.live import bgp_process_factory
@@ -184,63 +186,118 @@ class TestPolicyPurity:
         assert first.attributes == second.attributes
 
 
+def _class_name(annotation):
+    """The class an annotation names plainly, if it does."""
+    if isinstance(annotation, ast.Name):
+        return annotation.id
+    if isinstance(annotation, ast.Attribute):
+        return annotation.attr
+    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+        return annotation.value
+    return None
+
+
+def attribute_stores(tree):
+    """Every attribute store, ``del`` and ``setattr`` under ``tree``, as
+    (line, text, receiver, name or None when computed, owner, init_of).
+
+    ``owner`` is the class the receiver provably is: ``self`` in one of
+    its methods, a parameter or local annotated with it, a local built by
+    calling it.  ``init_of`` is the class whose ``__init__`` holds the
+    store."""
+    found = []
+
+    def visit(node, known, method_of, init_of):
+        if isinstance(node, ast.ClassDef):
+            for child in node.body:
+                visit(child, known, node.name, init_of)
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            known = dict(known)
+            params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
+            for param in params:
+                known[param.arg] = _class_name(param.annotation)
+            decorators = {_class_name(d) for d in getattr(node, "decorator_list", ())}
+            if method_of and params and "staticmethod" not in decorators:
+                known[params[0].arg] = method_of
+                if getattr(node, "name", None) == "__init__":
+                    init_of = method_of
+            for inner in ast.walk(node):
+                if isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
+                    known[inner.target.id] = _class_name(inner.annotation)
+                elif (isinstance(inner, ast.Assign) and isinstance(inner.value, ast.Call)
+                      and isinstance(inner.value.func, ast.Name)
+                      and inner.value.func.id[:1].isupper()):
+                    for target in inner.targets:
+                        if isinstance(target, ast.Name):
+                            known[target.id] = inner.value.func.id
+            method_of = None
+        receiver = name = None
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            receiver, name = node.value, node.attr
+        elif (isinstance(node, ast.Call) and node.args
+              and ast.unparse(node.func) in ("setattr", "object.__setattr__")):
+            receiver = node.args[0]
+            second = node.args[1] if len(node.args) > 1 else None
+            name = second.value if isinstance(second, ast.Constant) else None
+        if receiver is not None:
+            owner = known.get(receiver.id) if isinstance(receiver, ast.Name) else None
+            found.append((node.lineno, ast.unparse(node), receiver, name, owner,
+                          init_of))
+        for child in ast.iter_child_nodes(node):
+            visit(child, known, method_of, init_of)
+
+    visit(tree, {}, None, None)
+    return found
+
+
 class TestPathAttributesNeverWritten:
-    """``PathAttributes`` is shared between the live router, checkpoints
-    and clones but carries no runtime write guard (it is built once per
-    decoded UPDATE, and a ``__setattr__`` hook would tax the decoder), so
-    immutability is checked statically: nothing under ``src/`` assigns
-    to one of its slots outside its own ``__init__``."""
+    """``PathAttributes``, ``Route`` and ``RibChange`` are shared between
+    the live router, checkpoints and clones but carry no runtime write
+    guard (one is built per decoded UPDATE, per route, per Loc-RIB change,
+    and a ``__setattr__`` hook would tax every one), so immutability is
+    checked statically: nothing under ``src/`` assigns to one of their
+    slots outside the class's own ``__init__``.
 
-    SLOTS = frozenset(PathAttributes.__slots__)
+    The match is scoped by class.  A store to an object that is provably
+    of another class (``self`` in its method, an annotated parameter or
+    local, a local built by its constructor) writes that class.  Any
+    other store to a slot's name counts where the module names the
+    class, and a store through ``attrs``, ``attributes`` or
+    ``x.attributes`` counts for ``PathAttributes`` everywhere."""
 
-    def _writes(self, tree: ast.AST, sees_class: bool):
-        """(line, target) of every attribute store that could hit a
-        ``PathAttributes`` slot."""
-        own_init = set()
-        for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name == "PathAttributes":
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and item.name == "__init__":
-                        own_init.update(map(id, ast.walk(item)))
-        for node in ast.walk(tree):
-            if (
-                isinstance(node, ast.Attribute)
-                and isinstance(node.ctx, (ast.Store, ast.Del))
-                and node.attr in self.SLOTS
-                and id(node) not in own_init
-            ):
-                via_attributes = (
-                    isinstance(node.value, ast.Attribute)
-                    and node.value.attr == "attributes"
-                ) or (
-                    isinstance(node.value, ast.Name)
-                    and node.value.id in ("attrs", "attributes")
-                )
-                if sees_class or via_attributes:
-                    yield node.lineno, ast.unparse(node)
-            elif (
-                isinstance(node, ast.Call)
-                and ast.unparse(node.func) in ("setattr", "object.__setattr__")
-                and sees_class
-                and id(node) not in own_init
-                # a computed name could be any slot
-                and not (
-                    len(node.args) > 1
-                    and isinstance(node.args[1], ast.Constant)
-                    and node.args[1].value not in self.SLOTS
-                )
-            ):
-                yield node.lineno, ast.unparse(node)
+    GUARDED = {cls.__name__: frozenset(cls.__slots__)
+               for cls in (PathAttributes, Route, RibChange)}
+
+    def _writes(self, source: str):
+        """(line, target) of every store that could hit a guarded slot."""
+        named = {cls for cls in self.GUARDED if re.search(rf"\b{cls}\b", source)}
+        for line, text, receiver, name, owner, init_of in attribute_stores(
+            ast.parse(source)
+        ):
+            for cls, slots in self.GUARDED.items():
+                if (name is not None and name not in slots) or init_of == cls:
+                    continue
+                if owner is not None:
+                    hit = owner == cls
+                else:
+                    hit = cls in named or cls == "PathAttributes" and (
+                        isinstance(receiver, ast.Attribute)
+                        and receiver.attr == "attributes"
+                        or isinstance(receiver, ast.Name)
+                        and receiver.id in ("attrs", "attributes")
+                    )
+                if hit:
+                    yield line, text
+                    break
 
     def test_no_slot_assignment_outside_init(self):
         root = Path(repro.__file__).parent
-        offenders = []
-        for path in sorted(root.rglob("*.py")):
-            source = path.read_text()
-            for line, target in self._writes(
-                ast.parse(source), sees_class="PathAttributes" in source
-            ):
-                offenders.append(f"{path.relative_to(root)}:{line}: {target}")
+        offenders = [
+            f"{path.relative_to(root)}:{line}: {target}"
+            for path in sorted(root.rglob("*.py"))
+            for line, target in self._writes(path.read_text())
+        ]
         assert offenders == []
 
     def test_the_walk_sees_a_planted_write(self):
@@ -252,10 +309,35 @@ class TestPathAttributesNeverWritten:
             "    setattr(a, 'origin', 0)\n"
             "    setattr(a, 'unrelated', 0)\n"
         )
-        found = [t for _, t in self._writes(ast.parse(planted), sees_class=True)]
+        found = [t for _, t in self._writes(planted)]
         assert found == [
             "a.med", "route.attributes.local_pref", "setattr(a, 'origin', 0)"
         ]
         elsewhere = "def g(route):\n    route.attributes.med = 1\n    route.med = 2\n"
-        found = [t for _, t in self._writes(ast.parse(elsewhere), sees_class=False)]
+        found = [t for _, t in self._writes(elsewhere)]
         assert found == ["route.attributes.med"]
+
+    def test_the_match_is_scoped_by_class(self):
+        planted = (
+            "from repro.bgp.route import Route\n"
+            "class Frame:\n"
+            "    def __init__(self, route):\n"
+            "        self.prefix = route.prefix\n"
+            "    def reset(self):\n"
+            "        self.med = None\n"
+            "def write(f: Frame, route, change: 'RibChange'):\n"
+            "    f.med = 1\n"
+            "    f.communities = []\n"
+            "    setattr(f, 'origin', 0)\n"
+            "    route.peer = 'x'\n"
+            "    change.new = None\n"
+            "    report = Report()\n"
+            "    report.prefix = 'p'\n"
+            "class Route:\n"
+            "    def __init__(self, peer):\n"
+            "        self.peer = peer\n"
+            "    def touch(self):\n"
+            "        self.sym = {}\n"
+        )
+        found = [t for _, t in self._writes(planted)]
+        assert found == ["route.peer", "change.new", "self.sym"]
