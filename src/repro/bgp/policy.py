@@ -136,15 +136,11 @@ def _current(f: _Frame) -> Any:
     return f.attrs.communities if f.communities is None else f.communities
 
 
-def _net(f: _Frame) -> tuple[Any, Any]:
-    prefix = f.route.prefix
-    return (f.sym.get("pfx_network", prefix.network),
-            f.sym.get("pfx_length", prefix.length))
-
-
 def _view(f: _Frame, index: int) -> Any:
     if f.views is None:
-        f.views = (_NetView(*_net(f)),
+        prefix = f.route.prefix
+        f.views = (_NetView(f.sym.get("pfx_network", prefix.network),
+                            f.sym.get("pfx_length", prefix.length)),
                    _AsPathView(f.attrs.as_path, f.sym.get("path_len")))
     return f.views[index]
 
@@ -164,7 +160,6 @@ _READERS: dict[str, Step] = {
 _FIELDS: dict[tuple[str, str], Step] = {
     ("bgp_path", "len"): lambda f: f.attrs.as_path.length()
     if f.sym.get("path_len") is None else f.sym["path_len"],
-    ("net", "len"): lambda f: _net(f)[1],
 }
 
 
@@ -269,13 +264,7 @@ def _expr(node: Any) -> Step:
         return lambda f: True if left(f) else bool(right(f))
     target = _constant(node.right)
     if op == "~":
-        name = getattr(node.left, "name", None)
-        if name == "net" and isinstance(target, (lang.PrefixSet, Prefix)):
-            members = _members(target)
-            return lambda f: _net_in(*_net(f), members)
-        if name == "bgp_path" and type(target) is lang.AsSet:
-            return lambda f: any(map(f.attrs.as_path.contains, target.asns))
-        if name == "bgp_community" and type(target) is int:
+        if getattr(node.left, "name", None) == "bgp_community" and type(target) is int:
             return lambda f: target in _current(f)
         return lambda f: _match(left(f), right(f))
     compare = _OPERATORS.get(op)

@@ -21,6 +21,7 @@ calls no mutator and journals nothing — it is not a route change.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
@@ -28,6 +29,7 @@ from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
 from repro.bgp.route import Route
 
 
+@dataclass(slots=True, unsafe_hash=True)
 class RibChange:
     """One Loc-RIB transition for a prefix.
 
@@ -36,14 +38,10 @@ class RibChange:
     Equality and hash cover every field.
     """
 
-    __slots__ = ("time", "prefix", "old", "new")
-
-    def __init__(self, time: float, prefix: Prefix, old: Route | None,
-                 new: Route | None):
-        self.time = time
-        self.prefix = prefix
-        self.old = old
-        self.new = new
+    time: float
+    prefix: Prefix
+    old: Route | None
+    new: Route | None
 
     @property
     def kind(self) -> str:
@@ -53,18 +51,6 @@ class RibChange:
         if self.new is None:
             return "withdraw"
         return "replace"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not RibChange:
-            return NotImplemented
-        return _change_fields(self) == _change_fields(other)
-
-    def __hash__(self) -> int:
-        return hash(_change_fields(self))
-
-    def __repr__(self) -> str:
-        return (f"RibChange(time={self.time!r}, prefix={self.prefix!r}, "
-                f"old={self.old!r}, new={self.new!r})")
 
     def __reduce__(self):
         return (RibChange, _change_fields(self))

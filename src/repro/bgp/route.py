@@ -9,6 +9,7 @@ on-the-wire part.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from operator import attrgetter
 from typing import Any, Mapping
 
@@ -48,18 +49,27 @@ class _ReadOnlyDict(dict):
 _NO_SYM = _ReadOnlyDict()
 
 
+@dataclass(slots=True, init=False, unsafe_hash=True)
 class Route:
     """One candidate path to ``prefix``.
 
     A slotted record: the live router, its checkpoints and every clone
     share one object, so nothing assigns a slot after ``__init__``
     (``tests/core/test_state_properties.py`` checks it).  Equality and
-    hash cover every field but ``sym``.
+    hash cover every field but ``sym``.  ``__init__`` is written out: it
+    checks ``source`` without the extra call a ``__post_init__`` costs.
     """
 
     _FIELDS = ("prefix", "attributes", "source", "peer", "peer_as",
                "peer_bgp_id", "received_at")
-    __slots__ = _FIELDS + ("sym",)
+    prefix: Prefix
+    attributes: PathAttributes
+    source: str
+    peer: str | None
+    peer_as: int | None
+    peer_bgp_id: IPv4Address | None
+    received_at: float
+    sym: Mapping[str, Any] = field(compare=False)
 
     def __init__(
         self,
@@ -95,20 +105,6 @@ class Route:
         fields = {name: getattr(self, name) for name in self.__slots__}
         fields.update(changes)
         return Route(**fields)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not Route:
-            return NotImplemented
-        return _fields(self) == _fields(other)
-
-    def __hash__(self) -> int:
-        return hash(_fields(self))
-
-    def __repr__(self) -> str:
-        fields = ", ".join(
-            f"{name}={getattr(self, name)!r}" for name in self.__slots__
-        )
-        return f"Route({fields})"
 
     def __reduce_ex__(self, protocol: int):
         # Positional: a pickle holds the values, not a name -> value

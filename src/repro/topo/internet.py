@@ -22,6 +22,10 @@ configured policy exactly as the paper describes.  As BIRD protocols
 name one shared filter, every session of a role — import from, or
 export to, a customer, peer or provider — references one compiled
 :class:`Filter`: six per topology, whatever its size, each parsed once.
+Sessions name a filter by its role (``imp_customer``, ``exp_peer``, …),
+so an ``AddFilter`` that redefines one of these names changes policy for
+every session of that role on the router; changing one session's policy
+takes ``AddFilter`` under a new name plus ``SetNeighborFilter``.
 """
 
 from __future__ import annotations

@@ -186,25 +186,29 @@ class TestPolicyPurity:
         assert first.attributes == second.attributes
 
 
-def _class_name(annotation):
-    """The class an annotation names plainly, if it does."""
-    if isinstance(annotation, ast.Name):
-        return annotation.id
-    if isinstance(annotation, ast.Attribute):
-        return annotation.attr
-    if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
-        return annotation.value
-    return None
-
-
 def attribute_stores(tree):
     """Every attribute store, ``del`` and ``setattr`` under ``tree``, as
     (line, text, receiver, name or None when computed, owner, init_of).
 
     ``owner`` is the class the receiver provably is: ``self`` in one of
     its methods, a parameter or local annotated with it, a local built by
-    calling it.  ``init_of`` is the class whose ``__init__`` holds the
-    store."""
+    calling it — where the module defines that class or imports it by
+    name.  ``Any``, ``object``, unions, quoted and dotted annotations
+    prove nothing: the owner is None.  ``init_of`` is the class whose
+    ``__init__`` holds the store."""
+    classes = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef):
+            classes.add(node.name)
+        elif isinstance(node, ast.ImportFrom):
+            classes.update(alias.asname or alias.name for alias in node.names)
+    classes -= {"Any", "object"}
+
+    def named_class(annotation):
+        if isinstance(annotation, ast.Name) and annotation.id in classes:
+            return annotation.id
+        return None
+
     found = []
 
     def visit(node, known, method_of, init_of):
@@ -216,21 +220,19 @@ def attribute_stores(tree):
             known = dict(known)
             params = [*node.args.posonlyargs, *node.args.args, *node.args.kwonlyargs]
             for param in params:
-                known[param.arg] = _class_name(param.annotation)
-            decorators = {_class_name(d) for d in getattr(node, "decorator_list", ())}
+                known[param.arg] = named_class(param.annotation)
+            decorators = {ast.unparse(d) for d in getattr(node, "decorator_list", ())}
             if method_of and params and "staticmethod" not in decorators:
                 known[params[0].arg] = method_of
                 if getattr(node, "name", None) == "__init__":
                     init_of = method_of
             for inner in ast.walk(node):
                 if isinstance(inner, ast.AnnAssign) and isinstance(inner.target, ast.Name):
-                    known[inner.target.id] = _class_name(inner.annotation)
-                elif (isinstance(inner, ast.Assign) and isinstance(inner.value, ast.Call)
-                      and isinstance(inner.value.func, ast.Name)
-                      and inner.value.func.id[:1].isupper()):
+                    known[inner.target.id] = named_class(inner.annotation)
+                elif isinstance(inner, ast.Assign) and isinstance(inner.value, ast.Call):
                     for target in inner.targets:
                         if isinstance(target, ast.Name):
-                            known[target.id] = inner.value.func.id
+                            known[target.id] = named_class(inner.value.func)
             method_of = None
         receiver = name = None
         if isinstance(node, ast.Attribute) and isinstance(node.ctx, (ast.Store, ast.Del)):
@@ -260,11 +262,12 @@ class TestPathAttributesNeverWritten:
     slots outside the class's own ``__init__``.
 
     The match is scoped by class.  A store to an object that is provably
-    of another class (``self`` in its method, an annotated parameter or
-    local, a local built by its constructor) writes that class.  Any
-    other store to a slot's name counts where the module names the
-    class, and a store through ``attrs``, ``attributes`` or
-    ``x.attributes`` counts for ``PathAttributes`` everywhere."""
+    of another class (``self`` in its method, a parameter or local
+    annotated with, or built by calling, a class the module defines or
+    imports by name) writes that class.  Any other store to a slot's
+    name counts where the module names the class, and a store through
+    ``attrs``, ``attributes`` or ``x.attributes`` counts for
+    ``PathAttributes`` everywhere."""
 
     GUARDED = {cls.__name__: frozenset(cls.__slots__)
                for cls in (PathAttributes, Route, RibChange)}
@@ -319,13 +322,16 @@ class TestPathAttributesNeverWritten:
 
     def test_the_match_is_scoped_by_class(self):
         planted = (
+            "from typing import Any\n"
             "from repro.bgp.route import Route\n"
+            "from repro.report import Report\n"
             "class Frame:\n"
             "    def __init__(self, route):\n"
             "        self.prefix = route.prefix\n"
             "    def reset(self):\n"
             "        self.med = None\n"
-            "def write(f: Frame, route, change: 'RibChange'):\n"
+            "def write(f: Frame, route, change: 'RibChange', x: Any, y: object,\n"
+            "          z: Route | None, w: Frame | None, v: lib.Frame):\n"
             "    f.med = 1\n"
             "    f.communities = []\n"
             "    setattr(f, 'origin', 0)\n"
@@ -333,6 +339,13 @@ class TestPathAttributesNeverWritten:
             "    change.new = None\n"
             "    report = Report()\n"
             "    report.prefix = 'p'\n"
+            "    made = make()\n"
+            "    made.prefix = 'p'\n"
+            "    x.peer = 1\n"
+            "    y.sym = {}\n"
+            "    z.peer_as = 1\n"
+            "    w.source = 's'\n"
+            "    v.received_at = 0.0\n"
             "class Route:\n"
             "    def __init__(self, peer):\n"
             "        self.peer = peer\n"
@@ -340,4 +353,7 @@ class TestPathAttributesNeverWritten:
             "        self.sym = {}\n"
         )
         found = [t for _, t in self._writes(planted)]
-        assert found == ["route.peer", "change.new", "self.sym"]
+        assert found == [
+            "route.peer", "change.new", "made.prefix", "x.peer", "y.sym",
+            "z.peer_as", "w.source", "v.received_at", "self.sym",
+        ]

@@ -7,6 +7,8 @@ import sys
 
 import pytest
 
+from repro.bgp.config import AddFilter, SetNeighborFilter
+from repro.bgp.policy import Filter
 from repro.checks.reachability import convergence_complete
 from repro.core.live import LiveSystem
 from repro.topo.internet import (
@@ -124,6 +126,44 @@ class TestPolicies:
                         f"{name} leaked a provider route to "
                         f"{relationship} {peer}"
                     )
+
+    def test_sessions_of_a_role_share_one_filter(self):
+        topology = build_internet(SMALL)
+        shared = {}
+        for config in topology.configs:
+            for neighbor in config.neighbors:
+                relationship = topology.relationships[(config.name, neighbor.peer)]
+                assert neighbor.import_filter == f"imp_{relationship}"
+                assert neighbor.export_filter == f"exp_{relationship}"
+                for name in (neighbor.import_filter, neighbor.export_filter):
+                    assert shared.setdefault(name, config.filters[name]) \
+                        is config.filters[name]
+        assert len(shared) == 6
+
+    def test_redefining_a_role_filter_reaches_every_session_of_the_role(self):
+        """``AddFilter`` redefines a filter by name, and a name is a role:
+        one session's policy changes with a new name plus
+        ``SetNeighborFilter``."""
+        topology = build_internet(SMALL)
+        config = max(topology.configs, key=lambda c: sum(
+            n.import_filter == "imp_customer" for n in c.neighbors
+        ))
+        customers = [n.peer for n in config.neighbors
+                     if n.import_filter == "imp_customer"]
+        assert len(customers) >= 2
+        strict = Filter.compile("filter imp_customer { reject; }")
+        redefined = AddFilter(strict).apply(config)
+        assert all(
+            redefined.filters[n.import_filter] is strict
+            for n in redefined.neighbors if n.peer in customers
+        )
+        one = Filter.compile("filter imp_one { reject; }")
+        narrowed = SetNeighborFilter(customers[0], "import", "imp_one").apply(
+            AddFilter(one).apply(config)
+        )
+        assert [n.peer for n in narrowed.neighbors
+                if narrowed.filters[n.import_filter] is one] == customers[:1]
+        assert narrowed.filters["imp_customer"] is config.filters["imp_customer"]
 
 
 def _topology_digest(params: TopologyParams) -> str:
