@@ -2,10 +2,10 @@
 """CI gate: run the invariant linter and fail on any new finding.
 
 Thin wrapper over ``repro.analysis.cli`` pinned to the repo's layout:
-lints ``src/`` against the committed ``invariants-baseline.json`` and
-writes the JSON report for the CI artifact.  Any finding that is not
-pragma-suppressed (with a reason) or baselined (with a reason) fails
-the gate, as do reasonless waivers and stale baseline entries.
+lints ``src/`` and writes the JSON report for the CI artifact.  A
+finding fails the gate unless a ``# repro: allow[RULE-ID] reason``
+pragma on its line waives it; a pragma without a reason, or naming an
+unknown rule, is itself a finding (SUP001).
 
 Run:  python scripts/check_invariants.py [--json FILE] [--paths P ...]
 
@@ -30,25 +30,18 @@ from repro.analysis.cli import run_lint  # noqa: E402
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="check_invariants",
-        description="invariant-lint CI gate (repro lint + repo baseline)",
+        description="invariant-lint CI gate (repro lint over src/)",
     )
     parser.add_argument("--json", default=None, metavar="FILE",
                         dest="json_path",
                         help="write the JSON report here (CI artifact)")
     parser.add_argument("--paths", nargs="+", default=None, metavar="PATH",
                         help="override the lint roots (default: src/)")
-    parser.add_argument("--baseline", default=None, metavar="FILE",
-                        help="override the baseline file (default: the "
-                             "committed invariants-baseline.json)")
     args = parser.parse_args(argv)
 
     lint_args = argparse.Namespace(
         paths=args.paths or [os.path.join(REPO_ROOT, "src")],
-        baseline=args.baseline
-        or os.path.join(REPO_ROOT, "invariants-baseline.json"),
-        no_baseline=False,
         json_path=args.json_path,
-        write_baseline=False,
         list_rules=False,
         quiet=False,
     )

@@ -2,7 +2,7 @@
 
 The determinism and isolation contracts written down in
 ``docs/architecture.md`` — seeded RNG derivation, process-stable
-fingerprints, oracle independence, worker hermeticity, CRC-framed wire
+digests, oracle independence, worker hermeticity, CRC-framed wire
 traffic — were historically enforced only at runtime, by equality
 matrices and chaos harnesses that are expensive and catch violations
 long after they land.  This package enforces the statically checkable
@@ -21,8 +21,8 @@ Architecture:
   entry-point roots — data, not code, so growing the codebase means
   editing a table;
 * :mod:`repro.analysis.pragmas` implements the
-  ``# repro: allow[RULE-ID] reason`` suppression pragma and
-  :mod:`repro.analysis.baseline` the committed-baseline escape hatch;
+  ``# repro: allow[RULE-ID] reason`` suppression pragma, the one way
+  to waive a finding;
 * :mod:`repro.analysis.engine` ties it together and is what both
   ``repro lint`` and ``scripts/check_invariants.py`` call.
 

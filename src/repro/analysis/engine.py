@@ -1,17 +1,12 @@
-"""The lint engine: scan, rule-run, suppress, baseline, report."""
+"""The lint engine: scan, rule-run, suppress, report."""
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
-from repro.analysis.baseline import (
-    Baseline,
-    BaselineEntry,
-    apply_baseline,
-)
-from repro.analysis.findings import Finding, assign_fingerprints
+from repro.analysis.findings import Finding
 from repro.analysis.pragmas import Pragma
 from repro.analysis.project import Project
 from repro.analysis.registry import all_rules
@@ -21,12 +16,9 @@ from repro.analysis.registry import all_rules
 class LintReport:
     """Everything one lint run produced."""
 
-    findings: list[Finding]  # new, gate-failing
+    findings: list[Finding]  # gate-failing
     suppressed: list[tuple[Finding, Pragma]]
-    baselined: list[tuple[Finding, BaselineEntry]]
-    stale_baseline: list[BaselineEntry]
     files_checked: int
-    all_raw: list[Finding] = field(default_factory=list, repr=False)
 
     @property
     def ok(self) -> bool:
@@ -42,11 +34,6 @@ class LintReport:
                 {**f.to_json(), "reason": p.reason}
                 for f, p in self.suppressed
             ],
-            "baselined": [
-                {**f.to_json(), "reason": e.reason}
-                for f, e in self.baselined
-            ],
-            "stale_baseline": [e.to_json() for e in self.stale_baseline],
         }
 
     def render_human(self) -> str:
@@ -58,18 +45,8 @@ class LintReport:
         summary = (
             f"{len(self.findings)} finding(s), "
             f"{len(self.suppressed)} suppressed by pragma, "
-            f"{len(self.baselined)} baselined, "
             f"{self.files_checked} file(s) checked"
         )
-        if self.stale_baseline:
-            lines.append(
-                f"note: {len(self.stale_baseline)} stale baseline "
-                "entr(y/ies) no longer match anything — prune them:"
-            )
-            lines.extend(
-                f"    {entry.rule} {entry.path} ({entry.fingerprint})"
-                for entry in self.stale_baseline
-            )
         lines.append(("OK — " if self.ok else "FAIL — ") + summary)
         return "\n".join(lines)
 
@@ -107,39 +84,17 @@ def _apply_pragmas(
     return kept, suppressed
 
 
-def lint_paths(paths: list[Path], baseline: Baseline | None = None,
+def lint_paths(paths: list[Path],
                display_root: Path | None = None) -> LintReport:
     """Lint ``paths`` and return the full report."""
     project = Project.build(paths, display_root=display_root)
     raw: list[Finding] = []
     for rule in all_rules():
         raw.extend(rule.check(project))
-    raw = assign_fingerprints(raw)
+    raw.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     kept, suppressed = _apply_pragmas(project, raw)
-    split = apply_baseline(kept, baseline or Baseline.empty())
-    failing = list(split.new)
-    # A baseline entry with no reason is itself a finding (SUP002): the
-    # waiver ledger must stay auditable end to end.
-    for entry in split.reasonless:
-        failing.append(
-            Finding(
-                rule="SUP002",
-                path=entry.path,
-                line=0,
-                col=0,
-                message=(
-                    f"baseline entry {entry.fingerprint} ({entry.rule}) "
-                    "has no reason; every accepted finding must say why"
-                ),
-                fingerprint=entry.fingerprint,
-            )
-        )
-    failing.sort(key=lambda f: (f.path, f.line, f.col, f.rule))
     return LintReport(
-        findings=failing,
+        findings=kept,
         suppressed=suppressed,
-        baselined=split.accepted,
-        stale_baseline=split.stale,
         files_checked=len(project.lint_modules),
-        all_raw=raw,
     )

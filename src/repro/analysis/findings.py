@@ -1,23 +1,8 @@
-"""Finding records and their stable fingerprints."""
+"""Finding records."""
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
-
-
-def finding_fingerprint(rule: str, path: str, line_text: str,
-                        occurrence: int) -> str:
-    """A line-number-independent identity for a finding.
-
-    Keyed on the rule, the file, the *text* of the offending line and
-    its occurrence index among identical (rule, file, text) triples —
-    so a baseline entry survives unrelated edits that renumber the
-    file, but a new violation (even an identical one pasted a second
-    time) gets a fresh fingerprint.
-    """
-    payload = "\x1f".join((rule, path, line_text.strip(), str(occurrence)))
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
 @dataclass(frozen=True)
@@ -30,7 +15,6 @@ class Finding:
     col: int  # 0-based, as ast reports
     message: str
     line_text: str = field(default="", repr=False)
-    fingerprint: str = ""
 
     def render(self) -> str:
         return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
@@ -42,34 +26,4 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
-
-
-def assign_fingerprints(findings: list[Finding]) -> list[Finding]:
-    """Return ``findings`` with occurrence-indexed fingerprints filled in.
-
-    Sorted by (path, line, col, rule) first so occurrence indices — and
-    therefore fingerprints — do not depend on rule execution order.
-    """
-    ordered = sorted(findings, key=lambda f: (f.path, f.line, f.col, f.rule))
-    counts: dict[tuple[str, str, str], int] = {}
-    out: list[Finding] = []
-    for item in ordered:
-        key = (item.rule, item.path, item.line_text.strip())
-        occurrence = counts.get(key, 0)
-        counts[key] = occurrence + 1
-        out.append(
-            Finding(
-                rule=item.rule,
-                path=item.path,
-                line=item.line,
-                col=item.col,
-                message=item.message,
-                line_text=item.line_text,
-                fingerprint=finding_fingerprint(
-                    item.rule, item.path, item.line_text, occurrence
-                ),
-            )
-        )
-    return out

@@ -1,7 +1,7 @@
 """Rule registry.
 
-A rule is a class with an ``id`` (stable, referenced by pragmas and
-baselines), a one-line ``summary``, the ``invariant`` it enforces (the
+A rule is a class with an ``id`` (stable, referenced by pragmas), a
+one-line ``summary``, the ``invariant`` it enforces (the
 docs/architecture.md anchor), and a ``check(project)`` generator of
 :class:`~repro.analysis.findings.Finding`.  Registration is by
 decorator so adding a rule is one file edit; the engine and the docs

@@ -12,7 +12,7 @@
   outside ``repro.util.rng``;
 * ``DET004`` — ``id()`` anywhere and builtin ``hash()`` outside a
   ``__hash__`` dunder: both are process-local identities, and anything
-  they feed (fingerprints, cache keys, merge order) silently diverges
+  they feed (digests, cache keys, merge order) silently diverges
   across processes — ``util.hashing``/``Expr.fp`` are the stable
   replacements.
 """
@@ -325,7 +325,7 @@ class UnseededEntropy:
 class ProcessLocalIdentity:
     id = "DET004"
     summary = "id()/builtin hash() used outside a __hash__ dunder"
-    invariant = "process-stable fingerprints (invariants 4 and 6)"
+    invariant = "process-stable digests (invariants 4 and 6)"
 
     def check(self, project: Project) -> Iterable[Finding]:
         for module in project.lint_modules:
@@ -346,7 +346,7 @@ class ProcessLocalIdentity:
                 yield _finding(
                     module, self.id, node,
                     f"{builtin}() is a process-local identity — salted "
-                    "per interpreter — and must never feed fingerprints, "
+                    "per interpreter — and must never feed digests, "
                     "cache keys or merge order; use util.hashing."
                     "stable_hash (or Expr.fp) instead",
                 )

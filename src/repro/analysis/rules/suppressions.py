@@ -52,19 +52,3 @@ class BareSuppression:
                     line_text=module.line_text(pragma.line),
                 )
 
-
-@register
-class ReasonlessBaseline:
-    """Descriptor for SUP002 — produced by the engine, not a scan.
-
-    The engine synthesizes SUP002 findings while applying the baseline
-    (a matched entry whose ``reason`` is empty); registering the id
-    here keeps the rule table complete for docs and pragma validation.
-    """
-
-    id = "SUP002"
-    summary = "baseline entry without a reason"
-    invariant = "every waiver carries its justification"
-
-    def check(self, project: Project) -> Iterable[Finding]:
-        return ()

@@ -60,15 +60,12 @@ class ExplorationSpec:
 
     frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
     max_executions: int = 200
-    max_branches_per_run: int = 50_000
     stop_on_first_crash: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "frontier", resolve_discipline(self.frontier))
         if self.max_executions < 1:
             raise ValueError("max_executions must be >= 1")
-        if self.max_branches_per_run < 1:
-            raise ValueError("max_branches_per_run must be >= 1")
 
 
 @dataclass
@@ -109,14 +106,6 @@ class ExplorationResult:
     # across strategies that mark different offsets).
     branch_coverage: int = 0
     shape_coverage: int = 0
-    # (executions-so-far, unique-paths-so-far) samples for plots.
-    progress: list[tuple[int, int]] = field(default_factory=list)
-
-    def paths_per_execution(self) -> float:
-        """Exploration efficiency: new paths per run."""
-        if self.executions == 0:
-            return 0.0
-        return self.unique_paths / self.executions
 
 
 class ConcolicEngine:
@@ -134,7 +123,6 @@ class ConcolicEngine:
         self._program = program
         self._solver = solver if solver is not None else Solver()
         self._spec = spec
-        self._max_branches = spec.max_branches_per_run
 
     @property
     def spec(self) -> ExplorationSpec:
@@ -143,7 +131,7 @@ class ConcolicEngine:
 
     def run_once(self, sym_input: SymBytes, bound: int = 0) -> Execution:
         """Execute the program once, recording its path."""
-        recorder = PathRecorder(max_branches=self._max_branches)
+        recorder = PathRecorder()
         started = time.perf_counter()
         result = None
         exception: Exception | None = None
@@ -256,7 +244,7 @@ class ConcolicEngine:
 def _observe(result: ExplorationResult, execution: Execution,
              seen: Frontier) -> None:
     """Account one execution: count it, fold its branches into the
-    coverage sets, dedup its path, sample progress, collect a crash."""
+    coverage sets, dedup its path, collect a crash."""
     result.executions += 1
     for constraint, _ in execution.branches:
         seen.seen_constraints.add(constraint.fp)
@@ -265,7 +253,6 @@ def _observe(result: ExplorationResult, execution: Execution,
     if sig not in seen.seen_paths:
         seen.seen_paths.add(sig)
         result.unique_paths += 1
-    result.progress.append((result.executions, result.unique_paths))
     if execution.crashed:
         result.crashes.append(execution)
 
@@ -301,18 +288,13 @@ class RandomByteExplorer:
     """
 
     def __init__(self, program: Program, seed: int = 0,
-                 max_executions: int = 200,
-                 max_branches_per_run: int = 50_000):
+                 max_executions: int = 200):
         import random as _random
 
         self._rng = _random.Random(seed)
         self._max_executions = max_executions
         self._engine = ConcolicEngine(
-            program,
-            spec=ExplorationSpec(
-                max_executions=max_executions,
-                max_branches_per_run=max_branches_per_run,
-            ),
+            program, spec=ExplorationSpec(max_executions=max_executions),
         )
 
     def explore(self, seed_inputs: list[SymBytes]) -> ExplorationResult:

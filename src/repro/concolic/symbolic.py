@@ -34,6 +34,10 @@ from repro.concolic.expr import (
 
 _ACTIVE = threading.local()
 
+# Branches one execution may record; later ones are dropped.  The
+# longest path a benchmarked campaign records is 46 branches.
+MAX_BRANCHES = 20_000
+
 
 def _active_recorder() -> "PathRecorder | None":
     return getattr(_ACTIVE, "recorder", None)
@@ -51,17 +55,13 @@ class PathRecorder:
     Nested recorders are not allowed (exploration never nests runs).
     """
 
-    def __init__(self, max_branches: int = 100_000):
+    def __init__(self):
         self.branches: list[tuple[Constraint, bool]] = []
-        self.max_branches = max_branches
-        self.truncated = False
 
     def record(self, constraint: Constraint, taken: bool) -> None:
-        """Append one branch observation."""
-        if len(self.branches) >= self.max_branches:
-            self.truncated = True
-            return
-        self.branches.append((constraint, taken))
+        """Append one branch observation (up to :data:`MAX_BRANCHES`)."""
+        if len(self.branches) < MAX_BRANCHES:
+            self.branches.append((constraint, taken))
 
     def path_signature(self) -> int:
         """A process-stable identity for the executed path."""

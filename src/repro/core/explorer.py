@@ -69,7 +69,10 @@ class ExplorationConfig:
 
     The campaign builds one per (cycle, node) session, ``seed`` already
     derived, and every task of the session — the whole-session task or
-    each of its frontier shards — ships this object as it is.
+    each of its frontier shards — ships this object as it is.  Inputs
+    arrive from the node's first established peer (a node with none is
+    skipped), and each run records at most
+    :data:`~repro.concolic.symbolic.MAX_BRANCHES` branches.
     """
 
     node: str
@@ -78,8 +81,6 @@ class ExplorationConfig:
     horizon: float = 5.0
     grammar_seeds: int = 3
     seed: int = 0
-    peer: str | None = None
-    max_branches_per_run: int = 20_000
     frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
 
     def __post_init__(self):
@@ -92,7 +93,6 @@ class ExplorationConfig:
         return ExplorationSpec(
             frontier=self.frontier,
             max_executions=self.inputs,
-            max_branches_per_run=self.max_branches_per_run,
         )
 
 
@@ -236,7 +236,6 @@ class Explorer:
                 program,
                 seed=derive_seed(config.seed, "random"),
                 max_executions=config.inputs,
-                max_branches_per_run=config.max_branches_per_run,
             )
             result = explorer.explore(seeds)
         else:  # grammar-only: fresh valid messages, no feedback
@@ -310,12 +309,7 @@ class Explorer:
         )
         rng = random.Random(derive_seed(config.seed, f"grammar/{config.node}"))
         with self._probe_router(config.node) as router:
-            if config.peer is None:
-                peer = next(iter(router.established_peers()), None)
-            else:
-                session = router.sessions.get(config.peer)
-                established = session is not None and session.is_established()
-                peer = config.peer if established else None
+            peer = next(iter(router.established_peers()), None)
             grammar = UpdateGrammar.for_router(router, rng)
         if peer is None:
             report.skipped_reason = (

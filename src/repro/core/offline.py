@@ -91,9 +91,8 @@ class OfflineReport:
 class OfflineParserTester:
     """Standalone decoder testing: concolic + random + corpus replay."""
 
-    def __init__(self, seed: int = 0, max_branches_per_run: int = 20_000):
+    def __init__(self, seed: int = 0):
         self._seed = seed
-        self._max_branches = max_branches_per_run
         self._corpus: list[bytes] = []
 
     def add_corpus(self, samples: list[bytes]) -> None:
@@ -162,10 +161,7 @@ class OfflineParserTester:
         result = explore(
             program,
             seeds,
-            spec=ExplorationSpec(
-                max_executions=budget,
-                max_branches_per_run=self._max_branches,
-            ),
+            spec=ExplorationSpec(max_executions=budget),
             solver=Solver(seed=self._seed),
         )
         report.unique_paths += result.unique_paths

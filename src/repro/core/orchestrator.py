@@ -90,7 +90,10 @@ class OrchestratorConfig:
     Per-task seeds derive from ``(seed, cycle, node)``, snapshots are
     captured in one fixed serial order, and outcomes merge in task
     order (see :mod:`repro.core.parallel` and
-    :mod:`repro.core.pipeline`).
+    :mod:`repro.core.pipeline`).  Every snapshot is taken with the
+    marker protocol
+    (:meth:`~repro.core.snapshot.SnapshotCoordinator.capture`) started
+    at the explorer node.
     """
 
     inputs_per_node: int = 30
@@ -98,7 +101,6 @@ class OrchestratorConfig:
     strategy: str = STRATEGY_CONCOLIC
     explorer_nodes: list[str] | None = None  # None = all, sorted
     cycles: int = 1
-    snapshot_mode: str = "marker"  # "marker" | "atomic"
     stop_after_first_fault: bool = False
     grammar_seeds: int = 3
     seed: int = 0
@@ -278,18 +280,18 @@ class DiceOrchestrator:
         change,
         horizon: float = 5.0,
         seed: int = 0,
-        snapshot_mode: str = "marker",
     ) -> list[FaultReport]:
         """Pre-deployment what-if analysis of a configuration change.
 
-        Snapshots the live system, applies ``change`` at ``node`` inside
+        Snapshots the live system with the marker protocol started at
+        ``node``, applies ``change`` at ``node`` inside
         an isolated clone, propagates for ``horizon`` simulated seconds
         and evaluates the property suite.  The live system is untouched;
         an empty result means the change vetted clean against current
         state.
         """
         started = time.perf_counter()
-        snapshot = self._capture(node, snapshot_mode)
+        snapshot = self._live.coordinator.capture(node)
         explorer = Explorer(
             snapshot, self._suite, self._claims, process_factory=self._factory
         )
@@ -402,7 +404,7 @@ class DiceOrchestrator:
             # live system where its last capture did.
             if request.index:
                 self._advance_live(config)
-            snapshot = self._capture(request.node, config.snapshot_mode)
+            snapshot = self._live.coordinator.capture(request.node)
             return snapshot, self._live.network.sim.now
 
         with self._build_engine(config, workers) as engine:
@@ -577,11 +579,6 @@ class DiceOrchestrator:
             # a mistyped node list, refused rather than doubling work.
             raise ValueError(f"duplicate explorer nodes in {nodes!r}")
         return nodes
-
-    def _capture(self, node: str, snapshot_mode: str):
-        if snapshot_mode == "atomic":
-            return self._live.coordinator.capture_atomic(node)
-        return self._live.coordinator.capture(node)
 
     def _advance_live(self, config: OrchestratorConfig) -> None:
         if config.live_advance > 0:

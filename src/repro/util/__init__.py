@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic randomness, ids, stable hashing, timing.
+"""Shared utilities: deterministic randomness, ids, stable hashing.
 
 These helpers exist so that every stochastic decision in the reproduction
 (link jitter, fuzzing choices, solver search order) flows through a single
@@ -9,7 +9,6 @@ from its seed.
 from repro.util.rng import RandomService, derive_seed
 from repro.util.ids import IdGenerator
 from repro.util.hashing import stable_hash, salted_digest
-from repro.util.timer import Stopwatch
 
 __all__ = [
     "RandomService",
@@ -17,5 +16,4 @@ __all__ = [
     "IdGenerator",
     "stable_hash",
     "salted_digest",
-    "Stopwatch",
 ]

@@ -6,11 +6,14 @@ violation into a scratch copy of the tree and assert
 fail is decoration, not CI.
 """
 
+import hashlib
 import json
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import repro
 from repro.analysis.engine import lint_paths
@@ -28,15 +31,6 @@ class TestSelfCheck:
         # And clean without leaning on waivers: the linter holds itself
         # to the strictest reading of its own rules.
         assert not report.suppressed
-        assert not report.baselined
-
-    def test_committed_baseline_entries_all_carry_reasons(self):
-        data = json.loads(
-            (REPO_ROOT / "invariants-baseline.json").read_text()
-        )
-        assert data["version"] == 1
-        for entry in data["entries"]:
-            assert entry["reason"].strip(), entry
 
 
 class TestLintCli:
@@ -47,7 +41,7 @@ class TestLintCli:
 
     def test_lint_clean_tree_exits_zero(self, tmp_path, capsys):
         (tmp_path / "ok.py").write_text("VALUE = 1\n")
-        code = main(["lint", str(tmp_path), "--no-baseline"])
+        code = main(["lint", str(tmp_path)])
         assert code == 0
         assert "OK —" in capsys.readouterr().out
 
@@ -58,30 +52,57 @@ class TestLintCli:
         )
         out = tmp_path / "report.json"
         code = main([
-            "lint", str(tmp_path), "--no-baseline", "--json", str(out),
+            "lint", str(tmp_path), "--json", str(out),
         ])
         assert code == 1
         assert "DET003" in capsys.readouterr().out
         assert json.loads(out.read_text())["ok"] is False
 
     def test_lint_missing_path_exits_two(self, tmp_path):
-        assert main(["lint", str(tmp_path / "nope"), "--no-baseline"]) == 2
+        assert main(["lint", str(tmp_path / "nope")]) == 2
 
-    def test_stale_baseline_entry_fails_the_gate(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [
+        ["--baseline", "invariants-baseline.json"],
+        ["--no-baseline"],
+        ["--write-baseline"],
+    ])
+    def test_ledger_flags_are_usage_errors(self, tmp_path, flags):
+        # A reasoned pragma is the one waiver; there is no ledger to
+        # name, skip or write.
         (tmp_path / "ok.py").write_text("VALUE = 1\n")
-        baseline = tmp_path / "baseline.json"
-        baseline.write_text(json.dumps({
+        with pytest.raises(SystemExit) as exit_info:
+            main(["lint", str(tmp_path), *flags])
+        assert exit_info.value.code == 2
+
+    def test_a_ledger_file_waives_nothing(self, tmp_path, monkeypatch,
+                                          capsys):
+        """An ``invariants-baseline.json`` in the working directory that
+        lists the finding, in the format earlier versions read, is not
+        read: the finding still fails."""
+        monkeypatch.chdir(tmp_path)
+        line = "    return time.time()"
+        Path("clocky.py").write_text(
+            f"import time\n\n\ndef f():\n{line}\n"
+        )
+        out = tmp_path / "report.json"
+        assert main(["lint", "clocky.py", "--json", str(out)]) == 1
+        finding = json.loads(out.read_text())["findings"][0]
+        payload = "\x1f".join(
+            (finding["rule"], finding["path"], line.strip(), "0")
+        )
+        Path("invariants-baseline.json").write_text(json.dumps({
             "version": 1,
             "entries": [{
-                "fingerprint": "deadbeefdeadbeef",
-                "rule": "DET003",
-                "path": "ok.py",
-                "reason": "fixed long ago; entry should have been pruned",
+                "fingerprint":
+                    hashlib.sha256(payload.encode()).hexdigest()[:16],
+                "rule": finding["rule"],
+                "path": finding["path"],
+                "reason": "accepted in a ledger",
             }],
         }))
-        code = main(["lint", str(tmp_path), "--baseline", str(baseline)])
-        assert code == 1
-        assert "stale baseline" in capsys.readouterr().out
+        capsys.readouterr()
+        assert main(["lint", "clocky.py"]) == 1
+        assert "DET003" in capsys.readouterr().out
 
 
 class TestGateScript:
@@ -90,6 +111,11 @@ class TestGateScript:
             [sys.executable, str(GATE), *argv],
             capture_output=True, text=True, cwd=REPO_ROOT,
         )
+
+    def test_gate_has_no_baseline_flag(self, tmp_path):
+        proc = self.run_gate("--baseline", str(tmp_path / "ledger.json"))
+        assert proc.returncode == 2
+        assert "--baseline" in proc.stderr
 
     def test_gate_passes_on_the_committed_tree(self, tmp_path):
         artifact = tmp_path / "report.json"

@@ -29,7 +29,7 @@ class TestRegistry:
         assert set(rule_ids()) == {
             "DET001", "DET002", "DET003", "DET004",
             "ISO001", "HRM001", "HRM002", "WIRE001",
-            "SUP001", "SUP002",
+            "SUP001",
         }
 
     def test_rules_carry_their_invariant(self):

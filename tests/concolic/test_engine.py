@@ -11,7 +11,7 @@ from repro.concolic.engine import (
 from repro.concolic.frontier import Frontier, FrontierDiscipline, plan_round
 from repro.concolic.path import flip_at, flip_signature, held_path, signature
 from repro.concolic.solver import Solver
-from repro.concolic.symbolic import SymBytes
+from repro.concolic.symbolic import MAX_BRANCHES, SymBytes
 
 
 def branchy_program(sym):
@@ -34,6 +34,17 @@ class TestRunOnce:
         assert execution.result == "low-even"
         assert len(execution.branches) == 3
         assert not execution.crashed
+
+    def test_long_run_records_at_most_max_branches(self):
+        def looping_program(sym):
+            for _ in range(MAX_BRANCHES + 5):
+                bool(sym[0] > 1)
+            return "done"
+
+        engine = ConcolicEngine(looping_program)
+        execution = engine.run_once(SymBytes.mark_all(b"\x00"))
+        assert execution.result == "done"
+        assert len(execution.branches) == MAX_BRANCHES
 
     def test_captures_crash(self):
         engine = ConcolicEngine(branchy_program)
@@ -95,14 +106,6 @@ class TestExplore:
         assert result.executions == 1
         assert result.unique_paths == 1
 
-    def test_progress_samples_recorded(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=10)
-        )
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
-        assert result.progress[0][0] == 1
-        assert result.progress[-1][0] == result.executions
-
     def test_deterministic_given_seeded_solver(self):
         def run():
             engine = ConcolicEngine(
@@ -114,13 +117,6 @@ class TestExplore:
                     len(result.crashes))
 
         assert run() == run()
-
-    def test_paths_per_execution_metric(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=20)
-        )
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
-        assert 0 < result.paths_per_execution() <= 1.0
 
 
 class TestPathHelpers:
@@ -200,8 +196,14 @@ class TestExplorationSpec:
     def test_invalid_budgets_rejected(self):
         with pytest.raises(ValueError, match="max_executions"):
             ExplorationSpec(max_executions=0)
-        with pytest.raises(ValueError, match="max_branches_per_run"):
-            ExplorationSpec(max_branches_per_run=0)
+
+    def test_spec_has_no_branch_cap(self):
+        with pytest.raises(TypeError):
+            ExplorationSpec(max_branches_per_run=10)
+
+    def test_random_explorer_has_no_branch_cap(self):
+        with pytest.raises(TypeError):
+            RandomByteExplorer(branchy_program, max_branches_per_run=10)
 
     def test_spec_pickles(self):
         import pickle

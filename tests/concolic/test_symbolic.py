@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from repro.concolic.expr import Const, Var
 from repro.concolic.path import held_path
 from repro.concolic.symbolic import (
+    MAX_BRANCHES,
     PathRecorder,
     SymBool,
     SymBytes,
@@ -143,12 +144,17 @@ class TestBranchRecording:
                     pass
 
     def test_max_branches_truncates(self):
-        with PathRecorder(max_branches=3) as recorder:
+        with PathRecorder() as recorder:
             x = sym(1)
-            for _ in range(10):
-                bool(x > 0)
-        assert len(recorder.branches) == 3
-        assert recorder.truncated
+            constraint = (x > 0).constraint
+            for _ in range(MAX_BRANCHES + 10):
+                recorder.record(constraint, True)
+        assert len(recorder.branches) == MAX_BRANCHES
+
+    def test_recorder_takes_no_branch_cap(self):
+        # The cap is the one module constant, not a per-recorder knob.
+        with pytest.raises(TypeError):
+            PathRecorder(max_branches=3)
 
     def test_signature_differs_per_path(self):
         def run(value):

@@ -124,19 +124,31 @@ class TestExplore:
         assert report.executions == 0
         assert report.skipped_reason is not None
 
-    def test_explicit_peer_honored(self, converged3):
+    def test_peer_and_branch_cap_are_not_settings(self):
+        # The explorer impersonates the first established peer, and
+        # every run records at most MAX_BRANCHES branches.
+        with pytest.raises(TypeError):
+            ExplorationConfig(node="r2", peer="r3")
+        with pytest.raises(TypeError):
+            ExplorationConfig(node="r2", max_branches_per_run=10)
+
+    def test_first_established_peer_impersonated(self, converged3):
         explorer = make_explorer(converged3)
+        peers = []
+        make_program = explorer._make_program
+
+        def tracked(config, peer, report):
+            peers.append(peer)
+            return make_program(config, peer, report)
+
+        explorer._make_program = tracked
         report = explorer.explore(
-            ExplorationConfig(node="r2", inputs=5, peer="r3", seed=4)
+            ExplorationConfig(node="r2", inputs=5, seed=4)
         )
         assert report.executions == 5
-
-    def test_unknown_peer_skips(self, converged3):
-        explorer = make_explorer(converged3)
-        report = explorer.explore(
-            ExplorationConfig(node="r2", inputs=5, peer="ghost", seed=4)
-        )
-        assert report.skipped_reason is not None
+        established = converged3.router("r2").established_peers()
+        assert len(established) == 2
+        assert peers == [established[0]]
 
     def test_crash_bug_found_and_reported(self, converged3_with_bug):
         explorer = make_explorer(converged3_with_bug)

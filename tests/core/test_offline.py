@@ -1,5 +1,7 @@
 """Tests for the offline parser-testing harness."""
 
+import pytest
+
 from repro.bgp.messages import KeepaliveMessage
 from repro.core.offline import (
     OfflineParserTester,
@@ -59,6 +61,10 @@ class TestOfflineSession:
         assert (a.ok, a.protocol_errors, a.unique_paths) == (
             b.ok, b.protocol_errors, b.unique_paths,
         )
+
+    def test_branch_cap_is_not_a_parameter(self):
+        with pytest.raises(TypeError):
+            OfflineParserTester(seed=1, max_branches_per_run=10)
 
     def test_verdict_constants(self):
         assert VERDICT_OK == "ok"

@@ -79,15 +79,34 @@ class TestCampaign:
         assert result.snapshots_taken == 2
         assert result.cycles_completed == 2
 
-    def test_atomic_snapshot_mode(self, converged3):
-        dice = make_orchestrator(converged3)
-        result = dice.run_campaign(
+    def test_snapshot_mode_is_not_a_setting(self):
+        # Campaigns always capture with the marker protocol.
+        with pytest.raises(TypeError):
+            OrchestratorConfig(snapshot_mode="atomic")
+
+    def test_campaign_captures_with_the_marker_protocol(
+        self, converged3, monkeypatch
+    ):
+        coordinator = converged3.coordinator
+        initiators = []
+        capture = coordinator.capture
+
+        def tracked(initiator, *args, **kwargs):
+            initiators.append(initiator)
+            return capture(initiator, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("campaigns never capture atomically")
+
+        monkeypatch.setattr(coordinator, "capture", tracked)
+        monkeypatch.setattr(coordinator, "capture_atomic", refuse)
+        result = make_orchestrator(converged3).run_campaign(
             OrchestratorConfig(
-                inputs_per_node=3, snapshot_mode="atomic",
-                explorer_nodes=["r2"], seed=1,
+                inputs_per_node=3, explorer_nodes=["r2", "r3"], seed=1,
             )
         )
-        assert result.snapshots_taken == 1
+        assert result.snapshots_taken == 2
+        assert initiators == ["r2", "r3"]
 
     def test_live_system_advances_between_nodes(self, converged3):
         before = converged3.network.sim.now

@@ -1,5 +1,7 @@
 """Tests for pre-deployment configuration-change vetting."""
 
+import pytest
+
 from repro.bgp.config import AddFilter, AddNetwork, RemoveNetwork, SetNeighborFilter
 from repro.bgp.ip import Prefix
 from repro.bgp.policy import Filter
@@ -76,14 +78,36 @@ class TestVetChange:
         # The live router survived: crashes happened in clones only.
         assert converged3.router("r2").crash_count == 0
 
-    def test_atomic_snapshot_mode(self, converged3):
+    def test_snapshot_mode_is_not_a_parameter(self, converged3):
+        # Vetting always captures with the marker protocol.
         dice = make_dice(converged3)
-        reports = dice.vet_change(
-            "r3",
-            AddNetwork(Prefix("10.1.0.0/16")),
-            snapshot_mode="atomic",
+        with pytest.raises(TypeError):
+            dice.vet_change(
+                "r3", AddNetwork(Prefix("10.1.0.0/16")),
+                snapshot_mode="atomic",
+            )
+
+    def test_vetting_captures_with_the_marker_protocol(
+        self, converged3, monkeypatch
+    ):
+        coordinator = converged3.coordinator
+        initiators = []
+        capture = coordinator.capture
+
+        def tracked(initiator, *args, **kwargs):
+            initiators.append(initiator)
+            return capture(initiator, *args, **kwargs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("vetting never captures atomically")
+
+        monkeypatch.setattr(coordinator, "capture", tracked)
+        monkeypatch.setattr(coordinator, "capture_atomic", refuse)
+        reports = make_dice(converged3).vet_change(
+            "r3", AddNetwork(Prefix("10.1.0.0/16"))
         )
-        assert reports
+        assert [r.fault_class for r in reports] == ["operator_mistake"]
+        assert initiators == ["r3"]
 
     def test_report_metadata(self, converged3):
         dice = make_dice(converged3)
