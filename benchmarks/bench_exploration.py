@@ -26,6 +26,7 @@ import benchlib
 
 from repro import quickstart_system
 from repro.checks import default_property_suite
+from repro.concolic.frontier import FrontierShard
 from repro.core.explorer import ExplorationConfig, Explorer
 from repro.core.parallel import (
     ExplorationTask,
@@ -113,26 +114,27 @@ def test_strategy_sweep_sharded_across_workers(benchmark):
     claims = claims_to_spec(
         SharingRegistry.from_configs(live.initial_configs)
     )
+    whole = FrontierShard(round=0, index=0, count=1, budget=BUDGET // 2)
     tasks = [
         ExplorationTask(
-            index=index,
             config=ExplorationConfig(
                 node="r2", seed=17, inputs=BUDGET // 2, strategy=strategy,
                 horizon=2.0,
             ),
+            shard=whole,
             snapshot=snapshot,
             suite=default_property_suite(),
             claims=claims,
         )
-        for index, strategy in enumerate(
-            ["concolic", "grammar", "random"]
-        )
+        for strategy in ["concolic", "grammar", "random"]
     ]
     workers = benchlib.workers()
 
     def sweep():
+        # Submit every task, then resolve the handles in task order.
         with ParallelCampaignEngine(workers=workers) as engine:
-            return engine.run(tasks)
+            handles = [engine.submit(task) for task in tasks]
+            return [handle.result() for handle in handles]
 
     outcomes = benchmark.pedantic(sweep, rounds=1, iterations=1)
     assert [o.report.strategy for o in outcomes] == [

@@ -262,6 +262,7 @@ def test_task_shipping_overhead(benchmark):
     budget for ``--workers`` (ship cost must stay well under one input's
     exploration cost; see bench_fig2's per-input measurement)."""
     from repro.checks import default_property_suite
+    from repro.concolic.frontier import FrontierShard
     from repro.core.explorer import ExplorationConfig
     from repro.core.parallel import ExplorationTask, claims_to_spec
     from repro.core.sharing import SharingRegistry
@@ -271,9 +272,10 @@ def test_task_shipping_overhead(benchmark):
     live = LiveSystem.build(topology.configs, topology.links, seed=6)
     live.converge(deadline=300)
     snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
+    config = ExplorationConfig(node=topology.nodes_in_tier(2)[0], seed=1)
     task = ExplorationTask(
-        index=0,
-        config=ExplorationConfig(node=topology.nodes_in_tier(2)[0], seed=1),
+        config=config,
+        shard=FrontierShard(round=0, index=0, count=1, budget=config.inputs),
         snapshot=snapshot,
         suite=default_property_suite(),
         claims=claims_to_spec(

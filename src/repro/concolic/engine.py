@@ -187,14 +187,15 @@ class ConcolicEngine:
         result.solver_sat = stats.sat - sat
         return result
 
-    def run_each(self, inputs: Iterable[SymBytes]) -> ExplorationResult:
+    def run_each(self, inputs: Iterable[SymBytes],
+                 seen: Frontier) -> ExplorationResult:
         """Run every input once, feedback-free: no branch is negated
         and the solver is never asked.  What the grammar-only and
         random-mutation strategies are, measured exactly as
-        :meth:`run_shard` measures a concolic run."""
+        :meth:`run_shard` measures a concolic run: paths and coverage
+        fold into ``seen``'s dedup sets, in place."""
         started = time.perf_counter()
         result = ExplorationResult()
-        seen = Frontier()
         for sym_input in inputs:
             _observe(result, self.run_once(sym_input), seen)
         _close(result, seen, started)
@@ -297,11 +298,15 @@ class RandomByteExplorer:
             program, spec=ExplorationSpec(max_executions=max_executions),
         )
 
-    def explore(self, seed_inputs: list[SymBytes]) -> ExplorationResult:
-        """Run the random-mutation loop from the given seeds."""
+    def explore(self, seed_inputs: list[SymBytes],
+                seen: Frontier) -> ExplorationResult:
+        """Run the random-mutation loop from the given seeds, folding
+        paths and coverage into ``seen`` (see
+        :meth:`ConcolicEngine.run_each`)."""
         return self._engine.run_each(
-            self._mutate(seed_inputs[index % len(seed_inputs)])
-            for index in range(self._max_executions)
+            (self._mutate(seed_inputs[index % len(seed_inputs)])
+             for index in range(self._max_executions)),
+            seen,
         )
 
     def _mutate(self, sym_input: SymBytes) -> SymBytes:

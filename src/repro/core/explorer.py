@@ -15,6 +15,12 @@ A session spends one clone more than its inputs, the null probe; to pick
 the peer and seed the grammar it restores the node's own checkpoint
 alone, once (:meth:`Explorer._open_session`), not the system.
 
+There is one session body, :meth:`Explorer.explore_shard`: a session is
+rounds of frontier shards, and a whole session is round 0 of one shard
+holding the full budget (:meth:`Explorer.explore`).  Every strategy
+runs through it and hands back its frontier, so the campaign merges
+every session the same way.
+
 Input generation implements all three of the paper's path-explosion
 mitigations: exploration starts from current state (the snapshot), it
 targets the state-changing UPDATE handler, and inputs are small,
@@ -68,10 +74,10 @@ class ExplorationConfig:
     """Parameters for one node-exploration session.
 
     The campaign builds one per (cycle, node) session, ``seed`` already
-    derived, and every task of the session — the whole-session task or
-    each of its frontier shards — ships this object as it is.  Inputs
-    arrive from the node's first established peer (a node with none is
-    skipped), and each run records at most
+    derived, and every shard task of the session ships this object as
+    it is.  ``inputs`` is the session's whole execution budget, at
+    least one.  Inputs arrive from the node's first established peer (a
+    node with none is skipped), and each run records at most
     :data:`~repro.concolic.symbolic.MAX_BRANCHES` branches.
     """
 
@@ -86,6 +92,8 @@ class ExplorationConfig:
     def __post_init__(self):
         if self.strategy not in ALL_STRATEGIES:
             raise ValueError(f"unknown strategy {self.strategy!r}")
+        if self.inputs < 1:
+            raise ValueError(f"inputs must be >= 1, got {self.inputs}")
         self.frontier = resolve_discipline(self.frontier)
 
     def exploration_spec(self) -> ExplorationSpec:
@@ -211,62 +219,35 @@ class Explorer:
     # -- message exploration (Figure 2) --
 
     def explore(self, config: ExplorationConfig) -> NodeExplorationReport:
-        """Run one exploration session; see module docstring."""
-        started = time.perf_counter()
-        report, peer, grammar = self._open_session(config)
-        if peer is None:
-            return self._close_session(report, started)
-        # Null probe: one clone with *no* injected input, observing the
-        # system's natural evolution from the snapshot.  Behavioural
-        # deviations that need no trigger (an oscillation already in
-        # flight, a crash loop) are caught here deterministically,
-        # independent of what the generated inputs happen to perturb.
-        self._null_probe(config, report)
-        seeds = self._seeds(config, grammar)
-        program = self._make_program(config, peer, report)
-        if config.strategy == STRATEGY_CONCOLIC:
-            engine = ConcolicEngine(
-                program,
-                solver=Solver(seed=derive_seed(config.seed, "solver")),
-                spec=config.exploration_spec(),
-            )
-            result = engine.explore(seeds)
-        elif config.strategy == STRATEGY_RANDOM:
-            explorer = RandomByteExplorer(
-                program,
-                seed=derive_seed(config.seed, "random"),
-                max_executions=config.inputs,
-            )
-            result = explorer.explore(seeds)
-        else:  # grammar-only: fresh valid messages, no feedback
-            engine = ConcolicEngine(
-                program, spec=config.exploration_spec()
-            )
-            result = engine.run_each(
-                grammar.generate().symbolic(prefix="u")
-                for _ in range(config.inputs)
-            )
-        return self._close_session(report, started, result)
+        """Run one whole session: the one round-0 shard that holds the
+        full budget (see :meth:`explore_shard`)."""
+        whole = FrontierShard(round=0, index=0, count=1, budget=config.inputs)
+        return self.explore_shard(config, whole)[0]
 
     def explore_shard(
         self, config: ExplorationConfig, shard: FrontierShard
     ) -> tuple[NodeExplorationReport, Frontier]:
-        """Run one shard of a sharded concolic session.
+        """Run one shard of a session — the one session body.
 
-        Hermetic by construction: everything the shard does is a
-        function of its arguments plus this explorer's snapshot/suite/
-        claims — a private clone counter, a solver seeded from
-        ``(config.seed, round, shard)``, and (in round 0, marked by
-        ``shard.frontier is None``) the full grammar seed list
-        re-derived identically on every shard before each keeps its
-        lineage partition.  Placement therefore cannot change the
-        outcome, and a killed shard re-runs anywhere.  The session's
-        null probe rides on round 0's shard 0, exactly once per session.
+        A session is rounds of shards; a whole session is round 0 of
+        one shard holding the full budget, and the grammar and random
+        strategies are always that.  Hermetic by construction:
+        everything the shard does is a function of its arguments plus
+        this explorer's snapshot/suite/claims — a private clone
+        counter, a solver seeded from ``config.seed`` alone, and (in
+        round 0, marked by ``shard.frontier is None``) the full grammar
+        seed list re-derived identically on every shard before each
+        keeps its lineage partition.  Placement therefore cannot change
+        the outcome, and a killed shard re-runs anywhere.  The
+        session's null probe rides on round 0's shard 0, exactly once
+        per session.
 
         Returns the shard's report plus its post-run frontier (consumed
         entries gone, solved children and dedup digests added) for the
         orchestrator's deterministic merge; the frontier handed in is
-        left as it was.
+        left as it was.  The feedback-free strategies spend the whole
+        budget without popping an entry and only fold what they ran
+        into the frontier's dedup sets.
         """
         started = time.perf_counter()
         report, peer, grammar = self._open_session(config)
@@ -274,24 +255,40 @@ class Explorer:
             return (self._close_session(report, started),
                     Frontier(discipline=config.frontier))
         if shard.round == 0 and shard.index == 0:
+            # Null probe: one clone with *no* injected input, observing
+            # the system's natural evolution from the snapshot.
+            # Behavioural deviations that need no trigger (an
+            # oscillation already in flight, a crash loop) are caught
+            # here deterministically, independent of what the generated
+            # inputs happen to perturb.
             self._null_probe(config, report)
         if shard.frontier is None:
-            root = Frontier.from_seeds(
-                self._seeds(config, grammar), config.frontier
-            )
+            seeds = self._seeds(config, grammar)
+            root = Frontier.from_seeds(seeds, config.frontier)
             frontier = root.partition(shard.count)[shard.index]
         else:
             frontier = shard.frontier.copy()
-        engine = ConcolicEngine(
-            self._make_program(config, peer, report),
-            solver=Solver(
-                seed=derive_seed(
-                    config.seed, f"solver/r{shard.round}/s{shard.index}"
-                ),
-            ),
-            spec=config.exploration_spec(),
-        )
-        result = engine.run_shard(frontier, shard.budget)
+        program = self._make_program(config, peer, report)
+        if config.strategy == STRATEGY_CONCOLIC:
+            engine = ConcolicEngine(
+                program,
+                solver=Solver(seed=derive_seed(config.seed, "solver")),
+                spec=config.exploration_spec(),
+            )
+            result = engine.run_shard(frontier, shard.budget)
+        elif config.strategy == STRATEGY_RANDOM:
+            result = RandomByteExplorer(
+                program,
+                seed=derive_seed(config.seed, "random"),
+                max_executions=shard.budget,
+            ).explore(seeds, frontier)
+        else:  # grammar-only: fresh valid messages, no feedback
+            engine = ConcolicEngine(program, spec=config.exploration_spec())
+            result = engine.run_each(
+                (grammar.generate().symbolic(prefix="u")
+                 for _ in range(shard.budget)),
+                frontier,
+            )
         return self._close_session(report, started, result), frontier
 
     def _open_session(

@@ -26,10 +26,11 @@ each of those is an object the loop is handed, not a loop of its own:
   at ``workers=1`` (the serial reference), local process pools above
   that, or remote worker daemons via ``OrchestratorConfig.transport``
   (:mod:`repro.core.remote`);
-* the **session planner**: a session is one
-  :class:`~repro.core.parallel.ExplorationTask` — or, with
-  ``frontier_shards > 1``, rounds of tasks that each carry one
-  :class:`~repro.concolic.frontier.FrontierShard` of it.
+* the **session planner**: a session is rounds of
+  :class:`~repro.core.parallel.ExplorationTask` objects that each carry one
+  :class:`~repro.concolic.frontier.FrontierShard` of it, at most
+  ``frontier_shards`` per round.  At the default of one, a session is
+  one round of one shard holding the full budget.
 
 The merge is performed in deterministic task order whatever the two
 are, so a campaign's fault reports do not depend on the worker count,
@@ -39,12 +40,11 @@ on the shard count's placement, or on the dispatch transport.
 from __future__ import annotations
 
 import gc
-import itertools
 import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable, ClassVar, Iterator
+from typing import Callable, ClassVar
 
 from repro.concolic.frontier import (
     Frontier,
@@ -132,17 +132,17 @@ class OrchestratorConfig:
     # precedence over `transport`/`remote_workers`.
     transport_factory: Callable | None = None
     # Branch-frontier discipline for concolic exploration — the pop
-    # order of a whole session's frontier and of every shard's alike:
-    # "bfs" (the SAGE-style generational default), "dfs" or
-    # "coverage"; --frontier on the CLI.
+    # order of every shard's frontier: "bfs" (the SAGE-style
+    # generational default), "dfs" or "coverage"; --frontier on the CLI.
     frontier: str = "bfs"
-    # Maximum shard tasks per session round; > 1 partitions each
-    # session's frontier into shard tasks with work stealing at round
-    # barriers.  The shard decomposition is part of the campaign
-    # *configuration* — results at a given shard count are identical
-    # at any worker count, so workers=1 with the same shard count is
-    # the serial reference for sharded runs.  --frontier-shards on the
-    # CLI.
+    # Maximum shard tasks per session round.  Every session is rounds
+    # of shards with work stealing at the round barriers; at 1 it is
+    # one round of one shard holding the full budget, and above 1
+    # (concolic only) its frontier is partitioned.  The shard
+    # decomposition is part of the campaign *configuration* — results
+    # at a given shard count are identical at any worker count, so
+    # workers=1 with the same shard count is the serial reference for
+    # sharded runs.  --frontier-shards on the CLI.
     frontier_shards: int = 1
     # Differential-oracle pre-pass: "off", "reference" (pure-python
     # fixpoint oracle), or "bird" (real BIRD daemons in namespaces).
@@ -375,9 +375,10 @@ class DiceOrchestrator:
           whatever transport :meth:`_build_engine` returns; at
           ``workers=1`` local that is the inline transport, the serial
           reference every other transport must equal;
-        * the **session planner** decides what a session *is* — one
-          task, or rounds of tasks carrying one frontier shard each
-          (:meth:`_start_session` / :meth:`_finish_session`).
+        * the **session planner** decides what a session *is* — rounds
+          of tasks carrying one frontier shard each, up to
+          ``frontier_shards`` per round (:meth:`_start_session` /
+          :meth:`_finish_session`).
 
         Every capture runs on this thread, in ``plan_captures`` order,
         when the loop asks for it (:class:`SnapshotPipeline`).
@@ -431,7 +432,6 @@ class DiceOrchestrator:
                     result.snapshots_taken += 1
                     self._merge_node_report(
                         result, report,
-                        snapshot_id=session.snapshot_id,
                         detected_at=session.captured.detected_at,
                         started=started,
                     )
@@ -485,21 +485,17 @@ class DiceOrchestrator:
     # -- shared campaign plumbing --
 
     @staticmethod
-    def _session_shards(config: OrchestratorConfig) -> int | None:
-        """The session planner ``frontier_shards`` selects: the maximum
-        shard tasks per round of a sharded session, or None for whole
-        sessions.  An unknown ``frontier`` fails here, before anything
+    def _session_shards(config: OrchestratorConfig) -> int:
+        """The maximum shard tasks per session round ``frontier_shards``
+        selects.  An unknown ``frontier`` fails here, before anything
         is captured."""
         resolve_discipline(config.frontier)
-        shards = config.frontier_shards
-        if shards <= 1:
-            return None
-        if config.strategy != STRATEGY_CONCOLIC:
+        if config.frontier_shards > 1 and config.strategy != STRATEGY_CONCOLIC:
             raise ValueError(
                 "frontier sharding applies to the concolic strategy "
                 f"only; got strategy={config.strategy!r}"
             )
-        return shards
+        return max(1, config.frontier_shards)
 
     @staticmethod
     def _campaign_workers(config: OrchestratorConfig) -> int:
@@ -590,7 +586,6 @@ class DiceOrchestrator:
         self,
         result: CampaignResult,
         node_report: NodeExplorationReport,
-        snapshot_id: str,
         detected_at: float,
         started: float,
     ) -> None:
@@ -615,7 +610,7 @@ class DiceOrchestrator:
                     wall_time_s=time.perf_counter() - started,
                     input_summary=input_summary,
                     evidence=violation.evidence,
-                    snapshot_id=snapshot_id,
+                    snapshot_id=node_report.snapshot_id,
                     inputs_explored=inputs_before + node_report.executions,
                 )
             )
@@ -628,14 +623,14 @@ class DiceOrchestrator:
         """Open one (cycle, node) session and submit its first tasks.
 
         The session's parameters are stated here, once: every task of
-        the session ships this :class:`ExplorationConfig`.  A whole
-        session is one task.
+        the session ships this :class:`ExplorationConfig`.
 
-        A sharded session fans out as *rounds* of up to ``run.shards``
-        shard tasks; this submits round 0, which partitions by seed
-        lineage, so its shard count is bounded by the grammar-seed
-        count (every planned shard must start with at least one
-        entry).
+        A session fans out as *rounds* of up to ``run.shards`` shard
+        tasks; this submits round 0, which partitions by seed lineage,
+        so its shard count is bounded by the grammar-seed count (every
+        planned shard must start with at least one entry).  Round 0
+        ships no frontier: workers re-derive the seed list and keep
+        their lineage partition.
         """
         config = run.config
         session = _Session(
@@ -653,31 +648,20 @@ class DiceOrchestrator:
             ),
             budget_left=config.inputs_per_node,
         )
-        if run.shards is None:
-            session.handles = [self._submit(run, session)]
-            return session
+        # Never None: ExplorationConfig has refused a budget below one.
         plan = plan_round(
             max(1, config.grammar_seeds), session.budget_left, run.shards
         )
-        if plan is not None:
-            # Round 0 ships no frontier: workers re-derive the seed
-            # list and keep their lineage partition.
-            self._submit_shard_round(
-                run, session, plan, [None] * plan.count
-            )
+        self._submit_shard_round(run, session, plan, [None] * plan.count)
         return session
 
     def _submit(
-        self,
-        run: "_CampaignRun",
-        session: "_Session",
-        shard: FrontierShard | None = None,
+        self, run: "_CampaignRun", session: "_Session", shard: FrontierShard
     ) -> TaskHandle:
-        """Build and submit one task of ``session``, whole or shard."""
+        """Build and submit one shard task of ``session``."""
         captured = session.captured
         return run.engine.submit(
             ExplorationTask(
-                index=next(run.task_index),
                 config=session.config,
                 snapshot=captured.snapshot,
                 snapshot_blob=captured.payload,
@@ -716,27 +700,20 @@ class DiceOrchestrator:
     ) -> NodeExplorationReport:
         """Drive a session to completion.
 
-        A whole session has one outcome.  A sharded session loops over
-        rounds: each iteration resolves the current round's handles in
-        shard order, folds their reports in that same order, and merges
-        the leftover frontiers first-writer-wins.  The leftover entries
-        and the unspent budget are then re-dealt round-robin over up to
+        Each iteration resolves the current round's handles in shard
+        order, folds their reports in that same order, and merges the
+        leftover frontiers first-writer-wins.  The leftover entries and
+        the unspent budget are then re-dealt round-robin over up to
         ``run.shards`` fresh tasks — work stealing at round barriers,
         with the steal a pure function of outcome content, never of
         wall-clock.  Every planned shard has at least one entry and one
         execution, so the budget strictly decreases and the loop
-        terminates.
+        terminates; a one-shard round ends only with its budget spent
+        or its frontier empty, so a session at ``run.shards == 1`` is
+        that one round.
         """
-        if run.shards is None:
-            (handle,) = session.handles
-            outcome = handle.result()
-            session.snapshot_id = outcome.snapshot_id
-            return outcome.report
-        final = Frontier()
-        while session.handles:
+        while True:
             outcomes = [handle.result() for handle in session.handles]
-            session.handles = []
-            session.snapshot_id = outcomes[0].snapshot_id
             for outcome in outcomes:
                 session.reports.append(outcome.report)
                 session.budget_left -= outcome.report.executions
@@ -748,31 +725,31 @@ class DiceOrchestrator:
                 len(final.entries), session.budget_left, run.shards
             )
             if plan is None:
-                break
+                return self._merged_session_report(session.reports, final)
             self._submit_shard_round(
                 run, session, plan, final.split(plan.count)
             )
-        return self._merged_session_report(session, final)
 
     @staticmethod
     def _merged_session_report(
-        session: "_Session", final: Frontier
+        reports: list[NodeExplorationReport], final: Frontier
     ) -> NodeExplorationReport:
         """Fold shard reports, in (round, shard) order, into one.
 
-        Additive counters sum across shards; set-derived counters
-        (unique paths, branch/shape coverage) are recomputed from the
-        final merged frontier — summing per-shard values would double
-        count paths two shards both reached.
+        Identity (node, strategy, snapshot, skip reason) is the first
+        report's.  Additive counters sum across shards; set-derived
+        counters (unique paths, branch/shape coverage) are recomputed
+        from the final merged frontier — summing per-shard values would
+        double count paths two shards both reached.
         """
+        first = reports[0]
         report = NodeExplorationReport(
-            node=session.config.node,
-            strategy=STRATEGY_CONCOLIC,
-            snapshot_id=session.snapshot_id,
+            node=first.node,
+            strategy=first.strategy,
+            snapshot_id=first.snapshot_id,
+            skipped_reason=first.skipped_reason,
         )
-        if session.reports and session.reports[0].skipped_reason:
-            report.skipped_reason = session.reports[0].skipped_reason
-        for shard_report in session.reports:
+        for shard_report in reports:
             report.executions += shard_report.executions
             report.crashes += shard_report.crashes
             report.clones_created += shard_report.clones_created
@@ -793,10 +770,8 @@ class _CampaignRun:
     config: OrchestratorConfig
     engine: ParallelCampaignEngine
     claims_spec: ClaimSpec
-    # Maximum shard tasks per session round; None = whole sessions.
-    shards: int | None
-    # Position in the campaign's deterministic task order.
-    task_index: Iterator[int] = field(default_factory=itertools.count)
+    # Maximum shard tasks per session round.
+    shards: int
 
 
 @dataclass
@@ -807,13 +782,8 @@ class _Session:
     # The session's parameters, stated once; every task ships it.
     config: ExplorationConfig
     budget_left: int = 0
-    # A pre-pickled payload replaces the snapshot object, so the id is
-    # read off the session's first outcome.
-    snapshot_id: str = ""
     round: int = 0
-    # The tasks in flight — the whole session's one task, or the current
-    # round's shards — submitted and resolved in order; empty once a
-    # sharded session is exhausted.
+    # The current round's shard tasks, submitted and resolved in order.
     handles: list = field(default_factory=list)
     # Every shard report absorbed so far, in (round, shard) order.
     reports: list[NodeExplorationReport] = field(default_factory=list)

@@ -12,23 +12,23 @@ remote daemons above that:
   session's :class:`~repro.core.explorer.ExplorationConfig` (node,
   strategy, budget, per-session derived seed, frontier discipline),
   the snapshot (or a pre-pickled snapshot payload), the property
-  suite and origination claims — nothing an earlier session learned.
-  With ``shard=None`` it is the whole session; with a
-  :class:`~repro.concolic.frontier.FrontierShard` it is one slice of
-  it — one partition of the session's concolic frontier plus an
-  execution budget;
+  suite and origination claims — nothing an earlier session learned —
+  plus the :class:`~repro.concolic.frontier.FrontierShard` it runs: a
+  slice of the session's frontier and an execution budget.  A whole
+  session is the one round-0 shard that holds the full budget;
 * :func:`run_task` is the worker entry point (a module-level function,
   so it survives both fork and spawn start methods).  It is a **pure
   function of the task**: workers hold no state between tasks, so any
   task can run — or rerun after a worker death — on *any* slot;
 * :class:`ParallelCampaignEngine` routes each task to the live slot
-  with the least outstanding work and returns outcomes **in task
-  order**, regardless of worker completion order, so the orchestrator's
-  merge — and therefore fault reports, seeds, and counters — is
-  identical at any worker count.  *Where* the slots live is a pluggable
-  :class:`WorkerTransport`: inline (:class:`InlineTransport`), local
-  process pools (:class:`LocalPoolTransport`), or the remote loopback
-  and TCP-socket transports in :mod:`repro.core.remote`.
+  with the least outstanding work and hands back a handle the
+  orchestrator resolves **in task order**, regardless of worker
+  completion order, so its merge — and therefore fault reports, seeds,
+  and counters — is identical at any worker count.  *Where* the slots
+  live is a pluggable :class:`WorkerTransport`: inline
+  (:class:`InlineTransport`), local process pools
+  (:class:`LocalPoolTransport`), or the remote loopback and TCP-socket
+  transports in :mod:`repro.core.remote`.
 
 Determinism is by construction: each task's config carries a seed
 derived via :func:`repro.util.rng.derive_seed` from the campaign seed
@@ -140,27 +140,25 @@ class SolverCacheCoordinator:
 
 @dataclass(frozen=True)
 class ExplorationTask:
-    """One node-exploration session, or one shard of one, ready to ship.
+    """One shard of one node-exploration session, ready to ship.
 
     Everything here must pickle: the session config, the snapshot
     (checkpoints + channel state) or its pre-pickled payload, the
-    property suite (stateless check objects), the flattened claims and
-    a module-level process factory.
+    property suite (stateless check objects), the flattened claims, the
+    shard and a module-level process factory.
     """
 
-    index: int  # position in the campaign's deterministic task order
     config: ExplorationConfig
     snapshot: Snapshot | None
     suite: PropertySuite
     claims: ClaimSpec
+    shard: FrontierShard
     process_factory: ProcessFactory = bgp_process_factory
     # Pre-pickled snapshot payload, produced once per capture and
     # shared by every task of the session, so executor-side task
     # pickling is a near-memcpy (bytes re-pickle cheaply); used when
     # ``snapshot`` is None.
     snapshot_blob: bytes | None = field(default=None, repr=False)
-    # None = the whole session.
-    shard: FrontierShard | None = None
 
     def resolve_snapshot(self) -> Snapshot:
         """The snapshot to explore, unpickling the payload if needed."""
@@ -175,22 +173,18 @@ class ExplorationTask:
 
 @dataclass
 class TaskOutcome:
-    """What one task produced, tagged for deterministic merging.
+    """What one shard task produced: its report (which names the
+    node and the snapshot) and its leftover frontier (un-popped entries
+    plus everything it learned).
 
-    The orchestrator absorbs outcomes in task order — for shards that
-    is (round, shard) order — never completion order, so the merged
-    session report and the merged frontier handed to the next round
-    are identical at any worker count.
+    The orchestrator absorbs outcomes in (round, shard) order, never
+    completion order, and merges the frontiers at the round boundary,
+    so the merged session report and the frontier handed to the next
+    round are identical at any worker count.
     """
 
-    index: int
-    node: str
-    snapshot_id: str
     report: NodeExplorationReport = field(repr=False)
-    # A shard's leftover frontier (un-popped entries + everything it
-    # learned), merged by the orchestrator at the round boundary; None
-    # for a whole session.
-    frontier: Frontier | None = field(default=None, repr=False)
+    frontier: Frontier = field(repr=False)
 
 
 def run_task(task: ExplorationTask) -> TaskOutcome:
@@ -202,24 +196,13 @@ def run_task(task: ExplorationTask) -> TaskOutcome:
     carries, so dispatching the same task again — on any slot — yields
     the same outcome.
     """
-    snapshot = task.resolve_snapshot()
     explorer = Explorer(
-        snapshot,
+        task.resolve_snapshot(),
         task.suite,
         claims_from_spec(task.claims),
         process_factory=task.process_factory,
     )
-    if task.shard is None:
-        report, frontier = explorer.explore(task.config), None
-    else:
-        report, frontier = explorer.explore_shard(task.config, task.shard)
-    return TaskOutcome(
-        index=task.index,
-        node=task.config.node,
-        snapshot_id=snapshot.snapshot_id,
-        report=report,
-        frontier=frontier,
-    )
+    return TaskOutcome(*explorer.explore_shard(task.config, task.shard))
 
 
 def resolve_workers(workers: int | None) -> int:
@@ -420,14 +403,12 @@ class ParallelCampaignEngine:
     Use as a context manager (or call :meth:`close`) so worker
     resources are released.
 
-    Determinism contract: the engine never reorders results — batch
-    :meth:`run` returns outcomes sorted by task index, and callers of
-    :meth:`submit` resolve handles in submission order — so the
+    Determinism contract: the engine never reorders results — callers
+    of :meth:`submit` resolve handles in submission order — so the
     orchestrator's merge sees one fixed outcome order at any worker
-    count.  Every task, whole session or frontier shard, routes to the
-    live slot with the least outstanding work (:meth:`next_slot`);
-    :func:`run_task` is a pure function of the task, so placement
-    cannot affect an outcome.
+    count.  Every task routes to the live slot with the least
+    outstanding work (:meth:`next_slot`); :func:`run_task` is a pure
+    function of the task, so placement cannot affect an outcome.
 
     Failover rests on the same fact: when a slot dies (transport-fatal
     error, see :func:`is_transport_fatal`), the engine marks it dead
@@ -526,11 +507,10 @@ class ParallelCampaignEngine:
     def submit(self, task: ExplorationTask) -> TaskHandle:
         """Schedule one task; returns a handle resolving to its outcome.
 
-        The incremental interface the campaign loop uses: it submits
-        each task as soon as its snapshot arrives from the capture
-        source and resolves the handles strictly in task order, so the
-        merge is identical to :meth:`run`'s sorted batch.  On the
-        inline transport the task runs before this returns.
+        The campaign loop submits each task as soon as its snapshot
+        arrives from the capture source and resolves the handles
+        strictly in task order.  On the inline transport the task runs
+        before this returns.
         """
         slot = self.next_slot()
         return TaskHandle(self, task, slot, self._dispatch(slot, task))
@@ -600,9 +580,3 @@ class ParallelCampaignEngine:
             else:
                 self._release_slot(handle.slot)
                 return outcome
-
-    def run(self, tasks: Sequence[ExplorationTask]) -> list[TaskOutcome]:
-        """Execute a batch; outcomes come back sorted by task index."""
-        ordered = sorted(tasks, key=lambda task: task.index)
-        handles = [self.submit(task) for task in ordered]
-        return [handle.result() for handle in handles]

@@ -36,9 +36,6 @@ from typing import Any, Callable
 from repro.core.checkpoint import NodeCheckpoint, capture
 from repro.net.network import Network
 from repro.net.node import Process
-from repro.util.ids import IdGenerator
-
-_snapshot_ids = IdGenerator("snap")
 
 ProcessFactory = Callable[[NodeCheckpoint], Process]
 
@@ -128,13 +125,25 @@ class SnapshotCoordinator:
     recorded in sorted order.  Only one thread may touch the network
     at a time; a campaign captures on its own thread (see
     :class:`repro.core.pipeline.SnapshotPipeline`).  The coordinator
-    itself holds no hidden mutable state beyond the
-    ``snapshots_taken`` counter.
+    itself holds no hidden mutable state beyond two counters:
+    ``snapshots_taken`` and the captures begun, which name snapshots.
     """
 
     def __init__(self, network: Network):
         self._network = network
         self.snapshots_taken = 0
+        self._captures_begun = 0
+
+    def _next_id(self) -> str:
+        """``snap-<n>`` for this coordinator's ``n``-th capture begun.
+
+        Ids belong to the live system, not the process, so a report's
+        id does not depend on what else the process captured.  Aborted
+        captures count too, so a marker still in flight from one never
+        carries the id of a later capture by this coordinator.
+        """
+        self._captures_begun += 1
+        return f"snap-{self._captures_begun}"
 
     # -- atomic capture (ablation baseline) --
 
@@ -160,10 +169,7 @@ class SnapshotCoordinator:
         ]
         self.snapshots_taken += 1
         return Snapshot(
-            # repro: allow[HRM002] ids are minted only on the
-            # orchestrator's serial capture path; workers receive
-            # snapshots ready-made and never call this
-            snapshot_id=_snapshot_ids.next(),
+            snapshot_id=self._next_id(),
             initiator=initiator,
             taken_at=now,
             completed_at=now,
@@ -184,7 +190,7 @@ class SnapshotCoordinator:
         if initiator not in self._network.processes:
             raise KeyError(f"unknown initiator {initiator!r}")
         started = time.perf_counter()
-        session = _MarkerSession(self._network, initiator)
+        session = _MarkerSession(self._network, initiator, self._next_id())
         session.begin()
         limit = self._network.sim.now + deadline
         while not session.complete():
@@ -215,11 +221,10 @@ class SnapshotCoordinator:
 class _MarkerSession:
     """State of one in-progress marker snapshot."""
 
-    def __init__(self, network: Network, initiator: str):
+    def __init__(self, network: Network, initiator: str, snapshot_id: str):
         self._network = network
         self._initiator = initiator
-        # repro: allow[HRM002] orchestrator-only serial capture path
-        self._id = _snapshot_ids.next()
+        self._id = snapshot_id
         self._taken_at = network.sim.now
         self._completed_at: float | None = None
         self._checkpoints: dict[str, NodeCheckpoint] = {}

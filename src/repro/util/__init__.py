@@ -1,4 +1,4 @@
-"""Shared utilities: deterministic randomness, ids, stable hashing.
+"""Shared utilities: deterministic randomness and stable hashing.
 
 These helpers exist so that every stochastic decision in the reproduction
 (link jitter, fuzzing choices, solver search order) flows through a single
@@ -7,13 +7,11 @@ from its seed.
 """
 
 from repro.util.rng import RandomService, derive_seed
-from repro.util.ids import IdGenerator
 from repro.util.hashing import stable_hash, salted_digest
 
 __all__ = [
     "RandomService",
     "derive_seed",
-    "IdGenerator",
     "stable_hash",
     "salted_digest",
 ]

@@ -156,9 +156,11 @@ class TestRandomBaseline:
     def test_explores_some_paths(self):
         explorer = RandomByteExplorer(branchy_program, seed=1,
                                       max_executions=60)
-        result = explorer.explore([SymBytes.mark_all(b"\x00\x00")])
+        seen = Frontier()
+        result = explorer.explore([SymBytes.mark_all(b"\x00\x00")], seen)
         assert result.executions == 60
-        assert result.unique_paths >= 2
+        assert result.unique_paths == len(seen.seen_paths) >= 2
+        assert result.branch_coverage == len(seen.seen_constraints)
 
     def test_concolic_beats_random_on_narrow_condition(self):
         """The EXP-EXPLORE shape: the nested b1 == 77 crash is a 1/256
@@ -172,7 +174,7 @@ class TestRandomBaseline:
             branchy_program, seed=9, max_executions=budget
         )
         random_result = random_explorer.explore(
-            [SymBytes.mark_all(b"\x00\x00")]
+            [SymBytes.mark_all(b"\x00\x00")], Frontier()
         )
         assert concolic_result.unique_paths >= random_result.unique_paths
         assert concolic_result.crashes
@@ -180,7 +182,7 @@ class TestRandomBaseline:
     def test_unmarked_input_returns_same(self):
         explorer = RandomByteExplorer(branchy_program, seed=1,
                                       max_executions=5)
-        result = explorer.explore([SymBytes(b"\x00\x00", {})])
+        result = explorer.explore([SymBytes(b"\x00\x00", {})], Frontier())
         assert result.executions == 5
 
 

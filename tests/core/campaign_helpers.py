@@ -12,6 +12,7 @@ from repro import quickstart_system
 from repro.bgp import faults
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
+from repro.concolic.frontier import FrontierShard
 
 
 def faulty_live():
@@ -28,15 +29,20 @@ def faulty_live():
     return live
 
 
+def whole_session(budget):
+    """The one round-0 shard a whole session of ``budget`` inputs is."""
+    return FrontierShard(round=0, index=0, count=1, budget=budget)
+
+
 def report_fingerprint(result):
     """Everything deterministic about a campaign's fault reports.
 
-    Wall-clock stamps vary by machine and ``snapshot_id`` comes from a
-    process-global counter, so both are excluded.
+    Wall-clock stamps vary by machine, so they are excluded; snapshot
+    ids count the live system's own captures, so they are not.
     """
     return [
         (r.fault_class, r.property_name, r.node, r.detected_at,
-         r.input_summary, r.inputs_explored)
+         r.input_summary, r.inputs_explored, r.snapshot_id)
         for r in result.reports
     ]
 
@@ -45,7 +51,7 @@ def node_fingerprint(result):
     """The deterministic per-node exploration counters — what a session
     found and what it cost, solver work included."""
     return [
-        (n.node, n.executions, n.unique_paths, n.branch_coverage,
+        (n.node, n.strategy, n.executions, n.unique_paths, n.branch_coverage,
          n.shape_coverage, n.clones_created, n.crashes, len(n.violations),
          n.solver_queries, n.solver_sat)
         for n in result.node_reports

@@ -17,7 +17,7 @@ the task — is tested in ``test_parallel.py``.
 
 import pytest
 
-from campaign_helpers import campaign_fingerprint, faulty_live
+from campaign_helpers import campaign_fingerprint, faulty_live, whole_session
 from chaos import MID_TASK, PRE_DISPATCH, ChaosTransport, Kill
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
@@ -105,18 +105,24 @@ class StubTransport:
         pass
 
 
-def stub_task(index, node):
+def stub_task(node):
     return ExplorationTask(
-        index=index, config=ExplorationConfig(node=node),
+        config=ExplorationConfig(node=node), shard=whole_session(30),
         snapshot=None, suite=default_property_suite(), claims=(),
     )
+
+
+def run_in_order(engine, tasks):
+    """Submit every task, then resolve the handles in task order."""
+    handles = [engine.submit(task) for task in tasks]
+    return [handle.result() for handle in handles]
 
 
 class TestEngineFailover:
     def test_dead_slot_tasks_requeue_on_survivor(self):
         transport = StubTransport(dying={0})
         engine = ParallelCampaignEngine(transport=transport)
-        outcomes = engine.run([stub_task(0, "a"), stub_task(1, "b")])
+        outcomes = run_in_order(engine, [stub_task("a"), stub_task("b")])
         # "a" was routed to slot 0, died, and re-ran on slot 1.
         assert outcomes == [(1, "a"), (1, "b")]
         assert transport.submitted == [(0, "a"), (1, "b"), (1, "a")]
@@ -133,7 +139,7 @@ class TestEngineFailover:
         )
         with pytest.raises(WorkerFailoverError,
                            match="no surviving worker slots") as caught:
-            engine.run([stub_task(0, "a")])
+            run_in_order(engine, [stub_task("a")])
         assert caught.value.dead_workers == ["stub slot 0", "stub slot 1"]
 
     def test_failover_budget_zero_fails_on_first_death(self):
@@ -142,7 +148,7 @@ class TestEngineFailover:
         )
         with pytest.raises(WorkerFailoverError,
                            match="max_worker_failures=0") as caught:
-            engine.run([stub_task(0, "a")])
+            run_in_order(engine, [stub_task("a")])
         assert "stub slot 0" in str(caught.value)
 
     def test_task_errors_are_not_requeued(self):
@@ -150,11 +156,11 @@ class TestEngineFailover:
         retrying it would only mask the bug."""
         transport = LoopbackTransport(slots=2)
         engine = ParallelCampaignEngine(transport=transport)
-        broken = stub_task(0, "a")  # no snapshot: the task itself fails
+        broken = stub_task("a")  # no snapshot: the task itself fails
         from repro.core.remote import RemoteWorkerError
 
         with pytest.raises(RemoteWorkerError, match="ValueError"):
-            engine.run([broken])
+            run_in_order(engine, [broken])
         assert engine.tasks_requeued == 0
         assert engine.failures == []
 

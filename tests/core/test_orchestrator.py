@@ -79,6 +79,25 @@ class TestCampaign:
         assert result.snapshots_taken == 2
         assert result.cycles_completed == 2
 
+    def test_fresh_systems_number_their_snapshots_alike(self):
+        """Snapshot ids count the live system's own captures, so two
+        campaigns on two fresh systems in one process report the same
+        ids — whatever the process captured before."""
+        from repro import quickstart_system
+
+        def snapshot_ids():
+            live = quickstart_system(seed=4)
+            live.converge()
+            result = make_orchestrator(live).run_campaign(
+                OrchestratorConfig(inputs_per_node=2, cycles=2, seed=1,
+                                   explorer_nodes=["r1", "r2"])
+            )
+            return [report.snapshot_id for report in result.node_reports]
+
+        assert snapshot_ids() == snapshot_ids() == [
+            "snap-1", "snap-2", "snap-3", "snap-4",
+        ]
+
     def test_snapshot_mode_is_not_a_setting(self):
         # Campaigns always capture with the marker protocol.
         with pytest.raises(TypeError):

@@ -16,6 +16,7 @@ from campaign_helpers import (
     faulty_live,
     node_fingerprint,
     report_fingerprint,
+    whole_session,
 )
 from repro import quickstart_system
 from repro.bgp.ip import Prefix
@@ -112,17 +113,18 @@ class TestDeterminism:
 
 
 class TestExplorationTask:
-    def make_task(self, index=0, **config):
+    def make_task(self, **config):
         live = quickstart_system(seed=7)
         live.converge()
         snapshot = live.coordinator.capture("r2")
         claims = SharingRegistry.from_configs(live.initial_configs)
+        config = ExplorationConfig(
+            **{"node": "r2", "seed": 13, "inputs": 3, "horizon": 1.0,
+               **config}
+        )
         return ExplorationTask(
-            index=index,
-            config=ExplorationConfig(
-                **{"node": "r2", "seed": 13, "inputs": 3, "horizon": 1.0,
-                   **config}
-            ),
+            config=config,
+            shard=whole_session(config.inputs),
             snapshot=snapshot,
             suite=default_property_suite(),
             claims=claims_to_spec(claims),
@@ -151,8 +153,9 @@ class TestExplorationTask:
     )
     def test_run_task_is_a_pure_function_of_the_task(self, make_transport):
         """What failover rests on: dispatching the same task again — a
-        whole session, a round-0 shard, a later-round shard with a
-        shipped frontier — yields the same outcome and leaves the task
+        whole session (one round-0 shard with the full budget), a
+        round-0 shard of two, a later-round shard with a shipped
+        frontier — yields the same outcome and leaves the task
         untouched, whatever else the process ran in between (a clone's
         routers remember decoded messages and attribute sets, but only
         in their own network's table)."""
@@ -191,34 +194,30 @@ class TestExplorationTask:
         outcomes = []
         for task in (session, round0, round1):
             task = pickle.loads(pickle.dumps(task))
-            shipped = task.shard.frontier if task.shard else None
+            shipped = task.shard.frontier
             frontier_before = copy.deepcopy(frontier_state(shipped))
             first = transport.submit(0, task).result()
             second = transport.submit(0, task).result()
             assert deterministic(first) == deterministic(second)
             outcomes.append((task, deterministic(first)))
             assert frontier_state(shipped) == frontier_before
-            if task.shard is None:
-                assert first.frontier is None
-                assert first.report.solver_queries > 0
-            else:
-                assert first.report.executions == 2
-                assert first.frontier.entries
+            assert first.report.executions == task.shard.budget
+            assert first.frontier.entries
         for task, expected in outcomes:  # again, after the other two ran
             assert deterministic(transport.submit(0, task).result()) == expected
 
     def test_task_carries_only_what_the_session_reads(self):
         """Snapshot, config (seed included), suite and claims, plus the
-        routing index and the shard slice: nothing an earlier session
-        learned, so whole sessions and shards start alike."""
+        shard slice: nothing an earlier session learned, so every shard
+        starts alike."""
         assert [f.name for f in dataclasses.fields(ExplorationTask)] == [
-            "index", "config", "snapshot", "suite", "claims",
-            "process_factory", "snapshot_blob", "shard",
+            "config", "snapshot", "suite", "claims", "shard",
+            "process_factory", "snapshot_blob",
         ]
 
     def test_outcome_carries_only_what_the_merge_reads(self):
         assert [f.name for f in dataclasses.fields(TaskOutcome)] == [
-            "index", "node", "snapshot_id", "report", "frontier",
+            "report", "frontier",
         ]
 
     def test_snapshot_blob_stands_in_for_the_snapshot(self):
@@ -239,15 +238,16 @@ class TestExplorationTask:
     def test_exploration_config_carries_batch_parameters(self):
         """The config a task carries is the one its session runs under."""
         outcome = run_task(self.make_task())
-        assert outcome.node == outcome.report.node == "r2"
+        assert outcome.report.node == "r2"
         assert outcome.report.executions == 3
         assert outcome.report.strategy == "concolic"
 
     def test_engine_returns_outcomes_in_task_order(self):
-        tasks = [self.make_task(index=i) for i in range(3)]
+        tasks = [self.make_task(node=node) for node in ("r1", "r2", "r3")]
         with ParallelCampaignEngine(workers=2) as engine:
-            outcomes = engine.run(list(reversed(tasks)))
-        assert [outcome.index for outcome in outcomes] == [0, 1, 2]
+            handles = [engine.submit(task) for task in tasks]
+            outcomes = [handle.result() for handle in handles]
+        assert [o.report.node for o in outcomes] == ["r1", "r2", "r3"]
 
 
 class TestClaimSpec:
@@ -323,7 +323,8 @@ class TestInlineSubmit:
         with pytest.raises(interrupt):
             engine.submit(
                 ExplorationTask(
-                    index=0, config=ExplorationConfig(node="r1"),
+                    config=ExplorationConfig(node="r1"),
+                    shard=whole_session(30),
                     snapshot=None, suite=default_property_suite(),
                     claims=(),
                 )

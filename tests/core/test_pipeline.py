@@ -200,11 +200,11 @@ def counted(monkeypatch):
     """Record every session explored in this process and, for every
     capture, its initiator and the threads alive while it ran."""
     calls = {"explored": [], "captured": [], "threads": []}
-    explore, capture = Explorer.explore, SnapshotCoordinator.capture
+    explore_shard, capture = Explorer.explore_shard, SnapshotCoordinator.capture
 
-    def counting_explore(self, config):
+    def counting_explore(self, config, shard):
         calls["explored"].append(config.node)
-        return explore(self, config)
+        return explore_shard(self, config, shard)
 
     def counting_capture(self, initiator, *args, **kwargs):
         calls["captured"].append(initiator)
@@ -213,7 +213,7 @@ def counted(monkeypatch):
         )
         return capture(self, initiator, *args, **kwargs)
 
-    monkeypatch.setattr(Explorer, "explore", counting_explore)
+    monkeypatch.setattr(Explorer, "explore_shard", counting_explore)
     monkeypatch.setattr(SnapshotCoordinator, "capture", counting_capture)
     return calls
 

@@ -14,7 +14,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from campaign_helpers import campaign_fingerprint, faulty_live, report_fingerprint
+from campaign_helpers import (
+    campaign_fingerprint, faulty_live, report_fingerprint, whole_session,
+)
 from repro.checks import default_property_suite
 from repro.core.explorer import ExplorationConfig
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
@@ -90,7 +92,7 @@ class TestRemoteWorkerState:
     def test_task_failure_becomes_error_frame(self):
         state = RemoteWorkerState()
         broken = ExplorationTask(
-            index=0, config=ExplorationConfig(node="r1"),
+            config=ExplorationConfig(node="r1"), shard=whole_session(30),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         kind, request_id, summary, trace = state.handle(
@@ -110,7 +112,7 @@ class TestRemoteWorkerState:
 
         monkeypatch.setattr(remote_module, "run_task", interrupted)
         broken = ExplorationTask(
-            index=0, config=ExplorationConfig(node="r1"),
+            config=ExplorationConfig(node="r1"), shard=whole_session(30),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         with pytest.raises(KeyboardInterrupt):
@@ -128,8 +130,8 @@ class TestRemoteWorkerState:
         live = quickstart_system(seed=7)
         live.converge()
         task = ExplorationTask(
-            index=0,
             config=ExplorationConfig(node="r2", inputs=2, horizon=1.0),
+            shard=whole_session(2),
             snapshot=live.coordinator.capture("r2"),
             suite=default_property_suite(), claims=(),
         )
@@ -150,6 +152,18 @@ class TestLoopbackCampaigns:
         )
         assert loopback.transport == "loopback"
 
+    @pytest.mark.parametrize("strategy", ["grammar", "random"])
+    def test_feedback_free_strategies_match_serial(self, strategy):
+        """Every strategy runs the one session body and merges through
+        its frontier, keeping its own name on the merged report."""
+        inline = run_campaign(strategy=strategy)
+        loopback = run_campaign(
+            workers=2, transport="loopback", strategy=strategy
+        )
+        assert campaign_fingerprint(loopback) == campaign_fingerprint(inline)
+        assert {n.strategy for n in inline.node_reports} == {strategy}
+        assert inline.inputs_explored == 4 * 3 * 2
+
     def test_wire_bytes_counted(self):
         result = run_campaign(workers=2, transport="loopback")
         assert result.wire_bytes_sent > 0
@@ -168,7 +182,7 @@ class TestLoopbackCampaigns:
 
     def test_task_frames_carry_nothing_earlier_sessions_learned(self):
         """A task frame is its snapshot payload plus a bounded envelope
-        (config, suite, claims, ids), so a node's third-cycle frame is
+        (config, suite, claims, shard), so a node's third-cycle frame is
         no bigger around its payload than its first — nothing a
         session learned rides along with the next one."""
         from repro.core.live import LiveSystem
@@ -205,7 +219,7 @@ class TestLoopbackCampaigns:
         assert [node for node, _ in cycles[2]] == ["tr-1", "st-1"]
         for (node, first), (_, last) in zip(cycles[0], cycles[2]):
             assert 0 < first < 4096, node
-            # Task indices and request ids may pickle a byte wider.
+            # Request ids may pickle a byte wider.
             assert last <= first + 16, node
 
     def test_one_worker_state_serves_two_interleaved_campaigns(
@@ -227,7 +241,7 @@ class TestLoopbackCampaigns:
     def test_worker_error_propagates_with_traceback(self):
         transport = LoopbackTransport(slots=1)
         broken = ExplorationTask(
-            index=0, config=ExplorationConfig(node="r1"),
+            config=ExplorationConfig(node="r1"), shard=whole_session(30),
             snapshot=None, suite=default_property_suite(), claims=(),
         )
         future = transport.submit(0, broken)
@@ -363,7 +377,7 @@ class TestAbortAndCleanup:
         transport = SocketTransport([f"127.0.0.1:{port}"])
         try:
             task = ExplorationTask(
-                index=0, config=ExplorationConfig(node="r1"),
+                config=ExplorationConfig(node="r1"), shard=whole_session(30),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)
@@ -398,7 +412,7 @@ class TestAbortAndCleanup:
             transport._connections[0]._reader.join(timeout=10)  # its EOF
             assert not transport.alive(0)
             task = ExplorationTask(
-                index=0, config=ExplorationConfig(node="r1"),
+                config=ExplorationConfig(node="r1"), shard=whole_session(30),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             with pytest.raises(WorkerDiedError, match="died"):
@@ -424,7 +438,7 @@ class TestAbortAndCleanup:
         )
         try:
             task = ExplorationTask(
-                index=0, config=ExplorationConfig(node="r1"),
+                config=ExplorationConfig(node="r1"), shard=whole_session(30),
                 snapshot=None, suite=default_property_suite(), claims=(),
             )
             future = transport.submit(0, task)

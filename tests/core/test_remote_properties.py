@@ -17,7 +17,11 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.bgp.ip import Prefix  # noqa: E402
 from repro.checks import default_property_suite  # noqa: E402
-from repro.concolic.frontier import FrontierDiscipline  # noqa: E402
+from repro.concolic.frontier import (  # noqa: E402
+    Frontier,
+    FrontierDiscipline,
+    FrontierShard,
+)
 from repro.core.explorer import (  # noqa: E402
     ExplorationConfig,
     NodeExplorationReport,
@@ -150,30 +154,36 @@ claim_specs = st.lists(
     max_size=6,
 ).map(tuple)
 counts = st.integers(min_value=0, max_value=10 ** 6)
+round0_shards = st.builds(
+    FrontierShard,
+    round=st.just(0),
+    index=st.integers(min_value=0, max_value=7),
+    count=st.integers(min_value=8, max_value=16),
+    budget=st.integers(min_value=1, max_value=10_000),
+)
 
 
-def make_task(index, config, claims, blob):
+def make_task(config, claims, blob, shard):
     return ExplorationTask(
-        index=index, config=config, snapshot=None,
+        config=config, shard=shard, snapshot=None,
         suite=default_property_suite(), claims=claims, snapshot_blob=blob,
     )
 
 
 class TestTaskFrameProperties:
-    @given(index=st.integers(min_value=0, max_value=10 ** 6),
-           config=configs, claims=claim_specs,
+    @given(shard=round0_shards, config=configs, claims=claim_specs,
            blob=st.binary(max_size=2048))
-    def test_task_frame_round_trips(self, index, config, claims, blob):
-        task = make_task(index, config, claims, blob)
+    def test_task_frame_round_trips(self, shard, config, claims, blob):
+        task = make_task(config, claims, blob, shard)
         kind, request_id, decoded = decode_frame(
             encode_frame(("task", 7, task))
         )
         assert (kind, request_id) == ("task", 7)
-        assert decoded.index == index
+        assert decoded.shard == shard
         assert decoded.config == config
         assert decoded.claims == claims
         assert decoded.snapshot_blob == blob
-        assert decoded.snapshot is None and decoded.shard is None
+        assert decoded.snapshot is None
 
     @given(config=configs, claims=claim_specs,
            blobs=st.tuples(st.binary(max_size=4096),
@@ -184,8 +194,11 @@ class TestTaskFrameProperties:
         """A frame is its snapshot payload plus an envelope fixed by the
         config and claims; pickle's bytes opcode may take a few more
         bytes for a longer payload, and that is all."""
+        whole = FrontierShard(round=0, index=0, count=1, budget=config.inputs)
         envelopes = [
-            len(encode_frame(("task", 1, make_task(0, config, claims, blob))))
+            len(encode_frame(
+                ("task", 1, make_task(config, claims, blob, whole))
+            ))
             - len(blob)
             for blob in blobs
         ]
@@ -204,13 +217,10 @@ class TestTaskFrameProperties:
             branch_coverage=branch_coverage, clones_created=clones_created,
             solver_queries=solver_queries, solver_sat=solver_sat,
         )
-        outcome = TaskOutcome(index=3, node=node, snapshot_id="snap-1",
-                              report=report)
+        outcome = TaskOutcome(report=report, frontier=Frontier())
         _, _, decoded = decode_frame(encode_frame(("outcome", 1, outcome)))
         assert decoded.report == report
-        assert (decoded.index, decoded.node, decoded.frontier) == (
-            3, node, None
-        )
+        assert decoded.frontier == Frontier()
 
     @given(spec=claim_specs)
     def test_claim_spec_is_canonical(self, spec):

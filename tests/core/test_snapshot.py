@@ -1,13 +1,56 @@
 """Tests for the consistent-snapshot protocol and snapshot cloning."""
 
 import logging
+import pickle
 
 import pytest
 
+from repro import IPv4Address, LiveSystem, NeighborConfig, RouterConfig
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
 from repro.core.live import bgp_process_factory
-from repro.core.snapshot import SnapshotCoordinator
+from repro.core.snapshot import SnapshotCoordinator, _Marker
+from repro.net.link import LinkProfile
+
+
+def converged_line():
+    """Routers a–b–c–d in a line on jitter-free links: a marker's
+    arrival time depends on the cut alone, not on a random draw."""
+    names = "abcd"
+    configs = [
+        RouterConfig(
+            name=name,
+            local_as=65001 + index,
+            router_id=IPv4Address(f"172.16.0.{index + 1}"),
+            networks=(Prefix(f"10.{index + 1}.0.0/16"),),
+            neighbors=tuple(
+                NeighborConfig(peer=names[peer], peer_as=65001 + peer)
+                for peer in (index - 1, index + 1) if 0 <= peer < 4
+            ),
+        )
+        for index, name in enumerate(names)
+    ]
+    links = [(a, b, LinkProfile(latency_s=0.01))
+             for a, b in zip(names, names[1:])]
+    live = LiveSystem.build(configs, links, seed=0)
+    live.converge()
+    return live
+
+
+def cut(snapshot):
+    """What a snapshot recorded, by value: everything but its id and
+    the wall-clock it cost."""
+    return pickle.dumps((
+        snapshot.initiator, snapshot.taken_at, snapshot.completed_at,
+        [(c.node, c.taken_at, c.state)
+         for _, c in sorted(snapshot.checkpoints.items())],
+        snapshot.channels, snapshot.links,
+    ))
+
+
+def markers_in_flight(live):
+    return [m for m in live.network.in_flight()
+            if isinstance(m.payload, _Marker)]
 
 
 class TestAtomicCapture:
@@ -58,6 +101,35 @@ class TestMarkerProtocol:
         coordinator.capture("r1")
         coordinator.capture_atomic("r1")
         assert coordinator.snapshots_taken == before + 2
+
+    def test_ids_count_the_coordinators_captures_begun(self, converged3):
+        coordinator = converged3.coordinator
+        assert coordinator.capture("r1").snapshot_id == "snap-1"
+        with pytest.raises(TimeoutError):
+            coordinator.capture("r1", deadline=0.0)
+        assert coordinator.capture_atomic("r2").snapshot_id == "snap-3"
+        fresh = SnapshotCoordinator(converged3.network)
+        assert fresh.capture_atomic("r2").snapshot_id == "snap-1"
+
+    def test_stale_markers_of_an_aborted_capture_are_ignored(self):
+        """A capture that hits its deadline leaves its markers in
+        flight; the next capture on the same network must not take
+        them for its own.  Its cut equals, by value, one taken at the
+        same point on an identical system that never aborted."""
+        aborted, reference = converged_line(), converged_line()
+        with pytest.raises(TimeoutError):
+            aborted.coordinator.capture("a", deadline=0.0)
+        assert markers_in_flight(aborted)
+        assert aborted.network.sim.now == reference.network.sim.now
+        # Initiated at the far end, the new cut reaches b one hop after
+        # the stale a→b marker lands there.
+        snapshot = aborted.coordinator.capture("d")
+        expected = reference.coordinator.capture("d")
+        assert not markers_in_flight(aborted)
+        assert (snapshot.snapshot_id, expected.snapshot_id) == (
+            "snap-2", "snap-1",
+        )
+        assert cut(snapshot) == cut(expected)
 
     def test_live_system_continues_after_snapshot(self, converged3):
         """The marker protocol must not disturb the live system."""

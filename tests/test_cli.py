@@ -139,8 +139,6 @@ class TestCampaignCommand:
             ])
             assert code == 0
             data = json.loads(path.read_text())
-            for node_report in data["node_reports"]:
-                del node_report["snapshot_id"]  # process-global counter
             return (data["summary"]["fault_classes_found"],
                     data["node_reports"])
 
