@@ -16,11 +16,16 @@ from repro.core.properties import SCOPE_LOCAL, CheckContext, Property, Violation
 
 
 class CrashFreedom(Property):
-    """No exploration input may crash the node."""
+    """No exploration input may crash the node.
+
+    Monotone: crash counters never decrease, and the escaped exception
+    is known from injection on.
+    """
 
     name = "crash_freedom"
     scope = SCOPE_LOCAL
     fault_class = FAULT_PROGRAMMING_ERROR
+    monotone = True
 
     def prepare(self, context: CheckContext) -> None:
         context.baseline["crash_count"] = context.router.crash_count

@@ -32,11 +32,20 @@ from repro.core.properties import SCOPE_LOCAL, CheckContext, Property, Violation
 
 
 class RouteStability(Property):
-    """No prefix may keep changing its selected route."""
+    """No prefix may keep changing its selected route.
+
+    Monotone while the Loc-RIB journal (100 k entries by default) has
+    not wrapped since :meth:`prepare`: a prefix's transition count
+    never decreases, and neither does its revisit count — appending a
+    state to the sequence adds one to its length and at most one
+    distinct state.  Past a wrap the oldest fresh changes are no longer
+    retained and both counts can fall.
+    """
 
     name = "route_stability"
     scope = SCOPE_LOCAL
     fault_class = FAULT_POLICY_CONFLICT
+    monotone = True
 
     def __init__(self, max_transitions: int = 8,
                  watch_neighbors: bool = True,
@@ -46,6 +55,7 @@ class RouteStability(Property):
         self.min_revisits = min_revisits
 
     def prepare(self, context: CheckContext) -> None:
+        context.baseline["stability_since"] = context.clone.sim.now
         for name, process in context.clone.processes.items():
             rib = getattr(process, "loc_rib", None)
             if rib is not None:
@@ -55,6 +65,9 @@ class RouteStability(Property):
 
     def check(self, context: CheckContext) -> list[Violation]:
         violations: list[Violation] = []
+        observed = context.clone.sim.now - context.baseline.get(
+            "stability_since", 0.0
+        )
         nodes = (
             sorted(context.clone.processes)
             if self.watch_neighbors
@@ -92,7 +105,7 @@ class RouteStability(Property):
                         node=name,
                         detail=(
                             f"{prefix} changed best route {count} times "
-                            f"within the exploration horizon "
+                            f"in {observed:.3f} simulated seconds "
                             f"(threshold {self.max_transitions}), "
                             f"revisiting {revisits} previously-held "
                             "states — likely policy-conflict oscillation"

@@ -17,11 +17,15 @@ from repro.core.properties import SCOPE_LOCAL, CheckContext, Property, Violation
 
 
 class SessionCascade(Property):
-    """No exploration input may reset sessions beyond its own."""
+    """No exploration input may reset sessions beyond its own.
+
+    Monotone: session reset counters never decrease.
+    """
 
     name = "session_cascade"
     scope = SCOPE_LOCAL
     fault_class = FAULT_PROGRAMMING_ERROR
+    monotone = True
 
     def prepare(self, context: CheckContext) -> None:
         for name, process in context.clone.processes.items():

@@ -60,7 +60,9 @@ class ExplorationSpec:
 
     frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
     max_executions: int = 200
-    stop_on_first_crash: bool = False
+    # End the run after the first faulty execution (see
+    # :attr:`Execution.faulted`), before its branches are negated.
+    stop_at_first_fault: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "frontier", resolve_discipline(self.frontier))
@@ -83,6 +85,13 @@ class Execution:
     def crashed(self) -> bool:
         """True when the program raised an unexpected exception."""
         return self.exception is not None
+
+    @property
+    def faulted(self) -> bool:
+        """True when the run crashed or the program returned a non-zero
+        violation count (what a program explored under
+        ``stop_at_first_fault`` returns)."""
+        return self.crashed or bool(self.result)
 
     @property
     def signature(self) -> int:
@@ -177,7 +186,7 @@ class ConcolicEngine:
             entry = frontier.pop()
             execution = self.run_once(entry.input, entry.bound)
             _observe(result, execution, frontier)
-            if execution.crashed and self._spec.stop_on_first_crash:
+            if self._spec.stop_at_first_fault and execution.faulted:
                 break
             for child in self._expand(execution, frontier, entry.lineage):
                 frontier.push(child)
@@ -193,11 +202,16 @@ class ConcolicEngine:
         and the solver is never asked.  What the grammar-only and
         random-mutation strategies are, measured exactly as
         :meth:`run_shard` measures a concolic run: paths and coverage
-        fold into ``seen``'s dedup sets, in place."""
+        fold into ``seen``'s dedup sets, in place, and
+        ``stop_at_first_fault`` ends the run at its first faulty
+        execution."""
         started = time.perf_counter()
         result = ExplorationResult()
         for sym_input in inputs:
-            _observe(result, self.run_once(sym_input), seen)
+            execution = self.run_once(sym_input)
+            _observe(result, execution, seen)
+            if self._spec.stop_at_first_fault and execution.faulted:
+                break
         _close(result, seen, started)
         return result
 
@@ -289,13 +303,16 @@ class RandomByteExplorer:
     """
 
     def __init__(self, program: Program, seed: int = 0,
-                 max_executions: int = 200):
+                 max_executions: int = 200, *,
+                 stop_at_first_fault: bool = False):
         import random as _random
 
         self._rng = _random.Random(seed)
         self._max_executions = max_executions
         self._engine = ConcolicEngine(
-            program, spec=ExplorationSpec(max_executions=max_executions),
+            program,
+            spec=ExplorationSpec(max_executions=max_executions,
+                                 stop_at_first_fault=stop_at_first_fault),
         )
 
     def explore(self, seed_inputs: list[SymBytes],

@@ -21,6 +21,32 @@ holding the full budget (:meth:`Explorer.explore`).  Every strategy
 runs through it and hands back its frontier, so the campaign merges
 every session the same way.
 
+**Stop at the first fault.**  With ``ExplorationConfig.
+stop_at_first_fault`` set, work stops at the first fault in the clone
+as well as in the session.  Every clone (the null probe and each input)
+runs to its horizon in the doubling slices of :data:`STOP_SLICES` and
+after each checks the suite's *monotone* properties alone
+(:attr:`~repro.core.properties.Property.monotone`: a verdict that only
+grows over a run).  The first slice that reports a violation ends the
+clone with those violations; a clone that reaches the horizon is
+checked by the whole suite, as without the flag.  The session ends
+after its first faulty execution: a shard returns right after a faulty
+null probe, and the engine stops before negating a faulty execution's
+branches.  Soundness:
+
+* a clone whose monotone check reports nothing at any slice runs
+  bit-identically to an unsliced one — ``run(until=a)`` then
+  ``run(until=b)`` executes the events ``run(until=b)`` does, in the
+  same order, and the checks read state without writing it or
+  recording a branch — and reaches the same ``start + horizon``;
+* so every execution before the session's first faulty one runs and
+  reports exactly as without the flag, and the first faulty input is
+  the same input;
+* its reported violations are a non-empty subset of what the full
+  horizon reports: each is a monotone verdict, reported again at the
+  horizon;
+* so nothing is reported that a full run would not also report.
+
 Input generation implements all three of the paper's path-explosion
 mitigations: exploration starts from current state (the snapshot), it
 targets the state-changing UPDATE handler, and inputs are small,
@@ -33,6 +59,8 @@ the locally most preferred one" — see :meth:`Explorer.explore_selection`.
 
 from __future__ import annotations
 
+import itertools
+import logging
 import random
 import time
 from contextlib import closing, contextmanager
@@ -68,6 +96,19 @@ STRATEGY_GRAMMAR = "grammar"
 
 ALL_STRATEGIES = (STRATEGY_CONCOLIC, STRATEGY_RANDOM, STRATEGY_GRAMMAR)
 
+# Stop mode's slice schedule: the fractions of the horizon at which a
+# clone checks its monotone properties before running on to the next.
+# Doubling bounds the simulated time spent past a fault's showing at
+# twice that time (or h/64), while the checks stay logarithmic in the
+# horizon: six read-only passes over the monotone properties per
+# clone, beside the one full check at ``h`` a fault-free clone makes.
+# A crash shows at injection and ends its clone at h/64; a bad
+# gadget's oscillation settles RouteStability's verdict by about
+# 0.23 s, inside the first slice of a 15 s horizon.
+STOP_SLICES = (1 / 64, 1 / 32, 1 / 16, 1 / 8, 1 / 4, 1 / 2)
+
+_log = logging.getLogger(__name__)
+
 
 @dataclass
 class ExplorationConfig:
@@ -88,6 +129,10 @@ class ExplorationConfig:
     grammar_seeds: int = 3
     seed: int = 0
     frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
+    # Stop at the session's first fault: clones run in
+    # :data:`STOP_SLICES`, a shard ends at its first faulty execution
+    # (see the module docstring).
+    stop_at_first_fault: bool = False
 
     def __post_init__(self):
         if self.strategy not in ALL_STRATEGIES:
@@ -101,6 +146,7 @@ class ExplorationConfig:
         return ExplorationSpec(
             frontier=self.frontier,
             max_executions=self.inputs,
+            stop_at_first_fault=self.stop_at_first_fault,
         )
 
 
@@ -262,6 +308,9 @@ class Explorer:
             # here deterministically, independent of what the generated
             # inputs happen to perturb.
             self._null_probe(config, report)
+            if config.stop_at_first_fault and report.violations:
+                return (self._close_session(report, started),
+                        Frontier(discipline=config.frontier))
         if shard.frontier is None:
             seeds = self._seeds(config, grammar)
             root = Frontier.from_seeds(seeds, config.frontier)
@@ -281,6 +330,7 @@ class Explorer:
                 program,
                 seed=derive_seed(config.seed, "random"),
                 max_executions=shard.budget,
+                stop_at_first_fault=config.stop_at_first_fault,
             ).explore(seeds, frontier)
         else:  # grammar-only: fresh valid messages, no feedback
             engine = ConcolicEngine(program, spec=config.exploration_spec())
@@ -391,13 +441,41 @@ class Explorer:
                 input_summary="(no input: natural evolution)",
             )
             self._suite.prepare_all(context)
-            clone.run(until=clone.sim.now + config.horizon)
-            for violation in self._suite.check_all(context):
+            for violation in self._run_checked(config, clone, context, 0):
                 report.violations.append((violation, context.input_summary))
+
+    def _run_checked(self, config: ExplorationConfig, clone: Network,
+                     context: CheckContext, index: int) -> list[Violation]:
+        """Run ``clone`` for the session's horizon, then check it.
+
+        In stop mode the clone runs in :data:`STOP_SLICES` and ends at
+        the first slice whose monotone check reports a violation; those
+        violations are the clone's.  Otherwise — in stop mode too, when
+        no slice reports — it reaches ``start + horizon`` and the whole
+        suite checks it.  ``index`` is the session input the clone runs
+        (0 = the null probe), for the log record alone.
+        """
+        start = clone.sim.now
+        if config.stop_at_first_fault:
+            for fraction in STOP_SLICES:
+                clone.run(until=start + config.horizon * fraction)
+                violations = self._suite.check_monotone(context)
+                if violations:
+                    _log.debug(
+                        "early_stop %s input=%d t=%.3f/%.3f",
+                        config.node, index, clone.sim.now - start,
+                        config.horizon,
+                    )
+                    return violations
+        clone.run(until=start + config.horizon)
+        return self._suite.check_all(context)
 
     def _make_program(self, config: ExplorationConfig, peer: str,
                       report: NodeExplorationReport):
+        inputs = itertools.count(1)
+
         def program(sym_input: SymBytes):
+            index = next(inputs)
             summary = summarize_input(sym_input.concrete)
             with closing(self._new_clone(config.seed)) as clone:
                 router = clone.processes[config.node]
@@ -414,9 +492,8 @@ class Explorer:
                     router.handle_raw(peer, sym_input)
                 except Exception as exc:  # noqa: BLE001 - escaped = harness data
                     escaped = exc
-                clone.run(until=clone.sim.now + config.horizon)
                 context.exploration_exception = escaped
-                violations = self._suite.check_all(context)
+                violations = self._run_checked(config, clone, context, index)
             for violation in violations:
                 report.violations.append((violation, summary))
             if escaped is not None:

@@ -101,6 +101,13 @@ class OrchestratorConfig:
     strategy: str = STRATEGY_CONCOLIC
     explorer_nodes: list[str] | None = None  # None = all, sorted
     cycles: int = 1
+    # Stop at the first fault, at three levels: the campaign merges no
+    # session after the first faulty one, that session plans no round
+    # after the first holding a violation and runs no input after its
+    # first faulty execution, and a clone stops simulating once a
+    # monotone property has fired (see repro.core.explorer).  The
+    # faulting input is the one a full run finds first, and what it
+    # reports is a non-empty subset of what a full run reports for it.
     stop_after_first_fault: bool = False
     grammar_seeds: int = 3
     seed: int = 0
@@ -214,7 +221,10 @@ class CampaignResult:
         }
 
     def inputs_to_detection(self) -> dict[str, int]:
-        """Inputs explored before the first report of each fault class."""
+        """Inputs explored up to the first report of each fault class:
+        counted through its session's last execution, so with
+        ``stop_after_first_fault`` it names the faulting input (0 =
+        the session's null probe)."""
         return {
             fault_class: report.inputs_explored
             for fault_class, report in first_per_class(self.reports).items()
@@ -645,6 +655,7 @@ class DiceOrchestrator:
                     config.seed, f"cycle{captured.cycle}/{captured.node}"
                 ),
                 frontier=config.frontier,
+                stop_at_first_fault=config.stop_after_first_fault,
             ),
             budget_left=config.inputs_per_node,
         )
@@ -710,7 +721,8 @@ class DiceOrchestrator:
         execution, so the budget strictly decreases and the loop
         terminates; a one-shard round ends only with its budget spent
         or its frontier empty, so a session at ``run.shards == 1`` is
-        that one round.
+        that one round.  With ``stop_after_first_fault`` no round
+        follows one that holds a violation.
         """
         while True:
             outcomes = [handle.result() for handle in session.handles]
@@ -724,7 +736,10 @@ class DiceOrchestrator:
             plan = plan_round(
                 len(final.entries), session.budget_left, run.shards
             )
-            if plan is None:
+            faulted = session.config.stop_at_first_fault and any(
+                outcome.report.violations for outcome in outcomes
+            )
+            if plan is None or faulted:
                 return self._merged_session_report(session.reports, final)
             self._submit_shard_round(
                 run, session, plan, final.split(plan.count)

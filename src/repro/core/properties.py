@@ -66,11 +66,21 @@ class CheckContext:
 
 
 class Property:
-    """Base class for desired-behaviour properties."""
+    """Base class for desired-behaviour properties.
+
+    A property is ``monotone`` when, over one clone's run, its verdict
+    only grows: a violation reported at simulated time t is reported
+    again at every later time (its detail may read larger counts).
+    The explorer may then check it part-way through the horizon and
+    stop the clone at the first violation (see
+    :mod:`repro.core.explorer`).  A property that reads end-of-horizon
+    state is not monotone, which is the default.
+    """
 
     name = "property"
     scope = SCOPE_LOCAL
     fault_class = "programming_error"
+    monotone = False
 
     def prepare(self, context: CheckContext) -> None:
         """Record pre-injection baseline values into ``context.baseline``.
@@ -120,4 +130,13 @@ class PropertySuite:
         violations: list[Violation] = []
         for prop in self._properties:
             violations.extend(prop.check(context))
+        return violations
+
+    def check_monotone(self, context: CheckContext) -> list[Violation]:
+        """Run the monotone properties' check pass alone: the read-only
+        check the explorer makes part-way through a clone's horizon."""
+        violations: list[Violation] = []
+        for prop in self._properties:
+            if prop.monotone:
+                violations.extend(prop.check(context))
         return violations

@@ -81,15 +81,47 @@ class TestExplore:
         assert crash_input[0] > 100
         assert crash_input[1] == 77
 
-    def test_stop_on_first_crash(self):
+    def test_stop_at_first_fault_on_a_crash(self):
         engine = ConcolicEngine(
             branchy_program,
             spec=ExplorationSpec(max_executions=100,
-                                 stop_on_first_crash=True),
+                                 stop_at_first_fault=True),
         )
         result = engine.explore([SymBytes.mark_all(bytes([200, 77]))])
         assert result.crashes
         assert result.executions == 1
+
+    def test_stop_at_first_fault_on_a_violation_count(self):
+        """A non-zero return is a fault: the run ends there, before its
+        branches are negated."""
+
+        def violations(sym):
+            return 1 if sym[0] > 100 else 0
+
+        def run(stop):
+            engine = ConcolicEngine(
+                violations,
+                spec=ExplorationSpec(max_executions=10,
+                                     stop_at_first_fault=stop),
+            )
+            frontier = Frontier.from_seeds([SymBytes.mark_all(b"\xff")],
+                                           FrontierDiscipline.BFS)
+            return engine.run_shard(frontier, 10), frontier
+
+        full, _ = run(False)
+        assert (full.executions, full.solver_queries) == (2, 1)
+        stopped, frontier = run(True)
+        assert (stopped.executions, stopped.solver_queries) == (1, 0)
+        assert not stopped.crashes
+        assert not frontier.entries  # no child was queued
+
+    def test_run_each_stops_at_first_fault(self):
+        engine = ConcolicEngine(
+            lambda sym: int(sym.concrete[0] == 3),
+            spec=ExplorationSpec(stop_at_first_fault=True),
+        )
+        inputs = (SymBytes(bytes([value]), {}) for value in range(10))
+        assert engine.run_each(inputs, Frontier()).executions == 4
 
     def test_budget_respected(self):
         engine = ConcolicEngine(

@@ -287,9 +287,17 @@ class TestDisciplines:
     def test_dfs_reaches_depth_in_fewer_executions(self):
         """On a depth-gated program DFS needs no more runs than BFS."""
 
+        def crash_only(sym):
+            deep_program(sym)
+            return 0  # no violation: only the crash is a fault
+
         def crash_execution_index(frontier):
-            engine = engine_for(
-                frontier, max_executions=120, stop_on_first_crash=True
+            engine = ConcolicEngine(
+                crash_only,
+                spec=ExplorationSpec(
+                    frontier=frontier, max_executions=120,
+                    stop_at_first_fault=True,
+                ),
             )
             result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])
             assert result.crashes
