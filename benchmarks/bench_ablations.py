@@ -24,7 +24,8 @@ import benchlib
 from repro.bgp.damping import DampingParams
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
-from repro.concolic.engine import ConcolicEngine, ExplorationSpec
+from repro.concolic.engine import ConcolicEngine
+from repro.concolic.frontier import Frontier
 from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import Solver
 from repro.core.live import LiveSystem
@@ -44,17 +45,13 @@ def test_frontier_discipline(benchmark, frontier):
             return "protocol_error"
 
     def explore():
-        engine = ConcolicEngine(
-            program,
-            solver=Solver(seed=7),
-            spec=ExplorationSpec(frontier=frontier, max_executions=120),
-        )
+        engine = ConcolicEngine(program, solver=Solver(seed=7))
         grammar = UpdateGrammar(rng=random.Random(11))
         seeds = [
             generated.symbolic(prefix=f"f{index}_")
             for index, generated in enumerate(grammar.generate_many(3))
         ]
-        return engine.explore(seeds)
+        return engine.run_shard(Frontier.from_seeds(seeds, frontier), 120)
 
     result = benchmark.pedantic(explore, rounds=1, iterations=1)
     FRONTIER_RESULTS[frontier] = result

@@ -32,6 +32,7 @@ from repro.core.parallel import (
     ExplorationTask,
     ParallelCampaignEngine,
     claims_to_spec,
+    make_transport,
 )
 from repro.core.sharing import SharingRegistry
 
@@ -132,7 +133,7 @@ def test_strategy_sweep_sharded_across_workers(benchmark):
 
     def sweep():
         # Submit every task, then resolve the handles in task order.
-        with ParallelCampaignEngine(workers=workers) as engine:
+        with ParallelCampaignEngine(make_transport(workers)) as engine:
             handles = [engine.submit(task) for task in tasks]
             return [handle.result() for handle in handles]
 

@@ -86,10 +86,11 @@ def campaign_verdict(workers: int) -> tuple[int, int]:
         inputs_per_node=3, explorer_nodes=["tr-1"], seed=1,
         workers=workers, differential="reference",
     ))
-    if result.differential_skipped:
+    verdict = result.differential
+    if verdict.skipped:
         fail(f"campaign (workers={workers}) skipped the oracle: "
-             f"{result.differential_skipped}")
-    return result.divergences, result.prefixes_checked
+             f"{verdict.skipped}")
+    return verdict.divergences, verdict.prefixes_checked
 
 
 def main() -> None:

@@ -98,6 +98,11 @@ class AdjRibIn:
         return len(self._routes)
 
 
+# Loc-RIB journal entries kept: recent enough history for the
+# oscillation check, bounded however long the system runs.
+JOURNAL_CAPACITY = 100_000
+
+
 class LocRib:
     """Selected best routes, with longest-prefix match and a change journal.
 
@@ -109,18 +114,17 @@ class LocRib:
     first lookup, dropped by the next ``set``.  ``routes`` is what the
     RIB starts out holding; the journal starts empty either way.
 
-    The journal is a ring buffer: the most recent ``journal_capacity``
-    changes are always available, however long the system has run —
+    The journal is a ring buffer: the most recent
+    :data:`JOURNAL_CAPACITY` changes are always available, however long the system has run —
     the oscillation checker depends on *recent* history, not ancient
     history, so eviction drops the oldest entries.
     """
 
-    def __init__(self, journal_capacity: int = 100_000,
-                 routes: Iterable[Route] = ()):
+    def __init__(self, routes: Iterable[Route] = ()):
         self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
         self._order: list[Prefix] | None = None
         self._lpm: PrefixTrie[Route] | None = None
-        self._journal: "deque[RibChange]" = deque(maxlen=journal_capacity)
+        self._journal: "deque[RibChange]" = deque(maxlen=JOURNAL_CAPACITY)
         self.changes_total = 0
 
     def get(self, prefix: Prefix) -> Route | None:

@@ -24,7 +24,11 @@ from __future__ import annotations
 
 import time
 
-from repro.core.faultclass import FAULT_MODEL_DIVERGENCE, FaultReport
+from repro.core.faultclass import (
+    FAULT_MODEL_DIVERGENCE,
+    DifferentialStats,
+    FaultReport,
+)
 from repro.differential import get_oracle
 from repro.differential.canonical import Divergence
 from repro.differential.extract import (
@@ -49,32 +53,28 @@ def differential_fault_reports(
     live,
     mode: str,
     *,
-    started_at: float | None = None,
-) -> tuple[list[FaultReport], dict]:
+    started_at: float,
+) -> tuple[list[FaultReport], DifferentialStats]:
     """Run the configured oracle against ``live``; report divergences.
 
-    Returns ``(reports, stats)`` where ``stats`` summarises the pass for
-    campaign reporting: mode, divergence count, prefixes checked, oracle
-    wall-clock, and (when the oracle was unavailable) the reason it was
-    skipped.
+    Returns ``(reports, stats)``: the divergence reports, stamped with
+    ``perf_counter`` seconds since ``started_at`` (the campaign's
+    origin), and the pass's :class:`~repro.core.faultclass.
+    DifferentialStats` — with the reason it was skipped when the oracle
+    was unavailable.
     """
-    stats: dict = {
-        "mode": mode,
-        "divergences": 0,
-        "prefixes_checked": 0,
-        "oracle_wall_s": 0.0,
-    }
+    stats = DifferentialStats(mode=mode)
     if mode == "off":
         return [], stats
     oracle = get_oracle(mode)
     usable, reason = oracle.available()
     if not usable:
-        stats["skipped"] = reason
+        stats.skipped = reason
         return [], stats
     if not network_settled(live):
         # Diffing a mid-churn snapshot against a fixpoint oracle would
         # report phantom divergences; refuse rather than cry wolf.
-        stats["skipped"] = (
+        stats.skipped = (
             "live system not settled (updates, MRAI flushes or damping "
             "timers still pending)"
         )
@@ -82,14 +82,13 @@ def differential_fault_reports(
 
     links = getattr(live, "links", None)
     if mode != "reference" and not links:
-        stats["skipped"] = (
+        stats.skipped = (
             "live system carries no link list; external oracles need "
             "the topology to rebuild it"
         )
         return [], stats
 
-    origin = time.monotonic() if started_at is None else started_at
-    begun = time.monotonic()
+    begun = time.perf_counter()
     actual = capture_canonical_ribs(live)
     if mode == "reference":
         divergences = oracle_for_live(live).verify_fixpoint(actual)
@@ -98,13 +97,9 @@ def differential_fault_reports(
         from repro.differential.canonical import RibDiff
 
         divergences = RibDiff().diff(outcome.ribs, actual)
-    elapsed = time.monotonic() - begun
-
-    stats["divergences"] = len(divergences)
-    stats["prefixes_checked"] = sum(
-        len(table) for table in actual.values()
-    )
-    stats["oracle_wall_s"] = elapsed
+    stats.oracle_wall_s = time.perf_counter() - begun
+    stats.divergences = len(divergences)
+    stats.prefixes_checked = sum(len(table) for table in actual.values())
 
     reports = [
         FaultReport(
@@ -112,7 +107,7 @@ def differential_fault_reports(
             property_name=f"differential:{oracle.name}",
             node=divergence.router,
             detected_at=live.network.sim.now,
-            wall_time_s=time.monotonic() - origin,
+            wall_time_s=time.perf_counter() - started_at,
             input_summary=f"{divergence.prefix} [{divergence.field}]",
             evidence={
                 "prefix": str(divergence.prefix),

@@ -34,7 +34,8 @@ from repro.core.properties import SCOPE_LOCAL, CheckContext, Property, Violation
 class RouteStability(Property):
     """No prefix may keep changing its selected route.
 
-    Monotone while the Loc-RIB journal (100 k entries by default) has
+    Monotone while the Loc-RIB journal
+    (:data:`~repro.bgp.rib.JOURNAL_CAPACITY` entries) has
     not wrapped since :meth:`prepare`: a prefix's transition count
     never decreases, and neither does its revisit count — appending a
     state to the sequence adds one to its length and at most one

@@ -35,6 +35,7 @@ from repro.checks import default_property_suite
 from repro.concolic.frontier import FrontierDiscipline
 from repro.core.live import LiveSystem
 from repro.core.offline import OfflineParserTester
+from repro.core.parallel import TRANSPORTS
 from repro.core.reporting import save_campaign
 from repro.viz import render_campaign, render_live_system, render_topology
 
@@ -222,7 +223,7 @@ def build_parser() -> argparse.ArgumentParser:
                                "at round boundaries (results depend on N "
                                "but not on the worker count)")
     campaign.add_argument("--transport", default="local",
-                          choices=("local", "loopback", "socket"),
+                          choices=TRANSPORTS,
                           help="where exploration tasks run: in-process "
                                "pools (local), the remote protocol "
                                "in-process (loopback), or repro "

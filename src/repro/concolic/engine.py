@@ -14,16 +14,16 @@ input, the engine:
 Crashes (unexpected exceptions from the program) are first-class results:
 DiCE's explorer harvests them as programming-error fault candidates.
 
-Configuration lives in one place: :class:`ExplorationSpec` names the
-frontier discipline, budgets and stop conditions, and the module-level
-:func:`explore` is the single entry point.  The queue and dedup state
-live in an explicit :class:`~repro.concolic.frontier.Frontier` value,
-so a session's unexplored branches can be shipped to other workers
-(see :meth:`ConcolicEngine.run_shard`).
-
-The module also provides :class:`RandomByteExplorer`, the byte-flipping
-fuzzer used as the baseline in EXP-EXPLORE.  It shares the execution and
-path-measurement machinery so coverage numbers are directly comparable.
+The queue and dedup state live in an explicit
+:class:`~repro.concolic.frontier.Frontier` value, so a session's
+unexplored branches can be shipped to other workers: the discipline is
+the frontier's, the budget an argument of :meth:`ConcolicEngine.
+run_shard`, and the one setting an engine holds is whether to stop at
+the first faulty execution.  :meth:`ConcolicEngine.explore` is the BFS
+session over a seed list; :meth:`ConcolicEngine.run_each` runs a
+feedback-free input stream (the grammar-only and random-mutation
+strategies) with the same path and coverage measurements, so their
+numbers are directly comparable.
 """
 
 from __future__ import annotations
@@ -34,12 +34,7 @@ from typing import Any, Callable, Iterable
 
 from repro.concolic import path as pathmod
 from repro.concolic.expr import shape_hash
-from repro.concolic.frontier import (
-    Frontier,
-    FrontierDiscipline,
-    FrontierEntry,
-    resolve_discipline,
-)
+from repro.concolic.frontier import Frontier, FrontierEntry
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import PathRecorder, SymBytes
 
@@ -47,27 +42,6 @@ Program = Callable[[SymBytes], Any]
 
 # Exceptions that indicate harness bugs rather than program behaviour.
 _HARNESS_ERRORS = (KeyboardInterrupt, SystemExit, MemoryError)
-
-
-@dataclass(frozen=True)
-class ExplorationSpec:
-    """Everything that configures one exploration session.
-
-    Call sites used to hand-reassemble ``ConcolicEngine`` keyword
-    arguments; a spec travels as one value, validates once, and pickles
-    (shard tasks carry their spec to remote workers).
-    """
-
-    frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
-    max_executions: int = 200
-    # End the run after the first faulty execution (see
-    # :attr:`Execution.faulted`), before its branches are negated.
-    stop_at_first_fault: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "frontier", resolve_discipline(self.frontier))
-        if self.max_executions < 1:
-            raise ValueError("max_executions must be >= 1")
 
 
 @dataclass
@@ -125,18 +99,13 @@ class ConcolicEngine:
         program: Program,
         solver: Solver | None = None,
         *,
-        spec: ExplorationSpec | None = None,
+        stop_at_first_fault: bool = False,
     ):
-        if spec is None:
-            spec = ExplorationSpec()
         self._program = program
         self._solver = solver if solver is not None else Solver()
-        self._spec = spec
-
-    @property
-    def spec(self) -> ExplorationSpec:
-        """The session configuration this engine runs under."""
-        return self._spec
+        # End a run after its first faulty execution (see
+        # :attr:`Execution.faulted`), before its branches are negated.
+        self._stop_at_first_fault = stop_at_first_fault
 
     def run_once(self, sym_input: SymBytes, bound: int = 0) -> Execution:
         """Execute the program once, recording its path."""
@@ -161,10 +130,14 @@ class ConcolicEngine:
             bound=bound,
         )
 
-    def explore(self, seed_inputs: list[SymBytes]) -> ExplorationResult:
-        """Run generational search from the given seeds."""
-        frontier = Frontier.from_seeds(seed_inputs, self._spec.frontier)
-        return self.run_shard(frontier, self._spec.max_executions)
+    def explore(self, seed_inputs: list[SymBytes],
+                budget: int = 200) -> ExplorationResult:
+        """Run BFS generational search from the given seeds, at most
+        ``budget`` (>= 1) executions.  Another discipline is
+        ``run_shard(Frontier.from_seeds(seeds, discipline), budget)``."""
+        if budget < 1:
+            raise ValueError(f"budget must be >= 1, got {budget}")
+        return self.run_shard(Frontier.from_seeds(seed_inputs), budget)
 
     def run_shard(self, frontier: Frontier, budget: int) -> ExplorationResult:
         """Run the generational loop over an explicit frontier.
@@ -186,7 +159,7 @@ class ConcolicEngine:
             entry = frontier.pop()
             execution = self.run_once(entry.input, entry.bound)
             _observe(result, execution, frontier)
-            if self._spec.stop_at_first_fault and execution.faulted:
+            if self._stop_at_first_fault and execution.faulted:
                 break
             for child in self._expand(execution, frontier, entry.lineage):
                 frontier.push(child)
@@ -204,13 +177,13 @@ class ConcolicEngine:
         :meth:`run_shard` measures a concolic run: paths and coverage
         fold into ``seen``'s dedup sets, in place, and
         ``stop_at_first_fault`` ends the run at its first faulty
-        execution."""
+        execution, drawing nothing more from ``inputs``."""
         started = time.perf_counter()
         result = ExplorationResult()
         for sym_input in inputs:
             execution = self.run_once(sym_input)
             _observe(result, execution, seen)
-            if self._spec.stop_at_first_fault and execution.faulted:
+            if self._stop_at_first_fault and execution.faulted:
                 break
         _close(result, seen, started)
         return result
@@ -276,62 +249,3 @@ def _close(result: ExplorationResult, seen: Frontier, started: float) -> None:
     result.branch_coverage = len(seen.seen_constraints)
     result.shape_coverage = len(seen.seen_shapes)
     result.duration = time.perf_counter() - started
-
-
-def explore(
-    program: Program,
-    seed_inputs: list[SymBytes],
-    spec: ExplorationSpec | None = None,
-    solver: Solver | None = None,
-) -> ExplorationResult:
-    """Run one exploration session — the single configured entry point.
-
-    ``spec`` carries every knob (discipline, budgets, stop conditions);
-    ``solver`` is injected by callers that need a derived seed.
-    """
-    return ConcolicEngine(program, solver=solver, spec=spec).explore(
-        seed_inputs
-    )
-
-
-class RandomByteExplorer:
-    """Baseline: random byte mutations of the seed, same measurements.
-
-    Mutates 1..4 random marked bytes per iteration.  Paths are recorded
-    with the same machinery, so ``unique_paths``/``branch_coverage`` are
-    apples-to-apples with :class:`ConcolicEngine`.
-    """
-
-    def __init__(self, program: Program, seed: int = 0,
-                 max_executions: int = 200, *,
-                 stop_at_first_fault: bool = False):
-        import random as _random
-
-        self._rng = _random.Random(seed)
-        self._max_executions = max_executions
-        self._engine = ConcolicEngine(
-            program,
-            spec=ExplorationSpec(max_executions=max_executions,
-                                 stop_at_first_fault=stop_at_first_fault),
-        )
-
-    def explore(self, seed_inputs: list[SymBytes],
-                seen: Frontier) -> ExplorationResult:
-        """Run the random-mutation loop from the given seeds, folding
-        paths and coverage into ``seen`` (see
-        :meth:`ConcolicEngine.run_each`)."""
-        return self._engine.run_each(
-            (self._mutate(seed_inputs[index % len(seed_inputs)])
-             for index in range(self._max_executions)),
-            seen,
-        )
-
-    def _mutate(self, sym_input: SymBytes) -> SymBytes:
-        offsets = sorted(sym_input.variables())
-        if not offsets:
-            return sym_input
-        data = bytearray(sym_input.concrete)
-        for _ in range(self._rng.randint(1, 4)):
-            offset = self._rng.choice(offsets)
-            data[offset] = self._rng.randint(0, 255)
-        return SymBytes(bytes(data), sym_input.variables())

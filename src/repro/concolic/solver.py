@@ -31,8 +31,8 @@ Every model returned is verified against the full constraint set, so a
 non-``None`` result is always sound.  ``None`` has two meanings, told
 apart in :class:`SolverStats`: *refuted* is a proof that the system is
 unsatisfiable; *exhausted* means steps 2 and 3 spent their whole budget
-(``max_repair_rounds`` rounds, then ``max_restarts`` restarts of as
-many) without a model — possibly unsat, possibly just hard.
+(:data:`MAX_REPAIR_ROUNDS` rounds, then :data:`MAX_RESTARTS` restarts
+of as many) without a model — possibly unsat, possibly just hard.
 
 Every query is solved; nothing is remembered between queries.  The
 concolic engine never asks the same flip twice in a session (its
@@ -48,6 +48,11 @@ from dataclasses import dataclass, field
 from repro.concolic.expr import BinOp, Const, Constraint, Expr, UnOp, Var
 
 _INF = float("inf")
+
+# The search budget of one query: repair rounds per pass, and random
+# restarts after the hint-guided pass exhausts.
+MAX_REPAIR_ROUNDS = 200
+MAX_RESTARTS = 40
 
 
 @dataclass
@@ -319,11 +324,8 @@ def _decompose_concat(
 class Solver:
     """See module docstring."""
 
-    def __init__(self, seed: int = 0, max_repair_rounds: int = 200,
-                 max_restarts: int = 40):
+    def __init__(self, seed: int = 0):
         self._rng = random.Random(seed)
-        self._max_repair_rounds = max_repair_rounds
-        self._max_restarts = max_restarts
         self.stats = SolverStats()
 
     # -- public API --
@@ -380,7 +382,7 @@ class Solver:
     ) -> dict[str, int] | None:
         assignment = dict(assignment)
         recently_fixed: list[Constraint] = []
-        for _ in range(self._max_repair_rounds):
+        for _ in range(MAX_REPAIR_ROUNDS):
             violated = self._violated(problem, assignment)
             if violated is None:
                 return assignment
@@ -552,7 +554,7 @@ class Solver:
     def _random_search(
         self, problem: _Problem, hint: dict[str, int] | None
     ) -> dict[str, int] | None:
-        for _ in range(self._max_restarts):
+        for _ in range(MAX_RESTARTS):
             self.stats.random_restarts += 1
             assignment = {}
             for name, var in problem.variables.items():

@@ -17,8 +17,9 @@ The pieces map one-to-one onto Figure 2 of the paper:
 
 :mod:`live` wraps a network of BGP routers as "the deployed system"
 DiCE runs alongside.  :mod:`parallel` shards step 3's independent
-node-exploration sessions across worker slots and :mod:`remote` puts
-those slots on long-lived worker daemons over TCP (or an in-process
+node-exploration sessions across worker slots — :func:`make_transport`
+builds every transport they run on — and :mod:`remote` puts those
+slots on long-lived worker daemons over TCP (or an in-process
 loopback), without changing any campaign result.  :mod:`pipeline`
 takes step 2's snapshot captures in the campaign's fixed order, each
 when the campaign asks for it.
@@ -30,6 +31,7 @@ from repro.core.faultclass import (
     FAULT_OPERATOR_MISTAKE,
     FAULT_POLICY_CONFLICT,
     FAULT_PROGRAMMING_ERROR,
+    DifferentialStats,
     FaultReport,
 )
 from repro.core.properties import CheckContext, Property, Violation
@@ -37,9 +39,11 @@ from repro.core.sharing import SharingEndpoint, SharingRegistry
 from repro.core.explorer import ExplorationConfig, Explorer, NodeExplorationReport
 from repro.core.orchestrator import CampaignResult, DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
+    DispatchStats,
     ExplorationTask,
     ParallelCampaignEngine,
     TaskOutcome,
+    make_transport,
     resolve_workers,
     run_task,
 )
@@ -80,9 +84,12 @@ __all__ = [
     "DiceOrchestrator",
     "OrchestratorConfig",
     "CampaignResult",
+    "DispatchStats",
+    "DifferentialStats",
     "ExplorationTask",
     "TaskOutcome",
     "ParallelCampaignEngine",
+    "make_transport",
     "run_task",
     "resolve_workers",
     "LoopbackTransport",

@@ -65,15 +65,11 @@ import random
 import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
-from repro.concolic.engine import (
-    ConcolicEngine,
-    ExplorationResult,
-    ExplorationSpec,
-    RandomByteExplorer,
-)
+from repro.concolic.engine import ConcolicEngine, ExplorationResult
 from repro.concolic.frontier import (
     Frontier,
     FrontierDiscipline,
@@ -141,14 +137,6 @@ class ExplorationConfig:
             raise ValueError(f"inputs must be >= 1, got {self.inputs}")
         self.frontier = resolve_discipline(self.frontier)
 
-    def exploration_spec(self) -> ExplorationSpec:
-        """The engine spec this session configuration asks for."""
-        return ExplorationSpec(
-            frontier=self.frontier,
-            max_executions=self.inputs,
-            stop_at_first_fault=self.stop_at_first_fault,
-        )
-
 
 @dataclass
 class NodeExplorationReport:
@@ -198,6 +186,25 @@ def summarize_input(data: bytes) -> str:
         return f"undecodable[{type(exc).__name__}] {len(data)}B"
     text = repr(message)
     return text if len(text) <= 120 else text[:117] + "..."
+
+
+def random_mutations(seeds: list[SymBytes], rng: random.Random,
+                     count: int) -> Iterator[SymBytes]:
+    """The random strategy's inputs, drawn lazily: ``count`` mutations
+    of the seeds in turn, each setting 1..4 randomly chosen marked
+    bytes to random values (a seed with no marked byte passes as it
+    is).  The byte-flipping baseline of EXP-EXPLORE."""
+    for index in range(count):
+        sym_input = seeds[index % len(seeds)]
+        offsets = sorted(sym_input.variables())
+        if not offsets:
+            yield sym_input
+            continue
+        data = bytearray(sym_input.concrete)
+        for _ in range(rng.randint(1, 4)):
+            offset = rng.choice(offsets)
+            data[offset] = rng.randint(0, 255)
+        yield SymBytes(bytes(data), sym_input.variables())
 
 
 class Explorer:
@@ -317,23 +324,22 @@ class Explorer:
             frontier = root.partition(shard.count)[shard.index]
         else:
             frontier = shard.frontier.copy()
-        program = self._make_program(config, peer, report)
+        engine = ConcolicEngine(
+            self._make_program(config, peer, report),
+            solver=Solver(seed=derive_seed(config.seed, "solver")),
+            stop_at_first_fault=config.stop_at_first_fault,
+        )
         if config.strategy == STRATEGY_CONCOLIC:
-            engine = ConcolicEngine(
-                program,
-                solver=Solver(seed=derive_seed(config.seed, "solver")),
-                spec=config.exploration_spec(),
-            )
             result = engine.run_shard(frontier, shard.budget)
         elif config.strategy == STRATEGY_RANDOM:
-            result = RandomByteExplorer(
-                program,
-                seed=derive_seed(config.seed, "random"),
-                max_executions=shard.budget,
-                stop_at_first_fault=config.stop_at_first_fault,
-            ).explore(seeds, frontier)
+            result = engine.run_each(
+                random_mutations(
+                    seeds, random.Random(derive_seed(config.seed, "random")),
+                    shard.budget,
+                ),
+                frontier,
+            )
         else:  # grammar-only: fresh valid messages, no feedback
-            engine = ConcolicEngine(program, spec=config.exploration_spec())
             result = engine.run_each(
                 (grammar.generate().symbolic(prefix="u")
                  for _ in range(shard.budget)),
@@ -575,9 +581,8 @@ class Explorer:
         engine = ConcolicEngine(
             program,
             solver=Solver(seed=derive_seed(seed, "selection-solver")),
-            spec=ExplorationSpec(max_executions=max_executions),
         )
-        result = engine.explore([seed_input])
+        result = engine.explore([seed_input], max_executions)
         report.executions = result.executions
         report.outcomes = sorted(set(outcomes))
         report.distinct_outcomes = len(report.outcomes)

@@ -67,3 +67,22 @@ def first_per_class(reports: list[FaultReport]) -> dict[str, FaultReport]:
         if current is None or report.wall_time_s < current.wall_time_s:
             first[report.fault_class] = report
     return first
+
+
+@dataclass
+class DifferentialStats:
+    """The differential-oracle pre-pass's verdict (see
+    :mod:`repro.checks.differential`): which oracle ran, how many
+    divergences it found over how many (router, prefix) entries, its
+    wall-clock cost, and — when it could not run — why it was skipped.
+    The pre-pass runs once, in the main process, over the singular live
+    system, so all but the wall clock are independent of workers and
+    transport by construction.  The JSON report's ``differential``
+    block, key for key.
+    """
+
+    mode: str = "off"
+    divergences: int = 0
+    prefixes_checked: int = 0
+    oracle_wall_s: float = 0.0
+    skipped: str = ""

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
-from repro.concolic.engine import ExplorationSpec, explore
+from repro.concolic.engine import ConcolicEngine
 from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import SymBytes
@@ -158,11 +158,8 @@ class OfflineParserTester:
             generated.symbolic(prefix="u")
             for generated in grammar.generate_many(grammar_seeds)
         ]
-        result = explore(
-            program,
-            seeds,
-            spec=ExplorationSpec(max_executions=budget),
-            solver=Solver(seed=self._seed),
+        result = ConcolicEngine(program, Solver(seed=self._seed)).explore(
+            seeds, budget
         )
         report.unique_paths += result.unique_paths
         report.branch_coverage = max(

@@ -59,15 +59,20 @@ from repro.core.explorer import (
     NodeExplorationReport,
     STRATEGY_CONCOLIC,
 )
-from repro.core.faultclass import FaultReport, first_per_class
+from repro.core.faultclass import (
+    DifferentialStats,
+    FaultReport,
+    first_per_class,
+)
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.parallel import (
     ClaimSpec,
+    DispatchStats,
     ExplorationTask,
     ParallelCampaignEngine,
     TaskHandle,
     claims_to_spec,
-    resolve_workers,
+    make_transport,
 )
 from repro.core.pipeline import (
     CapturedSnapshot,
@@ -136,7 +141,7 @@ class OrchestratorConfig:
     # Escape hatch for the chaos/fault-injection harness (not exposed
     # on the CLI): a zero-argument callable returning the
     # WorkerTransport the campaign engine should dispatch on, taking
-    # precedence over `transport`/`remote_workers`.
+    # precedence over `workers`/`transport`/`remote_workers`.
     transport_factory: Callable | None = None
     # Branch-frontier discipline for concolic exploration — the pop
     # order of every shard's frontier: "bfs" (the SAGE-style
@@ -188,33 +193,13 @@ class CampaignResult:
     # their gap is capture time hidden behind exploration.
     capture_wall_s: float = 0.0
     capture_blocked_s: float = 0.0
-    # Which dispatch transport ran the campaign, and its total framed
-    # wire traffic (0 for in-process transports with no frames).
-    transport: str = "local"
-    wire_bytes_sent: int = 0
-    wire_bytes_received: int = 0
-    # Failover accounting: worker slots lost mid-campaign (with their
-    # labels) and tasks requeued onto survivors.  All zero on a
-    # failure-free run; results are bit-identical either way.
-    worker_failures: int = 0
-    tasks_requeued: int = 0
-    dead_workers: list[str] = field(default_factory=list)
-    max_worker_failures: int = 0
-    # Differential-oracle pre-pass accounting (see
-    # repro.checks.differential): which oracle ran, how many
-    # divergences it found over how many (router, prefix) entries, its
-    # wall-clock cost, and — when it could not run — why it was
-    # skipped.  The pre-pass executes once in the main process over
-    # the singular live system, so these are independent of workers
-    # and transport by construction.
-    differential_mode: str = "off"
-    divergences: int = 0
-    prefixes_checked: int = 0
-    oracle_wall_s: float = 0.0
-    differential_skipped: str = ""
+    dispatch: DispatchStats = field(default_factory=DispatchStats)
+    differential: DifferentialStats = field(default_factory=DifferentialStats)
 
     def time_to_detection(self) -> dict[str, float]:
-        """Wall-clock seconds to the first report of each fault class."""
+        """Wall-clock seconds to the first report of each fault class,
+        counted, like ``wall_time_s``, from the campaign's start (the
+        differential pre-pass included)."""
         return {
             fault_class: report.wall_time_s
             for fault_class, report in first_per_class(self.reports).items()
@@ -342,47 +327,53 @@ class DiceOrchestrator:
         campaign walks the live heap again; ``gc.unfreeze`` hands it
         back on the way out, raised or not.  Both calls are O(1).  A
         caller that has frozen the heap itself is left to unfreeze it.
+
+        Every wall-clock figure of the result — ``wall_time_s`` and each
+        report's time to detection, pre-pass divergences and session
+        faults alike — counts ``perf_counter`` seconds from one origin:
+        this call's entry.
         """
+        started = time.perf_counter()
         freeze = gc.get_freeze_count() == 0
         if freeze:
             gc.freeze()
         try:
-            prepass_reports, prepass_stats = self._differential_prepass(config)
-            result = self._run_campaign_inner(config)
+            prepass_reports, differential = self._differential_prepass(
+                config, started
+            )
+            result = self._run_campaign_inner(config, started)
         finally:
             if freeze:
                 gc.unfreeze()
-        result.differential_mode = prepass_stats["mode"]
-        result.divergences = prepass_stats["divergences"]
-        result.prefixes_checked = prepass_stats["prefixes_checked"]
-        result.oracle_wall_s = prepass_stats["oracle_wall_s"]
-        result.differential_skipped = prepass_stats.get("skipped", "")
+        result.differential = differential
         if prepass_reports:
             result.reports = prepass_reports + result.reports
         return result
 
     def _differential_prepass(
-        self, config: OrchestratorConfig
-    ) -> tuple[list[FaultReport], dict]:
+        self, config: OrchestratorConfig, started: float
+    ) -> tuple[list[FaultReport], DifferentialStats]:
         if config.differential == "off":
-            return [], {
-                "mode": "off", "divergences": 0,
-                "prefixes_checked": 0, "oracle_wall_s": 0.0,
-            }
+            return [], DifferentialStats()
         # Imported here: the checks package pulls in the differential
         # oracles, which campaigns without the knob never need.
         from repro.checks.differential import differential_fault_reports
 
-        return differential_fault_reports(self._live, config.differential)
+        return differential_fault_reports(
+            self._live, config.differential, started_at=started
+        )
 
-    def _run_campaign_inner(self, config: OrchestratorConfig) -> CampaignResult:
+    def _run_campaign_inner(
+        self, config: OrchestratorConfig, started: float
+    ) -> CampaignResult:
         """The one campaign loop: capture, start session, finish, merge.
 
         Execution mode is configuration of this loop, never a different
         loop.  Two objects carry it:
 
         * the **engine** decides *where* a session's tasks run — on
-          whatever transport :meth:`_build_engine` returns; at
+          ``transport_factory``'s transport or the one
+          :func:`~repro.core.parallel.make_transport` builds; at
           ``workers=1`` local that is the inline transport, the serial
           reference every other transport must equal;
         * the **session planner** decides what a session *is* — rounds
@@ -401,10 +392,8 @@ class DiceOrchestrator:
         An inline campaign has then taken exactly one capture per
         merged session, and a pooled one none past the faulting cycle.
         """
-        started = time.perf_counter()
         nodes = self._campaign_nodes(config)
         shards = self._session_shards(config)
-        workers = self._campaign_workers(config)
         requests = plan_captures(nodes, config.cycles)
 
         def capture_one(request):
@@ -418,16 +407,23 @@ class DiceOrchestrator:
             snapshot = self._live.coordinator.capture(request.node)
             return snapshot, self._live.network.sim.now
 
-        with self._build_engine(config, workers) as engine:
+        transport = (
+            config.transport_factory()
+            if config.transport_factory is not None
+            else make_transport(
+                config.workers, config.transport, config.remote_workers
+            )
+        )
+        with ParallelCampaignEngine(
+            transport, config.max_worker_failures
+        ) as engine:
             captures = SnapshotPipeline(
                 capture_one, requests,
                 # Nothing leaves the process on the inline transport,
                 # so there is no payload to pre-pickle.
                 prepare_fn=None if engine.inline else pickle.dumps,
             )
-            result = CampaignResult(
-                workers=engine.workers, transport=config.transport,
-            )
+            result = CampaignResult(workers=engine.workers)
             run = _CampaignRun(
                 config, engine, claims_to_spec(self._claims), shards,
             )
@@ -480,7 +476,7 @@ class DiceOrchestrator:
                 if stopped:
                     break
                 result.cycles_completed = cycle + 1
-            self._record_wire_stats(result, engine)
+            result.dispatch = engine.dispatch_stats(config.transport)
         if requests and not stopped:
             # Nothing is left to overlap the advance after the last
             # capture, so it blocks.
@@ -506,70 +502,6 @@ class DiceOrchestrator:
                 f"only; got strategy={config.strategy!r}"
             )
         return max(1, config.frontier_shards)
-
-    @staticmethod
-    def _campaign_workers(config: OrchestratorConfig) -> int:
-        """The worker-slot count the config's transport implies."""
-        if config.transport_factory is not None:
-            # The injected transport knows its own slot count; the
-            # engine reports it once built (result.workers is set from
-            # engine.workers).
-            return resolve_workers(config.workers)
-        if config.transport == "socket":
-            if not config.remote_workers:
-                raise ValueError(
-                    "transport='socket' requires remote_workers "
-                    "(host:port addresses, one worker slot each)"
-                )
-            return len(config.remote_workers)
-        return resolve_workers(config.workers)
-
-    @staticmethod
-    def _build_engine(
-        config: OrchestratorConfig, workers: int
-    ) -> ParallelCampaignEngine:
-        """The dispatch engine for the config's transport choice."""
-        if config.transport_factory is not None:
-            return ParallelCampaignEngine(
-                transport=config.transport_factory(),
-                max_worker_failures=config.max_worker_failures,
-            )
-        if config.transport == "local":
-            return ParallelCampaignEngine(
-                workers=workers,
-                max_worker_failures=config.max_worker_failures,
-            )
-        from repro.core.remote import LoopbackTransport, SocketTransport
-
-        if config.transport == "loopback":
-            return ParallelCampaignEngine(
-                transport=LoopbackTransport(slots=workers),
-                max_worker_failures=config.max_worker_failures,
-            )
-        if config.transport == "socket":
-            return ParallelCampaignEngine(
-                transport=SocketTransport(config.remote_workers),
-                max_worker_failures=config.max_worker_failures,
-            )
-        raise ValueError(
-            f"unknown transport {config.transport!r}; choose from "
-            "local, loopback, socket"
-        )
-
-    @staticmethod
-    def _record_wire_stats(
-        result: CampaignResult, engine: ParallelCampaignEngine
-    ) -> None:
-        result.wire_bytes_sent = getattr(engine.transport, "bytes_sent", 0)
-        result.wire_bytes_received = getattr(
-            engine.transport, "bytes_received", 0
-        )
-        result.worker_failures = len(engine.failures)
-        result.tasks_requeued = engine.tasks_requeued
-        result.dead_workers = [
-            failure.worker for failure in engine.failures
-        ]
-        result.max_worker_failures = engine.max_worker_failures
 
     def _campaign_nodes(self, config: OrchestratorConfig) -> list[str]:
         nodes = (

@@ -95,13 +95,16 @@ class WorkerTransport(Protocol):
     loopback and TCP-socket transports live in
     :mod:`repro.core.remote`.
 
+    :func:`make_transport` is the one place a transport name becomes
+    one of these.
+
     Two further methods are optional (looked up with ``getattr``):
-    ``discard_slot(slot)`` retires a slot the engine declared dead
-    (failover never resubmits to it), and ``slot_label(slot)`` names a
-    slot for failure reports ("host:port" for sockets).  A transport
-    signals a *slot* death — as opposed to a task failure — by
-    resolving futures with an exception for which
-    :func:`is_transport_fatal` is true.
+    ``discard_slot(slot)`` releases the resources of a slot the engine
+    declared dead — the engine alone records dead slots and never
+    submits to one again — and ``slot_label(slot)`` names a slot for
+    failure reports ("host:port" for sockets).  A transport signals a
+    *slot* death — as opposed to a task failure — by resolving futures
+    with an exception for which :func:`is_transport_fatal` is true.
     """
 
     slots: int
@@ -286,7 +289,7 @@ class WorkerFailoverError(RuntimeError):
 class InlineTransport:
     """Runs every task synchronously in the calling process.
 
-    The ``workers <= 1`` backend: no fork, no pickling — the serial
+    The one-slot ``local`` backend: no fork, no pickling — the serial
     reference every other transport must equal.  ``inline`` is the one
     fact campaigns read off a transport (with ``getattr``; absent means
     "ships bytes"):
@@ -320,24 +323,16 @@ class LocalPoolTransport:
     Pools are created lazily on first use and reaped by :meth:`close`;
     pending tasks are cancelled on close (the
     ``stop_after_first_fault`` abort path), leaving already-merged
-    results untouched.  A slot whose pool process died
-    (``BrokenProcessPool``) can be retired with :meth:`discard_slot`;
-    the engine requeues its tasks elsewhere rather than respawning the
-    pool.
+    results untouched.  The pool of a slot whose process died
+    (``BrokenProcessPool``) is shut down by :meth:`discard_slot`; the
+    engine requeues its tasks elsewhere rather than respawning it.
     """
 
     def __init__(self, slots: int):
         self.slots = max(1, slots)
         self._pools: list[ProcessPoolExecutor | None] = [None] * self.slots
-        self._dead: set[int] = set()
 
     def submit(self, slot: int, task: ExplorationTask) -> "Future[TaskOutcome]":
-        if slot in self._dead:
-            future: Future[TaskOutcome] = Future()
-            future.set_exception(
-                WorkerLostError(f"local pool slot {slot} is dead")
-            )
-            return future
         pool = self._pools[slot]
         if pool is None:
             pool = ProcessPoolExecutor(max_workers=1)
@@ -348,8 +343,7 @@ class LocalPoolTransport:
         return f"local pool slot {slot}"
 
     def discard_slot(self, slot: int) -> None:
-        """Retire a slot whose pool process died; never respawned."""
-        self._dead.add(slot)
+        """Shut down the pool of a slot whose process died."""
         pool = self._pools[slot]
         if pool is not None:
             pool.shutdown(cancel_futures=True)
@@ -360,6 +354,61 @@ class LocalPoolTransport:
             if pool is not None:
                 pool.shutdown(cancel_futures=True)
                 self._pools[index] = None
+
+
+TRANSPORTS = ("local", "loopback", "socket")
+
+
+def make_transport(workers: int | None, transport: str = "local",
+                   remote_workers: Sequence[str] | None = None
+                   ) -> WorkerTransport:
+    """The one place a transport name becomes a :class:`WorkerTransport`.
+
+    ``"local"`` is the inline transport at one slot and per-slot
+    process pools above that, ``"loopback"`` the remote wire protocol
+    run in-process on ``workers`` slots, and ``"socket"`` one slot per
+    ``remote_workers`` address (``workers`` is not read).  ``workers``
+    is normalized by :func:`resolve_workers`.
+    """
+    if transport == "local":
+        count = resolve_workers(workers)
+        return InlineTransport() if count <= 1 else LocalPoolTransport(count)
+    # Imported here: repro.core.remote builds on this module.
+    from repro.core.remote import LoopbackTransport, SocketTransport
+
+    if transport == "loopback":
+        return LoopbackTransport(slots=resolve_workers(workers))
+    if transport == "socket":
+        if not remote_workers:
+            raise ValueError(
+                "transport='socket' requires remote_workers "
+                "(host:port addresses, one worker slot each)"
+            )
+        return SocketTransport(remote_workers)
+    raise ValueError(
+        f"unknown transport {transport!r}; choose from "
+        + ", ".join(TRANSPORTS)
+    )
+
+
+@dataclass
+class DispatchStats:
+    """Which transport ran a campaign's tasks and what dispatch cost:
+    its framed wire traffic (0 for in-process transports) and the
+    failover ledger — worker slots lost mid-campaign, with their
+    labels, and tasks requeued onto survivors.  All zero on a
+    failure-free run; results are bit-identical either way.  The JSON
+    report's ``dispatch_transport`` block, key for key; the engine
+    builds it (:meth:`ParallelCampaignEngine.dispatch_stats`).
+    """
+
+    transport: str = "local"
+    wire_bytes_sent: int = 0
+    wire_bytes_received: int = 0
+    worker_failures: int = 0
+    max_worker_failures: int = 0
+    dead_workers: list[str] = field(default_factory=list)
+    tasks_requeued: int = 0
 
 
 class TaskHandle:
@@ -393,12 +442,9 @@ class ParallelCampaignEngine:
     """Spreads exploration tasks across one transport's worker slots.
 
     The engine owns *routing, ordering and failover*; where tasks
-    actually run is the :class:`WorkerTransport`'s business.  By
-    default the transport is picked from ``workers``: inline
-    in-process for ``workers <= 1`` (no fork, no pickling — the serial
-    baseline), per-slot local process pools otherwise.  Remote
-    transports (:mod:`repro.core.remote`) plug into the same
-    interface, so the orchestrator is transport-agnostic.
+    actually run is the :class:`WorkerTransport`'s business — the one
+    it is handed, usually built by :func:`make_transport` — so the
+    orchestrator is transport-agnostic.
 
     Use as a context manager (or call :meth:`close`) so worker
     resources are released.
@@ -420,15 +466,8 @@ class ParallelCampaignEngine:
     naming every dead worker.
     """
 
-    def __init__(self, workers: int | None = None,
-                 transport: WorkerTransport | None = None,
+    def __init__(self, transport: WorkerTransport,
                  max_worker_failures: int | None = None):
-        if transport is None:
-            count = resolve_workers(workers)
-            transport = (
-                InlineTransport() if count <= 1
-                else LocalPoolTransport(count)
-            )
         self._transport = transport
         self.workers = transport.slots
         if max_worker_failures is not None and max_worker_failures < 0:
@@ -451,11 +490,6 @@ class ParallelCampaignEngine:
         self.tasks_requeued = 0
 
     @property
-    def transport(self) -> WorkerTransport:
-        """The dispatch backend tasks run on."""
-        return self._transport
-
-    @property
     def inline(self) -> bool:
         """Whether tasks run synchronously in this process (see
         :class:`InlineTransport`)."""
@@ -476,6 +510,19 @@ class ParallelCampaignEngine:
         unaffected.
         """
         self._transport.close()
+
+    def dispatch_stats(self, transport: str) -> DispatchStats:
+        """This engine's dispatch record, under the transport name the
+        campaign was configured with."""
+        return DispatchStats(
+            transport=transport,
+            wire_bytes_sent=getattr(self._transport, "bytes_sent", 0),
+            wire_bytes_received=getattr(self._transport, "bytes_received", 0),
+            worker_failures=len(self.failures),
+            max_worker_failures=self.max_worker_failures,
+            dead_workers=[failure.worker for failure in self.failures],
+            tasks_requeued=self.tasks_requeued,
+        )
 
     def _no_survivors_error(self) -> WorkerFailoverError:
         return WorkerFailoverError(

@@ -75,6 +75,12 @@ _HEADER = struct.Struct(">II")
 # snapshot plus about 1.3 KB of config, suite and claims;
 # anything near this is a corrupted length prefix.
 MAX_FRAME_BYTES = 256 * 1024 * 1024
+# Dialling a worker daemon at campaign start: the per-attempt socket
+# timeout, the attempts, and the first backoff between attempts, which
+# doubles after each (see _Connection._dial).
+CONNECT_TIMEOUT_S = 10.0
+CONNECT_ATTEMPTS = 3
+CONNECT_BACKOFF_S = 0.1
 
 
 class RemoteWorkerError(RuntimeError):
@@ -356,18 +362,9 @@ class LoopbackTransport:
         self.bytes_sent = 0
         self.bytes_received = 0
         self._closed = False
-        self._dead: set[int] = set()
 
     def slot_label(self, slot: int) -> str:
         return f"loopback slot {slot}"
-
-    def discard_slot(self, slot: int) -> None:
-        """Retire a dead slot: no more tasks."""
-        self._dead.add(slot)
-
-    def alive(self, slot: int) -> bool:
-        """Passive slot health: not retired, transport open."""
-        return not self._closed and slot not in self._dead
 
     def _exchange(self, slot: int, message: tuple) -> tuple:
         frame = encode_frame(message)
@@ -381,14 +378,6 @@ class LoopbackTransport:
         if self._closed:
             raise RuntimeError("loopback transport is closed")
         future: Future[TaskOutcome] = Future()
-        if slot in self._dead:
-            future.set_exception(
-                WorkerDiedError(
-                    f"loopback slot {slot} is dead",
-                    address=self.slot_label(slot),
-                )
-            )
-            return future
         response = self._exchange(
             slot, ("task", next(self._request_ids), task)
         )
@@ -416,10 +405,9 @@ class _Connection:
     routing mechanism).
     """
 
-    def __init__(self, address: tuple[str, int], timeout: float,
-                 attempts: int = 1, backoff_s: float = 0.1):
+    def __init__(self, address: tuple[str, int]):
         self.address = address
-        self._sock = self._dial(address, timeout, attempts, backoff_s)
+        self._sock = self._dial(address)
         self._sock.settimeout(None)
         self._send_lock = threading.Lock()
         self._pending: deque[tuple[int, Future]] = deque()
@@ -439,21 +427,23 @@ class _Connection:
         self._reader.start()
 
     @staticmethod
-    def _dial(address: tuple[str, int], timeout: float,
-              attempts: int, backoff_s: float) -> socket.socket:
-        """Connect with bounded retry + exponential backoff.
+    def _dial(address: tuple[str, int]) -> socket.socket:
+        """Connect with bounded retry + exponential backoff
+        (:data:`CONNECT_ATTEMPTS` tries).
 
         Campaign *start* is the one moment retrying is safe and useful
         (a daemon still booting, a load balancer warming up); once a
         campaign is running, a lost daemon's task is dispatched again
         on a surviving slot instead.
         """
-        delay = backoff_s
-        for attempt in range(max(1, attempts)):
+        delay = CONNECT_BACKOFF_S
+        for attempt in range(CONNECT_ATTEMPTS):
             try:
-                return socket.create_connection(address, timeout=timeout)
+                return socket.create_connection(
+                    address, timeout=CONNECT_TIMEOUT_S
+                )
             except OSError as error:
-                if attempt + 1 >= max(1, attempts):
+                if attempt + 1 >= CONNECT_ATTEMPTS:
                     raise RemoteWorkerError(
                         f"cannot reach remote worker at "
                         f"{address[0]}:{address[1]} "
@@ -622,14 +612,12 @@ class SocketTransport:
 
     Failover surface: a slot whose connection died resolves its
     futures with :class:`WorkerDiedError` (classifiable, names the
-    peer) and :meth:`discard_slot` retires it permanently.
+    peer) and :meth:`discard_slot` drops its connection.
     :meth:`close` drops the connections and cancels undelivered
     futures; the daemons live on for the next campaign.
     """
 
-    def __init__(self, addresses, connect_timeout: float = 10.0,
-                 connect_attempts: int = 3,
-                 connect_backoff_s: float = 0.1):
+    def __init__(self, addresses):
         parsed = [parse_address(address) for address in addresses]
         if not parsed:
             raise ValueError(
@@ -637,16 +625,9 @@ class SocketTransport:
             )
         self.slots = len(parsed)
         self._connections: list[_Connection] = []
-        self._discarded: set[int] = set()
         try:
             for address in parsed:
-                self._connections.append(
-                    _Connection(
-                        address, timeout=connect_timeout,
-                        attempts=connect_attempts,
-                        backoff_s=connect_backoff_s,
-                    )
-                )
+                self._connections.append(_Connection(address))
         except RemoteWorkerError:
             self.close()
             raise
@@ -663,16 +644,8 @@ class SocketTransport:
         host, port = self._connections[slot].address
         return f"{host}:{port}"
 
-    def alive(self, slot: int) -> bool:
-        """Passive slot health: connected and not retired."""
-        return (
-            slot not in self._discarded
-            and self._connections[slot].dead is None
-        )
-
     def discard_slot(self, slot: int) -> None:
-        """Retire a dead slot: drop its connection."""
-        self._discarded.add(slot)
+        """Drop a dead slot's connection."""
         self._connections[slot].discard(
             ConnectionError("worker slot retired after failure")
         )

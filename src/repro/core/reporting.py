@@ -9,6 +9,7 @@ configuration changes they vetted.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from typing import Any
 
@@ -62,30 +63,8 @@ def campaign_to_dict(result: CampaignResult) -> dict[str, Any]:
                 result.capture_hidden_fraction(), 6
             ),
             "solver_queries": result.solver_queries,
-            # Dispatch transport: which backend ran the tasks, its
-            # total framed wire traffic (0 for in-process backends),
-            # and the failover ledger — worker slots lost mid-campaign
-            # and tasks requeued onto survivors (results are
-            # bit-identical to a failure-free run either way).
-            "dispatch_transport": {
-                "transport": result.transport,
-                "wire_bytes_sent": result.wire_bytes_sent,
-                "wire_bytes_received": result.wire_bytes_received,
-                "worker_failures": result.worker_failures,
-                "max_worker_failures": result.max_worker_failures,
-                "dead_workers": list(result.dead_workers),
-                "tasks_requeued": result.tasks_requeued,
-            },
-            # Differential-oracle pre-pass (repro.checks.differential):
-            # which independent oracle vetted the live system's
-            # converged routes before exploration, and its verdict.
-            "differential": {
-                "mode": result.differential_mode,
-                "divergences": result.divergences,
-                "prefixes_checked": result.prefixes_checked,
-                "oracle_wall_s": round(result.oracle_wall_s, 6),
-                "skipped": result.differential_skipped,
-            },
+            "dispatch_transport": _record(result.dispatch),
+            "differential": _record(result.differential),
             "fault_classes_found": result.fault_classes_found(),
             "time_to_detection": {
                 k: round(v, 6)
@@ -130,6 +109,15 @@ def load_fault_reports(path: str) -> list[FaultReport]:
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     return [fault_report_from_dict(item) for item in data.get("reports", [])]
+
+
+def _record(record) -> dict[str, Any]:
+    """A stats dataclass as a dict, its wall-clock floats rounded to
+    the microsecond like every other one in the report."""
+    return {
+        key: round(value, 6) if isinstance(value, float) else value
+        for key, value in dataclasses.asdict(record).items()
+    }
 
 
 def _plain(value: Any) -> Any:

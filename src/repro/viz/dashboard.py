@@ -89,6 +89,7 @@ def render_fault_table(reports: list[FaultReport]) -> str:
 
 def render_campaign(result: CampaignResult) -> str:
     """Full campaign summary: exploration stats + faults."""
+    dispatch, differential = result.dispatch, result.differential
     lines = [
         "DiCE campaign summary",
         _rule(),
@@ -99,40 +100,40 @@ def render_campaign(result: CampaignResult) -> str:
         f"wall time           : {result.wall_time_s:.2f}s",
         f"workers             : {result.workers}"
         + (
-            f" via {result.transport} transport"
-            if result.transport != "local"
+            f" via {dispatch.transport} transport"
+            if dispatch.transport != "local"
             else ""
         ),
     ]
-    if result.differential_mode != "off":
+    if differential.mode != "off":
         verdict = (
-            f"skipped ({result.differential_skipped})"
-            if result.differential_skipped
+            f"skipped ({differential.skipped})"
+            if differential.skipped
             else (
-                f"{result.divergences} divergence(s) over "
-                f"{result.prefixes_checked} routes in "
-                f"{result.oracle_wall_s:.2f}s"
+                f"{differential.divergences} divergence(s) over "
+                f"{differential.prefixes_checked} routes in "
+                f"{differential.oracle_wall_s:.2f}s"
             )
         )
         lines.append(
-            f"differential oracle : {result.differential_mode} — {verdict}"
+            f"differential oracle : {differential.mode} — {verdict}"
         )
-    if result.wire_bytes_sent or result.wire_bytes_received:
+    if dispatch.wire_bytes_sent or dispatch.wire_bytes_received:
         lines.append(
             f"dispatch wire       : "
-            f"{result.wire_bytes_sent / 1024:.1f} KiB out / "
-            f"{result.wire_bytes_received / 1024:.1f} KiB in "
-            f"({result.transport})"
+            f"{dispatch.wire_bytes_sent / 1024:.1f} KiB out / "
+            f"{dispatch.wire_bytes_received / 1024:.1f} KiB in "
+            f"({dispatch.transport})"
         )
-    if result.worker_failures or result.tasks_requeued:
+    if dispatch.worker_failures or dispatch.tasks_requeued:
         dead = (
-            " (" + ", ".join(result.dead_workers) + ")"
-            if result.dead_workers
+            " (" + ", ".join(dispatch.dead_workers) + ")"
+            if dispatch.dead_workers
             else ""
         )
         lines.append(
-            f"worker failover     : {result.worker_failures} slot(s) "
-            f"lost{dead}, {result.tasks_requeued} task(s) requeued"
+            f"worker failover     : {dispatch.worker_failures} slot(s) "
+            f"lost{dead}, {dispatch.tasks_requeued} task(s) requeued"
         )
     lines += [
         _rule(),

@@ -6,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from test_ip import naive_longest_match
 
+from repro.bgp import rib as rib_module
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
@@ -138,8 +139,9 @@ class TestLocRib:
         assert len(rib.changes_for(P1)) == 2
         assert len(rib.changes_for(P2)) == 1
 
-    def test_journal_capacity_keeps_most_recent(self):
-        rib = LocRib(journal_capacity=3)
+    def test_journal_capacity_keeps_most_recent(self, monkeypatch):
+        monkeypatch.setattr(rib_module, "JOURNAL_CAPACITY", 3)
+        rib = LocRib()
         for index in range(10):
             pref = 100 + index
             rib.set(float(index), P1, route(local_pref=pref))

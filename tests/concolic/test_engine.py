@@ -1,17 +1,15 @@
 """Tests for the concolic exploration engine."""
 
+import random
+
 import pytest
 
-from repro.concolic.engine import (
-    ConcolicEngine,
-    ExplorationSpec,
-    RandomByteExplorer,
-    explore,
-)
+from repro.concolic.engine import ConcolicEngine
 from repro.concolic.frontier import Frontier, FrontierDiscipline, plan_round
 from repro.concolic.path import flip_at, flip_signature, held_path, signature
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import MAX_BRANCHES, SymBytes
+from repro.core.explorer import random_mutations
 
 
 def branchy_program(sym):
@@ -63,31 +61,37 @@ class TestRunOnce:
 
 class TestExplore:
     def test_discovers_all_paths(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=40)
-        )
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
+        engine = ConcolicEngine(branchy_program)
+        result = engine.explore([SymBytes.mark_all(b"\x00\x00")], 40)
         # Paths: high-crash, high-ok, mid, low-odd, low-even = 5.
         assert result.unique_paths == 5
         assert result.frontier_exhausted
 
     def test_finds_rare_crash(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=40)
-        )
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
+        engine = ConcolicEngine(branchy_program)
+        result = engine.explore([SymBytes.mark_all(b"\x00\x00")], 40)
         assert len(result.crashes) == 1
         crash_input = result.crashes[0].input.concrete
         assert crash_input[0] > 100
         assert crash_input[1] == 77
 
-    def test_stop_at_first_fault_on_a_crash(self):
-        engine = ConcolicEngine(
-            branchy_program,
-            spec=ExplorationSpec(max_executions=100,
-                                 stop_at_first_fault=True),
+    def test_explore_is_bfs_from_the_seeds(self):
+        seeds = [SymBytes.mark_all(b"\x00\x00")]
+        explored = ConcolicEngine(branchy_program, Solver(seed=2)).explore(
+            seeds, 4
         )
-        result = engine.explore([SymBytes.mark_all(bytes([200, 77]))])
+        frontier = Frontier.from_seeds(seeds, FrontierDiscipline.BFS)
+        sharded = ConcolicEngine(branchy_program, Solver(seed=2)).run_shard(
+            frontier, 4
+        )
+        assert ((explored.executions, explored.unique_paths,
+                 explored.branch_coverage, explored.solver_queries)
+                == (sharded.executions, sharded.unique_paths,
+                    sharded.branch_coverage, sharded.solver_queries))
+
+    def test_stop_at_first_fault_on_a_crash(self):
+        engine = ConcolicEngine(branchy_program, stop_at_first_fault=True)
+        result = engine.explore([SymBytes.mark_all(bytes([200, 77]))], 100)
         assert result.crashes
         assert result.executions == 1
 
@@ -99,11 +103,7 @@ class TestExplore:
             return 1 if sym[0] > 100 else 0
 
         def run(stop):
-            engine = ConcolicEngine(
-                violations,
-                spec=ExplorationSpec(max_executions=10,
-                                     stop_at_first_fault=stop),
-            )
+            engine = ConcolicEngine(violations, stop_at_first_fault=stop)
             frontier = Frontier.from_seeds([SymBytes.mark_all(b"\xff")],
                                            FrontierDiscipline.BFS)
             return engine.run_shard(frontier, 10), frontier
@@ -117,34 +117,31 @@ class TestExplore:
 
     def test_run_each_stops_at_first_fault(self):
         engine = ConcolicEngine(
-            lambda sym: int(sym.concrete[0] == 3),
-            spec=ExplorationSpec(stop_at_first_fault=True),
+            lambda sym: int(sym.concrete[0] == 3), stop_at_first_fault=True
         )
         inputs = (SymBytes(bytes([value]), {}) for value in range(10))
         assert engine.run_each(inputs, Frontier()).executions == 4
 
     def test_budget_respected(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=3)
-        )
-        result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
+        engine = ConcolicEngine(branchy_program)
+        result = engine.explore([SymBytes.mark_all(b"\x00\x00")], 3)
         assert result.executions == 3
 
+    def test_budget_below_one_rejected(self):
+        engine = ConcolicEngine(branchy_program)
+        with pytest.raises(ValueError, match="budget"):
+            engine.explore([SymBytes.mark_all(b"\x00\x00")], 0)
+
     def test_no_marks_no_children(self):
-        engine = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=10)
-        )
-        result = engine.explore([SymBytes(b"\x00\x00", {})])
+        engine = ConcolicEngine(branchy_program)
+        result = engine.explore([SymBytes(b"\x00\x00", {})], 10)
         assert result.executions == 1
         assert result.unique_paths == 1
 
     def test_deterministic_given_seeded_solver(self):
         def run():
-            engine = ConcolicEngine(
-                branchy_program, solver=Solver(seed=5),
-                spec=ExplorationSpec(max_executions=30),
-            )
-            result = engine.explore([SymBytes.mark_all(b"\x00\x00")])
+            engine = ConcolicEngine(branchy_program, solver=Solver(seed=5))
+            result = engine.explore([SymBytes.mark_all(b"\x00\x00")], 30)
             return (result.executions, result.unique_paths,
                     len(result.crashes))
 
@@ -185,11 +182,19 @@ class TestPathHelpers:
 
 
 class TestRandomBaseline:
+    """The random strategy: seed mutations run feedback-free."""
+
+    def run_random(self, seeds, rng_seed, budget, seen=None):
+        engine = ConcolicEngine(branchy_program)
+        return engine.run_each(
+            random_mutations(seeds, random.Random(rng_seed), budget),
+            Frontier() if seen is None else seen,
+        )
+
     def test_explores_some_paths(self):
-        explorer = RandomByteExplorer(branchy_program, seed=1,
-                                      max_executions=60)
         seen = Frontier()
-        result = explorer.explore([SymBytes.mark_all(b"\x00\x00")], seen)
+        result = self.run_random([SymBytes.mark_all(b"\x00\x00")], 1, 60,
+                                 seen)
         assert result.executions == 60
         assert result.unique_paths == len(seen.seen_paths) >= 2
         assert result.branch_coverage == len(seen.seen_constraints)
@@ -198,79 +203,31 @@ class TestRandomBaseline:
         """The EXP-EXPLORE shape: the nested b1 == 77 crash is a 1/256
         target random mutation rarely hits, while concolic solves it."""
         budget = 30
-        concolic = ConcolicEngine(
-            branchy_program, spec=ExplorationSpec(max_executions=budget)
+        concolic = ConcolicEngine(branchy_program)
+        concolic_result = concolic.explore(
+            [SymBytes.mark_all(b"\x00\x00")], budget
         )
-        concolic_result = concolic.explore([SymBytes.mark_all(b"\x00\x00")])
-        random_explorer = RandomByteExplorer(
-            branchy_program, seed=9, max_executions=budget
-        )
-        random_result = random_explorer.explore(
-            [SymBytes.mark_all(b"\x00\x00")], Frontier()
+        random_result = self.run_random(
+            [SymBytes.mark_all(b"\x00\x00")], 9, budget
         )
         assert concolic_result.unique_paths >= random_result.unique_paths
         assert concolic_result.crashes
 
     def test_unmarked_input_returns_same(self):
-        explorer = RandomByteExplorer(branchy_program, seed=1,
-                                      max_executions=5)
-        result = explorer.explore([SymBytes(b"\x00\x00", {})], Frontier())
-        assert result.executions == 5
+        unmarked = SymBytes(b"\x00\x00", {})
+        mutations = list(random_mutations([unmarked], random.Random(1), 5))
+        assert mutations == [unmarked] * 5
+        assert self.run_random([unmarked], 1, 5).executions == 5
 
-
-class TestExplorationSpec:
-    def test_defaults(self):
-        spec = ExplorationSpec()
-        assert spec.frontier is FrontierDiscipline.BFS
-
-    def test_string_disciplines_resolve_to_the_enum(self):
-        assert (ExplorationSpec(frontier="dfs").frontier
-                is FrontierDiscipline.DFS)
-
-    def test_invalid_budgets_rejected(self):
-        with pytest.raises(ValueError, match="max_executions"):
-            ExplorationSpec(max_executions=0)
-
-    def test_spec_has_no_branch_cap(self):
-        with pytest.raises(TypeError):
-            ExplorationSpec(max_branches_per_run=10)
-
-    def test_random_explorer_has_no_branch_cap(self):
-        with pytest.raises(TypeError):
-            RandomByteExplorer(branchy_program, max_branches_per_run=10)
-
-    def test_spec_pickles(self):
-        import pickle
-
-        spec = ExplorationSpec(frontier="coverage", max_executions=50)
-        assert pickle.loads(pickle.dumps(spec)) == spec
-
-    def test_engine_exposes_its_spec(self):
-        spec = ExplorationSpec(max_executions=7)
-        assert ConcolicEngine(branchy_program, spec=spec).spec is spec
-
-    def test_spec_construction_does_not_warn(self):
-        import warnings
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ConcolicEngine(branchy_program, spec=ExplorationSpec())
-
-    def test_spec_and_legacy_keywords_conflict(self):
-        """``spec=`` is the only way to configure an engine."""
-        with pytest.raises(TypeError, match="max_executions"):
-            ConcolicEngine(
-                branchy_program, max_executions=9, spec=ExplorationSpec()
-            )
-
-    def test_module_level_explore(self):
-        result = explore(
-            branchy_program,
-            [SymBytes.mark_all(b"\x00\x00")],
-            spec=ExplorationSpec(max_executions=40),
-        )
-        assert result.unique_paths == 5
-        assert result.crashes
+    def test_mutations_cycle_through_the_seeds_and_draw_lazily(self):
+        seeds = [SymBytes.mark_all(b"\x00\x00"), SymBytes(b"\x07", {})]
+        rng = random.Random(4)
+        mutations = random_mutations(seeds, rng, 4)
+        first = next(mutations)
+        state = rng.getstate()
+        assert next(mutations) is seeds[1]  # unmarked: passed through
+        assert rng.getstate() == state  # ... drawing nothing
+        assert [len(m.concrete) for m in (first, *mutations)] == [2, 2, 1]
 
 
 def explore_in_rounds(engine, seeds, budget, max_shards):
@@ -293,11 +250,8 @@ def explore_in_rounds(engine, seeds, budget, max_shards):
 
 
 class TestShardedExploration:
-    def spec(self):
-        return ExplorationSpec(max_executions=40)
-
     def test_sharded_explore_finds_every_path(self):
-        engine = ConcolicEngine(branchy_program, spec=self.spec())
+        engine = ConcolicEngine(branchy_program)
         final, crashes = explore_in_rounds(
             engine, [SymBytes.mark_all(b"\x00\x00")], 40, 4
         )
@@ -307,9 +261,7 @@ class TestShardedExploration:
 
     def test_shard_count_does_not_change_the_outcome(self):
         def summary(shards):
-            engine = ConcolicEngine(
-                branchy_program, solver=Solver(seed=3), spec=self.spec()
-            )
+            engine = ConcolicEngine(branchy_program, solver=Solver(seed=3))
             final, crashes = explore_in_rounds(
                 engine, [SymBytes.mark_all(b"\x00\x00")], 40, shards
             )
@@ -319,7 +271,7 @@ class TestShardedExploration:
         assert summary(1) == summary(2) == summary(4)
 
     def test_run_shard_respects_budget_and_mutates_the_frontier(self):
-        engine = ConcolicEngine(branchy_program, spec=self.spec())
+        engine = ConcolicEngine(branchy_program)
         frontier = Frontier.from_seeds(
             [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
         )
@@ -334,7 +286,7 @@ class TestShardedExploration:
     def test_shard_results_report_solver_stats_as_deltas(self):
         """Shards share one engine/solver here; summing per-shard
         counters must equal the totals, never double-count."""
-        engine = ConcolicEngine(branchy_program, spec=self.spec())
+        engine = ConcolicEngine(branchy_program)
         frontier = Frontier.from_seeds(
             [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
         )

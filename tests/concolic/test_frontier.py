@@ -10,7 +10,7 @@ import pickle
 
 import pytest
 
-from repro.concolic.engine import ConcolicEngine, ExplorationSpec
+from repro.concolic.engine import ConcolicEngine
 from repro.concolic.frontier import (
     Frontier,
     FrontierDiscipline,
@@ -257,30 +257,27 @@ def deep_program(sym):
     return depth
 
 
-def engine_for(frontier, max_executions, **spec_kwargs):
-    return ConcolicEngine(
-        deep_program,
-        spec=ExplorationSpec(
-            frontier=frontier, max_executions=max_executions, **spec_kwargs
-        ),
+def explore_deep(frontier, budget, program=deep_program, **engine_kwargs):
+    """Run ``program`` from an all-zero seed under ``frontier``."""
+    return ConcolicEngine(program, **engine_kwargs).run_shard(
+        Frontier.from_seeds([SymBytes.mark_all(b"\x00" * 6)], frontier),
+        budget,
     )
 
 
 class TestDisciplines:
     def test_unknown_discipline_rejected(self):
         with pytest.raises(ValueError, match="spiral"):
-            ExplorationSpec(frontier="spiral")
+            Frontier.from_seeds([SymBytes.mark_all(b"\x00")], "spiral")
 
     @pytest.mark.parametrize("frontier", ["bfs", "dfs", "coverage"])
     def test_all_disciplines_reach_the_bottom(self, frontier):
-        engine = engine_for(frontier, max_executions=60)
-        result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])
+        result = explore_deep(frontier, 60)
         assert result.crashes, f"{frontier} missed the deep crash"
 
     @pytest.mark.parametrize("frontier", ["bfs", "dfs", "coverage"])
     def test_path_accounting_consistent(self, frontier):
-        engine = engine_for(frontier, max_executions=40)
-        result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])
+        result = explore_deep(frontier, 40)
         assert result.unique_paths <= result.executions
         assert result.branch_coverage > 0
 
@@ -292,14 +289,8 @@ class TestDisciplines:
             return 0  # no violation: only the crash is a fault
 
         def crash_execution_index(frontier):
-            engine = ConcolicEngine(
-                crash_only,
-                spec=ExplorationSpec(
-                    frontier=frontier, max_executions=120,
-                    stop_at_first_fault=True,
-                ),
-            )
-            result = engine.explore([SymBytes.mark_all(b"\x00" * 6)])
+            result = explore_deep(frontier, 120, crash_only,
+                                  stop_at_first_fault=True)
             assert result.crashes
             return result.executions
 

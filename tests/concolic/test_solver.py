@@ -8,6 +8,8 @@ solver is designed for (decoder-style constraints).
 import dataclasses
 import itertools
 import random
+from contextlib import contextmanager
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +20,7 @@ from repro.bgp.ip import Prefix
 from repro.bgp.messages import UpdateMessage, decode_message
 from repro.concolic import path as pathmod
 from repro.concolic.expr import BinOp, Const, Constraint, UnOp, Var
+from repro.concolic import solver as solver_module
 from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import (
     Solver,
@@ -30,6 +33,14 @@ from repro.concolic.symbolic import PathRecorder, SymBytes
 
 def byte(name):
     return Var(name, 0, 255)
+
+
+@contextmanager
+def budget(repair_rounds, restarts):
+    """Solve under a smaller search budget than the module's."""
+    with mock.patch.object(solver_module, "MAX_REPAIR_ROUNDS", repair_rounds), \
+            mock.patch.object(solver_module, "MAX_RESTARTS", restarts):
+        yield
 
 
 def u16(a, b):
@@ -321,8 +332,9 @@ class TestRefutationIsSound:
     @given(_small_systems(), st.integers(min_value=0, max_value=2**32))
     def test_refutes_only_the_unsatisfiable(self, system, seed):
         variables, constraints = system
-        solver = Solver(seed=seed, max_repair_rounds=20, max_restarts=2)
-        model = solver.solve(constraints)
+        solver = Solver(seed=seed)
+        with budget(20, 2):
+            model = solver.solve(constraints)
         if _satisfiable(variables, constraints):
             # Never answered by refutation; it may still be exhausted.
             assert solver.stats.refuted == 0
@@ -456,15 +468,16 @@ class TestDeadBranchesAreRefuted:
 class TestStats:
     def test_every_query_has_exactly_one_outcome(self):
         x, y = byte("x"), byte("y")
-        solver = Solver(seed=1, max_repair_rounds=2, max_restarts=1)
+        solver = Solver(seed=1)
         easy = [Constraint("eq", x, Const(1))]
-        solver.solve(easy)                                # repaired
-        solver.solve(easy)                                # solved again
-        solver.solve([Constraint("gt", x, Const(999))])   # refuted
-        # 251 is prime: no model, but nothing the pre-pass can prove.
-        solver.solve([Constraint("eq", BinOp("mul", x, y), Const(251)),
-                      Constraint("gt", x, Const(1)),
-                      Constraint("gt", y, Const(1))])   # exhausted
+        with budget(2, 1):
+            solver.solve(easy)                                # repaired
+            solver.solve(easy)                                # solved again
+            solver.solve([Constraint("gt", x, Const(999))])   # refuted
+            # 251 is prime: no model, but nothing the pre-pass can prove.
+            solver.solve([Constraint("eq", BinOp("mul", x, y), Const(251)),
+                          Constraint("gt", x, Const(1)),
+                          Constraint("gt", y, Const(1))])   # exhausted
         stats = solver.stats
         assert stats.queries == 4
         assert (stats.refuted, stats.repaired,
@@ -490,9 +503,10 @@ class TestStats:
     @given(st.lists(_small_systems(), min_size=1, max_size=4),
            st.integers(min_value=0, max_value=2**32))
     def test_outcome_counters_partition_the_queries(self, systems, seed):
-        solver = Solver(seed=seed, max_repair_rounds=20, max_restarts=2)
-        for _, constraints in systems:
-            solver.solve(constraints)
+        solver = Solver(seed=seed)
+        with budget(20, 2):
+            for _, constraints in systems:
+                solver.solve(constraints)
         stats = solver.stats
         assert stats.queries == len(systems)
         assert stats.sat == stats.repaired + stats.random_search
@@ -534,16 +548,18 @@ class TestEveryQueryIsSolved:
 
     def test_repeated_failure_searches_again(self):
         x, y = byte("x"), byte("y")
-        solver = Solver(seed=1, max_repair_rounds=5, max_restarts=2)
-        assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
-        assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
+        solver = Solver(seed=1)
+        with budget(5, 2):
+            assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
+            assert solver.solve(prime_product(x, y), hint={"x": 1}) is None
         assert solver.stats.exhausted == 2
         assert solver.stats.random_restarts == 2 * 2
 
     def test_budget_bounds_an_exhausted_search(self):
         x, y = byte("x"), byte("y")
-        solver = Solver(seed=1, max_repair_rounds=5, max_restarts=3)
-        assert solver.solve(prime_product(x, y)) is None
+        solver = Solver(seed=1)
+        with budget(5, 3):
+            assert solver.solve(prime_product(x, y)) is None
         # One repair pass from the hint, then one per restart.
         assert solver.stats.repair_rounds <= 5 * (1 + 3)
         assert solver.stats.random_restarts == 3
@@ -553,11 +569,13 @@ class TestEveryQueryIsSolved:
         solver exhausts, a three-round solver finds the model."""
         constraints = [Constraint("eq", byte("x"), Const(5)),
                        Constraint("eq", byte("y"), Const(7))]
-        small = Solver(seed=1, max_repair_rounds=1, max_restarts=0)
-        assert small.solve(constraints) is None
+        small = Solver(seed=1)
+        with budget(1, 0):
+            assert small.solve(constraints) is None
         assert small.stats.exhausted == 1
-        big = Solver(seed=1, max_repair_rounds=3, max_restarts=0)
-        assert big.solve(constraints) == {"x": 5, "y": 7}
+        big = Solver(seed=1)
+        with budget(3, 0):
+            assert big.solve(constraints) == {"x": 5, "y": 7}
 
     def test_constraint_order_does_not_change_satisfiability(self):
         constraints = decoder_system()
@@ -592,8 +610,9 @@ class TestEveryQueryIsSolved:
         ]
         runs = []
         for _ in range(2):
-            solver = Solver(seed=5, max_repair_rounds=20, max_restarts=4)
-            models = [solver.solve(query) for query in queries]
+            solver = Solver(seed=5)
+            with budget(20, 4):
+                models = [solver.solve(query) for query in queries]
             runs.append((models, dataclasses.asdict(solver.stats)))
         assert runs[0] == runs[1]
 
@@ -620,8 +639,8 @@ class TestEveryQueryIsSolved:
         refuted however its path condition happens to be ordered."""
         (_, constraints), permuted = drawn
         # Refutation runs before any search: a minimal budget suffices.
-        forward = Solver(max_repair_rounds=1, max_restarts=0)
-        backward = Solver(max_repair_rounds=1, max_restarts=0)
-        forward.solve(constraints)
-        backward.solve(list(permuted))
+        forward, backward = Solver(), Solver()
+        with budget(1, 0):
+            forward.solve(constraints)
+            backward.solve(list(permuted))
         assert forward.stats.refuted == backward.stats.refuted

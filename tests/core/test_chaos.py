@@ -201,10 +201,10 @@ class TestLoopbackChaosCampaigns:
             serial_reference
         )
         assert chaos["transport"].kill_log  # the script really fired
-        assert result.worker_failures == 1
-        assert result.tasks_requeued >= 1
-        assert len(result.dead_workers) == 1
-        assert "loopback slot" in result.dead_workers[0]
+        assert result.dispatch.worker_failures == 1
+        assert result.dispatch.tasks_requeued >= 1
+        assert len(result.dispatch.dead_workers) == 1
+        assert "loopback slot" in result.dispatch.dead_workers[0]
 
     def test_exceeding_the_budget_names_every_dead_worker(self):
         def factory():
@@ -261,10 +261,10 @@ class TestSocketChaosCampaigns:
             assert campaign_fingerprint(result) == campaign_fingerprint(
                 serial_reference
             )
-            assert result.worker_failures == 1
-            assert result.tasks_requeued >= 1
+            assert result.dispatch.worker_failures == 1
+            assert result.dispatch.tasks_requeued >= 1
             # The dead worker is named by its real address.
             survivor = {0: addresses[1], 1: addresses[0]}
-            assert result.dead_workers != [
+            assert result.dispatch.dead_workers != [
                 survivor[KILL_SCRIPTS[point].slot]
             ]

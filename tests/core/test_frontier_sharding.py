@@ -119,8 +119,8 @@ class TestShardChaos:
             serial_reference
         )
         assert chaos["transport"].kill_log  # the script really fired
-        assert result.worker_failures == 1
-        assert result.tasks_requeued >= 1
+        assert result.dispatch.worker_failures == 1
+        assert result.dispatch.tasks_requeued >= 1
 
     def test_pre_dispatch_death_matches_serial(self, serial_reference):
         def factory():
@@ -133,7 +133,7 @@ class TestShardChaos:
         assert campaign_fingerprint(result) == campaign_fingerprint(
             serial_reference
         )
-        assert result.worker_failures == 1
+        assert result.dispatch.worker_failures == 1
 
 
 @pytest.mark.slow_socket
@@ -169,5 +169,5 @@ class TestSocketSharding:
             assert campaign_fingerprint(result) == campaign_fingerprint(
                 serial_reference
             )
-            assert result.worker_failures == 1
-            assert result.tasks_requeued >= 1
+            assert result.dispatch.worker_failures == 1
+            assert result.dispatch.tasks_requeued >= 1

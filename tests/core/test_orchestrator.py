@@ -251,9 +251,9 @@ class TestGcFreezeBracket:
         inner = dice._run_campaign_inner
         frozen = []
 
-        def observed(config):
+        def observed(config, started):
             frozen.append(gc.get_freeze_count())
-            return inner(config)
+            return inner(config, started)
 
         monkeypatch.setattr(dice, "_run_campaign_inner", observed)
         assert gc.get_freeze_count() == 0
@@ -265,7 +265,7 @@ class TestGcFreezeBracket:
                                                     monkeypatch):
         dice = make_orchestrator(converged3)
 
-        def fails(config):
+        def fails(config, started):
             assert gc.get_freeze_count() > 0
             raise RuntimeError("session failed")
 

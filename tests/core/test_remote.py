@@ -150,7 +150,7 @@ class TestLoopbackCampaigns:
         assert campaign_fingerprint(loopback) == campaign_fingerprint(
             serial_reference
         )
-        assert loopback.transport == "loopback"
+        assert loopback.dispatch.transport == "loopback"
 
     @pytest.mark.parametrize("strategy", ["grammar", "random"])
     def test_feedback_free_strategies_match_serial(self, strategy):
@@ -166,13 +166,13 @@ class TestLoopbackCampaigns:
 
     def test_wire_bytes_counted(self):
         result = run_campaign(workers=2, transport="loopback")
-        assert result.wire_bytes_sent > 0
-        assert result.wire_bytes_received > 0
+        assert result.dispatch.wire_bytes_sent > 0
+        assert result.dispatch.wire_bytes_received > 0
 
     def test_serial_campaign_puts_nothing_on_a_wire(self, serial_reference):
         from repro.core.reporting import campaign_to_dict
 
-        assert serial_reference.transport == "local"
+        assert serial_reference.dispatch.transport == "local"
         block = campaign_to_dict(serial_reference)["summary"][
             "dispatch_transport"
         ]
@@ -276,9 +276,9 @@ class TestSocketCampaigns:
             serial_reference
         )
         assert remote.workers == 2
-        assert remote.transport == "socket"
-        assert remote.wire_bytes_sent > 0
-        assert remote.wire_bytes_received > 0
+        assert remote.dispatch.transport == "socket"
+        assert remote.dispatch.wire_bytes_sent > 0
+        assert remote.dispatch.wire_bytes_received > 0
 
     def test_one_daemon_serves_two_interleaved_campaigns(
         self, serial_reference, servers
@@ -385,7 +385,7 @@ class TestAbortAndCleanup:
                 future.result(timeout=10)
             assert caught.value.address == ("127.0.0.1", port)
             assert str(port) in str(caught.value)
-            assert not transport.alive(0)
+            assert transport._connections[0].dead is not None
         finally:
             killer.join(timeout=2.0)
             transport.close()
@@ -410,7 +410,8 @@ class TestAbortAndCleanup:
         )
         try:
             transport._connections[0]._reader.join(timeout=10)  # its EOF
-            assert not transport.alive(0)
+            assert isinstance(transport._connections[0].dead,
+                              ConnectionError)
             task = ExplorationTask(
                 config=ExplorationConfig(node="r1"), shard=whole_session(30),
                 snapshot=None, suite=default_property_suite(), claims=(),

@@ -148,13 +148,13 @@ class TestDispatchTransportBlock:
 
     def test_failover_ledger_round_trips_through_json(self):
         result = sample_campaign()
-        result.transport = "socket"
-        result.wire_bytes_sent = 123_456
-        result.wire_bytes_received = 654
-        result.worker_failures = 1
-        result.max_worker_failures = 1
-        result.dead_workers = ["127.0.0.1:7411"]
-        result.tasks_requeued = 2
+        result.dispatch.transport = "socket"
+        result.dispatch.wire_bytes_sent = 123_456
+        result.dispatch.wire_bytes_received = 654
+        result.dispatch.worker_failures = 1
+        result.dispatch.max_worker_failures = 1
+        result.dispatch.dead_workers = ["127.0.0.1:7411"]
+        result.dispatch.tasks_requeued = 2
         block = json.loads(campaign_to_json(result))["summary"][
             "dispatch_transport"
         ]
@@ -169,7 +169,7 @@ class TestDispatchTransportBlock:
     def test_dead_worker_list_is_a_copy(self):
         """Serialization must not alias the result's mutable list."""
         result = sample_campaign()
-        result.dead_workers = ["a:1"]
+        result.dispatch.dead_workers = ["a:1"]
         block = campaign_to_dict(result)["summary"]["dispatch_transport"]
         block["dead_workers"].append("b:2")
-        assert result.dead_workers == ["a:1"]
+        assert result.dispatch.dead_workers == ["a:1"]

@@ -7,9 +7,14 @@ dashboard line, the CLI flag, and that execution mode really cannot
 change the differential outcome.
 """
 
+import dataclasses
 import json
+import time
 
+from repro import quickstart_system
 from repro.bgp import decision
+from repro.bgp.config import AddNetwork
+from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
 from repro.checks.differential import differential_fault_reports
 from repro.cli import build_parser, main
@@ -17,6 +22,7 @@ from repro.core.faultclass import FAULT_MODEL_DIVERGENCE
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.reporting import campaign_to_dict
 from repro.differential.extract import settle_live
+from repro.differential.reference import ReferenceOracle
 from repro.viz.dashboard import render_campaign
 
 
@@ -32,18 +38,42 @@ def _campaign(live, **overrides):
 class TestPrepass:
     def test_off_by_default(self, converged3):
         result = _campaign(converged3)
-        assert result.differential_mode == "off"
-        assert result.divergences == 0
-        assert result.prefixes_checked == 0
+        assert result.differential.mode == "off"
+        assert result.differential.divergences == 0
+        assert result.differential.prefixes_checked == 0
 
     def test_reference_mode_populates_result(self, converged3):
         settle_live(converged3)
         result = _campaign(converged3, differential="reference")
-        assert result.differential_mode == "reference"
-        assert result.divergences == 0
-        assert result.prefixes_checked > 0
-        assert result.differential_skipped == ""
-        assert result.oracle_wall_s >= 0.0
+        assert result.differential.mode == "reference"
+        assert result.differential.divergences == 0
+        assert result.differential.prefixes_checked > 0
+        assert result.differential.skipped == ""
+        assert result.differential.oracle_wall_s >= 0.0
+
+    def test_one_clock_for_the_prepass_and_the_sessions(self, monkeypatch):
+        """Time to detection counts from the campaign's start on one
+        clock: the pre-pass is inside the campaign's wall time, and no
+        session report is stamped before the pre-pass ended."""
+        live = quickstart_system(seed=42)
+        live.converge()
+        live.apply_change("r3", AddNetwork(Prefix("10.1.0.0/16")))
+        settle_live(live)
+        verify = ReferenceOracle.verify_fixpoint
+
+        def slow_verify(oracle, actual):
+            time.sleep(0.2)
+            return verify(oracle, actual)
+
+        monkeypatch.setattr(ReferenceOracle, "verify_fixpoint", slow_verify)
+        result = _campaign(live, differential="reference",
+                           explorer_nodes=["r3"], inputs_per_node=2)
+        oracle_s = result.differential.oracle_wall_s
+        assert oracle_s >= 0.2
+        assert result.wall_time_s >= oracle_s
+        assert result.reports  # r3's hijack
+        assert all(report.wall_time_s >= oracle_s
+                   for report in result.reports)
 
     def test_unsettled_live_system_skips_not_lies(self, converged3):
         # Inject a change and stop mid-propagation: the UPDATE is still
@@ -53,10 +83,12 @@ class TestPrepass:
         from repro.bgp.ip import Prefix
 
         converged3.apply_change("r3", AddNetwork(Prefix("10.99.0.0/16")))
-        reports, stats = differential_fault_reports(converged3, "reference")
+        reports, stats = differential_fault_reports(
+            converged3, "reference", started_at=time.perf_counter()
+        )
         assert reports == []
-        assert stats["skipped"]
-        assert stats["divergences"] == 0
+        assert stats.skipped
+        assert stats.divergences == 0
 
     def test_divergence_reports_prepended(self):
         # Quickstart is a line — one path per prefix — so the inverted
@@ -69,7 +101,7 @@ class TestPrepass:
             result = _campaign(
                 live, differential="reference", explorer_nodes=["r"]
             )
-        assert result.divergences > 0
+        assert result.differential.divergences > 0
         divergence_reports = [
             r for r in result.reports
             if r.fault_class == FAULT_MODEL_DIVERGENCE
@@ -87,8 +119,11 @@ class TestPrepass:
         sharded = _campaign(
             converged3, differential="reference", workers=2
         )
-        assert serial.divergences == sharded.divergences == 0
-        assert serial.prefixes_checked == sharded.prefixes_checked
+        assert serial.differential == dataclasses.replace(
+            sharded.differential,
+            oracle_wall_s=serial.differential.oracle_wall_s,
+        )
+        assert serial.differential.divergences == 0
 
 
 class TestReporting:
@@ -98,7 +133,9 @@ class TestReporting:
         block = campaign_to_dict(result)["summary"]["differential"]
         assert block["mode"] == "reference"
         assert block["divergences"] == 0
-        assert block["prefixes_checked"] == result.prefixes_checked
+        assert block["prefixes_checked"] == (
+            result.differential.prefixes_checked
+        )
         assert block["skipped"] == ""
         json.dumps(block)  # must be serialisable as-is
 

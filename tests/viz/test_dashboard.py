@@ -2,6 +2,7 @@
 
 from repro.core.faultclass import FaultReport
 from repro.core.orchestrator import CampaignResult
+from repro.core.parallel import DispatchStats
 from repro.viz.dashboard import (
     render_campaign,
     render_fault_table,
@@ -103,21 +104,21 @@ class TestTransportAndFailoverLines:
         assert "worker failover" not in text
 
     def test_dispatch_wire_line_shows_transport_and_kib(self):
-        result = CampaignResult(
+        result = CampaignResult(dispatch=DispatchStats(
             transport="socket",
             wire_bytes_sent=4096,
             wire_bytes_received=2048,
-        )
+        ))
         text = render_campaign(result)
         assert "dispatch wire       : 4.0 KiB out / 2.0 KiB in" in text
         assert "(socket)" in text
 
     def test_failover_line_names_dead_workers_and_counts(self):
-        result = CampaignResult(
+        result = CampaignResult(dispatch=DispatchStats(
             worker_failures=1,
             tasks_requeued=3,
             dead_workers=["127.0.0.1:7411"],
-        )
+        ))
         text = render_campaign(result)
         assert (
             "worker failover     : 1 slot(s) lost (127.0.0.1:7411), "
@@ -126,7 +127,8 @@ class TestTransportAndFailoverLines:
 
     def test_workers_line_names_the_transport(self):
         text = render_campaign(
-            CampaignResult(workers=2, transport="loopback")
+            CampaignResult(workers=2,
+                           dispatch=DispatchStats(transport="loopback"))
         )
         assert "workers             : 2 via loopback transport" in text
 
@@ -143,10 +145,12 @@ class TestTransportAndFailoverLines:
         """Transport, failover and capture lines all render; no line
         speaks of a solver cache, which campaigns no longer have."""
         text = render_campaign(CampaignResult(
-            workers=3, transport="socket",
-            capture_wall_s=1.0, capture_blocked_s=0.2,
-            wire_bytes_sent=8192, wire_bytes_received=1024,
-            worker_failures=1, tasks_requeued=2, dead_workers=["h:1"],
+            workers=3, capture_wall_s=1.0, capture_blocked_s=0.2,
+            dispatch=DispatchStats(
+                transport="socket",
+                wire_bytes_sent=8192, wire_bytes_received=1024,
+                worker_failures=1, tasks_requeued=2, dead_workers=["h:1"],
+            ),
             solver_queries=99,
         ))
         assert "dispatch wire" in text and "worker failover" in text
