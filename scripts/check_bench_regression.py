@@ -40,6 +40,12 @@ GATED_METRICS = {
     # bench_solver: 476 684 before dead flips were refuted up front,
     # about 1 000 since; a lost refutation is 8 200 rounds a query.
     "repair_rounds": "lower",
+    # bench_solver: calls to the refutation pre-pass's _reach plus
+    # Constraint.holds, per flip query.  125.5 while every flip was
+    # asked as a fresh list, its whole prefix bounded and evaluated
+    # again; 10.2 since every flip of a path is asked against the
+    # path's one incremental path condition.
+    "constraint_visits_per_query": "lower",
     # bench_overhead: clones a session makes beyond one per input. 3
     # while peer pick and grammar seeding each cloned the whole system
     # to read one router, 1 (the null probe) since.

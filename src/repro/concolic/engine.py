@@ -4,9 +4,12 @@ Given a *program* (any callable taking a :class:`SymBytes`) and a seed
 input, the engine:
 
 1. runs the program, recording the branch sequence;
-2. for each branch ``i`` past the execution's bound, builds the child
-   query "path prefix up to ``i`` plus the negation of branch ``i``" and
-   asks the solver for an input;
+2. for each branch ``i`` past the execution's bound whose flip the
+   frontier has not seen, asks the solver for an input satisfying "path
+   prefix up to ``i`` plus the negation of branch ``i``" — every flip
+   of one execution against one incremental path condition
+   (:func:`~repro.concolic.path.flip_conditions`), so expanding a path
+   costs time linear in its length;
 3. queues solved children (bound = ``i + 1``, which prevents re-negating
    ancestors — the SAGE dedupe) and repeats until the budget runs out or
    the frontier empties.
@@ -30,6 +33,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Callable, Iterable
 
 from repro.concolic import path as pathmod
@@ -67,9 +71,9 @@ class Execution:
         ``stop_at_first_fault`` returns)."""
         return self.crashed or bool(self.result)
 
-    @property
+    @cached_property
     def signature(self) -> int:
-        """Path identity (process-stable 64-bit digest)."""
+        """Path identity (process-stable 64-bit digest), computed once."""
         return pathmod.signature(self.branches)
 
 
@@ -194,26 +198,34 @@ class ConcolicEngine:
         frontier: Frontier,
         lineage: int,
     ) -> list[FrontierEntry]:
-        """Generate child inputs by negating each branch past the bound."""
-        children: list[FrontierEntry] = []
+        """Generate child inputs by negating each branch past the bound.
+
+        Two walks over the path, each linear in it: the first digests
+        every flip and keeps those the frontier has not seen; the second
+        asks the kept ones through one path condition
+        (:func:`~repro.concolic.path.flip_conditions`).
+        """
         branches = execution.branches
+        asked: list[tuple[int, int]] = []
+        for index, flip_sig in enumerate(pathmod.flip_signatures(branches)):
+            if index < execution.bound or flip_sig in frontier.seen_flips:
+                continue
+            # Skip branches whose constraint mentions no variables we
+            # control (fully concrete subexpressions fold away already,
+            # but shadows planted by other layers may appear).
+            if not any(True for _ in branches[index][0].variables()):
+                continue
+            frontier.seen_flips.add(flip_sig)
+            asked.append((index, flip_sig))
         hint = {
             var.name: execution.input.concrete[offset]
             for offset, var in execution.input.variables().items()
         }
-        for index in range(execution.bound, len(branches)):
-            constraint, _ = branches[index]
-            # Skip branches whose constraint mentions no variables we
-            # control (fully concrete subexpressions fold away already,
-            # but shadows planted by other layers may appear).
-            if not any(True for _ in constraint.variables()):
-                continue
-            flip_sig = pathmod.flip_signature(branches, index)
-            if flip_sig in frontier.seen_flips:
-                continue
-            frontier.seen_flips.add(flip_sig)
-            query = pathmod.flip_at(branches, index)
-            model = self._solver.solve(query, hint=hint)
+        conditions = pathmod.flip_conditions(
+            branches, [index for index, _ in asked], hint)
+        children: list[FrontierEntry] = []
+        for (index, flip_sig), condition in zip(asked, conditions):
+            model = self._solver.solve(condition)
             if model is None:
                 continue
             child_input = execution.input.with_values(model)
@@ -235,8 +247,12 @@ def _observe(result: ExplorationResult, execution: Execution,
     coverage sets, dedup its path, collect a crash."""
     result.executions += 1
     for constraint, _ in execution.branches:
-        seen.seen_constraints.add(constraint.fp)
-        seen.seen_shapes.add(shape_hash(constraint))
+        fp = constraint.fp
+        # One fingerprint, one tree, one shape: only a constraint not
+        # seen before can add a shape.
+        if fp not in seen.seen_constraints:
+            seen.seen_constraints.add(fp)
+            seen.seen_shapes.add(shape_hash(constraint))
     sig = execution.signature
     if sig not in seen.seen_paths:
         seen.seen_paths.add(sig)

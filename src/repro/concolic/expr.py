@@ -68,6 +68,10 @@ def _fp_name(name: str) -> int:
     return digest
 
 
+# The tags of `shape_hash`, one per fingerprint tag.
+_SHAPE_TAGS = {tag: _fp_name("shape-" + tag) for tag in _FP_TAGS}
+
+
 def _fp_mix(tag: int, *parts: int) -> int:
     """Combine a tag and integer parts into one 64-bit fingerprint."""
     acc = tag
@@ -90,6 +94,8 @@ def _fp_int(value: int) -> tuple[int, ...]:
     comparing trees, so every integer entering a fingerprint must go
     through this rather than being masked to 64 bits.
     """
+    if 0 <= value <= _FP_MASK:
+        return (0, 1, value)  # the common case, as the loop encodes it
     magnitude = abs(value)
     limbs = []
     while True:
@@ -122,10 +128,11 @@ class Expr:
     """Base class for expression nodes.
 
     ``fp`` is the node's structural fingerprint — a process-stable
-    64-bit digest set once in ``__init__`` (see module docstring).
+    64-bit digest set once in ``__init__`` (see module docstring);
+    ``shape`` caches :func:`shape_hash`, None until first asked.
     """
 
-    __slots__ = ("fp",)
+    __slots__ = ("fp", "shape")
 
     def variables(self) -> Iterator["Var"]:
         """Yield every variable in the tree (with repetition)."""
@@ -150,6 +157,7 @@ class Var(Expr):
         self.fp = _fp_mix(
             _FP_TAGS["var"], _fp_name(name), *_fp_int(lo), *_fp_int(hi)
         )
+        self.shape = None
 
     def variables(self) -> Iterator["Var"]:
         yield self
@@ -175,6 +183,7 @@ class Const(Expr):
     def __init__(self, value: int):
         self.value = int(value)
         self.fp = _fp_mix(_FP_TAGS["const"], *_fp_int(self.value))
+        self.shape = None
 
     def variables(self) -> Iterator[Var]:
         return iter(())
@@ -206,6 +215,7 @@ class BinOp(Expr):
         self.left = left
         self.right = right
         self.fp = _fp_mix(_FP_TAGS["bin:" + op], left.fp, right.fp)
+        self.shape = None
 
     def variables(self) -> Iterator[Var]:
         yield from self.left.variables()
@@ -253,6 +263,7 @@ class UnOp(Expr):
         self.op = op
         self.operand = operand
         self.fp = _fp_mix(_FP_TAGS["un:" + op], operand.fp)
+        self.shape = None
 
     def variables(self) -> Iterator[Var]:
         yield from self.operand.variables()
@@ -343,24 +354,34 @@ def shape_hash(node: "Expr | Constraint") -> int:
     be shipped between processes (frontier shards merge their dedup
     state in the orchestrator, which generally runs with a different
     ``PYTHONHASHSEED`` than the workers).
+
+    Derived once per node, bottom-up, and kept in the node's ``shape``
+    slot: every branch of an execution that compares a subtree already
+    hashed costs one mix.
     """
+    shape = node.shape
+    if shape is None:
+        shape = node.shape = _shape_of(node)
+    return shape
+
+
+def _shape_of(node: "Expr | Constraint") -> int:
+    if isinstance(node, BinOp):
+        left = shape_hash(node.left)
+        right = shape_hash(node.right)
+        if node.op in _COMMUTATIVE:
+            # XOR keeps commutative operands order-insensitive.
+            return _fp_mix(_SHAPE_TAGS["bin:" + node.op], left ^ right)
+        return _fp_mix(_SHAPE_TAGS["bin:" + node.op], left, right)
     if isinstance(node, Constraint):
-        return _fp_mix(_fp_name("shape-cmp:" + node.op),
+        return _fp_mix(_SHAPE_TAGS["cmp:" + node.op],
                        shape_hash(node.left), shape_hash(node.right))
-    if isinstance(node, Var):
-        return _fp_name("shape-var")
     if isinstance(node, Const):
-        return _fp_mix(_fp_name("shape-const"), *_fp_int(node.value))
-    if isinstance(node, UnOp):
-        return _fp_mix(_fp_name("shape-un:" + node.op),
-                       shape_hash(node.operand))
-    assert isinstance(node, BinOp)
-    left = shape_hash(node.left)
-    right = shape_hash(node.right)
-    if node.op in _COMMUTATIVE:
-        # XOR keeps commutative operands order-insensitive, as before.
-        return _fp_mix(_fp_name("shape-bin:" + node.op), left ^ right)
-    return _fp_mix(_fp_name("shape-bin:" + node.op), left, right)
+        return _fp_mix(_SHAPE_TAGS["const"], *_fp_int(node.value))
+    if isinstance(node, Var):
+        return _SHAPE_TAGS["var"]
+    assert isinstance(node, UnOp)
+    return _fp_mix(_SHAPE_TAGS["un:" + node.op], shape_hash(node.operand))
 
 
 class Constraint:
@@ -371,7 +392,7 @@ class Constraint:
     constraint instead of rendering ASTs with ``repr``.
     """
 
-    __slots__ = ("op", "left", "right", "fp")
+    __slots__ = ("op", "left", "right", "fp", "shape")
 
     def __init__(self, op: str, left: Expr, right: Expr):
         if op not in _CMP_NEGATION:
@@ -380,6 +401,7 @@ class Constraint:
         self.left = left
         self.right = right
         self.fp = _fp_mix(_FP_TAGS["cmp:" + op], left.fp, right.fp)
+        self.shape = None
 
     def negated(self) -> "Constraint":
         """The constraint for the other branch arm."""

@@ -12,18 +12,23 @@ protocol decoder produces:
 
 Strategy, in order of escalation:
 
-1. **refutation pre-pass** — one pass over the whole system bounds every
-   expression by an interval *and* a mask of the bits that may be set
-   (so ``x & ~mask`` over bytes the mask already covers is seen to be
-   the constant 0), then intersects what the constraints say about the
-   same term (``x == c`` beside ``x != c``).  It answers only when no
-   assignment inside the variables' domains can satisfy the system — a
-   dead branch arm, the common case when flipping a parser's sanity
-   checks — and costs microseconds;
+1. **refutation pre-pass** — one step per constraint bounds both sides
+   by an interval *and* a mask of the bits that may be set (so
+   ``x & ~mask`` over bytes the mask already covers is seen to be the
+   constant 0), then intersects what the constraints so far say about
+   the same term (``x == c`` beside ``x != c``).  It answers only when
+   no assignment inside the variables' domains can satisfy the system —
+   a dead branch arm, the common case when flipping a parser's sanity
+   checks.  The steps are taken as constraints are pushed into a
+   :class:`PathCondition`, so a flip query on a path whose prefix is
+   already folded costs one step;
 2. **hint-guided repair** — start from the previous concrete input (so
-   most constraints already hold), repeatedly pick a violated constraint
-   and *invert* it algebraically onto one of its variables.  Inversion
-   understands affine forms, shifts, masks and byte concatenations;
+   most constraints already hold), repeatedly pick the first violated
+   constraint and *invert* it algebraically onto one of its variables.
+   Inversion understands affine forms, shifts, masks and byte
+   concatenations.  The path condition knows which constraints the start
+   assignment violates, so a round evaluates only the constraints that
+   mention a variable the repair has moved;
 3. **randomized search** — bounded random restarts over the variables of
    still-violated constraints.
 
@@ -34,16 +39,18 @@ unsatisfiable; *exhausted* means steps 2 and 3 spent their whole budget
 (:data:`MAX_REPAIR_ROUNDS` rounds, then :data:`MAX_RESTARTS` restarts
 of as many) without a model — possibly unsat, possibly just hard.
 
-Every query is solved; nothing is remembered between queries.  The
+Every query is solved; no answer is remembered between queries.  The
 concolic engine never asks the same flip twice in a session (its
 frontier dedups flips by digest), and the refutation pre-pass answers a
 dead branch in microseconds, so a memo would have nothing left to save.
+What the flips of one path share is their prefix's *facts*, not their
+answers: the :class:`PathCondition` is per path and dies with it.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.concolic.expr import BinOp, Const, Constraint, Expr, UnOp, Var
 
@@ -75,17 +82,6 @@ class SolverStats:
     exhausted: int = 0
     repair_rounds: int = 0
     random_restarts: int = 0
-
-
-@dataclass
-class _Problem:
-    constraints: list[Constraint]
-    variables: dict[str, Var] = field(default_factory=dict)
-
-    def __post_init__(self):
-        for constraint in self.constraints:
-            for var in constraint.variables():
-                self.variables.setdefault(var.name, var)
 
 
 def _interval(expr: Expr) -> tuple[float, float]:
@@ -213,24 +209,122 @@ def _feasible(op: str, a_lo: float, a_hi: float,
     return a_hi >= b_lo
 
 
-def _refuted(constraints: list[Constraint]) -> bool:
-    """True only when no assignment inside the variables' domains can
-    satisfy every constraint — a proof, never a guess.
+class PathCondition:
+    """A conjunction of constraints and what the solver knows about it,
+    folded in once per constraint.
 
-    Each constraint is tested on the :func:`_reach` of its two sides;
-    constraints that compare the same term with a constant are then
-    intersected (``eq`` pins, ``lt``/``le``/``gt``/``ge`` narrow, ``ne``
-    excludes points), which catches ``x == c`` beside ``x != c``.
-    Terms are grouped by fingerprint, so a 2^-64 collision could at
-    worst suppress one search.
+    :meth:`push` appends one constraint and folds in its facts, in time
+    linear in its size: its variables join the first-appearance order,
+    each starting at its ``hint`` value when that lies in its domain and
+    at its lower bound otherwise; its truth under that start assignment
+    is recorded; and the refutation pre-pass takes one step
+    (:meth:`_narrow`).  :meth:`negate_last` turns the last constraint
+    into its negation in O(1).  A generational search pushes the held
+    path one branch at a time and asks the flip of branch ``i`` as
+    push(flipped), :meth:`Solver.solve`, :meth:`negate_last` — after
+    which the condition is the held path through ``i`` — so every
+    query on one path shares the facts of its prefix (KLEE's per-path
+    solver state) and expanding a path costs time linear in its length.
+    A plain list handed to :meth:`Solver.solve` is pushed the same way.
     """
-    terms: dict[int, tuple[float, float, set[int]]] = {}
-    for constraint in constraints:
+
+    def __init__(self, hint: dict[str, int] | None = None):
+        self.hint = hint
+        self.constraints: list[Constraint] = []
+        # Per constraint: the distinct names it mentions, in order.
+        self.names: list[tuple[str, ...]] = []
+        # Ascending positions of the constraints `start` violates.
+        self.false_at: list[int] = []
+        # Per variable name: ascending positions of the constraints
+        # that mention it.
+        self.occurs: dict[str, list[int]] = {}
+        # First-appearance order; `start` has the same keys in order.
+        self.variables: dict[str, Var] = {}
+        self.start: dict[str, int] = {}
+        # Position of the first constraint the pre-pass refutes.
+        self.refuted_at: int | None = None
+        # The pre-pass state up to `refuted_at` (see `_narrow`).
+        self._terms: dict[int, tuple] = {}
+        # What `negate_last` needs of the last constraint's pre-pass
+        # step: the reach of its two sides (None when no step was
+        # taken), and the (fp, entry) it replaced in `_terms`.
+        self._last_reach: tuple[tuple, tuple] | None = None
+        self._replaced: tuple[int, tuple | None] | None = None
+
+    def __len__(self) -> int:
+        return len(self.constraints)
+
+    def push(self, constraint: Constraint) -> None:
+        """Append ``constraint`` and fold in its facts."""
+        index = len(self.constraints)
+        hint, occurs = self.hint, self.occurs
+        names = []
+        for var in constraint.variables():
+            name = var.name
+            positions = occurs.get(name)
+            if positions is None:
+                occurs[name] = [index]
+                self.variables[name] = var
+                self.start[name] = (
+                    hint[name] if hint is not None and name in hint
+                    and var.lo <= hint[name] <= var.hi else var.lo
+                )
+            elif positions[-1] != index:
+                positions.append(index)
+            else:
+                continue  # mentioned twice
+            names.append(name)
+        self.names.append(tuple(names))
+        self.constraints.append(constraint)
+        if not constraint.holds(self.start):
+            self.false_at.append(index)
+        self._last_reach = None
+        if self.refuted_at is None:
+            self._last_reach = (_reach(constraint.left),
+                                _reach(constraint.right))
+            self._narrow()
+
+    def negate_last(self) -> None:
+        """Replace the last constraint by its negation: the facts that
+        do not depend on the comparison stay, its truth under the start
+        assignment inverts, and the pre-pass step is taken again."""
+        index = len(self.constraints) - 1
+        self.constraints[index] = self.constraints[index].negated()
+        if self.false_at and self.false_at[-1] == index:
+            self.false_at.pop()
+        else:
+            self.false_at.append(index)
+        if self._last_reach is not None:
+            if self._replaced is not None:
+                fp, entry = self._replaced
+                if entry is None:
+                    del self._terms[fp]
+                else:
+                    self._terms[fp] = entry
+            self.refuted_at = None
+            self._narrow()
+
+    def _narrow(self) -> None:
+        """The refutation pre-pass's step for the last constraint: set
+        `refuted_at` when it proves the conjunction so far
+        unsatisfiable — a proof, never a guess.
+
+        The constraint is tested on the :func:`_reach` of its two sides;
+        constraints that compare the same term with a constant are then
+        intersected in `_terms` (``eq`` pins, ``lt``/``le``/``gt``/``ge``
+        narrow, ``ne`` excludes points), which catches ``x == c`` beside
+        ``x != c``.  Terms are grouped by fingerprint, so a 2^-64
+        collision could at worst suppress one search.  An entry is
+        replaced, never mutated, so `negate_last` can put it back.
+        """
+        index = len(self.constraints) - 1
+        constraint = self.constraints[index]
+        self._replaced = None
+        (a_lo, a_hi, a_bits), (b_lo, b_hi, b_bits) = self._last_reach
         op = constraint.op
-        a_lo, a_hi, a_bits = _reach(constraint.left)
-        b_lo, b_hi, b_bits = _reach(constraint.right)
         if not _feasible(op, a_lo, a_hi, b_lo, b_hi):
-            return True
+            self.refuted_at = index
+            return
         if b_lo == b_hi:
             term, value = constraint.left, b_lo
             lo, hi, bits = a_lo, a_hi, a_bits
@@ -238,14 +332,14 @@ def _refuted(constraints: list[Constraint]) -> bool:
             term, value, op = constraint.right, a_lo, _swap_op(op)
             lo, hi, bits = b_lo, b_hi, b_bits
         else:
-            continue
-        lo, hi, excluded = terms.get(term.fp) or (lo, hi, set())
+            return
+        lo, hi, excluded = self._terms.get(term.fp) or (lo, hi, frozenset())
+        refuted = False
         if op == "eq":
-            if value & ~bits:
-                return True  # needs a bit the term can never set
+            refuted = bool(value & ~bits)  # a bit the term never sets
             lo, hi = max(lo, value), min(hi, value)
         elif op == "ne":
-            excluded.add(value)
+            excluded = excluded | {value}
         elif op == "lt":
             hi = min(hi, value - 1)
         elif op == "le":
@@ -254,13 +348,34 @@ def _refuted(constraints: list[Constraint]) -> bool:
             lo = max(lo, value + 1)
         else:
             lo = max(lo, value)
-        if lo > hi:
-            return True
-        if hi - lo < len(excluded) and all(
-                point in excluded for point in range(lo, hi + 1)):
-            return True
-        terms[term.fp] = (lo, hi, excluded)
-    return False
+        if refuted or lo > hi or (hi - lo < len(excluded) and all(
+                point in excluded for point in range(lo, hi + 1))):
+            self.refuted_at = index
+            return
+        self._replaced = (term.fp, self._terms.get(term.fp))
+        self._terms[term.fp] = (lo, hi, excluded)
+
+    def first_violated(self, assignment: dict[str, int],
+                       false_at: list[int], moved: set[str]) -> int | None:
+        """Position of the first constraint ``assignment`` violates.
+
+        ``assignment`` differs from some base assignment at the
+        variables ``moved`` only, and ``false_at`` lists, ascending, the
+        constraints the base violates.  A constraint that mentions no
+        moved variable is as the base left it, so only those that
+        mention one are evaluated.
+        """
+        limit = len(self.constraints)
+        for index in false_at:
+            if moved.isdisjoint(self.names[index]):
+                limit = index
+                break
+        touched = {index for name in moved for index in self.occurs[name]
+                   if index < limit}
+        for index in sorted(touched):
+            if not self.constraints[index].holds(assignment):
+                return index
+        return limit if limit < len(self.constraints) else None
 
 
 # -- byte-concatenation recognition ------------------------------------------
@@ -332,22 +447,33 @@ class Solver:
 
     def solve(
         self,
-        constraints: list[Constraint],
+        constraints: list[Constraint] | PathCondition,
         hint: dict[str, int] | None = None,
     ) -> dict[str, int] | None:
-        """Find a verified model, starting near ``hint`` when given."""
+        """Find a verified model, starting near ``hint`` when given.
+
+        ``constraints`` is a list, folded here into a
+        :class:`PathCondition` with ``hint``, or a path condition
+        already folded with its own hint (and then ``hint`` is None).
+        """
+        if isinstance(constraints, PathCondition):
+            if hint is not None:
+                raise ValueError("a PathCondition carries its own hint")
+            condition = constraints
+        else:
+            condition = PathCondition(hint)
+            for constraint in constraints:
+                condition.push(constraint)
         self.stats.queries += 1
-        if _refuted(constraints):
+        if condition.refuted_at is not None:
             self.stats.refuted += 1
             self.stats.unknown += 1
             return None
-        problem = _Problem(list(constraints))
-        assignment = self._initial_assignment(problem, hint)
-        model = self._repair(problem, assignment)
+        model = self._repair(condition, condition.start, condition.false_at)
         if model is not None:
             self.stats.repaired += 1
         else:
-            model = self._random_search(problem, hint)
+            model = self._random_search(condition)
             if model is None:
                 self.stats.exhausted += 1
                 self.stats.unknown += 1
@@ -358,49 +484,42 @@ class Solver:
 
     # -- internals --
 
-    def _initial_assignment(
-        self, problem: _Problem, hint: dict[str, int] | None
-    ) -> dict[str, int]:
-        assignment = {}
-        for name, var in problem.variables.items():
-            if hint is not None and name in hint and var.lo <= hint[name] <= var.hi:
-                assignment[name] = hint[name]
-            else:
-                assignment[name] = var.lo
-        return assignment
-
-    def _violated(
-        self, problem: _Problem, assignment: dict[str, int]
-    ) -> Constraint | None:
-        for constraint in problem.constraints:
-            if not constraint.holds(assignment):
-                return constraint
-        return None
-
     def _repair(
-        self, problem: _Problem, assignment: dict[str, int]
+        self, condition: PathCondition, base: dict[str, int],
+        false_at: list[int],
     ) -> dict[str, int] | None:
-        assignment = dict(assignment)
+        """Repair ``base`` (violating the constraints at ``false_at``)
+        into a model, one violated constraint per round."""
+        assignment = dict(base)
+        # Variables whose value differs from base's.
+        moved: set[str] = set()
         recently_fixed: list[Constraint] = []
         for _ in range(MAX_REPAIR_ROUNDS):
-            violated = self._violated(problem, assignment)
-            if violated is None:
+            index = condition.first_violated(assignment, false_at, moved)
+            if index is None:
                 return assignment
             self.stats.repair_rounds += 1
+            violated = condition.constraints[index]
             # Cycle guard: if the same constraint keeps reappearing,
             # shake a random variable it mentions.
             if recently_fixed.count(violated) >= 3:
-                self._shake(problem, violated, assignment)
+                self._shake(violated, assignment)
                 recently_fixed.clear()
-                continue
-            recently_fixed.append(violated)
-            if len(recently_fixed) > 8:
-                recently_fixed.pop(0)
-            if not self._fix_constraint(violated, assignment):
-                self._shake(problem, violated, assignment)
+            else:
+                recently_fixed.append(violated)
+                if len(recently_fixed) > 8:
+                    recently_fixed.pop(0)
+                if not self._fix_constraint(violated, assignment):
+                    self._shake(violated, assignment)
+            # A fix or a shake only moves variables of the constraint.
+            for name in condition.names[index]:
+                if assignment[name] == base[name]:
+                    moved.discard(name)
+                else:
+                    moved.add(name)
         return None
 
-    def _shake(self, problem: _Problem, constraint: Constraint,
+    def _shake(self, constraint: Constraint,
                assignment: dict[str, int]) -> None:
         variables = list({var.name: var for var in constraint.variables()}.values())
         if not variables:
@@ -552,17 +671,22 @@ class Solver:
         return False
 
     def _random_search(
-        self, problem: _Problem, hint: dict[str, int] | None
+        self, condition: PathCondition
     ) -> dict[str, int] | None:
+        hint = condition.hint
         for _ in range(MAX_RESTARTS):
             self.stats.random_restarts += 1
             assignment = {}
-            for name, var in problem.variables.items():
+            for name, var in condition.variables.items():
                 choices = [var.lo, var.hi, self._rng.randint(var.lo, var.hi)]
                 if hint is not None and name in hint:
                     choices.append(max(var.lo, min(var.hi, hint[name])))
                 assignment[name] = self._rng.choice(choices)
-            model = self._repair(problem, assignment)
+            false_at = [
+                index for index, constraint in enumerate(condition.constraints)
+                if not constraint.holds(assignment)
+            ]
+            model = self._repair(condition, assignment, false_at)
             if model is not None:
                 return model
         return None

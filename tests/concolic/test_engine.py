@@ -4,9 +4,13 @@ import random
 
 import pytest
 
+from path_oracle import flip_signature
+
+from repro.concolic import solver as solver_module
 from repro.concolic.engine import ConcolicEngine
+from repro.concolic.expr import Constraint
 from repro.concolic.frontier import Frontier, FrontierDiscipline, plan_round
-from repro.concolic.path import flip_at, flip_signature, held_path, signature
+from repro.concolic.path import flip_at, flip_signatures, held_path, signature
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import MAX_BRANCHES, SymBytes
 from repro.core.explorer import random_mutations
@@ -25,6 +29,13 @@ def branchy_program(sym):
     return "low-even"
 
 
+def looping_program(sym):
+    """One branch on ``sym[0] > 1``, taken past the branch cap."""
+    for _ in range(MAX_BRANCHES + 5):
+        bool(sym[0] > 1)
+    return "done"
+
+
 class TestRunOnce:
     def test_records_path(self):
         engine = ConcolicEngine(branchy_program)
@@ -34,15 +45,43 @@ class TestRunOnce:
         assert not execution.crashed
 
     def test_long_run_records_at_most_max_branches(self):
-        def looping_program(sym):
-            for _ in range(MAX_BRANCHES + 5):
-                bool(sym[0] > 1)
-            return "done"
-
         engine = ConcolicEngine(looping_program)
         execution = engine.run_once(SymBytes.mark_all(b"\x00"))
         assert execution.result == "done"
         assert len(execution.branches) == MAX_BRANCHES
+
+    def test_expanding_the_longest_run_visits_each_branch_a_few_times(
+            self, monkeypatch):
+        """Every flip of a path is asked against one path condition, so
+        expanding it costs work linear in its length: each branch's
+        sides are bounded and its truth evaluated a constant number of
+        times, however many flips share its prefix.  Counted, not
+        timed; asked one fresh list each, these 20 000 flips would
+        visit about 2 * 10^8 constraints."""
+        visits = {"reach": 0, "holds": 0}
+        reach, holds = solver_module._reach, Constraint.holds
+
+        def counted_reach(expr):
+            visits["reach"] += 1
+            return reach(expr)
+
+        def counted_holds(constraint, assignment):
+            visits["holds"] += 1
+            return holds(constraint, assignment)
+
+        monkeypatch.setattr(solver_module, "_reach", counted_reach)
+        monkeypatch.setattr(Constraint, "holds", counted_holds)
+        solver = Solver(seed=1)
+        engine = ConcolicEngine(looping_program, solver)
+        execution = engine.run_once(SymBytes.mark_all(b"\x00"))
+        children = engine._expand(execution, Frontier(), lineage=0)
+        # `b0 > 1` is reachable at the first flip only: every later one
+        # contradicts the held `b0 <= 1` before it.
+        assert [child.input.concrete for child in children] == [b"\x02"]
+        assert solver.stats.queries == MAX_BRANCHES
+        assert solver.stats.refuted == MAX_BRANCHES - 1
+        assert visits["reach"] <= 4 * MAX_BRANCHES
+        assert visits["holds"] <= 2 * MAX_BRANCHES
 
     def test_captures_crash(self):
         engine = ConcolicEngine(branchy_program)
@@ -177,8 +216,10 @@ class TestPathHelpers:
 
     def test_flip_signature_distinct_per_index(self):
         branches = self._branches(bytes([10, 2]))
-        sigs = {flip_signature(branches, i) for i in range(len(branches))}
-        assert len(sigs) == len(branches)
+        sigs = list(flip_signatures(branches))
+        assert sigs == [flip_signature(branches, i)
+                        for i in range(len(branches))]
+        assert len(set(sigs)) == len(branches)
 
 
 class TestRandomBaseline:

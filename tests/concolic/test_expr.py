@@ -4,14 +4,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.concolic import expr as expr_module
 from repro.concolic.expr import (
     BinOp,
     Const,
     Constraint,
     UnOp,
     Var,
+    _fp_int,
+    _fp_mix,
+    _fp_name,
     make_binop,
     make_unop,
+    shape_hash,
 )
 
 
@@ -217,3 +222,65 @@ class TestFingerprints:
     def test_fingerprint_is_64_bit(self):
         fp = Constraint("eq", Var("x"), Const(1)).fp
         assert 0 <= fp < (1 << 64)
+
+
+def shape_from_scratch(node):
+    """The specification of ``shape_hash``: recomputed over the whole
+    tree on every call."""
+    if isinstance(node, Constraint):
+        return _fp_mix(_fp_name("shape-cmp:" + node.op),
+                       shape_from_scratch(node.left),
+                       shape_from_scratch(node.right))
+    if isinstance(node, Var):
+        return _fp_name("shape-var")
+    if isinstance(node, Const):
+        return _fp_mix(_fp_name("shape-const"), *_fp_int(node.value))
+    if isinstance(node, UnOp):
+        return _fp_mix(_fp_name("shape-un:" + node.op),
+                       shape_from_scratch(node.operand))
+    left = shape_from_scratch(node.left)
+    right = shape_from_scratch(node.right)
+    if node.op in ("add", "mul", "and", "or", "xor"):
+        return _fp_mix(_fp_name("shape-bin:" + node.op), left ^ right)
+    return _fp_mix(_fp_name("shape-bin:" + node.op), left, right)
+
+
+class TestShapes:
+    """Shapes: fingerprints that ignore which variable a branch read."""
+
+    def test_shape_ignores_variable_identity(self):
+        assert shape_hash(Constraint("le", Var("b3"), Const(32))) \
+            == shape_hash(Constraint("le", Var("b9"), Const(32))) \
+            != shape_hash(Constraint("lt", Var("b3"), Const(32)))
+
+    def test_commutative_operands_in_either_order(self):
+        x, y = Var("x"), Var("y")
+        assert shape_hash(BinOp("add", x, Const(1))) \
+            == shape_hash(BinOp("add", Const(1), y))
+        assert shape_hash(BinOp("sub", x, Const(1))) \
+            != shape_hash(BinOp("sub", Const(1), y))
+
+    @given(st.integers(min_value=-(2**70), max_value=2**70))
+    def test_equals_the_whole_tree_recomputation(self, value):
+        node = Constraint("ne", UnOp("not", BinOp(
+            "shl", BinOp("xor", Var("a"), Const(value)), Const(3))),
+            Const(value))
+        assert shape_hash(node) == shape_from_scratch(node)
+
+    def test_derived_once_per_node(self, monkeypatch):
+        """A constraint over a subtree already hashed costs one mix."""
+        field = BinOp("or", BinOp("shl", Var("a"), Const(8)), Var("b"))
+        shape_hash(Constraint("le", field, Const(32)))
+        mixes = []
+        mix = expr_module._fp_mix
+
+        def counted(tag, *parts):
+            mixes.append(tag)
+            return mix(tag, *parts)
+
+        monkeypatch.setattr(expr_module, "_fp_mix", counted)
+        second = Constraint("gt", field, Const(4))
+        mixes.clear()  # the constraint's own fingerprint
+        shape = shape_hash(second)
+        assert len(mixes) == 2  # the constraint's and Const(4)'s
+        assert shape == shape_from_scratch(second)

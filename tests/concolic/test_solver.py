@@ -15,14 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from path_oracle import flip_signature
+
 from repro.bgp.errors import BGPError
 from repro.bgp.ip import Prefix
 from repro.bgp.messages import UpdateMessage, decode_message
 from repro.concolic import path as pathmod
-from repro.concolic.expr import BinOp, Const, Constraint, UnOp, Var
+from repro.concolic.expr import BinOp, Const, Constraint, UnOp, Var, _fp_mix
 from repro.concolic import solver as solver_module
+from repro.concolic.path import _SIG_STEP
 from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import (
+    PathCondition,
     Solver,
     SolverStats,
     _concat_terms,
@@ -644,3 +648,149 @@ class TestEveryQueryIsSolved:
             forward.solve(constraints)
             backward.solve(list(permuted))
         assert forward.stats.refuted == backward.stats.refuted
+
+
+# -- one path condition per path ----------------------------------------------
+
+
+def _first_violated_by_scan(condition, assignment):
+    """The specification of ``first_violated``: evaluate every
+    constraint, in order."""
+    return next((index for index, constraint
+                 in enumerate(condition.constraints)
+                 if not constraint.holds(assignment)), None)
+
+
+@contextmanager
+def checked_first_violated():
+    """Check every ``first_violated`` answer against a full scan."""
+    incremental = PathCondition.first_violated
+
+    def checked(condition, assignment, false_at, moved):
+        index = incremental(condition, assignment, false_at, moved)
+        assert index == _first_violated_by_scan(condition, assignment)
+        return index
+
+    with mock.patch.object(PathCondition, "first_violated", checked):
+        yield
+
+
+def _flips_through_one_condition(branches, hint, seed):
+    """Ask every flip of ``branches`` as the engine does, through one
+    incremental path condition."""
+    solver = Solver(seed=seed)
+    models = [solver.solve(condition) for condition in
+              pathmod.flip_conditions(branches, range(len(branches)), hint)]
+    return models, dataclasses.asdict(solver.stats)
+
+
+def _flips_one_list_each(branches, hint, seed):
+    """The specification: each flip a fresh ``flip_at`` list."""
+    solver = Solver(seed=seed)
+    models = [solver.solve(pathmod.flip_at(branches, index), hint=hint)
+              for index in range(len(branches))]
+    return models, dataclasses.asdict(solver.stats)
+
+
+@st.composite
+def _small_paths(draw):
+    """A ``_small_systems`` system as a path — a prefix of held
+    branches and a last one — taken either way at every branch, and a
+    hint that may name values outside a variable's domain (or none)."""
+    variables, constraints = draw(_small_systems())
+    *prefix, last = constraints
+    branches = [(constraint, draw(st.booleans()))
+                for constraint in [*prefix, last]]
+    hint = {var.name: draw(st.integers(var.lo - 2, var.hi + 2))
+            for var in variables if draw(st.booleans())}
+    return branches, hint
+
+
+def _decoder_paths(count):
+    grammar = UpdateGrammar(rng=random.Random(3))
+    return [_decoder_path(grammar.generate().symbolic(prefix=f"m{index}_"))
+            for index in range(count)]
+
+
+class TestOnePathCondition:
+    """Every flip of a path asked through one incremental path
+    condition equals the same flips asked one fresh list each: the
+    same models, the same nine counters, the same random draws."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_small_paths(), st.integers(min_value=0, max_value=2**32))
+    def test_small_paths(self, path, seed):
+        branches, hint = path
+        with budget(20, 2), checked_first_violated():
+            incremental = _flips_through_one_condition(branches, hint, seed)
+            assert incremental == _flips_one_list_each(branches, hint, seed)
+
+    def test_decoder_paths(self):
+        for branches, hint in _decoder_paths(20):
+            with checked_first_violated():
+                assert _flips_through_one_condition(branches, hint, 1) \
+                    == _flips_one_list_each(branches, hint, 1)
+
+    def test_a_refuted_prefix_refutes_every_later_flip(self):
+        x = byte("x")
+        branches = [(Constraint("eq", x, Const(1)), True),
+                    (Constraint("ne", x, Const(1)), True),
+                    (Constraint("gt", x, Const(9)), False),
+                    (Constraint("lt", x, Const(3)), True)]
+        condition = PathCondition({"x": 1})
+        for constraint, _ in branches:
+            condition.push(constraint)
+        assert condition.refuted_at == 1
+        models, stats = _flips_through_one_condition(branches, {"x": 1}, 1)
+        assert models[2:] == [None, None]
+        assert stats["refuted"] >= 2
+        assert (models, stats) == _flips_one_list_each(branches, {"x": 1}, 1)
+
+    def test_negate_last_restores_the_refutation_state(self):
+        """``x == 5`` refutes ``x != 5`` and then, negated back, leaves
+        the term pinned at 5 as it found it."""
+        x = byte("x")
+        condition = PathCondition()
+        condition.push(Constraint("eq", x, Const(5)))
+        condition.push(Constraint("ne", x, Const(5)))
+        assert condition.refuted_at == 1
+        condition.negate_last()
+        assert condition.refuted_at is None
+        condition.push(Constraint("eq", x, Const(6)))
+        assert condition.refuted_at == 2
+
+    def test_plain_list_and_condition_agree(self):
+        constraints = decoder_system()
+        condition = PathCondition({"a": 1})
+        for constraint in constraints:
+            condition.push(constraint)
+        assert Solver(seed=1).solve(condition) \
+            == Solver(seed=1).solve(constraints, hint={"a": 1})
+
+    def test_a_condition_carries_its_own_hint(self):
+        condition = PathCondition({"x": 1})
+        condition.push(Constraint("eq", byte("x"), Const(2)))
+        with pytest.raises(ValueError, match="own hint"):
+            Solver().solve(condition, hint={"x": 1})
+
+    @settings(max_examples=100, deadline=None)
+    @given(_small_paths())
+    def test_flip_digests_are_one_walk(self, path):
+        branches, _ = path
+        assert list(pathmod.flip_signatures(branches)) == [
+            flip_signature(branches, index)
+            for index in range(len(branches))
+        ]
+        # The walk's running digest ends at the path's identity: the
+        # flip one branch beyond the path is built on it.
+        constraint, taken = branches[0]
+        *_, beyond = pathmod.flip_signatures([*branches, (constraint, taken)])
+        assert beyond == _fp_mix(_SIG_STEP, pathmod.signature(branches),
+                                 constraint.fp, int(not taken))
+
+    def test_decoder_flip_digests_are_one_walk(self):
+        for branches, _ in _decoder_paths(5):
+            assert list(pathmod.flip_signatures(branches)) == [
+                flip_signature(branches, index)
+                for index in range(len(branches))
+            ]

@@ -13,6 +13,9 @@ from repro.bgp import faults
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
 from repro.concolic.frontier import FrontierShard
+from repro.core.live import LiveSystem
+from repro.topo.demo27 import build_demo27
+from repro.topo.gadgets import build_bad_gadget
 
 
 def faulty_live():
@@ -23,6 +26,45 @@ def faulty_live():
         router.config,
         enabled_bugs=frozenset({faults.BUG_COMMUNITY_CRASH}),
     )
+    live.converge()
+    live.apply_change("r3", AddNetwork(Prefix("10.1.0.0/16")))
+    live.run(until=live.network.sim.now + 5)
+    return live
+
+
+def demo27_live():
+    """The converged 27-router topology."""
+    topology = build_demo27()
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    return live
+
+
+def crash_live():
+    """The benchmark's crash hunt: r2 crashes on a community it
+    mishandles."""
+    live = quickstart_system(seed=0)
+    router = live.router("r2")
+    router.config = dataclasses.replace(
+        router.config,
+        enabled_bugs=frozenset({faults.BUG_COMMUNITY_CRASH}),
+    )
+    live.converge()
+    return live
+
+
+def bad_gadget_live():
+    """The benchmark's policy-conflict hunt: BAD GADGET, oscillating."""
+    configs, links = build_bad_gadget()
+    live = LiveSystem.build(configs, links, seed=0)
+    live.run(until=3)
+    return live
+
+
+def hijack_live():
+    """The benchmark's operator-mistake hunt: r3 originates r1's
+    prefix."""
+    live = quickstart_system(seed=0)
     live.converge()
     live.apply_change("r3", AddNetwork(Prefix("10.1.0.0/16")))
     live.run(until=live.network.sim.now + 5)

@@ -22,11 +22,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from campaign_helpers import campaign_fingerprint
-from repro import quickstart_system
+from campaign_helpers import (
+    bad_gadget_live,
+    campaign_fingerprint,
+    crash_live,
+    demo27_live,
+    hijack_live,
+)
 from repro.bgp import faults
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.config import AddNetwork
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.checks import default_property_suite
@@ -42,18 +46,10 @@ from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.properties import CheckContext
 from repro.core.sharing import SharingRegistry
 from repro.net.network import Network
-from repro.topo.demo27 import build_demo27
-from repro.topo.gadgets import build_bad_gadget, build_disagree, build_good_gadget
+from repro.topo.gadgets import build_disagree, build_good_gadget
 from repro.topo.internet import TopologyParams, build_internet
 
 # -- systems ------------------------------------------------------------------
-
-
-def demo27_live():
-    topology = build_demo27()
-    live = LiveSystem.build(topology.configs, topology.links, seed=0)
-    live.converge(deadline=600)
-    return live
 
 
 def internet40_live():
@@ -71,32 +67,6 @@ def gadget_live(build):
         return live
 
     return make
-
-
-def crash_live():
-    live = quickstart_system(seed=0)
-    router = live.router("r2")
-    router.config = dataclasses.replace(
-        router.config,
-        enabled_bugs=frozenset({faults.BUG_COMMUNITY_CRASH}),
-    )
-    live.converge()
-    return live
-
-
-def bad_gadget_live():
-    configs, links = build_bad_gadget()
-    live = LiveSystem.build(configs, links, seed=0)
-    live.run(until=3)
-    return live
-
-
-def hijack_live():
-    live = quickstart_system(seed=0)
-    live.converge()
-    live.apply_change("r3", AddNetwork(Prefix("10.1.0.0/16")))
-    live.run(until=live.network.sim.now + 5)
-    return live
 
 
 # (system, campaign) pairs that find no fault with the flag off.
