@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Six measurements:
+Seven measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -12,6 +12,10 @@ Six measurements:
 * the clones one exploration session spends beyond one per input —
   expected: exactly 1, the null probe (reading the explored router
   restores that one checkpoint, not the system); a counter, so gated;
+* the routers a clone restores — expected: only those its run reaches,
+  1 per clone for grammar inputs at a converged 40-router internet's
+  transit router over a 3 s horizon, where every router was restored
+  before clones were copy-on-touch; a counter, so gated;
 * what a task ships — attribute values per attribute object in a
   converged 40-router snapshot and the size of its pickle — expected:
   exactly 1.0 (a network's routers hold one object per distinct value)
@@ -138,6 +142,54 @@ def test_session_clone_budget():
     benchlib.record("overhead", metrics={"session_overhead_clones": overhead})
     assert report.executions == 3
     assert overhead == 1
+
+
+def test_routers_restored_per_clone():
+    """Clones restore a router only once something reaches it.  Grammar
+    inputs at a transit router of a converged 40-router internet (the
+    e2e internet40 campaign's) change nothing its neighbours hear within
+    a 3 s horizon, and no checkpoint timer comes up that soon, so each
+    clone restores the explored router alone (40, every router, while
+    clones restored eagerly)."""
+    from repro.checks import default_property_suite
+    from repro.core.explorer import (
+        STRATEGY_GRAMMAR,
+        ExplorationConfig,
+        Explorer,
+    )
+    from repro.core.sharing import SharingRegistry
+
+    topology = build_internet(
+        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
+    )
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    node = topology.nodes_in_tier(2)[0]
+    explorer = Explorer(
+        live.coordinator.capture(topology.nodes_in_tier(1)[0]),
+        default_property_suite(),
+        SharingRegistry.from_configs(live.initial_configs),
+    )
+    restored = []
+    new_clone = explorer._new_clone
+
+    def counted(seed):
+        clone = new_clone(seed)
+        clone.processes.watch(lambda name, process: restored.append(name))
+        return clone
+
+    explorer._new_clone = counted
+    report = explorer.explore(ExplorationConfig(
+        node=node, inputs=4, strategy=STRATEGY_GRAMMAR, horizon=3.0, seed=1,
+    ))
+    per_clone = len(restored) / report.clones_created
+    print(f"\n  clones={report.clones_created} restores={len(restored)} "
+          f"per clone={per_clone:.2f} of {len(topology.configs)} routers")
+    benchlib.record(
+        "overhead", metrics={"routers_restored_per_clone": per_clone}
+    )
+    assert report.clones_created == 5
+    assert per_clone == 1.0
 
 
 @pytest.mark.parametrize("scale", [

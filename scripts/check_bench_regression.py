@@ -50,6 +50,11 @@ GATED_METRICS = {
     # while peer pick and grammar seeding each cloned the whole system
     # to read one router, 1 (the null probe) since.
     "session_overhead_clones": "lower",
+    # bench_overhead, grammar inputs at a converged 40-router internet's
+    # transit router: routers a clone restores.  40 while a clone
+    # restored every router up front (27 on demo27), 1.0 since a clone
+    # restores a router only when an event reaches it.
+    "routers_restored_per_clone": "lower",
     # bench_overhead, converged 40-router internet: distinct attribute
     # values / attribute objects in a snapshot, and the snapshot's
     # pickle.  0.23 and 1 437 KiB while every UPDATE was decoded into

@@ -169,6 +169,20 @@ IMPORT_CONTRACTS: tuple[ImportContract, ...] = (
 )
 
 
+# -- lazy clones --------------------------------------------------------------
+
+# Code that reads a clone as an exploration runs it.  A clone builds a
+# router the first time it is looked up, so a loop over a clone's
+# ``processes`` builds every router and undoes copy on touch; ISO002
+# holds these to reading ``materialized()`` or routers by name.  Module
+# (or package) -> the function names held to it, or None for every
+# function of the module.
+CLONE_READERS: dict[str, tuple[str, ...] | None] = {
+    "repro.checks": ("prepare", "prepare_router", "check"),
+    "repro.core.explorer": None,
+}
+
+
 # -- worker hermeticity -------------------------------------------------------
 
 # Everything transitively importable from these modules runs (or may

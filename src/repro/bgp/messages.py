@@ -34,13 +34,6 @@ TYPE_UPDATE = 2
 TYPE_NOTIFICATION = 3
 TYPE_KEEPALIVE = 4
 
-_TYPE_NAMES = {
-    TYPE_OPEN: "OPEN",
-    TYPE_UPDATE: "UPDATE",
-    TYPE_NOTIFICATION: "NOTIFICATION",
-    TYPE_KEEPALIVE: "KEEPALIVE",
-}
-
 
 class BGPMessage:
     """Base class: encoding frame shared by all message types.
@@ -67,11 +60,6 @@ class BGPMessage:
         out.append(self.type_code)
         out.extend(payload)
         return bytes(out)
-
-    @property
-    def type_name(self) -> str:
-        """Human-readable message type."""
-        return _TYPE_NAMES.get(self.type_code, f"?{self.type_code}")
 
 
 class OpenMessage(BGPMessage):

@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.bgp import policy_lang as lang
-from repro.bgp.attributes import AsPath, Origin, PathAttributes
+from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.ip import Prefix
 from repro.bgp.route import Route
 
@@ -408,8 +408,3 @@ class Filter:
 
 ACCEPT_ALL = Filter.compile("filter accept_all { accept; }")
 REJECT_ALL = Filter.compile("filter reject_all { reject; }")
-
-
-def origin_name(value: Any) -> str:
-    """Convenience re-export used by the dashboard."""
-    return Origin.name(int(value))

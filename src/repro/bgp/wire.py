@@ -12,11 +12,6 @@ from __future__ import annotations
 from typing import Any
 
 
-def byte_at(data: Any, offset: int) -> Any:
-    """Read the byte at ``offset`` (int, or SymInt for symbolic buffers)."""
-    return data[offset]
-
-
 def read_u8(data: Any, offset: int) -> Any:
     """Read an unsigned 8-bit integer."""
     return data[offset]
@@ -60,8 +55,3 @@ def write_u32(out: bytearray, value: int) -> None:
     out.append((value >> 16) & 0xFF)
     out.append((value >> 8) & 0xFF)
     out.append(value & 0xFF)
-
-
-def concrete_len(data: Any) -> int:
-    """Length of a concrete or symbolic buffer (lengths stay concrete)."""
-    return len(data)

@@ -51,20 +51,3 @@ def default_property_suite():
         SessionCascade(),
     ])
 
-
-def extended_property_suite():
-    """The default suite plus the commitment-based consistency check.
-
-    Kept separate from the default because export-consistency assumes
-    import policies leave the AS path and origin untouched (true of the
-    built-in topologies; not guaranteed for arbitrary configs).
-    """
-    from repro.core.properties import PropertySuite
-
-    return PropertySuite([
-        CrashFreedom(),
-        RouteStability(),
-        OriginAuthenticity(),
-        SessionCascade(),
-        ExportConsistency(),
-    ])

@@ -19,7 +19,7 @@ a responder cannot precompute or replay commitments.
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Mapping
 
 from repro.bgp.route import SOURCE_EBGP
 from repro.core.faultclass import FAULT_PROGRAMMING_ERROR
@@ -49,11 +49,13 @@ def wire_stable_view(prefix, attributes) -> tuple:
     )
 
 
-def register_export_commitment(endpoint, router) -> None:
-    """Expose the commitment check on a domain's endpoint."""
+def register_export_commitment(endpoint, routers: Mapping[str, Any],
+                               name: str) -> None:
+    """Expose the commitment check on a domain's endpoint, answered by
+    router ``name`` of ``routers``, looked up when queried."""
 
     def export_commitment(peer_node: str, prefix, salt: bytes) -> bytes:
-        rib_out = router.adj_rib_out.get(peer_node)
+        rib_out = routers[name].adj_rib_out.get(peer_node)
         advertised = None if rib_out is None else rib_out.advertised(prefix)
         if advertised is None:
             # Commit to a distinguished "nothing advertised" value.
@@ -111,14 +113,18 @@ class ExportConsistency(Property):
         return violations
 
 
-def attach_consistency_checks(clone, registry: Any) -> None:
-    """Register export-commitment checks for every router in a clone."""
-    for name in sorted(clone.processes):
-        router = clone.processes[name]
-        config = getattr(router, "config", None)
+def attach_consistency_checks(clone, registry: Any,
+                              configs: Mapping[str, Any]) -> None:
+    """Register export-commitment checks for every router in a clone.
+
+    ``configs`` as for :func:`~repro.checks.hijack.
+    build_sharing_endpoints`: registering builds no router.
+    """
+    for name in sorted(configs):
+        config = configs[name]
         if config is None:
             continue
         endpoint = registry.endpoint(config.local_as)
         if endpoint is None or "export_commitment" in endpoint.names():
             continue
-        register_export_commitment(endpoint, router)
+        register_export_commitment(endpoint, clone.processes, name)

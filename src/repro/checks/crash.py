@@ -29,11 +29,15 @@ class CrashFreedom(Property):
 
     def prepare(self, context: CheckContext) -> None:
         context.baseline["crash_count"] = context.router.crash_count
-        for name, process in context.clone.processes.items():
-            if name != context.node:
-                context.baseline[f"crash_count:{name}"] = getattr(
-                    process, "crash_count", 0
-                )
+        for name, process in context.clone.materialized().items():
+            self.prepare_router(context, name, process)
+
+    def prepare_router(self, context: CheckContext, name: str,
+                       process) -> None:
+        if name != context.node:
+            context.baseline[f"crash_count:{name}"] = getattr(
+                process, "crash_count", 0
+            )
 
     def check(self, context: CheckContext) -> list[Violation]:
         violations = []
@@ -60,11 +64,11 @@ class CrashFreedom(Property):
             )
         # Crashes at *other* nodes in the clone matter too: the explorer
         # node's action may have sent a neighbor an input it cannot
-        # survive (system-wide consequences, section 2).
-        for name in sorted(context.clone.processes):
+        # survive (system-wide consequences, section 2).  A router
+        # nothing reached is unbuilt and has not crashed.
+        for name, process in sorted(context.clone.materialized().items()):
             if name == context.node:
                 continue
-            process = context.clone.processes[name]
             count = getattr(process, "crash_count", 0)
             base = context.baseline.get(f"crash_count:{name}", 0)
             if count > base:

@@ -30,23 +30,11 @@ from repro.core.faultclass import (
     FaultReport,
 )
 from repro.differential import get_oracle
-from repro.differential.canonical import Divergence
 from repro.differential.extract import (
     capture_canonical_ribs,
     network_settled,
     oracle_for_live,
 )
-
-
-def differential_divergences(live) -> list[Divergence]:
-    """Fixpoint-verify a live system against the reference oracle.
-
-    Returns the (deterministically ordered) divergences; empty means the
-    simulator's converged state satisfies the oracle's propagation
-    equations exactly.
-    """
-    oracle = oracle_for_live(live)
-    return oracle.verify_fixpoint(capture_canonical_ribs(live))
 
 
 def differential_fault_reports(

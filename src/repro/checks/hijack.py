@@ -18,6 +18,8 @@ potential hijack — e.g. the consequence of an operator adding a
 
 from __future__ import annotations
 
+from typing import Any, Mapping
+
 from repro.bgp.route import SOURCE_STATIC
 from repro.core.faultclass import FAULT_OPERATOR_MISTAKE
 from repro.core.properties import (
@@ -29,16 +31,27 @@ from repro.core.properties import (
 from repro.core.sharing import SharingEndpoint, SharingRegistry
 
 
-def build_sharing_endpoints(clone, registry: SharingRegistry) -> None:
+def build_sharing_endpoints(clone, registry: SharingRegistry,
+                            configs: Mapping[str, Any]) -> None:
     """Register one endpoint per router in ``clone`` onto ``registry``.
 
-    Each endpoint closes over its own router only; the checks it exposes
-    return booleans.  Endpoints for ASes already present are skipped
-    (several routers may share an AS).
+    Each endpoint answers for its own router only, which it looks up by
+    name when queried; the checks it exposes return booleans.
+    ``configs`` are the routers' configurations as the clone starts (a
+    snapshot's checkpoints hold them), so registering builds no router
+    of a lazy clone and a configuration question builds none either: it
+    reads a router's own configuration once the router is built, and
+    its starting one until then.  Endpoints for ASes already present
+    are skipped (several routers may share an AS).
     """
-    for name in sorted(clone.processes):
-        router = clone.processes[name]
-        config = getattr(router, "config", None)
+    built = clone.materialized()
+
+    def config_of(name: str):
+        router = built.get(name)
+        return configs[name] if router is None else router.config
+
+    for name in sorted(configs):
+        config = configs[name]
         if config is None:
             continue
         if registry.endpoint(config.local_as) is not None:
@@ -46,21 +59,22 @@ def build_sharing_endpoints(clone, registry: SharingRegistry) -> None:
         endpoint = SharingEndpoint(asn=config.local_as, node=name)
         endpoint.register(
             "originates",
-            lambda prefix, _router=router: prefix in _router.config.networks,
+            lambda prefix, _name=name: prefix in config_of(_name).networks,
         )
         endpoint.register(
             "authorizes_origin",
             # Minimal model: a domain authorizes exactly itself.  Sites
             # with multi-origin agreements would consult a local table.
-            lambda prefix, asn, _router=router: (
-                asn == _router.config.local_as
-                and prefix in _router.config.networks
+            lambda prefix, asn, _name=name: (
+                asn == config_of(_name).local_as
+                and prefix in config_of(_name).networks
             ),
         )
         endpoint.register(
             "has_route_to",
-            lambda prefix, _router=router: _router.loc_rib.get(prefix)
-            is not None,
+            lambda prefix, _name=name: clone.processes[_name].loc_rib.get(
+                prefix
+            ) is not None,
         )
         registry.add_endpoint(endpoint)
 
@@ -74,7 +88,9 @@ class OriginAuthenticity(Property):
     explorer's own fabricated announcements (which deliberately carry
     arbitrary origins) as hijacks — a false positive on every healthy
     system.  ``prepare`` therefore computes the violations and ``check``
-    reports them.
+    reports them.  Before any input they depend only on the snapshot,
+    the node and the claims, so a context's ``node_memo`` keeps them for
+    the node's later clones.
     """
 
     name = "origin_authenticity"
@@ -82,7 +98,14 @@ class OriginAuthenticity(Property):
     fault_class = FAULT_OPERATOR_MISTAKE
 
     def prepare(self, context: CheckContext) -> None:
-        context.baseline["origin_violations"] = self._evaluate(context)
+        memo = context.node_memo
+        if memo is None:
+            violations = self._evaluate(context)
+        elif self.name in memo:
+            violations = memo[self.name]
+        else:
+            violations = memo[self.name] = self._evaluate(context)
+        context.baseline["origin_violations"] = violations
 
     def check(self, context: CheckContext) -> list[Violation]:
         return context.baseline.get("origin_violations", [])

@@ -57,25 +57,29 @@ class RouteStability(Property):
 
     def prepare(self, context: CheckContext) -> None:
         context.baseline["stability_since"] = context.clone.sim.now
-        for name, process in context.clone.processes.items():
-            rib = getattr(process, "loc_rib", None)
-            if rib is not None:
-                # Counter-based baseline: immune to journal eviction on
-                # systems that have churned for a long time already.
-                context.baseline[f"changes:{name}"] = rib.changes_total
+        for name, process in context.clone.materialized().items():
+            self.prepare_router(context, name, process)
+
+    def prepare_router(self, context: CheckContext, name: str,
+                       process) -> None:
+        rib = getattr(process, "loc_rib", None)
+        if rib is not None:
+            # Counter-based baseline: immune to journal eviction on
+            # systems that have churned for a long time already.
+            context.baseline[f"changes:{name}"] = rib.changes_total
 
     def check(self, context: CheckContext) -> list[Violation]:
         violations: list[Violation] = []
         observed = context.clone.sim.now - context.baseline.get(
             "stability_since", 0.0
         )
-        nodes = (
-            sorted(context.clone.processes)
+        # A router nothing reached is unbuilt and changed no route.
+        routers = (
+            sorted(context.clone.materialized().items())
             if self.watch_neighbors
-            else [context.node]
+            else [(context.node, context.router)]
         )
-        for name in nodes:
-            process = context.clone.processes[name]
+        for name, process in routers:
             rib = getattr(process, "loc_rib", None)
             if rib is None:
                 continue

@@ -28,20 +28,19 @@ class SessionCascade(Property):
     monotone = True
 
     def prepare(self, context: CheckContext) -> None:
-        for name, process in context.clone.processes.items():
-            sessions = getattr(process, "sessions", None)
-            if sessions is None:
-                continue
-            for peer, session in sessions.items():
-                context.baseline[f"resets:{name}:{peer}"] = (
-                    session.stats.resets
-                )
+        for name, process in context.clone.materialized().items():
+            self.prepare_router(context, name, process)
+
+    def prepare_router(self, context: CheckContext, name: str,
+                       process) -> None:
+        for peer, session in getattr(process, "sessions", {}).items():
+            context.baseline[f"resets:{name}:{peer}"] = session.stats.resets
 
     def check(self, context: CheckContext) -> list[Violation]:
         expected_pair = self._expected_pair(context)
         violations = []
-        for name in sorted(context.clone.processes):
-            process = context.clone.processes[name]
+        # A router nothing reached is unbuilt and reset no session.
+        for name, process in sorted(context.clone.materialized().items()):
             sessions = getattr(process, "sessions", None)
             if sessions is None:
                 continue

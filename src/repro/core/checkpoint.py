@@ -30,6 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro.net.node import Process
+from repro.net.sim import Event
 
 
 @dataclass(frozen=True)
@@ -41,14 +42,29 @@ class NodeCheckpoint:
     state: dict[str, Any] = field(repr=False)
     wall_time_s: float = 0.0
 
-    def restore_into(self, process: Process) -> None:
+    @property
+    def timers(self) -> dict[str, float]:
+        """The node's armed timers: name -> remaining delay, in the
+        order they were armed."""
+        return self.state.get("timers", {})
+
+    def restore_into(self, process: Process,
+                     timers: dict[str, Event] | None = None) -> None:
         """Load this checkpoint into a (cloned) process.
 
         ``import_state`` keeps no container it is handed, so clones
         restored from one checkpoint share only immutable leaves with it
         and each other — the isolation the exploration layer depends on.
+        ``timers`` are the process's timer events, already scheduled at
+        :attr:`timers`' deadlines (a clone schedules them before it
+        builds the process); the process adopts them instead of arming
+        its own.
         """
-        process.import_state(self.state)
+        if timers is None:
+            process.import_state(self.state)
+            return
+        process.import_state({**self.state, "timers": {}})
+        process.adopt_timers(timers)
 
 
 def capture(process: Process, now: float) -> NodeCheckpoint:

@@ -12,8 +12,11 @@ exploration input it:
    only through the sharing interface.
 
 A session spends one clone more than its inputs, the null probe; to pick
-the peer and seed the grammar it restores the node's own checkpoint
-alone, once (:meth:`Explorer._open_session`), not the system.
+the peer and seed the grammar it builds the node's own router alone,
+once, in an uncounted lazy network (:meth:`Explorer._open_session`).
+A clone restores a router only once something reaches it (see
+:mod:`repro.core.snapshot`), and the checks read only what a run built,
+so a clone whose input dies at the explored router restores that one.
 
 There is one session body, :meth:`Explorer.explore_shard`: a session is
 rounds of frontier shards, and a whole session is round 0 of one shard
@@ -157,11 +160,6 @@ class NodeExplorationReport:
     solver_queries: int = 0
     solver_sat: int = 0
 
-    @property
-    def found_fault(self) -> bool:
-        """True when any property was violated."""
-        return bool(self.violations)
-
 
 @dataclass
 class SelectionReport:
@@ -229,6 +227,16 @@ class Explorer:
         self._claims = claims
         self._factory = process_factory
         self._clone_counter = 0
+        # Every router's configuration as each clone starts: what the
+        # sharing endpoints are registered from, without building the
+        # routers.
+        self._configs = {
+            name: checkpoint.state.get("config")
+            for name, checkpoint in snapshot.checkpoints.items()
+        }
+        # Per explorer node, the baselines that depend on the snapshot,
+        # the node and the claims alone (CheckContext.node_memo).
+        self._node_memos: dict[str, dict] = {}
 
     # -- clone plumbing --
 
@@ -245,16 +253,12 @@ class Explorer:
     @contextmanager
     def _probe_router(self, node: str):
         """``node``'s checkpointed router alone, to read its sessions
-        and RIBs without cloning the system: restored into a one-node
-        throw-away network (its timers need a simulator) that is closed
+        and RIBs without cloning the system: the one router built in
+        the snapshot's lazy network, which is never run and is closed
         on exit like every clone.  ``clones_created`` does not count it.
         """
-        checkpoint = self._snapshot.checkpoints[node]
-        with closing(Network()) as network:
-            router = network.add_process(self._factory(checkpoint))
-            network.start_silently()
-            checkpoint.restore_into(router)
-            yield router
+        with closing(self._snapshot.lazy_network(self._factory)) as network:
+            yield network.processes[node]
 
     def _sharing_for(self, clone) -> SharingRegistry:
         """A per-clone registry: shared claims, endpoints over the clone."""
@@ -265,8 +269,8 @@ class Explorer:
         for prefix in self._claims.all_claimed_prefixes():
             for owner in self._claims.claimed_origins(prefix):
                 registry.claim_origin(owner, prefix)
-        build_sharing_endpoints(clone, registry)
-        attach_consistency_checks(clone, registry)
+        build_sharing_endpoints(clone, registry, self._configs)
+        attach_consistency_checks(clone, registry, self._configs)
         return registry
 
     # -- message exploration (Figure 2) --
@@ -427,7 +431,7 @@ class Explorer:
             clone.processes[node].apply_config_change(change)
             # The hijack check evaluates pre-injection state by design;
             # the change itself *is* the state mutation here, so re-prime
-            # it.
+            # it (no node_memo: from this clone's changed state).
             for prop in self._suite:
                 if prop.scope == "federated":
                     prop.prepare(context)
@@ -445,6 +449,7 @@ class Explorer:
                 node=config.node,
                 sharing=self._sharing_for(clone),
                 input_summary="(no input: natural evolution)",
+                node_memo=self._node_memos.setdefault(config.node, {}),
             )
             self._suite.prepare_all(context)
             for violation in self._run_checked(config, clone, context, 0):
@@ -491,6 +496,7 @@ class Explorer:
                     sharing=self._sharing_for(clone),
                     input_summary=summary,
                     peer=peer,
+                    node_memo=self._node_memos.setdefault(config.node, {}),
                 )
                 self._suite.prepare_all(context)
                 escaped: Exception | None = None

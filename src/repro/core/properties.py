@@ -41,7 +41,10 @@ class CheckContext:
     names the explorer node.  ``baseline`` carries pre-exploration
     observations recorded by the property itself (see
     :meth:`Property.prepare`), e.g. crash counters before input
-    injection.
+    injection.  ``node_memo``, when given, outlives the context: it
+    holds what a property's ``prepare`` computed as a function of the
+    snapshot, the node and the claims alone, for the node's later
+    clones of the same snapshot to reuse.
     """
 
     clone: Network
@@ -54,6 +57,7 @@ class CheckContext:
     # on the (node, peer) session are expected, effects beyond it are
     # emergent (see repro.checks.sessions).
     peer: str | None = None
+    node_memo: dict[str, Any] | None = None
 
     @property
     def router(self):
@@ -86,8 +90,18 @@ class Property:
         """Record pre-injection baseline values into ``context.baseline``.
 
         Called on the clone after restoration, before the exploration
-        input is injected.  Default: nothing.
+        input is injected.  A clone builds a router only once something
+        reaches it (see :mod:`repro.core.snapshot`), so a property that
+        baselines per router does so for the routers built by now
+        (``context.clone.materialized()``) through
+        :meth:`prepare_router`, which :meth:`PropertySuite.prepare_all`
+        also calls on each router built later — when it holds its
+        checkpoint's values, as it did here.  Default: nothing.
         """
+
+    def prepare_router(self, context: CheckContext, name: str,
+                       process: Any) -> None:
+        """Record router ``name``'s baseline values.  Default: nothing."""
 
     def check(self, context: CheckContext) -> list[Violation]:
         """Evaluate after propagation; return violations (possibly [])."""
@@ -121,7 +135,20 @@ class PropertySuite:
         return len(self._properties)
 
     def prepare_all(self, context: CheckContext) -> None:
-        """Run every property's baseline pass."""
+        """Run every property's baseline pass, and baseline each router
+        the clone builds from now on as it is built.
+
+        The watcher goes in first: a router one property's ``prepare``
+        builds is then baselined for every property, the ones already
+        run included.  A property whose own pass later meets that router
+        again records the same checkpoint values a second time.
+        """
+
+        def prepare_router(name: str, process: Any) -> None:
+            for prop in self._properties:
+                prop.prepare_router(context, name, process)
+
+        context.clone.processes.watch(prepare_router)
         for prop in self._properties:
             prop.prepare(context)
 

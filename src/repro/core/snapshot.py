@@ -18,24 +18,59 @@ never see them — matching DiCE's requirement of not modifying node
 protocol logic for snapshot support.
 
 A captured :class:`Snapshot` can be **cloned** into a brand-new network:
-fresh simulator, fresh processes rebuilt by a factory, node states
-restored from checkpoints, and the recorded channel messages re-injected
-with their relative delivery offsets.  Clones share immutable leaves
+fresh simulator, the recorded channel messages re-injected with their
+relative delivery offsets, and node states restored from checkpoints
+into processes rebuilt by a factory.  Clones share immutable leaves
 (routes, attributes, configs, message bytes) with the snapshot, the live
 system and each other, and no mutable state (asserted by the aliasing
 test in ``tests/core/test_checkpoint.py``), which is what lets DiCE
 explore "alongside the deployed system but in isolation from it".
+
+**Copy on touch.**  As ``fork()`` copies only the pages a child
+writes, a clone restores only the routers its run reaches.  Cloning
+builds the network and links, and schedules one placeholder event per
+pending checkpoint timer; it builds no router.  A router is built —
+factory, then :meth:`NodeCheckpoint.restore_into` — on its first
+lookup: a delivery to it (a channel message of the cut included), one
+of its own placeholder timers coming up, or a reader such as
+``clone.processes[name]``.  The router then adopts its placeholders as
+its armed timers.  The run is event for event the one an eager clone,
+which restores every router up front, would make:
+
+* every event of a clone is scheduled by the clone's own simulator,
+  whose ``(time, seq)`` order alone decides what runs next;
+* the placeholders are scheduled first, in the order eager restore arms
+  timers — routers by sorted name, each router's timers in its
+  checkpoint's arming order — at the same deadlines, so each takes the
+  ``(time, seq)`` the eager timer takes, and its callback fires the
+  same timer of the same router; the channel messages follow, as
+  before;
+* building a router schedules nothing and draws no random number (it
+  adopts its timers rather than arming them, and link streams are
+  named, drawn from only by a transmission, whatever the order), so
+  the sequence numbers every later event takes are unchanged;
+* a router's state changes only when an event reaches it, and the
+  first such event builds it first, so it handles that event — and
+  every later one — in the state the eager router is in: its
+  checkpoint's.
+
+Hence equal traces, equal final states, and equal verdicts from checks
+that read a router only once something reached it.  A router nothing
+reached holds its checkpoint's state; the checks therefore iterate
+:meth:`~repro.net.network.Network.materialized` routers alone.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable
 
 from repro.core.checkpoint import NodeCheckpoint, capture
 from repro.net.network import Network
 from repro.net.node import Process
+from repro.net.sim import Event
 
 ProcessFactory = Callable[[NodeCheckpoint], Process]
 
@@ -78,30 +113,50 @@ class Snapshot:
 
         Figure 2, steps 3-5 run one exploration input per clone.  The
         clone's clock starts at zero; recorded channel messages are
-        scheduled at their captured relative offsets.
+        scheduled at their captured relative offsets.  Routers are
+        restored on first touch (see the module docstring).
         """
-        clone = Network(seed=seed)
+        return self.lazy_network(process_factory, seed)
+
+    def lazy_network(self, process_factory: ProcessFactory,
+                     seed: int = 0) -> Network:
+        """The network :meth:`clone` returns, every router deferred.
+
+        Reading one router of the snapshot builds it alone; the
+        explorer does so without counting a clone.
+        """
+        network = Network(seed=seed)
+        # Started before anything is added: Process.start() hooks must
+        # not run in clones (they would re-originate and re-open
+        # sessions); the checkpointed state already reflects all that.
+        network.start_silently()
         for name in sorted(self.checkpoints):
             checkpoint = self.checkpoints[name]
-            process = process_factory(checkpoint)
-            if process.name != name:
-                raise ValueError(
-                    f"factory returned {process.name!r} for checkpoint {name!r}"
-                )
-            clone.add_process(process)
+            network.defer_process(
+                name, checkpoint.timers,
+                partial(_restore, checkpoint, process_factory),
+            )
         for a, b, profile in self.links:
-            clone.add_link(a, b, profile)
-        # Mark started *before* restoring state: Process.start() hooks
-        # must not run in clones (they would re-originate and re-open
-        # sessions); the checkpointed state already reflects all that.
-        clone.start_silently()
-        for name in sorted(self.checkpoints):
-            self.checkpoints[name].restore_into(clone.processes[name])
+            network.add_link(a, b, profile)
         for message in self.channels:
-            clone.inject(
+            network.inject(
                 message.src, message.dst, message.payload, delay=message.offset
             )
-        return clone
+        return network
+
+
+def _restore(checkpoint: NodeCheckpoint, process_factory: ProcessFactory,
+             network: Network, timers: dict[str, Event]) -> Process:
+    """Build ``checkpoint``'s router in ``network`` holding ``timers``."""
+    process = process_factory(checkpoint)
+    if process.name != checkpoint.node:
+        raise ValueError(
+            f"factory returned {process.name!r} for checkpoint "
+            f"{checkpoint.node!r}"
+        )
+    process.attach(network)
+    checkpoint.restore_into(process, timers)
+    return process
 
 
 class _Marker:

@@ -9,10 +9,16 @@ It also implements the two hooks DiCE needs from its substrate:
 * **pause/clone support** — the orchestrator restores exported node
   states and in-flight messages into a *fresh* network, never sharing
   mutable state with the live one (see :mod:`repro.core.snapshot`).
+  A clone adds its processes *deferred* (:meth:`Network.defer_process`):
+  each is built the first time something reaches it, so a clone pays
+  only for the processes its run touches.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Mapping
+from functools import partial
+from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable
 
 from repro.net.link import Link, LinkProfile
@@ -37,6 +43,74 @@ class InFlightMessage:
         return f"<in-flight {self.src}->{self.dst} @{self.deliver_at:.3f}>"
 
 
+class Processes(Mapping[str, Process]):
+    """Every process of a network by name, built or deferred.
+
+    A deferred process is made by its build function on its first
+    lookup and is then one dict hit away like any other.  Names, membership and
+    length need no build; ``values()``, ``items()`` and ``get`` build
+    what they return, so every reader sees the whole network.  Iteration
+    follows the order processes were added.
+    """
+
+    __slots__ = ("built", "_deferred", "_names", "_on_build")
+
+    def __init__(self) -> None:
+        # The processes built so far, in the order they were built.
+        self.built: dict[str, Process] = {}
+        self._deferred: dict[str, Callable[[], Process]] = {}
+        self._names: list[str] = []
+        self._on_build: list[Callable[[str, Process], None]] = []
+
+    def __getitem__(self, name: str) -> Process:
+        try:
+            return self.built[name]
+        except KeyError:
+            pass
+        process = self._deferred[name]()
+        del self._deferred[name]
+        self.built[name] = process
+        for callback in self._on_build:
+            callback(name, process)
+        return process
+
+    def __contains__(self, name: object) -> bool:
+        return name in self.built or name in self._deferred
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._names)
+
+    def __len__(self) -> int:
+        return len(self._names)
+
+    def add(self, process: Process) -> None:
+        """Hold an already built process."""
+        self._add_name(process.name)
+        self.built[process.name] = process
+
+    def defer(self, name: str, build: Callable[[], Process]) -> None:
+        """Hold ``name``, built by ``build()`` on its first lookup."""
+        self._add_name(name)
+        self._deferred[name] = build
+
+    def _add_name(self, name: str) -> None:
+        if name in self:
+            raise ValueError(f"duplicate process name {name!r}")
+        self._names.append(name)
+
+    def watch(self, callback: Callable[[str, Process], None]) -> None:
+        """Call ``callback(name, process)`` each time a deferred process
+        is built from now on, before anything reaches it."""
+        self._on_build.append(callback)
+
+    def clear(self) -> None:
+        """Forget every process, built or deferred, and every watcher."""
+        self.built.clear()
+        self._deferred.clear()
+        self._names.clear()
+        self._on_build.clear()
+
+
 class Network:
     """A set of processes joined by links, driven by one simulator."""
 
@@ -45,7 +119,9 @@ class Network:
 
     def __init__(self, seed: int = 0):
         self.sim = Simulator(seed)
-        self.processes: dict[str, Process] = {}
+        self.processes = Processes()
+        # The built processes, the dict a delivery looks its target up in.
+        self._built = self.processes.built
         self._links: list[Link] = []
         # src -> dst -> [link, the link's RNG stream]: one entry per link,
         # reached from both endpoints, so a message finds its link and
@@ -69,13 +145,42 @@ class Network:
 
     def add_process(self, process: Process) -> Process:
         """Add a process; names must be unique."""
-        if process.name in self.processes:
-            raise ValueError(f"duplicate process name {process.name!r}")
-        self.processes[process.name] = process
+        self.processes.add(process)
         process.attach(self)
         if self._started:
             process.start()
         return process
+
+    def defer_process(
+        self, name: str, timers: Mapping[str, float],
+        build: Callable[["Network", dict[str, Event]], Process],
+    ) -> None:
+        """Add process ``name`` without building it.
+
+        Its armed ``timers`` (name -> delay from now, in arming order)
+        are scheduled here, one event each, as the process's own
+        :meth:`~repro.net.node.Process.set_timer` would schedule them.
+        ``build(self, events)`` makes the process on its first lookup in
+        :attr:`processes` — a delivery to it, one of those timers
+        coming up, or any reader — and returns it attached to this
+        network, holding ``events`` as its armed timers.  Nothing runs
+        its ``start`` hook.
+        """
+        events = {
+            timer: self.sim.schedule(
+                delay, partial(self._fire_deferred, name, timer)
+            )
+            for timer, delay in timers.items()
+        }
+        self.processes.defer(name, lambda: build(self, events))
+
+    def _fire_deferred(self, name: str, timer: str) -> None:
+        self.processes[name]._fire_timer(timer)
+
+    def materialized(self) -> Mapping[str, Process]:
+        """A read-only view of the processes built so far, in the
+        order they were built; looking into it builds nothing."""
+        return MappingProxyType(self._built)
 
     def add_link(self, a: str, b: str, profile: LinkProfile | None = None) -> Link:
         """Connect processes ``a`` and ``b``; at most one link per pair."""
@@ -172,9 +277,11 @@ class Network:
         )
 
     def _deliver(self, src: str, dst: str, payload: Any) -> None:
-        process = self.processes.get(dst)
+        process = self._built.get(dst)
         if process is None:
-            return
+            if dst not in self.processes:
+                return
+            process = self.processes[dst]
         # Iterate a copy: an interceptor may unregister itself mid-delivery
         # (the snapshot session does, on its final marker).
         for interceptor in list(self._interceptors):
@@ -247,7 +354,7 @@ class Network:
         network; afterwards it has no processes, links or pending
         events, so running it does nothing.
         """
-        for process in self.processes.values():
+        for process in self._built.values():
             process.detach()
         self.processes.clear()
         self._links.clear()

@@ -102,6 +102,15 @@ class Process:
         for name in list(self._timers):
             self.cancel_timer(name)
 
+    def adopt_timers(self, events: dict[str, "Event"]) -> None:
+        """Take ``events`` — pending, scheduled to fire this process's
+        timers by name — as its armed timers, in their order, in place
+        of any armed now.  A deferred process's timers are scheduled
+        before it is built (:meth:`~repro.net.network.Network.
+        defer_process`); this is how it gets them."""
+        self.cancel_all_timers()
+        self._timers = dict(events)
+
     def _fire_timer(self, name: str) -> None:
         self._timers.pop(name, None)
         self.on_timer(name)

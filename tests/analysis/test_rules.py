@@ -28,7 +28,7 @@ class TestRegistry:
     def test_every_documented_rule_is_registered(self):
         assert set(rule_ids()) == {
             "DET001", "DET002", "DET003", "DET004",
-            "ISO001", "HRM001", "HRM002", "WIRE001",
+            "ISO001", "ISO002", "HRM001", "HRM002", "WIRE001",
             "SUP001",
         }
 
@@ -88,6 +88,24 @@ class TestImportContractFixtures:
 
     def test_clean_tree_passes(self, iso_contract):
         assert not findings_for("ISO001", FIXTURES / "iso_good")
+
+
+class TestCloneProcessIterationFixtures:
+    def test_iterating_a_clones_processes_flags(self):
+        found = findings_for("ISO002", FIXTURES / "iso002_bad")
+        by_file: dict = {}
+        for finding in found:
+            name = finding.path.rsplit("/", 1)[-1]
+            by_file.setdefault(name, []).append(finding.line_text.strip())
+        # prepare's loop over .items(); check's sorted(), sum over
+        # .values() and comprehension over .keys(); the explorer's
+        # unpacking.  The oracle function is out of scope and the
+        # waived line is suppressed.
+        assert len(by_file["props.py"]) == 4, by_file
+        assert by_file["explorer.py"] == ["return [*clone.processes]"]
+
+    def test_materialized_reads_and_lookups_pass(self):
+        assert not findings_for("ISO002", FIXTURES / "iso002_good")
 
 
 class TestWireDataclassFixtures:

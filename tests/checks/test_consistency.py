@@ -11,10 +11,19 @@ from repro.core.sharing import SharingRegistry
 from repro.util.hashing import salted_digest
 
 
+def configs_of(network):
+    """The configuration of every router of a live network, by name."""
+    return {
+        name: process.config
+        for name, process in network.processes.items()
+    }
+
+
 def make_context(live, node="r2"):
     registry = SharingRegistry.from_configs(live.initial_configs)
-    build_sharing_endpoints(live.network, registry)
-    attach_consistency_checks(live.network, registry)
+    configs = configs_of(live.network)
+    build_sharing_endpoints(live.network, registry, configs)
+    attach_consistency_checks(live.network, registry, configs)
     return CheckContext(clone=live.network, node=node, sharing=registry)
 
 
@@ -91,7 +100,9 @@ class TestExportConsistency:
 
     def test_skips_domains_without_commitment_check(self, converged3):
         registry = SharingRegistry.from_configs(converged3.initial_configs)
-        build_sharing_endpoints(converged3.network, registry)
+        build_sharing_endpoints(
+            converged3.network, registry, configs_of(converged3.network)
+        )
         # No attach_consistency_checks: the property must skip quietly.
         context = CheckContext(
             clone=converged3.network, node="r2", sharing=registry

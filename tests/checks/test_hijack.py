@@ -7,9 +7,17 @@ from repro.core.properties import CheckContext
 from repro.core.sharing import SharingRegistry
 
 
+def configs_of(network):
+    """The configuration of every router of a live network, by name."""
+    return {
+        name: process.config
+        for name, process in network.processes.items()
+    }
+
+
 def make_context(live, node="r2"):
     registry = SharingRegistry.from_configs(live.initial_configs)
-    build_sharing_endpoints(live.network, registry)
+    build_sharing_endpoints(live.network, registry, configs_of(live.network))
     return CheckContext(
         clone=live.network, node=node, sharing=registry
     )
@@ -110,14 +118,18 @@ class TestOriginAuthenticity:
 class TestEndpointConstruction:
     def test_one_endpoint_per_as(self, converged3):
         registry = SharingRegistry()
-        build_sharing_endpoints(converged3.network, registry)
+        build_sharing_endpoints(
+            converged3.network, registry, configs_of(converged3.network)
+        )
         assert {ep.asn for ep in registry.endpoints()} == {
             65001, 65002, 65003,
         }
 
     def test_endpoint_checks_registered(self, converged3):
         registry = SharingRegistry()
-        build_sharing_endpoints(converged3.network, registry)
+        build_sharing_endpoints(
+            converged3.network, registry, configs_of(converged3.network)
+        )
         endpoint = registry.endpoint(65001)
         assert endpoint.names() == [
             "authorizes_origin", "has_route_to", "originates",
@@ -125,7 +137,9 @@ class TestEndpointConstruction:
 
     def test_originates_answers_truthfully(self, converged3):
         registry = SharingRegistry()
-        build_sharing_endpoints(converged3.network, registry)
+        build_sharing_endpoints(
+            converged3.network, registry, configs_of(converged3.network)
+        )
         assert registry.query(
             65002, 65001, "originates", Prefix("10.1.0.0/16")
         ) is True

@@ -35,8 +35,9 @@ def track_clones(explorer, on_clone=lambda clone: None):
 
 
 def track_probes(explorer, on_probe=lambda network: None):
-    """Every one-router network ``explorer`` restores to read a
-    checkpoint, in order; each is shown to ``on_probe`` while open."""
+    """Every lazy network ``explorer`` opens to read one router of its
+    snapshot, in order; each has built that router alone, and is shown
+    to ``on_probe`` while open."""
     from contextlib import contextmanager
 
     probes = []
@@ -45,6 +46,7 @@ def track_probes(explorer, on_probe=lambda network: None):
     @contextmanager
     def tracked(node):
         with probe_router(node) as router:
+            assert list(router.network.materialized()) == [node]
             probes.append(router.network)
             on_probe(probes[-1])
             yield router
@@ -295,7 +297,7 @@ class TestCloneRelease:
     @staticmethod
     def run_without_gc(explorer, session):
         """Run ``session`` with the cyclic collector off and check that
-        every router of every clone and single-router probe it made
+        every router of every clone and one-router probe it made
         died by refcount alone; return the clones."""
         import gc
         import weakref
@@ -336,7 +338,7 @@ class TestCloneRelease:
                 node=node, inputs=3, seed=1, grammar_seeds=1))
         ))
         # null probe, one per input; the peer pick and the grammar read
-        # one restore of the one router, not a clone
+        # the one router built in an uncounted lazy network, not a clone
         assert len(clones) == reports[0].clones_created == 4
         assert len(probes) == 1
         assert reports[0].executions == 3

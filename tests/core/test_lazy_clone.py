@@ -1,0 +1,322 @@
+"""Copy-on-touch clones run exactly as eager ones (see
+:mod:`repro.core.snapshot`).
+
+A clone builds a router only when something reaches it.  The references
+are the same clone with every router forced at t=0
+(``list(clone.processes.values())``) and a clone built the way clones
+were before they were lazy, every router restored up front and arming
+its own timers.  Run on the same input, all three must execute the same
+events at the same ``(time, seq)`` on the same targets, end in the same
+state at every router and draw the same verdicts — over mid-churn
+snapshots with messages in flight, horizons long enough for untouched
+routers' own timers to fire, and stop mode's sliced checks.
+"""
+
+import heapq
+import inspect
+import random
+from dataclasses import replace
+from functools import partial
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from campaign_helpers import bad_gadget_live, crash_live, hijack_live
+from repro import quickstart_system
+from repro.bgp import faults
+from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.config import AddNetwork, RemoveNetwork
+from repro.bgp.damping import DampingParams
+from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.messages import UpdateMessage
+from repro.checks import default_property_suite
+from repro.checks.hijack import OriginAuthenticity
+from repro.checks.sessions import SessionCascade
+from repro.concolic.grammar import UpdateGrammar
+from repro.core.explorer import STOP_SLICES, Explorer
+from repro.core.live import LiveSystem, bgp_process_factory
+from repro.core.properties import CheckContext, PropertySuite
+from repro.core.sharing import SharingRegistry
+from repro.net.network import Network
+
+
+def update(prefix: str, *communities: int) -> bytes:
+    """An UPDATE from r1 (AS 65001) announcing ``prefix``."""
+    return UpdateMessage(
+        attributes=PathAttributes(
+            as_path=AsPath.from_sequence(65001),
+            next_hop=IPv4Address("172.16.0.1"),
+            communities=communities,
+        ),
+        nlri=(Prefix(prefix),),
+    ).encode()
+
+
+def demo27_mid_churn(topology):
+    """demo27 with MRAI and damping on, cut as the MRAI timers armed by
+    a stub's withdraw and re-announce come up: the cut records
+    messages in flight, and MRAI timers, pending exports and dampener
+    entries are populated."""
+    configs = [
+        replace(config, mrai=2.0, damping=DampingParams())
+        for config in topology.configs
+    ]
+    live = LiveSystem.build(configs, topology.links, seed=27)
+    live.converge(deadline=600)
+    stub = topology.nodes_in_tier(3)[0]
+    prefix = live.router(stub).config.networks[0]
+    live.apply_change(stub, RemoveNetwork(prefix))
+    live.run(until=live.network.sim.now + 0.5)
+    live.apply_change(stub, AddNetwork(prefix))
+    live.run(until=live.network.sim.now + 1.6)
+    return live
+
+
+def scarred_live():
+    """The r1–r2–r3 line with history: r3 has crashed once and the
+    r2–r3 session has been reset once, both long before the cut, so a
+    router built late must be baselined at its checkpoint's non-zero
+    counters, not at zero."""
+    live = quickstart_system(seed=0)
+    router = live.router("r3")
+    router.config = replace(
+        router.config, enabled_bugs=frozenset({faults.BUG_COMMUNITY_CRASH})
+    )
+    live.converge()
+    live.network.inject(
+        "r2", "r3", update("10.66.0.0/16", faults.COMMUNITY_CRASH_VALUE))
+    live.network.inject("r3", "r2", b"\xff" * 16 + b"\x00\x13\x09")
+    live.run(until=live.network.sim.now + 60)
+    assert live.router("r3").crash_count == 1
+    assert live.router("r2").sessions["r3"].stats.resets >= 1
+    assert live.router("r2").established_peers() == ["r1", "r3"]
+    return live
+
+
+@pytest.fixture(scope="module")
+def systems(demo27_topology):
+    """name -> (explorer over a snapshot, nodes to explore at)."""
+    built = {
+        "demo27": (demo27_mid_churn(demo27_topology),
+                   demo27_topology.nodes_in_tier(1)[0],
+                   demo27_topology.nodes_in_tier(1)[:1]
+                   + demo27_topology.nodes_in_tier(2)[:2]),
+        "crash": (crash_live(), "r2", ["r2"]),
+        "gadget": (bad_gadget_live(), "r1", ["r1", "r2"]),
+        "hijack": (hijack_live(), "r3", ["r3", "r1"]),
+        "scarred": (scarred_live(), "r1", ["r1", "r2"]),
+    }
+    explorers = {}
+    for name, (live, initiator, nodes) in built.items():
+        snapshot = live.coordinator.capture(initiator)
+        claims = SharingRegistry.from_configs(live.initial_configs)
+        explorers[name] = (
+            Explorer(snapshot, default_property_suite(), claims), nodes,
+        )
+    return explorers
+
+
+def test_the_demo27_cut_holds_messages_in_flight(systems):
+    explorer, _ = systems["demo27"]
+    snapshot = explorer._snapshot
+    assert snapshot.channels
+    assert any(cp.timers for cp in snapshot.checkpoints.values())
+
+
+def target(callback) -> tuple:
+    """What an event reaches: a router's timer or a delivery."""
+    if isinstance(callback, partial):  # a deferred router's timer
+        return ("timer", *callback.args)
+    closure = inspect.getclosurevars(callback).nonlocals
+    if "dst" in closure:
+        return ("deliver", closure["src"], closure["dst"])
+    return ("timer", closure["self"].name, closure["name"])
+
+
+def run_traced(clone, until: float, trace: list) -> None:
+    """Run ``clone`` to ``until``, appending ``(time, seq, target)`` of
+    every event it runs to ``trace``."""
+    sim = clone.sim
+    queue = sim._queue
+    while queue:
+        time, seq, event = queue[0]
+        if event.cancelled:
+            heapq.heappop(queue)
+            continue
+        if seq != event.seq:  # postponed: back at its deadline
+            heapq.heapreplace(queue, (event.time, event.seq, event))
+            continue
+        if time > until:
+            break
+        trace.append((time, seq, target(event.callback)))
+        sim.step()
+    clone.run(until=until)
+
+
+def eager_clone(snapshot, seed):
+    """The reference: every router built and restored up front, its
+    timers armed by its own ``import_state``, then the cut's channel
+    messages — how clones were made before they were lazy."""
+    network = Network(seed=seed)
+    for name in sorted(snapshot.checkpoints):
+        network.add_process(bgp_process_factory(snapshot.checkpoints[name]))
+    for a, b, profile in snapshot.links:
+        network.add_link(a, b, profile)
+    network.start_silently()
+    for name in sorted(snapshot.checkpoints):
+        snapshot.checkpoints[name].restore_into(network.processes[name])
+    for message in snapshot.channels:
+        network.inject(message.src, message.dst, message.payload,
+                       delay=message.offset)
+    return network
+
+
+def explore_once(explorer, node, data, horizon, sliced, build,
+                 make_suite=default_property_suite):
+    """One clone of ``explorer``'s snapshot, built ``lazy``, ``forced``
+    (every router looked up at t=0) or ``eager`` (:func:`eager_clone`),
+    run on ``data`` the explorer's way under ``make_suite()``; returns
+    everything observable about the run, and the routers built before
+    and after it."""
+    if build == "eager":
+        clone = eager_clone(explorer._snapshot, seed=5)
+    else:
+        clone = explorer._snapshot.clone(bgp_process_factory, seed=5)
+    if build == "forced":
+        list(clone.processes.values())
+    restored = len(clone.materialized())
+    router = clone.processes[node]
+    peer = next(iter(router.established_peers()), None)
+    suite = make_suite()
+    context = CheckContext(
+        clone=clone, node=node, sharing=explorer._sharing_for(clone),
+        peer=peer,
+    )
+    suite.prepare_all(context)
+    if data is not None and peer is not None:
+        router.handle_raw(peer, data)
+    trace: list = []
+    monotone = []
+    if sliced:
+        for fraction in STOP_SLICES:
+            run_traced(clone, horizon * fraction, trace)
+            monotone.append(suite.check_monotone(context))
+    run_traced(clone, horizon, trace)
+    verdicts = suite.check_all(context)
+    touched = len(clone.materialized())
+    states = {
+        name: process.export_state()
+        for name, process in clone.processes.items()
+    }
+    clone.close()
+    return {
+        "trace": trace,
+        "monotone": monotone,
+        "verdicts": verdicts,
+        "states": states,
+    }, restored, touched
+
+
+def make_input(explorer, node, kind, seed):
+    """None (the null probe), a grammar UPDATE or random bytes."""
+    if kind == "none":
+        return None
+    rng = random.Random(seed)
+    if kind == "random":
+        return rng.randbytes(rng.randint(19, 64))
+    with explorer._probe_router(node) as router:
+        return UpdateGrammar.for_router(router, rng).generate().data
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    system=st.sampled_from(["demo27", "crash", "gadget", "hijack",
+                            "scarred"]),
+    pick=st.integers(0, 2),
+    kind=st.sampled_from(["none", "grammar", "random"]),
+    seed=st.integers(0, 2**16),
+    horizon=st.sampled_from([0.5, 3.0, 15.0, 35.0]),
+    sliced=st.booleans(),
+)
+def test_a_lazy_clone_runs_as_an_eager_one(systems, system, pick, kind,
+                                           seed, horizon, sliced):
+    explorer, nodes = systems[system]
+    node = nodes[pick % len(nodes)]
+    data = make_input(explorer, node, kind, seed)
+    lazy, restored, touched = explore_once(
+        explorer, node, data, horizon, sliced, "lazy")
+    for build in ("forced", "eager"):
+        reference, built, _ = explore_once(
+            explorer, node, data, horizon, sliced, build)
+        assert lazy == reference, build
+        # The reference really did build everything up front.
+        assert built == len(explorer._snapshot.checkpoints)
+    # Nothing is built before something reaches it.
+    assert restored == 0
+    assert touched <= len(explorer._snapshot.checkpoints)
+
+
+def test_long_horizons_fire_untouched_routers_own_timers(systems):
+    """Past 30 s every router's keepalive timer comes up: the run
+    builds routers that no message reached, through their timers."""
+    explorer, nodes = systems["demo27"]
+    lazy, _, touched = explore_once(
+        explorer, nodes[0], None, 35.0, sliced=False, build="lazy")
+    fired = {t[1] for _, _, t in lazy["trace"] if t[0] == "timer"}
+    assert touched == len(explorer._snapshot.checkpoints)
+    assert len(fired) > 1
+
+
+def test_routers_built_late_are_baselined_at_their_checkpoint(systems):
+    """A route r2 learns from r1 reaches r3 only after prepare; r3's
+    crash and the r2–r3 reset from before the cut are not this input's
+    doing, exactly as when every router is baselined up front."""
+    explorer, _ = systems["scarred"]
+    lazy, _, touched = explore_once(
+        explorer, "r2", update("10.77.0.0/16"), 3.0, sliced=False,
+        build="lazy")
+    assert touched >= 2
+    assert ("deliver", "r2", "r3") in {t for _, _, t in lazy["trace"]}
+    assert lazy["verdicts"] == []
+
+
+def test_a_short_null_run_builds_what_it_reaches(systems):
+    """With nothing injected and no timer due, a clone restores only
+    the routers its in-flight messages and due timers reach."""
+    explorer, nodes = systems["crash"]
+    _, _, touched = explore_once(
+        explorer, nodes[0], None, 0.5, sliced=False, build="lazy")
+    # The crash system is converged: only the explored node, which
+    # prepare looks up, is built.
+    assert touched == 1
+
+
+def test_a_router_built_inside_prepare_is_baselined_for_every_property(
+        systems):
+    """The first property here never touches the explored node; the
+    second builds it inside its own ``prepare``.  The first must still
+    baseline it at its checkpoint: r2's reset of its r3 session before
+    the cut is not this clone's doing."""
+    explorer, _ = systems["scarred"]
+
+    def make_suite():
+        return PropertySuite([SessionCascade(), OriginAuthenticity()])
+
+    clone = explorer._snapshot.clone(bgp_process_factory, seed=5)
+    context = CheckContext(
+        clone=clone, node="r2", sharing=explorer._sharing_for(clone))
+    make_suite().prepare_all(context)
+    resets = clone.materialized()["r2"].sessions["r3"].stats.resets
+    assert resets >= 1
+    assert context.baseline["resets:r2:r3"] == resets
+    clone.close()
+
+    runs = [
+        explore_once(explorer, "r2", None, 0.5, sliced=False, build=build,
+                     make_suite=make_suite)[0]
+        for build in ("lazy", "eager")
+    ]
+    assert runs[0] == runs[1]
+    assert runs[0]["verdicts"] == []

@@ -225,14 +225,15 @@ class TestClone:
     def test_factory_name_mismatch_rejected(self, converged3):
         snapshot = converged3.coordinator.capture("r1")
 
-        # A factory that renames the process must be refused.
+        # A factory that renames the process must be refused, when the
+        # clone builds the router: on first touch.
         def renaming_factory(checkpoint):
             router = bgp_process_factory(checkpoint)
             router.name = "imposter"
             return router
 
         with pytest.raises(ValueError):
-            snapshot.clone(renaming_factory, seed=1)
+            snapshot.clone(renaming_factory, seed=1).processes["r1"]
 
 
 class TestDisconnectedTopology:
