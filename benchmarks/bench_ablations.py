@@ -1,8 +1,5 @@
 """Ablation benchmarks for the design choices DESIGN.md calls out.
 
-* **frontier discipline** — BFS (SAGE-style generational default) vs
-  DFS vs coverage-first queueing in the concolic engine, measured on the
-  real UPDATE decoder;
 * **route-flap damping** — RFC 2439 damping on the BAD GADGET wheel:
   damping collapses the churn by parking the flapping routes in
   suppressed state — the conflict is *masked*, not fixed (reachability
@@ -15,57 +12,10 @@ Run:  pytest benchmarks/bench_ablations.py --benchmark-only -s
 """
 
 import dataclasses
-import random
-
-import pytest
-
-import benchlib
 
 from repro.bgp.damping import DampingParams
-from repro.bgp.errors import BGPError
-from repro.bgp.messages import decode_message
-from repro.concolic.engine import ConcolicEngine
-from repro.concolic.frontier import Frontier
-from repro.concolic.grammar import UpdateGrammar
-from repro.concolic.solver import Solver
 from repro.core.live import LiveSystem
 from repro.topo.gadgets import GADGET_PREFIX, build_bad_gadget
-
-FRONTIER_RESULTS = {}
-
-
-@pytest.mark.parametrize("frontier", ["bfs", "dfs", "coverage"])
-def test_frontier_discipline(benchmark, frontier):
-    """Unique decoder paths at a fixed 120-execution budget."""
-
-    def program(sym):
-        try:
-            return decode_message(sym)
-        except BGPError:
-            return "protocol_error"
-
-    def explore():
-        engine = ConcolicEngine(program, solver=Solver(seed=7))
-        grammar = UpdateGrammar(rng=random.Random(11))
-        seeds = [
-            generated.symbolic(prefix=f"f{index}_")
-            for index, generated in enumerate(grammar.generate_many(3))
-        ]
-        return engine.run_shard(Frontier.from_seeds(seeds, frontier), 120)
-
-    result = benchmark.pedantic(explore, rounds=1, iterations=1)
-    FRONTIER_RESULTS[frontier] = result
-    print(
-        f"\n  {frontier:<9} paths={result.unique_paths:<4} "
-        f"coverage={result.branch_coverage:<4} "
-        f"crashes={len(result.crashes)}"
-    )
-    benchlib.record(
-        "ablations",
-        metrics={f"{frontier}_unique_paths": result.unique_paths},
-        config={"budget": 120},
-    )
-    assert result.unique_paths > 40  # all disciplines explore plenty
 
 
 def _gadget_churn(damping, horizon=60.0):

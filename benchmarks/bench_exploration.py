@@ -115,7 +115,7 @@ def test_strategy_sweep_sharded_across_workers(benchmark):
     claims = claims_to_spec(
         SharingRegistry.from_configs(live.initial_configs)
     )
-    whole = FrontierShard(round=0, index=0, count=1, budget=BUDGET // 2)
+    whole = FrontierShard(index=0, count=1, budget=BUDGET // 2)
     tasks = [
         ExplorationTask(
             config=ExplorationConfig(

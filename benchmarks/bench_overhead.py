@@ -327,7 +327,7 @@ def test_task_shipping_overhead(benchmark):
     config = ExplorationConfig(node=topology.nodes_in_tier(2)[0], seed=1)
     task = ExplorationTask(
         config=config,
-        shard=FrontierShard(round=0, index=0, count=1, budget=config.inputs),
+        shard=FrontierShard(index=0, count=1, budget=config.inputs),
         snapshot=snapshot,
         suite=default_property_suite(),
         claims=claims_to_spec(

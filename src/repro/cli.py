@@ -32,7 +32,6 @@ import sys
 
 from repro import DiceOrchestrator, OrchestratorConfig, quickstart_system
 from repro.checks import default_property_suite
-from repro.concolic.frontier import FrontierDiscipline
 from repro.core.live import LiveSystem
 from repro.core.offline import OfflineParserTester
 from repro.core.parallel import TRANSPORTS
@@ -98,7 +97,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             horizon=args.horizon,
             seed=args.seed,
             workers=args.workers,
-            frontier=args.frontier,
             frontier_shards=args.frontier_shards,
             transport=args.transport,
             remote_workers=remote_workers,
@@ -127,10 +125,20 @@ def _convergence_line(converged_at: float, deadline: float) -> str:
 
 
 def _parse_remote_workers(text: str | None) -> list[str] | None:
-    """Split a comma-separated host:port list; None stays None."""
+    """Split a comma-separated host:port list; None stays None.  A
+    malformed address is an error here, before the live system is
+    built."""
+    from repro.core.remote import parse_address
+
     if not text:
         return None
-    return [piece.strip() for piece in text.split(",") if piece.strip()]
+    addresses = [piece.strip() for piece in text.split(",") if piece.strip()]
+    for address in addresses:
+        try:
+            parse_address(address)
+        except ValueError as exc:
+            raise SystemExit(f"error: {exc}") from None
+    return addresses
 
 
 def _cmd_remote_worker(args: argparse.Namespace) -> int:
@@ -168,6 +176,15 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
+def _port(text: str) -> int:
+    """argparse type for a TCP port to listen on (0 = ephemeral)."""
+    value = int(text)
+    if not 0 <= value <= 65535:
+        raise argparse.ArgumentTypeError(
+            f"must be in 0..65535, got {value}")
     return value
 
 
@@ -209,12 +226,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="exploration worker slots "
                                "(default: one per CPU; 1 = inline in "
                                "this process, the serial reference)")
-    campaign.add_argument("--frontier", default="bfs",
-                          choices=[d.value for d in FrontierDiscipline],
-                          help="branch-frontier discipline for concolic "
-                               "exploration: the pop order of a whole "
-                               "session's frontier and of every shard's "
-                               "alike")
     campaign.add_argument("--frontier-shards", type=_positive_int,
                           default=1, metavar="N",
                           help="max shard tasks per session round; > 1 "
@@ -263,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     worker.add_argument("--host", default="127.0.0.1",
                         help="interface to listen on")
-    worker.add_argument("--port", type=int, default=0,
+    worker.add_argument("--port", type=_port, default=0,
                         help="TCP port (0 = ephemeral; the bound "
                              "address is printed at startup)")
     worker.set_defaults(handler=_cmd_remote_worker)

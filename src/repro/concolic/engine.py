@@ -19,10 +19,10 @@ DiCE's explorer harvests them as programming-error fault candidates.
 
 The queue and dedup state live in an explicit
 :class:`~repro.concolic.frontier.Frontier` value, so a session's
-unexplored branches can be shipped to other workers: the discipline is
-the frontier's, the budget an argument of :meth:`ConcolicEngine.
+unexplored branches can be shipped to other workers: the frontier pops
+breadth-first, the budget is an argument of :meth:`ConcolicEngine.
 run_shard`, and the one setting an engine holds is whether to stop at
-the first faulty execution.  :meth:`ConcolicEngine.explore` is the BFS
+the first faulty execution.  :meth:`ConcolicEngine.explore` is a whole
 session over a seed list; :meth:`ConcolicEngine.run_each` runs a
 feedback-free input stream (the grammar-only and random-mutation
 strategies) with the same path and coverage measurements, so their
@@ -136,9 +136,8 @@ class ConcolicEngine:
 
     def explore(self, seed_inputs: list[SymBytes],
                 budget: int = 200) -> ExplorationResult:
-        """Run BFS generational search from the given seeds, at most
-        ``budget`` (>= 1) executions.  Another discipline is
-        ``run_shard(Frontier.from_seeds(seeds, discipline), budget)``."""
+        """Run generational search from the given seeds, at most
+        ``budget`` (>= 1) executions."""
         if budget < 1:
             raise ValueError(f"budget must be >= 1, got {budget}")
         return self.run_shard(Frontier.from_seeds(seed_inputs), budget)
@@ -165,7 +164,7 @@ class ConcolicEngine:
             _observe(result, execution, frontier)
             if self._stop_at_first_fault and execution.faulted:
                 break
-            for child in self._expand(execution, frontier, entry.lineage):
+            for child in self._expand(execution, frontier):
                 frontier.push(child)
         result.frontier_exhausted = not frontier.entries
         _close(result, frontier, started)
@@ -193,10 +192,7 @@ class ConcolicEngine:
         return result
 
     def _expand(
-        self,
-        execution: Execution,
-        frontier: Frontier,
-        lineage: int,
+        self, execution: Execution, frontier: Frontier
     ) -> list[FrontierEntry]:
         """Generate child inputs by negating each branch past the bound.
 
@@ -228,15 +224,10 @@ class ConcolicEngine:
             model = self._solver.solve(condition)
             if model is None:
                 continue
-            child_input = execution.input.with_values(model)
-            novelty_key = branches[index][0].negated().fp
             children.append(FrontierEntry(
-                input=child_input,
+                input=execution.input.with_values(model),
                 bound=index + 1,
-                novel=novelty_key not in frontier.seen_constraints,
-                lineage=lineage,
                 key=flip_sig,
-                novelty_key=novelty_key,
             ))
         return children
 

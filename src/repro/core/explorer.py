@@ -73,12 +73,7 @@ from typing import Iterator
 from repro.bgp.errors import BGPError
 from repro.bgp.messages import decode_message
 from repro.concolic.engine import ConcolicEngine, ExplorationResult
-from repro.concolic.frontier import (
-    Frontier,
-    FrontierDiscipline,
-    FrontierShard,
-    resolve_discipline,
-)
+from repro.concolic.frontier import Frontier, FrontierShard
 from repro.concolic.grammar import UpdateGrammar
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import SymBytes, SymInt
@@ -127,7 +122,6 @@ class ExplorationConfig:
     horizon: float = 5.0
     grammar_seeds: int = 3
     seed: int = 0
-    frontier: FrontierDiscipline | str = FrontierDiscipline.BFS
     # Stop at the session's first fault: clones run in
     # :data:`STOP_SLICES`, a shard ends at its first faulty execution
     # (see the module docstring).
@@ -138,7 +132,6 @@ class ExplorationConfig:
             raise ValueError(f"unknown strategy {self.strategy!r}")
         if self.inputs < 1:
             raise ValueError(f"inputs must be >= 1, got {self.inputs}")
-        self.frontier = resolve_discipline(self.frontier)
 
 
 @dataclass
@@ -278,7 +271,7 @@ class Explorer:
     def explore(self, config: ExplorationConfig) -> NodeExplorationReport:
         """Run one whole session: the one round-0 shard that holds the
         full budget (see :meth:`explore_shard`)."""
-        whole = FrontierShard(round=0, index=0, count=1, budget=config.inputs)
+        whole = FrontierShard(index=0, count=1, budget=config.inputs)
         return self.explore_shard(config, whole)[0]
 
     def explore_shard(
@@ -294,7 +287,7 @@ class Explorer:
         counter, a solver seeded from ``config.seed`` alone, and (in
         round 0, marked by ``shard.frontier is None``) the full grammar
         seed list re-derived identically on every shard before each
-        keeps its lineage partition.  Placement therefore cannot change
+        keeps its positional slice.  Placement therefore cannot change
         the outcome, and a killed shard re-runs anywhere.  The
         session's null probe rides on round 0's shard 0, exactly once
         per session.
@@ -309,9 +302,8 @@ class Explorer:
         started = time.perf_counter()
         report, peer, grammar = self._open_session(config)
         if peer is None:
-            return (self._close_session(report, started),
-                    Frontier(discipline=config.frontier))
-        if shard.round == 0 and shard.index == 0:
+            return self._close_session(report, started), Frontier()
+        if shard.frontier is None and shard.index == 0:
             # Null probe: one clone with *no* injected input, observing
             # the system's natural evolution from the snapshot.
             # Behavioural deviations that need no trigger (an
@@ -320,12 +312,10 @@ class Explorer:
             # inputs happen to perturb.
             self._null_probe(config, report)
             if config.stop_at_first_fault and report.violations:
-                return (self._close_session(report, started),
-                        Frontier(discipline=config.frontier))
+                return self._close_session(report, started), Frontier()
         if shard.frontier is None:
             seeds = self._seeds(config, grammar)
-            root = Frontier.from_seeds(seeds, config.frontier)
-            frontier = root.partition(shard.count)[shard.index]
+            frontier = Frontier.from_seeds(seeds).split(shard.count)[shard.index]
         else:
             frontier = shard.frontier.copy()
         engine = ConcolicEngine(

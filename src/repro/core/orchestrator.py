@@ -51,7 +51,6 @@ from repro.concolic.frontier import (
     FrontierShard,
     ShardPlan,
     plan_round,
-    resolve_discipline,
 )
 from repro.core.explorer import (
     ExplorationConfig,
@@ -143,14 +142,10 @@ class OrchestratorConfig:
     # WorkerTransport the campaign engine should dispatch on, taking
     # precedence over `workers`/`transport`/`remote_workers`.
     transport_factory: Callable | None = None
-    # Branch-frontier discipline for concolic exploration — the pop
-    # order of every shard's frontier: "bfs" (the SAGE-style
-    # generational default), "dfs" or "coverage"; --frontier on the CLI.
-    frontier: str = "bfs"
     # Maximum shard tasks per session round.  Every session is rounds
     # of shards with work stealing at the round barriers; at 1 it is
     # one round of one shard holding the full budget, and above 1
-    # (concolic only) its frontier is partitioned.  The shard
+    # (concolic only) its frontier is split by position.  The shard
     # decomposition is part of the campaign *configuration* — results
     # at a given shard count are identical at any worker count, so
     # workers=1 with the same shard count is the serial reference for
@@ -493,9 +488,8 @@ class DiceOrchestrator:
     @staticmethod
     def _session_shards(config: OrchestratorConfig) -> int:
         """The maximum shard tasks per session round ``frontier_shards``
-        selects.  An unknown ``frontier`` fails here, before anything
-        is captured."""
-        resolve_discipline(config.frontier)
+        selects.  A sharded non-concolic strategy fails here, before
+        anything is captured."""
         if config.frontier_shards > 1 and config.strategy != STRATEGY_CONCOLIC:
             raise ValueError(
                 "frontier sharding applies to the concolic strategy "
@@ -568,11 +562,11 @@ class DiceOrchestrator:
         the session ships this :class:`ExplorationConfig`.
 
         A session fans out as *rounds* of up to ``run.shards`` shard
-        tasks; this submits round 0, which partitions by seed lineage,
-        so its shard count is bounded by the grammar-seed count (every
-        planned shard must start with at least one entry).  Round 0
-        ships no frontier: workers re-derive the seed list and keep
-        their lineage partition.
+        tasks; this submits round 0, which deals the grammar seeds by
+        position, so its shard count is bounded by the grammar-seed
+        count (every planned shard must start with at least one entry).
+        Round 0 ships no frontier: workers re-derive the seed list and
+        shard ``i`` of ``k`` keeps seeds ``i % k``.
         """
         config = run.config
         session = _Session(
@@ -586,7 +580,6 @@ class DiceOrchestrator:
                 seed=derive_seed(
                     config.seed, f"cycle{captured.cycle}/{captured.node}"
                 ),
-                frontier=config.frontier,
                 stop_at_first_fault=config.stop_after_first_fault,
             ),
             budget_left=config.inputs_per_node,
@@ -628,7 +621,6 @@ class DiceOrchestrator:
             self._submit(
                 run, session,
                 FrontierShard(
-                    round=session.round,
                     index=index,
                     count=plan.count,
                     budget=plan.budgets[index],
@@ -664,7 +656,6 @@ class DiceOrchestrator:
             final = Frontier.merge(
                 [outcome.frontier for outcome in outcomes]
             )
-            session.round += 1
             plan = plan_round(
                 len(final.entries), session.budget_left, run.shards
             )
@@ -729,7 +720,6 @@ class _Session:
     # The session's parameters, stated once; every task ships it.
     config: ExplorationConfig
     budget_left: int = 0
-    round: int = 0
     # The current round's shard tasks, submitted and resolved in order.
     handles: list = field(default_factory=list)
     # Every shard report absorbed so far, in (round, shard) order.

@@ -10,8 +10,8 @@ remote daemons above that:
 
 * an :class:`ExplorationTask` is the picklable unit of work — the
   session's :class:`~repro.core.explorer.ExplorationConfig` (node,
-  strategy, budget, per-session derived seed, frontier discipline),
-  the snapshot (or a pre-pickled snapshot payload), the property
+  strategy, budget, per-session derived seed, stop mode), the
+  snapshot (or a pre-pickled snapshot payload), the property
   suite and origination claims — nothing an earlier session learned —
   plus the :class:`~repro.concolic.frontier.FrontierShard` it runs: a
   slice of the session's frontier and an execution budget.  A whole

@@ -185,16 +185,28 @@ def recv_message(sock: socket.socket) -> tuple[tuple, int] | None:
 
 
 def parse_address(address: str | tuple[str, int]) -> tuple[str, int]:
-    """Normalize a ``host:port`` string (or pair) to a (host, port)."""
+    """Normalize a ``host:port`` string (or pair) to a (host, port).
+
+    An IPv6 host is written bracketed (``[::1]:7411``) and loses its
+    brackets.  A missing host or a port outside 1..65535 raises a
+    ValueError naming the address, before anything connects.
+    """
     if isinstance(address, tuple):
-        host, port = address
-        return host, int(port)
-    host, separator, port = address.strip().rpartition(":")
-    if not separator or not host:
+        host, port_text = address
+    else:
+        host, _, port_text = address.strip().rpartition(":")
+        if host.startswith("[") and host.endswith("]"):
+            host = host[1:-1]
+    try:
+        port = int(port_text)
+    except ValueError:
+        port = 0
+    if not host or not 1 <= port <= 65535:
         raise ValueError(
-            f"remote worker address {address!r} is not host:port"
+            f"remote worker address {address!r} is not host:port "
+            "with a port in 1..65535"
         )
-    return host, int(port)
+    return host, port
 
 
 # -- worker side --------------------------------------------------------------

@@ -9,7 +9,7 @@ from path_oracle import flip_signature
 from repro.concolic import solver as solver_module
 from repro.concolic.engine import ConcolicEngine
 from repro.concolic.expr import Constraint
-from repro.concolic.frontier import Frontier, FrontierDiscipline, plan_round
+from repro.concolic.frontier import Frontier, plan_round
 from repro.concolic.path import flip_at, flip_signatures, held_path, signature
 from repro.concolic.solver import Solver
 from repro.concolic.symbolic import MAX_BRANCHES, SymBytes
@@ -74,7 +74,7 @@ class TestRunOnce:
         solver = Solver(seed=1)
         engine = ConcolicEngine(looping_program, solver)
         execution = engine.run_once(SymBytes.mark_all(b"\x00"))
-        children = engine._expand(execution, Frontier(), lineage=0)
+        children = engine._expand(execution, Frontier())
         # `b0 > 1` is reachable at the first flip only: every later one
         # contradicts the held `b0 <= 1` before it.
         assert [child.input.concrete for child in children] == [b"\x02"]
@@ -119,7 +119,7 @@ class TestExplore:
         explored = ConcolicEngine(branchy_program, Solver(seed=2)).explore(
             seeds, 4
         )
-        frontier = Frontier.from_seeds(seeds, FrontierDiscipline.BFS)
+        frontier = Frontier.from_seeds(seeds)
         sharded = ConcolicEngine(branchy_program, Solver(seed=2)).run_shard(
             frontier, 4
         )
@@ -143,8 +143,7 @@ class TestExplore:
 
         def run(stop):
             engine = ConcolicEngine(violations, stop_at_first_fault=stop)
-            frontier = Frontier.from_seeds([SymBytes.mark_all(b"\xff")],
-                                           FrontierDiscipline.BFS)
+            frontier = Frontier.from_seeds([SymBytes.mark_all(b"\xff")])
             return engine.run_shard(frontier, 10), frontier
 
         full, _ = run(False)
@@ -273,20 +272,17 @@ class TestRandomBaseline:
 
 def explore_in_rounds(engine, seeds, budget, max_shards):
     """The campaign's shard rounds, composed from the same primitives:
-    partition by lineage, run each shard under its budget slice, merge
-    first-writer-wins, re-deal the leftovers."""
+    deal the entries by position, run each shard under its budget
+    slice, merge first-writer-wins, repeat over the leftovers."""
     merged = Frontier.from_seeds(seeds)
-    plan = plan_round(len(merged), budget, max_shards)
-    shards = merged.partition(plan.count) if plan else []
     crashes = 0
-    while plan is not None:
+    while (plan := plan_round(len(merged), budget, max_shards)) is not None:
+        shards = merged.split(plan.count)
         for shard, slice_ in zip(shards, plan.budgets, strict=True):
             result = engine.run_shard(shard, slice_)
             budget -= result.executions
             crashes += len(result.crashes)
         merged = Frontier.merge(shards)
-        plan = plan_round(len(merged), budget, max_shards)
-        shards = merged.split(plan.count) if plan else []
     return merged, crashes
 
 
@@ -313,9 +309,7 @@ class TestShardedExploration:
 
     def test_run_shard_respects_budget_and_mutates_the_frontier(self):
         engine = ConcolicEngine(branchy_program)
-        frontier = Frontier.from_seeds(
-            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
-        )
+        frontier = Frontier.from_seeds([SymBytes.mark_all(b"\x00\x00")])
         result = engine.run_shard(frontier, budget=1)
         assert result.executions == 1
         assert frontier.seen_paths  # dedup state accumulated in place
@@ -328,9 +322,7 @@ class TestShardedExploration:
         """Shards share one engine/solver here; summing per-shard
         counters must equal the totals, never double-count."""
         engine = ConcolicEngine(branchy_program)
-        frontier = Frontier.from_seeds(
-            [SymBytes.mark_all(b"\x00\x00")], FrontierDiscipline.BFS
-        )
+        frontier = Frontier.from_seeds([SymBytes.mark_all(b"\x00\x00")])
         first = engine.run_shard(frontier, budget=2)
         second = engine.run_shard(frontier, budget=100)
         total = first.solver_queries + second.solver_queries

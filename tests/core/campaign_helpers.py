@@ -73,7 +73,7 @@ def hijack_live():
 
 def whole_session(budget):
     """The one round-0 shard a whole session of ``budget`` inputs is."""
-    return FrontierShard(round=0, index=0, count=1, budget=budget)
+    return FrontierShard(index=0, count=1, budget=budget)
 
 
 def report_fingerprint(result):

@@ -117,8 +117,7 @@ def run(build, config, **changes):
 def frontier_fingerprint(frontier):
     return (
         [(entry.input.concrete, sorted(entry.input.variables()),
-          entry.bound, entry.novel, entry.lineage, entry.key,
-          entry.novelty_key) for entry in frontier.entries],
+          entry.bound, entry.key) for entry in frontier.entries],
         frontier.seen_paths, frontier.seen_flips,
         frontier.seen_constraints, frontier.seen_shapes,
     )

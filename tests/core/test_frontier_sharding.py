@@ -6,8 +6,8 @@ identical decomposition over the inline transport IS the serial
 reference, and fault reports and per-node counters (paths, coverage,
 clones, solver queries) are bit-identical at any worker count, over
 any transport — even when a worker slot dies holding a shard
-mid-round.  The shard count is a count, not a pop
-order: ``frontier`` names the discipline every shard pops by.
+mid-round.  Every shard pops breadth-first; the shard count is the one
+thing a campaign sets about its frontier.
 """
 
 import pytest
@@ -46,42 +46,22 @@ class TestShardedCampaigns:
         assert serial_reference.inputs_explored > 0
         assert serial_reference.cycles_completed == 2
 
-    def test_sharded_is_not_a_discipline(self):
-        """How many shards is ``frontier_shards``; naming it as a pop
-        order is the unknown-discipline error, raised before anything
-        is captured."""
-        live = faulty_live()
-        dice = DiceOrchestrator(live, default_property_suite())
-        before = live.network.sim.now
-        with pytest.raises(ValueError, match="unknown frontier discipline"):
-            dice.run_campaign(OrchestratorConfig(frontier="sharded"))
-        assert live.network.sim.now == before
 
+class TestThreeShards:
+    """Three seeds dealt by position over three shards, two executions
+    each, then every later round re-dealt over at most three shards."""
 
-class TestDisciplineUnderSharding:
-    """``frontier`` is the pop order of every shard (at the parent
-    commit three shards silently explored breadth-first)."""
-
-    @staticmethod
-    def run(frontier, **kwargs):
-        # Three seeds over three shards, two executions each: every
-        # shard's second pop is where the orders part.
-        return run_campaign(shards=3, frontier=frontier, **kwargs)
-
-    def test_dfs_shards_differ_from_bfs_shards(self):
-        def counters(result):
-            return [(n.node, n.unique_paths, n.branch_coverage,
-                     n.shape_coverage, n.solver_queries)
-                    for n in result.node_reports]
-
-        assert counters(self.run("dfs")) != counters(self.run("bfs"))
+    @pytest.fixture(scope="class")
+    def reference(self):
+        return run_campaign(shards=3)
 
     @pytest.mark.parametrize("kwargs", [
         dict(workers=2, transport="loopback"), dict(workers=2),
     ], ids=["loopback", "pool"])
-    def test_dfs_shards_match_their_serial_reference(self, kwargs):
-        assert campaign_fingerprint(self.run("dfs", **kwargs)) == (
-            campaign_fingerprint(self.run("dfs"))
+    def test_three_shards_match_their_serial_reference(self, reference,
+                                                       kwargs):
+        assert campaign_fingerprint(run_campaign(shards=3, **kwargs)) == (
+            campaign_fingerprint(reference)
         )
 
 

@@ -164,7 +164,7 @@ class TestExplorationTask:
         session = self.make_task(inputs=6)
         round0 = dataclasses.replace(
             session,
-            shard=FrontierShard(round=0, index=1, count=2, budget=2),
+            shard=FrontierShard(index=1, count=2, budget=2),
         )
         leftovers = Frontier.merge([
             run_task(dataclasses.replace(round0, shard=dataclasses.replace(
@@ -174,14 +174,14 @@ class TestExplorationTask:
         assert leftovers.entries
         round1 = dataclasses.replace(
             round0,
-            shard=FrontierShard(round=1, index=0, count=1, budget=2,
+            shard=FrontierShard(index=0, count=1, budget=2,
                                 frontier=leftovers),
         )
 
         def frontier_state(frontier):
             # SymBytes compares by identity: compare what it holds.
             return None if frontier is None else (
-                [(e.key, e.bound, e.novel, e.lineage, e.input.concrete)
+                [(e.key, e.bound, e.input.concrete)
                  for e in frontier.entries],
                 frontier.seen_paths, frontier.seen_flips,
                 frontier.seen_constraints, frontier.seen_shapes,

@@ -8,6 +8,7 @@ across local-pool, loopback, and socket transports.
 """
 
 import dataclasses
+import re
 import socket
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -77,11 +78,25 @@ class TestFrameCodec:
         with pytest.raises(ValueError):
             decode_frame(b"\x00")
 
-    def test_parse_address(self):
-        assert parse_address("127.0.0.1:7411") == ("127.0.0.1", 7411)
-        assert parse_address(("host", 80)) == ("host", 80)
-        with pytest.raises(ValueError, match="host:port"):
-            parse_address("7411")
+    @pytest.mark.parametrize("address, expected", [
+        ("127.0.0.1:7411", ("127.0.0.1", 7411)),
+        (("host", 80), ("host", 80)),
+        ("[::1]:7411", ("::1", 7411)),
+        (" host:7411 ", ("host", 7411)),
+        ("host:1", ("host", 1)),
+        ("host:65535", ("host", 65535)),
+    ])
+    def test_parse_address(self, address, expected):
+        assert parse_address(address) == expected
+
+    @pytest.mark.parametrize("address", [
+        "7411", "127.0.0.1:99999", "127.0.0.1:-1", "host:abc",
+        "127.0.0.1:0", "host:65536", "[::1]", ":7411", ("host", 70000),
+    ])
+    def test_parse_address_rejects_malformed(self, address):
+        # Rejected before anything connects, naming the address.
+        with pytest.raises(ValueError, match=re.escape(repr(address))):
+            parse_address(address)
 
 
 class TestRemoteWorkerState:

@@ -17,11 +17,7 @@ from hypothesis import given, strategies as st  # noqa: E402
 
 from repro.bgp.ip import Prefix  # noqa: E402
 from repro.checks import default_property_suite  # noqa: E402
-from repro.concolic.frontier import (  # noqa: E402
-    Frontier,
-    FrontierDiscipline,
-    FrontierShard,
-)
+from repro.concolic.frontier import Frontier, FrontierShard  # noqa: E402
 from repro.core.explorer import (  # noqa: E402
     ExplorationConfig,
     NodeExplorationReport,
@@ -141,7 +137,6 @@ configs = st.builds(
     inputs=st.integers(min_value=1, max_value=10_000),
     horizon=st.floats(min_value=0.1, max_value=600, allow_nan=False),
     seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
-    frontier=st.sampled_from(list(FrontierDiscipline)),
 )
 claim_specs = st.lists(
     st.tuples(
@@ -156,7 +151,6 @@ claim_specs = st.lists(
 counts = st.integers(min_value=0, max_value=10 ** 6)
 round0_shards = st.builds(
     FrontierShard,
-    round=st.just(0),
     index=st.integers(min_value=0, max_value=7),
     count=st.integers(min_value=8, max_value=16),
     budget=st.integers(min_value=1, max_value=10_000),
@@ -194,7 +188,7 @@ class TestTaskFrameProperties:
         """A frame is its snapshot payload plus an envelope fixed by the
         config and claims; pickle's bytes opcode may take a few more
         bytes for a longer payload, and that is all."""
-        whole = FrontierShard(round=0, index=0, count=1, budget=config.inputs)
+        whole = FrontierShard(index=0, count=1, budget=config.inputs)
         envelopes = [
             len(encode_frame(
                 ("task", 1, make_task(config, claims, blob, whole))

@@ -67,19 +67,12 @@ class TestParser:
                 ["campaign", "--transport", "carrier-pigeon"]
             )
 
-    def test_frontier_choices_are_the_disciplines(self):
-        from repro.concolic.frontier import FrontierDiscipline
-
-        for discipline in FrontierDiscipline:
-            args = build_parser().parse_args(
-                ["campaign", "--frontier", discipline.value,
-                 "--frontier-shards", "3"]
-            )
-            assert args.frontier == discipline.value
-            assert args.frontier_shards == 3
-        # A shard count is --frontier-shards, not a discipline.
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["campaign", "--frontier", "sharded"])
+    def test_frontier_shards_is_the_only_frontier_setting(self):
+        """The frontier pops breadth-first: a shard count is all there
+        is to set."""
+        args = build_parser().parse_args(["campaign", "--frontier-shards", "3"])
+        assert args.frontier_shards == 3
+        assert not hasattr(args, "frontier")
 
     def test_max_worker_failures_flag(self):
         args = build_parser().parse_args(["campaign"])
@@ -104,6 +97,18 @@ class TestParser:
         args = build_parser().parse_args(["remote-worker"])
         assert args.host == "127.0.0.1"
         assert args.port == 0
+
+    @pytest.mark.parametrize("port", [0, 1, 65535])
+    def test_remote_worker_port_in_range_accepted(self, port):
+        args = build_parser().parse_args(["remote-worker", "--port", str(port)])
+        assert args.port == port
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_remote_worker_port_out_of_range_rejected(self, port, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(["remote-worker", "--port", port])
+        assert exit_info.value.code == 2
+        assert "0..65535" in capsys.readouterr().err
 
 
 class TestCampaignCommand:
@@ -168,6 +173,11 @@ class TestCampaignCommand:
     def test_socket_without_workers_is_a_clean_error(self):
         with pytest.raises(SystemExit, match="remote-workers"):
             main(["campaign", "--transport", "socket"])
+
+    def test_malformed_worker_address_is_a_clean_error(self):
+        with pytest.raises(SystemExit, match="'127.0.0.1:99999'"):
+            main(["campaign", "--transport", "socket",
+                  "--remote-workers", "127.0.0.1:7411,127.0.0.1:99999"])
 
     def test_fail_on_fault_with_bad_gadget(self, capsys):
         code = main([
