@@ -1,8 +1,8 @@
 """EXP-LOOP — what the event loop and one BGP UPDATE cost.
 
 The simulator runs every clone DiCE explores and the live system beside
-it, so its constant costs per message are paid on both sides.  Six
-numbers, four of them deterministic and gated by CI:
+it, so its constant costs per message are paid on both sides.  Seven
+numbers, five of them deterministic and gated by CI:
 
 * ``queue_pushes_per_event`` — heap entries written (schedule + push
   back) per event run, over the null probe of the bad-gadget hunt: a
@@ -25,6 +25,9 @@ numbers, four of them deterministic and gated by CI:
   40-router internet made while it converged.  Gated "lower".
 * ``internet40_filter_objects`` — distinct ``Filter`` objects in that
   internet's configs.  Gated "lower".
+* ``export_filter_runs`` — export-filter evaluations (filters named
+  ``exp_*``) while that internet converges: one per change and update
+  group, not one per peer.  Gated "lower".
 
 Run:  python benchmarks/bench_event_loop.py [--json DIR]
 """
@@ -200,6 +203,10 @@ def policy_costs(seed: int) -> dict:
     return {
         "policy_calls_per_eval": round(events / len(evaluations), 2),
         "policy_evaluations": len(evaluations),
+        "export_filter_runs": sum(
+            1 for policy, _, _ in evaluations
+            if policy.name.startswith("exp_")
+        ),
         "internet40_filter_objects": len(filters),
     }
 

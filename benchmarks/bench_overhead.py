@@ -19,7 +19,7 @@ Seven measurements:
 * what a task ships — attribute values per attribute object in a
   converged 40-router snapshot and the size of its pickle — expected:
   exactly 1.0 (a network's routers hold one object per distinct value)
-  and ~470 KiB; both deterministic, so gated;
+  and ~290 KiB; both deterministic, so gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -278,11 +278,14 @@ def test_snapshot_sharing(benchmark):
     held = {}
     for checkpoint in snapshot.checkpoints.values():
         state = checkpoint.state
-        ribs = [state["loc_rib"], *state["adj_rib_in"].values(),
-                *state["adj_rib_out"].values()]
+        ribs = [state["loc_rib"], *state["adj_rib_in"].values()]
         for rib in ribs:
             for route in rib:
                 held[id(route.attributes)] = route.attributes
+        # an Adj-RIB-Out maps each prefix to the attribute set sent
+        for sent in state["adj_rib_out"].values():
+            for attributes in sent.values():
+                held[id(attributes)] = attributes
     values = len(set(held.values()))
     sharing = values / len(held)
     blob = benchmark(lambda: pickle.dumps(snapshot))

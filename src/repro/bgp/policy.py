@@ -12,10 +12,12 @@ The semantics are BIRD's runtime:
 
 As in BIRD, ``Filter(definition)`` compiles a filter once, before any
 route reaches it: a closure per statement and expression, community
-pairs of constants folded.  A run allocates one slotted ``_Frame``,
-which reads a route field only when the filter does.  The live system,
-its checkpoints and every clone share a filter (invariant 5), so nothing
-is compiled or written after ``__init__``; it pickles as its definition.
+pairs of constants folded, and an assignment or community method with a
+constant operand holds the value, not a step to call for it.  A run
+allocates one slotted ``_Frame``, which reads a route field only when
+the filter does.  The live system, its checkpoints and every clone
+share a filter (invariant 5), so nothing is compiled or written after
+``__init__``; it pickles as its definition.
 
 Every read consults the route's symbolic shadows first (``route.sym``:
 ``local_pref``, ``med``, ``origin``, ``pfx_network``/``pfx_length``,
@@ -304,10 +306,14 @@ def _statement(node: Any) -> Step:
         value, slot = _expr(node.value), _ASSIGNABLE.get(node.target)
         if slot is None:
             return _fails(f"cannot assign to {node.target!r}", value)
+        constant = _constant(node.value)
 
         def assign(f: _Frame) -> None:
             setattr(f, slot, value(f))
-        return assign
+
+        def assign_constant(f: _Frame) -> None:
+            setattr(f, slot, constant)
+        return assign if constant is _UNSET else assign_constant
     if kind is not lang.MethodStmt:
         return _fails(f"unknown statement {node!r}")
     target, method, argument = node.target, node.method, node.argument
@@ -324,20 +330,21 @@ def _statement(node: Any) -> Step:
         return _fails(f"unknown method {target}.{method}")
     if argument is None:
         return _fails(f"bgp_community.{method} needs an argument")
-    value = _expr(argument)
+    value, constant = _expr(argument), _constant(argument)
+    folded = constant is not _UNSET
     if method == "delete":
         def delete(f: _Frame) -> None:
-            item = value(f)
+            item = constant if folded else value(f)
             f.communities = [c for c in _current(f) if not c == item]
         return delete
     if method != "add":
         return _fails(f"unknown method bgp_community.{method}", value)
     # ``in`` skips ``==`` for an identical object: sound for an int,
     # which no symbolic community is.
-    plain = type(_constant(argument)) is int
+    plain = type(constant) is int
 
     def add(f: _Frame) -> None:
-        item, current = value(f), _current(f)
+        item, current = constant if folded else value(f), _current(f)
         if not (item in current if plain
                 else any(c == item for c in current)):
             f.communities = [*current, item]

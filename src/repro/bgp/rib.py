@@ -15,7 +15,12 @@ the oscillation and convergence checks.
 
 All three are dicts keyed by prefix, and each constructor takes what the
 RIB starts out holding: restoring a checkpoint is one dict build that
-calls no mutator and journals nothing — it is not a route change.
+calls no mutator and journals nothing — it is not a route change.  The
+two route RIBs hold :class:`Route` objects, provenance and all.  An
+Adj-RIB-Out holds only the :class:`PathAttributes` that went on the
+wire: the router exports a change once per update group, so every peer
+of a group holds the same object, and no reader of an Adj-RIB-Out looks
+at where a route came from.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import Iterable, Iterator
 
+from repro.bgp.attributes import PathAttributes
 from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
 from repro.bgp.route import Route
 
@@ -191,39 +197,56 @@ class LocRib:
 
 
 class AdjRibOut:
-    """What we last advertised to one peer (for update suppression)."""
+    """What we last sent one peer, for update suppression: a map from
+    prefix to the :class:`PathAttributes` of the announcement.
 
-    def __init__(self, peer: str, routes: Iterable[Route] = ()):
+    An entry holds what went on the wire and nothing else — no
+    provenance, no shadows — so every peer of one update group holds
+    the same attribute object (a symbolic set, which is exported once
+    per peer, is that peer's own).  Each entry is keyed by the prefix
+    object last announced, the Loc-RIB route's own: an announcement
+    re-inserts its key, so a checkpoint of this map writes no prefix
+    the Loc-RIB does not already hold.  ``sent`` is what the RIB starts
+    out holding; it is copied, never kept.
+    """
+
+    def __init__(self, peer: str,
+                 sent: dict[Prefix, PathAttributes] | None = None):
         self.peer = peer
-        self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
+        self._sent: dict[Prefix, PathAttributes] = (
+            {} if sent is None else sent.copy()
+        )
 
-    def advertised(self, prefix: Prefix) -> Route | None:
-        """The route we last announced for ``prefix``, if any."""
-        return self._routes.get(prefix)
+    def advertised(self, prefix: Prefix) -> PathAttributes | None:
+        """The attribute set we last announced for ``prefix``, if any."""
+        return self._sent.get(prefix)
 
-    def record_announce(self, route: Route) -> bool:
+    def record_announce(self, prefix: Prefix,
+                        attributes: PathAttributes) -> bool:
         """Record an announcement; False if it duplicates the last one."""
-        previous = self._routes.get(route.prefix)
-        if previous is not None and previous.attributes == route.attributes:
+        sent = self._sent
+        previous = sent.pop(prefix, None)
+        if previous is not None and previous == attributes:
+            sent[prefix] = previous  # re-keyed, as it was sent
             return False
-        self._routes[route.prefix] = route
+        sent[prefix] = attributes
         return True
 
     def record_withdraw(self, prefix: Prefix) -> bool:
         """Record a withdrawal; False if nothing was advertised."""
-        return self._routes.pop(prefix, None) is not None
+        return self._sent.pop(prefix, None) is not None
 
     def prefixes(self) -> Iterator[Prefix]:
         """All prefixes currently advertised to this peer."""
-        return iter(self._routes)
+        return iter(self._sent)
 
-    def routes(self) -> Iterator[Route]:
-        """The last announcement for every advertised prefix."""
-        return iter(self._routes.values())
+    def sent(self) -> dict[Prefix, PathAttributes]:
+        """A copy of the map, for a checkpoint."""
+        return self._sent.copy()
 
     def clear(self) -> None:
         """Forget advertisements (session reset)."""
-        self._routes.clear()
+        self._sent.clear()
 
     def __len__(self) -> int:
-        return len(self._routes)
+        return len(self._sent)

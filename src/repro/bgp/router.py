@@ -584,20 +584,24 @@ class BGPRouter(Process):
     def _propagate(self, changes: list[RibChange]) -> None:
         if not changes:
             return
+        # One export per (change index, update group) across the peers
+        # this call reaches; see _export_route.
+        exports: dict[tuple, tuple[PathAttributes | None, bool]] = {}
         for peer in sorted(self.sessions):
             if not self.sessions[peer].is_established():
                 continue
             if self.config.mrai > 0:
-                self._enqueue_with_mrai(peer, changes)
+                self._enqueue_with_mrai(peer, changes, exports)
             else:
-                self._export_changes(peer, changes)
+                self._export_changes(peer, changes, exports)
 
-    def _enqueue_with_mrai(self, peer: str, changes: list[RibChange]) -> None:
+    def _enqueue_with_mrai(self, peer: str, changes: list[RibChange],
+                           exports: dict) -> None:
         """Rate-limited export: the first batch goes out immediately and
         arms the per-peer MRAI timer; later changes coalesce (only the
         latest change per prefix survives) until the timer fires."""
         if not self.timer_armed(f"mrai:{peer}"):
-            self._export_changes(peer, changes)
+            self._export_changes(peer, changes, exports)
             self.set_timer(f"mrai:{peer}", self.config.mrai)
             return
         pending = self._pending_export.setdefault(peer, {})
@@ -612,43 +616,71 @@ class BGPRouter(Process):
         ]
         self._export_changes(peer, changes)
 
-    def _export_changes(self, peer: str, changes: list[RibChange]) -> None:
-        announce: list[Route] = []
+    def _export_changes(self, peer: str, changes: list[RibChange],
+                        exports: dict | None = None) -> None:
+        """Send ``peer`` what ``changes`` alter in its Adj-RIB-Out: the
+        withdrawals in one UPDATE, then one UPDATE per attribute set.
+
+        ``exports`` is the update-group memo of the :meth:`_propagate`
+        call that passed ``changes``, keyed by each change's index in
+        that list, so every peer it reaches shares one export per change
+        and group (see :meth:`_export_route`).  A full-table
+        advertisement or an MRAI flush serves one peer from a list of
+        its own and passes none.  The Adj-RIB-Out records the canonical
+        attribute set sent, keyed by the Loc-RIB route's prefix.
+        """
+        rib = self.adj_rib_out[peer]
+        announce: list[tuple[Prefix, PathAttributes]] = []
         withdraw: list[Prefix] = []
-        for change in changes:
-            if change.new is None:
-                if self.adj_rib_out[peer].record_withdraw(change.prefix):
+        for index, change in enumerate(changes):
+            route = change.new
+            attrs = (
+                None if route is None
+                else self._export_route(peer, route, exports, index)
+            )
+            if attrs is None:
+                # Gone, or policy now filters it: withdraw if advertised.
+                if rib.record_withdraw(change.prefix):
                     withdraw.append(change.prefix)
-                continue
-            exported = self._export_route(peer, change.new)
-            if exported is None:
-                # Policy now filters it: withdraw if previously advertised.
-                if self.adj_rib_out[peer].record_withdraw(change.prefix):
-                    withdraw.append(change.prefix)
-                continue
-            if self.adj_rib_out[peer].record_announce(exported):
-                announce.append(exported)
+            elif rib.record_announce(route.prefix, attrs):
+                announce.append((route.prefix, attrs))
         self._send_updates(peer, announce, withdraw)
 
-    def _send_updates(self, peer: str, announce: list[Route],
+    def _send_updates(self, peer: str,
+                      announce: list[tuple[Prefix, PathAttributes]],
                       withdraw: list[Prefix]) -> None:
         if withdraw:
             self.send_message(peer, UpdateMessage(withdrawn=tuple(withdraw)))
         # One UPDATE per distinct attribute set (RFC allows NLRI packing).
         by_attrs: dict[tuple, tuple[PathAttributes, list[Prefix]]] = {}
-        for route in announce:
-            key = route.attributes.key()
+        for prefix, attributes in announce:
+            key = attributes.key()
             if key not in by_attrs:
-                by_attrs[key] = (route.attributes, [])
-            by_attrs[key][1].append(route.prefix)
+                by_attrs[key] = (attributes, [])
+            by_attrs[key][1].append(prefix)
         for attributes, prefixes in by_attrs.values():
             self.send_message(
                 peer,
                 UpdateMessage(attributes=attributes, nlri=tuple(prefixes)),
             )
 
-    def _export_route(self, peer: str, route: Route) -> Route | None:
-        """Egress processing toward one neighbor; None = do not advertise."""
+    def _export_route(self, peer: str, route: Route, exports: dict | None,
+                      index: int) -> PathAttributes | None:
+        """Egress processing toward one neighbor: the canonical attribute
+        set to announce, or None = do not advertise.
+
+        The checks that name the peer — split horizon, iBGP
+        non-reflection, NO_ADVERTISE / NO_EXPORT and the peer's AS in the
+        path — run for every peer.  What follows depends only on the
+        route and the peer's *update group* (export filter, iBGP or not,
+        export MED), so it runs once per group and change index of
+        ``exports`` and every later peer of the group reuses the result,
+        as FRR's update groups do.  Only a route without shadows
+        and with a concrete attribute set is shared: a symbolic route is
+        filtered once per peer, so the concolic engine records every
+        branch each evaluation takes.  The fell-through record is logged
+        for every peer either way.
+        """
         neighbor = self._neighbor(peer)
         is_ibgp_peer = neighbor.is_ibgp(self.config.local_as)
         # Do not send a route back to the peer it came from.
@@ -668,26 +700,42 @@ class BGPRouter(Process):
         # contains the neighbor's AS (it would be loop-rejected anyway).
         if not is_ibgp_peer and attrs.as_path.contains(neighbor.peer_as):
             return None
+        group = None
+        if exports is not None and not route.sym and attrs.is_concrete():
+            group = (index, neighbor.export_filter, is_ibgp_peer,
+                     neighbor.export_med)
+            shared = exports.get(group)
+            if shared is not None:
+                if shared[1]:
+                    self._log_export_fell_through(peer, route)
+                return shared[0]
         # Symbolic shadows stay local: they never reach the wire.
-        exported = route.replace(sym={}) if route.sym else route
-        result = self._eval_filter(peer, exported, direction="export")
-        if result is not None:
-            if result.fell_through:
-                _log.debug("filter_fell_through %s t=%.3f peer=%s export "
-                           "prefix=%s", self.name, self.now, peer, route.prefix)
-            if not result.accepted:
-                return None
+        result = self._eval_filter(
+            peer, route.replace(sym={}) if route.sym else route,
+            direction="export",
+        )
+        if result.fell_through:
+            self._log_export_fell_through(peer, route)
+        exported = None
+        if result.accepted:
             attrs = result.attributes
-        if not is_ibgp_peer:
-            attrs = attrs.replace(
-                as_path=attrs.as_path.prepend(self.config.local_as),
-                next_hop=self.config.router_id,
-                local_pref=None,
-                med=neighbor.export_med,
-            )
-        elif attrs.local_pref is None:
-            attrs = attrs.replace(local_pref=self.config.default_local_pref)
-        return exported.with_attributes(self._canonical(attrs))
+            if not is_ibgp_peer:
+                attrs = attrs.replace(
+                    as_path=attrs.as_path.prepend(self.config.local_as),
+                    next_hop=self.config.router_id,
+                    local_pref=None,
+                    med=neighbor.export_med,
+                )
+            elif attrs.local_pref is None:
+                attrs = attrs.replace(local_pref=self.config.default_local_pref)
+            exported = self._canonical(attrs)
+        if group is not None:
+            exports[group] = (exported, result.fell_through)
+        return exported
+
+    def _log_export_fell_through(self, peer: str, route: Route) -> None:
+        _log.debug("filter_fell_through %s t=%.3f peer=%s export "
+                   "prefix=%s", self.name, self.now, peer, route.prefix)
 
     def _mrai_expired(self, peer: str) -> None:
         """Flush coalesced changes; re-arm while traffic continues."""
@@ -770,16 +818,18 @@ class BGPRouter(Process):
                     peer: session.export_state()
                     for peer, session in self.sessions.items()
                 },
-                # Each RIB as its routes alone, not keyed by prefix: a
-                # dict's key is not always the ``route.prefix`` object
-                # itself, and pickle would then write that prefix into
-                # the snapshot twice.
+                # The Adj-RIB-In and Loc-RIB as their routes alone, not
+                # keyed by prefix: a dict's key is not always the
+                # ``route.prefix`` object itself, and pickle would then
+                # write that prefix into the snapshot twice.  An
+                # Adj-RIB-Out is its prefix -> attributes map, each key
+                # the Loc-RIB route's own prefix.
                 "adj_rib_in": {
                     peer: list(rib.routes())
                     for peer, rib in self.adj_rib_in.items()
                 },
                 "adj_rib_out": {
-                    peer: list(rib.routes())
+                    peer: rib.sent()
                     for peer, rib in self.adj_rib_out.items()
                 },
                 "loc_rib": list(self.loc_rib.routes()),
@@ -811,8 +861,8 @@ class BGPRouter(Process):
             for peer, routes in state["adj_rib_in"].items()
         }
         self.adj_rib_out = {
-            peer: AdjRibOut(peer, routes)
-            for peer, routes in state["adj_rib_out"].items()
+            peer: AdjRibOut(peer, sent)
+            for peer, sent in state["adj_rib_out"].items()
         }
         self.loc_rib = LocRib(routes=state["loc_rib"])
         self.crash_count = state["crash_count"]

@@ -60,9 +60,7 @@ def register_export_commitment(endpoint, routers: Mapping[str, Any],
         if advertised is None:
             # Commit to a distinguished "nothing advertised" value.
             return salted_digest(("no-advertisement", str(prefix)), salt)
-        return salted_digest(
-            wire_stable_view(prefix, advertised.attributes), salt
-        )
+        return salted_digest(wire_stable_view(prefix, advertised), salt)
 
     endpoint.register("export_commitment", export_commitment)
 

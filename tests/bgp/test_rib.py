@@ -249,34 +249,66 @@ class TestInitialContents:
 
     def test_adj_rib_out_starts_with_routes(self):
         first, second = route(P1), route(P2)
-        rib = AdjRibOut("p1", [first, second])
-        assert list(rib.routes()) == [first, second]
-        assert rib.advertised(P2) is second
-        # an initial route suppresses its duplicate like an announced one
-        assert not rib.record_announce(route(P1))
+        sent = {P1: first.attributes, P2: second.attributes}
+        rib = AdjRibOut("p1", sent)
+        assert rib.sent() == sent
+        assert list(rib.prefixes()) == [P1, P2]
+        assert rib.advertised(P2) is second.attributes
+        # an initial entry suppresses its duplicate like an announced one
+        assert not rib.record_announce(P1, route(P1).attributes)
+        # the map it started from is copied, never written
+        rib.record_withdraw(P2)
+        assert sent == {P1: first.attributes, P2: second.attributes}
 
 
 class TestAdjRibOut:
     def test_duplicate_announce_suppressed(self):
         rib = AdjRibOut("p1")
-        assert rib.record_announce(route()) is True
-        assert rib.record_announce(route()) is False
+        assert rib.record_announce(P1, route().attributes) is True
+        assert rib.record_announce(P1, route().attributes) is False
 
     def test_changed_attributes_reannounced(self):
         rib = AdjRibOut("p1")
-        rib.record_announce(route())
-        assert rib.record_announce(route(local_pref=200)) is True
+        rib.record_announce(P1, route().attributes)
+        changed = route(local_pref=200).attributes
+        assert rib.record_announce(P1, changed) is True
+        assert rib.advertised(P1) is changed
 
     def test_withdraw_only_when_advertised(self):
         rib = AdjRibOut("p1")
         assert rib.record_withdraw(P1) is False
-        rib.record_announce(route())
+        rib.record_announce(P1, route().attributes)
         assert rib.record_withdraw(P1) is True
         assert rib.record_withdraw(P1) is False
 
     def test_clear(self):
         rib = AdjRibOut("p1")
-        rib.record_announce(route())
+        rib.record_announce(P1, route().attributes)
         rib.clear()
         assert len(rib) == 0
         assert rib.record_withdraw(P1) is False
+
+    def test_an_announcement_rekeys_its_prefix(self):
+        """The key is the prefix object last announced — the Loc-RIB
+        route's own — whether the attributes changed or not, so a
+        pickled map shares it with the Loc-RIB; a duplicate keeps the
+        attribute object first sent."""
+        first = route().attributes
+        rib = AdjRibOut("p1")
+        rib.record_announce(P1, first)
+        again = Prefix("10.1.0.0/16")
+        assert rib.record_announce(again, route().attributes) is False
+        (key,) = rib.sent()
+        assert key is again
+        assert rib.advertised(P1) is first
+        changed = Prefix("10.1.0.0/16")
+        assert rib.record_announce(changed, route(local_pref=7).attributes)
+        (key,) = rib.sent()
+        assert key is changed
+
+    def test_sent_is_a_copy(self):
+        rib = AdjRibOut("p1")
+        rib.record_announce(P1, route().attributes)
+        sent = rib.sent()
+        rib.record_withdraw(P1)
+        assert sent == {P1: route().attributes}

@@ -1,6 +1,10 @@
 """Router behaviour tests: sessions, update pipeline, policy, export."""
 
+import logging
+from collections import defaultdict
 from dataclasses import replace
+
+import pytest
 
 from repro.bgp import faults
 from repro.bgp.attributes import (
@@ -19,9 +23,17 @@ from repro.bgp.fsm import SessionState
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import Filter
+from repro.bgp.rib import RibChange
+from repro.bgp.route import SOURCE_IBGP
 from repro.bgp.router import BGPRouter
+from repro.concolic.expr import Var
+from repro.concolic.symbolic import PathRecorder, SymInt
 from repro.core.live import LiveSystem
 from repro.net.link import LinkProfile
+from repro.net.node import Process
+from repro.topo.demo27 import build_demo27
+from repro.topo.gadgets import build_mrai_race
+from repro.topo.internet import TopologyParams, build_internet
 
 P_R1 = Prefix("10.1.0.0/16")
 P_R2 = Prefix("10.2.0.0/16")
@@ -465,3 +477,311 @@ class TestConfigChangeDeterminism:
         assert set(dirty) == set(added)
         # Sorted order, not whatever order the salted-hash set yields.
         assert dirty == sorted(dirty)
+
+
+# -- update groups -------------------------------------------------------------
+
+
+def reference_export_route(router, peer, route):
+    """What ``route`` is exported to ``peer`` as when every peer runs
+    its own checks and its own filter: the reference for update groups."""
+    neighbor = router.config.neighbor(peer)
+    ibgp = neighbor.is_ibgp(router.config.local_as)
+    if route.peer == peer or (route.source == SOURCE_IBGP and ibgp):
+        return None
+    attrs = route.attributes
+    if attrs.has_community(COMMUNITY_NO_ADVERTISE):
+        return None
+    if not ibgp and (attrs.has_community(COMMUNITY_NO_EXPORT)
+                     or attrs.as_path.contains(neighbor.peer_as)):
+        return None
+    policy = router.config.get_filter(neighbor.export_filter)
+    result = policy.evaluate(
+        route.replace(sym={}) if route.sym else route,
+        default_local_pref=router.config.default_local_pref,
+    )
+    if not result.accepted:
+        return None
+    attrs = result.attributes
+    if not ibgp:
+        attrs = attrs.replace(
+            as_path=attrs.as_path.prepend(router.config.local_as),
+            next_hop=router.config.router_id,
+            local_pref=None,
+            med=neighbor.export_med,
+        )
+    elif attrs.local_pref is None:
+        attrs = attrs.replace(local_pref=router.config.default_local_pref)
+    return router._canonical(attrs)
+
+
+def reference_export_changes(router, peer, changes, exports=None):
+    """``BGPRouter._export_changes`` with no update groups: each peer
+    exports each change on its own, then withdraws and announces by
+    attribute set as the router does."""
+    rib = router.adj_rib_out[peer]
+    announce = {}
+    withdraw = []
+    for change in changes:
+        new = change.new
+        attrs = (None if new is None
+                 else reference_export_route(router, peer, new))
+        if attrs is None:
+            if rib.record_withdraw(change.prefix):
+                withdraw.append(change.prefix)
+        elif rib.record_announce(new.prefix, attrs):
+            announce.setdefault(attrs.key(), (attrs, []))[1].append(new.prefix)
+    if withdraw:
+        router.send_message(peer, UpdateMessage(withdrawn=tuple(withdraw)))
+    for attrs, prefixes in announce.values():
+        router.send_message(
+            peer, UpdateMessage(attributes=attrs, nlri=tuple(prefixes))
+        )
+
+
+def _demo27_converged():
+    topology = build_demo27()
+    live = LiveSystem.build(topology.configs, topology.links, seed=27)
+    live.converge()
+    return live
+
+
+def _internet40_mid_churn():
+    """Converged, then a stub's prefix flips twice; cut 20 ms into the
+    second UPDATE wave."""
+    topology = build_internet(
+        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
+    )
+    live = LiveSystem.build(topology.configs, topology.links, seed=3)
+    live.converge(deadline=600)
+    flip_at = live.network.sim.now + 1.0
+    live.enable_churn(topology.nodes_in_tier(3)[0], Prefix("10.200.0.0/16"),
+                      period=4.0, start_at=flip_at)
+    live.run(until=flip_at + 4.02)
+    return live
+
+
+def _mrai_race_converged():
+    live = LiveSystem.build(*build_mrai_race(), seed=0)
+    live.converge()
+    return live
+
+
+def recording_wire(patch):
+    """Record every payload a router sends, by (router, peer), from here
+    on."""
+    wire = defaultdict(list)
+
+    def recording_send(router, dst, payload):
+        wire[router.name, dst].append(payload)
+        Process.send(router, dst, payload)
+
+    patch.setattr(BGPRouter, "send", recording_send)
+    return wire
+
+
+def counting_evaluations(patch):
+    """Count ``Filter.evaluate`` runs by filter name from here on."""
+    runs = defaultdict(int)
+    evaluate = Filter.evaluate
+
+    def counted(policy, route, default_local_pref=100):
+        runs[policy.name] += 1
+        return evaluate(policy, route, default_local_pref)
+
+    patch.setattr(Filter, "evaluate", counted)
+    return runs
+
+
+class TestUpdateGroups:
+    """One export per change and update group (export filter, iBGP,
+    export MED) must send every peer what exporting to each peer alone
+    sends, byte for byte."""
+
+    @pytest.mark.parametrize("build", [
+        _demo27_converged, _internet40_mid_churn, _mrai_race_converged,
+    ], ids=["demo27", "internet40-mid-churn", "mrai-race"])
+    def test_groups_equal_a_per_peer_export(self, build, monkeypatch):
+        def run(reference):
+            with monkeypatch.context() as patch:
+                wire = recording_wire(patch)
+                if reference:
+                    patch.setattr(BGPRouter, "_export_changes",
+                                  reference_export_changes)
+                runs = counting_evaluations(patch)
+                live = build()
+            ribs = {
+                name: {peer: rib.sent()
+                       for peer, rib in router.adj_rib_out.items()}
+                for name, router in live.network.processes.items()
+            }
+            return ribs, wire, sum(runs.values())
+
+        ribs, wire, runs = run(reference=False)
+        reference_ribs, reference_wire, reference_runs = run(reference=True)
+        for name in sorted(reference_ribs):
+            for peer, sent in sorted(reference_ribs[name].items()):
+                assert ribs[name][peer] == sent, (name, peer)
+        assert sorted(wire) == sorted(reference_wire)
+        for pair in sorted(reference_wire):
+            assert wire[pair] == reference_wire[pair], pair
+        assert any(sent for peers in ribs.values() for sent in peers.values())
+        assert runs < reference_runs  # the groups did share work
+
+    HUB_PREFIX = Prefix("10.50.0.0/16")
+    GROUP = {"export_filter": "exp_x"}
+
+    def build_hub(self, export_filter, members=(("a", 65012, {}),
+                                                ("b", 65013, {}))):
+        """Hub ``h`` (AS 65010) learns a prefix from ``s`` and exports
+        it to ``members``, each ``(name, AS, neighbor settings)`` with
+        export filter ``exp_x``: by default ``a`` and ``b``, one update
+        group (eBGP, no MED)."""
+        def edge(name, asn, index, networks=()):
+            return RouterConfig(
+                name=name, local_as=asn,
+                router_id=IPv4Address(f"172.16.5.{index}"),
+                networks=networks,
+                neighbors=(NeighborConfig(peer="h", peer_as=65010),),
+            )
+
+        configs = [
+            RouterConfig(
+                name="h", local_as=65010,
+                router_id=IPv4Address("172.16.5.1"),
+                neighbors=(
+                    NeighborConfig(peer="s", peer_as=65011),
+                    *(NeighborConfig(peer=name, peer_as=asn,
+                                     **self.GROUP, **settings)
+                      for name, asn, settings in members),
+                ),
+                filters={"exp_x": Filter.compile(export_filter)},
+            ),
+            edge("s", 65011, 2, networks=(self.HUB_PREFIX,)),
+            *(edge(name, asn, 3 + i)
+              for i, (name, asn, _) in enumerate(members)),
+        ]
+        links = [(config.name, "h", LinkProfile.lan())
+                 for config in configs[1:]]
+        live = LiveSystem.build(configs, links, seed=1)
+        live.converge()
+        return live
+
+    def test_a_group_is_filter_ibgp_and_med(self, monkeypatch):
+        """Peers with one filter split into three groups — ``a`` and
+        ``b``; ``c`` with an export MED; iBGP peer ``i`` — and a change
+        list of routes with different paths is one export per change
+        and group, each peer sent what it would be sent alone."""
+        members = (("a", 65012, {}), ("b", 65013, {}),
+                   ("c", 65014, {"export_med": 7}), ("i", 65010, {}))
+        paths = [(65011,), (65011, 65099), (65011, 65098, 65097)]
+
+        def propagate(reference):
+            live = self.build_hub(
+                "filter exp_x { if bgp_path.len > 2 then reject; accept; }",
+                members,
+            )
+            hub = live.router("h")
+            learned = hub.loc_rib.get(self.HUB_PREFIX)
+            changes = [RibChange(hub.now, self.HUB_PREFIX, learned, None)]
+            for octet, path in enumerate(paths, start=51):
+                prefix = Prefix(f"10.{octet}.0.0/16")
+                attributes = learned.attributes.replace(
+                    as_path=AsPath.from_sequence(*path)
+                )
+                route = learned.replace(prefix=prefix, attributes=attributes)
+                changes.append(RibChange(hub.now, prefix, None, route))
+            with monkeypatch.context() as patch:
+                wire = recording_wire(patch)
+                if reference:
+                    patch.setattr(BGPRouter, "_export_changes",
+                                  reference_export_changes)
+                runs = counting_evaluations(patch)
+                hub._propagate(changes)
+            sent = {peer: rib.sent() for peer, rib in hub.adj_rib_out.items()}
+            return sent, dict(wire), runs["exp_x"]
+
+        sent, wire, runs = propagate(reference=False)
+        reference_sent, reference_wire, reference_runs = propagate(
+            reference=True
+        )
+        assert sent == reference_sent
+        assert wire == reference_wire
+        assert sorted(wire) == [("h", "a"), ("h", "b"), ("h", "c"),
+                                ("h", "i")]
+        assert reference_runs == 4 * len(paths)
+        assert runs == 3 * len(paths)
+        assert sent["c"] != sent["a"] == sent["b"] != sent["i"]
+        assert len(sent["a"]) == 2  # the longest path was rejected
+
+    @pytest.mark.parametrize("kind,expected", [
+        ("concrete", 1), ("symbolic-med", 2), ("shadow", 2),
+    ])
+    def test_symbolic_routes_are_filtered_once_per_peer(
+        self, kind, expected, monkeypatch
+    ):
+        export_filter = "filter exp_x { if bgp_med > 10 then reject; accept; }"
+
+        def propagate(reference):
+            live = self.build_hub(export_filter)
+            hub = live.router("h")
+            route = hub.loc_rib.get(self.HUB_PREFIX)
+            shadow = SymInt(Var("m", 0, 255), 3)
+            route = {
+                "concrete": route.with_attributes(
+                    route.attributes.replace(med=3)
+                ),
+                "symbolic-med": route.with_attributes(
+                    route.attributes.replace(med=shadow)
+                ),
+                "shadow": route.replace(sym={"med": shadow}),
+            }[kind]
+            with monkeypatch.context() as patch:
+                if reference:
+                    patch.setattr(BGPRouter, "_export_changes",
+                                  reference_export_changes)
+                runs = counting_evaluations(patch)
+                with PathRecorder() as recorder:
+                    hub._propagate([
+                        RibChange(hub.now, self.HUB_PREFIX, None, route)
+                    ])
+            branches = [(c.fp, taken) for c, taken in recorder.branches]
+            sent = {peer: hub.adj_rib_out[peer].advertised(self.HUB_PREFIX)
+                    for peer in ("a", "b")}
+            return runs["exp_x"], branches, sent
+
+        runs, branches, sent = propagate(reference=False)
+        reference_runs, reference_branches, reference_sent = propagate(
+            reference=True
+        )
+        assert runs == expected
+        assert reference_runs == 2
+        assert branches == reference_branches
+        if kind == "symbolic-med":
+            # each evaluation records its own comparison of the MED
+            assert len(branches) >= 2
+        assert sent == reference_sent
+        assert sent["a"] is not None
+
+    def test_fell_through_is_logged_per_peer_when_shared(
+        self, caplog, monkeypatch
+    ):
+        live = self.build_hub("filter exp_x { bgp_med = 5; }")
+        hub = live.router("h")
+        route = hub.loc_rib.get(self.HUB_PREFIX)
+        caplog.set_level(logging.DEBUG, logger="repro.bgp.router")
+        caplog.clear()
+        with monkeypatch.context() as patch:
+            runs = counting_evaluations(patch)
+            hub._propagate([RibChange(hub.now, self.HUB_PREFIX, None, route)])
+        exports = [
+            record.getMessage() for record in caplog.records
+            if record.name == "repro.bgp.router"
+            and record.getMessage().startswith("filter_fell_through h ")
+            and " export " in record.getMessage()
+        ]
+        assert runs["exp_x"] == 1  # shared ...
+        assert [message.split()[3] for message in exports] == [
+            "peer=a", "peer=b",
+        ]  # ... and logged for each peer
+        assert hub.adj_rib_out["a"].advertised(self.HUB_PREFIX) is None

@@ -336,10 +336,10 @@ def replay_ribs(router, state) -> None:
             rib.update(route)
         router.adj_rib_in[peer] = rib
     router.adj_rib_out = {}
-    for peer, routes in state["adj_rib_out"].items():
+    for peer, sent in state["adj_rib_out"].items():
         rib = AdjRibOut(peer)
-        for route in routes:
-            rib.record_announce(route)
+        for prefix, attributes in sent.items():
+            rib.record_announce(prefix, attributes)
         router.adj_rib_out[peer] = rib
     router.loc_rib = LocRib()
     for route in state["loc_rib"]:

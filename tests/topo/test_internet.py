@@ -117,8 +117,7 @@ class TestPolicies:
                 if relationship == REL_CUSTOMER:
                     continue  # everything may go to customers
                 for prefix in rib_out.prefixes():
-                    advertised = rib_out.advertised(prefix)
-                    communities = advertised.attributes.communities
+                    communities = rib_out.advertised(prefix).communities
                     assert peer_tag not in communities, (
                         f"{name} leaked a peer route to {relationship} {peer}"
                     )
