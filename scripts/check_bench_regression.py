@@ -14,6 +14,12 @@ CI runners make wall-clock noise, not signal).  A missing baseline —
 first run, renamed bench, expired artifact — is reported and skipped,
 never failed.
 
+A metric whose definition changes takes a new name.  Its first run then
+has no baseline and is skipped, and the run after compares like with
+like.  Kept under the old name, an intended shift past tolerance would
+fail every run against the last green baseline, which no later run can
+replace while the gate fails.
+
 Run:  python scripts/check_bench_regression.py \
           --baseline bench-baseline --current bench-results \
           [--tolerance 0.25]
@@ -74,16 +80,16 @@ GATED_METRICS = {
     "queue_pushes_per_event": "lower",
     "live_gc_objects": "lower",
     # bench_event_loop, converged 40-router internet: Python and C calls
-    # per Filter.evaluate, 75.4 while a filter walked its AST on every
-    # route and 22.9 since it is compiled to closures; and
-    # distinct Filter objects in its configs, 328 with one per session
-    # and 6 with one per role.  The replay is every evaluation the
-    # internet made, so the export evaluations update groups share
-    # left it: 22.9 over 10 258 evaluations, 26.7 over 7 011 since.
-    # Half the ~10-call export runs went, which lifts the mean alone to
-    # 29.3; a constant operand held rather than called took imports
-    # from 45.9 to 40.9.  Total calls 234 886 -> 187 533.
-    "policy_calls_per_eval": "lower",
+    # per Filter.evaluate, replaying each distinct (filter, route,
+    # default LOCAL_PREF) evaluation once, so how often a cheap filter
+    # runs does not move it: 28.18 over 6 434 since a constant operand
+    # is held rather than called (31.0 before).  It replaces
+    # policy_calls_per_eval, the mean over every evaluation made, which
+    # update groups lifted 22.9 -> 26.7 by running half the cheap export
+    # filters, with no filter dearer (75.4 while a filter walked its AST
+    # on every route).  And distinct Filter objects in its configs, 328
+    # with one per session and 6 with one per role.
+    "policy_calls_per_distinct_eval": "lower",
     "internet40_filter_objects": "lower",
     # bench_event_loop: export-filter evaluations while the converging
     # 40-router internet propagates, 6 625 with one per peer and 3 378

@@ -40,13 +40,6 @@ def _contract_roots(contract: ImportContract,
     )
 
 
-def _import_line(project: Project, importer: str, target: str) -> int:
-    for name, line in project.imports.get(importer, []):
-        if project._resolve_to_known(name) == target or name == target:
-            return line
-    return 1
-
-
 def _chain(reached: dict[str, tuple[str, int]], module: str) -> str:
     """Render the import chain root -> … -> module."""
     links = [module]

@@ -15,7 +15,7 @@ concolic exploration exercises the same classes of decision points:
   experiments.
 """
 
-from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
+from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import (
     BGPMessage,
     KeepaliveMessage,
@@ -39,7 +39,6 @@ from repro.bgp.fsm import SessionState
 __all__ = [
     "IPv4Address",
     "Prefix",
-    "PrefixTrie",
     "BGPMessage",
     "OpenMessage",
     "UpdateMessage",

@@ -24,7 +24,6 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Iterable
 
-from repro.bgp.attributes import Origin
 from repro.bgp.route import SOURCE_EBGP, Route
 
 DEFAULT_LOCAL_PREF = 100
@@ -153,39 +152,3 @@ def best_route(
         if verdict < 0:
             best = route
     return best
-
-
-def selection_reason(
-    a: Route,
-    b: Route,
-    default_local_pref: int = DEFAULT_LOCAL_PREF,
-    always_compare_med: bool = False,
-) -> str:
-    """Which criterion decided between ``a`` and ``b`` (for the dashboard
-    and for EXP-SELECTION's outcome counting)."""
-    lp_a = int(a.effective_local_pref(default_local_pref))
-    lp_b = int(b.effective_local_pref(default_local_pref))
-    if lp_a != lp_b:
-        return "local_pref"
-    if a.attributes.as_path.length() != b.attributes.as_path.length():
-        return "as_path_length"
-    if int(a.attributes.origin) != int(b.attributes.origin):
-        return "origin"
-    same_neighbor = (
-        a.attributes.as_path.first_as() is not None
-        and a.attributes.as_path.first_as() == b.attributes.as_path.first_as()
-    )
-    if (always_compare_med or same_neighbor) and int(a.effective_med()) != int(
-        b.effective_med()
-    ):
-        return "med"
-    if (a.source == SOURCE_EBGP) != (b.source == SOURCE_EBGP):
-        return "ebgp_over_ibgp"
-    id_a = 0 if a.peer_bgp_id is None else int(a.peer_bgp_id)
-    id_b = 0 if b.peer_bgp_id is None else int(b.peer_bgp_id)
-    if id_a != id_b:
-        return "router_id"
-    return "peer_name"
-
-
-_ORIGIN_ORDER = (Origin.IGP, Origin.EGP, Origin.INCOMPLETE)

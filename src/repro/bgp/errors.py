@@ -68,15 +68,3 @@ class UpdateMessageError(BGPError):
     def __init__(self, subcode: int, message: str = "", data: bytes = b""):
         super().__init__(message, data)
         self.subcode = subcode
-
-
-class FiniteStateMachineError(BGPError):
-    """NOTIFICATION code 5."""
-
-    code = 5
-
-
-class CeaseError(BGPError):
-    """NOTIFICATION code 6 (administrative shutdown / reset)."""
-
-    code = 6

@@ -1,19 +1,14 @@
-"""IPv4 addresses, prefixes, and a radix trie for longest-prefix match.
+"""IPv4 addresses and prefixes on plain integers.
 
-``ipaddress`` from the standard library would cover addresses, but the
-reproduction needs (a) objects that survive deep-copying cheaply across
-thousands of checkpoints and (b) a binary radix trie with longest-prefix
-and covered-prefix queries for the RIBs — so both are implemented here on
-plain integers.
+``ipaddress`` from the standard library would cover both, but the
+reproduction needs objects that survive deep-copying cheaply across
+thousands of checkpoints and hash the same in every process, so they
+are implemented here.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, TypeVar, Generic
-
 _MAX_U32 = 0xFFFFFFFF
-
-T = TypeVar("T")
 
 
 class IPv4Address:
@@ -99,7 +94,7 @@ class Prefix:
     """An immutable IPv4 prefix (network address + mask length).
 
     Host bits below the mask are required to be zero so each prefix has a
-    single canonical representation — comparisons, tries and dict keys all
+    single canonical representation — comparisons and dict keys both
     rely on this.
     """
 
@@ -133,18 +128,6 @@ class Prefix:
         self.length = length
         self._hash: int | None = None
 
-    @staticmethod
-    def from_wire(length: int, packed: bytes) -> "Prefix":
-        """Decode the (length, truncated-network) NLRI wire form."""
-        if not 0 <= length <= 32:
-            raise ValueError(f"NLRI prefix length out of range: {length}")
-        needed = (length + 7) // 8
-        if len(packed) < needed:
-            raise ValueError("truncated NLRI prefix bytes")
-        value = int.from_bytes(packed[:needed].ljust(4, b"\x00"), "big")
-        value &= _mask(length)
-        return Prefix(value, length)
-
     def wire_bytes(self) -> bytes:
         """Encode as (length octet, minimal network octets)."""
         needed = (self.length + 7) // 8
@@ -163,22 +146,6 @@ class Prefix:
             return (other.network & _mask(self.length)) == self.network
         value = other.value if isinstance(other, IPv4Address) else int(other)
         return (value & _mask(self.length)) == self.network
-
-    def supernet(self) -> "Prefix":
-        """The immediate covering prefix (one bit shorter)."""
-        if self.length == 0:
-            raise ValueError("0.0.0.0/0 has no supernet")
-        new_length = self.length - 1
-        return Prefix(self.network & _mask(new_length), new_length)
-
-    def subnets(self) -> "tuple[Prefix, Prefix]":
-        """The two immediate more-specific prefixes."""
-        if self.length == 32:
-            raise ValueError("/32 has no subnets")
-        new_length = self.length + 1
-        low = Prefix(self.network, new_length)
-        high = Prefix(self.network | (1 << (32 - new_length)), new_length)
-        return low, high
 
     def __str__(self) -> str:
         return f"{IPv4Address(self.network)}/{self.length}"
@@ -216,133 +183,3 @@ def _mask(length: int) -> int:
     if length == 0:
         return 0
     return (_MAX_U32 << (32 - length)) & _MAX_U32
-
-
-class _TrieNode(Generic[T]):
-    __slots__ = ("children", "value", "has_value")
-
-    def __init__(self):
-        self.children: list[_TrieNode[T] | None] = [None, None]
-        self.value: T | None = None
-        self.has_value = False
-
-
-class PrefixTrie(Generic[T]):
-    """A binary radix trie mapping :class:`Prefix` to arbitrary values.
-
-    Supports exact lookup, longest-prefix match for an address, and
-    enumeration of entries covered by a given prefix.  Uses one node per
-    bit — simple and fast enough for RIBs in the tens of thousands of
-    routes this reproduction handles.
-    """
-
-    def __init__(self):
-        self._root: _TrieNode[T] = _TrieNode()
-        self._size = 0
-
-    def __len__(self) -> int:
-        return self._size
-
-    def __contains__(self, prefix: Prefix) -> bool:
-        return self.get(prefix, _MISSING) is not _MISSING
-
-    def _walk_bits(self, prefix: Prefix) -> Iterator[int]:
-        for position in range(prefix.length):
-            yield (prefix.network >> (31 - position)) & 1
-
-    def insert(self, prefix: Prefix, value: T) -> None:
-        """Insert or replace the value at ``prefix``."""
-        node = self._root
-        for bit in self._walk_bits(prefix):
-            child = node.children[bit]
-            if child is None:
-                child = _TrieNode()
-                node.children[bit] = child
-            node = child
-        if not node.has_value:
-            self._size += 1
-        node.has_value = True
-        node.value = value
-
-    def get(self, prefix: Prefix, default: T | None = None):
-        """Exact-match lookup; returns ``default`` when absent."""
-        node: _TrieNode[T] | None = self._root
-        for bit in self._walk_bits(prefix):
-            if node is None:
-                return default
-            node = node.children[bit]
-        if node is not None and node.has_value:
-            return node.value
-        return default
-
-    def remove(self, prefix: Prefix) -> bool:
-        """Remove ``prefix``; returns True if it was present."""
-        path: list[tuple[_TrieNode[T], int]] = []
-        node: _TrieNode[T] | None = self._root
-        for bit in self._walk_bits(prefix):
-            if node is None:
-                return False
-            path.append((node, bit))
-            node = node.children[bit]
-        if node is None or not node.has_value:
-            return False
-        node.has_value = False
-        node.value = None
-        self._size -= 1
-        # Prune childless, valueless nodes back up the path.
-        for parent, bit in reversed(path):
-            child = parent.children[bit]
-            if child is None:
-                break
-            if child.has_value or child.children[0] or child.children[1]:
-                break
-            parent.children[bit] = None
-        return True
-
-    def longest_match(self, address: "IPv4Address | int") -> tuple[Prefix, T] | None:
-        """The most specific entry covering ``address``, or None."""
-        value = address.value if isinstance(address, IPv4Address) else int(address)
-        node: _TrieNode[T] | None = self._root
-        best: tuple[Prefix, T] | None = None
-        network = 0
-        for position in range(33):
-            assert node is not None
-            if node.has_value:
-                best = (Prefix(network & _mask(position), position), node.value)
-            if position == 32:
-                break
-            bit = (value >> (31 - position)) & 1
-            node = node.children[bit]
-            if node is None:
-                break
-            network |= bit << (31 - position)
-        return best
-
-    def items(self) -> Iterator[tuple[Prefix, T]]:
-        """All (prefix, value) entries in network order."""
-        yield from self._iter_node(self._root, 0, 0)
-
-    def _iter_node(self, node: _TrieNode[T], network: int,
-                   depth: int) -> Iterator[tuple[Prefix, T]]:
-        if node.has_value:
-            yield Prefix(network, depth), node.value
-        if depth == 32:
-            return
-        for bit in (0, 1):
-            child = node.children[bit]
-            if child is not None:
-                child_network = network | (bit << (31 - depth))
-                yield from self._iter_node(child, child_network, depth + 1)
-
-    def covered_by(self, prefix: Prefix) -> Iterator[tuple[Prefix, T]]:
-        """All entries at or below ``prefix``."""
-        node: _TrieNode[T] | None = self._root
-        for bit in self._walk_bits(prefix):
-            if node is None:
-                return
-            node = node.children[bit]
-        if node is not None:
-            yield from self._iter_node(node, prefix.network, prefix.length)
-
-
-_MISSING = object()

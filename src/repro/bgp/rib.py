@@ -31,7 +31,7 @@ from operator import attrgetter
 from typing import Iterable, Iterator
 
 from repro.bgp.attributes import PathAttributes
-from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
+from repro.bgp.ip import Prefix
 from repro.bgp.route import Route
 
 
@@ -110,15 +110,13 @@ JOURNAL_CAPACITY = 100_000
 
 
 class LocRib:
-    """Selected best routes, with longest-prefix match and a change journal.
+    """Selected best routes, by exact prefix, and a change journal.
 
     The routes live in a dict, so ``get`` and ``set`` cost one hash.
     ``routes()`` and ``prefixes()`` run in prefix order — sorted by
-    ``(network, length)``, which is the pre-order of a binary trie —
-    from a sorted key list that is kept until the key *set* changes.
-    The trie itself is only an index for :meth:`lookup`: built on the
-    first lookup, dropped by the next ``set``.  ``routes`` is what the
-    RIB starts out holding; the journal starts empty either way.
+    ``(network, length)`` — from a sorted key list that is kept until
+    the key *set* changes.  ``routes`` is what the RIB starts out
+    holding; the journal starts empty either way.
 
     The journal is a ring buffer: the most recent
     :data:`JOURNAL_CAPACITY` changes are always available, however long the system has run —
@@ -129,7 +127,6 @@ class LocRib:
     def __init__(self, routes: Iterable[Route] = ()):
         self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
         self._order: list[Prefix] | None = None
-        self._lpm: PrefixTrie[Route] | None = None
         self._journal: "deque[RibChange]" = deque(maxlen=JOURNAL_CAPACITY)
         self.changes_total = 0
 
@@ -151,20 +148,10 @@ class LocRib:
             self._routes[prefix] = route
         if old is None or route is None:
             self._order = None
-        self._lpm = None
         change = RibChange(time, prefix, old, route)
         self.changes_total += 1
         self._journal.append(change)
         return change
-
-    def lookup(self, address: IPv4Address | int) -> Route | None:
-        """Longest-prefix-match forwarding lookup."""
-        if self._lpm is None:
-            self._lpm = PrefixTrie()
-            for prefix, route in self._routes.items():
-                self._lpm.insert(prefix, route)
-        hit = self._lpm.longest_match(address)
-        return None if hit is None else hit[1]
 
     def routes(self) -> Iterator[Route]:
         """All best routes in prefix order."""

@@ -60,6 +60,9 @@ from repro.net.node import Process
 
 _log = logging.getLogger(__name__)
 
+# Simulated seconds from a session's start to its first OPEN.
+CONNECT_DELAY_S = 0.1
+
 # Timer names.
 _T_CONNECT = "connect"
 _T_KEEPALIVE = "keepalive"
@@ -69,7 +72,7 @@ _T_HOLD = "hold"
 class BGPRouter(Process):
     """A BGP-4 speaker attached to the simulated network."""
 
-    def __init__(self, config: RouterConfig, connect_delay: float = 0.1):
+    def __init__(self, config: RouterConfig):
         super().__init__(config.name)
         self.config = config
         # ``config.neighbors`` by peer, for ``_neighbor``; built from the
@@ -77,7 +80,6 @@ class BGPRouter(Process):
         # another one (callers assign it directly).
         self._neighbors: dict[str, NeighborConfig] = {}
         self._neighbors_of: RouterConfig | None = None
-        self.connect_delay = connect_delay
         self.sessions: dict[str, Session] = {}
         self.adj_rib_in: dict[str, AdjRibIn] = {}
         self.adj_rib_out: dict[str, AdjRibOut] = {}
@@ -130,7 +132,7 @@ class BGPRouter(Process):
     def _start_connect(self, peer: str) -> None:
         session = self.sessions[peer]
         session.transition(SessionState.CONNECT)
-        self.set_timer(f"{_T_CONNECT}:{peer}", self.connect_delay)
+        self.set_timer(f"{_T_CONNECT}:{peer}", CONNECT_DELAY_S)
 
     # -- message plumbing ------------------------------------------------------
 

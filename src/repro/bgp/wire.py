@@ -32,13 +32,6 @@ def read_u32(data: Any, offset: int) -> Any:
     )
 
 
-def write_u8(out: bytearray, value: int) -> None:
-    """Append an unsigned 8-bit integer."""
-    if not 0 <= value <= 0xFF:
-        raise ValueError(f"u8 out of range: {value}")
-    out.append(value)
-
-
 def write_u16(out: bytearray, value: int) -> None:
     """Append a big-endian unsigned 16-bit integer."""
     if not 0 <= value <= 0xFFFF:

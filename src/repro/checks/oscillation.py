@@ -8,10 +8,10 @@ converging.  Locally this is visible as sustained Loc-RIB churn.
 The property counts Loc-RIB transitions per prefix during the
 exploration horizon.  Genuine convergence produces a handful of changes
 per prefix (bounded by path exploration during convergence); an
-oscillation produces changes proportional to the horizon.  The default
-threshold (8 transitions of the *same* prefix) sits well above anything
-our topologies produce while converging and well below a single
-oscillation period budget.
+oscillation produces changes proportional to the horizon.  The
+threshold (:data:`MAX_TRANSITIONS` changes of the *same* prefix) sits
+well above anything our topologies produce while converging and well
+below a single oscillation period budget.
 
 Change count alone is not enough, though: a system converging *slowly*
 through many successively better paths (see the slow-convergence
@@ -19,7 +19,7 @@ gadget) racks up transitions without ever oscillating.  What separates
 an oscillation is that the best route keeps *returning to a state it
 already left* — so a violation additionally requires the per-prefix
 state sequence to revisit previously-seen states at least
-``min_revisits`` times.  Monotone convergence has zero revisits no
+:data:`MIN_REVISITS` times.  Monotone convergence has zero revisits no
 matter how many steps it takes.
 """
 
@@ -29,6 +29,11 @@ from collections import Counter
 
 from repro.core.faultclass import FAULT_POLICY_CONFLICT
 from repro.core.properties import SCOPE_LOCAL, CheckContext, Property, Violation
+
+# Changes of one prefix's best route before it is suspect.
+MAX_TRANSITIONS = 8
+# Returns to an already-held state that make those changes oscillation.
+MIN_REVISITS = 2
 
 
 class RouteStability(Property):
@@ -47,13 +52,6 @@ class RouteStability(Property):
     scope = SCOPE_LOCAL
     fault_class = FAULT_POLICY_CONFLICT
     monotone = True
-
-    def __init__(self, max_transitions: int = 8,
-                 watch_neighbors: bool = True,
-                 min_revisits: int = 2):
-        self.max_transitions = max_transitions
-        self.watch_neighbors = watch_neighbors
-        self.min_revisits = min_revisits
 
     def prepare(self, context: CheckContext) -> None:
         context.baseline["stability_since"] = context.clone.sim.now
@@ -74,12 +72,7 @@ class RouteStability(Property):
             "stability_since", 0.0
         )
         # A router nothing reached is unbuilt and changed no route.
-        routers = (
-            sorted(context.clone.materialized().items())
-            if self.watch_neighbors
-            else [(context.node, context.router)]
-        )
-        for name, process in routers:
+        for name, process in sorted(context.clone.materialized().items()):
             rib = getattr(process, "loc_rib", None)
             if rib is None:
                 continue
@@ -87,7 +80,7 @@ class RouteStability(Property):
             fresh = rib.recent_changes(rib.changes_total - baseline)
             per_prefix = Counter(change.prefix for change in fresh)
             for prefix, count in sorted(per_prefix.items()):
-                if count < self.max_transitions:
+                if count < MAX_TRANSITIONS:
                     continue
                 flaps = [
                     change for change in fresh if change.prefix == prefix
@@ -101,7 +94,7 @@ class RouteStability(Property):
                     for change in flaps
                 ]
                 revisits = len(states) - len(set(states))
-                if revisits < self.min_revisits:
+                if revisits < MIN_REVISITS:
                     continue
                 violations.append(
                     Violation(
@@ -111,7 +104,7 @@ class RouteStability(Property):
                         detail=(
                             f"{prefix} changed best route {count} times "
                             f"in {observed:.3f} simulated seconds "
-                            f"(threshold {self.max_transitions}), "
+                            f"(threshold {MAX_TRANSITIONS}), "
                             f"revisiting {revisits} previously-held "
                             "states — likely policy-conflict oscillation"
                         ),

@@ -13,9 +13,12 @@ from __future__ import annotations
 from repro.bgp.ip import Prefix
 from repro.net.network import Network
 
+# Hops a forwarding walk takes before it reports ``too_long``.
+MAX_HOPS = 64
+
 
 def forwarding_path(
-    network: Network, start: str, prefix: Prefix, max_hops: int = 64
+    network: Network, start: str, prefix: Prefix
 ) -> tuple[list[str], str]:
     """Follow best-route next hops from ``start`` toward ``prefix``.
 
@@ -26,7 +29,7 @@ def forwarding_path(
     path = [start]
     visited = {start}
     current = start
-    for _ in range(max_hops):
+    for _ in range(MAX_HOPS):
         router = network.processes[current]
         config = getattr(router, "config", None)
         if config is not None and prefix in config.networks:

@@ -63,12 +63,6 @@ class PathRecorder:
         if len(self.branches) < MAX_BRANCHES:
             self.branches.append((constraint, taken))
 
-    def path_signature(self) -> int:
-        """A process-stable identity for the executed path."""
-        from repro.concolic import path as pathmod
-
-        return pathmod.signature(self.branches)
-
     def __enter__(self) -> "PathRecorder":
         if _active_recorder() is not None:
             raise RuntimeError("nested PathRecorder")

@@ -17,7 +17,7 @@ ways:
   RIB as a list of routes and ``import_state`` turns each list into the
   RIB's dict in one pass: no mutator is called, nothing is journalled
   (a restored Loc-RIB has ``changes_total == 0``), and the Loc-RIB's
-  longest-prefix index is built on the first ``lookup``;
+  prefix order is sorted the first time something iterates it;
 * **measurability** — :func:`checkpoint_size` estimates the checkpoint's
   retained size so EXP-OVERHEAD can chart cost against RIB size.
 """

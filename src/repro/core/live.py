@@ -56,14 +56,13 @@ class LiveSystem:
         configs: Iterable[RouterConfig],
         links: Iterable[LinkSpec],
         seed: int = 0,
-        connect_delay: float = 0.1,
     ) -> "LiveSystem":
         """Construct the network, add routers, wire links."""
         configs = list(configs)
         links = list(links)
         network = Network(seed=seed)
         for config in configs:
-            network.add_process(BGPRouter(config, connect_delay=connect_delay))
+            network.add_process(BGPRouter(config))
         for a, b, profile in links:
             network.add_link(a, b, profile)
         return LiveSystem(network, configs, links=links)

@@ -94,14 +94,6 @@ class AddressPlan:
                 f"no link between {local!r} and {remote!r} in the plan"
             ) from None
 
-    def interfaces(self, router: str) -> list[tuple[str, SessionAddress]]:
-        """(peer, addresses) for every link ``router`` terminates."""
-        return sorted(
-            (remote, address)
-            for (local, remote), address in self._sessions.items()
-            if local == router
-        )
-
 
 # -- filter compilation -------------------------------------------------
 

@@ -64,7 +64,6 @@ class TopologyParams:
     stub_uplinks_max: int = 2  # 1..max providers per stub
     transit_peering_prob: float = 0.3
     base_as: int = 100
-    connect_delay: float = 0.1
 
     @property
     def total(self) -> int:
@@ -82,42 +81,9 @@ class InternetTopology:
     relationships: dict[tuple[str, str], str] = field(default_factory=dict)
     tiers: dict[str, int] = field(default_factory=dict)
 
-    def config_for(self, name: str) -> RouterConfig:
-        """Config of the named router."""
-        for config in self.configs:
-            if config.name == name:
-                return config
-        raise KeyError(name)
-
     def nodes_in_tier(self, tier: int) -> list[str]:
         """Router names in the given tier (1, 2, or 3)."""
         return sorted(n for n, t in self.tiers.items() if t == tier)
-
-    def to_networkx(self):
-        """Export as a networkx graph for analysis/plotting.
-
-        Nodes carry ``asn`` and ``tier`` attributes; edges carry
-        ``relationship`` (from the lexicographically smaller endpoint's
-        point of view) and ``latency_ms``.
-        """
-        import networkx as nx
-
-        graph = nx.Graph()
-        for config in self.configs:
-            graph.add_node(
-                config.name,
-                asn=config.local_as,
-                tier=self.tiers[config.name],
-            )
-        for a, b, profile in self.links:
-            low, high = sorted((a, b))
-            graph.add_edge(
-                a,
-                b,
-                relationship=self.relationships[(low, high)],
-                latency_ms=profile.latency_s * 1000.0,
-            )
-        return graph
 
 
 def _import_filter(name: str, relationship: str) -> str:

@@ -27,7 +27,7 @@ def derive_seed(root_seed: int, name: str) -> int:
 
 
 class RandomService:
-    """A tree of named, independently-seeded random streams."""
+    """Named, independently-seeded random streams under one root seed."""
 
     def __init__(self, seed: int = 0):
         self._seed = seed
@@ -45,11 +45,3 @@ class RandomService:
             stream = random.Random(derive_seed(self._seed, name))
             self._streams[name] = stream
         return stream
-
-    def child(self, name: str) -> "RandomService":
-        """Return a whole child service rooted under ``name``."""
-        return RandomService(derive_seed(self._seed, name))
-
-    def fork(self, index: int) -> "RandomService":
-        """Return a child service for the ``index``-th parallel task."""
-        return self.child(f"fork/{index}")

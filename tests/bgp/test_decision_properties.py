@@ -19,7 +19,7 @@ from repro.bgp.attributes import (
     Origin,
     PathAttributes,
 )
-from repro.bgp.decision import best_route, compare_routes, selection_reason
+from repro.bgp.decision import best_route, compare_routes
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.route import SOURCE_EBGP, SOURCE_IBGP, Route
 
@@ -110,14 +110,6 @@ class TestTotalPreorder:
         if compare_routes(a, b, **kw) == 0:
             assert a.peer == b.peer
             assert (a.peer_bgp_id is None) == (b.peer_bgp_id is None)
-
-    @given(a=routes, b=routes, kw=knobs)
-    def test_reason_reported_for_every_decision(self, a, b, kw):
-        reason = selection_reason(a, b, **kw)
-        assert reason in {
-            "local_pref", "as_path_length", "origin", "med",
-            "ebgp_over_ibgp", "router_id", "peer_name",
-        }
 
 
 class TestBestRoute:

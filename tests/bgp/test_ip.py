@@ -1,4 +1,4 @@
-"""Tests for IPv4 addresses, prefixes, and the radix trie."""
+"""Tests for IPv4 addresses and prefixes."""
 
 import copy
 import os
@@ -10,7 +10,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
+from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.messages import _decode_nlri_block
+
+
+def decode_nlri(wire: bytes) -> Prefix:
+    """The one prefix in ``wire``, decoded as an UPDATE's NLRI is."""
+    (prefix,) = _decode_nlri_block(wire, 0, len(wire), "nlri")
+    return prefix
 
 
 class TestIPv4Address:
@@ -102,24 +109,11 @@ class TestPrefix:
         default = Prefix("0.0.0.0/0")
         assert default.contains(Prefix("203.0.113.0/24"))
 
-    def test_supernet(self):
-        assert Prefix("10.1.0.0/16").supernet() == Prefix("10.0.0.0/15")
-        with pytest.raises(ValueError):
-            Prefix("0.0.0.0/0").supernet()
-
-    def test_subnets(self):
-        low, high = Prefix("10.0.0.0/8").subnets()
-        assert low == Prefix("10.0.0.0/9")
-        assert high == Prefix("10.128.0.0/9")
-        with pytest.raises(ValueError):
-            Prefix("10.0.0.1/32").subnets()
-
     def test_wire_roundtrip(self):
         prefix = Prefix("192.168.128.0/17")
         wire = prefix.wire_bytes()
         assert wire[0] == 17
-        decoded = Prefix.from_wire(wire[0], wire[1:])
-        assert decoded == prefix
+        assert decode_nlri(wire) == prefix
 
     def test_wire_minimal_octets(self):
         assert len(Prefix("10.0.0.0/8").wire_bytes()) == 2
@@ -127,8 +121,8 @@ class TestPrefix:
         assert len(Prefix("0.0.0.0/0").wire_bytes()) == 1
 
     def test_from_wire_masks_stray_bits(self):
-        decoded = Prefix.from_wire(8, bytes([0x0A]))
-        assert decoded == Prefix("10.0.0.0/8")
+        # 0x0B under a /7 mask leaves one host bit set; BIRD masks it.
+        assert decode_nlri(bytes([7, 0x0B])) == Prefix("10.0.0.0/7")
 
     @pytest.mark.parametrize("leaf", [Prefix("10.1.0.0/16"),
                                       IPv4Address("10.0.1.1")])
@@ -152,137 +146,6 @@ class TestPrefix:
         mask = 0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF
         prefix = Prefix(network & mask, length)
         wire = prefix.wire_bytes()
-        assert Prefix.from_wire(wire[0], wire[1:]) == prefix
+        assert decode_nlri(wire) == prefix
 
 
-def naive_longest_match(entries, address):
-    """Oracle for PrefixTrie.longest_match."""
-    best = None
-    for prefix, value in entries.items():
-        if prefix.contains(address):
-            if best is None or prefix.length > best[0].length:
-                best = (prefix, value)
-    return best
-
-
-class TestPrefixTrie:
-    def test_insert_get(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "a")
-        assert trie.get(Prefix("10.0.0.0/8")) == "a"
-        assert trie.get(Prefix("10.0.0.0/9")) is None
-
-    def test_replace_keeps_size(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "a")
-        trie.insert(Prefix("10.0.0.0/8"), "b")
-        assert len(trie) == 1
-        assert trie.get(Prefix("10.0.0.0/8")) == "b"
-
-    def test_contains(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), None)
-        assert Prefix("10.0.0.0/8") in trie
-        assert Prefix("11.0.0.0/8") not in trie
-
-    def test_remove(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "a")
-        assert trie.remove(Prefix("10.0.0.0/8"))
-        assert not trie.remove(Prefix("10.0.0.0/8"))
-        assert len(trie) == 0
-
-    def test_remove_keeps_descendants(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "short")
-        trie.insert(Prefix("10.1.0.0/16"), "long")
-        trie.remove(Prefix("10.0.0.0/8"))
-        assert trie.get(Prefix("10.1.0.0/16")) == "long"
-
-    def test_longest_match_picks_most_specific(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "short")
-        trie.insert(Prefix("10.1.0.0/16"), "long")
-        hit = trie.longest_match(IPv4Address("10.1.2.3"))
-        assert hit == (Prefix("10.1.0.0/16"), "long")
-        hit = trie.longest_match(IPv4Address("10.2.0.1"))
-        assert hit == (Prefix("10.0.0.0/8"), "short")
-
-    def test_longest_match_miss(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), "a")
-        assert trie.longest_match(IPv4Address("11.0.0.1")) is None
-
-    def test_default_route_matches_all(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("0.0.0.0/0"), "default")
-        assert trie.longest_match(IPv4Address("203.0.113.9")) == (
-            Prefix("0.0.0.0/0"),
-            "default",
-        )
-
-    def test_items_in_network_order(self):
-        trie = PrefixTrie()
-        prefixes = [Prefix("192.168.0.0/16"), Prefix("10.0.0.0/8"),
-                    Prefix("10.1.0.0/16")]
-        for index, prefix in enumerate(prefixes):
-            trie.insert(prefix, index)
-        listed = [prefix for prefix, _ in trie.items()]
-        assert listed == sorted(prefixes)
-
-    def test_covered_by(self):
-        trie = PrefixTrie()
-        trie.insert(Prefix("10.0.0.0/8"), 0)
-        trie.insert(Prefix("10.1.0.0/16"), 1)
-        trie.insert(Prefix("11.0.0.0/8"), 2)
-        covered = {prefix for prefix, _ in trie.covered_by(Prefix("10.0.0.0/8"))}
-        assert covered == {Prefix("10.0.0.0/8"), Prefix("10.1.0.0/16")}
-
-    @given(
-        st.dictionaries(
-            st.builds(
-                lambda network, length: Prefix(
-                    network
-                    & (0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF),
-                    length,
-                ),
-                st.integers(min_value=0, max_value=2**32 - 1),
-                st.integers(min_value=0, max_value=32),
-            ),
-            st.integers(),
-            max_size=30,
-        ),
-        st.integers(min_value=0, max_value=2**32 - 1),
-    )
-    def test_longest_match_agrees_with_oracle(self, entries, address_value):
-        trie = PrefixTrie()
-        for prefix, value in entries.items():
-            trie.insert(prefix, value)
-        address = IPv4Address(address_value)
-        expected = naive_longest_match(entries, address)
-        assert trie.longest_match(address) == expected
-
-    @given(
-        st.lists(
-            st.builds(
-                lambda network, length: Prefix(
-                    network
-                    & (0 if length == 0 else (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF),
-                    length,
-                ),
-                st.integers(min_value=0, max_value=2**32 - 1),
-                st.integers(min_value=0, max_value=32),
-            ),
-            max_size=20,
-        )
-    )
-    def test_insert_remove_all_leaves_empty(self, prefixes):
-        trie = PrefixTrie()
-        unique = list(dict.fromkeys(prefixes))
-        for prefix in unique:
-            trie.insert(prefix, str(prefix))
-        assert len(trie) == len(unique)
-        for prefix in unique:
-            assert trie.remove(prefix)
-        assert len(trie) == 0
-        assert list(trie.items()) == []

@@ -4,11 +4,10 @@ import pickle
 
 from hypothesis import given
 from hypothesis import strategies as st
-from test_ip import naive_longest_match
 
 from repro.bgp import rib as rib_module
 from repro.bgp.attributes import AsPath, PathAttributes
-from repro.bgp.ip import IPv4Address, Prefix, PrefixTrie
+from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import SOURCE_EBGP, Route
 
@@ -121,16 +120,6 @@ class TestLocRib:
         rib = LocRib()
         assert rib.set(1.0, P1, None) is None
 
-    def test_longest_prefix_lookup(self):
-        rib = LocRib()
-        short = route(Prefix("10.0.0.0/8"))
-        long = route(P1, peer="p2")
-        rib.set(1.0, Prefix("10.0.0.0/8"), short)
-        rib.set(1.0, P1, long)
-        assert rib.lookup(IPv4Address("10.1.2.3")) is long
-        assert rib.lookup(IPv4Address("10.5.0.1")) is short
-        assert rib.lookup(IPv4Address("11.0.0.1")) is None
-
     def test_journal_filtering(self):
         rib = LocRib()
         rib.set(1.0, P1, route(P1))
@@ -166,7 +155,7 @@ def _prefix(bits, length):
 
 
 # Short prefixes collide often, so one run sets, replaces and removes
-# the same keys and nests them; the long ones reach the deep trie.
+# the same keys and nests them; the long ones spread across the space.
 PREFIXES = st.one_of(
     st.builds(_prefix, st.integers(0, 31), st.integers(0, 5)),
     st.builds(_prefix, st.integers(0, 2**32 - 1), st.integers(0, 32)),
@@ -179,13 +168,12 @@ MUTATIONS = st.lists(
 
 class TestLocRibAgainstTrieAndDict:
     """The dict-backed Loc-RIB against the structures it replaced: a
-    ``PrefixTrie`` for iteration order, a brute-force scan for longest
-    match, a plain dict for everything else."""
+    binary trie's pre-order for iteration, which is the keys sorted by
+    ``(network, length)``, and a plain dict for everything else."""
 
-    @given(MUTATIONS, st.lists(st.integers(0, 2**32 - 1), max_size=5))
-    def test_interleaved_set_and_withdraw(self, mutations, addresses):
+    @given(MUTATIONS)
+    def test_interleaved_set_and_withdraw(self, mutations):
         rib = LocRib()
-        trie = PrefixTrie()
         model = {}
         changes = []
         for step, (prefix, pref) in enumerate(mutations):
@@ -200,28 +188,20 @@ class TestLocRibAgainstTrieAndDict:
                 changes.append(change)
                 if new is None:
                     del model[prefix]
-                    trie.remove(prefix)
                 else:
                     model[prefix] = new
-                    trie.insert(prefix, new)
-            # (c) the plain-dict model
+            # the plain-dict model
             assert len(rib) == len(model)
             assert rib.get(prefix) is model.get(prefix)
             assert rib.changes_total == len(changes)
             assert rib.journal() == changes
-            # (a) iteration order is the trie's
-            expected = list(trie.items())
-            assert list(rib.prefixes()) == [p for p, _ in expected]
+            # iteration order is the trie's pre-order
+            expected = sorted(model)
+            assert list(rib.prefixes()) == expected
             listed = list(rib.routes())
             assert len(listed) == len(expected)
-            assert all(a is b for a, (_, b) in zip(listed, expected))
-            assert [r.prefix for r in listed] == [p for p, _ in expected]
-            # (b) the lazy index is never stale: look up after every
-            # mutation, at the drawn addresses and inside this prefix
-            for value in [*addresses, prefix.network]:
-                address = IPv4Address(value)
-                hit = naive_longest_match(model, address)
-                assert rib.lookup(address) is (None if hit is None else hit[1])
+            assert all(a is model[p] for a, p in zip(listed, expected))
+            assert [r.prefix for r in listed] == expected
 
     @given(st.lists(PREFIXES, max_size=20, unique=True))
     def test_initial_routes_are_not_changes(self, prefixes):
@@ -233,10 +213,6 @@ class TestLocRibAgainstTrieAndDict:
         # in prefix order whatever order they were handed over in
         assert list(rib.prefixes()) == sorted(prefixes)
         assert [r.prefix for r in rib.routes()] == sorted(prefixes)
-        for prefix in prefixes:
-            hit = naive_longest_match(dict(zip(prefixes, routes)),
-                                      prefix.address)
-            assert rib.lookup(prefix.address) is hit[1]
 
 
 class TestInitialContents:

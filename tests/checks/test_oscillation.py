@@ -1,5 +1,6 @@
 """Tests for the route-stability (policy conflict) check."""
 
+from repro.checks import oscillation
 from repro.checks.oscillation import RouteStability
 from repro.core.live import LiveSystem
 from repro.core.properties import CheckContext
@@ -35,7 +36,8 @@ class TestRouteStability:
         assert violations
         assert violations[0].fault_class == "policy_conflict"
         assert violations[0].evidence["prefix"] == str(GADGET_PREFIX)
-        assert violations[0].evidence["transitions"] >= prop.max_transitions
+        assert (violations[0].evidence["transitions"]
+                >= oscillation.MAX_TRANSITIONS)
 
     def test_good_gadget_not_flagged(self):
         configs, links = build_good_gadget()
@@ -55,21 +57,11 @@ class TestRouteStability:
         prop.prepare(context)
         assert prop.check(context) == []
 
-    def test_watch_neighbors_toggle(self, bad_gadget_live):
-        bad_gadget_live.run(until=2)
-        prop = RouteStability(watch_neighbors=False)
-        context = make_context(bad_gadget_live, "d")
-        prop.prepare(context)
-        bad_gadget_live.run(until=bad_gadget_live.network.sim.now + 10)
-        # d originates the prefix and never flaps; with neighbors
-        # unwatched, nothing is flagged at d.
-        assert prop.check(context) == []
-
     def test_slow_convergence_not_misclassified(self):
         """Regression: many transitions ≠ oscillation.
 
         The slow-convergence gadget upgrades tail router t's best path
-        once per relay — more transitions than max_transitions, but
+        once per relay — more transitions than MAX_TRANSITIONS, but
         every change is monotone progress toward the final state. The
         revisit heuristic must keep this off the fault list: a policy
         conflict *revisits* states (DPC's cycle of ⊁-related states),
@@ -78,7 +70,7 @@ class TestRouteStability:
         configs, links = build_slow_convergence(stages=12)
         live = LiveSystem.build(configs, links, seed=9)
         live.run(until=2)  # sessions coming up; upgrades still ahead
-        prop = RouteStability(max_transitions=8)
+        prop = RouteStability()
         context = make_context(live, "t")
         prop.prepare(context)
         live.converge(deadline=600)
@@ -87,7 +79,7 @@ class TestRouteStability:
             1 for change in router.loc_rib.recent_changes(256)
             if change.prefix == GADGET_PREFIX
         )
-        assert transitions > prop.max_transitions, (
+        assert transitions > oscillation.MAX_TRANSITIONS, (
             "gadget must out-churn the threshold for the test to bite"
         )
         assert prop.check(context) == []
@@ -102,13 +94,15 @@ class TestRouteStability:
         bad_gadget_live.run(until=bad_gadget_live.network.sim.now + 10)
         violations = prop.check(context)
         assert violations
-        assert violations[0].evidence["revisits"] >= prop.min_revisits
+        assert (violations[0].evidence["revisits"]
+                >= oscillation.MIN_REVISITS)
 
-    def test_threshold_configurable(self, converged3):
+    def test_threshold_configurable(self, converged3, monkeypatch):
         from repro.bgp.config import AddNetwork, RemoveNetwork
         from repro.bgp.ip import Prefix
 
-        prop = RouteStability(max_transitions=2)
+        monkeypatch.setattr(oscillation, "MAX_TRANSITIONS", 2)
+        prop = RouteStability()
         context = make_context(converged3, "r2")
         prop.prepare(context)
         prefix = Prefix("10.60.0.0/16")

@@ -2,6 +2,7 @@
 
 from repro.bgp.config import RemoveNetwork
 from repro.bgp.ip import Prefix
+from repro.checks import reachability
 from repro.checks.reachability import (
     convergence_complete,
     find_blackholes,
@@ -30,6 +31,14 @@ class TestForwardingPath:
             converged3.network, "r3", Prefix("203.0.113.0/24")
         )
         assert outcome == "blackhole"
+
+    def test_too_long_past_max_hops(self, converged3, monkeypatch):
+        monkeypatch.setattr(reachability, "MAX_HOPS", 1)
+        path, outcome = forwarding_path(
+            converged3.network, "r3", Prefix("10.1.0.0/16")
+        )
+        assert outcome == "too_long"
+        assert path == ["r3", "r2"]
 
 
 class TestGlobalChecks:

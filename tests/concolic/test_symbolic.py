@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.concolic.expr import Const, Var
+from repro.concolic import path
 from repro.concolic.path import held_path
 from repro.concolic.symbolic import (
     MAX_BRANCHES,
@@ -161,7 +162,7 @@ class TestBranchRecording:
             with PathRecorder() as recorder:
                 if sym(value) > 5:
                     pass
-            return recorder.path_signature()
+            return path.signature(recorder.branches)
 
         assert run(10) != run(1)
         assert run(10) == run(20)

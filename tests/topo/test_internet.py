@@ -5,8 +5,6 @@ import os
 import subprocess
 import sys
 
-import pytest
-
 from repro.bgp.config import AddFilter, SetNeighborFilter
 from repro.bgp.policy import Filter
 from repro.checks.reachability import convergence_complete
@@ -20,6 +18,26 @@ from repro.topo.internet import (
 )
 
 SMALL = TopologyParams(tier1=2, transit=3, stubs=4, seed=11)
+MID = TopologyParams(tier1=3, transit=8, stubs=16, seed=2711)
+
+
+def hop_distances(topology, source: str) -> dict[str, int]:
+    """Link hops from ``source`` to every router it reaches."""
+    neighbors: dict[str, list[str]] = {}
+    for a, b, _profile in topology.links:
+        neighbors.setdefault(a, []).append(b)
+        neighbors.setdefault(b, []).append(a)
+    distances = {source: 0}
+    frontier = [source]
+    while frontier:
+        following = []
+        for node in frontier:
+            for neighbor in neighbors.get(node, ()):
+                if neighbor not in distances:
+                    distances[neighbor] = distances[node] + 1
+                    following.append(neighbor)
+        frontier = following
+    return distances
 
 
 class TestStructure:
@@ -74,11 +92,25 @@ class TestStructure:
         )
         assert a.relationships != different.relationships
 
-    def test_config_for_lookup(self):
-        topology = build_internet(SMALL)
-        assert topology.config_for("t1-1").name == "t1-1"
-        with pytest.raises(KeyError):
-            topology.config_for("nope")
+    def test_every_link_has_a_relationship_and_latency(self):
+        topology = build_internet(TopologyParams(tier1=2, transit=2, stubs=2,
+                                                 seed=1))
+        for a, b, profile in topology.links:
+            assert topology.relationships[(a, b)] in (
+                REL_CUSTOMER, REL_PEER, REL_PROVIDER)
+            assert profile.latency_s > 0
+
+    def test_links_connect_every_router(self):
+        topology = build_internet(MID)
+        distances = hop_distances(topology, topology.configs[0].name)
+        assert len(distances) == MID.total
+
+    def test_as_level_diameter_is_internet_like(self):
+        """Tiered structure keeps the AS-level diameter small."""
+        topology = build_internet(MID)
+        diameter = max(max(hop_distances(topology, config.name).values())
+                       for config in topology.configs)
+        assert diameter <= 6
 
 
 class TestPolicies:

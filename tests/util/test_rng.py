@@ -38,16 +38,5 @@ class TestRandomService:
         draw_after = second.stream("loss").random()
         assert draw_before == draw_after
 
-    def test_child_service_differs_from_parent(self):
-        parent = RandomService(3)
-        child = parent.child("sub")
-        assert parent.stream("s").random() != child.stream("s").random()
-
-    def test_fork_indexes_differ(self):
-        service = RandomService(3)
-        a = service.fork(0).stream("s").random()
-        b = service.fork(1).stream("s").random()
-        assert a != b
-
     def test_seed_property(self):
         assert RandomService(77).seed == 77
