@@ -16,10 +16,12 @@ Seven measurements:
   1 per clone for grammar inputs at a converged 40-router internet's
   transit router over a 3 s horizon, where every router was restored
   before clones were copy-on-touch; a counter, so gated;
-* what a task ships — attribute values per attribute object in a
-  converged 40-router snapshot and the size of its pickle — expected:
-  exactly 1.0 (a network's routers hold one object per distinct value)
-  and ~290 KiB; both deterministic, so gated;
+* what a task ships — attribute set, prefix and AS path values per
+  object in a converged 40-router snapshot, the size of its pickle and
+  of a smaller system's whole task — expected: exactly 1.0 each (a
+  network's routers hold one object per distinct value), ~197 KiB (a
+  router's RIBs pickle as rows) and ~22 KiB; all deterministic, so
+  gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -265,9 +267,10 @@ def test_live_slowdown_with_dice_attached(benchmark):
 
 def test_snapshot_sharing(benchmark):
     """What a task ships: on a converged 40-router internet every
-    distinct attribute value is one object in the snapshot (routers hand
-    each other the same decoded message and keep one set per value), so
-    pickle writes it once.  The ratio and the size are deterministic and
+    distinct attribute set, prefix and AS path value is one object in
+    the snapshot (routers hand each other the same decoded message and
+    keep one object per value), so pickle writes each once, and the
+    RIBs pickle as rows.  The ratios and the size are deterministic and
     gated; the two timings are informational."""
     topology = build_internet(
         TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
@@ -275,40 +278,57 @@ def test_snapshot_sharing(benchmark):
     live = LiveSystem.build(topology.configs, topology.links, seed=0)
     live.converge(deadline=600)
     snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
-    held = {}
+    held = {"attribute": {}, "prefix": {}, "AS path": {}}
+
+    def hold(kind, value):
+        held[kind][id(value)] = value
+
     for checkpoint in snapshot.checkpoints.values():
         state = checkpoint.state
         ribs = [state["loc_rib"], *state["adj_rib_in"].values()]
         for rib in ribs:
             for route in rib:
-                held[id(route.attributes)] = route.attributes
+                hold("prefix", route.prefix)
+                hold("attribute", route.attributes)
         # an Adj-RIB-Out maps each prefix to the attribute set sent
         for sent in state["adj_rib_out"].values():
-            for attributes in sent.values():
-                held[id(attributes)] = attributes
-    values = len(set(held.values()))
-    sharing = values / len(held)
+            for prefix, attributes in sent.items():
+                hold("prefix", prefix)
+                hold("attribute", attributes)
+    for attributes in list(held["attribute"].values()):
+        hold("AS path", attributes.as_path)
+    sharing = {
+        kind: len(set(objects.values())) / len(objects)
+        for kind, objects in held.items()
+    }
     blob = benchmark(lambda: pickle.dumps(snapshot))
     dumps_ms = benchmark.stats.stats.min * 1000
-    started = time.perf_counter()
-    restored = pickle.loads(blob)
-    loads_ms = (time.perf_counter() - started) * 1000
+    loads = []
+    for _ in range(20):
+        started = time.perf_counter()
+        restored = pickle.loads(blob)
+        loads.append(time.perf_counter() - started)
+    loads_ms = min(loads) * 1000
+    for kind, objects in held.items():
+        print(f"\n  {len(set(objects.values()))} {kind} values in "
+              f"{len(objects)} objects (sharing {sharing[kind]:.2f})", end="")
     print(
-        f"\n  {values} attribute values in {len(held)} "
-        f"objects (sharing {sharing:.2f}); pickle {len(blob) / 1024:.0f} KiB, "
+        f"\n  pickle {len(blob) / 1024:.0f} KiB, "
         f"dumps {dumps_ms:.1f} ms, loads {loads_ms:.1f} ms"
     )
     benchlib.record(
         "overhead",
         metrics={
-            "snapshot_attr_sharing": round(sharing, 4),
+            "snapshot_attr_sharing": round(sharing["attribute"], 4),
+            "snapshot_prefix_sharing": round(sharing["prefix"], 4),
+            "snapshot_aspath_sharing": round(sharing["AS path"], 4),
             "snapshot_pickle_kib": round(len(blob) / 1024, 1),
             "snapshot_dumps_ms": round(dumps_ms, 2),
             "snapshot_loads_ms": round(loads_ms, 2),
         },
     )
     assert restored.node_count == snapshot.node_count
-    assert sharing == 1.0
+    assert sharing == {"attribute": 1.0, "prefix": 1.0, "AS path": 1.0}
 
 
 def test_task_shipping_overhead(benchmark):

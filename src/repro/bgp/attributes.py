@@ -43,7 +43,6 @@ SEGMENT_AS_SEQUENCE = 2
 # Well-known community values (RFC 1997).
 COMMUNITY_NO_EXPORT = 0xFFFFFF01
 COMMUNITY_NO_ADVERTISE = 0xFFFFFF02
-COMMUNITY_NO_EXPORT_SUBCONFED = 0xFFFFFF03
 
 
 class Origin:
@@ -80,9 +79,12 @@ class AsPath:
     (RFC 4271, 9.1.2.2 a).
     """
 
-    __slots__ = ("segments",)
+    # ``_hash`` is filled in by the first ``__hash__``; ``__reduce__``
+    # reruns the constructor, so it is never pickled.
+    __slots__ = ("segments", "_hash")
 
     def __init__(self, segments: "tuple[tuple[int, tuple[int, ...]], ...]" = ()):
+        self._hash: int | None = None
         for seg_type, asns in segments:
             if seg_type not in (SEGMENT_AS_SET, SEGMENT_AS_SEQUENCE):
                 raise ValueError(f"bad AS_PATH segment type {seg_type}")
@@ -191,7 +193,12 @@ class AsPath:
         return isinstance(other, AsPath) and self.segments == other.segments
 
     def __hash__(self) -> int:
-        return hash(("AsPath", self.segments))
+        # Computed once: routers look attribute sets' paths up in
+        # ``Network.interned`` by the path itself.
+        cached = self._hash
+        if cached is None:
+            cached = self._hash = hash(("AsPath", self.segments))
+        return cached
 
     def __str__(self) -> str:
         parts = []
@@ -209,6 +216,10 @@ class AsPath:
     def __reduce__(self):
         return (AsPath, (self.segments,))
 
+
+# The path of every set built without one: one object, as a network
+# keeps one object per path value (``BGPRouter._canonical``).
+_EMPTY_PATH = AsPath()
 
 # Per-type flag templates: (required optional bit, required transitive bit).
 _FLAG_RULES: dict[int, tuple[bool, bool]] = {
@@ -270,7 +281,7 @@ class PathAttributes:
         unknown: tuple[tuple[int, int, bytes], ...] = (),
     ):
         self.origin = origin
-        self.as_path = as_path if as_path is not None else AsPath()
+        self.as_path = as_path if as_path is not None else _EMPTY_PATH
         self.next_hop = next_hop
         self.med = med
         self.local_pref = local_pref

@@ -414,4 +414,3 @@ class Filter:
 
 
 ACCEPT_ALL = Filter.compile("filter accept_all { accept; }")
-REJECT_ALL = Filter.compile("filter reject_all { reject; }")

@@ -27,6 +27,7 @@ them back (the checks read the Loc-RIB journal and session counters).
 from __future__ import annotations
 
 import logging
+from operator import attrgetter
 from typing import Any
 
 from repro.bgp import faults
@@ -123,7 +124,7 @@ class BGPRouter(Process):
             PathAttributes(next_hop=self.config.router_id)
         )
         return Route(
-            prefix=prefix,
+            prefix=self._canonical_prefix(prefix),
             attributes=attrs,
             source=SOURCE_STATIC,
             received_at=self.now if self.network else 0.0,
@@ -232,16 +233,39 @@ class BGPRouter(Process):
         """This network's one object for ``attrs``' value, as BIRD's
         ``rta_lookup`` and FRR's ``attrhash`` keep one per daemon.
 
-        A set holding a symbolic value is returned as it is and never
-        kept: its key is concretized, so it would alias a concrete set
-        and drop the expressions the concolic engine follows.
+        A set kept for the first time holds the network's one object for
+        its AS path (a copy of ``attrs`` is kept if ``attrs`` holds
+        another).  A set holding a symbolic value is returned as it is
+        and never kept: its key is concretized, so it would alias a
+        concrete set and drop the expressions the concolic engine
+        follows.
         """
         network = self.network
         if network is None or not attrs.is_concrete():
             return attrs
         key = attrs.key()
-        found = network.interned.get(key)
-        return found if found is not None else network.intern(key, attrs)
+        interned = network.interned
+        found = interned.get(key)
+        if found is not None:
+            return found
+        as_path = attrs.as_path
+        path = interned.get(as_path)
+        if path is None:
+            network.intern(as_path, as_path)
+        elif path is not as_path:
+            attrs = attrs.replace(as_path=path)
+        return network.intern(key, attrs)
+
+    def _canonical_prefix(self, prefix: Prefix) -> Prefix:
+        """This network's one object for ``prefix``'s value, the
+        prefix every route to it holds.  A prefix is its own key: it
+        compares equal to prefixes alone, so it can meet no other kind
+        of entry, and it caches its hash."""
+        network = self.network
+        if network is None:
+            return prefix
+        found = network.interned.get(prefix)
+        return found if found is not None else network.intern(prefix, prefix)
 
     def _dispatch(self, src: str, message: BGPMessage) -> None:
         session = self.sessions[src]
@@ -408,7 +432,7 @@ class BGPRouter(Process):
         )
         for prefix in message.withdrawn:
             if self.adj_rib_in[src].withdraw(prefix) is not None:
-                dirty.append(prefix)
+                dirty.append(self._canonical_prefix(prefix))
                 self._record_flap(src, prefix, FLAP_WITHDRAW)
         if message.nlri:
             assert message.attributes is not None  # decoder guarantees
@@ -416,7 +440,7 @@ class BGPRouter(Process):
                 route = self._build_route(src, prefix, message.attributes)
                 accepted = self._import_route(src, route)
                 if accepted:
-                    dirty.append(prefix)
+                    dirty.append(route.prefix)
         if dirty:
             changes = self._run_decision(dirty)
             self._propagate(changes)
@@ -435,7 +459,7 @@ class BGPRouter(Process):
         neighbor = self._neighbor(src)
         source = SOURCE_IBGP if neighbor.is_ibgp(self.config.local_as) else SOURCE_EBGP
         return Route(
-            prefix=prefix,
+            prefix=self._canonical_prefix(prefix),
             attributes=attributes,
             source=source,
             peer=src,
@@ -811,8 +835,9 @@ class BGPRouter(Process):
 
         Every container is built here; the routes, attributes, RIB
         changes and config inside are immutable and shared as they are.
+        It is a dict that pickles its RIBs as rows (:class:`_RouterState`).
         """
-        state = super().export_state()
+        state = _RouterState(super().export_state())
         state.update(
             {
                 "config": self.config,
@@ -878,3 +903,110 @@ class BGPRouter(Process):
             self.dampener = FlapDampener(params=self.config.damping)
             self.dampener.import_state(damping_state)
         super().import_state(state)
+
+
+# What a route received from a peer shares with the peer's other routes.
+_provenance = attrgetter("source", "peer", "peer_as", "peer_bgp_id")
+
+
+class _RouterState(dict):
+    """The dict :meth:`BGPRouter.export_state` returns, pickled as rows.
+
+    Every route one peer sent repeats four of its seven fields (source,
+    peer, peer AS, BGP id), and every Loc-RIB route a peer sent is the
+    Adj-RIB-In's route object.  So a pickle writes each Adj-RIB-In as
+    the provenance its routes share and one ``(prefix, attributes,
+    received_at)`` row per route, and the Loc-RIB as row numbers into
+    them, the way an UPDATE packs many NLRI under one attribute block
+    (RFC 4271).  A route that fits no row goes whole: one with symbolic
+    shadows or a provenance of its own, and every static route.
+
+    Its sessions' states go as their field names, once, and one tuple
+    of values per peer.
+
+    Loading builds every route through its constructor, each Loc-RIB
+    route as the same object as its Adj-RIB-In route, into a state equal
+    to the one pickled.  Nothing but pickling reads the difference from
+    a dict.
+    """
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        fields = dict(self)
+        # Placeholders, so the loaded state keeps the key order.
+        fields["sessions"] = fields["adj_rib_in"] = fields["loc_rib"] = None
+        adj_rib_in = {}
+        numbers: dict[str | None, dict[Prefix, int]] = {}
+        routes: list[Route] = []
+        for peer, rib in self["adj_rib_in"].items():
+            shared = _provenance(rib[0]) if rib else None
+            rows: list[Any] = []
+            numbered = numbers[peer] = {}
+            for route in rib:
+                numbered[route.prefix] = len(routes)
+                routes.append(route)
+                if route.sym or _provenance(route) != shared:
+                    rows.append(route)
+                else:
+                    rows.append(
+                        (route.prefix, route.attributes, route.received_at)
+                    )
+            adj_rib_in[peer] = (shared, rows)
+        loc_rib: list[Any] = []
+        for route in self["loc_rib"]:
+            number = numbers.get(route.peer, {}).get(route.prefix)
+            if number is not None and routes[number] is route:
+                loc_rib.append(number)
+            else:
+                loc_rib.append(route)
+        return (_router_state, (fields, _positional(self["sessions"]),
+                                adj_rib_in, loc_rib))
+
+
+def _positional(sessions: dict[str, dict]) -> tuple | dict:
+    """Session states as their field names and stats counter names,
+    once, and one tuple of values per peer; as they are if one state's
+    names differ from another's."""
+    if not sessions:
+        return sessions
+    first = next(iter(sessions.values()))
+    names, counters = tuple(first), tuple(first["stats"])
+    values = {}
+    for peer, state in sessions.items():
+        if tuple(state) != names or tuple(state["stats"]) != counters:
+            return sessions
+        values[peer] = tuple(
+            tuple(value.values()) if name == "stats" else value
+            for name, value in state.items()
+        )
+    return (names, counters, values)
+
+
+def _router_state(fields: dict[str, Any], sessions: tuple | dict,
+                  adj_rib_in: dict[str, tuple[tuple | None, list[Any]]],
+                  loc_rib: list[Any]) -> _RouterState:
+    """The state :meth:`_RouterState.__reduce__` wrote."""
+    state = _RouterState(fields)
+    if type(sessions) is tuple:
+        names, counters, values = sessions
+        sessions = {}
+        for peer, row in values.items():
+            session = sessions[peer] = dict(zip(names, row, strict=True))
+            session["stats"] = dict(zip(counters, session["stats"], strict=True))
+    state["sessions"] = sessions
+    ribs = state["adj_rib_in"] = {}
+    routes: list[Route] = []
+    for peer, (shared, rows) in adj_rib_in.items():
+        if rows:
+            source, name, peer_as, peer_bgp_id = shared
+        rib = ribs[peer] = [
+            Route(row[0], row[1], source, name, peer_as, peer_bgp_id, row[2])
+            if type(row) is tuple else row
+            for row in rows
+        ]
+        routes += rib
+    state["loc_rib"] = [
+        routes[entry] if type(entry) is int else entry for entry in loc_rib
+    ]
+    return state

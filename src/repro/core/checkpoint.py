@@ -10,14 +10,18 @@ ways:
   live router, the checkpoint and every clone share the leaves and no
   container.  Checkpointing a RIB of 10k routes builds dict/list
   spines, not 10k route objects.  The leaves are shared *across* the
-  routers of a network too — one attribute set, AS path, prefix and
-  address object per distinct value (``Network.interned``) — so a
-  pickled snapshot writes each once;
+  routers of a network too — one attribute set, AS path and prefix
+  object per distinct value (``Network.interned``) — so a pickled
+  snapshot writes each once.  Addresses are not kept one per value:
+  each is the object a decoded message or a router's config holds;
 * **restore is a bulk build, not a replay** — a checkpoint holds each
   RIB as a list of routes and ``import_state`` turns each list into the
   RIB's dict in one pass: no mutator is called, nothing is journalled
   (a restored Loc-RIB has ``changes_total == 0``), and the Loc-RIB's
-  prefix order is sorted the first time something iterates it;
+  prefix order is sorted the first time something iterates it.  Only
+  a pickle sees another shape: a router's state writes each
+  Adj-RIB-In as rows under its peer's provenance and the Loc-RIB as
+  row numbers into them (``bgp/router.py::_RouterState``);
 * **measurability** — :func:`checkpoint_size` estimates the checkpoint's
   retained size so EXP-OVERHEAD can chart cost against RIB size.
 """

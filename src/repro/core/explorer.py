@@ -205,7 +205,12 @@ class Explorer:
     claims, and :class:`ExplorationConfig` (including its seed), an
     exploration session produces identical reports in any process —
     every RNG is derived from the config seed and clones share nothing
-    mutable with the live system.
+    mutable with the live system.  The clones and probe networks one
+    explorer builds share one value table
+    (:attr:`~repro.net.network.Network.interned`), so a clone takes the
+    decodes, encodings and attribute sets its siblings made; the table
+    decides object identity and nothing else, and it lives and dies
+    with the explorer, inside one task.
     """
 
     def __init__(
@@ -230,6 +235,8 @@ class Explorer:
         # Per explorer node, the baselines that depend on the snapshot,
         # the node and the claims alone (CheckContext.node_memo).
         self._node_memos: dict[str, dict] = {}
+        # The value table of every network this explorer builds.
+        self._interned: dict = {}
 
     # -- clone plumbing --
 
@@ -241,6 +248,7 @@ class Explorer:
         return self._snapshot.clone(
             self._factory,
             seed=derive_seed(seed, f"clone/{self._clone_counter}"),
+            interned=self._interned,
         )
 
     @contextmanager
@@ -250,7 +258,9 @@ class Explorer:
         the snapshot's lazy network, which is never run and is closed
         on exit like every clone.  ``clones_created`` does not count it.
         """
-        with closing(self._snapshot.lazy_network(self._factory)) as network:
+        with closing(self._snapshot.lazy_network(
+            self._factory, interned=self._interned
+        )) as network:
             yield network.processes[node]
 
     def _sharing_for(self, clone) -> SharingRegistry:

@@ -34,7 +34,6 @@ from repro.concolic.symbolic import SymBytes
 
 VERDICT_OK = "ok"
 VERDICT_PROTOCOL_ERROR = "protocol_error"
-VERDICT_CRASH = "crash"
 
 
 @dataclass(frozen=True)

@@ -108,24 +108,29 @@ class Snapshot:
         """Simulated seconds from initiation to a closed cut."""
         return self.completed_at - self.taken_at
 
-    def clone(self, process_factory: ProcessFactory, seed: int = 0) -> Network:
+    def clone(self, process_factory: ProcessFactory, seed: int = 0,
+              interned: dict | None = None) -> Network:
         """Materialize an isolated copy of the captured system.
 
         Figure 2, steps 3-5 run one exploration input per clone.  The
         clone's clock starts at zero; recorded channel messages are
         scheduled at their captured relative offsets.  Routers are
         restored on first touch (see the module docstring).
+        ``interned`` is the clone's value table
+        (:attr:`~repro.net.network.Network.interned`), a new one if
+        None.
         """
-        return self.lazy_network(process_factory, seed)
+        return self.lazy_network(process_factory, seed, interned)
 
     def lazy_network(self, process_factory: ProcessFactory,
-                     seed: int = 0) -> Network:
+                     seed: int = 0,
+                     interned: dict | None = None) -> Network:
         """The network :meth:`clone` returns, every router deferred.
 
         Reading one router of the snapshot builds it alone; the
         explorer does so without counting a clone.
         """
-        network = Network(seed=seed)
+        network = Network(seed=seed, interned=interned)
         # Started before anything is added: Process.start() hooks must
         # not run in clones (they would re-originate and re-open
         # sessions); the checkpointed state already reflects all that.

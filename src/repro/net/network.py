@@ -117,7 +117,8 @@ class Network:
     # Entries ``interned`` may hold before it is dropped whole.
     INTERN_LIMIT = 1 << 15
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int = 0,
+                 interned: dict[Hashable, Any] | None = None):
         self.sim = Simulator(seed)
         self.processes = Processes()
         # The built processes, the dict a delivery looks its target up in.
@@ -135,11 +136,17 @@ class Network:
         self._started = False
         # Immutable values this network's processes hold one object of
         # per distinct value, keyed by content (a BGP router keeps a
-        # decoded message under its wire bytes and an attribute set
-        # under its key), so that everything pickled with the network's
-        # state holds each once.  A value is a pure function of its key:
-        # what the table holds decides object identity and nothing else.
-        self.interned: dict[Hashable, Any] = {}
+        # decoded message under its wire bytes, an attribute set under
+        # its key, and a prefix or AS path under itself), so that
+        # everything pickled with the network's state holds each once.
+        # A value is a pure function of its key: what the table holds
+        # decides object identity and nothing else, so networks may
+        # share one table (an explorer hands one to every clone it
+        # builds); only the network that made it clears it.
+        self._owns_interned = interned is None
+        self.interned: dict[Hashable, Any] = (
+            {} if interned is None else interned
+        )
 
     # -- construction --------------------------------------------------------
 
@@ -361,5 +368,6 @@ class Network:
         self._wires.clear()
         self._in_flight.clear()
         self._interceptors.clear()
-        self.interned.clear()
+        if self._owns_interned:
+            self.interned.clear()
         self.sim.clear()

@@ -211,6 +211,19 @@ class TestAttributeCache:
         assert len(network.interned) == size
         assert router._canonical(concrete.replace()) is concrete
 
+    def test_a_kept_set_holds_the_network_s_one_path(self):
+        network, router = attached_router()
+        first = PathAttributes(as_path=AsPath.from_sequence(65002, 65003),
+                               med=1)
+        other = PathAttributes(as_path=AsPath.from_sequence(65002, 65003),
+                               med=2)
+        assert router._canonical(first) is first
+        assert network.interned[first.as_path] is first.as_path
+        kept = router._canonical(other)
+        assert kept is not other and kept == other
+        assert kept.as_path is first.as_path
+        assert router._canonical(other.replace()) is kept
+
     def test_overflow_drops_the_table_and_costs_only_identity(self):
         network, router = attached_router(limit=4)
         sets = [PathAttributes(next_hop=IPv4Address("10.0.0.1"), med=med)
@@ -232,6 +245,32 @@ class TestAttributeCache:
         again = router._static_route(Prefix("10.0.0.0/8"))
         assert first.attributes == again.attributes
         assert first.attributes is not again.attributes
+
+
+class TestPrefixes:
+    def test_every_route_holds_the_network_s_one_prefix(self):
+        network, router = attached_router()
+        attrs = PathAttributes(next_hop=IPv4Address("10.0.0.1"))
+        first = router._build_route("p", Prefix("10.1.0.0/16"), attrs)
+        again = router._build_route("p", Prefix("10.1.0.0/16"), attrs)
+        assert again.prefix is first.prefix
+        assert router._static_route(Prefix("10.1.0.0/16")).prefix is first.prefix
+        assert network.interned[first.prefix] is first.prefix
+
+    def test_a_converged_system_holds_one_object_per_value(self):
+        live = quickstart_system(seed=3)
+        live.converge()
+        prefixes, paths = {}, {}
+        for router in live.routers():
+            routes = list(router.loc_rib.routes()) + [
+                route for rib in router.adj_rib_in.values()
+                for route in rib.routes()
+            ]
+            for route in routes:
+                prefixes[id(route.prefix)] = route.prefix
+                paths[id(route.attributes.as_path)] = route.attributes.as_path
+        assert len(prefixes) == len(set(prefixes.values())) > 1
+        assert len(paths) == len(set(paths.values())) > 1
 
 
 class TestEncodingCache:

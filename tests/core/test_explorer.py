@@ -1,6 +1,12 @@
 """Tests for the per-node explorer."""
 
+from contextlib import closing
+
 import pytest
+
+from repro.bgp.attributes import PathAttributes
+from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.messages import UpdateMessage
 
 from repro.checks import default_property_suite
 from repro.core.explorer import (
@@ -163,11 +169,12 @@ class TestExplore:
 
 
 class TestSessionIgnoresProcessHistory:
-    """Routers keep decoded messages and attribute sets in tables (one
-    object per distinct value, ``Network.interned``).  A table belongs to
-    one network, so a clone starts with none of what an earlier clone,
-    session or the live system learnt — and a session must come out the
-    same whatever ran before it in the process."""
+    """Routers keep decoded messages, attribute sets, prefixes and AS
+    paths in a table (one object per distinct value,
+    ``Network.interned``).  The clones of one explorer share its table,
+    which starts empty and holds nothing the live system or another
+    explorer learnt — and a session must come out the same whatever ran
+    before it in the process, in its explorer's table or elsewhere."""
 
     def session(self, snapshot, claims, monkeypatch, seed):
         from repro.concolic.engine import ConcolicEngine
@@ -209,15 +216,33 @@ class TestSessionIgnoresProcessHistory:
         live.run(until=live.network.sim.now + 40)  # keepalives, live tables
         assert self.session(snapshot, claims, monkeypatch, seed=11) == cold
 
-    def test_a_clone_starts_with_empty_tables(self, converged3):
+    def test_clones_of_one_explorer_share_one_table(self, converged3):
         assert converged3.network.interned
         explorer = make_explorer(converged3)
+        tables = []
         clones = track_clones(
-            explorer, on_clone=lambda clone: sizes.append(len(clone.interned))
+            explorer, on_clone=lambda clone: tables.append(clone.interned)
         )
-        sizes = []
+        probes = track_probes(
+            explorer, on_probe=lambda network: tables.append(network.interned)
+        )
         explorer.explore(ExplorationConfig(node="r2", inputs=3, seed=1))
-        assert len(clones) == 4 and sizes == [0, 0, 0, 0]
+        assert len(clones) == 4 and len(probes) == 1
+        assert all(table is tables[0] for table in tables)
+        assert tables[0] is not converged3.network.interned
+        # Closing each clone left the table to the next.
+        assert tables[0]
+
+        # Equal bytes decode to one message in two clones.
+        data = UpdateMessage(
+            attributes=PathAttributes(next_hop=IPv4Address("10.0.0.1")),
+            nlri=(Prefix("10.77.0.0/16"),),
+        ).encode()
+        first, second = explorer._new_clone(1), explorer._new_clone(2)
+        with closing(first):
+            message = first.processes["r2"]._decode(data)
+        with closing(second):
+            assert second.processes["r2"]._decode(data) is message
 
 
 class TestSelectionExploration:

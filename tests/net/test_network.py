@@ -298,3 +298,12 @@ class TestClose:
         assert b.inbox == []
         assert a.network is None and b.network is None
         assert not a.timer_armed("t")
+
+    def test_a_table_it_was_handed_outlives_it(self):
+        shared = {}
+        first, second = Network(interned=shared), Network(interned=shared)
+        assert first.intern("key", "value") == "value"
+        first.close()
+        assert second.interned is shared and shared == {"key": "value"}
+        second.close()
+        assert shared == {"key": "value"}

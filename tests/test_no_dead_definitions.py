@@ -1,7 +1,8 @@
 """Every public definition under ``src/`` is referenced from outside itself.
 
-A definition is a module-level function or class, or a method of a
-module-level class, whose name does not start with an underscore.  A
+A definition is a module-level function, class or assigned name, or a
+method of a module-level class, whose name does not start with an
+underscore.  A
 reference is an ``ast.Name``, an ``ast.Attribute`` or an import alias
 with the same name anywhere in ``src/``, ``tests/``, ``benchmarks/``,
 ``examples/`` or ``scripts/`` (the lint fixtures under
@@ -76,6 +77,17 @@ def _base_names(node: ast.ClassDef) -> list[str]:
     return names
 
 
+def _assigned_names(node: ast.Assign | ast.AnnAssign) -> list[str]:
+    """The names a module-level assignment binds."""
+    targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+    names = []
+    for target in targets:
+        for item in ast.walk(target):
+            if isinstance(item, ast.Name):
+                names.append(item.id)
+    return names
+
+
 def definitions(modules: dict[str, ast.Module]):
     """Yield ``(module:qualname, name, node)`` for every scanned definition.
 
@@ -106,7 +118,11 @@ def definitions(modules: dict[str, ast.Module]):
 
     for module, tree in sorted(modules.items()):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(node, (ast.Assign, ast.AnnAssign)):
+                for name in _assigned_names(node):
+                    if public(name):
+                        yield f"{module}:{name}", name, node
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 if public(node.name):
                     yield f"{module}:{node.name}", node.name, node
             elif isinstance(node, ast.ClassDef):
@@ -183,3 +199,20 @@ def test_scan_flags_an_unreferenced_method(tmp_path):
     # Base.hook is named only by itself and by Child.hook's caller;
     # Child.hook overrides a src/ base; Base.unused names only itself.
     assert dead_definitions(str(tmp_path)) == ["pkg.mod:Base.unused"]
+
+
+def test_scan_flags_an_unreferenced_constant(tmp_path):
+    package = tmp_path / "src" / "pkg"
+    package.mkdir(parents=True)
+    (package / "mod.py").write_text(
+        "USED = 1\n"
+        "UNUSED: int = USED + 1\n"
+        "PAIR, _PRIVATE = 2, 3\n"
+        "__all__ = ['USED']\n"
+    )
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_mod.py").write_text(
+        "from pkg.mod import PAIR\n"
+    )
+    # USED is named by UNUSED's value; UNUSED only by its own binding.
+    assert dead_definitions(str(tmp_path)) == ["pkg.mod:UNUSED"]
