@@ -67,10 +67,9 @@ GATED_METRICS = {
     # fresh objects per receiver; 1.0 and 472 KiB since a network's
     # routers share one object per value; 380.1 KiB while an
     # Adj-RIB-Out held a Route per peer and prefix, 286.6 KiB since it
-    # holds the attribute set sent, 196.6 KiB since a router's state
-    # pickles its RIBs as rows under their peer's provenance and its
-    # sessions as tuples of values (the dumps/loads ms beside them are
-    # wall-clock, so informational).
+    # holds the attribute set sent, 205.3 KiB since a router's state
+    # pickles its RIBs as rows under their peer's provenance (the
+    # dumps/loads ms beside them are wall-clock, so informational).
     "snapshot_attr_sharing": "higher",
     "snapshot_pickle_kib": "lower",
     # bench_overhead, the same snapshot: distinct prefix and AS path
@@ -81,7 +80,7 @@ GATED_METRICS = {
     "snapshot_aspath_sharing": "higher",
     # bench_overhead: the pickle of one task (snapshot of a converged
     # 9-router internet, suite, claims).  26.5 KiB while every route
-    # pickled with all its fields, 21.7 since the RIBs go as rows.
+    # pickled with all its fields, 23.0 since the RIBs go as rows.
     "task_wire_kib": "lower",
     # bench_event_loop: heap entries written per event run on the
     # bad-gadget null probe, 2.00 while every re-armed hold timer

@@ -921,9 +921,6 @@ class _RouterState(dict):
     (RFC 4271).  A route that fits no row goes whole: one with symbolic
     shadows or a provenance of its own, and every static route.
 
-    Its sessions' states go as their field names, once, and one tuple
-    of values per peer.
-
     Loading builds every route through its constructor, each Loc-RIB
     route as the same object as its Adj-RIB-In route, into a state equal
     to the one pickled.  Nothing but pickling reads the difference from
@@ -935,7 +932,7 @@ class _RouterState(dict):
     def __reduce__(self):
         fields = dict(self)
         # Placeholders, so the loaded state keeps the key order.
-        fields["sessions"] = fields["adj_rib_in"] = fields["loc_rib"] = None
+        fields["adj_rib_in"] = fields["loc_rib"] = None
         adj_rib_in = {}
         numbers: dict[str | None, dict[Prefix, int]] = {}
         routes: list[Route] = []
@@ -960,41 +957,14 @@ class _RouterState(dict):
                 loc_rib.append(number)
             else:
                 loc_rib.append(route)
-        return (_router_state, (fields, _positional(self["sessions"]),
-                                adj_rib_in, loc_rib))
+        return (_router_state, (fields, adj_rib_in, loc_rib))
 
 
-def _positional(sessions: dict[str, dict]) -> tuple | dict:
-    """Session states as their field names and stats counter names,
-    once, and one tuple of values per peer; as they are if one state's
-    names differ from another's."""
-    if not sessions:
-        return sessions
-    first = next(iter(sessions.values()))
-    names, counters = tuple(first), tuple(first["stats"])
-    values = {}
-    for peer, state in sessions.items():
-        if tuple(state) != names or tuple(state["stats"]) != counters:
-            return sessions
-        values[peer] = tuple(
-            tuple(value.values()) if name == "stats" else value
-            for name, value in state.items()
-        )
-    return (names, counters, values)
-
-
-def _router_state(fields: dict[str, Any], sessions: tuple | dict,
+def _router_state(fields: dict[str, Any],
                   adj_rib_in: dict[str, tuple[tuple | None, list[Any]]],
                   loc_rib: list[Any]) -> _RouterState:
     """The state :meth:`_RouterState.__reduce__` wrote."""
     state = _RouterState(fields)
-    if type(sessions) is tuple:
-        names, counters, values = sessions
-        sessions = {}
-        for peer, row in values.items():
-            session = sessions[peer] = dict(zip(names, row, strict=True))
-            session["stats"] = dict(zip(counters, session["stats"], strict=True))
-    state["sessions"] = sessions
     ribs = state["adj_rib_in"] = {}
     routes: list[Route] = []
     for peer, (shared, rows) in adj_rib_in.items():

@@ -142,8 +142,8 @@ class Network:
         # A value is a pure function of its key: what the table holds
         # decides object identity and nothing else, so networks may
         # share one table (an explorer hands one to every clone it
-        # builds); only the network that made it clears it.
-        self._owns_interned = interned is None
+        # builds).  It holds no reference back to a network, so closing
+        # one only lets go of it.
         self.interned: dict[Hashable, Any] = (
             {} if interned is None else interned
         )
@@ -368,6 +368,5 @@ class Network:
         self._wires.clear()
         self._in_flight.clear()
         self._interceptors.clear()
-        if self._owns_interned:
-            self.interned.clear()
+        self.interned = {}
         self.sim.clear()

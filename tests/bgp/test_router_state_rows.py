@@ -2,13 +2,12 @@
 
 ``BGPRouter.export_state`` returns a dict whose pickle writes each
 Adj-RIB-In as one ``(prefix, attributes, received_at)`` row per route
-under the provenance its peer's routes share, the Loc-RIB as row
-numbers into those rows, and each session's state as one tuple of
-values (``bgp/router.py::_RouterState``).  These tests hold the loaded
-state equal to the exported one, route for route and field for field,
-with Loc-RIB and Adj-RIB-In routes one object again; keep routes that
-fit no row exact; and make a row carrying an invalid value fail to
-load, as a whole route carrying it does.
+under the provenance its peer's routes share, and the Loc-RIB as row
+numbers into those rows (``bgp/router.py::_RouterState``).  These tests
+hold the loaded state equal to the exported one, route for route and
+field for field, with Loc-RIB and Adj-RIB-In routes one object again;
+keep routes that fit no row exact; and make a row carrying an invalid
+value fail to load, as a whole route carrying it does.
 """
 
 import pickle
@@ -185,7 +184,7 @@ class TestRoutesThatFitNoRow:
     ], ids=["peer_bgp_id", "peer_as", "source"])
     def test_a_provenance_of_its_own(self, live, change):
         snapshot, name, peer, route = planted(live, "st-1", change)
-        _, (_, _, rows, _) = snapshot.checkpoints[name].state.__reduce__()
+        _, (_, rows, _) = snapshot.checkpoints[name].state.__reduce__()
         assert rows[peer][1][-1] is route  # it goes whole
         assert type(rows[peer][1][-2]) is tuple
         restored = assert_round_trips(snapshot)
@@ -207,28 +206,6 @@ class TestRoutesThatFitNoRow:
         assert restored.checkpoints[name].state["loc_rib"]
 
 
-class TestSessions:
-    def test_go_as_one_tuple_of_values_per_peer(self, demo27_live):
-        live, _ = demo27_live
-        snapshot = live.coordinator.capture("st-1")
-        state = snapshot.checkpoints["st-1"].state
-        _, (_, (names, counters, values), _, _) = state.__reduce__()
-        assert names == tuple(next(iter(state["sessions"].values())))
-        assert sorted(values) == sorted(state["sessions"])
-        assert all(type(row) is tuple for row in values.values())
-        loaded = assert_round_trips(snapshot).checkpoints["st-1"].state
-        assert loaded["sessions"] == state["sessions"]
-
-    def test_states_whose_fields_differ_go_as_they_are(self, demo27_live):
-        live, _ = demo27_live
-        snapshot = live.coordinator.capture("st-1")
-        sessions = snapshot.checkpoints["st-1"].state["sessions"]
-        peer = sorted(sessions)[-1]
-        sessions[peer] = {**sessions[peer], "extra": 1}
-        loaded = assert_round_trips(snapshot).checkpoints["st-1"].state
-        assert loaded["sessions"][peer]["extra"] == 1
-
-
 class _BadPrefix(Prefix):
     """Pickles as ``Prefix(network, length)`` with host bits set, the
     way a forged row would carry it."""
@@ -248,7 +225,7 @@ class TestInvalidRowsFailToLoad:
         )
         state = snapshot.checkpoints[name].state
         # It goes in a row, not in a whole route.
-        _, (_, _, rows, _) = state.__reduce__()
+        _, (_, rows, _) = state.__reduce__()
         assert type(rows[peer][1][-1]) is tuple
         with pytest.raises(ValueError, match="host bits"):
             pickle.loads(pickle.dumps(snapshot))
