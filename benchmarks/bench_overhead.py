@@ -335,7 +335,8 @@ def test_task_shipping_overhead(benchmark):
     """What parallel sharding pays per task: pickling the snapshot,
     suite and claims both ways.  This bounds the break-even exploration
     budget for ``--workers`` (ship cost must stay well under one input's
-    exploration cost; see bench_fig2's per-input measurement)."""
+    exploration cost, about 10 ms on a 9-router internet; see
+    "Exploration claims" in docs/architecture.md)."""
     from repro.checks import default_property_suite
     from repro.concolic.frontier import FrontierShard
     from repro.core.explorer import ExplorationConfig

@@ -109,8 +109,7 @@ GATED_METRICS = {
 }
 
 # Booleans that must never flip to False once True.
-GATED_FLAGS = ("fault_classes_identical", "all_identical",
-               "zero_divergences")
+GATED_FLAGS = ("all_identical", "zero_divergences")
 
 
 def load_payloads(directory: str) -> dict[str, dict]:

@@ -1,5 +1,6 @@
 """Tests for the per-node explorer."""
 
+import dataclasses
 from contextlib import closing
 
 import pytest
@@ -12,11 +13,25 @@ from repro.checks import default_property_suite
 from repro.core.explorer import (
     ExplorationConfig,
     Explorer,
+    STRATEGY_CONCOLIC,
     STRATEGY_GRAMMAR,
     STRATEGY_RANDOM,
     summarize_input,
 )
 from repro.core.sharing import SharingRegistry
+
+
+def quickstart5(networks=True):
+    """The converged quickstart line at seed 5; with ``networks=False``
+    no router originates a prefix, so every RIB starts empty."""
+    from repro import quickstart_system
+
+    live = quickstart_system(seed=5)
+    if not networks:
+        for router in live.routers():
+            router.config = dataclasses.replace(router.config, networks=())
+    live.converge()
+    return live
 
 
 def make_explorer(live):
@@ -168,6 +183,39 @@ class TestExplore:
         assert "programming_error" in classes
 
 
+class TestPathExplosion:
+    """Section 2's claims on managing path explosion, each at a fixed
+    budget over the real UPDATE handler of ``r2`` (horizon 2 s)."""
+
+    def test_concolic_reaches_the_most_paths(self):
+        """At 60 inputs concolic search reaches at least as many
+        distinct handler paths as grammar fuzzing, and more than random
+        bytes (60 / 54 / 30)."""
+        explorer = make_explorer(quickstart5())
+        paths = {}
+        for strategy in (STRATEGY_CONCOLIC, STRATEGY_GRAMMAR,
+                         STRATEGY_RANDOM):
+            report = explorer.explore(ExplorationConfig(
+                node="r2", inputs=60, strategy=strategy, seed=17,
+                horizon=2.0,
+            ))
+            assert report.executions == 60
+            paths[strategy] = report.unique_paths
+        assert paths[STRATEGY_CONCOLIC] >= paths[STRATEGY_GRAMMAR]
+        assert paths[STRATEGY_CONCOLIC] > paths[STRATEGY_RANDOM]
+
+    def test_current_state_covers_more_than_initial_state(self):
+        """Insight (i): exploring from the converged state covers more
+        branches than the same topology with nothing originated, where
+        the decision process and policies have no routes to work on
+        (78 against 58)."""
+        config = ExplorationConfig(node="r2", inputs=40, seed=33,
+                                   horizon=2.0)
+        online = make_explorer(quickstart5()).explore(config)
+        initial = make_explorer(quickstart5(networks=False)).explore(config)
+        assert online.branch_coverage > initial.branch_coverage
+
+
 class TestSessionIgnoresProcessHistory:
     """Routers keep decoded messages, attribute sets, prefixes and AS
     paths in a table (one object per distinct value,
@@ -252,51 +300,59 @@ class TestSelectionExploration:
         report = explorer.explore_selection("r2", seed=1)
         assert report.skipped_reason is not None
 
-    def test_selection_explores_outcomes(self):
-        """A node with two candidate routes must see >= 2 outcomes."""
-        from repro import (
-            IPv4Address,
-            LiveSystem,
-            NeighborConfig,
-            Prefix,
-            RouterConfig,
-        )
+    @pytest.mark.parametrize("candidates", [2, 3, 4])
+    def test_selection_explores_outcomes(self, candidates):
+        """A node with N candidate routes sees at least N selection
+        outcomes (2 / 3 / 4 in 3 / 9 / 27 executions), where re-running
+        selection on concrete clones sees exactly one."""
+        from repro import LiveSystem, NeighborConfig, RouterConfig
+        from repro.core.live import bgp_process_factory
         from repro.net.link import LinkProfile
 
-        # Diamond: d originates, a and b both advertise to c.
+        # d originates; a, b and the extra middles all advertise to c.
         prefix = Prefix("10.77.0.0/16")
+        middles = ["a", "b"] + [f"m{i}" for i in range(candidates - 2)]
+        peers = tuple(NeighborConfig(peer=middle, peer_as=200 + i)
+                      for i, middle in enumerate(middles))
         configs = [
             RouterConfig(name="d", local_as=100,
                          router_id=IPv4Address("1.0.0.1"),
-                         networks=(prefix,),
-                         neighbors=(NeighborConfig(peer="a", peer_as=200),
-                                    NeighborConfig(peer="b", peer_as=300))),
-            RouterConfig(name="a", local_as=200,
-                         router_id=IPv4Address("1.0.0.2"),
-                         neighbors=(NeighborConfig(peer="d", peer_as=100),
-                                    NeighborConfig(peer="c", peer_as=400))),
-            RouterConfig(name="b", local_as=300,
-                         router_id=IPv4Address("1.0.0.3"),
-                         neighbors=(NeighborConfig(peer="d", peer_as=100),
-                                    NeighborConfig(peer="c", peer_as=400))),
+                         networks=(prefix,), neighbors=peers),
             RouterConfig(name="c", local_as=400,
                          router_id=IPv4Address("1.0.0.4"),
-                         neighbors=(NeighborConfig(peer="a", peer_as=200),
-                                    NeighborConfig(peer="b", peer_as=300))),
+                         neighbors=peers),
         ]
-        links = [
-            ("d", "a", LinkProfile.lan()), ("d", "b", LinkProfile.lan()),
-            ("a", "c", LinkProfile.lan()), ("b", "c", LinkProfile.lan()),
-        ]
+        links = []
+        for i, middle in enumerate(middles):
+            configs.append(RouterConfig(
+                name=middle, local_as=200 + i,
+                router_id=IPv4Address(f"1.0.1.{i + 1}"),
+                neighbors=(NeighborConfig(peer="d", peer_as=100),
+                           NeighborConfig(peer="c", peer_as=400)),
+            ))
+            links += [("d", middle, LinkProfile.lan()),
+                      (middle, "c", LinkProfile.lan())]
         live = LiveSystem.build(configs, links, seed=5)
         live.converge()
         snapshot = live.coordinator.capture("c")
         claims = SharingRegistry.from_configs(live.initial_configs)
         explorer = Explorer(snapshot, default_property_suite(), claims)
-        report = explorer.explore_selection("c", max_executions=30, seed=2)
-        assert report.candidates == 2
-        assert report.distinct_outcomes >= 2
-        assert set(report.outcomes) <= {"a", "b", "none"}
+        report = explorer.explore_selection(
+            "c", max_executions=20 * candidates, seed=2, prefix=prefix
+        )
+        assert report.candidates == candidates
+        assert report.distinct_outcomes >= candidates
+        assert set(report.outcomes) <= {*middles, "none"}
+
+        concrete = set()
+        for seed in range(20):
+            with closing(snapshot.clone(bgp_process_factory,
+                                        seed=seed)) as clone:
+                router = clone.processes["c"]
+                router.rerun_decision([prefix])
+                best = router.loc_rib.get(prefix)
+                concrete.add(best.peer if best else "none")
+        assert len(concrete) == 1
 
 
 class TestCloneRelease:

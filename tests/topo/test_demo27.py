@@ -32,6 +32,7 @@ class TestDemo27:
         )
         live.converge(deadline=600)
         assert convergence_complete(live.network)
+        assert live.total_routes() == 27 * 27  # every prefix everywhere
 
     def test_params_stable(self):
         assert DEMO27_PARAMS.total == 27
