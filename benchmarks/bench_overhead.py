@@ -176,16 +176,24 @@ def test_routers_restored_per_clone():
     new_clone = explorer._new_clone
 
     def counted(seed):
+        # Every clone is closed once read; count what it built by then.
         clone = new_clone(seed)
-        clone.processes.watch(lambda name, process: restored.append(name))
+        close = clone.close
+
+        def counted_close():
+            restored.append(len(clone.materialized()))
+            close()
+
+        clone.close = counted_close
         return clone
 
     explorer._new_clone = counted
     report = explorer.explore(ExplorationConfig(
         node=node, inputs=4, strategy=STRATEGY_GRAMMAR, horizon=3.0, seed=1,
     ))
-    per_clone = len(restored) / report.clones_created
-    print(f"\n  clones={report.clones_created} restores={len(restored)} "
+    assert len(restored) == report.clones_created
+    per_clone = sum(restored) / report.clones_created
+    print(f"\n  clones={report.clones_created} restores={sum(restored)} "
           f"per clone={per_clone:.2f} of {len(topology.configs)} routers")
     benchlib.record(
         "overhead", metrics={"routers_restored_per_clone": per_clone}

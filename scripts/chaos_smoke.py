@@ -5,9 +5,9 @@ The scripted chaos tests (tests/core/test_chaos.py) inject deaths at
 exact protocol points; this script is the unscripted complement the CI
 ``chaos-smoke`` job runs: two genuine ``repro remote-worker`` daemon
 *processes*, a demo27 campaign dispatching to both over TCP, and a
-watchdog that hard-kills one daemon as soon as it has served a task —
-so the death lands mid-campaign at whatever protocol point the race
-produces.  Failover must absorb it: the campaign completes, and its
+hook on the campaign's receive path that hard-kills one daemon as soon
+as its first task outcome arrives — so the death lands mid-campaign at
+whatever protocol point the daemon has reached by then.  Failover must absorb it: the campaign completes, and its
 fault classes and per-node counters must equal a serial run's
 bit-for-bit, with exactly one worker failure on the ledger.
 
@@ -16,11 +16,8 @@ Usage: PYTHONPATH=src python scripts/chaos_smoke.py
 
 import json
 import os
-import socket
 import subprocess
 import sys
-import threading
-import time
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(REPO, "src")
@@ -29,8 +26,8 @@ if SRC not in sys.path:
 
 from repro import DiceOrchestrator, OrchestratorConfig  # noqa: E402
 from repro.checks import default_property_suite  # noqa: E402
+from repro.core import remote  # noqa: E402
 from repro.core.live import LiveSystem  # noqa: E402
-from repro.core.remote import encode_frame, recv_message  # noqa: E402
 from repro.core.reporting import campaign_to_dict  # noqa: E402
 from repro.topo.demo27 import build_demo27  # noqa: E402
 
@@ -63,33 +60,25 @@ def start_daemon():
     return proc, line.strip().rsplit(" ", 1)[-1]
 
 
-def tasks_run(address: str) -> int:
-    """Ask a daemon how many tasks it has served (a ping side-channel)."""
+def kill_at_first_outcome(proc, address: str) -> None:
+    """SIGKILL the daemon at ``address`` as soon as the campaign has
+    received its first task outcome, from the reader thread that
+    received it."""
     host, port = address.rsplit(":", 1)
-    with socket.create_connection((host, int(port)), timeout=2) as sock:
-        # A pong queues behind any in-flight task (the daemon's state
-        # lock serializes messages); a long task just delays the
-        # answer, which is fine — it still proves tasks_run >= 1.
-        sock.settimeout(60)
-        sock.sendall(encode_frame(("ping",)))
+    peer = (host, int(port))
+    recv_message = remote.recv_message
+
+    def recv_then_kill(sock):
         received = recv_message(sock)
-        if received is None:
-            raise ConnectionError("daemon hung up on ping")
-        return received[0][1]
+        if (received is not None and received[0][0] == "outcome"
+                and proc.poll() is None
+                and sock.getpeername()[:2] == peer):
+            proc.kill()
+            print(f"chaos: killed daemon at {address} mid-campaign",
+                  flush=True)
+        return received
 
-
-def kill_after_first_task(proc, address: str, done: threading.Event):
-    """SIGKILL the daemon as soon as it has served one task."""
-    while not done.is_set():
-        try:
-            if tasks_run(address) >= 1:
-                proc.kill()
-                print(f"chaos: killed daemon at {address} mid-campaign",
-                      flush=True)
-                return
-        except OSError:
-            return  # daemon already gone (campaign finished first?)
-        time.sleep(0.05)
+    remote.recv_message = recv_then_kill
 
 
 def run_campaign(**kwargs):
@@ -112,21 +101,14 @@ def main() -> int:
     daemons = [start_daemon(), start_daemon()]
     addresses = [address for _, address in daemons]
     print(f"daemons up at {addresses}", flush=True)
-    done = threading.Event()
     victim_proc, victim_address = daemons[1]
-    killer = threading.Thread(
-        target=kill_after_first_task,
-        args=(victim_proc, victim_address, done), daemon=True,
-    )
+    kill_at_first_outcome(victim_proc, victim_address)
     try:
-        killer.start()
         print("socket campaign under chaos...", flush=True)
         chaos = campaign_to_dict(
             run_campaign(transport="socket", remote_workers=addresses)
         )
     finally:
-        done.set()
-        killer.join(timeout=5)
         for proc, _ in daemons:
             proc.kill()
 

@@ -178,7 +178,7 @@ IMPORT_CONTRACTS: tuple[ImportContract, ...] = (
 # (or package) -> the function names held to it, or None for every
 # function of the module.
 CLONE_READERS: dict[str, tuple[str, ...] | None] = {
-    "repro.checks": ("prepare", "prepare_router", "check"),
+    "repro.checks": ("prepare", "check"),
     "repro.core.explorer": None,
 }
 

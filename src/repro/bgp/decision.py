@@ -21,39 +21,11 @@ symbolic shadows planted by the explorer when present.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from typing import Iterable
 
 from repro.bgp.route import SOURCE_EBGP, Route
 
 DEFAULT_LOCAL_PREF = 100
-
-# -- test-only mutation hook --------------------------------------------
-#
-# The differential oracle's acceptance criterion is that a seeded model
-# bug is *caught*: the simulator runs with a deliberately wrong decision
-# process and the independent oracle must flag the divergence with
-# attribute-level blame.  Mutations are named, off by default, and only
-# enabled inside the ``mutation`` context manager — production code never
-# sets them.
-
-MUTATION_INVERT_LOCAL_PREF = "invert_local_pref"
-
-_ACTIVE_MUTATIONS: frozenset[str] = frozenset()
-
-
-@contextmanager
-def mutation(name: str):
-    """Enable a named decision-process mutation for the ``with`` body."""
-    # repro: allow[HRM002] test-only mutation hook; campaigns never enter
-    # this context manager inside a worker, and the finally restores it
-    global _ACTIVE_MUTATIONS
-    previous = _ACTIVE_MUTATIONS
-    _ACTIVE_MUTATIONS = previous | {name}
-    try:
-        yield
-    finally:
-        _ACTIVE_MUTATIONS = previous
 
 
 def compare_routes(
@@ -71,8 +43,6 @@ def compare_routes(
     """
     lp_a = a.effective_local_pref(default_local_pref)
     lp_b = b.effective_local_pref(default_local_pref)
-    if MUTATION_INVERT_LOCAL_PREF in _ACTIVE_MUTATIONS:
-        lp_a, lp_b = lp_b, lp_a
     if lp_a > lp_b:
         return -1
     if lp_a < lp_b:

@@ -30,6 +30,12 @@ ASPATH_BUGGY_LENGTH = 7
 BUG_MED_SIGNED_OVERFLOW = "med_signed_overflow"
 MED_SIGN_BIT = 0x80000000
 
+# A LOCAL_PREF comparison written the wrong way round — models a
+# comparator with its operands swapped: the decision process prefers the
+# *lowest* LOCAL_PREF.  Triggers on every choice between two different
+# preferences; the differential oracle is what must catch it.
+BUG_INVERTED_LOCAL_PREF = "inverted_local_pref"
+
 # A withdrawn-prefix count that corrupts bookkeeping — models a buffer
 # mis-size on UPDATEs carrying "too many" withdrawals in one message.
 BUG_WITHDRAW_OVERFLOW = "withdraw_overflow"
@@ -39,6 +45,7 @@ ALL_BUGS = (
     BUG_COMMUNITY_CRASH,
     BUG_ASPATH_OFF_BY_ONE,
     BUG_MED_SIGNED_OVERFLOW,
+    BUG_INVERTED_LOCAL_PREF,
     BUG_WITHDRAW_OVERFLOW,
 )
 
@@ -71,6 +78,12 @@ def buggy_med(med_value, enabled: bool):
     if enabled and med_value >= MED_SIGN_BIT:
         return med_value - (1 << 32)
     return med_value
+
+
+def buggy_local_pref(local_pref):
+    """Apply BUG_INVERTED_LOCAL_PREF to a LOCAL_PREF value: negated, so
+    the higher-wins comparison picks the lowest."""
+    return -local_pref
 
 
 def check_community_crash(communities, enabled: bool) -> None:

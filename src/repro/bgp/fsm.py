@@ -81,7 +81,8 @@ class Session:
         return max(1.0, self.negotiated_hold_time / 3.0)
 
     def export_state(self) -> dict:
-        """Checkpointable representation."""
+        """Checkpointable representation: the session's protocol state,
+        not its :class:`SessionStats`."""
         return {
             "peer": self.peer,
             "peer_as": self.peer_as,
@@ -90,20 +91,9 @@ class Session:
             "negotiated_hold_time": self.negotiated_hold_time,
             "peer_bgp_id": self.peer_bgp_id,
             "established_at": self.established_at,
-            "stats": dict(vars(self.stats)),
         }
 
     @staticmethod
     def import_state(state: dict) -> "Session":
-        """Rebuild from :meth:`export_state` output."""
-        session = Session(
-            peer=state["peer"],
-            peer_as=state["peer_as"],
-            state=state["state"],
-            hold_time=state["hold_time"],
-            negotiated_hold_time=state["negotiated_hold_time"],
-            peer_bgp_id=state["peer_bgp_id"],
-            established_at=state["established_at"],
-        )
-        session.stats = SessionStats(**state["stats"])
-        return session
+        """Rebuild from :meth:`export_state` output, every counter at 0."""
+        return Session(**state)

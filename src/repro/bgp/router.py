@@ -87,7 +87,6 @@ class BGPRouter(Process):
         self.loc_rib = LocRib()
         self.crash_count = 0
         self.last_crash: str | None = None
-        self.update_handler_calls = 0
         # MRAI batching: per-peer pending change map (prefix -> latest
         # change), flushed when the per-peer MRAI timer expires.
         self._pending_export: dict[str, dict[Prefix, RibChange]] = {}
@@ -423,7 +422,6 @@ class BGPRouter(Process):
         session = self.sessions[src]
         if not session.is_established():
             return  # UPDATEs outside Established are dropped (reduced FSM)
-        self.update_handler_calls += 1
         self._arm_hold(src)
         dirty: list[Prefix] = []
         faults.check_withdraw_overflow(
@@ -574,22 +572,30 @@ class BGPRouter(Process):
         """The route selection process, with injected-bug hooks applied."""
         if not candidates:
             return None
-        adjusted = [self._apply_semantic_bugs(route) for route in candidates]
+        bugged = bool(self.config.enabled_bugs)
+        adjusted = (
+            [self._apply_semantic_bugs(route) for route in candidates]
+            if bugged else candidates
+        )
         best = best_route(
             adjusted,
             default_local_pref=self.config.default_local_pref,
             always_compare_med=self.config.always_compare_med,
         )
         assert best is not None
+        if not bugged:
+            return best
         # Map back to the unadjusted route object for installation.
         index = next(i for i, route in enumerate(adjusted) if route is best)
         return candidates[index]
 
     def _apply_semantic_bugs(self, route: Route) -> Route:
-        """Overlay the off-by-one / MED-overflow bugs as symbolic shadows."""
+        """Overlay the off-by-one / MED-overflow / inverted-LOCAL_PREF
+        bugs as symbolic shadows."""
         off_by_one = self.config.bug_enabled(faults.BUG_ASPATH_OFF_BY_ONE)
         med_overflow = self.config.bug_enabled(faults.BUG_MED_SIGNED_OVERFLOW)
-        if not (off_by_one or med_overflow):
+        inverted = self.config.bug_enabled(faults.BUG_INVERTED_LOCAL_PREF)
+        if not (off_by_one or med_overflow or inverted):
             return route
         shadows = dict(route.sym)
         if off_by_one:
@@ -601,6 +607,10 @@ class BGPRouter(Process):
                 route.attributes.med if route.attributes.med is not None else 0,
             )
             shadows["med"] = faults.buggy_med(med, True)
+        if inverted:
+            shadows["local_pref"] = faults.buggy_local_pref(
+                route.effective_local_pref(self.config.default_local_pref)
+            )
         if shadows == route.sym:
             return route
         return route.replace(sym=shadows)
@@ -833,6 +843,9 @@ class BGPRouter(Process):
     def export_state(self) -> dict[str, Any]:
         """Full protocol state for DiCE checkpoints.
 
+        Protocol state only: the statistics nothing in the protocol
+        reads (``crash_count``, each session's :class:`SessionStats`)
+        stay behind, so a restored router counts from its restore.
         Every container is built here; the routes, attributes, RIB
         changes and config inside are immutable and shared as they are.
         It is a dict that pickles its RIBs as rows (:class:`_RouterState`).
@@ -860,8 +873,6 @@ class BGPRouter(Process):
                     for peer, rib in self.adj_rib_out.items()
                 },
                 "loc_rib": list(self.loc_rib.routes()),
-                "crash_count": self.crash_count,
-                "update_handler_calls": self.update_handler_calls,
                 "pending_export": {
                     peer: dict(pending)
                     for peer, pending in self._pending_export.items()
@@ -877,7 +888,8 @@ class BGPRouter(Process):
     def import_state(self, state: dict[str, Any]) -> None:
         """Restore from :meth:`export_state` output, rebuilding every
         container; each RIB is one bulk build, no mutator runs and the
-        Loc-RIB journals nothing."""
+        Loc-RIB journals nothing.  The router's counters keep the values
+        it was built with."""
         self.config = state["config"]
         self.sessions = {
             peer: Session.import_state(session_state)
@@ -892,8 +904,6 @@ class BGPRouter(Process):
             for peer, sent in state["adj_rib_out"].items()
         }
         self.loc_rib = LocRib(routes=state["loc_rib"])
-        self.crash_count = state["crash_count"]
-        self.update_handler_calls = state["update_handler_calls"]
         self._pending_export = {
             peer: dict(pending)
             for peer, pending in state.get("pending_export", {}).items()

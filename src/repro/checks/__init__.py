@@ -14,7 +14,7 @@ dashboards, but deliberately not implementable over the narrow sharing
 interface; keeping them separate documents that boundary.
 """
 
-from repro.checks.consistency import ExportConsistency, attach_consistency_checks
+from repro.checks.consistency import ExportConsistency
 from repro.checks.crash import CrashFreedom
 from repro.checks.hijack import OriginAuthenticity, build_sharing_endpoints
 from repro.checks.oscillation import RouteStability
@@ -32,7 +32,6 @@ __all__ = [
     "RouteStability",
     "SessionCascade",
     "ExportConsistency",
-    "attach_consistency_checks",
     "find_forwarding_loops",
     "find_blackholes",
     "forwarding_path",

@@ -73,6 +73,13 @@ class ExportConsistency(Property):
     fault_class = FAULT_PROGRAMMING_ERROR
 
     def check(self, context: CheckContext) -> list[Violation]:
+        # Each domain's commitments are answered by its endpoint's
+        # router, looked up when queried.
+        for endpoint in context.sharing.endpoints():
+            if "export_commitment" not in endpoint.names():
+                register_export_commitment(
+                    endpoint, context.clone.processes, endpoint.node
+                )
         violations: list[Violation] = []
         router = context.router
         rng = context.clone.sim.random.stream("consistency-salt")
@@ -82,8 +89,7 @@ class ExportConsistency(Property):
             if session is None or not session.is_established():
                 continue
             peer_as = session.peer_as
-            endpoint = context.sharing.endpoint(peer_as)
-            if endpoint is None or "export_commitment" not in endpoint.names():
+            if context.sharing.endpoint(peer_as) is None:
                 continue
             for route in router.adj_rib_in[peer].routes():
                 if route.source != SOURCE_EBGP:
@@ -109,20 +115,3 @@ class ExportConsistency(Property):
                         )
                     )
         return violations
-
-
-def attach_consistency_checks(clone, registry: Any,
-                              configs: Mapping[str, Any]) -> None:
-    """Register export-commitment checks for every router in a clone.
-
-    ``configs`` as for :func:`~repro.checks.hijack.
-    build_sharing_endpoints`: registering builds no router.
-    """
-    for name in sorted(configs):
-        config = configs[name]
-        if config is None:
-            continue
-        endpoint = registry.endpoint(config.local_as)
-        if endpoint is None or "export_commitment" in endpoint.names():
-            continue
-        register_export_commitment(endpoint, clone.processes, name)

@@ -2,9 +2,10 @@
 
 A router must survive any byte sequence a peer sends: malformed input is
 answered with a NOTIFICATION (expected protocol behaviour), never with a
-daemon crash.  The property compares the crash counter across the
-exploration input; the BGPRouter increments it exactly when an
-*unexpected* exception escapes the update pipeline (see
+daemon crash.  The property reads the crash counter, which a clone's
+routers start at 0 (see :mod:`repro.core.properties`), so every crash
+it counts happened in the clone.  The BGPRouter increments it exactly
+when an *unexpected* exception escapes the update pipeline (see
 :mod:`repro.bgp.router`), so protocol errors do not trigger false
 positives.
 """
@@ -27,29 +28,16 @@ class CrashFreedom(Property):
     fault_class = FAULT_PROGRAMMING_ERROR
     monotone = True
 
-    def prepare(self, context: CheckContext) -> None:
-        context.baseline["crash_count"] = context.router.crash_count
-        for name, process in context.clone.materialized().items():
-            self.prepare_router(context, name, process)
-
-    def prepare_router(self, context: CheckContext, name: str,
-                       process) -> None:
-        if name != context.node:
-            context.baseline[f"crash_count:{name}"] = getattr(
-                process, "crash_count", 0
-            )
-
     def check(self, context: CheckContext) -> list[Violation]:
         violations = []
         router = context.router
-        baseline = context.baseline.get("crash_count", 0)
-        if router.crash_count > baseline:
+        if router.crash_count > 0:
             violations.append(
                 self.violation(
                     context,
                     f"router crashed handling exploration input: "
                     f"{router.last_crash}",
-                    crash_count=router.crash_count - baseline,
+                    crash_count=router.crash_count,
                     last_crash=router.last_crash,
                 )
             )
@@ -69,9 +57,7 @@ class CrashFreedom(Property):
         for name, process in sorted(context.clone.materialized().items()):
             if name == context.node:
                 continue
-            count = getattr(process, "crash_count", 0)
-            base = context.baseline.get(f"crash_count:{name}", 0)
-            if count > base:
+            if getattr(process, "crash_count", 0) > 0:
                 violations.append(
                     Violation(
                         property_name=self.name,

@@ -70,12 +70,6 @@ def build_sharing_endpoints(clone, registry: SharingRegistry,
                 and prefix in config_of(_name).networks
             ),
         )
-        endpoint.register(
-            "has_route_to",
-            lambda prefix, _name=name: clone.processes[_name].loc_rib.get(
-                prefix
-            ) is not None,
-        )
         registry.add_endpoint(endpoint)
 
 

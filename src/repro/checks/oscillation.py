@@ -6,7 +6,9 @@ process keeps replacing the best route for a prefix without ever
 converging.  Locally this is visible as sustained Loc-RIB churn.
 
 The property counts Loc-RIB transitions per prefix during the
-exploration horizon.  Genuine convergence produces a handful of changes
+exploration horizon: a clone's Loc-RIBs start with an empty journal
+(see :mod:`repro.core.properties`), so every change journalled is the
+clone's own.  Genuine convergence produces a handful of changes
 per prefix (bounded by path exploration during convergence); an
 oscillation produces changes proportional to the horizon.  The
 threshold (:data:`MAX_TRANSITIONS` changes of the *same* prefix) sits
@@ -41,7 +43,7 @@ class RouteStability(Property):
 
     Monotone while the Loc-RIB journal
     (:data:`~repro.bgp.rib.JOURNAL_CAPACITY` entries) has
-    not wrapped since :meth:`prepare`: a prefix's transition count
+    not wrapped since the restore: a prefix's transition count
     never decreases, and neither does its revisit count — appending a
     state to the sequence adds one to its length and at most one
     distinct state.  Past a wrap the oldest fresh changes are no longer
@@ -53,31 +55,16 @@ class RouteStability(Property):
     fault_class = FAULT_POLICY_CONFLICT
     monotone = True
 
-    def prepare(self, context: CheckContext) -> None:
-        context.baseline["stability_since"] = context.clone.sim.now
-        for name, process in context.clone.materialized().items():
-            self.prepare_router(context, name, process)
-
-    def prepare_router(self, context: CheckContext, name: str,
-                       process) -> None:
-        rib = getattr(process, "loc_rib", None)
-        if rib is not None:
-            # Counter-based baseline: immune to journal eviction on
-            # systems that have churned for a long time already.
-            context.baseline[f"changes:{name}"] = rib.changes_total
-
     def check(self, context: CheckContext) -> list[Violation]:
         violations: list[Violation] = []
-        observed = context.clone.sim.now - context.baseline.get(
-            "stability_since", 0.0
-        )
+        # The window opens at the clone's t=0, where its Loc-RIBs start.
+        observed = context.clone.sim.now
         # A router nothing reached is unbuilt and changed no route.
         for name, process in sorted(context.clone.materialized().items()):
             rib = getattr(process, "loc_rib", None)
             if rib is None:
                 continue
-            baseline = context.baseline.get(f"changes:{name}", 0)
-            fresh = rib.recent_changes(rib.changes_total - baseline)
+            fresh = rib.journal()
             per_prefix = Counter(change.prefix for change in fresh)
             for prefix, count in sorted(per_prefix.items()):
                 if count < MAX_TRANSITIONS:

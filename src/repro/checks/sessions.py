@@ -7,7 +7,8 @@ exploration input is allowed to affect the session it arrived on (a
 malformed message legitimately ends in NOTIFICATION + reset at both
 ends of *that* session), but any session reset beyond the impersonated
 pair within the horizon is an emergent, system-wide consequence worth
-reporting.
+reporting.  Session counters start at 0 in a clone (see
+:mod:`repro.core.properties`), so every reset counted is the clone's.
 """
 
 from __future__ import annotations
@@ -27,15 +28,6 @@ class SessionCascade(Property):
     fault_class = FAULT_PROGRAMMING_ERROR
     monotone = True
 
-    def prepare(self, context: CheckContext) -> None:
-        for name, process in context.clone.materialized().items():
-            self.prepare_router(context, name, process)
-
-    def prepare_router(self, context: CheckContext, name: str,
-                       process) -> None:
-        for peer, session in getattr(process, "sessions", {}).items():
-            context.baseline[f"resets:{name}:{peer}"] = session.stats.resets
-
     def check(self, context: CheckContext) -> list[Violation]:
         expected_pair = self._expected_pair(context)
         violations = []
@@ -45,9 +37,8 @@ class SessionCascade(Property):
             if sessions is None:
                 continue
             for peer in sorted(sessions):
-                before = context.baseline.get(f"resets:{name}:{peer}", 0)
-                resets = sessions[peer].stats.resets - before
-                if resets <= 0:
+                resets = sessions[peer].stats.resets
+                if resets == 0:
                     continue
                 if frozenset((name, peer)) == expected_pair:
                     continue  # the injected message's own session

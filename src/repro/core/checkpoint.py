@@ -1,8 +1,12 @@
 """Lightweight node checkpoints.
 
 A :class:`NodeCheckpoint` holds what one node's ``export_state``
-returned; nothing copies it again.  "Lightweight" is made concrete three
-ways:
+returned; nothing copies it again.  It holds protocol state, not
+statistics: a router's crash counter and its sessions' message and
+reset counters stay with the live router, so a restored router counts
+from its restore, every counter at 0, and a check reads what the
+clone's own run caused (see :mod:`repro.core.properties`).
+"Lightweight" is made concrete three ways:
 
 * **structural sharing** — ``export_state`` builds fresh containers
   around immutable leaves (routes, attributes, AS paths, prefixes,

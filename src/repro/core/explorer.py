@@ -265,7 +265,6 @@ class Explorer:
 
     def _sharing_for(self, clone) -> SharingRegistry:
         """A per-clone registry: shared claims, endpoints over the clone."""
-        from repro.checks.consistency import attach_consistency_checks
         from repro.checks.hijack import build_sharing_endpoints
 
         registry = SharingRegistry()
@@ -273,7 +272,6 @@ class Explorer:
             for owner in self._claims.claimed_origins(prefix):
                 registry.claim_origin(owner, prefix)
         build_sharing_endpoints(clone, registry, self._configs)
-        attach_consistency_checks(clone, registry, self._configs)
         return registry
 
     # -- message exploration (Figure 2) --

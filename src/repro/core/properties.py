@@ -8,6 +8,13 @@ properties may only reach other domains through the
 
 Concrete BGP properties live in :mod:`repro.checks`; this module defines
 the contracts the explorer drives.
+
+A checkpoint carries protocol state, not statistics (see
+:mod:`repro.core.checkpoint`), so every router of a clone counts from
+its restore: crash and session counters start at 0 and the Loc-RIB
+journal starts empty, whenever something first reaches the router.
+What a counter reads in a clone is therefore what the clone's own run
+caused, and a check compares it against 0 with no baseline to record.
 """
 
 from __future__ import annotations
@@ -40,11 +47,11 @@ class CheckContext:
     ``clone`` is the explored copy (never the live network).  ``node``
     names the explorer node.  ``baseline`` carries pre-exploration
     observations recorded by the property itself (see
-    :meth:`Property.prepare`), e.g. crash counters before input
-    injection.  ``node_memo``, when given, outlives the context: it
-    holds what a property's ``prepare`` computed as a function of the
-    snapshot, the node and the claims alone, for the node's later
-    clones of the same snapshot to reuse.
+    :meth:`Property.prepare`), e.g. the origin violations of the
+    snapshot's own state.  ``node_memo``, when given, outlives the
+    context: it holds what a property's ``prepare`` computed as a
+    function of the snapshot, the node and the claims alone, for the
+    node's later clones of the same snapshot to reuse.
     """
 
     clone: Network
@@ -87,21 +94,13 @@ class Property:
     monotone = False
 
     def prepare(self, context: CheckContext) -> None:
-        """Record pre-injection baseline values into ``context.baseline``.
+        """Record pre-injection observations into ``context.baseline``.
 
         Called on the clone after restoration, before the exploration
-        input is injected.  A clone builds a router only once something
-        reaches it (see :mod:`repro.core.snapshot`), so a property that
-        baselines per router does so for the routers built by now
-        (``context.clone.materialized()``) through
-        :meth:`prepare_router`, which :meth:`PropertySuite.prepare_all`
-        also calls on each router built later — when it holds its
-        checkpoint's values, as it did here.  Default: nothing.
+        input is injected.  A counter needs no baseline: every router
+        of a clone counts from its restore (see the module docstring).
+        Default: nothing.
         """
-
-    def prepare_router(self, context: CheckContext, name: str,
-                       process: Any) -> None:
-        """Record router ``name``'s baseline values.  Default: nothing."""
 
     def check(self, context: CheckContext) -> list[Violation]:
         """Evaluate after propagation; return violations (possibly [])."""
@@ -135,20 +134,7 @@ class PropertySuite:
         return len(self._properties)
 
     def prepare_all(self, context: CheckContext) -> None:
-        """Run every property's baseline pass, and baseline each router
-        the clone builds from now on as it is built.
-
-        The watcher goes in first: a router one property's ``prepare``
-        builds is then baselined for every property, the ones already
-        run included.  A property whose own pass later meets that router
-        again records the same checkpoint values a second time.
-        """
-
-        def prepare_router(name: str, process: Any) -> None:
-            for prop in self._properties:
-                prop.prepare_router(context, name, process)
-
-        context.clone.processes.watch(prepare_router)
+        """Run every property's pre-injection pass."""
         for prop in self._properties:
             prop.prepare(context)
 

@@ -33,7 +33,6 @@ orchestrator → worker                          worker → orchestrator
                                                TaskOutcome)`` or ``("error",
                                                request_id, summary,
                                                traceback)``
-``("ping",)``                                  ``("pong", tasks_run)``
 =============================================  ==============================
 
 Determinism contract: a transport changes *where* a task runs, never
@@ -223,7 +222,6 @@ class RemoteWorkerState:
     """
 
     def __init__(self):
-        self.tasks_run = 0
         self._lock = threading.Lock()
 
     def handle(self, message: tuple) -> tuple:
@@ -244,10 +242,7 @@ class RemoteWorkerState:
                     return ("error", request_id,
                             f"{type(error).__name__}: {error}",
                             traceback.format_exc())
-                self.tasks_run += 1
                 return ("outcome", request_id, outcome)
-            if kind == "ping":
-                return ("pong", self.tasks_run)
         raise ValueError(f"unknown message kind {kind!r}")
 
 
@@ -521,7 +516,7 @@ class _Connection:
                 self.bytes_received += wire_bytes
                 kind = message[0]
                 if kind not in ("outcome", "error"):
-                    continue  # pong or future protocol extension
+                    continue  # a later protocol extension
                 with self._pending_lock:
                     if not self._pending:
                         raise RemoteWorkerError(

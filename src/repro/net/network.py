@@ -53,14 +53,13 @@ class Processes(Mapping[str, Process]):
     follows the order processes were added.
     """
 
-    __slots__ = ("built", "_deferred", "_names", "_on_build")
+    __slots__ = ("built", "_deferred", "_names")
 
     def __init__(self) -> None:
         # The processes built so far, in the order they were built.
         self.built: dict[str, Process] = {}
         self._deferred: dict[str, Callable[[], Process]] = {}
         self._names: list[str] = []
-        self._on_build: list[Callable[[str, Process], None]] = []
 
     def __getitem__(self, name: str) -> Process:
         try:
@@ -70,8 +69,6 @@ class Processes(Mapping[str, Process]):
         process = self._deferred[name]()
         del self._deferred[name]
         self.built[name] = process
-        for callback in self._on_build:
-            callback(name, process)
         return process
 
     def __contains__(self, name: object) -> bool:
@@ -98,17 +95,11 @@ class Processes(Mapping[str, Process]):
             raise ValueError(f"duplicate process name {name!r}")
         self._names.append(name)
 
-    def watch(self, callback: Callable[[str, Process], None]) -> None:
-        """Call ``callback(name, process)`` each time a deferred process
-        is built from now on, before anything reaches it."""
-        self._on_build.append(callback)
-
     def clear(self) -> None:
-        """Forget every process, built or deferred, and every watcher."""
+        """Forget every process, built or deferred."""
         self.built.clear()
         self._deferred.clear()
         self._names.clear()
-        self._on_build.clear()
 
 
 class Network:

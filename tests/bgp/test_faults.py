@@ -39,6 +39,11 @@ class TestMedOverflow:
         assert faults.buggy_med(0xFFFFFFFF, True) == -1
 
 
+class TestInvertedLocalPref:
+    def test_order_reverses(self):
+        assert faults.buggy_local_pref(200) < faults.buggy_local_pref(100)
+
+
 class TestWithdrawOverflow:
     def test_threshold(self):
         faults.check_withdraw_overflow(faults.WITHDRAW_OVERFLOW_COUNT - 1, True)
@@ -54,5 +59,6 @@ def test_all_bugs_registry_complete():
         faults.BUG_COMMUNITY_CRASH,
         faults.BUG_ASPATH_OFF_BY_ONE,
         faults.BUG_MED_SIGNED_OVERFLOW,
+        faults.BUG_INVERTED_LOCAL_PREF,
         faults.BUG_WITHDRAW_OVERFLOW,
     }

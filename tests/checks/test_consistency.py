@@ -1,10 +1,6 @@
 """Tests for the commitment-based export-consistency check."""
 
-from repro.checks.consistency import (
-    ExportConsistency,
-    attach_consistency_checks,
-    wire_stable_view,
-)
+from repro.checks.consistency import ExportConsistency, wire_stable_view
 from repro.checks.hijack import build_sharing_endpoints
 from repro.core.properties import CheckContext
 from repro.core.sharing import SharingRegistry
@@ -23,7 +19,6 @@ def make_context(live, node="r2"):
     registry = SharingRegistry.from_configs(live.initial_configs)
     configs = configs_of(live.network)
     build_sharing_endpoints(live.network, registry, configs)
-    attach_consistency_checks(live.network, registry, configs)
     return CheckContext(clone=live.network, node=node, sharing=registry)
 
 
@@ -100,11 +95,18 @@ class TestExportConsistency:
 
     def test_skips_domains_without_commitment_check(self, converged3):
         registry = SharingRegistry.from_configs(converged3.initial_configs)
+        # An endpoint for r2's own AS alone: no peer's AS has one to
+        # answer a commitment, so the property must skip quietly.
+        configs = configs_of(converged3.network)
         build_sharing_endpoints(
-            converged3.network, registry, configs_of(converged3.network)
+            converged3.network, registry, {"r2": configs["r2"]}
         )
-        # No attach_consistency_checks: the property must skip quietly.
         context = CheckContext(
             clone=converged3.network, node="r2", sharing=registry
         )
         assert ExportConsistency().check(context) == []
+        assert all(
+            entry.check != "export_commitment"
+            for endpoint in registry.endpoints()
+            for entry in endpoint.audit_log
+        )

@@ -1,6 +1,7 @@
 """Tests for the crash-freedom property."""
 
 from repro.checks.crash import CrashFreedom
+from repro.core.live import bgp_process_factory
 from repro.core.properties import CheckContext
 from repro.core.sharing import SharingRegistry
 
@@ -30,14 +31,22 @@ class TestCrashFreedom:
         assert violations[0].fault_class == "programming_error"
         assert "synthetic" in violations[0].detail
 
-    def test_preexisting_crashes_not_reattributed(self, converged3):
-        """Crashes before prepare() are history, not this input's fault."""
-        router = converged3.router("r2")
-        router.crash_count = 5
+    def test_preexisting_crashes_not_reattributed(self, scarred_live):
+        """Crashes before the cut are history, not this input's fault:
+        a clone's routers count crashes from their restore."""
+        live = scarred_live()
+        clone = live.coordinator.capture("r1").clone(
+            bgp_process_factory, seed=1
+        )
         prop = CrashFreedom()
-        context = make_context(converged3)
+        context = CheckContext(
+            clone=clone, node="r2", sharing=SharingRegistry()
+        )
         prop.prepare(context)
+        assert clone.processes["r3"].crash_count == 0
+        clone.run(until=5.0)
         assert prop.check(context) == []
+        assert live.router("r3").crash_count == 1
 
     def test_neighbor_crash_detected(self, converged3):
         prop = CrashFreedom()

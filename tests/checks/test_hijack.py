@@ -131,9 +131,7 @@ class TestEndpointConstruction:
             converged3.network, registry, configs_of(converged3.network)
         )
         endpoint = registry.endpoint(65001)
-        assert endpoint.names() == [
-            "authorizes_origin", "has_route_to", "originates",
-        ]
+        assert endpoint.names() == ["authorizes_origin", "originates"]
 
     def test_originates_answers_truthfully(self, converged3):
         registry = SharingRegistry()

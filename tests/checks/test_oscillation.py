@@ -2,7 +2,7 @@
 
 from repro.checks import oscillation
 from repro.checks.oscillation import RouteStability
-from repro.core.live import LiveSystem
+from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.properties import CheckContext
 from repro.core.sharing import SharingRegistry
 from repro.topo.gadgets import (
@@ -50,11 +50,17 @@ class TestRouteStability:
         assert prop.check(context) == []
 
     def test_baseline_excludes_convergence_churn(self, live3):
-        """Changes before prepare() (initial convergence) don't count."""
+        """Changes before the cut (initial convergence) are not a
+        clone's: its Loc-RIBs start with an empty journal."""
         live3.converge()
+        assert live3.router("r2").loc_rib.changes_total > 0
+        clone = live3.coordinator.capture("r1").clone(bgp_process_factory)
         prop = RouteStability()
-        context = make_context(live3, "r2")
+        context = CheckContext(
+            clone=clone, node="r2", sharing=SharingRegistry()
+        )
         prop.prepare(context)
+        assert context.router.loc_rib.journal() == []
         assert prop.check(context) == []
 
     def test_slow_convergence_not_misclassified(self):

@@ -24,6 +24,9 @@ if _SRC not in sys.path:
 
 from repro import quickstart_system
 from repro.bgp import faults
+from repro.bgp.attributes import AsPath, PathAttributes
+from repro.bgp.ip import IPv4Address, Prefix
+from repro.bgp.messages import UpdateMessage
 from repro.core.live import LiveSystem
 from repro.topo.demo27 import build_demo27
 from repro.topo.gadgets import build_bad_gadget
@@ -100,6 +103,43 @@ def converged3_with_bug():
     )
     live.converge()
     return live
+
+
+def build_scarred3():
+    """The r1–r2–r3 line with history: r3 has crashed once and the
+    r2–r3 session has been reset four times, all long before any cut.
+    r2's Loc-RIB journal alone would read as an oscillation of r3's
+    prefix (nine changes, seven revisits), and every counter of r2 and
+    r3 is non-zero."""
+    live = quickstart_system(seed=0)
+    router = live.router("r3")
+    router.config = dataclasses.replace(
+        router.config, enabled_bugs=frozenset({faults.BUG_COMMUNITY_CRASH})
+    )
+    live.converge()
+    crash = UpdateMessage(
+        attributes=PathAttributes(
+            as_path=AsPath.from_sequence(65001),
+            next_hop=IPv4Address("172.16.0.1"),
+            communities=(faults.COMMUNITY_CRASH_VALUE,),
+        ),
+        nlri=(Prefix("10.66.0.0/16"),),
+    ).encode()
+    live.network.inject("r2", "r3", crash)
+    for _ in range(4):
+        # A bad marker: r2 answers with a NOTIFICATION and resets.
+        live.network.inject("r3", "r2", b"\xff" * 16 + b"\x00\x13\x09")
+        live.run(until=live.network.sim.now + 60)
+    assert live.router("r3").crash_count == 1
+    assert live.router("r2").sessions["r3"].stats.resets >= 4
+    assert live.router("r2").established_peers() == ["r1", "r3"]
+    return live
+
+
+@pytest.fixture(scope="session")
+def scarred_live():
+    """:func:`build_scarred3`: each call builds the system afresh."""
+    return build_scarred3
 
 
 @pytest.fixture

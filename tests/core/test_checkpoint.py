@@ -9,6 +9,7 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.config import AddNetwork, RemoveNetwork, RouterConfig
 from repro.bgp.damping import FLAP_WITHDRAW, DampingParams
+from repro.bgp.fsm import SessionStats
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import Route
@@ -437,25 +438,50 @@ class TestBulkRestoreEqualsReplay:
             assert router.loc_rib.journal() == []
             assert router.loc_rib.changes_total == 0
 
-    def test_route_stability_ignores_restore_history(self):
-        """The one journal reader on clones baselines on
-        ``changes_total`` in ``prepare``: the bad gadget's null probe
-        reports the same oscillation whether the clone arrived with an
-        empty journal or, as a replay leaves it, one entry per route."""
-        snapshot = _bad_gadget_oscillating(None)
+    def test_route_stability_ignores_restore_history(self, scarred_live):
+        """A clone's Loc-RIBs start with an empty journal: the scarred
+        system's history, which the check reports over the live network
+        (r2's resets of its r3 session read as r3's prefix oscillating),
+        is no verdict of a clone's."""
+        live = scarred_live()
+        check = RouteStability()
+        assert check.check(CheckContext(
+            clone=live.network, node="r2", sharing=SharingRegistry()
+        ))
+        clone = live.coordinator.capture("r1").clone(
+            bgp_process_factory, seed=5
+        )
+        context = CheckContext(
+            clone=clone, node="r2", sharing=SharingRegistry()
+        )
+        check.prepare(context)
+        assert len(list(clone.processes.values())) == 3
+        clone.run(until=15.0)
+        assert check.check(context) == []
 
-        def null_probe(replay):
-            clone = snapshot.clone(bgp_process_factory, seed=5)
-            if replay:
-                for name, checkpoint in snapshot.checkpoints.items():
-                    replay_ribs(clone.processes[name], checkpoint.state)
-            check = RouteStability()
-            context = CheckContext(
-                clone=clone, node="r1", sharing=SharingRegistry()
-            )
-            check.prepare(context)
-            clone.run(until=clone.sim.now + 15.0)
-            return check.check(context)
 
-        violations = null_probe(replay=False)
-        assert violations and violations == null_probe(replay=True)
+class TestStatisticsStayBehind:
+    """A checkpoint carries protocol state, not statistics: a restored
+    router counts from its restore."""
+
+    def test_a_restored_router_starts_every_counter_at_zero(
+            self, scarred_live):
+        live = scarred_live()
+        snapshot = pickle.loads(pickle.dumps(live.coordinator.capture("r1")))
+        for checkpoint in snapshot.checkpoints.values():
+            assert "crash_count" not in checkpoint.state
+            for session in checkpoint.state["sessions"].values():
+                assert "stats" not in session
+        clone = snapshot.clone(bgp_process_factory, seed=1)
+        for router in live.routers():
+            restored = clone.processes[router.name]
+            assert restored.established_peers() == router.established_peers()
+            assert (restored.crash_count, restored.last_crash) == (0, None)
+            assert restored.loc_rib.changes_total == 0
+            for session in restored.sessions.values():
+                assert session.stats == SessionStats()
+        # The live routers keep their own counters.
+        r2, r3 = live.router("r2"), live.router("r3")
+        assert r3.crash_count == 1 and r3.last_crash
+        assert r2.sessions["r3"].stats.resets >= 4
+        assert r2.sessions["r1"].stats.updates_received > 0

@@ -64,13 +64,28 @@ def run_two_campaigns_at_once(**kwargs):
         return [campaign.result(timeout=240) for campaign in campaigns]
 
 
+def count_tasks(state) -> list:
+    """The request ids of the tasks ``state`` answers from now on."""
+    served = []
+    handle = state.handle
+
+    def counted(message):
+        response = handle(message)
+        if response[0] == "outcome":
+            served.append(message[1])
+        return response
+
+    state.handle = counted
+    return served
+
+
 class TestFrameCodec:
     def test_round_trip(self):
         message = ("task", 7, {"payload": b"\x00" * 1000})
         assert decode_frame(encode_frame(message)) == message
 
     def test_length_prefix_mismatch_is_loud(self):
-        frame = encode_frame(("ping",))
+        frame = encode_frame(("task", 1, None))
         with pytest.raises(ValueError, match="length prefix"):
             decode_frame(frame + b"trailing")
 
@@ -100,10 +115,6 @@ class TestFrameCodec:
 
 
 class TestRemoteWorkerState:
-    def test_ping(self):
-        state = RemoteWorkerState()
-        assert state.handle(("ping",)) == ("pong", 0)
-
     def test_task_failure_becomes_error_frame(self):
         state = RemoteWorkerState()
         broken = ExplorationTask(
@@ -137,9 +148,9 @@ class TestRemoteWorkerState:
         with pytest.raises(ValueError, match="unknown message"):
             RemoteWorkerState().handle(("bogus",))
 
-    def test_pong_counts_served_tasks_only(self):
-        """A daemon's only state is how many tasks it has served; a
-        failed task is answered but not counted."""
+    def test_a_failed_task_leaves_the_slot_serving(self):
+        """A failed task is answered with an error frame, and the slot
+        serves the next task as it served the one before."""
         from repro import quickstart_system
 
         live = quickstart_system(seed=7)
@@ -154,8 +165,7 @@ class TestRemoteWorkerState:
         state = RemoteWorkerState()
         assert state.handle(("task", 1, task))[0] == "outcome"
         assert state.handle(("task", 2, broken))[0] == "error"
-        assert state.handle(("task", 3, task))[0] == "outcome"
-        assert state.handle(("ping",)) == ("pong", 2)
+        assert state.handle(("task", 3, task))[:2] == ("outcome", 3)
 
 
 class TestLoopbackCampaigns:
@@ -244,6 +254,7 @@ class TestLoopbackCampaigns:
         interleave their tasks on one slot without seeing each other."""
         shared = LoopbackTransport(slots=1)
         shared.close = lambda: None  # neither campaign owns it
+        served = count_tasks(shared._states[0])
         results = run_two_campaigns_at_once(
             transport_factory=lambda: shared
         )
@@ -251,7 +262,7 @@ class TestLoopbackCampaigns:
             assert campaign_fingerprint(result) == campaign_fingerprint(
                 serial_reference
             )
-        assert shared._states[0].tasks_run == 2 * 6  # 3 nodes x 2 cycles
+        assert len(served) == 2 * 6  # 3 nodes x 2 cycles
 
     def test_worker_error_propagates_with_traceback(self):
         transport = LoopbackTransport(slots=1)
@@ -299,6 +310,7 @@ class TestSocketCampaigns:
         self, serial_reference, servers
     ):
         daemon = servers[0]
+        served = count_tasks(daemon.state)
         results = run_two_campaigns_at_once(
             transport="socket", remote_workers=self.addresses([daemon])
         )
@@ -306,7 +318,7 @@ class TestSocketCampaigns:
             assert campaign_fingerprint(result) == campaign_fingerprint(
                 serial_reference
             )
-        assert daemon.state.tasks_run == 2 * 6  # 3 nodes x 2 cycles
+        assert len(served) == 2 * 6  # 3 nodes x 2 cycles
 
     def test_unreachable_worker_fails_at_campaign_start(self):
         with socket.socket() as placeholder:

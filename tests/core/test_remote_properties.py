@@ -44,7 +44,7 @@ primitives = st.one_of(
     st.none(),
 )
 messages = st.tuples(
-    st.sampled_from(["task", "outcome", "error", "ping", "pong"]),
+    st.sampled_from(["task", "outcome", "error"]),
     st.lists(
         st.one_of(
             primitives,

@@ -12,7 +12,7 @@ import json
 import time
 
 from repro import quickstart_system
-from repro.bgp import decision
+from repro.bgp import faults
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
@@ -92,15 +92,14 @@ class TestPrepass:
 
     def test_divergence_reports_prepended(self):
         # Quickstart is a line — one path per prefix — so the inverted
-        # LOCAL_PREF mutation needs the two-path system to be visible.
+        # LOCAL_PREF bug needs the two-path system to be visible.
         from test_reference import two_path_system
 
-        with decision.mutation(decision.MUTATION_INVERT_LOCAL_PREF):
-            live = two_path_system()
-            settle_live(live)
-            result = _campaign(
-                live, differential="reference", explorer_nodes=["r"]
-            )
+        live = two_path_system(frozenset({faults.BUG_INVERTED_LOCAL_PREF}))
+        settle_live(live)
+        result = _campaign(
+            live, differential="reference", explorer_nodes=["r"]
+        )
         assert result.differential.divergences > 0
         divergence_reports = [
             r for r in result.reports

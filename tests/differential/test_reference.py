@@ -8,7 +8,7 @@ built-in topology, and the ability to *catch* a seeded simulator bug
 
 import pytest
 
-from repro.bgp import decision
+from repro.bgp import faults
 from repro.bgp.config import NeighborConfig, RouterConfig
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.policy import Filter
@@ -75,11 +75,12 @@ class TestFixpointAgreement:
         ) == []
 
 
-def two_path_system() -> LiveSystem:
+def two_path_system(enabled_bugs: frozenset = frozenset()) -> LiveSystem:
     """Origin o; r hears the prefix via a (lp 200) and b (lp 100).
 
     The minimal topology where an inverted LOCAL_PREF comparison
     changes the outcome — shared with the campaign-layer tests.
+    ``enabled_bugs`` are r's injected bugs.
     """
     prefix = Prefix("10.77.0.0/16")
     o = RouterConfig(
@@ -120,6 +121,7 @@ def two_path_system() -> LiveSystem:
                            import_filter="via_b"),
         ),
         filters={"via_a": pref_a, "via_b": pref_b},
+        enabled_bugs=enabled_bugs,
     )
     wire = LinkProfile.wan(latency_ms=1.0, jitter_ms=0.0)
     links = [("o", "a", wire), ("o", "b", wire),
@@ -136,10 +138,11 @@ class TestSeededMutationCaught:
         assert _verify(live) == []
 
     def test_inverted_local_pref_caught_with_blame(self):
-        with decision.mutation(decision.MUTATION_INVERT_LOCAL_PREF):
-            live = two_path_system()
-            settle_live(live)
-            divergences = _verify(live)
+        live = two_path_system(
+            frozenset({faults.BUG_INVERTED_LOCAL_PREF})
+        )
+        settle_live(live)
+        divergences = _verify(live)
         assert divergences, "mutated simulator escaped the oracle"
         at_r = [d for d in divergences if d.router == "r"]
         assert at_r, "blame should land on the router that chose wrongly"
@@ -150,11 +153,6 @@ class TestSeededMutationCaught:
         assert {"via", "local_pref"} & fields
         blamed = next(d for d in at_r if d.field in ("via", "local_pref"))
         assert blamed.expected != blamed.actual
-
-    def test_mutation_context_restores_behaviour(self):
-        live = two_path_system()
-        settle_live(live)
-        assert _verify(live) == []  # hook left no residue
 
 
 class TestIndependence:
