@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Seven measurements:
+Eight measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -16,12 +16,15 @@ Seven measurements:
   1 per clone for grammar inputs at a converged 40-router internet's
   transit router over a 3 s horizon, where every router was restored
   before clones were copy-on-touch; a counter, so gated;
-* what a task ships — attribute set, prefix and AS path values per
-  object in a converged 40-router snapshot, the size of its pickle and
-  of a smaller system's whole task — expected: exactly 1.0 each (a
-  network's routers hold one object per distinct value), ~205 KiB (a
-  router's RIBs pickle as rows) and ~23 KiB; all deterministic, so
-  gated;
+* what a task ships — attribute set, prefix, AS path and address
+  values per object in a converged 40-router snapshot, the size of its
+  pickle and of a smaller system's whole task — expected: exactly 1.0
+  each (a network's routers hold one object per distinct value),
+  ~188 KiB (a router's RIBs pickle as rows) and ~23 KiB; all
+  deterministic, so gated;
+* the RIB blocks a pooled demo27 campaign pickles for its four
+  captures — expected: 1, as no router's RIBs change between them; a
+  counter, so gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -275,10 +278,10 @@ def test_live_slowdown_with_dice_attached(benchmark):
 
 def test_snapshot_sharing(benchmark):
     """What a task ships: on a converged 40-router internet every
-    distinct attribute set, prefix and AS path value is one object in
-    the snapshot (routers hand each other the same decoded message and
-    keep one object per value), so pickle writes each once, and the
-    RIBs pickle as rows.  The ratios and the size are deterministic and
+    distinct attribute set, prefix, AS path and address value is one
+    object in the snapshot (routers hand each other the same decoded
+    message and keep one object per value), so pickle writes each once,
+    and the RIBs pickle as rows.  The ratios and the size are deterministic and
     gated; the two timings are informational."""
     topology = build_internet(
         TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
@@ -286,18 +289,23 @@ def test_snapshot_sharing(benchmark):
     live = LiveSystem.build(topology.configs, topology.links, seed=0)
     live.converge(deadline=600)
     snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
-    held = {"attribute": {}, "prefix": {}, "AS path": {}}
+    held = {"attribute": {}, "prefix": {}, "AS path": {}, "address": {}}
 
     def hold(kind, value):
         held[kind][id(value)] = value
 
     for checkpoint in snapshot.checkpoints.values():
         state = checkpoint.state
+        for session in state["sessions"].values():
+            if session["peer_bgp_id"] is not None:
+                hold("address", session["peer_bgp_id"])
         ribs = [state["loc_rib"], *state["adj_rib_in"].values()]
         for rib in ribs:
             for route in rib:
                 hold("prefix", route.prefix)
                 hold("attribute", route.attributes)
+                if route.peer_bgp_id is not None:
+                    hold("address", route.peer_bgp_id)
         # an Adj-RIB-Out maps each prefix to the attribute set sent
         for sent in state["adj_rib_out"].values():
             for prefix, attributes in sent.items():
@@ -305,6 +313,8 @@ def test_snapshot_sharing(benchmark):
                 hold("attribute", attributes)
     for attributes in list(held["attribute"].values()):
         hold("AS path", attributes.as_path)
+        if attributes.next_hop is not None:
+            hold("address", attributes.next_hop)
     sharing = {
         kind: len(set(objects.values())) / len(objects)
         for kind, objects in held.items()
@@ -330,13 +340,16 @@ def test_snapshot_sharing(benchmark):
             "snapshot_attr_sharing": round(sharing["attribute"], 4),
             "snapshot_prefix_sharing": round(sharing["prefix"], 4),
             "snapshot_aspath_sharing": round(sharing["AS path"], 4),
+            "snapshot_address_sharing": round(sharing["address"], 4),
             "snapshot_pickle_kib": round(len(blob) / 1024, 1),
             "snapshot_dumps_ms": round(dumps_ms, 2),
             "snapshot_loads_best_ms": round(loads_ms, 2),
         },
     )
     assert restored.node_count == snapshot.node_count
-    assert sharing == {"attribute": 1.0, "prefix": 1.0, "AS path": 1.0}
+    assert sharing == {
+        "attribute": 1.0, "prefix": 1.0, "AS path": 1.0, "address": 1.0,
+    }
 
 
 def test_task_shipping_overhead(benchmark):
@@ -378,3 +391,64 @@ def test_task_shipping_overhead(benchmark):
         metrics={"task_wire_kib": round(wire_bytes / 1024, 1)},
     )
     assert restored.snapshot.node_count == snapshot.node_count
+
+
+def test_rib_blocks_pickled(monkeypatch):
+    """What a pooled campaign pickles per capture: the e2e
+    demo27-parallel campaign (tr-1 and tr-2, 2 cycles of 2 inputs, seed
+    27, two loopback slots).  Its four captures hold the same RIB
+    objects, so the campaign pickles one RIB block (4 while every
+    capture pickled its RIBs) and each slot decodes it once; a counter,
+    so gated.  The payload's total ``dumps`` and ``loads`` ms are wall
+    clock, so informational."""
+    from repro import DiceOrchestrator, OrchestratorConfig
+    from repro.checks import default_property_suite
+    from repro.core.parallel import ExplorationTask
+    from repro.core.payload import SnapshotEncoder
+    from repro.topo.demo27 import build_demo27
+
+    encoders, dumps, loads = [], [], []
+    encode = SnapshotEncoder.__call__
+    resolve = ExplorationTask.resolve_snapshot
+
+    def timed_encode(encoder, snapshot):
+        if encoder not in encoders:
+            encoders.append(encoder)
+        started = time.perf_counter()
+        payload = encode(encoder, snapshot)
+        dumps.append(time.perf_counter() - started)
+        return payload
+
+    def timed_resolve(task):
+        started = time.perf_counter()
+        snapshot = resolve(task)
+        loads.append(time.perf_counter() - started)
+        return snapshot
+
+    monkeypatch.setattr(SnapshotEncoder, "__call__", timed_encode)
+    monkeypatch.setattr(ExplorationTask, "resolve_snapshot", timed_resolve)
+    topology = build_demo27()
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    result = DiceOrchestrator(live, default_property_suite()).run_campaign(
+        OrchestratorConfig(
+            explorer_nodes=["tr-1", "tr-2"], cycles=2, inputs_per_node=2,
+            grammar_seeds=1, horizon=3.0, seed=27, workers=2,
+            transport="loopback",
+        )
+    )
+    (encoder,) = encoders
+    blocks = encoder.blocks_pickled
+    print(f"\n  captures={len(dumps)} rib blocks pickled={blocks} "
+          f"payload dumps {sum(dumps) * 1000:.1f} ms, "
+          f"loads {sum(loads) * 1000:.1f} ms over {len(loads)} tasks")
+    benchlib.record(
+        "overhead",
+        metrics={
+            "rib_blocks_pickled": blocks,
+            "payload_dumps_ms": round(sum(dumps) * 1000, 2),
+            "payload_loads_ms": round(sum(loads) * 1000, 2),
+        },
+    )
+    assert len(dumps) == result.snapshots_taken == 4
+    assert blocks == 1

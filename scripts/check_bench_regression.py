@@ -68,8 +68,10 @@ GATED_METRICS = {
     # routers share one object per value; 380.1 KiB while an
     # Adj-RIB-Out held a Route per peer and prefix, 286.6 KiB since it
     # holds the attribute set sent, 205.3 KiB since a router's state
-    # pickles its RIBs as rows under their peer's provenance (the
-    # dumps/loads ms beside them are wall-clock, so informational).
+    # pickles its RIBs as rows under their peer's provenance, 193.1 KiB
+    # while next hops and peer BGP ids were one object per decode and
+    # 188.3 KiB since they are one per address (the dumps/loads ms
+    # beside them are wall-clock, so informational).
     "snapshot_attr_sharing": "higher",
     "snapshot_pickle_kib": "lower",
     # bench_overhead, the same snapshot: distinct prefix and AS path
@@ -78,9 +80,20 @@ GATED_METRICS = {
     # network keeps one object per prefix and per path.
     "snapshot_prefix_sharing": "higher",
     "snapshot_aspath_sharing": "higher",
+    # bench_overhead, the same snapshot: distinct address values /
+    # objects among next hops and peer BGP ids.  0.064 (40 in 627)
+    # while each decoded message held its own; 1.0 since a router keeps
+    # the network's one object per address.
+    "snapshot_address_sharing": "higher",
+    # bench_overhead, the e2e demo27-parallel campaign: RIB blocks its
+    # four task payloads pickle.  4 while every capture pickled every
+    # RIB, 1 since a payload reuses the last block's bytes while no
+    # router's config or RIB changed.
+    "rib_blocks_pickled": "lower",
     # bench_overhead: the pickle of one task (snapshot of a converged
     # 9-router internet, suite, claims).  26.5 KiB while every route
-    # pickled with all its fields, 23.0 since the RIBs go as rows.
+    # pickled with all its fields, 23.0 since the RIBs go as rows; 20.8
+    # while addresses were one object per decode, 20.3 since.
     "task_wire_kib": "lower",
     # bench_event_loop: heap entries written per event run on the
     # bad-gadget null probe, 2.00 while every re-armed hold timer

@@ -279,6 +279,7 @@ class PathAttributes:
         aggregator: tuple[int, IPv4Address] | None = None,
         communities: tuple[int, ...] = (),
         unknown: tuple[tuple[int, int, bytes], ...] = (),
+        _key: tuple | None = None,
     ):
         self.origin = origin
         self.as_path = as_path if as_path is not None else _EMPTY_PATH
@@ -289,7 +290,9 @@ class PathAttributes:
         self.aggregator = aggregator
         self.communities = tuple(communities)
         self.unknown = tuple(unknown)
-        self._key = (
+        # ``_key`` is passed by :meth:`holding` alone: the key of a set
+        # equal to this one.
+        self._key = _key if _key is not None else (
             int(origin),
             self.as_path.segments,
             None if next_hop is None else int(next_hop),
@@ -307,6 +310,17 @@ class PathAttributes:
         fields = {name: getattr(self, name) for name in self._FIELDS}
         fields.update(changes)
         return PathAttributes(**fields)
+
+    def holding(self, as_path: AsPath,
+                next_hop: IPv4Address | None) -> "PathAttributes":
+        """A copy of this set holding ``as_path`` and ``next_hop``, which
+        equal its own, so the copy takes this set's key rather than
+        deriving it again."""
+        return PathAttributes(
+            self.origin, as_path, next_hop, self.med, self.local_pref,
+            self.atomic_aggregate, self.aggregator, self.communities,
+            self.unknown, _key=self._key,
+        )
 
     def __reduce__(self):
         # Positional, so a pickle holds the nine values and not a

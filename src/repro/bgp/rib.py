@@ -168,13 +168,6 @@ class LocRib:
         """The retained change journal (oldest first)."""
         return list(self._journal)
 
-    def recent_changes(self, count: int) -> list[RibChange]:
-        """The most recent ``count`` journal entries (oldest first)."""
-        if count <= 0:
-            return []
-        retained = list(self._journal)
-        return retained[-count:]
-
     def changes_for(self, prefix: Prefix) -> list[RibChange]:
         """Journal entries affecting ``prefix``."""
         return [change for change in self._journal if change.prefix == prefix]

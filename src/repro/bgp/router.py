@@ -40,13 +40,14 @@ from repro.bgp.damping import (
 from repro.bgp.attributes import (
     COMMUNITY_NO_ADVERTISE,
     COMMUNITY_NO_EXPORT,
+    AsPath,
     PathAttributes,
 )
 from repro.bgp.config import ConfigChange, NeighborConfig, RouterConfig
 from repro.bgp.decision import best_route
 from repro.bgp.errors import BGPError, OpenMessageError
 from repro.bgp.fsm import Session, SessionState
-from repro.bgp.ip import Prefix
+from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import (
     BGPMessage,
     KeepaliveMessage,
@@ -123,7 +124,7 @@ class BGPRouter(Process):
             PathAttributes(next_hop=self.config.router_id)
         )
         return Route(
-            prefix=self._canonical_prefix(prefix),
+            prefix=self._canonical_value(prefix),
             attributes=attrs,
             source=SOURCE_STATIC,
             received_at=self.now if self.network else 0.0,
@@ -233,38 +234,39 @@ class BGPRouter(Process):
         ``rta_lookup`` and FRR's ``attrhash`` keep one per daemon.
 
         A set kept for the first time holds the network's one object for
-        its AS path (a copy of ``attrs`` is kept if ``attrs`` holds
-        another).  A set holding a symbolic value is returned as it is
-        and never kept: its key is concretized, so it would alias a
-        concrete set and drop the expressions the concolic engine
-        follows.
+        its AS path and for its next hop (a copy of ``attrs`` is kept if
+        ``attrs`` holds others).  A set holding a symbolic value is
+        returned as it is and never kept: its key is concretized, so it
+        would alias a concrete set and drop the expressions the concolic
+        engine follows.
         """
         network = self.network
         if network is None or not attrs.is_concrete():
             return attrs
         key = attrs.key()
-        interned = network.interned
-        found = interned.get(key)
+        found = network.interned.get(key)
         if found is not None:
             return found
-        as_path = attrs.as_path
-        path = interned.get(as_path)
-        if path is None:
-            network.intern(as_path, as_path)
-        elif path is not as_path:
-            attrs = attrs.replace(as_path=path)
+        as_path = self._canonical_value(attrs.as_path)
+        next_hop = attrs.next_hop
+        if next_hop is not None:
+            next_hop = self._canonical_value(next_hop)
+        if as_path is not attrs.as_path or next_hop is not attrs.next_hop:
+            attrs = attrs.holding(as_path, next_hop)
         return network.intern(key, attrs)
 
-    def _canonical_prefix(self, prefix: Prefix) -> Prefix:
-        """This network's one object for ``prefix``'s value, the
-        prefix every route to it holds.  A prefix is its own key: it
-        compares equal to prefixes alone, so it can meet no other kind
-        of entry, and it caches its hash."""
+    def _canonical_value(self, value: Prefix | AsPath | IPv4Address):
+        """This network's one object for ``value``'s value: the prefix
+        every route to it holds, the AS path or next hop every attribute
+        set kept with it holds, a session's peer BGP id.  Each is its own
+        key: a prefix, AS path or address compares equal to its own type
+        alone, so it can meet no other kind of entry, and it caches its
+        hash."""
         network = self.network
         if network is None:
-            return prefix
-        found = network.interned.get(prefix)
-        return found if found is not None else network.intern(prefix, prefix)
+            return value
+        found = network.interned.get(value)
+        return found if found is not None else network.intern(value, value)
 
     def _dispatch(self, src: str, message: BGPMessage) -> None:
         session = self.sessions[src]
@@ -351,7 +353,7 @@ class BGPRouter(Process):
             # drop the stale session (and its routes), then continue the
             # new handshake immediately.
             self._reset_session(src, restart=False)
-        session.peer_bgp_id = message.bgp_id
+        session.peer_bgp_id = self._canonical_value(message.bgp_id)
         session.negotiated_hold_time = min(session.hold_time, message.hold_time) \
             if message.hold_time else 0
         if session.state in (SessionState.IDLE, SessionState.CONNECT):
@@ -430,7 +432,7 @@ class BGPRouter(Process):
         )
         for prefix in message.withdrawn:
             if self.adj_rib_in[src].withdraw(prefix) is not None:
-                dirty.append(self._canonical_prefix(prefix))
+                dirty.append(self._canonical_value(prefix))
                 self._record_flap(src, prefix, FLAP_WITHDRAW)
         if message.nlri:
             assert message.attributes is not None  # decoder guarantees
@@ -457,7 +459,7 @@ class BGPRouter(Process):
         neighbor = self._neighbor(src)
         source = SOURCE_IBGP if neighbor.is_ibgp(self.config.local_as) else SOURCE_EBGP
         return Route(
-            prefix=self._canonical_prefix(prefix),
+            prefix=self._canonical_value(prefix),
             attributes=attributes,
             source=source,
             peer=src,

@@ -14,10 +14,9 @@ clone's own run caused (see :mod:`repro.core.properties`).
   live router, the checkpoint and every clone share the leaves and no
   container.  Checkpointing a RIB of 10k routes builds dict/list
   spines, not 10k route objects.  The leaves are shared *across* the
-  routers of a network too — one attribute set, AS path and prefix
-  object per distinct value (``Network.interned``) — so a pickled
-  snapshot writes each once.  Addresses are not kept one per value:
-  each is the object a decoded message or a router's config holds;
+  routers of a network too — one attribute set, AS path, prefix and
+  address (next hop, peer BGP id) object per distinct value
+  (``Network.interned``) — so a pickled snapshot writes each once;
 * **restore is a bulk build, not a replay** — a checkpoint holds each
   RIB as a list of routes and ``import_state`` turns each list into the
   RIB's dict in one pass: no mutator is called, nothing is journalled

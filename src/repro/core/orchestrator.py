@@ -40,7 +40,6 @@ on the shard count's placement, or on the dispatch transport.
 from __future__ import annotations
 
 import gc
-import pickle
 import time
 from collections import deque
 from dataclasses import dataclass, field
@@ -73,6 +72,7 @@ from repro.core.parallel import (
     claims_to_spec,
     make_transport,
 )
+from repro.core.payload import SnapshotEncoder
 from repro.core.pipeline import (
     CapturedSnapshot,
     SnapshotPipeline,
@@ -415,8 +415,10 @@ class DiceOrchestrator:
             captures = SnapshotPipeline(
                 capture_one, requests,
                 # Nothing leaves the process on the inline transport,
-                # so there is no payload to pre-pickle.
-                prepare_fn=None if engine.inline else pickle.dumps,
+                # so there is no payload to encode.  Elsewhere one
+                # encoder serves the campaign, so a capture whose RIBs
+                # repeat the last one's reuses its pickled block.
+                prepare_fn=None if engine.inline else SnapshotEncoder(),
             )
             result = CampaignResult(workers=engine.workers)
             run = _CampaignRun(

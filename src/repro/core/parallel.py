@@ -11,15 +11,20 @@ remote daemons above that:
 * an :class:`ExplorationTask` is the picklable unit of work — the
   session's :class:`~repro.core.explorer.ExplorationConfig` (node,
   strategy, budget, per-session derived seed, stop mode), the
-  snapshot (or a pre-pickled snapshot payload), the property
+  snapshot (or its payload, :mod:`repro.core.payload`), the property
   suite and origination claims — nothing an earlier session learned —
   plus the :class:`~repro.concolic.frontier.FrontierShard` it runs: a
   slice of the session's frontier and an execution budget.  A whole
   session is the one round-0 shard that holds the full budget;
 * :func:`run_task` is the worker entry point (a module-level function,
   so it survives both fork and spawn start methods).  It is a **pure
-  function of the task**: workers hold no state between tasks, so any
-  task can run — or rerun after a worker death — on *any* slot;
+  function of the task**, so any task can run — or rerun after a
+  worker death — on *any* slot.  A worker keeps one thing between
+  tasks: the RIB block it decoded last
+  (:func:`~repro.core.payload.decode_snapshot`), a memo keyed by the
+  block's bytes, which every task still carries.  A hit returns the
+  objects a fresh decode would equal, as nothing writes a decoded
+  block and ``import_state`` builds its own containers from it;
 * :class:`ParallelCampaignEngine` routes each task to the live slot
   with the least outstanding work and hands back a handle the
   orchestrator resolves **in task order**, regardless of worker
@@ -41,7 +46,6 @@ fans out.
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
@@ -55,6 +59,7 @@ from repro.core.explorer import (
     NodeExplorationReport,
 )
 from repro.core.live import bgp_process_factory
+from repro.core.payload import decode_snapshot
 from repro.core.properties import PropertySuite
 from repro.core.sharing import SharingRegistry
 from repro.core.snapshot import ProcessFactory, Snapshot
@@ -88,8 +93,9 @@ class WorkerTransport(Protocol):
     """Where exploration tasks run: the engine's dispatch backend.
 
     A transport owns ``slots`` ordered worker slots and runs
-    :func:`run_task` on whichever one the engine names; slots hold no
-    state between tasks, so nothing depends on which one that is.
+    :func:`run_task` on whichever one the engine names; a slot keeps
+    nothing between tasks but its block memo (see the module
+    docstring), so nothing depends on which one that is.
     Implementations: inline and process-pool slots live here
     (:class:`InlineTransport`, :class:`LocalPoolTransport`); framed
     loopback and TCP-socket transports live in
@@ -146,9 +152,9 @@ class ExplorationTask:
     """One shard of one node-exploration session, ready to ship.
 
     Everything here must pickle: the session config, the snapshot
-    (checkpoints + channel state) or its pre-pickled payload, the
-    property suite (stateless check objects), the flattened claims, the
-    shard and a module-level process factory.
+    (checkpoints + channel state) or its payload, the property suite
+    (stateless check objects), the flattened claims, the shard and a
+    module-level process factory.
     """
 
     config: ExplorationConfig
@@ -157,21 +163,22 @@ class ExplorationTask:
     claims: ClaimSpec
     shard: FrontierShard
     process_factory: ProcessFactory = bgp_process_factory
-    # Pre-pickled snapshot payload, produced once per capture and
-    # shared by every task of the session, so executor-side task
+    # The snapshot's payload (repro.core.payload), encoded once per
+    # capture and shared by every task of the session, so task
     # pickling is a near-memcpy (bytes re-pickle cheaply); used when
     # ``snapshot`` is None.
     snapshot_blob: bytes | None = field(default=None, repr=False)
 
     def resolve_snapshot(self) -> Snapshot:
-        """The snapshot to explore, unpickling the payload if needed."""
+        """The snapshot to explore, decoding the payload if needed (its
+        RIB block once per process while the block repeats)."""
         if self.snapshot is not None:
             return self.snapshot
         if self.snapshot_blob is None:
             raise ValueError(
                 "task carries neither a snapshot nor a snapshot_blob"
             )
-        return pickle.loads(self.snapshot_blob)
+        return decode_snapshot(self.snapshot_blob)
 
 
 @dataclass
@@ -197,7 +204,8 @@ def run_task(task: ExplorationTask) -> TaskOutcome:
     survives fork and spawn), and a pure function of the task: it reads
     nothing the task does not carry and writes to nothing the task
     carries, so dispatching the same task again — on any slot — yields
-    the same outcome.
+    the same outcome.  The block memo :meth:`ExplorationTask.
+    resolve_snapshot` reads through is keyed by bytes the task carries.
     """
     explorer = Explorer(
         task.resolve_snapshot(),

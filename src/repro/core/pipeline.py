@@ -42,12 +42,13 @@ class CapturedSnapshot:
     cut closed — the value fault reports from this snapshot's
     exploration must carry.
 
-    ``payload`` is the pickled snapshot, when the pipeline was given a
-    ``prepare_fn``: every task of the session (each shard of every
+    ``payload`` is the encoded snapshot, when the pipeline was given a
+    ``prepare_fn`` (a campaign's :class:`~repro.core.payload.
+    SnapshotEncoder`): every task of the session (each shard of every
     round included) then ships these same bytes instead of
     re-serializing the snapshot.  When a payload was prepared,
     ``snapshot`` is None — the payload fully replaces it.
-    ``capture_wall_s`` covers the capture and the pickling.
+    ``capture_wall_s`` covers the capture and the encoding.
     """
 
     index: int

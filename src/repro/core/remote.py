@@ -12,8 +12,7 @@ and those daemons:
   tuple), the entire wire format; corruption anywhere decodes to a
   named ``ValueError``, never to silently different content;
 * :class:`RemoteWorkerState` — one daemon's worker slot: serialized
-  task execution and a task counter, nothing a campaign could leave
-  behind;
+  task execution, nothing a campaign could leave behind;
 * :class:`LoopbackTransport` — the remote protocol run fully
   in-process: every message round-trips through the frame codec, so
   tests and CI exercise encode/decode without opening sockets;
@@ -37,7 +36,9 @@ orchestrator → worker                          worker → orchestrator
 
 Determinism contract: a transport changes *where* a task runs, never
 results.  A task carries everything it reads (snapshot, config and
-seed, suite, claims) and a daemon keeps nothing between tasks, so fault
+seed, suite, claims) and a daemon keeps nothing between tasks but the
+decode memo of :mod:`repro.core.payload`, keyed by bytes every task
+carries, so fault
 reports and per-node counters are bit-identical to serial mode at any
 worker count, whichever daemon a task lands on and however many
 campaigns share it (gated by ``tests/core/test_remote.py`` and the CI
@@ -218,7 +219,12 @@ class RemoteWorkerState:
     worker *slot*, however many connections it serves.  Nothing a task
     does outlives it — :func:`~repro.core.parallel.run_task` is a pure
     function of the task — so the daemon serves any number of
-    campaigns, one after another or interleaved.
+    campaigns, one after another or interleaved.  One thing outlives
+    a task: the process's last decoded RIB block
+    (:func:`~repro.core.payload.decode_snapshot`).  It is keyed by the
+    block's bytes, which every task carries, and nothing writes it, so
+    a hit gives a task the objects a fresh decode would equal and a
+    miss costs one decode.
     """
 
     def __init__(self):

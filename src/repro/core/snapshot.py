@@ -289,8 +289,11 @@ class _MarkerSession:
         self._completed_at: float | None = None
         self._checkpoints: dict[str, NodeCheckpoint] = {}
         self._channel_state: dict[tuple[str, str], list[Any]] = {}
-        # Channels we still await a marker on, per recorded node.
+        # Channels we still await a marker on, per recorded node, and
+        # their number over every node: :meth:`complete` runs once per
+        # simulator step, so it reads a count rather than every set.
         self._awaiting: dict[str, set[str]] = {}
+        self._pending = 0
         self._installed = False
 
     # -- protocol steps --
@@ -326,7 +329,8 @@ class _MarkerSession:
         process = self._network.processes[name]
         self._checkpoints[name] = capture(process, self._network.sim.now)
         neighbors = self._network.neighbors(name)
-        self._awaiting[name] = set(neighbors)
+        awaiting = self._awaiting[name] = set(neighbors)
+        self._pending += len(awaiting)
         for neighbor in neighbors:
             self._network.transmit(name, neighbor, _Marker(self._id),
                                    reliable=True)
@@ -337,7 +341,10 @@ class _MarkerSession:
                 return True  # stale marker from an aborted session
             if dst not in self._checkpoints:
                 self._record_node(dst)
-            self._awaiting[dst].discard(src)
+            awaiting = self._awaiting[dst]
+            if src in awaiting:
+                awaiting.remove(src)
+                self._pending -= 1
             self._maybe_finish()
             return True
         # Data message: part of the channel state if dst already
@@ -368,13 +375,15 @@ class _MarkerSession:
                 self._awaiting[name] = set()
         for pending in self._awaiting.values():
             pending.clear()
+        self._pending = 0
         self._maybe_finish()
 
     def complete(self) -> bool:
         """All nodes recorded and no channel still awaits its marker."""
-        if len(self._checkpoints) < len(self._network.processes):
-            return False
-        return all(not pending for pending in self._awaiting.values())
+        return (
+            self._pending == 0
+            and len(self._checkpoints) >= len(self._network.processes)
+        )
 
     def pending_channels(self) -> list[tuple[str, str]]:
         """Channels still awaiting markers (diagnostics)."""

@@ -224,10 +224,22 @@ class TestAttributeCache:
         assert kept.as_path is first.as_path
         assert router._canonical(other.replace()) is kept
 
+    def test_a_kept_set_holds_the_network_s_one_next_hop(self):
+        network, router = attached_router()
+        first = PathAttributes(next_hop=IPv4Address("10.0.0.1"), med=1)
+        other = PathAttributes(next_hop=IPv4Address("10.0.0.1"), med=2)
+        assert router._canonical(first) is first
+        assert network.interned[first.next_hop] is first.next_hop
+        kept = router._canonical(other)
+        assert kept is not other and kept == other
+        assert kept.next_hop is first.next_hop
+        assert kept.key() is other.key()  # taken, not derived again
+        assert router._canonical(other.replace()) is kept
+
     def test_overflow_drops_the_table_and_costs_only_identity(self):
         network, router = attached_router(limit=4)
-        sets = [PathAttributes(next_hop=IPv4Address("10.0.0.1"), med=med)
-                for med in range(10)]
+        hop = IPv4Address("10.0.0.1")
+        sets = [PathAttributes(next_hop=hop, med=med) for med in range(10)]
         for attrs in sets:
             assert router._canonical(attrs) is attrs
             assert len(network.interned) <= 4
@@ -271,6 +283,20 @@ class TestPrefixes:
                 paths[id(route.attributes.as_path)] = route.attributes.as_path
         assert len(prefixes) == len(set(prefixes.values())) > 1
         assert len(paths) == len(set(paths.values())) > 1
+
+    def test_next_hops_and_peer_ids_are_one_object_per_address(self):
+        live = quickstart_system(seed=3)
+        live.converge()
+        addresses = {}
+        for router in live.routers():
+            for session in router.sessions.values():
+                addresses[id(session.peer_bgp_id)] = session.peer_bgp_id
+            for rib in router.adj_rib_in.values():
+                for route in rib.routes():
+                    hop = route.attributes.next_hop
+                    addresses[id(hop)] = hop
+                    addresses[id(route.peer_bgp_id)] = route.peer_bgp_id
+        assert len(addresses) == len(set(addresses.values())) > 1
 
 
 class TestEncodingCache:

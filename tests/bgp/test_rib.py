@@ -140,15 +140,6 @@ class TestLocRib:
         assert journal[-1].time == 9.0
         assert rib.changes_total == 10
 
-    def test_recent_changes(self):
-        rib = LocRib()
-        for index in range(5):
-            rib.set(float(index), P1, route(local_pref=100 + index))
-        recent = rib.recent_changes(2)
-        assert [change.time for change in recent] == [3.0, 4.0]
-        assert rib.recent_changes(0) == []
-        assert len(rib.recent_changes(99)) == 5
-
 
 def _prefix(bits, length):
     return Prefix((bits << (32 - length)) & 0xFFFFFFFF if length else 0, length)

@@ -36,6 +36,7 @@ from repro.core.parallel import (
     resolve_workers,
     run_task,
 )
+from repro.core.payload import SnapshotEncoder
 from repro.core.remote import LoopbackTransport, SocketTransport, WorkerServer
 from repro.core.sharing import SharingRegistry
 
@@ -225,7 +226,8 @@ class TestExplorationTask:
     def test_snapshot_blob_stands_in_for_the_snapshot(self):
         task = self.make_task()
         shipped = dataclasses.replace(
-            task, snapshot=None, snapshot_blob=pickle.dumps(task.snapshot)
+            task, snapshot=None,
+            snapshot_blob=SnapshotEncoder()(task.snapshot),
         )
         restored = shipped.resolve_snapshot()
         assert restored.snapshot_id == task.snapshot.snapshot_id

@@ -258,3 +258,33 @@ class TestDisconnectedTopology:
         coordinator = SnapshotCoordinator(live.network)
         snapshot = coordinator.capture("a")
         assert "island" in snapshot.checkpoints
+
+
+class TestCompletionCount:
+    def test_the_count_agrees_with_a_scan_of_every_awaited_set(
+            self, live3, monkeypatch):
+        """``complete()`` reads a count of the channels still awaiting
+        their marker.  At every call of a cut taken mid-convergence,
+        where data messages cross markers, and of one on a line, it
+        answers what a scan of every recorded node's set answers, so
+        the cut closes on the same event."""
+        from repro.core.snapshot import _MarkerSession
+
+        complete = _MarkerSession.complete
+        answers = []
+
+        def scanned(session):
+            answer = complete(session)
+            recorded = session._checkpoints
+            assert answer == (
+                len(recorded) >= len(session._network.processes)
+                and not any(session._awaiting.values())
+            )
+            answers.append(answer)
+            return answer
+
+        monkeypatch.setattr(_MarkerSession, "complete", scanned)
+        live3.run(max_events=10)
+        live3.coordinator.capture("r2")
+        converged_line().coordinator.capture("b")
+        assert answers.count(True) >= 2 and answers.count(False) > 2
