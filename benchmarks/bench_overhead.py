@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Eight measurements:
+Nine measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -16,6 +16,10 @@ Eight measurements:
   1 per clone for grammar inputs at a converged 40-router internet's
   transit router over a 3 s horizon, where every router was restored
   before clones were copy-on-touch; a counter, so gated;
+* what a clone of that internet costs before anything runs — expected:
+  one heap entry per router with timers (40, not one per checkpoint
+  timer) and no link made; both counters, so gated, beside the
+  wall-clock ms, informational;
 * what a task ships — attribute set, prefix, AS path and address
   values per object in a converged 40-router snapshot, the size of its
   pickle and of a smaller system's whole task — expected: exactly 1.0
@@ -51,6 +55,7 @@ from repro import (
 from repro.bgp.config import AddNetwork
 from repro.bgp.router import BGPRouter
 from repro.core.checkpoint import capture, checkpoint_size
+from repro.net import network as network_module
 from repro.topo.internet import TopologyParams, build_internet
 
 
@@ -123,7 +128,7 @@ def test_clone_restore_cost_vs_rib_size(benchmark, routes):
     assert sharing == 1.0
 
 
-def test_session_clone_budget():
+def test_session_clone_budget(benchmark):
     """One concolic session on demo27 spends a clone per input plus the
     null probe; picking the peer and seeding the grammar read one
     restored router and clone nothing."""
@@ -141,7 +146,10 @@ def test_session_clone_budget():
         default_property_suite(),
         SharingRegistry.from_configs(live.initial_configs),
     )
-    report = explorer.explore(ExplorationConfig(node=node, inputs=3, seed=1))
+    report = benchmark.pedantic(
+        explorer.explore, (ExplorationConfig(node=node, inputs=3, seed=1),),
+        rounds=1, iterations=1,
+    )
     overhead = report.clones_created - report.executions
     print(f"\n  clones={report.clones_created} inputs={report.executions}")
     benchlib.record("overhead", metrics={"session_overhead_clones": overhead})
@@ -149,7 +157,19 @@ def test_session_clone_budget():
     assert overhead == 1
 
 
-def test_routers_restored_per_clone():
+@pytest.fixture(scope="module")
+def internet40():
+    """The converged 40-router internet of the e2e internet40 campaign,
+    with its topology."""
+    topology = build_internet(
+        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
+    )
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    return topology, live
+
+
+def test_routers_restored_per_clone(benchmark, internet40):
     """Clones restore a router only once something reaches it.  Grammar
     inputs at a transit router of a converged 40-router internet (the
     e2e internet40 campaign's) change nothing its neighbours hear within
@@ -164,11 +184,7 @@ def test_routers_restored_per_clone():
     )
     from repro.core.sharing import SharingRegistry
 
-    topology = build_internet(
-        TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
-    )
-    live = LiveSystem.build(topology.configs, topology.links, seed=0)
-    live.converge(deadline=600)
+    topology, live = internet40
     node = topology.nodes_in_tier(2)[0]
     explorer = Explorer(
         live.coordinator.capture(topology.nodes_in_tier(1)[0]),
@@ -191,9 +207,9 @@ def test_routers_restored_per_clone():
         return clone
 
     explorer._new_clone = counted
-    report = explorer.explore(ExplorationConfig(
+    report = benchmark.pedantic(explorer.explore, (ExplorationConfig(
         node=node, inputs=4, strategy=STRATEGY_GRAMMAR, horizon=3.0, seed=1,
-    ))
+    ),), rounds=1, iterations=1)
     assert len(restored) == report.clones_created
     per_clone = sum(restored) / report.clones_created
     print(f"\n  clones={report.clones_created} restores={sum(restored)} "
@@ -203,6 +219,48 @@ def test_routers_restored_per_clone():
     )
     assert report.clones_created == 5
     assert per_clone == 1.0
+
+
+def test_clone_setup(benchmark, internet40, monkeypatch):
+    """What ``Snapshot.clone`` does before anything runs, at the same
+    converged 40-router internet: heap entries it writes (328 while a
+    clone scheduled one placeholder per checkpoint timer, 40 since it
+    schedules one per router, its earliest timer) and links it makes
+    (82, every link, while a clone made them up front, 0 since a link is
+    made when a message first crosses it).  Counters, so gated; the
+    median ms per clone is wall clock, so informational."""
+    from repro.core.live import bgp_process_factory
+
+    topology, live = internet40
+    snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
+    made = []
+
+    class CountedLink(network_module.Link):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(network_module, "Link", CountedLink)
+    clone = snapshot.clone(bgp_process_factory, seed=1)
+    events = len(clone.sim._queue)  # noqa: SLF001 - measuring the queue
+    links = len(made)
+    clone.close()
+    benchmark(lambda: snapshot.clone(bgp_process_factory, seed=1).close())
+    setup_ms = benchmark.stats.stats.median * 1000
+    print(f"\n  routers={snapshot.node_count} "
+          f"timers={sum(len(c.timers) for c in snapshot.checkpoints.values())} "
+          f"links={len(snapshot.links)}: clone set-up events={events} "
+          f"links made={links} {setup_ms:.3f} ms")
+    benchlib.record(
+        "overhead",
+        metrics={
+            "clone_setup_events": events,
+            "clone_setup_links": links,
+            "clone_setup_ms": round(setup_ms, 3),
+        },
+    )
+    assert events == snapshot.node_count
+    assert links == 0
 
 
 @pytest.mark.parametrize("scale", [
@@ -393,7 +451,7 @@ def test_task_shipping_overhead(benchmark):
     assert restored.snapshot.node_count == snapshot.node_count
 
 
-def test_rib_blocks_pickled(monkeypatch):
+def test_rib_blocks_pickled(benchmark, monkeypatch):
     """What a pooled campaign pickles per capture: the e2e
     demo27-parallel campaign (tr-1 and tr-2, 2 cycles of 2 inputs, seed
     27, two loopback slots).  Its four captures hold the same RIB
@@ -430,12 +488,13 @@ def test_rib_blocks_pickled(monkeypatch):
     topology = build_demo27()
     live = LiveSystem.build(topology.configs, topology.links, seed=0)
     live.converge(deadline=600)
-    result = DiceOrchestrator(live, default_property_suite()).run_campaign(
-        OrchestratorConfig(
+    result = benchmark.pedantic(
+        DiceOrchestrator(live, default_property_suite()).run_campaign,
+        (OrchestratorConfig(
             explorer_nodes=["tr-1", "tr-2"], cycles=2, inputs_per_node=2,
             grammar_seeds=1, horizon=3.0, seed=27, workers=2,
             transport="loopback",
-        )
+        ),), rounds=1, iterations=1,
     )
     (encoder,) = encoders
     blocks = encoder.blocks_pickled

@@ -27,28 +27,51 @@ test in ``tests/core/test_checkpoint.py``), which is what lets DiCE
 explore "alongside the deployed system but in isolation from it".
 
 **Copy on touch.**  As ``fork()`` copies only the pages a child
-writes, a clone restores only the routers its run reaches.  Cloning
-builds the network and links, and schedules one placeholder event per
-pending checkpoint timer; it builds no router.  A router is built —
-factory, then :meth:`NodeCheckpoint.restore_into` — on its first
-lookup: a delivery to it (a channel message of the cut included), one
-of its own placeholder timers coming up, or a reader such as
-``clone.processes[name]``.  The router then adopts its placeholders as
-its armed timers.  The run is event for event the one an eager clone,
-which restores every router up front, would make:
+writes, a clone restores only the routers its run reaches, and its
+set-up does no work per timer or per link.  What every clone of one
+snapshot starts from — the routers in sorted order, each router's
+timers with their places in the eager arming order and its earliest
+timer, the timer count, the link table — is worked out once, on the
+snapshot's first clone (:class:`_ClonePlan`).  A clone then reserves
+one sequence number per checkpoint timer, schedules one placeholder
+per router that has timers — its earliest — and defers every router;
+it builds no router and no link.  A router is built — factory, then
+:meth:`NodeCheckpoint.restore_into` — on its first lookup: a delivery
+to it (a channel message of the cut included), its placeholder coming
+up, or a reader such as ``clone.processes[name]``.  Building it
+schedules its other timers, each under its own reserved number, and
+the router adopts them and the placeholder as its armed timers.  A
+link is made when a message first crosses it or a reader asks for it.
+The run is event for event the one an eager clone, which restores
+every router up front, would make:
 
 * every event of a clone is scheduled by the clone's own simulator,
-  whose ``(time, seq)`` order alone decides what runs next;
-* the placeholders are scheduled first, in the order eager restore arms
-  timers — routers by sorted name, each router's timers in its
-  checkpoint's arming order — at the same deadlines, so each takes the
-  ``(time, seq)`` the eager timer takes, and its callback fires the
-  same timer of the same router; the channel messages follow, as
-  before;
-* building a router schedules nothing and draws no random number (it
-  adopts its timers rather than arming them, and link streams are
+  whose ``(time, seq)`` order alone decides what runs next — the heap
+  orders entries by that pair, not by when they were pushed;
+* eager restore arms every timer first, routers by sorted name, each
+  router's timers in its checkpoint's arming order, so the timer at
+  position ``p`` of that order takes sequence number ``p`` at its
+  checkpoint deadline.  A clone reserves those numbers before anything
+  else takes one, and schedules each timer — the placeholder now, the
+  others when the router is built — at that deadline under that
+  number: every timer gets exactly the ``(time, seq)`` eager restore
+  gives it, and its callback fires the same timer of the same router.
+  The channel messages follow, taking the numbers after the timers',
+  as before;
+* a router's other timers are pushed no later than its earliest timer
+  runs — that timer's coming up builds the router if nothing did
+  before — and each is ordered after the earliest one, so each is
+  queued before anything ordered after it can run.  Reserved numbers
+  are taken by no other event, so no two entries tie and no ``Event``
+  is ever compared;
+* building a router takes no new sequence number and draws no random
+  number (its timers run under reserved numbers, and link streams are
   named, drawn from only by a transmission, whatever the order), so
   the sequence numbers every later event takes are unchanged;
+* a link made on its first crossing starts as one made up front and
+  never crossed does — a fresh FIFO clock, zero counters, up — and a
+  reader that could change it first (``link_between``, ``links()``)
+  makes it;
 * a router's state changes only when an event reaches it, and the
   first such event builds it first, so it handles that event — and
   every later one — in the state the eager router is in: its
@@ -57,7 +80,10 @@ which restores every router up front, would make:
 Hence equal traces, equal final states, and equal verdicts from checks
 that read a router only once something reached it.  A router nothing
 reached holds its checkpoint's state; the checks therefore iterate
-:meth:`~repro.net.network.Network.materialized` routers alone.
+:meth:`~repro.net.network.Network.materialized` routers alone.  One
+thing reads differently: a clone's :attr:`~repro.net.sim.Simulator.
+pending` counts one placeholder per unbuilt router with timers, not
+one event per timer.
 """
 
 from __future__ import annotations
@@ -68,7 +94,7 @@ from functools import partial
 from typing import Any, Callable
 
 from repro.core.checkpoint import NodeCheckpoint, capture
-from repro.net.network import Network
+from repro.net.network import LinkTable, Network
 from repro.net.node import Process
 from repro.net.sim import Event
 
@@ -108,6 +134,23 @@ class Snapshot:
         """Simulated seconds from initiation to a closed cut."""
         return self.completed_at - self.taken_at
 
+    def __getstate__(self) -> dict[str, Any]:
+        # The clone plan is derived from the fields; it never pickles,
+        # so a snapshot's bytes do not depend on whether it was cloned.
+        state = dict(self.__dict__)
+        state.pop("_plan", None)
+        return state
+
+    def _clone_plan(self) -> "_ClonePlan":
+        """This snapshot's clone plan, worked out on its first clone.
+
+        A snapshot is not changed once cloned, so the plan holds.
+        """
+        plan = self.__dict__.get("_plan")
+        if plan is None:
+            plan = self.__dict__["_plan"] = _ClonePlan.of(self)
+        return plan
+
     def clone(self, process_factory: ProcessFactory, seed: int = 0,
               interned: dict | None = None) -> Network:
         """Materialize an isolated copy of the captured system.
@@ -130,24 +173,71 @@ class Snapshot:
         Reading one router of the snapshot builds it alone; the
         explorer does so without counting a clone.
         """
-        network = Network(seed=seed, interned=interned)
+        plan = self._clone_plan()
+        network = Network(seed=seed, interned=interned, links=plan.links)
         # Started before anything is added: Process.start() hooks must
         # not run in clones (they would re-originate and re-open
         # sessions); the checkpointed state already reflects all that.
         network.start_silently()
-        for name in sorted(self.checkpoints):
-            checkpoint = self.checkpoints[name]
+        base = network.sim.reserve(plan.timer_count)
+        for name, checkpoint, timers, first in plan.routers:
             network.defer_process(
-                name, checkpoint.timers,
+                name, timers, first, base,
                 partial(_restore, checkpoint, process_factory),
             )
-        for a, b, profile in self.links:
-            network.add_link(a, b, profile)
         for message in self.channels:
             network.inject(
                 message.src, message.dst, message.payload, delay=message.offset
             )
         return network
+
+
+# A router of a clone plan: its name, checkpoint, timers as
+# ``(timer, deadline, position)`` in its arming order, and the index of
+# its earliest timer by ``(deadline, position)`` (-1 with no timers).
+_PlannedRouter = tuple[
+    str, NodeCheckpoint, tuple[tuple[str, float, int], ...], int
+]
+
+
+@dataclass(frozen=True)
+class _ClonePlan:
+    """What every clone of one snapshot starts from.
+
+    A clone's clock starts at zero, so a checkpoint timer's remaining
+    delay is its deadline, and its position in the eager arming order
+    (routers by sorted name, then each router's timers) is its
+    sequence number past the clone's reserved base.  The plan binds no
+    process factory: each clone names its own.
+    """
+
+    routers: tuple[_PlannedRouter, ...]
+    timer_count: int
+    links: LinkTable
+
+    @staticmethod
+    def of(snapshot: Snapshot) -> "_ClonePlan":
+        routers = []
+        position = 0
+        for name in sorted(snapshot.checkpoints):
+            checkpoint = snapshot.checkpoints[name]
+            timers = tuple(
+                (timer, delay, position + index)
+                for index, (timer, delay) in enumerate(
+                    checkpoint.timers.items())
+            )
+            position += len(timers)
+            first = min(
+                range(len(timers)), key=lambda index: timers[index][1:],
+                default=-1,
+            )
+            routers.append((name, checkpoint, timers, first))
+        for a, b, _ in snapshot.links:
+            for end in (a, b):
+                if end not in snapshot.checkpoints:
+                    raise KeyError(f"unknown process {end!r}")
+        return _ClonePlan(tuple(routers), position,
+                          LinkTable(snapshot.links))
 
 
 def _restore(checkpoint: NodeCheckpoint, process_factory: ProcessFactory,

@@ -10,13 +10,15 @@ It also implements the two hooks DiCE needs from its substrate:
   states and in-flight messages into a *fresh* network, never sharing
   mutable state with the live one (see :mod:`repro.core.snapshot`).
   A clone adds its processes *deferred* (:meth:`Network.defer_process`):
-  each is built the first time something reaches it, so a clone pays
-  only for the processes its run touches.
+  each is built the first time something reaches it, and its links
+  come from a shared :class:`LinkTable`, each made the first time a
+  message crosses it, so a clone pays only for the processes and links
+  its run touches.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterator, Mapping
+from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from types import MappingProxyType
 from typing import Any, Callable, Hashable, Iterable
@@ -102,6 +104,42 @@ class Processes(Mapping[str, Process]):
         self._names.clear()
 
 
+class LinkTable:
+    """Links as ``(a, b, profile)`` specifications, in the order they
+    were added, and by endpoint: ``ends[a][b]`` is the index of the
+    link joining ``a`` and ``b``.  Holds no :class:`Link`, so one table
+    can serve every clone of a snapshot; a network makes each link from
+    its specification when it first needs it.
+    """
+
+    __slots__ = ("specs", "ends")
+
+    def __init__(self, links: Iterable[tuple[str, str, Any]] = ()):
+        self.specs: list[tuple[str, str, Any]] = []
+        self.ends: dict[str, dict[str, int]] = {}
+        for a, b, profile in links:
+            self.add(a, b, profile)
+
+    def add(self, a: str, b: str, profile: LinkProfile | None) -> int:
+        """Add the link ``a``--``b``; returns its index."""
+        if a == b:
+            raise ValueError(f"self-link on {a!r}")
+        if b in self.ends.get(a, ()):
+            raise ValueError(f"link {a}<->{b} already exists")
+        index = len(self.specs)
+        self.specs.append((a, b, profile))
+        self.ends.setdefault(a, {})[b] = index
+        self.ends.setdefault(b, {})[a] = index
+        return index
+
+    def copy(self) -> "LinkTable":
+        """A table of the same links that adding to leaves this one be."""
+        table = LinkTable()
+        table.specs = list(self.specs)
+        table.ends = {name: dict(ends) for name, ends in self.ends.items()}
+        return table
+
+
 class Network:
     """A set of processes joined by links, driven by one simulator."""
 
@@ -109,17 +147,25 @@ class Network:
     INTERN_LIMIT = 1 << 15
 
     def __init__(self, seed: int = 0,
-                 interned: dict[Hashable, Any] | None = None):
+                 interned: dict[Hashable, Any] | None = None,
+                 links: LinkTable | None = None):
         self.sim = Simulator(seed)
         self.processes = Processes()
         # The built processes, the dict a delivery looks its target up in.
         self._built = self.processes.built
-        self._links: list[Link] = []
-        # src -> dst -> [link, the link's RNG stream]: one entry per link,
-        # reached from both endpoints, so a message finds its link and
-        # loss/jitter stream by two dict lookups.  The stream is None
-        # until the link first carries a message, so a clone pays only
-        # for the streams of the links it uses.
+        # Every link's specification; ``links`` is shared (a snapshot
+        # hands one to each of its clones) until this network adds a
+        # link of its own, which copies it first.
+        self._table = LinkTable() if links is None else links
+        self._table_shared = links is not None
+        # The Link made from each specification, None until a message
+        # crosses it or a reader asks for it.
+        self._links: list[Link | None] = [None] * len(self._table.specs)
+        # src -> dst -> [link, the link's RNG stream]: one entry per
+        # link made, reached from both endpoints, so a message finds its
+        # link and loss/jitter stream by two dict lookups.  The stream
+        # is None until the link first carries a message, so a clone
+        # pays only for the links and streams it uses.
         self._wires: dict[str, dict[str, list[Any]]] = {}
         self._in_flight: dict[int, InFlightMessage] = {}
         self._in_flight_seq = 0
@@ -150,27 +196,51 @@ class Network:
         return process
 
     def defer_process(
-        self, name: str, timers: Mapping[str, float],
+        self, name: str, timers: Sequence[tuple[str, float, int]],
+        first: int, base: int,
         build: Callable[["Network", dict[str, Event]], Process],
     ) -> None:
         """Add process ``name`` without building it.
 
-        Its armed ``timers`` (name -> delay from now, in arming order)
-        are scheduled here, one event each, as the process's own
-        :meth:`~repro.net.node.Process.set_timer` would schedule them.
-        ``build(self, events)`` makes the process on its first lookup in
-        :attr:`processes` — a delivery to it, one of those timers
-        coming up, or any reader — and returns it attached to this
-        network, holding ``events`` as its armed timers.  Nothing runs
-        its ``start`` hook.
+        ``timers`` are its armed timers in arming order, each
+        ``(timer, deadline, position)``: it fires at absolute time
+        ``deadline`` under sequence number ``base + position``, which
+        the caller took with :meth:`Simulator.reserve`.  Only
+        ``timers[first]``, the one that comes up first, is scheduled
+        here; building the process schedules the others, so an unbuilt
+        process holds one queue entry whatever its timer count (and
+        :attr:`Simulator.pending` counts one).  ``build(self, events)``
+        makes the process on its first lookup in :attr:`processes` — a
+        delivery to it, its first timer coming up, or any reader — and
+        returns it attached to this network, holding ``events``, every
+        timer's event in arming order, as its armed timers.  Nothing
+        runs its ``start`` hook.
         """
-        events = {
-            timer: self.sim.schedule(
-                delay, partial(self._fire_deferred, name, timer)
+        if not timers:
+            self.processes.defer(name, partial(build, self, {}))
+            return
+        timer, deadline, position = timers[first]
+        head = self.sim.schedule_reserved(
+            deadline, base + position,
+            partial(self._fire_deferred, name, timer),
+        )
+        self.processes.defer(name, partial(
+            self._build_deferred, name, timers, first, base, head, build,
+        ))
+
+    def _build_deferred(
+        self, name: str, timers: Sequence[tuple[str, float, int]],
+        first: int, base: int, head: Event,
+        build: Callable[["Network", dict[str, Event]], Process],
+    ) -> Process:
+        schedule = self.sim.schedule_reserved
+        events = {}
+        for index, (timer, deadline, position) in enumerate(timers):
+            events[timer] = head if index == first else schedule(
+                deadline, base + position,
+                partial(self._fire_deferred, name, timer),
             )
-            for timer, delay in timers.items()
-        }
-        self.processes.defer(name, lambda: build(self, events))
+        return build(self, events)
 
     def _fire_deferred(self, name: str, timer: str) -> None:
         self.processes[name]._fire_timer(timer)
@@ -185,27 +255,39 @@ class Network:
         for name in (a, b):
             if name not in self.processes:
                 raise KeyError(f"unknown process {name!r}")
-        if b in self._wires.get(a, ()):
-            raise ValueError(f"link {a}<->{b} already exists")
-        link = Link(a, b, profile)
-        self._links.append(link)
-        wire: list[Any] = [link, None]
-        self._wires.setdefault(a, {})[b] = wire
-        self._wires.setdefault(b, {})[a] = wire
+        if self._table_shared:
+            self._table = self._table.copy()
+            self._table_shared = False
+        index = self._table.add(a, b, profile)
+        self._links.append(None)
+        return self._link(index)
+
+    def _link(self, index: int) -> Link:
+        """The link of specification ``index``, made on first use."""
+        link = self._links[index]
+        if link is None:
+            a, b, profile = self._table.specs[index]
+            link = self._links[index] = Link(a, b, profile)
+            wire: list[Any] = [link, None]
+            self._wires.setdefault(a, {})[b] = wire
+            self._wires.setdefault(b, {})[a] = wire
         return link
 
     def link_between(self, a: str, b: str) -> Link | None:
         """The link joining ``a`` and ``b``, if any."""
-        wire = self._wires.get(a, {}).get(b)
-        return None if wire is None else wire[0]
+        index = self._table.ends.get(a, {}).get(b)
+        return None if index is None else self._link(index)
 
     def links(self) -> Iterable[Link]:
         """All links, in the order they were added."""
+        if None in self._links:
+            for index in range(len(self._links)):
+                self._link(index)
         return self._links
 
     def neighbors(self, name: str) -> list[str]:
         """Names of processes directly linked to ``name``, sorted."""
-        return sorted(self._wires.get(name, ()))
+        return sorted(self._table.ends.get(name, ()))
 
     # -- running ---------------------------------------------------------------
 
@@ -247,7 +329,13 @@ class Network:
         try:
             wire = self._wires[src][dst]
         except KeyError:
-            raise KeyError(f"no link between {src!r} and {dst!r}") from None
+            # The link's first crossing: make it.
+            index = self._table.ends.get(src, {}).get(dst)
+            if index is None:
+                raise KeyError(
+                    f"no link between {src!r} and {dst!r}") from None
+            self._link(index)
+            wire = self._wires[src][dst]
         link, rng = wire
         if rng is None:
             rng = wire[1] = self.sim.random.stream(
@@ -355,6 +443,8 @@ class Network:
         for process in self._built.values():
             process.detach()
         self.processes.clear()
+        self._table = LinkTable()
+        self._table_shared = False
         self._links.clear()
         self._wires.clear()
         self._in_flight.clear()

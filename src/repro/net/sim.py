@@ -13,7 +13,11 @@ pushed back, and is not updated when the event moves:
 changing the event alone, and when its stale entry comes up the loop
 pushes it back at the event's current ``(time, seq)``.  Re-arming a
 timer on every message therefore costs no heap entry and leaves no
-cancelled event behind.
+cancelled event behind.  For the same reason a caller may take a run of
+sequence numbers at once (:meth:`Simulator.reserve`) and schedule each
+event under its number later (:meth:`Simulator.schedule_reserved`): a
+clone so defers a router's timers until the router is built (see
+:mod:`repro.core.snapshot`).
 
 The simulator is intentionally minimal — no processes, no links — those
 live in :mod:`repro.net.node` and :mod:`repro.net.link` and are built on
@@ -93,6 +97,36 @@ class Simulator:
     def schedule_at(self, when: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` at absolute simulated time ``when``."""
         return self.schedule(when - self._now, callback)
+
+    def reserve(self, count: int) -> int:
+        """Take the next ``count`` sequence numbers; returns the first.
+
+        No later :meth:`schedule` or :meth:`postpone` takes one of
+        them, so an event scheduled under one with
+        :meth:`schedule_reserved` is ordered as if it had been
+        scheduled when they were taken.
+        """
+        base = self._seq
+        self._seq = base + count
+        return base
+
+    def schedule_reserved(self, when: float, seq: int,
+                          callback: Callable[[], None]) -> Event:
+        """Schedule ``callback`` at absolute time ``when`` under ``seq``,
+        a number :meth:`reserve` returned that no other event holds.
+
+        The queue orders entries by ``(time, seq)`` alone, not by when
+        they were pushed, so the event runs where one scheduled with
+        that number would, provided nothing ordered after it has run
+        when it is pushed.
+        """
+        if when < self._now:
+            raise ValueError(
+                f"cannot schedule into the past (at {when}, now {self._now})"
+            )
+        event = Event(when, seq, callback)
+        heapq.heappush(self._queue, (when, seq, event))
+        return event
 
     def postpone(self, event: Event, delay: float) -> Event:
         """Re-arm ``event`` to run ``delay`` seconds from now; returns

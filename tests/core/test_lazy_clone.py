@@ -289,3 +289,98 @@ def test_a_router_built_inside_prepare_is_baselined_for_every_property(
     ]
     assert runs[0] == runs[1]
     assert runs[0]["verdicts"] == []
+
+
+def with_timers(explorer, timers):
+    """An explorer over ``explorer``'s snapshot with the checkpoint
+    timers of the routers in ``timers`` (name -> timer -> remaining
+    delay, in arming order) replaced."""
+    snapshot = explorer._snapshot
+    checkpoints = {
+        name: replace(checkpoint, state={**checkpoint.state,
+                                         "timers": timers[name]})
+        if name in timers else checkpoint
+        for name, checkpoint in snapshot.checkpoints.items()
+    }
+    return Explorer(replace(snapshot, checkpoints=checkpoints),
+                    default_property_suite(), explorer._claims)
+
+
+def test_synchronised_timers_run_as_in_an_eager_clone(systems):
+    """Every keepalive of the crash system's three routers is due at
+    the same instant, r2's two among them, and r2's earliest timer is
+    not the first it armed: the tied timers run in the eager arming
+    order."""
+    explorer = with_timers(systems["crash"][0], {
+        "r1": {"keepalive:r2": 2.0, "hold:r2": 60.0},
+        "r2": {"hold:r1": 60.0, "keepalive:r1": 2.0,
+               "hold:r3": 60.0, "keepalive:r3": 2.0},
+        "r3": {"keepalive:r2": 2.0, "hold:r2": 60.0},
+    })
+    lazy, restored, _ = explore_once(
+        explorer, "r1", None, 3.0, sliced=False, build="lazy")
+    fired = [t for _, _, t in lazy["trace"] if t[0] == "timer"]
+    assert fired[:4] == [("timer", "r1", "keepalive:r2"),
+                          ("timer", "r2", "keepalive:r1"),
+                          ("timer", "r2", "keepalive:r3"),
+                          ("timer", "r3", "keepalive:r2")]
+    for build in ("forced", "eager"):
+        reference, _, _ = explore_once(
+            explorer, "r1", None, 3.0, sliced=False, build=build)
+        assert lazy == reference, build
+    assert restored == 0
+
+
+def test_a_router_built_by_a_delivery_rearms_its_reserved_hold_timer(
+        systems):
+    """r2 passes the injected route on to r3, which a delivery builds
+    long before its first timer; the UPDATE re-arms r3's hold timer,
+    scheduled under its reserved number when r3 was built, past its
+    checkpoint deadline, so the timer's old entry comes up and is
+    pushed back, as the eager router's is."""
+    explorer = with_timers(systems["crash"][0], {
+        "r3": {"keepalive:r2": 3.0, "hold:r2": 5.0},
+    })
+    data = update("10.77.0.0/16")
+    lazy, _, _ = explore_once(
+        explorer, "r2", data, 15.0, sliced=False, build="lazy")
+    reaching_r3 = [(time, t) for time, _, t in lazy["trace"]
+                   if "r3" in t[1:]]
+    first_time, first = reaching_r3[0]
+    assert first == ("deliver", "r2", "r3") and first_time < 3.0
+    assert ("timer", "r3", "keepalive:r2") in {t for _, t in reaching_r3}
+    assert ("timer", "r3", "hold:r2") not in {t for _, t in reaching_r3}
+    for build in ("forced", "eager"):
+        reference, _, _ = explore_once(
+            explorer, "r2", data, 15.0, sliced=False, build=build)
+        assert lazy == reference, build
+
+
+def test_links_are_made_on_first_crossing_and_read_as_eager_ones(systems):
+    """A clone makes no link up front and one per link a message
+    crosses; its readers answer as an eager clone's do."""
+    explorer, nodes = systems["demo27"]
+    snapshot = explorer._snapshot
+    lazy = snapshot.clone(bgp_process_factory, seed=5)
+    eager = eager_clone(snapshot, seed=5)
+
+    def made():
+        return sum(link is not None for link in lazy._links)
+
+    def seen(clone):
+        return [(link.a, link.b, link.profile, link.up, link.delivered,
+                 link.dropped, link._last_arrival)
+                for link in clone.links()]
+
+    assert made() == 0
+    assert lazy.neighbors(nodes[0]) == eager.neighbors(nodes[0])
+    for clone in (lazy, eager):
+        clone.run(until=3.0)
+    assert 0 < made() < len(snapshot.links)
+    a, b, _ = snapshot.links[-1]
+    assert (lazy.link_between(a, b).delivered
+            == eager.link_between(a, b).delivered)
+    assert seen(lazy) == seen(eager)
+    assert made() == len(snapshot.links)
+    lazy.close()
+    eager.close()

@@ -260,3 +260,89 @@ class TestPostponeMatchesCancelAndSchedule:
     @given(PROGRAMS)
     def test_same_history(self, program):
         assert play(Timers, program) == play(EagerTimers, program)
+
+
+def play_reserved(deadlines, triggers, order, later, reserved):
+    """Run timers at ``deadlines`` (the i-th armed i-th) and, after
+    them, plain events at ``later``; returns ``(time, label)`` of each
+    event run.  Eagerly every timer is scheduled up front.  Reserved,
+    the timers take reserved numbers: those with no trigger are pushed
+    up front in ``order``, and timer ``k`` with trigger ``j`` is pushed
+    when timer ``j`` runs, the way a deferred router's other timers are
+    pushed when its earliest one builds it."""
+    sim = Simulator()
+    log = []
+    pushed_by = {j: [k for k, t in enumerate(triggers) if t == j]
+                 for j in range(len(deadlines))}
+    base = sim.reserve(len(deadlines)) if reserved else 0
+
+    def fire(k):
+        log.append((sim.now, f"timer{k}"))
+        if reserved:
+            for dependent in pushed_by[k]:
+                push(dependent)
+
+    def push(k):
+        sim.schedule_reserved(deadlines[k], base + k, lambda: fire(k))
+
+    if reserved:
+        for k in order:
+            if triggers[k] is None:
+                push(k)
+    else:
+        for k, deadline in enumerate(deadlines):
+            sim.schedule(deadline, lambda k=k: fire(k))
+    for index, delay in enumerate(later):
+        sim.schedule(delay, lambda index=index: log.append(
+            (sim.now, f"later{index}")))
+    sim.run()
+    return log
+
+
+@st.composite
+def reserved_programs(draw):
+    deadlines = draw(st.lists(DELAYS, min_size=1, max_size=8))
+    keys = [(deadline, k) for k, deadline in enumerate(deadlines)]
+    # A timer may be pushed by any timer ordered before it.
+    triggers = [
+        draw(st.sampled_from(
+            [None] + [j for j in range(len(keys)) if keys[j] < keys[k]]))
+        for k in range(len(keys))
+    ]
+    order = draw(st.permutations(range(len(deadlines))))
+    later = draw(st.lists(DELAYS, max_size=4))
+    return deadlines, triggers, order, later
+
+
+class TestReservedSequenceNumbers:
+    @settings(max_examples=300, deadline=None)
+    @given(reserved_programs())
+    def test_run_as_if_scheduled_when_reserved(self, program):
+        """Events under reserved numbers, pushed in any order — up front
+        or by an event ordered before them — run in the order the same
+        events run when scheduled eagerly, ties included."""
+        assert (play_reserved(*program, reserved=True)
+                == play_reserved(*program, reserved=False))
+
+    def test_tied_deadlines_run_in_reserved_order(self):
+        sim = Simulator()
+        base = sim.reserve(3)
+        order = []
+        sim.schedule(1.0, lambda: order.append("after"))
+        for k in (2, 0, 1):
+            sim.schedule_reserved(1.0, base + k, lambda k=k: order.append(k))
+        sim.run()
+        assert order == [0, 1, 2, "after"]
+
+    def test_reserving_moves_later_numbers_on(self):
+        sim = Simulator()
+        assert sim.reserve(4) == 0
+        assert sim.schedule(0.0, lambda: None).seq == 4
+        assert sim.reserve(0) == 5
+
+    def test_no_reserved_event_in_the_past(self):
+        sim = Simulator()
+        base = sim.reserve(1)
+        sim.run(until=2.0)
+        with pytest.raises(ValueError):
+            sim.schedule_reserved(1.0, base, lambda: None)

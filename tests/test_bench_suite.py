@@ -66,10 +66,53 @@ def unrecorded_gates(root: str = REPO_ROOT) -> list[str]:
     return [name for name in gated_names(root) if name not in recorded]
 
 
+def benchmark_only_benches(root: str) -> set[str]:
+    """The benchmark files a workflow step runs with ``--benchmark-only``,
+    under which pytest-benchmark skips every test that takes no
+    ``benchmark`` fixture."""
+    with open(os.path.join(root, WORKFLOW), encoding="utf-8") as handle:
+        steps = re.split(r"\n\s*- name:", handle.read())
+    found: set[str] = set()
+    for step in steps:
+        text = "\n".join(line.split("#", 1)[0] for line in step.splitlines())
+        if "--benchmark-only" in text:
+            found |= set(BENCH_PATH.findall(text))
+    return found
+
+
+def skipped_recorders(root: str = REPO_ROOT) -> list[str]:
+    """Tests that record metrics in a benchmark CI runs with
+    ``--benchmark-only`` but take no ``benchmark`` fixture: CI skips
+    them, so what they record never reaches the gate."""
+    skipped = []
+    for name in sorted(benchmark_only_benches(root) & set(benches(root))):
+        with open(os.path.join(root, "benchmarks", name),
+                  encoding="utf-8") as handle:
+            tree = ast.parse(handle.read(), filename=name)
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef)
+                    and node.name.startswith("test_")
+                    and "benchmark" not in {a.arg for a in node.args.args}
+                    and any(isinstance(call, ast.Call)
+                            and "record" in (getattr(call.func, "attr", None),
+                                             getattr(call.func, "id", None))
+                            for call in ast.walk(node))):
+                skipped.append(f"{name}::{node.name}")
+    return skipped
+
+
 def test_every_bench_is_run_by_ci():
     assert unrun_benches() == [], (
         "benchmarks no CI step runs; run each from a ci.yml step, fold "
         "its claim into a tier-1 test, or delete it"
+    )
+
+
+def test_every_recording_test_runs_under_benchmark_only():
+    assert skipped_recorders() == [], (
+        "tests that record metrics but take no benchmark fixture, in a "
+        "benchmark CI runs with --benchmark-only, which skips them; take "
+        "the fixture (benchmark.pedantic for one round)"
     )
 
 
@@ -122,3 +165,16 @@ def test_guard_flags_a_gate_no_ci_bench_records(tmp_path):
     )
     # b_metric is recorded only by a bench no step runs.
     assert unrecorded_gates(root) == ["b_metric", "c_flag"]
+
+
+def test_guard_flags_a_recording_test_benchmark_only_skips(tmp_path):
+    workflow = WORKFLOW_SAMPLE.replace("-q\n", "-q --benchmark-only\n")
+    root = write_tree(
+        tmp_path,
+        {"bench_a.py": "def test_x(benchmark):\n    record({'m': 1})\n"
+                       "def test_y():\n    benchlib.record({'m': 1})\n"
+                       "def test_z():\n    pass\n",
+         "bench_b.py": "def test_y():\n    record({'m': 1})\n"},
+        workflow, "GATED_METRICS = {}\nGATED_FLAGS = ()\n",
+    )
+    assert skipped_recorders(root) == ["bench_a.py::test_y"]
