@@ -159,14 +159,18 @@ def test_session_clone_budget(benchmark):
 
 @pytest.fixture(scope="module")
 def internet40():
-    """The converged 40-router internet of the e2e internet40 campaign,
-    with its topology."""
+    """The converged 40-router internet of the e2e internet40 campaign:
+    its topology, live system and one snapshot initiated at its first
+    tier-1 router.  A capture advances the live system, so it is taken
+    here, once, and every test reads the same snapshot whichever tests
+    run."""
     topology = build_internet(
         TopologyParams(tier1=3, transit=12, stubs=25, seed=2711)
     )
     live = LiveSystem.build(topology.configs, topology.links, seed=0)
     live.converge(deadline=600)
-    return topology, live
+    return topology, live, live.coordinator.capture(
+        topology.nodes_in_tier(1)[0])
 
 
 def test_routers_restored_per_clone(benchmark, internet40):
@@ -184,10 +188,10 @@ def test_routers_restored_per_clone(benchmark, internet40):
     )
     from repro.core.sharing import SharingRegistry
 
-    topology, live = internet40
+    topology, live, snapshot = internet40
     node = topology.nodes_in_tier(2)[0]
     explorer = Explorer(
-        live.coordinator.capture(topology.nodes_in_tier(1)[0]),
+        snapshot,
         default_property_suite(),
         SharingRegistry.from_configs(live.initial_configs),
     )
@@ -231,8 +235,7 @@ def test_clone_setup(benchmark, internet40, monkeypatch):
     median ms per clone is wall clock, so informational."""
     from repro.core.live import bgp_process_factory
 
-    topology, live = internet40
-    snapshot = live.coordinator.capture(topology.nodes_in_tier(1)[0])
+    _, _, snapshot = internet40
     made = []
 
     class CountedLink(network_module.Link):

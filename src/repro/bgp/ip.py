@@ -9,8 +9,6 @@ are implemented here.
 from __future__ import annotations
 
 _MAX_U32 = 0xFFFFFFFF
-# The network mask of each prefix length, 0 to 32.
-MASKS = tuple((_MAX_U32 << (32 - length)) & _MAX_U32 for length in range(33))
 
 
 class IPv4Address:
@@ -121,7 +119,7 @@ class Prefix:
             raise ValueError(f"prefix length out of range: {length}")
         if not isinstance(network, int) or not 0 <= network <= _MAX_U32:
             raise ValueError(f"bad network value: {network!r}")
-        mask = MASKS[length]
+        mask = _mask(length)
         if network & ~mask & _MAX_U32:
             raise ValueError(
                 f"host bits set in {IPv4Address(network)}/{length}"
@@ -145,9 +143,9 @@ class Prefix:
         if isinstance(other, Prefix):
             if other.length < self.length:
                 return False
-            return (other.network & MASKS[self.length]) == self.network
+            return (other.network & _mask(self.length)) == self.network
         value = other.value if isinstance(other, IPv4Address) else int(other)
-        return (value & MASKS[self.length]) == self.network
+        return (value & _mask(self.length)) == self.network
 
     def __str__(self) -> str:
         return f"{IPv4Address(self.network)}/{self.length}"
@@ -179,3 +177,9 @@ class Prefix:
 
     def __reduce__(self):
         return (Prefix, (self.network, self.length))
+
+
+def _mask(length: int) -> int:
+    if length == 0:
+        return 0
+    return (_MAX_U32 << (32 - length)) & _MAX_U32

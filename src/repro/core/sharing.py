@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
-from repro.bgp.ip import MASKS, Prefix
+from repro.bgp.ip import Prefix
 from repro.util.hashing import salted_digest
 
 # Types a check response may have.  Nothing else leaves the domain.
@@ -117,9 +117,6 @@ class SharingRegistry:
     def __init__(self):
         self._endpoints: dict[int, SharingEndpoint] = {}
         self._claims: dict[Prefix, set[int]] = {}
-        # The same claims by prefix length, then network address: a
-        # prefix has one candidate cover per length.
-        self._by_length: dict[int, dict[int, set[int]]] = {}
 
     # -- endpoints --
 
@@ -149,12 +146,7 @@ class SharingRegistry:
 
     def claim_origin(self, asn: int, prefix: Prefix) -> None:
         """Record that ``asn`` declares itself an origin for ``prefix``."""
-        claimants = self._claims.get(prefix)
-        if claimants is None:
-            claimants = self._claims[prefix] = set()
-            self._by_length.setdefault(prefix.length, {})[
-                prefix.network] = claimants
-        claimants.add(asn)
+        self._claims.setdefault(prefix, set()).add(asn)
 
     def claimed_origins(self, prefix: Prefix) -> frozenset[int]:
         """ASes with a registered claim exactly on ``prefix``."""
@@ -167,12 +159,9 @@ class SharingRegistry:
         hijack when made by the aggregate's owner.
         """
         owners: set[int] = set()
-        network, length = prefix.network, prefix.length
-        for claimed_length, claims in self._by_length.items():
-            if claimed_length <= length:
-                asns = claims.get(network & MASKS[claimed_length])
-                if asns is not None:
-                    owners.update(asns)
+        for claimed, asns in self._claims.items():
+            if claimed.contains(prefix):
+                owners.update(asns)
         return frozenset(owners)
 
     def all_claimed_prefixes(self) -> list[Prefix]:

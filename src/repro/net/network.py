@@ -132,12 +132,9 @@ class LinkTable:
         self.ends.setdefault(b, {})[a] = index
         return index
 
-    def copy(self) -> "LinkTable":
-        """A table of the same links that adding to leaves this one be."""
-        table = LinkTable()
-        table.specs = list(self.specs)
-        table.ends = {name: dict(ends) for name, ends in self.ends.items()}
-        return table
+
+# The table of a closed network.
+_NO_LINKS = LinkTable()
 
 
 class Network:
@@ -153,9 +150,9 @@ class Network:
         self.processes = Processes()
         # The built processes, the dict a delivery looks its target up in.
         self._built = self.processes.built
-        # Every link's specification; ``links`` is shared (a snapshot
-        # hands one to each of its clones) until this network adds a
-        # link of its own, which copies it first.
+        # Every link's specification.  A table handed in is shared (a
+        # snapshot hands one to each of its clones), so this network
+        # adds no link to it.
         self._table = LinkTable() if links is None else links
         self._table_shared = links is not None
         # The Link made from each specification, None until a message
@@ -256,8 +253,7 @@ class Network:
             if name not in self.processes:
                 raise KeyError(f"unknown process {name!r}")
         if self._table_shared:
-            self._table = self._table.copy()
-            self._table_shared = False
+            raise ValueError("a network over a shared link table adds no link")
         index = self._table.add(a, b, profile)
         self._links.append(None)
         return self._link(index)
@@ -443,8 +439,8 @@ class Network:
         for process in self._built.values():
             process.detach()
         self.processes.clear()
-        self._table = LinkTable()
-        self._table_shared = False
+        self._table = _NO_LINKS
+        self._table_shared = True
         self._links.clear()
         self._wires.clear()
         self._in_flight.clear()

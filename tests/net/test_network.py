@@ -3,7 +3,7 @@
 import pytest
 
 from repro.net.link import LinkProfile
-from repro.net.network import Network
+from repro.net.network import LinkTable, Network
 from repro.net.node import Process
 
 
@@ -58,6 +58,17 @@ class TestConstruction:
         net.add_link("b", "c")
         net.add_link("b", "a")
         assert net.neighbors("b") == ["a", "c"]
+
+    def test_a_shared_link_table_is_read_not_added_to(self):
+        table = LinkTable([("a", "b", LinkProfile(latency_s=0.1))])
+        net = Network(links=table)
+        for name in ("a", "b", "c"):
+            net.add_process(Echo(name))
+        with pytest.raises(ValueError):
+            net.add_link("a", "c")
+        assert table.specs == [("a", "b", LinkProfile(latency_s=0.1))]
+        assert net.neighbors("a") == ["b"] and net.neighbors("c") == []
+        assert [(l.a, l.b) for l in net.links()] == [("a", "b")]
 
     def test_start_hooks_run_once(self):
         net, a, _ = two_node_net()
