@@ -21,15 +21,17 @@ numbers, five of them deterministic and gated by CI:
 * ``policy_evaluate_us`` — one import-filter evaluation on the same
   router.  Informational.
 * ``policy_calls_per_distinct_eval`` — Python and C calls
-  (``sys.setprofile`` events) per ``Filter.evaluate``, replaying each
-  distinct (filter, route, default LOCAL_PREF) evaluation a 40-router
-  internet made while it converged once, so how often a cheap filter
-  ran does not move it.  Gated "lower".
+  (``sys.setprofile`` events) per ``Filter.evaluate``, replaying once
+  each distinct (filter, route, default LOCAL_PREF) outcome a 40-router
+  internet's routers asked for while it converged, recorded where a
+  router asks (``BGPRouter._filter``), before its memo answers: what an
+  evaluation costs, however often a cheap filter ran or was remembered.
+  Gated "lower".
 * ``internet40_filter_objects`` — distinct ``Filter`` objects in that
   internet's configs.  Gated "lower".
 * ``export_filter_runs`` — export-filter evaluations (filters named
-  ``exp_*``) while that internet converges: one per change and update
-  group, not one per peer.  Gated "lower".
+  ``exp_*``) while that internet converges: one per distinct input the
+  filter reads, since a network keeps each outcome.  Gated "lower".
 
 Run:  python benchmarks/bench_event_loop.py [--json DIR]
 """
@@ -50,6 +52,7 @@ from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.ip import Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import Filter
+from repro.bgp.router import BGPRouter
 from repro.core.live import bgp_process_factory
 from repro.net import sim as sim_module
 from repro.topo.demo27 import build_demo27
@@ -176,18 +179,25 @@ def policy_costs(seed: int) -> dict:
     internet40."""
     topology = build_internet(INTERNET40)
     evaluations = []
-    evaluate = Filter.evaluate
+    runs = []
+    ask, evaluate = BGPRouter._filter, Filter.evaluate
 
-    def recording(policy, route, default_local_pref=100):
-        evaluations.append((policy, route, default_local_pref))
+    def asking(router, policy, route, shadowed=False):
+        evaluations.append(
+            (policy, route, router.config.default_local_pref)
+        )
+        return ask(router, policy, route, shadowed)
+
+    def running(policy, route, default_local_pref=100):
+        runs.append(policy)
         return evaluate(policy, route, default_local_pref)
 
-    Filter.evaluate = recording
+    BGPRouter._filter, Filter.evaluate = asking, running
     try:
         live = LiveSystem.build(topology.configs, topology.links, seed=seed)
         live.converge(deadline=600)
     finally:
-        Filter.evaluate = evaluate
+        BGPRouter._filter, Filter.evaluate = ask, evaluate
     events = 0
 
     def count(frame, event, arg):
@@ -208,9 +218,9 @@ def policy_costs(seed: int) -> dict:
         "policy_calls_per_distinct_eval": round(events / len(distinct), 2),
         "policy_evaluations": len(evaluations),
         "policy_distinct_evaluations": len(distinct),
+        "filter_runs": len(runs),
         "export_filter_runs": sum(
-            1 for policy, _, _ in evaluations
-            if policy.name.startswith("exp_")
+            1 for policy in runs if policy.name.startswith("exp_")
         ),
         "internet40_filter_objects": len(filters),
     }

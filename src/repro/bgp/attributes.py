@@ -263,10 +263,10 @@ class PathAttributes:
         "communities",
         "unknown",
     )
-    # ``_key`` is derived from the fields, once, in ``__init__``: the
-    # set is immutable, and equality, hashing, NLRI packing and the
-    # attribute cache all probe by it.
-    __slots__ = _FIELDS + ("_key",)
+    # ``_key`` and whether the set is concrete are derived from the
+    # fields, once, in ``__init__``: the set is immutable, and equality,
+    # hashing, NLRI packing and the attribute cache all probe by them.
+    __slots__ = _FIELDS + ("_key", "_concrete")
 
     def __init__(
         self,
@@ -304,6 +304,14 @@ class PathAttributes:
             tuple(map(int, self.communities)),
             self.unknown,
         )
+        # Only ORIGIN, MED, LOCAL_PREF and communities can hold a
+        # symbolic value: the decoder concretizes the rest.
+        self._concrete = (
+            type(origin) is int
+            and (med is None or type(med) is int)
+            and (local_pref is None or type(local_pref) is int)
+            and set(map(type, self.communities)) <= {int}
+        )
 
     def replace(self, **changes: Any) -> "PathAttributes":
         """Return a copy with the given fields replaced."""
@@ -324,21 +332,15 @@ class PathAttributes:
 
     def __reduce__(self):
         # Positional, so a pickle holds the nine values and not a
-        # name -> value dict per set; ``_key`` is rebuilt on load.
+        # name -> value dict per set; what is derived is rebuilt on load.
         return (
             PathAttributes,
             tuple(getattr(self, name) for name in self._FIELDS),
         )
 
     def is_concrete(self) -> bool:
-        """False when a field holds a symbolic value.  Only ORIGIN, MED,
-        LOCAL_PREF and communities can: the decoder concretizes the rest."""
-        return (
-            type(self.origin) is int
-            and (self.med is None or type(self.med) is int)
-            and (self.local_pref is None or type(self.local_pref) is int)
-            and all(type(c) is int for c in self.communities)
-        )
+        """False when a field holds a symbolic value."""
+        return self._concrete
 
     def has_community(self, value: int) -> bool:
         """Membership test written as explicit equality for symbolic flow."""

@@ -45,7 +45,7 @@ checks it, branch for branch, against a tree-walking interpreter.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from typing import Any, Callable
 
 from repro.bgp import policy_lang as lang
@@ -60,11 +60,14 @@ class PolicyRuntimeError(Exception):
 
 @dataclass
 class PolicyResult:
-    """Outcome of running one filter over one route."""
+    """Outcome of running one filter over one route.  ``writes`` holds
+    the accepted set's ``(field, value)`` pairs that differ from the
+    route's, in field order: ``attributes`` is the route's set with them."""
 
     accepted: bool
     attributes: PathAttributes
     fell_through: bool = False
+    writes: tuple = ()
 
     @property
     def verdict(self) -> str:
@@ -351,8 +354,9 @@ def _statement(node: Any) -> Step:
     return add
 
 
-def _attributes(f: _Frame) -> PathAttributes:
-    """The accepted route's set, unless a write or MED/LOCAL_PREF shadow differs."""
+def _writes(f: _Frame) -> tuple:
+    """What the accepted route's set changes: each write or MED/LOCAL_PREF
+    shadow that differs from the route's value, as ``(field, value)``."""
     attrs, changes = f.attrs, {}
     for name, value in (
         ("origin", f.origin), ("med", f.med), ("local_pref", f.local_pref),
@@ -366,7 +370,7 @@ def _attributes(f: _Frame) -> PathAttributes:
         # one object fewer per evaluated route, one attribute-cache probe.
         if value is not _UNSET and not _unchanged(value, getattr(attrs, name)):
             changes[name] = value
-    return attrs.replace(**changes) if changes else attrs
+    return tuple(changes.items()) if changes else ()
 
 
 def _unchanged(new: Any, old: Any) -> bool:
@@ -384,13 +388,59 @@ def _unchanged(new: Any, old: Any) -> bool:
     return type(new) is int and type(old) is int and new == old
 
 
+# What each readable name reads of a route without shadows, as
+# ``operator.attrgetter`` paths.
+_INPUTS = {
+    "bgp_origin": "attributes.origin", "bgp_med": "attributes.med",
+    "bgp_local_pref": "attributes.local_pref", "source": "source",
+    "peer_as": "peer_as", "bgp_community": "attributes.communities",
+    "net": "prefix", "bgp_path": "attributes.as_path",
+}
+
+
+def _names(node: Any) -> set[str]:
+    """The names a filter part reads: every ``AttributeRef``, and every
+    assignment or method target, since a write is compared with, or works
+    on, the value already there."""
+    if type(node) is tuple:
+        return set().union(*map(_names, node))
+    if type(node) is lang.AttributeRef:
+        return {node.name}
+    if not is_dataclass(node):
+        return set()
+    names = ({node.target} if type(node) in (lang.AssignStmt, lang.MethodStmt)
+             else set())
+    for field in fields(node):
+        names |= _names(getattr(node, field.name))
+    return names
+
+
+def _no_inputs(route: Route) -> tuple:
+    return ()
+
+
 class Filter:
-    """A runnable filter, compiled from its definition when built."""
+    """A runnable filter, compiled from its definition when built.
+
+    ``inputs`` maps a route without shadows and with a concrete attribute
+    set to the values the filter reads of it, so two such routes with
+    equal inputs get one outcome: the same verdict, the same
+    fall-through and the same writes.  It is None for a filter that names
+    anything but the eight readable names; such a filter is run on every
+    route, and raises where it reads one.
+    """
 
     def __init__(self, definition: lang.FilterDef):
         self.definition = definition
         self.name = definition.name
         self._run = _block(definition.body)
+        names = sorted(_names(definition.body))
+        if not set(names) <= _INPUTS.keys():
+            self.inputs = None
+        elif names:
+            self.inputs = operator.attrgetter(*map(_INPUTS.get, names))
+        else:
+            self.inputs = _no_inputs
 
     def __reduce__(self):
         # Closures do not pickle: the definition does, and compiles again.
@@ -405,9 +455,13 @@ class Filter:
         """Run the filter over ``route``; never mutates the input."""
         frame = _Frame(route, default_local_pref)
         verdict = self._run(frame)
-        if verdict:
-            return PolicyResult(True, _attributes(frame))
-        return PolicyResult(False, route.attributes, verdict is None)
+        if not verdict:
+            return PolicyResult(False, route.attributes, verdict is None)
+        writes, attrs = _writes(frame), route.attributes
+        return PolicyResult(
+            True, attrs.replace(**dict(writes)) if writes else attrs, False,
+            writes,
+        )
 
     def __repr__(self) -> str:
         return f"Filter({self.name!r})"

@@ -56,6 +56,7 @@ from repro.bgp.messages import (
     UpdateMessage,
     decode_message,
 )
+from repro.bgp.policy import Filter
 from repro.bgp.rib import AdjRibIn, AdjRibOut, LocRib, RibChange
 from repro.bgp.route import SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC, Route
 from repro.net.node import Process
@@ -479,19 +480,14 @@ class BGPRouter(Process):
             route.attributes.communities,
             self.config.bug_enabled(faults.BUG_COMMUNITY_CRASH),
         )
-        verdict = False
-        filtered = route
+        attrs = None
         if self._ingress_ok(src, route):
-            result = self._eval_filter(src, route, direction="import")
-            if result.fell_through:
+            policy = self.config.get_filter(self._neighbor(src).import_filter)
+            attrs, fell_through = self._filter(policy, route)
+            if fell_through:
                 _log.debug("filter_fell_through %s t=%.3f peer=%s import "
                            "prefix=%s", self.name, self.now, src, route.prefix)
-            if result.accepted:
-                verdict = True
-                filtered = route.with_attributes(
-                    self._canonical(result.attributes)
-                )
-        if not verdict:
+        if attrs is None:
             # Treat-as-withdraw for routes that fail checks or policy;
             # losing a previously-held route this way is a flap too
             # (RFC 2439 counts implicit withdrawals).
@@ -499,6 +495,7 @@ class BGPRouter(Process):
             if removed:
                 self._record_flap(src, route.prefix, FLAP_WITHDRAW)
             return removed
+        filtered = route.with_attributes(attrs)
         previous = self.adj_rib_in[src].update(filtered)
         if previous is None:
             self._record_flap(src, route.prefix, FLAP_READVERTISE)
@@ -532,16 +529,58 @@ class BGPRouter(Process):
                 return False
         return True
 
-    def _eval_filter(self, src: str, route: Route, direction: str):
-        neighbor = self._neighbor(src)
-        name = (
-            neighbor.import_filter if direction == "import"
-            else neighbor.export_filter
-        )
-        policy = self.config.get_filter(name)
-        return policy.evaluate(
-            route, default_local_pref=self.config.default_local_pref
-        )
+    def _filter(self, policy: Filter, route: Route,
+                shadowed: bool = False) -> tuple[PathAttributes | None, bool]:
+        """``policy`` over ``route``: the canonical attribute set it
+        accepts (None when it rejects), and whether it fell through.
+
+        A route without shadows (``shadowed`` says the caller stripped
+        some) and with a concrete set takes its outcome from
+        ``Network.interned``, under the values ``policy`` reads of it
+        (:attr:`Filter.inputs`) and the default LOCAL_PREF, so a filter
+        runs once per distinct input this network's routers hand it.
+        The outcome is the verdict, the fall-through and the writes, and
+        the writes map to the canonical set through :meth:`_with`.  Any
+        other route is filtered every time, so the concolic engine
+        records every branch each evaluation takes.  A filter that
+        raises does so on every route, as nothing is kept for it, and
+        an accepted set holding a value no attribute cache keeps (an
+        ``int`` field set to a bool) is never kept either.
+        """
+        network = self.network
+        default_local_pref = self.config.default_local_pref
+        inputs = policy.inputs
+        if (network is None or shadowed or route.sym or inputs is None
+                or not route.attributes.is_concrete()):
+            result = policy.evaluate(route, default_local_pref)
+            return (self._canonical(result.attributes) if result.accepted
+                    else None), result.fell_through
+        key = ("FILTER", policy, default_local_pref, inputs(route))
+        outcome = network.interned.get(key)
+        if outcome is None:
+            result = policy.evaluate(route, default_local_pref)
+            if result.accepted and not result.attributes.is_concrete():
+                return result.attributes, result.fell_through
+            outcome = network.intern(
+                key, (result.accepted, result.fell_through, result.writes)
+            )
+        accepted, fell_through, writes = outcome
+        return (self._with(route.attributes, writes) if accepted
+                else None), fell_through
+
+    def _with(self, attrs: PathAttributes, writes: tuple) -> PathAttributes:
+        """The canonical set of concrete ``attrs`` with a filter's
+        ``writes``, built once per distinct pair this network meets."""
+        if not writes:
+            return self._canonical(attrs)
+        network = self.network
+        key = ("WITH", attrs, writes)
+        found = network.interned.get(key)
+        if found is None:
+            found = network.intern(
+                key, self._canonical(attrs.replace(**dict(writes)))
+            )
+        return found
 
     # -- decision process ---------------------------------------------------------
 
@@ -622,24 +661,20 @@ class BGPRouter(Process):
     def _propagate(self, changes: list[RibChange]) -> None:
         if not changes:
             return
-        # One export per (change index, update group) across the peers
-        # this call reaches; see _export_route.
-        exports: dict[tuple, tuple[PathAttributes | None, bool]] = {}
         for peer in sorted(self.sessions):
             if not self.sessions[peer].is_established():
                 continue
             if self.config.mrai > 0:
-                self._enqueue_with_mrai(peer, changes, exports)
+                self._enqueue_with_mrai(peer, changes)
             else:
-                self._export_changes(peer, changes, exports)
+                self._export_changes(peer, changes)
 
-    def _enqueue_with_mrai(self, peer: str, changes: list[RibChange],
-                           exports: dict) -> None:
+    def _enqueue_with_mrai(self, peer: str, changes: list[RibChange]) -> None:
         """Rate-limited export: the first batch goes out immediately and
         arms the per-peer MRAI timer; later changes coalesce (only the
         latest change per prefix survives) until the timer fires."""
         if not self.timer_armed(f"mrai:{peer}"):
-            self._export_changes(peer, changes, exports)
+            self._export_changes(peer, changes)
             self.set_timer(f"mrai:{peer}", self.config.mrai)
             return
         pending = self._pending_export.setdefault(peer, {})
@@ -654,28 +689,18 @@ class BGPRouter(Process):
         ]
         self._export_changes(peer, changes)
 
-    def _export_changes(self, peer: str, changes: list[RibChange],
-                        exports: dict | None = None) -> None:
+    def _export_changes(self, peer: str, changes: list[RibChange]) -> None:
         """Send ``peer`` what ``changes`` alter in its Adj-RIB-Out: the
         withdrawals in one UPDATE, then one UPDATE per attribute set.
-
-        ``exports`` is the update-group memo of the :meth:`_propagate`
-        call that passed ``changes``, keyed by each change's index in
-        that list, so every peer it reaches shares one export per change
-        and group (see :meth:`_export_route`).  A full-table
-        advertisement or an MRAI flush serves one peer from a list of
-        its own and passes none.  The Adj-RIB-Out records the canonical
-        attribute set sent, keyed by the Loc-RIB route's prefix.
+        The Adj-RIB-Out records the canonical attribute set sent, keyed
+        by the Loc-RIB route's prefix.
         """
         rib = self.adj_rib_out[peer]
         announce: list[tuple[Prefix, PathAttributes]] = []
         withdraw: list[Prefix] = []
-        for index, change in enumerate(changes):
+        for change in changes:
             route = change.new
-            attrs = (
-                None if route is None
-                else self._export_route(peer, route, exports, index)
-            )
+            attrs = None if route is None else self._export_route(peer, route)
             if attrs is None:
                 # Gone, or policy now filters it: withdraw if advertised.
                 if rib.record_withdraw(change.prefix):
@@ -702,22 +727,17 @@ class BGPRouter(Process):
                 UpdateMessage(attributes=attributes, nlri=tuple(prefixes)),
             )
 
-    def _export_route(self, peer: str, route: Route, exports: dict | None,
-                      index: int) -> PathAttributes | None:
+    def _export_route(self, peer: str, route: Route) -> PathAttributes | None:
         """Egress processing toward one neighbor: the canonical attribute
         set to announce, or None = do not advertise.
 
         The checks that name the peer — split horizon, iBGP
         non-reflection, NO_ADVERTISE / NO_EXPORT and the peer's AS in the
-        path — run for every peer.  What follows depends only on the
-        route and the peer's *update group* (export filter, iBGP or not,
-        export MED), so it runs once per group and change index of
-        ``exports`` and every later peer of the group reuses the result,
-        as FRR's update groups do.  Only a route without shadows
-        and with a concrete attribute set is shared: a symbolic route is
-        filtered once per peer, so the concolic engine records every
-        branch each evaluation takes.  The fell-through record is logged
-        for every peer either way.
+        path — run for every peer.  The export filter (:meth:`_filter`)
+        and the egress rewrite (:meth:`_egress`) each decide once per
+        distinct input, so every peer with the same filter, iBGP-ness
+        and export MED is handed the same canonical set, as FRR's update
+        groups do.  The fell-through record is logged for every peer.
         """
         neighbor = self._neighbor(peer)
         is_ibgp_peer = neighbor.is_ibgp(self.config.local_as)
@@ -738,42 +758,47 @@ class BGPRouter(Process):
         # contains the neighbor's AS (it would be loop-rejected anyway).
         if not is_ibgp_peer and attrs.as_path.contains(neighbor.peer_as):
             return None
-        group = None
-        if exports is not None and not route.sym and attrs.is_concrete():
-            group = (index, neighbor.export_filter, is_ibgp_peer,
-                     neighbor.export_med)
-            shared = exports.get(group)
-            if shared is not None:
-                if shared[1]:
-                    self._log_export_fell_through(peer, route)
-                return shared[0]
+        policy = self.config.get_filter(neighbor.export_filter)
         # Symbolic shadows stay local: they never reach the wire.
-        result = self._eval_filter(
-            peer, route.replace(sym={}) if route.sym else route,
-            direction="export",
+        attrs, fell_through = self._filter(
+            policy, route.replace(sym={}) if route.sym else route,
+            shadowed=bool(route.sym),
         )
-        if result.fell_through:
-            self._log_export_fell_through(peer, route)
-        exported = None
-        if result.accepted:
-            attrs = result.attributes
-            if not is_ibgp_peer:
-                attrs = attrs.replace(
-                    as_path=attrs.as_path.prepend(self.config.local_as),
-                    next_hop=self.config.router_id,
-                    local_pref=None,
-                    med=neighbor.export_med,
-                )
-            elif attrs.local_pref is None:
-                attrs = attrs.replace(local_pref=self.config.default_local_pref)
-            exported = self._canonical(attrs)
-        if group is not None:
-            exports[group] = (exported, result.fell_through)
-        return exported
+        if fell_through:
+            _log.debug("filter_fell_through %s t=%.3f peer=%s export "
+                       "prefix=%s", self.name, self.now, peer, route.prefix)
+        return None if attrs is None else self._egress(
+            attrs, is_ibgp_peer, neighbor.export_med
+        )
 
-    def _log_export_fell_through(self, peer: str, route: Route) -> None:
-        _log.debug("filter_fell_through %s t=%.3f peer=%s export "
-                   "prefix=%s", self.name, self.now, peer, route.prefix)
+    def _egress(self, attrs: PathAttributes, is_ibgp: bool,
+                export_med: int | None) -> PathAttributes:
+        """The canonical set sent for an exported ``attrs``: toward an
+        eBGP peer, the path prepended with our AS, our next hop, the
+        peer's export MED and no LOCAL_PREF; toward an iBGP peer, the
+        default LOCAL_PREF where none is set.  It reads nothing but its
+        arguments and the config, so a concrete set is rewritten once
+        per distinct key this network meets.
+        """
+        config, network = self.config, self.network
+        key = None
+        if network is not None and attrs.is_concrete():
+            key = ("EGRESS", attrs, is_ibgp, config.local_as,
+                   config.router_id, export_med, config.default_local_pref)
+            found = network.interned.get(key)
+            if found is not None:
+                return found
+        if not is_ibgp:
+            attrs = attrs.replace(
+                as_path=attrs.as_path.prepend(config.local_as),
+                next_hop=config.router_id,
+                local_pref=None,
+                med=export_med,
+            )
+        elif attrs.local_pref is None:
+            attrs = attrs.replace(local_pref=config.default_local_pref)
+        exported = self._canonical(attrs)
+        return exported if key is None else network.intern(key, exported)
 
     def _mrai_expired(self, peer: str) -> None:
         """Flush coalesced changes; re-arm while traffic continues."""

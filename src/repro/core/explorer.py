@@ -223,6 +223,10 @@ class Explorer:
         self._snapshot = snapshot
         self._suite = suite
         self._claims = claims
+        # The claims, copied once: every clone's registry reads this
+        # table, and no check writes a claim (a registry over a shared
+        # table refuses to).
+        self._claim_table = claims.claim_table()
         self._factory = process_factory
         self._clone_counter = 0
         # Every router's configuration as each clone starts: what the
@@ -264,13 +268,11 @@ class Explorer:
             yield network.processes[node]
 
     def _sharing_for(self, clone) -> SharingRegistry:
-        """A per-clone registry: shared claims, endpoints over the clone."""
+        """A per-clone registry: the explorer's claims, endpoints over
+        the clone."""
         from repro.checks.hijack import build_sharing_endpoints
 
-        registry = SharingRegistry()
-        for prefix in self._claims.all_claimed_prefixes():
-            for owner in self._claims.claimed_origins(prefix):
-                registry.claim_origin(owner, prefix)
+        registry = SharingRegistry(claims=self._claim_table)
         build_sharing_endpoints(clone, registry, self._configs)
         return registry
 

@@ -24,6 +24,7 @@ result references route attributes, filters, or configuration.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Set
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -112,11 +113,19 @@ def _scrub(arg: Any) -> Any:
 
 
 class SharingRegistry:
-    """Directory of endpoints plus prefix-origination claims."""
+    """Directory of endpoints plus prefix-origination claims.
 
-    def __init__(self):
+    ``claims`` hands in a table of claims, prefix -> claiming ASes, to
+    read and share: an explorer builds one and hands it to every clone's
+    registry, so a registry built over it claims nothing.
+    """
+
+    def __init__(self, claims: Mapping[Prefix, frozenset[int]] | None = None):
         self._endpoints: dict[int, SharingEndpoint] = {}
-        self._claims: dict[Prefix, set[int]] = {}
+        self._claims: Mapping[Prefix, Set[int]] = (
+            {} if claims is None else claims
+        )
+        self._claims_shared = claims is not None
 
     # -- endpoints --
 
@@ -146,6 +155,8 @@ class SharingRegistry:
 
     def claim_origin(self, asn: int, prefix: Prefix) -> None:
         """Record that ``asn`` declares itself an origin for ``prefix``."""
+        if self._claims_shared:
+            raise ValueError("this registry reads a shared table of claims")
         self._claims.setdefault(prefix, set()).add(asn)
 
     def claimed_origins(self, prefix: Prefix) -> frozenset[int]:
@@ -163,6 +174,11 @@ class SharingRegistry:
             if claimed.contains(prefix):
                 owners.update(asns)
         return frozenset(owners)
+
+    def claim_table(self) -> dict[Prefix, frozenset[int]]:
+        """A copy of every claim, for registries to share (``claims``)."""
+        return {prefix: frozenset(self._claims[prefix])
+                for prefix in sorted(self._claims)}
 
     def all_claimed_prefixes(self) -> list[Prefix]:
         """Every prefix with at least one origination claim."""

@@ -173,6 +173,12 @@ class Network:
         # decoded message under its wire bytes, an attribute set under
         # its key, and a prefix or AS path under itself), so that
         # everything pickled with the network's state holds each once.
+        # A BGP router also keeps what it works out from such values
+        # under tagged keys that can equal no other entry: an UPDATE's
+        # bytes under ("UPDATE", ...), a filter's outcome under
+        # ("FILTER", filter, default LOCAL_PREF, the values it reads),
+        # the canonical set a filter's writes make under ("WITH", set,
+        # writes), and the egress rewrite's under ("EGRESS", set, ...).
         # A value is a pure function of its key: what the table holds
         # decides object identity and nothing else, so networks may
         # share one table (an explorer hands one to every clone it

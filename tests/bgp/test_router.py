@@ -484,7 +484,8 @@ class TestConfigChangeDeterminism:
 
 def reference_export_route(router, peer, route):
     """What ``route`` is exported to ``peer`` as when every peer runs
-    its own checks and its own filter: the reference for update groups."""
+    its own checks, its own filter and its own egress rewrite, past the
+    router's filter and egress memos: the reference for update groups."""
     neighbor = router.config.neighbor(peer)
     ibgp = neighbor.is_ibgp(router.config.local_as)
     if route.peer == peer or (route.source == SOURCE_IBGP and ibgp):
@@ -515,7 +516,7 @@ def reference_export_route(router, peer, route):
     return router._canonical(attrs)
 
 
-def reference_export_changes(router, peer, changes, exports=None):
+def reference_export_changes(router, peer, changes):
     """``BGPRouter._export_changes`` with no update groups: each peer
     exports each change on its own, then withdraws and announces by
     attribute set as the router does."""
@@ -580,6 +581,13 @@ def recording_wire(patch):
     return wire
 
 
+def memo_entries(network, tag):
+    """The keys ``network``'s routers keep under ``tag`` ("FILTER",
+    "WITH", "EGRESS") in its interned table."""
+    return {key for key in network.interned
+            if type(key) is tuple and key[0] == tag}
+
+
 def counting_evaluations(patch):
     """Count ``Filter.evaluate`` runs by filter name from here on."""
     runs = defaultdict(int)
@@ -594,9 +602,10 @@ def counting_evaluations(patch):
 
 
 class TestUpdateGroups:
-    """One export per change and update group (export filter, iBGP,
-    export MED) must send every peer what exporting to each peer alone
-    sends, byte for byte."""
+    """A filter outcome and an egress rewrite are each kept once per
+    distinct input, so the peers of an update group (export filter,
+    iBGP, export MED) share one canonical set: that must send every peer
+    what exporting to each peer alone sends, byte for byte."""
 
     @pytest.mark.parametrize("build", [
         _demo27_converged, _internet40_mid_churn, _mrai_race_converged,
@@ -691,6 +700,7 @@ class TestUpdateGroups:
                 )
                 route = learned.replace(prefix=prefix, attributes=attributes)
                 changes.append(RibChange(hub.now, prefix, None, route))
+            kept = memo_entries(hub.network, "FILTER")
             with monkeypatch.context() as patch:
                 wire = recording_wire(patch)
                 if reference:
@@ -699,10 +709,11 @@ class TestUpdateGroups:
                 runs = counting_evaluations(patch)
                 hub._propagate(changes)
             sent = {peer: rib.sent() for peer, rib in hub.adj_rib_out.items()}
-            return sent, dict(wire), runs["exp_x"]
+            added = memo_entries(hub.network, "FILTER") - kept
+            return sent, dict(wire), runs["exp_x"], added
 
-        sent, wire, runs = propagate(reference=False)
-        reference_sent, reference_wire, reference_runs = propagate(
+        sent, wire, runs, added = propagate(reference=False)
+        reference_sent, reference_wire, reference_runs, _ = propagate(
             reference=True
         )
         assert sent == reference_sent
@@ -710,7 +721,13 @@ class TestUpdateGroups:
         assert sorted(wire) == [("h", "a"), ("h", "b"), ("h", "c"),
                                 ("h", "i")]
         assert reference_runs == 4 * len(paths)
-        assert runs == 3 * len(paths)
+        # The filter reads the path alone: it runs once per path the hub
+        # had not filtered yet, whatever the group, and each run is kept.
+        # The one-hop path was filtered while the hub converged.
+        assert runs == len(added) == len(paths) - 1
+        assert {key[3] for key in added} == {
+            AsPath.from_sequence(*path) for path in paths[1:]
+        }
         assert sent["c"] != sent["a"] == sent["b"] != sent["i"]
         assert len(sent["a"]) == 2  # the longest path was rejected
 
@@ -736,6 +753,8 @@ class TestUpdateGroups:
                 ),
                 "shadow": route.replace(sym={"med": shadow}),
             }[kind]
+            kept = {tag: memo_entries(hub.network, tag)
+                    for tag in ("FILTER", "WITH")}
             with monkeypatch.context() as patch:
                 if reference:
                     patch.setattr(BGPRouter, "_export_changes",
@@ -748,13 +767,20 @@ class TestUpdateGroups:
             branches = [(c.fp, taken) for c, taken in recorder.branches]
             sent = {peer: hub.adj_rib_out[peer].advertised(self.HUB_PREFIX)
                     for peer in ("a", "b")}
-            return runs["exp_x"], branches, sent
+            added = {tag: memo_entries(hub.network, tag) - entries
+                     for tag, entries in kept.items()}
+            return runs["exp_x"], branches, sent, added
 
-        runs, branches, sent = propagate(reference=False)
-        reference_runs, reference_branches, reference_sent = propagate(
+        runs, branches, sent, added = propagate(reference=False)
+        reference_runs, reference_branches, reference_sent, _ = propagate(
             reference=True
         )
+        # A concrete MED the hub has not met runs the filter once and
+        # keeps its outcome for the second peer; a symbolic route runs
+        # it for each peer and keeps nothing.
         assert runs == expected
+        assert len(added["FILTER"]) == (kind == "concrete")
+        assert not added["WITH"]
         assert reference_runs == 2
         assert branches == reference_branches
         if kind == "symbolic-med":
@@ -780,8 +806,12 @@ class TestUpdateGroups:
             and record.getMessage().startswith("filter_fell_through h ")
             and " export " in record.getMessage()
         ]
-        assert runs["exp_x"] == 1  # shared ...
+        # The outcome kept while the hub converged serves both peers ...
+        assert runs["exp_x"] == 0
+        assert [hub.network.interned[key] for key in
+                memo_entries(hub.network, "FILTER")
+                if key[1].name == "exp_x"] == [(False, True, ())]
         assert [message.split()[3] for message in exports] == [
             "peer=a", "peer=b",
-        ]  # ... and logged for each peer
+        ]  # ... and is logged for each peer
         assert hub.adj_rib_out["a"].advertised(self.HUB_PREFIX) is None

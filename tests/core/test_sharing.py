@@ -142,3 +142,26 @@ class TestRegistry:
             Prefix("10.1.0.0/16"), Prefix("10.2.0.0/16"),
             Prefix("10.3.0.0/16"),
         ]
+
+    def test_a_shared_claim_table_reads_as_the_claims_and_takes_none(self):
+        """An explorer copies its claims once and every clone's registry
+        reads that table: each answers as the registry it came from, and
+        none may claim, so no clone's check can change another's."""
+        claims = SharingRegistry()
+        claims.claim_origin(65001, Prefix("10.0.0.0/8"))
+        claims.claim_origin(65002, Prefix("10.1.0.0/16"))
+        claims.claim_origin(65003, Prefix("10.1.0.0/16"))
+        table = claims.claim_table()
+        first, second = (SharingRegistry(claims=table) for _ in range(2))
+        for registry in (first, second):
+            assert registry.all_claimed_prefixes() == \
+                claims.all_claimed_prefixes()
+            assert registry.claimed_origins(Prefix("10.1.0.0/16")) == \
+                {65002, 65003}
+            assert registry.covering_claims(Prefix("10.1.2.0/24")) == \
+                {65001, 65002, 65003}
+            assert registry.claims_by(65001) == [Prefix("10.0.0.0/8")]
+            with pytest.raises(ValueError, match="shared"):
+                registry.claim_origin(65009, Prefix("10.9.0.0/16"))
+        claims.claim_origin(65009, Prefix("10.9.0.0/16"))  # a copy was shared
+        assert first.claimed_origins(Prefix("10.9.0.0/16")) == frozenset()
