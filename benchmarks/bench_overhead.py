@@ -134,7 +134,7 @@ def test_session_clone_budget(benchmark):
     restored router and clone nothing."""
     from repro.checks import default_property_suite
     from repro.core.explorer import ExplorationConfig, Explorer
-    from repro.core.sharing import SharingRegistry
+    from repro.core.sharing import ClaimTable
     from repro.topo.demo27 import build_demo27
 
     topology = build_demo27()
@@ -144,7 +144,7 @@ def test_session_clone_budget(benchmark):
     explorer = Explorer(
         live.coordinator.capture(node),
         default_property_suite(),
-        SharingRegistry.from_configs(live.initial_configs),
+        ClaimTable.from_configs(live.initial_configs),
     )
     report = benchmark.pedantic(
         explorer.explore, (ExplorationConfig(node=node, inputs=3, seed=1),),
@@ -186,14 +186,14 @@ def test_routers_restored_per_clone(benchmark, internet40):
         ExplorationConfig,
         Explorer,
     )
-    from repro.core.sharing import SharingRegistry
+    from repro.core.sharing import ClaimTable
 
     topology, live, snapshot = internet40
     node = topology.nodes_in_tier(2)[0]
     explorer = Explorer(
         snapshot,
         default_property_suite(),
-        SharingRegistry.from_configs(live.initial_configs),
+        ClaimTable.from_configs(live.initial_configs),
     )
     restored = []
     new_clone = explorer._new_clone
@@ -422,8 +422,8 @@ def test_task_shipping_overhead(benchmark):
     from repro.checks import default_property_suite
     from repro.concolic.frontier import FrontierShard
     from repro.core.explorer import ExplorationConfig
-    from repro.core.parallel import ExplorationTask, claims_to_spec
-    from repro.core.sharing import SharingRegistry
+    from repro.core.parallel import ExplorationTask
+    from repro.core.sharing import ClaimTable
 
     topology = build_internet(TopologyParams(tier1=2, transit=3, stubs=4,
                                              seed=5))
@@ -436,9 +436,7 @@ def test_task_shipping_overhead(benchmark):
         shard=FrontierShard(index=0, count=1, budget=config.inputs),
         snapshot=snapshot,
         suite=default_property_suite(),
-        claims=claims_to_spec(
-            SharingRegistry.from_configs(live.initial_configs)
-        ),
+        claims=ClaimTable.from_configs(live.initial_configs),
     )
 
     def ship_round_trip():

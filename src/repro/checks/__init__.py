@@ -16,7 +16,7 @@ interface; keeping them separate documents that boundary.
 
 from repro.checks.consistency import ExportConsistency
 from repro.checks.crash import CrashFreedom
-from repro.checks.hijack import OriginAuthenticity, build_sharing_endpoints
+from repro.checks.hijack import OriginAuthenticity
 from repro.checks.oscillation import RouteStability
 from repro.checks.reachability import (
     find_blackholes,
@@ -28,7 +28,6 @@ from repro.checks.sessions import SessionCascade
 __all__ = [
     "CrashFreedom",
     "OriginAuthenticity",
-    "build_sharing_endpoints",
     "RouteStability",
     "SessionCascade",
     "ExportConsistency",

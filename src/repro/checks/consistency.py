@@ -19,8 +19,6 @@ a responder cannot precompute or replay commitments.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
-
 from repro.bgp.route import SOURCE_EBGP
 from repro.core.faultclass import FAULT_PROGRAMMING_ERROR
 from repro.core.properties import (
@@ -49,20 +47,19 @@ def wire_stable_view(prefix, attributes) -> tuple:
     )
 
 
-def register_export_commitment(endpoint, routers: Mapping[str, Any],
-                               name: str) -> None:
-    """Expose the commitment check on a domain's endpoint, answered by
-    router ``name`` of ``routers``, looked up when queried."""
-
-    def export_commitment(peer_node: str, prefix, salt: bytes) -> bytes:
-        rib_out = routers[name].adj_rib_out.get(peer_node)
+def export_commitment(domain, sender: str, receiver: str, prefix,
+                      salt: bytes) -> bytes:
+    """A salted commitment to what the domain's router ``sender``
+    advertised of ``prefix`` to ``receiver``: answered from the router
+    that holds the session, never from another router of the AS."""
+    advertised = None
+    if sender in domain:
+        rib_out = domain.router(sender).adj_rib_out.get(receiver)
         advertised = None if rib_out is None else rib_out.advertised(prefix)
-        if advertised is None:
-            # Commit to a distinguished "nothing advertised" value.
-            return salted_digest(("no-advertisement", str(prefix)), salt)
-        return salted_digest(wire_stable_view(prefix, advertised), salt)
-
-    endpoint.register("export_commitment", export_commitment)
+    if advertised is None:
+        # Commit to a distinguished "nothing advertised" value.
+        return salted_digest(("no-advertisement", str(prefix)), salt)
+    return salted_digest(wire_stable_view(prefix, advertised), salt)
 
 
 class ExportConsistency(Property):
@@ -71,15 +68,9 @@ class ExportConsistency(Property):
     name = "export_consistency"
     scope = SCOPE_FEDERATED
     fault_class = FAULT_PROGRAMMING_ERROR
+    questions = (export_commitment,)
 
     def check(self, context: CheckContext) -> list[Violation]:
-        # Each domain's commitments are answered by its endpoint's
-        # router, looked up when queried.
-        for endpoint in context.sharing.endpoints():
-            if "export_commitment" not in endpoint.names():
-                register_export_commitment(
-                    endpoint, context.clone.processes, endpoint.node
-                )
         violations: list[Violation] = []
         router = context.router
         rng = context.clone.sim.random.stream("consistency-salt")
@@ -89,7 +80,7 @@ class ExportConsistency(Property):
             if session is None or not session.is_established():
                 continue
             peer_as = session.peer_as
-            if context.sharing.endpoint(peer_as) is None:
+            if peer_as not in context.sharing.domains:
                 continue
             for route in router.adj_rib_in[peer].routes():
                 if route.source != SOURCE_EBGP:
@@ -97,7 +88,7 @@ class ExportConsistency(Property):
                 salt = rng.getrandbits(128).to_bytes(16, "big")
                 theirs = context.sharing.query(
                     context.local_as(), peer_as, "export_commitment",
-                    context.node, route.prefix, salt, now=now,
+                    peer, context.node, route.prefix, salt, now=now,
                 )
                 ours = salted_digest(
                     wire_stable_view(route.prefix, route.attributes), salt

@@ -3,22 +3,21 @@ interface (prefix-hijack check).
 
 The federated showpiece.  The check never looks at remote RIBs or
 configurations; it asks remote domains two yes/no questions through the
-:class:`~repro.core.sharing.SharingRegistry`:
+:class:`~repro.core.sharing.SharingInterface`:
 
 * ``originates(prefix)`` — "does your AS currently originate this
   prefix?";
 * ``authorizes_origin(prefix, asn)`` — "do you authorize AS ``asn`` to
   originate this prefix?" (covers legitimate multi-origin setups).
 
-A route whose origin AS is not among the registered claimants of a
-covering prefix, and that no claimant authorizes, is flagged as a
-potential hijack — e.g. the consequence of an operator adding a
-``network`` statement for address space they do not own.
+A domain answers for every router of its AS.  A route whose origin AS
+is not among the claimants of a covering prefix, and that no claimant
+authorizes, is flagged as a potential hijack — e.g. the consequence of
+an operator adding a ``network`` statement for address space they do
+not own.
 """
 
 from __future__ import annotations
-
-from typing import Any, Mapping
 
 from repro.bgp.route import SOURCE_STATIC
 from repro.core.faultclass import FAULT_OPERATOR_MISTAKE
@@ -28,49 +27,20 @@ from repro.core.properties import (
     Property,
     Violation,
 )
-from repro.core.sharing import SharingEndpoint, SharingRegistry
 
 
-def build_sharing_endpoints(clone, registry: SharingRegistry,
-                            configs: Mapping[str, Any]) -> None:
-    """Register one endpoint per router in ``clone`` onto ``registry``.
+def originates(domain, prefix) -> bool:
+    """Does any router of the domain originate ``prefix``?"""
+    return any(prefix in config.networks for config in domain.configs())
 
-    Each endpoint answers for its own router only, which it looks up by
-    name when queried; the checks it exposes return booleans.
-    ``configs`` are the routers' configurations as the clone starts (a
-    snapshot's checkpoints hold them), so registering builds no router
-    of a lazy clone and a configuration question builds none either: it
-    reads a router's own configuration once the router is built, and
-    its starting one until then.  Endpoints for ASes already present
-    are skipped (several routers may share an AS).
+
+def authorizes_origin(domain, prefix, asn: int) -> bool:
+    """Does the domain authorize AS ``asn`` to originate ``prefix``?
+
+    Minimal model: a domain authorizes exactly itself.  Sites with
+    multi-origin agreements would consult a local table.
     """
-    built = clone.materialized()
-
-    def config_of(name: str):
-        router = built.get(name)
-        return configs[name] if router is None else router.config
-
-    for name in sorted(configs):
-        config = configs[name]
-        if config is None:
-            continue
-        if registry.endpoint(config.local_as) is not None:
-            continue
-        endpoint = SharingEndpoint(asn=config.local_as, node=name)
-        endpoint.register(
-            "originates",
-            lambda prefix, _name=name: prefix in config_of(_name).networks,
-        )
-        endpoint.register(
-            "authorizes_origin",
-            # Minimal model: a domain authorizes exactly itself.  Sites
-            # with multi-origin agreements would consult a local table.
-            lambda prefix, asn, _name=name: (
-                asn == config_of(_name).local_as
-                and prefix in config_of(_name).networks
-            ),
-        )
-        registry.add_endpoint(endpoint)
+    return asn == domain.asn and originates(domain, prefix)
 
 
 class OriginAuthenticity(Property):
@@ -90,6 +60,7 @@ class OriginAuthenticity(Property):
     name = "origin_authenticity"
     scope = SCOPE_FEDERATED
     fault_class = FAULT_OPERATOR_MISTAKE
+    questions = (originates, authorizes_origin)
 
     def prepare(self, context: CheckContext) -> None:
         memo = context.node_memo
@@ -113,7 +84,7 @@ class OriginAuthenticity(Property):
         #    registered?  This is the hijacker-side check that fires when
         #    DiCE explores a local "add network" configuration change.
         for prefix in router.config.networks:
-            owners = context.sharing.covering_claims(prefix)
+            owners = context.sharing.claims.covering(prefix)
             if owners and local_as not in owners:
                 confirmed = self._confirm_foreign_ownership(
                     context, prefix, owners, local_as, now
@@ -137,7 +108,7 @@ class OriginAuthenticity(Property):
             origin_as = route.origin_as
             if origin_as is None:
                 continue
-            owners = context.sharing.covering_claims(route.prefix)
+            owners = context.sharing.claims.covering(route.prefix)
             if not owners or origin_as in owners:
                 continue
             confirmed = self._confirm_foreign_ownership(
@@ -161,26 +132,25 @@ class OriginAuthenticity(Property):
     @staticmethod
     def _confirm_foreign_ownership(context: CheckContext, prefix, owners,
                                    suspect_as: int, now: float) -> bool:
-        """Cross-check the registry claim with the owners themselves.
+        """Cross-check the claim with the owners themselves.
 
-        Registry data can be stale; a hijack alarm is raised only when a
+        Claims can be stale; a hijack alarm is raised only when a
         claimed owner (a) still asserts origination of the covering space
         and (b) does not authorize the suspect AS.  Both questions cross
         the narrow interface as booleans.
         """
+        sharing = context.sharing
         for owner_as in sorted(owners):
-            endpoint = context.sharing.endpoint(owner_as)
-            if endpoint is None:
-                # Owner unreachable: keep the alarm on registry evidence.
+            if owner_as not in sharing.domains:
+                # Owner unreachable: keep the alarm on the claims' evidence.
                 return True
-            for owned_prefix in context.sharing.claims_by(owner_as, covering=prefix):
-                originates = context.sharing.query(
+            for owned_prefix in sharing.claims.claims_by(owner_as, covering=prefix):
+                if not sharing.query(
                     context.local_as(), owner_as, "originates",
                     owned_prefix, now=now,
-                )
-                if not originates:
+                ):
                     continue
-                authorizes = context.sharing.query(
+                authorizes = sharing.query(
                     context.local_as(), owner_as, "authorizes_origin",
                     prefix, suspect_as, now=now,
                 )

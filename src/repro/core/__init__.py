@@ -35,7 +35,7 @@ from repro.core.faultclass import (
     FaultReport,
 )
 from repro.core.properties import CheckContext, Property, Violation
-from repro.core.sharing import SharingEndpoint, SharingRegistry
+from repro.core.sharing import ClaimTable, SharingInterface
 from repro.core.explorer import ExplorationConfig, Explorer, NodeExplorationReport
 from repro.core.orchestrator import CampaignResult, DiceOrchestrator, OrchestratorConfig
 from repro.core.parallel import (
@@ -76,8 +76,8 @@ __all__ = [
     "Property",
     "Violation",
     "CheckContext",
-    "SharingEndpoint",
-    "SharingRegistry",
+    "ClaimTable",
+    "SharingInterface",
     "Explorer",
     "ExplorationConfig",
     "NodeExplorationReport",

@@ -79,7 +79,7 @@ from repro.concolic.solver import Solver
 from repro.concolic.symbolic import SymBytes, SymInt
 from repro.core.live import bgp_process_factory
 from repro.core.properties import CheckContext, PropertySuite, Violation
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable, SharingInterface, domains_of
 from repro.core.snapshot import Snapshot
 from repro.net.network import Network
 from repro.util.rng import derive_seed
@@ -217,25 +217,22 @@ class Explorer:
         self,
         snapshot: Snapshot,
         suite: PropertySuite,
-        claims: SharingRegistry,
+        claims: ClaimTable,
         process_factory=bgp_process_factory,
     ):
         self._snapshot = snapshot
         self._suite = suite
         self._claims = claims
-        # The claims, copied once: every clone's registry reads this
-        # table, and no check writes a claim (a registry over a shared
-        # table refuses to).
-        self._claim_table = claims.claim_table()
         self._factory = process_factory
         self._clone_counter = 0
-        # Every router's configuration as each clone starts: what the
-        # sharing endpoints are registered from, without building the
-        # routers.
-        self._configs = {
+        # Each AS's routers with their configurations as every clone
+        # starts, and the questions the suite asks: with the claims,
+        # all a clone's sharing interface needs besides the clone.
+        self._domains = domains_of({
             name: checkpoint.state.get("config")
             for name, checkpoint in snapshot.checkpoints.items()
-        }
+        })
+        self._questions = suite.questions()
         # Per explorer node, the baselines that depend on the snapshot,
         # the node and the claims alone (CheckContext.node_memo).
         self._node_memos: dict[str, dict] = {}
@@ -267,14 +264,11 @@ class Explorer:
         )) as network:
             yield network.processes[node]
 
-    def _sharing_for(self, clone) -> SharingRegistry:
-        """A per-clone registry: the explorer's claims, endpoints over
-        the clone."""
-        from repro.checks.hijack import build_sharing_endpoints
-
-        registry = SharingRegistry(claims=self._claim_table)
-        build_sharing_endpoints(clone, registry, self._configs)
-        return registry
+    def _sharing_for(self, clone) -> SharingInterface:
+        """The clone's sharing interface, over the explorer's claims."""
+        return SharingInterface(
+            self._claims, self._domains, clone, self._questions
+        )
 
     # -- message exploration (Figure 2) --
 

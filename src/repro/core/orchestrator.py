@@ -64,12 +64,10 @@ from repro.core.faultclass import (
 )
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.parallel import (
-    ClaimSpec,
     DispatchStats,
     ExplorationTask,
     ParallelCampaignEngine,
     TaskHandle,
-    claims_to_spec,
     make_transport,
 )
 from repro.core.payload import SnapshotEncoder
@@ -79,7 +77,7 @@ from repro.core.pipeline import (
     plan_captures,
 )
 from repro.core.properties import PropertySuite
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable
 from repro.util.rng import derive_seed
 
 
@@ -247,7 +245,7 @@ class DiceOrchestrator:
         self,
         live: LiveSystem,
         suite: PropertySuite,
-        claims: SharingRegistry | None = None,
+        claims: ClaimTable | None = None,
         process_factory=bgp_process_factory,
     ):
         self._live = live
@@ -255,13 +253,13 @@ class DiceOrchestrator:
         self._claims = (
             claims
             if claims is not None
-            else SharingRegistry.from_configs(live.initial_configs)
+            else ClaimTable.from_configs(live.initial_configs)
         )
         self._factory = process_factory
 
     @property
-    def claims(self) -> SharingRegistry:
-        """The origination-claim registry campaigns check against."""
+    def claims(self) -> ClaimTable:
+        """The origination claims campaigns check against."""
         return self._claims
 
     def vet_change(
@@ -422,7 +420,7 @@ class DiceOrchestrator:
             )
             result = CampaignResult(workers=engine.workers)
             run = _CampaignRun(
-                config, engine, claims_to_spec(self._claims), shards,
+                config, engine, self._claims, shards,
             )
             pending: deque[_Session] = deque()  # started, not yet merged
 
@@ -604,7 +602,7 @@ class DiceOrchestrator:
                 snapshot=captured.snapshot,
                 snapshot_blob=captured.payload,
                 suite=self._suite,
-                claims=run.claims_spec,
+                claims=run.claims,
                 process_factory=self._factory,
                 shard=shard,
             )
@@ -709,7 +707,7 @@ class _CampaignRun:
 
     config: OrchestratorConfig
     engine: ParallelCampaignEngine
-    claims_spec: ClaimSpec
+    claims: ClaimTable
     # Maximum shard tasks per session round.
     shards: int
 

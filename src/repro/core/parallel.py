@@ -51,7 +51,6 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-from repro.bgp.ip import Prefix
 from repro.concolic.frontier import Frontier, FrontierShard
 from repro.core.explorer import (
     ExplorationConfig,
@@ -61,33 +60,8 @@ from repro.core.explorer import (
 from repro.core.live import bgp_process_factory
 from repro.core.payload import decode_snapshot
 from repro.core.properties import PropertySuite
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable
 from repro.core.snapshot import ProcessFactory, Snapshot
-
-ClaimSpec = tuple[tuple[str, int], ...]
-
-
-def claims_to_spec(claims: SharingRegistry) -> ClaimSpec:
-    """Flatten a registry's origination claims into picklable pairs.
-
-    Endpoints hold per-clone closures and never cross process
-    boundaries; workers rebuild them clone-locally (exactly as the
-    serial explorer does).  Only the claim *data* travels.
-    """
-    return tuple(
-        (str(prefix), asn)
-        for prefix in claims.all_claimed_prefixes()
-        for asn in sorted(claims.claimed_origins(prefix))
-    )
-
-
-def claims_from_spec(spec: ClaimSpec) -> SharingRegistry:
-    """Rebuild a claims-only registry inside a worker."""
-    registry = SharingRegistry()
-    for prefix, asn in spec:
-        registry.claim_origin(asn, Prefix(prefix))
-    return registry
-
 
 class WorkerTransport(Protocol):
     """Where exploration tasks run: the engine's dispatch backend.
@@ -153,14 +127,14 @@ class ExplorationTask:
 
     Everything here must pickle: the session config, the snapshot
     (checkpoints + channel state) or its payload, the property suite
-    (stateless check objects), the flattened claims, the shard and a
+    (stateless check objects), the claims, the shard and a
     module-level process factory.
     """
 
     config: ExplorationConfig
     snapshot: Snapshot | None
     suite: PropertySuite
-    claims: ClaimSpec
+    claims: ClaimTable
     shard: FrontierShard
     process_factory: ProcessFactory = bgp_process_factory
     # The snapshot's payload (repro.core.payload), encoded once per
@@ -210,7 +184,7 @@ def run_task(task: ExplorationTask) -> TaskOutcome:
     explorer = Explorer(
         task.resolve_snapshot(),
         task.suite,
-        claims_from_spec(task.claims),
+        task.claims,
         process_factory=task.process_factory,
     )
     return TaskOutcome(*explorer.explore_shard(task.config, task.shard))

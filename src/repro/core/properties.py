@@ -4,7 +4,8 @@ A :class:`Property` evaluates after one exploration input has been
 injected into a clone and its consequences have propagated.  Local
 properties read the explorer node's own state freely; federated
 properties may only reach other domains through the
-:class:`~repro.core.sharing.SharingRegistry`.
+:class:`~repro.core.sharing.SharingInterface`, asking the questions
+they declare.
 
 Concrete BGP properties live in :mod:`repro.checks`; this module defines
 the contracts the explorer drives.
@@ -22,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import Question, SharingInterface
 from repro.net.network import Network
 
 SCOPE_LOCAL = "local"
@@ -51,12 +52,14 @@ class CheckContext:
     snapshot's own state.  ``node_memo``, when given, outlives the
     context: it holds what a property's ``prepare`` computed as a
     function of the snapshot, the node and the claims alone, for the
-    node's later clones of the same snapshot to reuse.
+    node's later clones of the same snapshot to reuse.  ``sharing`` is
+    the clone's sharing interface; a context for local properties alone
+    may go without one.
     """
 
     clone: Network
     node: str
-    sharing: SharingRegistry
+    sharing: SharingInterface | None = None
     input_summary: str = ""
     baseline: dict[str, Any] = field(default_factory=dict)
     exploration_exception: Exception | None = None
@@ -86,12 +89,17 @@ class Property:
     stop the clone at the first violation (see
     :mod:`repro.core.explorer`).  A property that reads end-of-horizon
     state is not monotone, which is the default.
+
+    ``questions`` are the questions a federated property asks other
+    domains over the sharing interface, each a function of the
+    answering :class:`~repro.core.sharing.Domain`, asked by its name.
     """
 
     name = "property"
     scope = SCOPE_LOCAL
     fault_class = "programming_error"
     monotone = False
+    questions: tuple[Question, ...] = ()
 
     def prepare(self, context: CheckContext) -> None:
         """Record pre-injection observations into ``context.baseline``.
@@ -132,6 +140,14 @@ class PropertySuite:
 
     def __len__(self) -> int:
         return len(self._properties)
+
+    def questions(self) -> dict[str, Question]:
+        """Every question the properties declare, by name."""
+        return {
+            question.__name__: question
+            for prop in self._properties
+            for question in prop.questions
+        }
 
     def prepare_all(self, context: CheckContext) -> None:
         """Run every property's pre-injection pass."""

@@ -6,39 +6,45 @@ checks while preserving confidential information."
 
 The design here:
 
-* each administrative domain (AS) runs a :class:`SharingEndpoint` that
-  registers named *check functions* over its own node's state;
-* a check function may only return a **bool**, an **int counter**, or a
-  **salted commitment** (bytes) — the endpoint rejects anything else at
-  registration-response time, so raw routes/configs physically cannot
-  cross the interface;
-* every query is appended to an audit log on both sides;
-* the :class:`SharingRegistry` is the directory: it maps AS numbers to
-  endpoints and prefixes to the set of ASes *claiming* to originate them
-  (the IRR-like knowledge the hijack check consumes).
+* a :class:`ClaimTable` holds the origination claims, prefix -> the ASes
+  claiming it (the IRR-like knowledge the hijack check consumes).  It
+  is built once, from the initial configurations, and never changes:
+  a campaign ships it in every task and every clone reads it as it is;
+* a domain is an AS, meaning every router of it.  A *question* is a
+  plain function of a :class:`Domain` (and the asker's arguments); the
+  property that asks a question declares it
+  (:attr:`~repro.core.properties.Property.questions`);
+* a :class:`SharingInterface` answers a clone's questions.  A question
+  may only return a **bool**, an **int counter**, or a **salted
+  commitment** (bytes) — the interface rejects anything else at
+  response time, so raw routes/configs physically cannot cross it —
+  and every answer is appended to the interface's audit log.
 
-Confidentiality is tested, not just asserted: a property test drives the
-interface and checks that no response object reachable from a query
-result references route attributes, filters, or configuration.
+Confidentiality is tested, not just asserted: the tests drive the
+interface and check that every answer is one of those types and that
+the audit log holds no rich object.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping, Set
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import dataclass
 from typing import Any, Callable
 
 from repro.bgp.ip import Prefix
-from repro.util.hashing import salted_digest
 
-# Types a check response may have.  Nothing else leaves the domain.
+# Types a question's answer may have.  Nothing else leaves the domain.
 ALLOWED_RESPONSE_TYPES = (bool, int, bytes)
 
-CheckFunction = Callable[..., Any]
+_ALL_ONES = 0xFFFFFFFF
+
+# A question: a function of the answering Domain and the asker's
+# arguments.
+Question = Callable[..., Any]
 
 
 class SharingViolation(Exception):
-    """A check tried to disclose a non-allowed value."""
+    """A question tried to disclose a non-allowed value."""
 
 
 @dataclass(frozen=True)
@@ -53,35 +59,150 @@ class AuditEntry:
     response_type: str
 
 
-@dataclass
-class SharingEndpoint:
-    """One domain's side of the interface."""
+class ClaimTable:
+    """Origination claims, prefix -> the ASes claiming it; immutable.
 
-    asn: int
-    node: str
-    _checks: dict[str, CheckFunction] = field(default_factory=dict)
-    audit_log: list[AuditEntry] = field(default_factory=list)
+    ``claims`` are ``(asn, prefix)`` pairs, each "AS ``asn`` declares
+    itself an origin of ``prefix``", in any order and with repeats:
+    the table is the same, and pickles to the same bytes, whatever the
+    order.
+    """
 
-    def register(self, name: str, func: CheckFunction) -> None:
-        """Expose a named local check."""
-        if name in self._checks:
-            raise ValueError(f"check {name!r} already registered on AS {self.asn}")
-        self._checks[name] = func
+    __slots__ = ("_table",)
 
-    def names(self) -> list[str]:
-        """Names of exposed checks."""
-        return sorted(self._checks)
+    def __init__(self, claims: Iterable[tuple[int, Prefix]] = ()):
+        table: dict[Prefix, set[int]] = {}
+        for asn, prefix in claims:
+            table.setdefault(prefix, set()).add(asn)
+        self._table = {
+            prefix: frozenset(sorted(table[prefix])) for prefix in sorted(table)
+        }
 
-    def respond(self, requester_as: int, check: str, *args: Any,
-                now: float = 0.0) -> Any:
-        """Answer a remote query; enforces the narrow-response rule."""
-        func = self._checks.get(check)
+    @staticmethod
+    def from_configs(configs) -> "ClaimTable":
+        """The claims of the *initial* configured originations — the
+        trusted baseline the hijack check compares against."""
+        return ClaimTable(
+            (config.local_as, prefix)
+            for config in configs
+            for prefix in config.networks
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, ClaimTable) and self._table == other._table
+
+    def origins(self, prefix: Prefix) -> frozenset[int]:
+        """ASes with a claim exactly on ``prefix``."""
+        return self._table.get(prefix, frozenset())
+
+    def _claimed_covering(self, prefix: Prefix) -> Iterable[Prefix]:
+        """The claimed prefixes covering ``prefix`` (itself included):
+        one lookup per covering length, whatever the table's size."""
+        for length in range(prefix.length + 1):
+            mask = (_ALL_ONES << (32 - length)) & _ALL_ONES
+            covering = Prefix(prefix.network & mask, length)
+            if covering in self._table:
+                yield covering
+
+    def covering(self, prefix: Prefix) -> frozenset[int]:
+        """ASes claiming ``prefix`` or any covering (shorter) prefix.
+
+        A more-specific announcement inside a claimed aggregate is not a
+        hijack when made by the aggregate's owner.
+        """
+        return frozenset().union(
+            *(self._table[claimed] for claimed in self._claimed_covering(prefix))
+        )
+
+    def claims_by(self, asn: int, covering: Prefix | None = None) -> list[Prefix]:
+        """Prefixes ``asn`` claims, optionally only those covering a prefix."""
+        candidates = (
+            self._table if covering is None else self._claimed_covering(covering)
+        )
+        return sorted(prefix for prefix in candidates if asn in self._table[prefix])
+
+
+def domains_of(configs: Mapping[str, Any]) -> dict[int, dict[str, Any]]:
+    """AS -> its routers' configurations by name, from every router's
+    configuration as a clone starts (None for a process that is no
+    router).  Worked out once per snapshot; every clone's interface
+    reads it."""
+    domains: dict[int, dict[str, Any]] = {}
+    for name in sorted(configs):
+        config = configs[name]
+        if config is not None:
+            domains.setdefault(config.local_as, {})[name] = config
+    return domains
+
+
+class Domain:
+    """One AS, meaning every router of it, in one clone: what a
+    question reads.
+
+    A router's configuration comes from the built router, or from its
+    configuration as the clone started until it is built, so reading
+    one builds nothing.
+    """
+
+    __slots__ = ("asn", "_starts", "_clone")
+
+    def __init__(self, asn: int, starts: Mapping[str, Any], clone):
+        self.asn = asn
+        self._starts = starts
+        self._clone = clone
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._starts
+
+    def configs(self) -> list[Any]:
+        """Every router's configuration, in name order."""
+        built = self._clone.processes.built
+        return [
+            start if (router := built.get(name)) is None else router.config
+            for name, start in self._starts.items()
+        ]
+
+    def router(self, name: str):
+        """This domain's router ``name``, built if it was not."""
+        if name not in self._starts:
+            raise KeyError(f"AS {self.asn} has no router {name!r}")
+        return self._clone.processes[name]
+
+
+class SharingInterface:
+    """The interface as one clone's checks see it.
+
+    Built per clone in O(1): it keeps its four inputs as they are —
+    ``claims``, ``domains`` (:func:`domains_of`), the clone, and the
+    ``questions`` by name — and makes a :class:`Domain` only when a
+    query reaches one, so building it builds no router and allocates
+    nothing per AS.
+    """
+
+    __slots__ = ("claims", "domains", "_clone", "_questions", "audit_log")
+
+    def __init__(self, claims: ClaimTable, domains: Mapping[int, Mapping[str, Any]],
+                 clone, questions: Mapping[str, Question]):
+        self.claims = claims
+        self.domains = domains
+        self._clone = clone
+        self._questions = questions
+        self.audit_log: list[AuditEntry] = []
+
+    def query(self, requester_as: int, responder_as: int, question: str,
+              *args: Any, now: float = 0.0) -> Any:
+        """Ask AS ``responder_as`` one question; enforces the
+        narrow-response rule and logs the answer."""
+        starts = self.domains.get(responder_as)
+        if starts is None:
+            raise KeyError(f"no domain AS {responder_as}")
+        func = self._questions.get(question)
         if func is None:
-            raise KeyError(f"AS {self.asn} exposes no check {check!r}")
-        response = func(*args)
+            raise KeyError(f"no property declares question {question!r}")
+        response = func(Domain(responder_as, starts, self._clone), *args)
         if not isinstance(response, ALLOWED_RESPONSE_TYPES):
             raise SharingViolation(
-                f"check {check!r} on AS {self.asn} tried to return "
+                f"question {question!r} to AS {responder_as} tried to return "
                 f"{type(response).__name__}; only "
                 f"{'/'.join(t.__name__ for t in ALLOWED_RESPONSE_TYPES)} "
                 "may cross the sharing interface"
@@ -90,17 +211,13 @@ class SharingEndpoint:
             AuditEntry(
                 time=now,
                 requester_as=requester_as,
-                responder_as=self.asn,
-                check=check,
+                responder_as=responder_as,
+                check=question,
                 args=tuple(_scrub(arg) for arg in args),
                 response_type=type(response).__name__,
             )
         )
         return response
-
-    def commit(self, value: Any, salt: bytes) -> bytes:
-        """Produce a salted commitment to a local value (never the value)."""
-        return salted_digest(value, salt)
 
 
 def _scrub(arg: Any) -> Any:
@@ -110,98 +227,3 @@ def _scrub(arg: Any) -> Any:
     if isinstance(arg, (bool, int, str, bytes)):
         return arg
     return type(arg).__name__
-
-
-class SharingRegistry:
-    """Directory of endpoints plus prefix-origination claims.
-
-    ``claims`` hands in a table of claims, prefix -> claiming ASes, to
-    read and share: an explorer builds one and hands it to every clone's
-    registry, so a registry built over it claims nothing.
-    """
-
-    def __init__(self, claims: Mapping[Prefix, frozenset[int]] | None = None):
-        self._endpoints: dict[int, SharingEndpoint] = {}
-        self._claims: Mapping[Prefix, Set[int]] = (
-            {} if claims is None else claims
-        )
-        self._claims_shared = claims is not None
-
-    # -- endpoints --
-
-    def add_endpoint(self, endpoint: SharingEndpoint) -> None:
-        """Register one domain's endpoint (one per AS)."""
-        if endpoint.asn in self._endpoints:
-            raise ValueError(f"AS {endpoint.asn} already has an endpoint")
-        self._endpoints[endpoint.asn] = endpoint
-
-    def endpoint(self, asn: int) -> SharingEndpoint | None:
-        """The endpoint for ``asn``, if registered."""
-        return self._endpoints.get(asn)
-
-    def endpoints(self) -> list[SharingEndpoint]:
-        """All registered endpoints."""
-        return [self._endpoints[asn] for asn in sorted(self._endpoints)]
-
-    def query(self, requester_as: int, responder_as: int, check: str,
-              *args: Any, now: float = 0.0) -> Any:
-        """Route one cross-domain query."""
-        endpoint = self._endpoints.get(responder_as)
-        if endpoint is None:
-            raise KeyError(f"no endpoint for AS {responder_as}")
-        return endpoint.respond(requester_as, check, *args, now=now)
-
-    # -- origination claims (the IRR analogue) --
-
-    def claim_origin(self, asn: int, prefix: Prefix) -> None:
-        """Record that ``asn`` declares itself an origin for ``prefix``."""
-        if self._claims_shared:
-            raise ValueError("this registry reads a shared table of claims")
-        self._claims.setdefault(prefix, set()).add(asn)
-
-    def claimed_origins(self, prefix: Prefix) -> frozenset[int]:
-        """ASes with a registered claim exactly on ``prefix``."""
-        return frozenset(self._claims.get(prefix, ()))
-
-    def covering_claims(self, prefix: Prefix) -> frozenset[int]:
-        """ASes claiming ``prefix`` or any covering (shorter) prefix.
-
-        A more-specific announcement inside a claimed aggregate is not a
-        hijack when made by the aggregate's owner.
-        """
-        owners: set[int] = set()
-        for claimed, asns in self._claims.items():
-            if claimed.contains(prefix):
-                owners.update(asns)
-        return frozenset(owners)
-
-    def claim_table(self) -> dict[Prefix, frozenset[int]]:
-        """A copy of every claim, for registries to share (``claims``)."""
-        return {prefix: frozenset(self._claims[prefix])
-                for prefix in sorted(self._claims)}
-
-    def all_claimed_prefixes(self) -> list[Prefix]:
-        """Every prefix with at least one origination claim."""
-        return sorted(self._claims)
-
-    def claims_by(self, asn: int, covering: Prefix | None = None) -> list[Prefix]:
-        """Prefixes ``asn`` claims, optionally only those covering a prefix."""
-        result = []
-        for prefix, claimants in self._claims.items():
-            if asn not in claimants:
-                continue
-            if covering is not None and not prefix.contains(covering):
-                continue
-            result.append(prefix)
-        return sorted(result)
-
-    @staticmethod
-    def from_configs(configs) -> "SharingRegistry":
-        """Build a registry whose claims mirror the *initial* configured
-        originations — the trusted baseline the hijack check compares
-        against."""
-        registry = SharingRegistry()
-        for config in configs:
-            for prefix in config.networks:
-                registry.claim_origin(config.local_as, prefix)
-        return registry

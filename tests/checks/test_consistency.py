@@ -1,25 +1,26 @@
 """Tests for the commitment-based export-consistency check."""
 
 from repro.checks.consistency import ExportConsistency, wire_stable_view
-from repro.checks.hijack import build_sharing_endpoints
-from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
+from repro.core.properties import CheckContext, PropertySuite
+from repro.core.sharing import ClaimTable, SharingInterface, domains_of
 from repro.util.hashing import salted_digest
 
 
-def configs_of(network):
-    """The configuration of every router of a live network, by name."""
-    return {
+def make_context(live, node="r2", routers=None):
+    """A context at ``node`` whose interface asks the commitment
+    question of the domains of ``routers`` (default: every router)."""
+    configs = {
         name: process.config
-        for name, process in network.processes.items()
+        for name, process in live.network.processes.items()
+        if routers is None or name in routers
     }
-
-
-def make_context(live, node="r2"):
-    registry = SharingRegistry.from_configs(live.initial_configs)
-    configs = configs_of(live.network)
-    build_sharing_endpoints(live.network, registry, configs)
-    return CheckContext(clone=live.network, node=node, sharing=registry)
+    sharing = SharingInterface(
+        ClaimTable.from_configs(live.initial_configs),
+        domains_of(configs),
+        live.network,
+        PropertySuite([ExportConsistency()]).questions(),
+    )
+    return CheckContext(clone=live.network, node=node, sharing=sharing)
 
 
 class TestWireStableView:
@@ -82,10 +83,10 @@ class TestExportConsistency:
         """Responses crossing the interface are 32-byte digests only."""
         context = make_context(converged3)
         ExportConsistency().check(context)
-        for endpoint in context.sharing.endpoints():
-            for entry in endpoint.audit_log:
-                if entry.check == "export_commitment":
-                    assert entry.response_type == "bytes"
+        assert context.sharing.audit_log
+        for entry in context.sharing.audit_log:
+            assert entry.check == "export_commitment"
+            assert entry.response_type == "bytes"
 
     def test_fresh_salt_changes_commitment(self, converged3):
         r2 = converged3.router("r2")
@@ -94,19 +95,21 @@ class TestExportConsistency:
         assert salted_digest(view, b"salt-a") != salted_digest(view, b"salt-b")
 
     def test_skips_domains_without_commitment_check(self, converged3):
-        registry = SharingRegistry.from_configs(converged3.initial_configs)
-        # An endpoint for r2's own AS alone: no peer's AS has one to
+        # A domain for r2's own AS alone: no peer's AS has one to
         # answer a commitment, so the property must skip quietly.
-        configs = configs_of(converged3.network)
-        build_sharing_endpoints(
-            converged3.network, registry, {"r2": configs["r2"]}
-        )
-        context = CheckContext(
-            clone=converged3.network, node="r2", sharing=registry
-        )
+        context = make_context(converged3, routers={"r2"})
         assert ExportConsistency().check(context) == []
-        assert all(
-            entry.check != "export_commitment"
-            for endpoint in registry.endpoints()
-            for entry in endpoint.audit_log
-        )
+        assert context.sharing.audit_log == []
+
+    def test_a_multi_router_as_answers_from_the_session_router(
+        self, two_router_as
+    ):
+        """AS 65200's ``a`` originates 10.7.0.0/16 and ``b`` sends it to
+        y: the commitment comes from ``b``, which holds the session, so
+        the healthy system agrees at y."""
+        live = two_router_as("a")
+        context = make_context(live, node="y")
+        assert ExportConsistency().check(context) == []
+        assert [entry.args[:2] for entry in context.sharing.audit_log] == [
+            ("b", "y"),
+        ]

@@ -3,12 +3,11 @@
 from repro.checks.crash import CrashFreedom
 from repro.core.live import bgp_process_factory
 from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
 
 
 def make_context(live, node="r2"):
     return CheckContext(
-        clone=live.network, node=node, sharing=SharingRegistry()
+        clone=live.network, node=node
     )
 
 
@@ -40,7 +39,7 @@ class TestCrashFreedom:
         )
         prop = CrashFreedom()
         context = CheckContext(
-            clone=clone, node="r2", sharing=SharingRegistry()
+            clone=clone, node="r2"
         )
         prop.prepare(context)
         assert clone.processes["r3"].crash_count == 0

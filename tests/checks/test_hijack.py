@@ -1,27 +1,32 @@
 """Tests for the federated origin-authenticity (hijack) check."""
 
+import pytest
+
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
-from repro.checks.hijack import OriginAuthenticity, build_sharing_endpoints
-from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
+from repro.checks import default_property_suite
+from repro.checks.hijack import OriginAuthenticity
+from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
+from repro.core.properties import CheckContext, PropertySuite
+from repro.core.sharing import ClaimTable, SharingInterface, domains_of
 
 
-def configs_of(network):
-    """The configuration of every router of a live network, by name."""
-    return {
-        name: process.config
-        for name, process in network.processes.items()
-    }
+def sharing_over(live):
+    """The interface over a live network, asking the hijack check's
+    questions, with the claims of the initial configurations."""
+    return SharingInterface(
+        ClaimTable.from_configs(live.initial_configs),
+        domains_of({
+            name: process.config
+            for name, process in live.network.processes.items()
+        }),
+        live.network,
+        PropertySuite([OriginAuthenticity()]).questions(),
+    )
 
 
 def make_context(live, node="r2"):
-    registry = SharingRegistry.from_configs(live.initial_configs)
-    build_sharing_endpoints(live.network, registry, configs_of(live.network))
-    return CheckContext(
-        clone=live.network, node=node, sharing=registry
-    )
-
+    return CheckContext(clone=live.network, node=node, sharing=sharing_over(live))
 
 
 def evaluate(context):
@@ -29,6 +34,7 @@ def evaluate(context):
     prop = OriginAuthenticity()
     prop.prepare(context)
     return prop.check(context)
+
 
 class TestOriginAuthenticity:
     def test_clean_system_no_violation(self, converged3):
@@ -108,39 +114,72 @@ class TestOriginAuthenticity:
         converged3.converge()
         context = make_context(converged3, node="r3")
         evaluate(context)
-        owner_endpoint = context.sharing.endpoint(65001)
-        assert owner_endpoint.audit_log, "owner must have been queried"
-        for entry in owner_endpoint.audit_log:
+        owner_log = [entry for entry in context.sharing.audit_log
+                     if entry.responder_as == 65001]
+        assert owner_log, "owner must have been queried"
+        for entry in owner_log:
             assert entry.check in ("originates", "authorizes_origin")
             assert entry.response_type == "bool"
 
 
 class TestEndpointConstruction:
-    def test_one_endpoint_per_as(self, converged3):
-        registry = SharingRegistry()
-        build_sharing_endpoints(
-            converged3.network, registry, configs_of(converged3.network)
-        )
-        assert {ep.asn for ep in registry.endpoints()} == {
+    """A domain is an AS, every router of it; the questions are the
+    ones the suite's properties declare."""
+
+    def test_one_endpoint_per_as(self, converged3, two_router_as):
+        assert sorted(sharing_over(converged3).domains) == [
             65001, 65002, 65003,
-        }
+        ]
+        domains = sharing_over(two_router_as("b")).domains
+        assert sorted(domains) == [65200, 65300, 65400]
+        assert list(domains[65200]) == ["a", "b"]
 
     def test_endpoint_checks_registered(self, converged3):
-        registry = SharingRegistry()
-        build_sharing_endpoints(
-            converged3.network, registry, configs_of(converged3.network)
-        )
-        endpoint = registry.endpoint(65001)
-        assert endpoint.names() == ["authorizes_origin", "originates"]
+        sharing = sharing_over(converged3)
+        assert sharing.query(
+            65002, 65001, "authorizes_origin", Prefix("10.1.0.0/16"), 65001
+        ) is True
+        # Declared by ExportConsistency, which this suite does not hold.
+        with pytest.raises(KeyError):
+            sharing.query(65002, 65001, "export_commitment")
 
     def test_originates_answers_truthfully(self, converged3):
-        registry = SharingRegistry()
-        build_sharing_endpoints(
-            converged3.network, registry, configs_of(converged3.network)
-        )
-        assert registry.query(
+        sharing = sharing_over(converged3)
+        assert sharing.query(
             65002, 65001, "originates", Prefix("10.1.0.0/16")
         ) is True
-        assert registry.query(
+        assert sharing.query(
             65002, 65001, "originates", Prefix("10.9.0.0/16")
         ) is False
+
+    @pytest.mark.parametrize("originator", ["a", "b"])
+    def test_a_domain_answers_for_every_router_of_its_as(
+        self, two_router_as, originator
+    ):
+        """AS 65200 originates 10.7.0.0/16 whichever of its routers
+        does, and authorizes no other AS to."""
+        sharing = sharing_over(two_router_as(originator))
+        prefix = Prefix("10.7.0.0/16")
+        assert sharing.query(65300, 65200, "originates", prefix) is True
+        assert sharing.query(
+            65300, 65200, "authorizes_origin", prefix, 65200
+        ) is True
+        assert sharing.query(
+            65300, 65200, "authorizes_origin", prefix, 65400
+        ) is False
+
+
+@pytest.mark.parametrize("originator", ["a", "b"])
+def test_hijack_of_a_multi_router_as_is_found(two_router_as, originator):
+    """z (AS 65400) starts originating AS 65200's prefix: a campaign at
+    z finds the operator mistake whichever router of AS 65200
+    originates the prefix, not only when it is the first by name."""
+    live = two_router_as(originator)
+    live.apply_change("z", AddNetwork(Prefix("10.7.0.0/16")))
+    result = DiceOrchestrator(live, default_property_suite()).run_campaign(
+        OrchestratorConfig(explorer_nodes=["z"], inputs_per_node=2, seed=2,
+                           stop_after_first_fault=True)
+    )
+    assert {report.fault_class for report in result.reports} == {
+        "operator_mistake"
+    }

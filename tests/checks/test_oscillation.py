@@ -4,7 +4,6 @@ from repro.checks import oscillation
 from repro.checks.oscillation import RouteStability
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
 from repro.topo.gadgets import (
     GADGET_PREFIX,
     build_good_gadget,
@@ -14,7 +13,7 @@ from repro.topo.gadgets import (
 
 def make_context(live, node):
     return CheckContext(
-        clone=live.network, node=node, sharing=SharingRegistry()
+        clone=live.network, node=node
     )
 
 
@@ -57,7 +56,7 @@ class TestRouteStability:
         clone = live3.coordinator.capture("r1").clone(bgp_process_factory)
         prop = RouteStability()
         context = CheckContext(
-            clone=clone, node="r2", sharing=SharingRegistry()
+            clone=clone, node="r2"
         )
         prop.prepare(context)
         assert context.router.loc_rib.journal() == []

@@ -2,12 +2,11 @@
 
 from repro.checks.sessions import SessionCascade
 from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
 
 
 def make_context(live, node="r2", peer="r1"):
     return CheckContext(
-        clone=live.network, node=node, sharing=SharingRegistry(), peer=peer
+        clone=live.network, node=node, peer=peer
     )
 
 

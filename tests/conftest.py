@@ -142,6 +142,45 @@ def scarred_live():
     return build_scarred3
 
 
+def build_two_router_as(originator):
+    """A federation whose AS 65200 has two routers, ``a`` and ``b``,
+    over iBGP: ``originator`` of them originates 10.7.0.0/16, and ``b``
+    alone peers with ``y`` (AS 65300), which peers with ``z``
+    (AS 65400).  Converged."""
+    from repro.bgp.config import NeighborConfig, RouterConfig
+    from repro.net.link import LinkProfile
+
+    neighbors = {
+        "a": [("b", 65200)], "b": [("a", 65200), ("y", 65300)],
+        "y": [("b", 65200), ("z", 65400)], "z": [("y", 65300)],
+    }
+    as_of = {"a": 65200, "b": 65200, "y": 65300, "z": 65400}
+    configs = [
+        RouterConfig(
+            name=name,
+            local_as=as_of[name],
+            router_id=IPv4Address(f"172.16.7.{index}"),
+            networks=(Prefix("10.7.0.0/16"),) if name == originator else (),
+            neighbors=tuple(
+                NeighborConfig(peer=peer, peer_as=peer_as)
+                for peer, peer_as in neighbors[name]
+            ),
+        )
+        for index, name in enumerate(sorted(neighbors), start=1)
+    ]
+    links = [("a", "b", LinkProfile.lan()), ("b", "y", LinkProfile.wan()),
+             ("y", "z", LinkProfile.wan())]
+    live = LiveSystem.build(configs, links, seed=0)
+    live.converge()
+    return live
+
+
+@pytest.fixture(scope="session")
+def two_router_as():
+    """:func:`build_two_router_as`: each call builds the system afresh."""
+    return build_two_router_as
+
+
 @pytest.fixture
 def bad_gadget_live():
     """The BAD GADGET system, freshly built."""

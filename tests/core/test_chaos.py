@@ -37,6 +37,7 @@ from repro.core.remote import (
     WorkerDiedError,
     WorkerServer,
 )
+from repro.core.sharing import ClaimTable
 
 # The quickstart faulty system explores nodes r1, r2, r3 over two
 # slots, and a whole cycle is submitted before any of it resolves, so
@@ -108,7 +109,7 @@ class StubTransport:
 def stub_task(node):
     return ExplorationTask(
         config=ExplorationConfig(node=node), shard=whole_session(30),
-        snapshot=None, suite=default_property_suite(), claims=(),
+        snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
     )
 
 

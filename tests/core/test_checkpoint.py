@@ -18,7 +18,6 @@ from repro.checks.oscillation import RouteStability
 from repro.core.checkpoint import capture, checkpoint_size
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
 from repro.differential.extract import capture_canonical_ribs
 from repro.net.network import Network
 from repro.topo.gadgets import build_bad_gadget
@@ -446,13 +445,13 @@ class TestBulkRestoreEqualsReplay:
         live = scarred_live()
         check = RouteStability()
         assert check.check(CheckContext(
-            clone=live.network, node="r2", sharing=SharingRegistry()
+            clone=live.network, node="r2"
         ))
         clone = live.coordinator.capture("r1").clone(
             bgp_process_factory, seed=5
         )
         context = CheckContext(
-            clone=clone, node="r2", sharing=SharingRegistry()
+            clone=clone, node="r2"
         )
         check.prepare(context)
         assert len(list(clone.processes.values())) == 3

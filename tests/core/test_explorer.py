@@ -18,7 +18,7 @@ from repro.core.explorer import (
     STRATEGY_RANDOM,
     summarize_input,
 )
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable
 
 
 def quickstart5(networks=True):
@@ -36,7 +36,7 @@ def quickstart5(networks=True):
 
 def make_explorer(live):
     snapshot = live.coordinator.capture("r2")
-    claims = SharingRegistry.from_configs(live.initial_configs)
+    claims = ClaimTable.from_configs(live.initial_configs)
     return Explorer(snapshot, default_property_suite(), claims)
 
 
@@ -141,7 +141,7 @@ class TestExplore:
     def test_unestablished_node_skipped(self, live3):
         # Snapshot before any session comes up.
         snapshot = live3.coordinator.capture_atomic("r2")
-        claims = SharingRegistry.from_configs(live3.initial_configs)
+        claims = ClaimTable.from_configs(live3.initial_configs)
         explorer = Explorer(snapshot, default_property_suite(), claims)
         report = explorer.explore(ExplorationConfig(node="r2", inputs=5))
         assert report.executions == 0
@@ -255,7 +255,7 @@ class TestSessionIgnoresProcessHistory:
                                             monkeypatch):
         live = converged3_with_bug
         snapshot = live.coordinator.capture("r2")
-        claims = SharingRegistry.from_configs(live.initial_configs)
+        claims = ClaimTable.from_configs(live.initial_configs)
         cold = self.session(snapshot, claims, monkeypatch, seed=11)
         assert len(cold[0]) == 40
         assert any(branches for _, _, branches, _ in cold[0])
@@ -335,7 +335,7 @@ class TestSelectionExploration:
         live = LiveSystem.build(configs, links, seed=5)
         live.converge()
         snapshot = live.coordinator.capture("c")
-        claims = SharingRegistry.from_configs(live.initial_configs)
+        claims = ClaimTable.from_configs(live.initial_configs)
         explorer = Explorer(snapshot, default_property_suite(), claims)
         report = explorer.explore_selection(
             "c", max_executions=20 * candidates, seed=2, prefix=prefix
@@ -371,7 +371,7 @@ class TestCloneRelease:
         live.converge()
         node = demo27_topology.nodes_in_tier(1)[0]
         snapshot = live.coordinator.capture(node)
-        claims = SharingRegistry.from_configs(live.initial_configs)
+        claims = ClaimTable.from_configs(live.initial_configs)
         explorer = Explorer(snapshot, default_property_suite(), claims)
         return live, node, explorer
 

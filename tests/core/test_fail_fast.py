@@ -44,7 +44,7 @@ from repro.core.faultclass import (
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.orchestrator import DiceOrchestrator, OrchestratorConfig
 from repro.core.properties import CheckContext
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable, SharingInterface
 from repro.net.network import Network
 from repro.topo.gadgets import build_disagree, build_good_gadget
 from repro.topo.internet import TopologyParams, build_internet
@@ -235,7 +235,7 @@ def test_route_stability_states_the_seconds_observed():
     live = bad_gadget_live()
     snapshot = live.coordinator.capture("r1")
     explorer = Explorer(snapshot, default_property_suite(),
-                        SharingRegistry.from_configs(live.initial_configs))
+                        ClaimTable.from_configs(live.initial_configs))
     report = explorer.explore(ExplorationConfig(
         node="r1", inputs=2, horizon=15.0, seed=4, stop_at_first_fault=True,
     ))
@@ -273,8 +273,10 @@ def open_clone(snapshot, node, inject=None):
     SymBytes) handed to ``node`` from its first established peer."""
     clone = snapshot.clone(bgp_process_factory, seed=11)
     peer = next(iter(clone.processes[node].established_peers()))
-    context = CheckContext(clone=clone, node=node,
-                           sharing=SharingRegistry(), peer=peer)
+    context = CheckContext(
+        clone=clone, node=node, peer=peer,
+        sharing=SharingInterface(ClaimTable(), {}, clone, {}),
+    )
     suite = default_property_suite()
     suite.prepare_all(context)
     if inject is not None:

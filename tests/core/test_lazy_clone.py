@@ -35,7 +35,7 @@ from repro.concolic.grammar import UpdateGrammar
 from repro.core.explorer import STOP_SLICES, Explorer
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.properties import CheckContext, PropertySuite
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable
 from repro.net.network import Network
 
 
@@ -87,7 +87,7 @@ def systems(demo27_topology, scarred_live):
     explorers = {}
     for name, (live, initiator, nodes) in built.items():
         snapshot = live.coordinator.capture(initiator)
-        claims = SharingRegistry.from_configs(live.initial_configs)
+        claims = ClaimTable.from_configs(live.initial_configs)
         explorers[name] = (
             Explorer(snapshot, default_property_suite(), claims), nodes,
         )

@@ -144,7 +144,7 @@ class TestCampaign:
         from repro.bgp.ip import Prefix
 
         dice = make_orchestrator(converged3)
-        assert dice.claims.claimed_origins(Prefix("10.1.0.0/16")) == {65001}
+        assert dice.claims.origins(Prefix("10.1.0.0/16")) == {65001}
 
     def test_stop_after_first_fault(self, converged3_with_bug):
         from repro.bgp.config import AddNetwork

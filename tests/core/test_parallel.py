@@ -30,15 +30,13 @@ from repro.core.parallel import (
     LocalPoolTransport,
     ParallelCampaignEngine,
     TaskOutcome,
-    claims_from_spec,
-    claims_to_spec,
     make_transport,
     resolve_workers,
     run_task,
 )
 from repro.core.payload import SnapshotEncoder
 from repro.core.remote import LoopbackTransport, SocketTransport, WorkerServer
-from repro.core.sharing import SharingRegistry
+from repro.core.sharing import ClaimTable
 
 
 def run_campaign(workers, cycles=2, inputs=6, stop=False):
@@ -120,7 +118,6 @@ class TestExplorationTask:
         live = quickstart_system(seed=7)
         live.converge()
         snapshot = live.coordinator.capture("r2")
-        claims = SharingRegistry.from_configs(live.initial_configs)
         config = ExplorationConfig(
             **{"node": "r2", "seed": 13, "inputs": 3, "horizon": 1.0,
                **config}
@@ -130,7 +127,7 @@ class TestExplorationTask:
             shard=whole_session(config.inputs),
             snapshot=snapshot,
             suite=default_property_suite(),
-            claims=claims_to_spec(claims),
+            claims=ClaimTable.from_configs(live.initial_configs),
         )
 
     def test_pickle_round_trip(self):
@@ -254,19 +251,24 @@ class TestExplorationTask:
         assert [o.report.node for o in outcomes] == ["r1", "r2", "r3"]
 
 
-class TestClaimSpec:
-    def test_round_trip(self):
-        registry = SharingRegistry()
-        registry.claim_origin(65001, Prefix("10.1.0.0/16"))
-        registry.claim_origin(65002, Prefix("10.1.0.0/16"))
-        registry.claim_origin(65003, Prefix("10.3.0.0/16"))
-        spec = claims_to_spec(registry)
-        rebuilt = claims_from_spec(spec)
-        assert rebuilt.claimed_origins(Prefix("10.1.0.0/16")) == {
-            65001, 65002,
-        }
-        assert rebuilt.claimed_origins(Prefix("10.3.0.0/16")) == {65003}
-        assert claims_to_spec(rebuilt) == spec
+class TestTaskClaims:
+    def test_claims_pickle_and_compare_equal(self):
+        """A task ships its claims table as it is: the worker's copy
+        equals the campaign's and answers the same."""
+        claims = ClaimTable([
+            (65001, Prefix("10.1.0.0/16")),
+            (65002, Prefix("10.1.0.0/16")),
+            (65003, Prefix("10.3.0.0/16")),
+        ])
+        task = ExplorationTask(
+            config=ExplorationConfig(node="r1"), shard=whole_session(1),
+            snapshot=None, suite=default_property_suite(), claims=claims,
+        )
+        restored = pickle.loads(pickle.dumps(task)).claims
+        assert restored == claims
+        assert restored != ClaimTable()
+        assert restored.origins(Prefix("10.1.0.0/16")) == {65001, 65002}
+        assert restored.origins(Prefix("10.3.0.0/16")) == {65003}
 
 
 class TestResolveWorkers:
@@ -412,6 +414,6 @@ class TestInlineSubmit:
                     config=ExplorationConfig(node="r1"),
                     shard=whole_session(30),
                     snapshot=None, suite=default_property_suite(),
-                    claims=(),
+                    claims=ClaimTable(),
                 )
             )

@@ -10,7 +10,6 @@ from repro.core.properties import (
     PropertySuite,
     Violation,
 )
-from repro.core.sharing import SharingRegistry
 
 
 class AlwaysFires(Property):
@@ -41,7 +40,6 @@ def make_context(converged3):
     return CheckContext(
         clone=converged3.network,
         node="r2",
-        sharing=SharingRegistry(),
     )
 
 

@@ -36,6 +36,7 @@ from repro.core.remote import (
     encode_frame,
     parse_address,
 )
+from repro.core.sharing import ClaimTable
 
 
 def run_campaign(workers=1, cycles=2, inputs=4, stop=False, **kwargs):
@@ -119,7 +120,7 @@ class TestRemoteWorkerState:
         state = RemoteWorkerState()
         broken = ExplorationTask(
             config=ExplorationConfig(node="r1"), shard=whole_session(30),
-            snapshot=None, suite=default_property_suite(), claims=(),
+            snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
         )
         kind, request_id, summary, trace = state.handle(
             ("task", 5, broken)
@@ -139,7 +140,7 @@ class TestRemoteWorkerState:
         monkeypatch.setattr(remote_module, "run_task", interrupted)
         broken = ExplorationTask(
             config=ExplorationConfig(node="r1"), shard=whole_session(30),
-            snapshot=None, suite=default_property_suite(), claims=(),
+            snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
         )
         with pytest.raises(KeyboardInterrupt):
             RemoteWorkerState().handle(("task", 1, broken))
@@ -159,7 +160,7 @@ class TestRemoteWorkerState:
             config=ExplorationConfig(node="r2", inputs=2, horizon=1.0),
             shard=whole_session(2),
             snapshot=live.coordinator.capture("r2"),
-            suite=default_property_suite(), claims=(),
+            suite=default_property_suite(), claims=ClaimTable(),
         )
         broken = dataclasses.replace(task, snapshot=None)
         state = RemoteWorkerState()
@@ -268,7 +269,7 @@ class TestLoopbackCampaigns:
         transport = LoopbackTransport(slots=1)
         broken = ExplorationTask(
             config=ExplorationConfig(node="r1"), shard=whole_session(30),
-            snapshot=None, suite=default_property_suite(), claims=(),
+            snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
         )
         future = transport.submit(0, broken)
         with pytest.raises(RemoteWorkerError, match="ValueError"):
@@ -405,7 +406,7 @@ class TestAbortAndCleanup:
         try:
             task = ExplorationTask(
                 config=ExplorationConfig(node="r1"), shard=whole_session(30),
-                snapshot=None, suite=default_property_suite(), claims=(),
+                snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
             )
             future = transport.submit(0, task)
             with pytest.raises(WorkerDiedError, match="died") as caught:
@@ -441,7 +442,7 @@ class TestAbortAndCleanup:
                               ConnectionError)
             task = ExplorationTask(
                 config=ExplorationConfig(node="r1"), shard=whole_session(30),
-                snapshot=None, suite=default_property_suite(), claims=(),
+                snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
             )
             with pytest.raises(WorkerDiedError, match="died"):
                 transport.submit(0, task).result(timeout=10)
@@ -467,7 +468,7 @@ class TestAbortAndCleanup:
         try:
             task = ExplorationTask(
                 config=ExplorationConfig(node="r1"), shard=whole_session(30),
-                snapshot=None, suite=default_property_suite(), claims=(),
+                snapshot=None, suite=default_property_suite(), claims=ClaimTable(),
             )
             future = transport.submit(0, task)
             assert not future.done()

@@ -8,6 +8,7 @@ fail loudly with a *named* error, never return garbage or raise a stray
 ``AttributeError`` from pickle's opcode machinery.
 """
 
+import pickle
 import socket
 
 import pytest
@@ -25,14 +26,13 @@ from repro.core.explorer import (  # noqa: E402
 from repro.core.parallel import (  # noqa: E402
     ExplorationTask,
     TaskOutcome,
-    claims_from_spec,
-    claims_to_spec,
 )
 from repro.core.remote import (  # noqa: E402
     decode_frame,
     encode_frame,
     recv_message,
 )
+from repro.core.sharing import ClaimTable  # noqa: E402
 
 # Messages are pickled tuples of primitives (request ids, summaries);
 # nested containers cover the task/outcome shapes.
@@ -138,16 +138,17 @@ configs = st.builds(
     horizon=st.floats(min_value=0.1, max_value=600, allow_nan=False),
     seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
 )
-claim_specs = st.lists(
+claim_pairs = st.lists(
     st.tuples(
+        st.integers(min_value=1, max_value=2 ** 32 - 1),
         st.tuples(st.integers(min_value=1, max_value=223),
                   st.integers(min_value=0, max_value=255),
                   st.sampled_from([8, 16, 24])).map(
-            lambda t: f"{t[0]}.{t[1] if t[2] > 8 else 0}.0.0/{t[2]}"),
-        st.integers(min_value=1, max_value=2 ** 32 - 1),
+            lambda t: Prefix(f"{t[0]}.{t[1] if t[2] > 8 else 0}.0.0/{t[2]}")),
     ),
     max_size=6,
-).map(tuple)
+)
+claim_tables = claim_pairs.map(ClaimTable)
 counts = st.integers(min_value=0, max_value=10 ** 6)
 round0_shards = st.builds(
     FrontierShard,
@@ -165,7 +166,7 @@ def make_task(config, claims, blob, shard):
 
 
 class TestTaskFrameProperties:
-    @given(shard=round0_shards, config=configs, claims=claim_specs,
+    @given(shard=round0_shards, config=configs, claims=claim_tables,
            blob=st.binary(max_size=2048))
     def test_task_frame_round_trips(self, shard, config, claims, blob):
         task = make_task(config, claims, blob, shard)
@@ -179,7 +180,7 @@ class TestTaskFrameProperties:
         assert decoded.snapshot_blob == blob
         assert decoded.snapshot is None
 
-    @given(config=configs, claims=claim_specs,
+    @given(config=configs, claims=claim_tables,
            blobs=st.tuples(st.binary(max_size=4096),
                            st.binary(max_size=4096)))
     def test_task_envelope_does_not_grow_with_the_payload(
@@ -216,16 +217,18 @@ class TestTaskFrameProperties:
         assert decoded.report == report
         assert decoded.frontier == Frontier()
 
-    @given(spec=claim_specs)
-    def test_claim_spec_is_canonical(self, spec):
-        """Claims travel as sorted (prefix, asn) pairs: rebuilding them
-        in a worker and flattening again is a fixed point, whatever
-        order and duplicates the campaign side produced."""
-        canonical = claims_to_spec(claims_from_spec(spec))
-        assert claims_to_spec(claims_from_spec(canonical)) == canonical
-        assert canonical == tuple(sorted(
-            set(canonical), key=lambda pair: (Prefix(pair[0]), pair[1])
-        ))
-        assert set(canonical) == {
-            (str(Prefix(prefix)), asn) for prefix, asn in spec
-        }
+    @given(pairs=claim_pairs)
+    def test_claim_spec_is_canonical(self, pairs):
+        """The claims a task carries are canonical: a table is the same,
+        and pickles to the same bytes, whatever order and repeats the
+        campaign side claimed in, and it holds exactly the claims."""
+        table = ClaimTable(pairs)
+        again = ClaimTable(list(reversed(pairs)) * 2)
+        assert again == table
+        assert pickle.dumps(again) == pickle.dumps(table)
+        assert pickle.loads(pickle.dumps(table)) == table
+        assert {
+            (asn, prefix)
+            for _, prefix in pairs
+            for asn in table.origins(prefix)
+        } == set(pairs)
