@@ -182,11 +182,11 @@ def policy_costs(seed: int) -> dict:
     runs = []
     ask, evaluate = BGPRouter._filter, Filter.evaluate
 
-    def asking(router, policy, route, shadowed=False):
+    def asking(router, policy, route):
         evaluations.append(
             (policy, route, router.config.default_local_pref)
         )
-        return ask(router, policy, route, shadowed)
+        return ask(router, policy, route)
 
     def running(policy, route, default_local_pref=100):
         runs.append(policy)

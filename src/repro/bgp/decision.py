@@ -15,14 +15,22 @@ a candidate set with it.  The chain, in order:
 
 This is the code region the paper marks symbolic to "systematically
 explore the outcome of BGP's route selection process": the comparisons
-below branch on ``effective_local_pref``/``effective_med``, which read the
-symbolic shadows planted by the explorer when present.
+below branch on the routes' attribute values, which are symbolic where
+a decoded concolic input or the explorer put a symbolic value in the
+set, and so record path constraints.
+
+A router's seeded decision bugs (``bugs``, its ``enabled_bugs``) are an
+input here: the off-by-one path length, the sign-flipped MED and the
+inverted LOCAL_PREF of :mod:`repro.bgp.faults` change the values
+compared, not the routes.  An empty set costs one truth test per
+criterion that a bug can touch.
 """
 
 from __future__ import annotations
 
 from typing import Iterable
 
+from repro.bgp import faults
 from repro.bgp.route import SOURCE_EBGP, Route
 
 DEFAULT_LOCAL_PREF = 100
@@ -33,6 +41,7 @@ def compare_routes(
     b: Route,
     default_local_pref: int = DEFAULT_LOCAL_PREF,
     always_compare_med: bool = False,
+    bugs: frozenset[str] = frozenset(),
 ) -> int:
     """Return <0 if ``a`` is preferred, >0 if ``b`` is, never 0 for
     distinct feasible routes (the final tie-break is total).
@@ -43,6 +52,9 @@ def compare_routes(
     """
     lp_a = a.effective_local_pref(default_local_pref)
     lp_b = b.effective_local_pref(default_local_pref)
+    if bugs and faults.BUG_INVERTED_LOCAL_PREF in bugs:
+        lp_a = faults.buggy_local_pref(lp_a)
+        lp_b = faults.buggy_local_pref(lp_b)
     if lp_a > lp_b:
         return -1
     if lp_a < lp_b:
@@ -50,6 +62,9 @@ def compare_routes(
 
     len_a = a.attributes.as_path.length()
     len_b = b.attributes.as_path.length()
+    if bugs and faults.BUG_ASPATH_OFF_BY_ONE in bugs:
+        len_a = faults.buggy_path_length(len_a, True)
+        len_b = faults.buggy_path_length(len_b, True)
     if len_a < len_b:
         return -1
     if len_a > len_b:
@@ -69,6 +84,9 @@ def compare_routes(
     if always_compare_med or same_neighbor_as:
         med_a = a.effective_med()
         med_b = b.effective_med()
+        if bugs and faults.BUG_MED_SIGNED_OVERFLOW in bugs:
+            med_a = faults.buggy_med(med_a, True)
+            med_b = faults.buggy_med(med_b, True)
         if med_a < med_b:
             return -1
         if med_a > med_b:
@@ -101,8 +119,10 @@ def best_route(
     candidates: Iterable[Route],
     default_local_pref: int = DEFAULT_LOCAL_PREF,
     always_compare_med: bool = False,
+    bugs: frozenset[str] = frozenset(),
 ) -> Route | None:
-    """Select the most preferred route, or None for an empty set.
+    """Select the most preferred route, or None for an empty set; the
+    winner is one of ``candidates`` itself.
 
     A linear reduction with ``compare_routes``; iBGP routes whose own AS
     appears in the path were already rejected at ingress, so every
@@ -118,6 +138,7 @@ def best_route(
             best,
             default_local_pref=default_local_pref,
             always_compare_med=always_compare_med,
+            bugs=bugs,
         )
         if verdict < 0:
             best = route

@@ -19,10 +19,11 @@ the filter does.  The live system, its checkpoints and every clone
 share a filter (invariant 5), so nothing is compiled or written after
 ``__init__``; it pickles as its definition.
 
-Every read consults the route's symbolic shadows first (``route.sym``:
-``local_pref``, ``med``, ``origin``, ``pfx_network``/``pfx_length``,
-``path_len``), so the *configured policy itself* contributes path
-constraints — the paper's "comprehensive of both code and configuration".
+A filter reads the route's own values.  A symbolic one among them, put
+in the attribute set by a decoded concolic input or by the explorer,
+records a branch wherever the filter forces its truth, so the
+*configured policy itself* contributes path constraints — the paper's
+"comprehensive of both code and configuration".
 
 The symbolic-order contract.  A symbolic value records a branch each
 time its truth is forced (``bool()``).  A compiled filter forces truth
@@ -83,16 +84,16 @@ def community_value(high: int, low: int) -> int:
 class _AsPathView:
     """``bgp_path`` as a value, where a filter uses it whole."""
 
-    def __init__(self, path: AsPath, length_shadow: Any):
+    def __init__(self, path: AsPath):
         self.path = path
-        self.len = path.length() if length_shadow is None else length_shadow
+        self.len = path.length()
         first, last = path.first_as(), path.origin_as()
         self.first = -1 if first is None else first
         self.last = -1 if last is None else last
 
 
 class _NetView:
-    """``net`` as a value: a prefix with possibly-symbolic components."""
+    """``net`` as a value: a prefix's network and length."""
 
     def __init__(self, network: Any, length: Any):
         self.network = network
@@ -116,23 +117,22 @@ class _Frame:
     or ``None`` for communities and path, until then), and ``net`` and
     ``bgp_path`` as values once the filter uses one whole."""
 
-    __slots__ = ("route", "attrs", "sym", "default_lp", "origin", "med",
+    __slots__ = ("route", "attrs", "default_lp", "origin", "med",
                  "local_pref", "communities", "path", "views")
 
     def __init__(self, route: Route, default_lp: int):
         self.route = route
         self.attrs = route.attributes
-        self.sym = route.sym
         self.default_lp = default_lp
         self.origin = self.med = self.local_pref = _UNSET
         self.communities = self.path = self.views = None
 
 
-def _value(slot: str, unshadowed: Step) -> Step:
-    """Reads a working value: the write, else its shadow, else the route's."""
+def _value(slot: str, unwritten: Step) -> Step:
+    """Reads a working value: the write, else the route's."""
     def read(f: _Frame) -> Any:
         value = getattr(f, slot)
-        return f.sym.get(slot, unshadowed(f)) if value is _UNSET else value
+        return unwritten(f) if value is _UNSET else value
     return read
 
 
@@ -144,9 +144,8 @@ def _current(f: _Frame) -> Any:
 def _view(f: _Frame, index: int) -> Any:
     if f.views is None:
         prefix = f.route.prefix
-        f.views = (_NetView(f.sym.get("pfx_network", prefix.network),
-                            f.sym.get("pfx_length", prefix.length)),
-                   _AsPathView(f.attrs.as_path, f.sym.get("path_len")))
+        f.views = (_NetView(prefix.network, prefix.length),
+                   _AsPathView(f.attrs.as_path))
     return f.views[index]
 
 
@@ -163,8 +162,7 @@ _READERS: dict[str, Step] = {
 }
 # Fields read straight off the frame, without building a view.
 _FIELDS: dict[tuple[str, str], Step] = {
-    ("bgp_path", "len"): lambda f: f.attrs.as_path.length()
-    if f.sym.get("path_len") is None else f.sym["path_len"],
+    ("bgp_path", "len"): lambda f: f.attrs.as_path.length(),
 }
 
 
@@ -355,8 +353,8 @@ def _statement(node: Any) -> Step:
 
 
 def _writes(f: _Frame) -> tuple:
-    """What the accepted route's set changes: each write or MED/LOCAL_PREF
-    shadow that differs from the route's value, as ``(field, value)``."""
+    """What the accepted route's set changes: each write that differs
+    from the route's value, as ``(field, value)``."""
     attrs, changes = f.attrs, {}
     for name, value in (
         ("origin", f.origin), ("med", f.med), ("local_pref", f.local_pref),
@@ -364,8 +362,6 @@ def _writes(f: _Frame) -> tuple:
          else tuple(f.communities)),
         ("as_path", _UNSET if f.path is None else f.path),
     ):
-        if value is _UNSET and name in ("med", "local_pref"):
-            value = f.sym.get(name, _UNSET)
         # A write of the value already there leaves the set as it is:
         # one object fewer per evaluated route, one attribute-cache probe.
         if value is not _UNSET and not _unchanged(value, getattr(attrs, name)):
@@ -388,8 +384,8 @@ def _unchanged(new: Any, old: Any) -> bool:
     return type(new) is int and type(old) is int and new == old
 
 
-# What each readable name reads of a route without shadows, as
-# ``operator.attrgetter`` paths.
+# What each readable name reads of a route, as ``operator.attrgetter``
+# paths.
 _INPUTS = {
     "bgp_origin": "attributes.origin", "bgp_med": "attributes.med",
     "bgp_local_pref": "attributes.local_pref", "source": "source",
@@ -422,12 +418,12 @@ def _no_inputs(route: Route) -> tuple:
 class Filter:
     """A runnable filter, compiled from its definition when built.
 
-    ``inputs`` maps a route without shadows and with a concrete attribute
-    set to the values the filter reads of it, so two such routes with
-    equal inputs get one outcome: the same verdict, the same
-    fall-through and the same writes.  It is None for a filter that names
-    anything but the eight readable names; such a filter is run on every
-    route, and raises where it reads one.
+    ``inputs`` maps a route with a concrete attribute set to the values
+    the filter reads of it, so two such routes with equal inputs get one
+    outcome: the same verdict, the same fall-through and the same
+    writes.  It is None for a filter that names anything but the eight
+    readable names; such a filter is run on every route, and raises
+    where it reads one.
     """
 
     def __init__(self, definition: lang.FilterDef):

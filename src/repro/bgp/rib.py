@@ -181,7 +181,7 @@ class AdjRibOut:
     prefix to the :class:`PathAttributes` of the announcement.
 
     An entry holds what went on the wire and nothing else — no
-    provenance, no shadows — so every peer of one update group holds
+    provenance — so every peer of one update group holds
     the same attribute object (a symbolic set, which is exported once
     per peer, is that peer's own).  Each entry is keyed by the prefix
     object last announced, the Loc-RIB route's own: an announcement

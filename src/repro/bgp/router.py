@@ -529,28 +529,27 @@ class BGPRouter(Process):
                 return False
         return True
 
-    def _filter(self, policy: Filter, route: Route,
-                shadowed: bool = False) -> tuple[PathAttributes | None, bool]:
+    def _filter(self, policy: Filter,
+                route: Route) -> tuple[PathAttributes | None, bool]:
         """``policy`` over ``route``: the canonical attribute set it
         accepts (None when it rejects), and whether it fell through.
 
-        A route without shadows (``shadowed`` says the caller stripped
-        some) and with a concrete set takes its outcome from
+        A route with a concrete attribute set takes its outcome from
         ``Network.interned``, under the values ``policy`` reads of it
         (:attr:`Filter.inputs`) and the default LOCAL_PREF, so a filter
         runs once per distinct input this network's routers hand it.
         The outcome is the verdict, the fall-through and the writes, and
-        the writes map to the canonical set through :meth:`_with`.  Any
-        other route is filtered every time, so the concolic engine
-        records every branch each evaluation takes.  A filter that
-        raises does so on every route, as nothing is kept for it, and
-        an accepted set holding a value no attribute cache keeps (an
-        ``int`` field set to a bool) is never kept either.
+        the writes map to the canonical set through :meth:`_with`.  A
+        route whose set holds a symbolic value is filtered every time,
+        so the concolic engine records every branch each evaluation
+        takes.  A filter that raises does so on every route, as nothing
+        is kept for it, and an accepted set holding a value no attribute
+        cache keeps (an ``int`` field set to a bool) is never kept either.
         """
         network = self.network
         default_local_pref = self.config.default_local_pref
         inputs = policy.inputs
-        if (network is None or shadowed or route.sym or inputs is None
+        if (network is None or inputs is None
                 or not route.attributes.is_concrete()):
             result = policy.evaluate(route, default_local_pref)
             return (self._canonical(result.attributes) if result.accepted
@@ -610,51 +609,15 @@ class BGPRouter(Process):
         return changes
 
     def _select(self, candidates: list[Route]) -> Route | None:
-        """The route selection process, with injected-bug hooks applied."""
-        if not candidates:
-            return None
-        bugged = bool(self.config.enabled_bugs)
-        adjusted = (
-            [self._apply_semantic_bugs(route) for route in candidates]
-            if bugged else candidates
-        )
-        best = best_route(
-            adjusted,
-            default_local_pref=self.config.default_local_pref,
-            always_compare_med=self.config.always_compare_med,
-        )
-        assert best is not None
-        if not bugged:
-            return best
-        # Map back to the unadjusted route object for installation.
-        index = next(i for i, route in enumerate(adjusted) if route is best)
-        return candidates[index]
-
-    def _apply_semantic_bugs(self, route: Route) -> Route:
-        """Overlay the off-by-one / MED-overflow / inverted-LOCAL_PREF
-        bugs as symbolic shadows."""
-        off_by_one = self.config.bug_enabled(faults.BUG_ASPATH_OFF_BY_ONE)
-        med_overflow = self.config.bug_enabled(faults.BUG_MED_SIGNED_OVERFLOW)
-        inverted = self.config.bug_enabled(faults.BUG_INVERTED_LOCAL_PREF)
-        if not (off_by_one or med_overflow or inverted):
-            return route
-        shadows = dict(route.sym)
-        if off_by_one:
-            true_len = shadows.get("path_len", route.attributes.as_path.length())
-            shadows["path_len"] = faults.buggy_path_length(true_len, True)
-        if med_overflow:
-            med = shadows.get(
-                "med",
-                route.attributes.med if route.attributes.med is not None else 0,
-            )
-            shadows["med"] = faults.buggy_med(med, True)
-        if inverted:
-            shadows["local_pref"] = faults.buggy_local_pref(
-                route.effective_local_pref(self.config.default_local_pref)
-            )
-        if shadows == route.sym:
-            return route
-        return route.replace(sym=shadows)
+        """The route selection process: the candidate object
+        :func:`best_route` returns, under this router's seeded bugs."""
+        config = self.config
+        return best_route(
+            candidates,
+            default_local_pref=config.default_local_pref,
+            always_compare_med=config.always_compare_med,
+            bugs=config.enabled_bugs,
+        ) if candidates else None
 
     # -- export -------------------------------------------------------------------
 
@@ -759,11 +722,7 @@ class BGPRouter(Process):
         if not is_ibgp_peer and attrs.as_path.contains(neighbor.peer_as):
             return None
         policy = self.config.get_filter(neighbor.export_filter)
-        # Symbolic shadows stay local: they never reach the wire.
-        attrs, fell_through = self._filter(
-            policy, route.replace(sym={}) if route.sym else route,
-            shadowed=bool(route.sym),
-        )
+        attrs, fell_through = self._filter(policy, route)
         if fell_through:
             _log.debug("filter_fell_through %s t=%.3f peer=%s export "
                        "prefix=%s", self.name, self.now, peer, route.prefix)
@@ -848,9 +807,9 @@ class BGPRouter(Process):
         """Re-run the decision process for ``prefixes`` and propagate.
 
         Public entry point for DiCE's route-selection exploration: after
-        planting symbolic preference shadows on Adj-RIB-In routes, the
-        explorer re-triggers selection through the same code path normal
-        updates use.
+        planting a symbolic LOCAL_PREF in the attribute sets of
+        Adj-RIB-In routes, the explorer re-triggers selection through the
+        same code path normal updates use.
         """
         changes = self._run_decision(prefixes)
         self._propagate(changes)
@@ -955,8 +914,8 @@ class _RouterState(dict):
     the provenance its routes share and one ``(prefix, attributes,
     received_at)`` row per route, and the Loc-RIB as row numbers into
     them, the way an UPDATE packs many NLRI under one attribute block
-    (RFC 4271).  A route that fits no row goes whole: one with symbolic
-    shadows or a provenance of its own, and every static route.
+    (RFC 4271).  A route that fits no row goes whole: one with a
+    provenance of its own, and every static route.
 
     Loading builds every route through its constructor, each Loc-RIB
     route as the same object as its Adj-RIB-In route, into a state equal
@@ -980,7 +939,7 @@ class _RouterState(dict):
             for route in rib:
                 numbered[route.prefix] = len(routes)
                 routes.append(route)
-                if route.sym or _provenance(route) != shared:
+                if _provenance(route) != shared:
                     rows.append(route)
                 else:
                     rows.append(

@@ -207,8 +207,9 @@ class ConcolicEngine:
             if index < execution.bound or flip_sig in frontier.seen_flips:
                 continue
             # Skip branches whose constraint mentions no variables we
-            # control (fully concrete subexpressions fold away already,
-            # but shadows planted by other layers may appear).
+            # control: ``make_binop`` folds ``x & 0`` to a constant, yet
+            # the value stays a SymInt, and its branches have nothing
+            # to flip.
             if not any(True for _ in branches[index][0].variables()):
                 continue
             frontier.seen_flips.add(flip_sig)

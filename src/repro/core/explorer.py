@@ -519,11 +519,11 @@ class Explorer:
     ) -> SelectionReport:
         """Systematically explore decision-process outcomes at ``node``.
 
-        Plants a symbolic LOCAL_PREF shadow on every candidate route for
-        one multi-candidate prefix, then lets the concolic engine negate
-        the comparison branches inside :func:`repro.bgp.decision.
-        compare_routes` — each satisfying assignment drives selection to
-        a different outcome.
+        Plants a symbolic LOCAL_PREF in the attribute set of every
+        candidate route for one multi-candidate prefix, then lets the
+        concolic engine negate the comparison branches inside
+        :func:`repro.bgp.decision.compare_routes` — each satisfying
+        assignment drives selection to a different outcome.
         """
         report = SelectionReport(node=node)
         with closing(self._new_clone(seed)) as probe:
@@ -557,19 +557,19 @@ class Explorer:
                     if route is None:
                         continue
                     base = 4 * index
-                    shadow = (
+                    local_pref = (
                         (sym_input[base] << 24)
                         | (sym_input[base + 1] << 16)
                         | (sym_input[base + 2] << 8)
                         | sym_input[base + 3]
                     )
-                    if not isinstance(shadow, SymInt):
+                    if not isinstance(local_pref, SymInt):
                         continue
                     # Routes are shared with the snapshot and its other
-                    # clones: plant the shadow on a copy, in this RIB
+                    # clones: plant the value on a copy, in this RIB
                     # only.
-                    rib.update(route.replace(
-                        sym={**route.sym, "local_pref": shadow}
+                    rib.update(route.with_attributes(
+                        route.attributes.replace(local_pref=local_pref)
                     ))
                 clone_router.rerun_decision([target])
                 best = clone_router.loc_rib.get(target)

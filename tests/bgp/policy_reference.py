@@ -3,9 +3,10 @@
 ``evaluate`` walks a filter's AST for every route, as ``repro.bgp.policy``
 did before filters were compiled, and ``tokenize`` is the lexer that took
 any Unicode letter or digit for part of a name or number.  Both are kept
-here as they were, as the references: a compiled filter must reach the
-walk's verdict, attributes, error and recorded branches, and the ASCII
-lexer this lexer's tokens wherever it can.
+here as they were, less the walk's reads of per-route symbolic shadows,
+which routes no longer have, as the references: a compiled filter must
+reach the walk's verdict, attributes, error and recorded branches, and
+the ASCII lexer this lexer's tokens wherever it can.
 """
 
 from __future__ import annotations
@@ -102,14 +103,11 @@ def tokenize(source: str) -> list[Token]:
 class _AsPathView:
     """Read-only view of an AS_PATH for the expression evaluator."""
 
-    def __init__(self, path: AsPath, length_shadow: Any = None):
+    def __init__(self, path: AsPath):
         self._path = path
-        self._length_shadow = length_shadow
 
     @property
     def len(self) -> Any:
-        if self._length_shadow is not None:
-            return self._length_shadow
         return self._path.length()
 
     @property
@@ -163,15 +161,12 @@ class _Evaluator:
         self._route = route
         self._path = attrs.as_path
         self._communities: list[Any] = list(attrs.communities)
-        shadow = route.sym
         self._values: dict[str, Any] = {
-            "bgp_origin": shadow.get("origin", attrs.origin),
-            "bgp_med": shadow.get(
-                "med", attrs.med if attrs.med is not None else 0
-            ),
-            "bgp_local_pref": shadow.get(
-                "local_pref",
-                attrs.local_pref if attrs.local_pref is not None else default_local_pref,
+            "bgp_origin": attrs.origin,
+            "bgp_med": attrs.med if attrs.med is not None else 0,
+            "bgp_local_pref": (
+                attrs.local_pref if attrs.local_pref is not None
+                else default_local_pref
             ),
             "peer_as": route.peer_as if route.peer_as is not None else 0,
             # Route provenance, readable as an integer: 0 = locally
@@ -179,16 +174,12 @@ class _Evaluator:
             # Export policies use this to always announce own prefixes.
             "source": {"static": 0, "ebgp": 1, "ibgp": 2}[route.source],
         }
-        self._med_was_set = attrs.med is not None or "med" in shadow
-        self._local_pref_was_set = (
-            attrs.local_pref is not None or "local_pref" in shadow
-        )
+        self._med_was_set = attrs.med is not None
+        self._local_pref_was_set = attrs.local_pref is not None
         self._net = _NetView(
-            route.prefix,
-            shadow.get("pfx_network", route.prefix.network),
-            shadow.get("pfx_length", route.prefix.length),
+            route.prefix, route.prefix.network, route.prefix.length
         )
-        self._path_view = _AsPathView(attrs.as_path, shadow.get("path_len"))
+        self._path_view = _AsPathView(attrs.as_path)
         self._writes: set[str] = set()
 
     # -- statement execution --

@@ -7,6 +7,8 @@ from repro.bgp.attributes import AsPath, Origin, PathAttributes
 from repro.bgp.decision import best_route, compare_routes
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.route import SOURCE_EBGP, SOURCE_IBGP, Route
+from repro.concolic.expr import Var
+from repro.concolic.symbolic import PathRecorder, SymInt
 
 PFX = Prefix("10.0.0.0/8")
 
@@ -94,10 +96,13 @@ class TestTieBreakChain:
         assert compare_routes(a, b) < 0
 
     def test_symbolic_shadow_overrides_local_pref(self):
-        a = route(local_pref=50)
+        """A symbolic LOCAL_PREF in the set is compared by its concrete
+        value, and the comparison is a recorded branch."""
         b = route(local_pref=200, peer="p2")
-        a = a.replace(sym={"local_pref": 500})
-        assert compare_routes(a, b) < 0
+        a = route(local_pref=SymInt(Var("lp", 0, 1000), 500))
+        with PathRecorder() as recorder:
+            assert compare_routes(a, b) < 0
+        assert [taken for _, taken in recorder.branches] == [True]
 
 
 class TestBestRoute:

@@ -448,31 +448,10 @@ class TestLeavesPickleAsTheirFields:
         for name in Route.__slots__:
             value, mine = getattr(self.ROUTE, name), getattr(restored, name)
             assert type(mine) is type(value), name
-            if name != "sym":
-                assert fields(mine) == fields(value), name
-        assert restored.sym == {} and type(restored.sym) is type(self.ROUTE.sym)
+            assert fields(mine) == fields(value), name
         assert restored.attributes.key() == self.ATTRS.key()
         assert hash(restored.attributes) == hash(self.ATTRS)
         assert restored.attributes.encode() == self.ATTRS.encode()
-
-    @pytest.mark.parametrize("protocol", PROTOCOLS)
-    def test_shadows_survive(self, protocol):
-        """A route carrying symbolic shadows keeps them (and symbolic
-        attribute values keep their expressions)."""
-        shadow = SymInt(Var("lp", 0, 255), 7)
-        route = Route(
-            prefix=Prefix("10.3.0.0/16"),
-            attributes=self.ATTRS.replace(med=shadow, communities=(shadow,)),
-            sym={"local_pref": shadow},
-        )
-        restored = pickle.loads(pickle.dumps(route, protocol))
-        assert type(restored.sym) is type(route.sym)
-        assert repr(restored.sym) == repr(route.sym)
-        with pytest.raises(TypeError):
-            restored.sym["med"] = 1
-        assert repr(restored.attributes.med) == repr(shadow)
-        assert repr(restored.attributes.communities) == repr((shadow,))
-        assert restored.attributes.key() == route.attributes.key()
 
     def test_a_pickle_is_smaller_than_the_state_dicts_it_replaced(self):
         """The field names and a dict per object are gone: 275 bytes

@@ -143,18 +143,17 @@ oracle_filters = filters(values, conditions, typed_targets, community_methods)
 
 # -- routes ------------------------------------------------------------------
 
-SHADOWS = {
+# The fields a decoded concolic input can make symbolic, each drawn
+# around the values the filters compare it with.
+SYMBOLIC = {
     "local_pref": st.sampled_from(NUMBERS),
     "med": st.sampled_from(NUMBERS),
     "origin": st.sampled_from((0, 1, 2)),
-    "pfx_network": st.sampled_from([prefix.network for prefix in PREFIXES]),
-    "pfx_length": st.sampled_from((0, 8, 16, 24)),
-    "path_len": st.integers(0, 6),
 }
 
 
 @st.composite
-def routes(draw, shadows=False):
+def routes(draw, symbolic=False):
     attributes = PathAttributes(
         origin=draw(st.sampled_from((0, 1, 2))),
         as_path=AsPath.from_sequence(*draw(st.lists(st.sampled_from(ASNS),
@@ -164,20 +163,21 @@ def routes(draw, shadows=False):
         local_pref=draw(st.none() | st.sampled_from(NUMBERS)),
         communities=tuple(draw(st.lists(st.sampled_from(COMMUNITIES), max_size=3))),
     )
-    sym = {}
-    if shadows:
-        for name, concrete in SHADOWS.items():
-            if draw(st.booleans()):
-                sym[name] = SymInt(Var(name, 0, 2**32 - 1), draw(concrete))
+    if symbolic:
+        values = {
+            name: SymInt(Var(name, 0, 2**32 - 1), draw(concrete))
+            for name, concrete in SYMBOLIC.items() if draw(st.booleans())
+        }
         if draw(st.booleans()):  # a symbolic community from the wire
-            shadow = SymInt(Var("c", 0, 2**32 - 1), draw(st.sampled_from(COMMUNITIES)))
-            attributes = attributes.replace(
-                communities=attributes.communities + (shadow,))
+            community = SymInt(Var("c", 0, 2**32 - 1),
+                               draw(st.sampled_from(COMMUNITIES)))
+            values["communities"] = attributes.communities + (community,)
+        attributes = attributes.replace(**values)
     source = draw(st.sampled_from((SOURCE_EBGP, SOURCE_IBGP, SOURCE_STATIC)))
     return Route(
         prefix=draw(st.sampled_from(PREFIXES[1:])), attributes=attributes,
         source=source, peer=None if source == SOURCE_STATIC else "p",
-        peer_as=draw(st.none() | st.sampled_from(ASNS)), sym=sym,
+        peer_as=draw(st.none() | st.sampled_from(ASNS)),
     )
 
 
@@ -206,7 +206,7 @@ def observe(run, route):
 
 class TestCompiledEqualsTheWalk:
     @settings(max_examples=150, deadline=None)
-    @given(typed_filters | wild_filters, routes() | routes(shadows=True),
+    @given(typed_filters | wild_filters, routes() | routes(symbolic=True),
            st.sampled_from((100, 77)))
     def test_same_outcome_and_branches(self, definition, route, local_pref):
         compiled = Filter(definition)
@@ -214,9 +214,9 @@ class TestCompiledEqualsTheWalk:
             == observe(lambda: walk(definition, route, local_pref), route)
 
     @settings(max_examples=100, deadline=None)
-    @given(typed_filters, routes(shadows=True))
+    @given(typed_filters, routes(symbolic=True))
     def test_symbolic_routes_record_the_same_branches(self, definition, route):
-        """Well-typed filters over shadowed routes: where the branches are."""
+        """Well-typed filters over symbolic routes: where the branches are."""
         compiled = Filter(definition)
         assert observe(lambda: compiled.evaluate(route), route) \
             == observe(lambda: walk(definition, route), route)

@@ -38,11 +38,6 @@ class TestRibChange:
         assert change != RibChange(2.0, P1, None, route())
         assert change != RibChange(1.0, P1, route(), route())
 
-    def test_the_shadows_of_its_routes_do_not_count(self):
-        change = RibChange(1.0, P1, None, route())
-        shadowed = RibChange(1.0, P1, None, route().replace(sym={"med": 1}))
-        assert change == shadowed and hash(change) == hash(shadowed)
-
     def test_pickles_positionally(self):
         change = RibChange(1.0, P1, route(), None)
         assert change.__reduce__() == (RibChange, (1.0, P1, change.old, None))

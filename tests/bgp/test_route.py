@@ -7,6 +7,8 @@ import pytest
 from repro.bgp.attributes import AsPath, PathAttributes
 from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.route import SOURCE_EBGP, SOURCE_STATIC, Route
+from repro.concolic.expr import Var
+from repro.concolic.symbolic import SymInt
 
 
 def make_route(**overrides):
@@ -53,36 +55,40 @@ class TestRoute:
             attributes=route.attributes.replace(local_pref=150)
         )
         assert route.effective_local_pref() == 150
-        route = route.replace(sym={"local_pref": 999})
-        assert route.effective_local_pref() == 999
+        value = SymInt(Var("lp", 0, 255), 7)
+        route = route.with_attributes(
+            route.attributes.replace(local_pref=value)
+        )
+        assert route.effective_local_pref() is value
 
     def test_effective_med_priority(self):
         route = make_route()
         assert route.effective_med() == 0
         route = make_route(attributes=route.attributes.replace(med=5))
         assert route.effective_med() == 5
-        route = route.replace(sym={"med": 77})
-        assert route.effective_med() == 77
+        value = SymInt(Var("m", 0, 255), 7)
+        route = route.with_attributes(route.attributes.replace(med=value))
+        assert route.effective_med() is value
 
-    def test_sym_excluded_from_equality(self):
+    def test_equality_hash_and_pickle_are_the_seven_fields(self):
         a = make_route()
-        b = make_route(sym={"local_pref": 1})
-        assert a == b
-        assert hash(a) == hash(b)
-        # the hash a frozen dataclass had: every field but sym, as a tuple
-        assert hash(a) == hash((a.prefix, a.attributes, a.source, a.peer,
-                                a.peer_as, a.peer_bgp_id, a.received_at))
+        seven = (a.prefix, a.attributes, a.source, a.peer, a.peer_as,
+                 a.peer_bgp_id, a.received_at)
+        assert a == make_route() and hash(a) == hash(make_route())
+        # the hash a frozen dataclass has: every field, as a tuple
+        assert hash(a) == hash(seven)
+        assert a.__reduce_ex__(2) == (Route, seven)
+        assert pickle.loads(pickle.dumps(a)) == a
         assert a != make_route(peer="p2")
         assert a != make_route(received_at=1.0)
         assert a.__eq__("a route") is NotImplemented
 
     def test_replace_copies_every_other_field(self):
-        route = make_route(sym={"med": 5}, received_at=2.0)
+        route = make_route(received_at=2.0)
         moved = route.replace(peer="p2")
         assert (moved.peer, route.peer) == ("p2", "p1")
-        assert moved.sym == {"med": 5} and moved.received_at == 2.0
+        assert moved.received_at == 2.0
         assert moved.attributes is route.attributes
-        assert route.replace(sym={}).sym == {}
         with pytest.raises(ValueError):
             route.replace(source="carrier-pigeon")
         with pytest.raises(TypeError):
@@ -91,21 +97,6 @@ class TestRoute:
     def test_a_route_has_no_dict_to_grow(self):
         with pytest.raises(AttributeError):
             make_route().scratch = 1
-
-    def test_sym_is_read_only_and_pickles(self):
-        route = make_route(sym={"local_pref": 1})
-        for write in (
-            lambda: route.sym.__setitem__("med", 2),
-            lambda: route.sym.update(med=2),
-            lambda: route.sym.pop("local_pref"),
-            lambda: route.sym.clear(),
-        ):
-            with pytest.raises(TypeError):
-                write()
-        restored = pickle.loads(pickle.dumps(route))
-        assert restored.sym == {"local_pref": 1}
-        with pytest.raises(TypeError):
-            restored.sym["med"] = 2
 
     def test_describe_mentions_prefix_and_peer(self):
         text = make_route().describe()

@@ -24,7 +24,7 @@ from repro.bgp.ip import IPv4Address, Prefix
 from repro.bgp.messages import UpdateMessage
 from repro.bgp.policy import Filter
 from repro.bgp.rib import RibChange
-from repro.bgp.route import SOURCE_IBGP
+from repro.bgp.route import SOURCE_EBGP, SOURCE_IBGP, Route
 from repro.bgp.router import BGPRouter
 from repro.concolic.expr import Var
 from repro.concolic.symbolic import PathRecorder, SymInt
@@ -347,6 +347,58 @@ class TestCrashSemantics:
         assert r2.crash_count == 0
 
 
+class TestSemanticBugs:
+    """A seeded decision bug changes which candidate a router installs.
+
+    Two eBGP candidates for one prefix; ``a`` has the lower BGP id and
+    loses on the criterion the bug corrupts, which with the bug reads
+    as a tie or a win for ``a``."""
+
+    PREFIX = Prefix("10.70.0.0/16")
+
+    @pytest.mark.parametrize("bug,a,b", [
+        # 7 hops against 6: the bug reads a's 7 as 6, a tie.
+        pytest.param(faults.BUG_ASPATH_OFF_BY_ONE,
+                     {"path": (65001, 1, 2, 3, 4, 5, 6)},
+                     {"path": (65002, 1, 2, 3, 4, 5)},
+                     id=faults.BUG_ASPATH_OFF_BY_ONE),
+        # One neighbor AS, so MEDs compare: 2^31 reads as negative.
+        pytest.param(faults.BUG_MED_SIGNED_OVERFLOW,
+                     {"path": (65001, 1), "med": faults.MED_SIGN_BIT},
+                     {"path": (65001, 2), "med": 10},
+                     id=faults.BUG_MED_SIGNED_OVERFLOW),
+        pytest.param(faults.BUG_INVERTED_LOCAL_PREF,
+                     {"path": (65001,), "local_pref": 50},
+                     {"path": (65002,), "local_pref": 200},
+                     id=faults.BUG_INVERTED_LOCAL_PREF),
+    ])
+    def test_the_bug_flips_the_selection(self, bug, a, b):
+        for bugs, winner in ((frozenset(), "b"), (frozenset({bug}), "a")):
+            router = BGPRouter(RouterConfig(
+                name="r", local_as=65000, router_id=IPv4Address("10.0.0.9"),
+                neighbors=(NeighborConfig(peer="a", peer_as=a["path"][0]),
+                           NeighborConfig(peer="b", peer_as=b["path"][0])),
+                enabled_bugs=bugs,
+            ))
+            routes = {}
+            for peer, bgp_id, spec in (("a", "1.1.1.1", a),
+                                       ("b", "2.2.2.2", b)):
+                routes[peer] = Route(
+                    prefix=self.PREFIX,
+                    attributes=PathAttributes(
+                        as_path=AsPath.from_sequence(*spec["path"]),
+                        next_hop=IPv4Address(bgp_id),
+                        med=spec.get("med"),
+                        local_pref=spec.get("local_pref"),
+                    ),
+                    source=SOURCE_EBGP, peer=peer, peer_as=spec["path"][0],
+                    peer_bgp_id=IPv4Address(bgp_id),
+                )
+                router.adj_rib_in[peer].update(routes[peer])
+            router.rerun_decision([self.PREFIX])
+            assert router.loc_rib.get(self.PREFIX) is routes[winner], bugs
+
+
 class TestHoldTimer:
     def test_hold_expiry_resets_session(self, router_events):
         live = build_line()
@@ -498,8 +550,7 @@ def reference_export_route(router, peer, route):
         return None
     policy = router.config.get_filter(neighbor.export_filter)
     result = policy.evaluate(
-        route.replace(sym={}) if route.sym else route,
-        default_local_pref=router.config.default_local_pref,
+        route, default_local_pref=router.config.default_local_pref,
     )
     if not result.accepted:
         return None
@@ -732,7 +783,7 @@ class TestUpdateGroups:
         assert len(sent["a"]) == 2  # the longest path was rejected
 
     @pytest.mark.parametrize("kind,expected", [
-        ("concrete", 1), ("symbolic-med", 2), ("shadow", 2),
+        ("concrete", 1), ("symbolic-med", 2),
     ])
     def test_symbolic_routes_are_filtered_once_per_peer(
         self, kind, expected, monkeypatch
@@ -743,16 +794,9 @@ class TestUpdateGroups:
             live = self.build_hub(export_filter)
             hub = live.router("h")
             route = hub.loc_rib.get(self.HUB_PREFIX)
-            shadow = SymInt(Var("m", 0, 255), 3)
-            route = {
-                "concrete": route.with_attributes(
-                    route.attributes.replace(med=3)
-                ),
-                "symbolic-med": route.with_attributes(
-                    route.attributes.replace(med=shadow)
-                ),
-                "shadow": route.replace(sym={"med": shadow}),
-            }[kind]
+            med = {"concrete": 3,
+                   "symbolic-med": SymInt(Var("m", 0, 255), 3)}[kind]
+            route = route.with_attributes(route.attributes.replace(med=med))
             kept = {tag: memo_entries(hub.network, tag)
                     for tag in ("FILTER", "WITH")}
             with monkeypatch.context() as patch:
