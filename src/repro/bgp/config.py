@@ -37,7 +37,6 @@ from repro.bgp.policy import ACCEPT_ALL, Filter
 from repro.bgp.policy_lang import (
     FilterDef,
     Parser,
-    PolicySyntaxError,
     Token,
     tokenize,
 )
@@ -202,114 +201,47 @@ class AddFilter(ConfigChange):
 # --------------------------------------------------------------------------
 
 
-class _ConfigParser:
-    """Parses router blocks, delegating filter bodies to the policy parser."""
+class _ConfigParser(Parser):
+    """Parses router blocks and, in place, the filters beside them."""
 
     def __init__(self, source: str):
-        self._tokens = tokenize(source)
-        self._pos = 0
-
-    def _peek(self) -> Token:
-        return self._tokens[self._pos]
-
-    def _advance(self) -> Token:
-        token = self._tokens[self._pos]
-        if token.kind != "eof":
-            self._pos += 1
-        return token
-
-    def _error(self, message: str) -> PolicySyntaxError:
-        token = self._peek()
-        return PolicySyntaxError(message, token.line, token.column)
+        super().__init__(tokenize(source))
+        # Every filter a neighbor names: (router, name token).
+        self._filter_refs: list[tuple[str, Token]] = []
 
     def _expect_word(self, *words: str) -> str:
         token = self._peek()
         if token.kind in ("ident", "keyword") and token.text in words:
-            self._advance()
-            return token.text
+            return self._advance().text
         raise self._error(f"expected {' or '.join(words)!r}")
 
-    def _expect_punct(self, text: str) -> None:
-        token = self._peek()
-        if token.kind == "punct" and token.text == text:
-            self._advance()
-            return
-        raise self._error(f"expected {text!r}")
-
-    def _expect_int(self) -> int:
-        token = self._peek()
-        if token.kind != "int":
-            raise self._error("expected an integer")
-        self._advance()
-        return int(token.text)
-
-    def _expect_ident(self) -> str:
-        token = self._peek()
-        if token.kind != "ident":
-            raise self._error("expected an identifier")
-        self._advance()
-        return token.text
-
-    def _parse_dotted(self) -> int:
-        octets = [self._expect_int()]
-        for _ in range(3):
-            self._expect_punct(".")
-            octets.append(self._expect_int())
-        for octet in octets:
-            if octet > 255:
-                raise self._error(f"octet {octet} out of range")
-        return (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
-
-    def _parse_prefix(self) -> Prefix:
-        network = self._parse_dotted()
-        self._expect_punct("/")
-        length = self._expect_int()
-        try:
-            return Prefix(network, length)
-        except ValueError as exc:
-            raise self._error(str(exc)) from exc
-
-    def parse(self) -> "tuple[list[RouterConfig], dict[str, FilterDef]]":
+    def parse(self) -> list[RouterConfig]:
         routers: list[dict] = []
         filter_defs: dict[str, FilterDef] = {}
-        while self._peek().kind != "eof":
-            token = self._peek()
-            if token.kind == "ident" and token.text == "router":
+        while not self._check("eof"):
+            if self._check("ident", "router"):
                 routers.append(self._parse_router())
-            elif token.kind == "keyword" and token.text == "filter":
-                definition = Parser(self._tokens[self._pos :]).parse_filter()
-                filter_defs[definition.name] = definition
-                self._skip_filter()
+            elif self._check("keyword", "filter"):
+                self._parse_filter_into(filter_defs)
             else:
                 raise self._error("expected 'router' or 'filter'")
-        configs = []
+        for router, token in self._filter_refs:
+            if token.text not in filter_defs and token.text != ACCEPT_ALL.name:
+                raise self._error(
+                    f"router {router!r} names undefined filter {token.text!r}",
+                    token,
+                )
         filters = {
             name: Filter(definition) for name, definition in filter_defs.items()
         }
-        for fields in routers:
-            fields["filters"] = dict(filters)
-            configs.append(RouterConfig(**fields))
-        return configs, filter_defs
-
-    def _skip_filter(self) -> None:
-        """Advance past a filter definition (already parsed separately)."""
-        self._expect_word("filter")
-        self._expect_ident()
-        self._expect_punct("{")
-        depth = 1
-        while depth > 0:
-            token = self._advance()
-            if token.kind == "eof":
-                raise self._error("unterminated filter block")
-            if token.kind == "punct" and token.text == "{":
-                depth += 1
-            elif token.kind == "punct" and token.text == "}":
-                depth -= 1
+        return [
+            RouterConfig(**fields, filters=dict(filters)) for fields in routers
+        ]
 
     def _parse_router(self) -> dict:
         self._expect_word("router")
-        name = self._expect_ident()
-        self._expect_punct("{")
+        name = self._expect("ident").text
+        self._expect("punct", "{")
         fields: dict = {
             "name": name,
             "local_as": None,
@@ -320,40 +252,36 @@ class _ConfigParser:
             "always_compare_med": False,
             "enabled_bugs": set(),
         }
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
+        while not self._check("punct", "}"):
             word = self._expect_word(
                 "local", "router", "network", "neighbor", "default", "med", "bug"
             )
+            if word == "neighbor":
+                fields["neighbors"].append(self._parse_neighbor(name))
+                continue
             if word == "local":
                 self._expect_word("as")
                 fields["local_as"] = self._expect_int()
-                self._expect_punct(";")
             elif word == "router":
                 self._expect_word("id")
                 fields["router_id"] = IPv4Address(self._parse_dotted())
-                self._expect_punct(";")
             elif word == "network":
                 fields["networks"].append(self._parse_prefix())
-                self._expect_punct(";")
-            elif word == "neighbor":
-                fields["neighbors"].append(self._parse_neighbor())
             elif word == "default":
                 self._expect_word("local")
                 self._expect_word("pref")
                 fields["default_local_pref"] = self._expect_int()
-                self._expect_punct(";")
             elif word == "med":
                 self._expect_word("compare")
                 self._expect_word("always")
                 fields["always_compare_med"] = True
-                self._expect_punct(";")
             elif word == "bug":
-                bug = self._expect_ident()
+                bug = self._expect("ident").text
                 if bug not in faults.ALL_BUGS:
                     raise self._error(f"unknown bug {bug!r}")
                 fields["enabled_bugs"].add(bug)
-                self._expect_punct(";")
-        self._expect_punct("}")
+            self._expect("punct", ";")
+        self._expect("punct", "}")
         if fields["local_as"] is None:
             raise self._error(f"router {name!r} missing 'local as'")
         if fields["router_id"] is None:
@@ -363,38 +291,38 @@ class _ConfigParser:
         fields["enabled_bugs"] = frozenset(fields["enabled_bugs"])
         return fields
 
-    def _parse_neighbor(self) -> NeighborConfig:
-        peer = self._expect_ident()
-        self._expect_punct("{")
+    def _parse_filter_name(self, router: str) -> str:
+        token = self._expect("ident")
+        self._filter_refs.append((router, token))
+        return token.text
+
+    def _parse_neighbor(self, router: str) -> NeighborConfig:
+        peer = self._expect("ident").text
+        self._expect("punct", "{")
         peer_as = None
         import_filter = "accept_all"
         export_filter = "accept_all"
         hold_time = 90
         export_med = None
-        while not (self._peek().kind == "punct" and self._peek().text == "}"):
+        while not self._check("punct", "}"):
             word = self._expect_word("as", "import", "export", "hold", "med")
             if word == "as":
                 peer_as = self._expect_int()
-                self._expect_punct(";")
             elif word == "import":
                 self._expect_word("filter")
-                import_filter = self._expect_ident()
-                self._expect_punct(";")
+                import_filter = self._parse_filter_name(router)
             elif word == "export":
-                next_word = self._expect_word("filter", "med")
-                if next_word == "filter":
-                    export_filter = self._expect_ident()
+                if self._expect_word("filter", "med") == "filter":
+                    export_filter = self._parse_filter_name(router)
                 else:
                     export_med = self._expect_int()
-                self._expect_punct(";")
             elif word == "hold":
                 self._expect_word("time")
                 hold_time = self._expect_int()
-                self._expect_punct(";")
             elif word == "med":
                 export_med = self._expect_int()
-                self._expect_punct(";")
-        self._expect_punct("}")
+            self._expect("punct", ";")
+        self._expect("punct", "}")
         if peer_as is None:
             raise self._error(f"neighbor {peer!r} missing 'as'")
         return NeighborConfig(
@@ -411,7 +339,9 @@ def parse_config(source: str) -> list[RouterConfig]:
     """Parse a configuration file into router configs.
 
     Filters defined anywhere in the file are visible to every router, as
-    in a shared site-wide policy include.
+    in a shared site-wide policy include.  A duplicate filter name, and
+    a neighbor naming a filter the file never defines (``accept_all``
+    is always defined), are refused with a
+    :class:`~repro.bgp.policy_lang.PolicySyntaxError`.
     """
-    configs, _ = _ConfigParser(source).parse()
-    return configs
+    return _ConfigParser(source).parse()

@@ -279,12 +279,18 @@ class Parser:
         token = self._peek()
         if not self._check(kind, text):
             wanted = text if text is not None else kind
-            raise PolicySyntaxError(
-                f"expected {wanted!r}, found {token.text or token.kind!r}",
-                token.line,
-                token.column,
+            raise self._error(
+                f"expected {wanted!r}, found {token.text or token.kind!r}"
             )
         return self._advance()
+
+    def _expect_int(self) -> int:
+        return int(self._expect("int").text)
+
+    def _error(self, message: str, token: Token | None = None) -> PolicySyntaxError:
+        """An error located at ``token``, by default the next one."""
+        token = token if token is not None else self._peek()
+        return PolicySyntaxError(message, token.line, token.column)
 
     # -- grammar --
 
@@ -292,16 +298,16 @@ class Parser:
         """Parse a whole source file of ``filter`` definitions."""
         filters: dict[str, FilterDef] = {}
         while not self._check("eof"):
-            definition = self.parse_filter()
-            if definition.name in filters:
-                token = self._peek()
-                raise PolicySyntaxError(
-                    f"duplicate filter {definition.name!r}",
-                    token.line,
-                    token.column,
-                )
-            filters[definition.name] = definition
+            self._parse_filter_into(filters)
         return filters
+
+    def _parse_filter_into(self, filters: dict[str, FilterDef]) -> None:
+        """Parse one filter into ``filters``, refusing a name it holds."""
+        start = self._peek()
+        definition = self.parse_filter()
+        if definition.name in filters:
+            raise self._error(f"duplicate filter {definition.name!r}", start)
+        filters[definition.name] = definition
 
     def parse_filter(self) -> FilterDef:
         """Parse one ``filter name { ... }``."""
@@ -434,36 +440,37 @@ class Parser:
             return first
         if self._check("punct", "["):
             return self._parse_set()
-        raise PolicySyntaxError(
-            f"unexpected token {token.text or token.kind!r}",
-            token.line,
-            token.column,
-        )
+        raise self._error(f"unexpected token {token.text or token.kind!r}")
 
     def _parse_int_or_prefix(self):
-        token = self._expect("int")
-        if not self._check("punct", "."):
-            return IntLiteral(int(token.text))
-        # A dotted quad: collect three more ".int" groups, then "/len".
-        octets = [int(token.text)]
-        for _ in range(3):
-            self._expect("punct", ".")
-            octets.append(int(self._expect("int").text))
-        self._expect("punct", "/")
-        length = int(self._expect("int").text)
-        for octet in octets:
+        """An integer, or a prefix when a ``.`` follows the first one."""
+        if self._check("int") and self._tokens[self._pos + 1].text != ".":
+            return IntLiteral(int(self._advance().text))
+        return PrefixLiteral(self._parse_prefix())
+
+    def _parse_dotted(self) -> int:
+        """A dotted quad ``a.b.c.d`` as one 32-bit integer."""
+        start = self._peek()
+        network = 0
+        for position in range(4):
+            if position:
+                self._expect("punct", ".")
+            octet = self._expect_int()
             if octet > 255:
-                raise PolicySyntaxError(
-                    f"octet {octet} out of range", token.line, token.column
-                )
-        network = (
-            (octets[0] << 24) | (octets[1] << 16) | (octets[2] << 8) | octets[3]
-        )
+                raise self._error(f"octet {octet} out of range", start)
+            network = network << 8 | octet
+        return network
+
+    def _parse_prefix(self) -> Prefix:
+        """A prefix ``a.b.c.d/len``."""
+        start = self._peek()
+        network = self._parse_dotted()
+        self._expect("punct", "/")
+        length = self._expect_int()
         try:
-            prefix = Prefix(network, length)
+            return Prefix(network, length)
         except ValueError as exc:
-            raise PolicySyntaxError(str(exc), token.line, token.column) from exc
-        return PrefixLiteral(prefix)
+            raise self._error(str(exc), start) from exc
 
     def _parse_set(self):
         """Parse ``[ ... ]`` — a prefix set or an AS set, by content."""
@@ -474,22 +481,14 @@ class Parser:
             element = self._parse_int_or_prefix()
             if isinstance(element, IntLiteral):
                 asns.append(element.value)
-            elif isinstance(element, PrefixLiteral):
+            else:
                 patterns.append(self._parse_pattern_modifier(element.prefix))
-            else:  # pragma: no cover - _parse_int_or_prefix returns only those
-                raise PolicySyntaxError(
-                    "set elements must be ASNs or prefixes",
-                    open_token.line,
-                    open_token.column,
-                )
             if not self._match("punct", ","):
                 break
         self._expect("punct", "]")
         if patterns and asns:
-            raise PolicySyntaxError(
-                "cannot mix prefixes and AS numbers in one set",
-                open_token.line,
-                open_token.column,
+            raise self._error(
+                "cannot mix prefixes and AS numbers in one set", open_token
             )
         if asns:
             return AsSet(tuple(asns))
@@ -501,14 +500,12 @@ class Parser:
         if self._match("punct", "-"):
             return PrefixPattern(prefix, 0, prefix.length)
         if self._match("punct", "{"):
-            low = int(self._expect("int").text)
+            low = self._expect_int()
             self._expect("punct", ",")
-            high = int(self._expect("int").text)
+            high = self._expect_int()
             close = self._expect("punct", "}")
             if not (0 <= low <= high <= 32):
-                raise PolicySyntaxError(
-                    f"bad length range {{{low},{high}}}", close.line, close.column
-                )
+                raise self._error(f"bad length range {{{low},{high}}}", close)
             return PrefixPattern(prefix, low, high)
         return PrefixPattern(prefix, prefix.length, prefix.length)
 

@@ -20,9 +20,10 @@ DiCE runs alongside.  :mod:`parallel` shards step 3's independent
 node-exploration sessions across worker slots — :func:`make_transport`
 builds every transport they run on — and :mod:`remote` puts those
 slots on long-lived worker daemons over TCP (or an in-process
-loopback), without changing any campaign result.  :mod:`pipeline`
-takes step 2's snapshot captures in the campaign's fixed order, each
-when the campaign asks for it.
+loopback), without changing any campaign result.  :mod:`pipeline` is
+a campaign's one contact with the live system: it advances it and
+takes step 2's snapshot captures, each at the (cycle, node) the
+campaign names when it asks for it.
 """
 
 from repro.core.checkpoint import NodeCheckpoint, checkpoint_size
@@ -47,12 +48,7 @@ from repro.core.parallel import (
     resolve_workers,
     run_task,
 )
-from repro.core.pipeline import (
-    CaptureRequest,
-    CapturedSnapshot,
-    SnapshotPipeline,
-    plan_captures,
-)
+from repro.core.pipeline import CapturedSnapshot, SnapshotPipeline
 from repro.core.remote import (
     LoopbackTransport,
     RemoteWorkerError,
@@ -97,10 +93,8 @@ __all__ = [
     "WorkerServer",
     "RemoteWorkerError",
     "serve_worker",
-    "CaptureRequest",
     "CapturedSnapshot",
     "SnapshotPipeline",
-    "plan_captures",
     "LiveSystem",
     "OfflineParserTester",
     "OfflineReport",

@@ -15,9 +15,10 @@ stamped with wall-clock time since campaign start — the EXP-FAULTS
 time-to-detection measurements fall straight out of a campaign run.
 
 That loop exists once (:meth:`DiceOrchestrator._run_campaign_inner`).
-Snapshots are always captured on the loop's own thread, one at a time,
-in one fixed order, when the loop asks for them
-(:mod:`repro.core.pipeline`) — the live system is singular.  Execution
+The loop touches the live system only through its capture source
+(:mod:`repro.core.pipeline`), which advances it and takes each snapshot
+on the loop's own thread, one at a time, in the (cycle, node) order the
+loop names — the live system is singular.  Execution
 mode only changes *where* a session runs and what a session *is*, and
 each of those is an object the loop is handed, not a loop of its own:
 
@@ -71,11 +72,7 @@ from repro.core.parallel import (
     make_transport,
 )
 from repro.core.payload import SnapshotEncoder
-from repro.core.pipeline import (
-    CapturedSnapshot,
-    SnapshotPipeline,
-    plan_captures,
-)
+from repro.core.pipeline import CapturedSnapshot, SnapshotPipeline
 from repro.core.properties import PropertySuite
 from repro.core.sharing import ClaimTable
 from repro.util.rng import derive_seed
@@ -279,7 +276,9 @@ class DiceOrchestrator:
         state.
         """
         started = time.perf_counter()
-        snapshot = self._live.coordinator.capture(node)
+        # One capture, so the live system is never advanced.
+        captured = SnapshotPipeline(self._live, 0.0).next_capture(0, node)
+        snapshot = captured.snapshot
         explorer = Explorer(
             snapshot, self._suite, self._claims, process_factory=self._factory
         )
@@ -292,7 +291,7 @@ class DiceOrchestrator:
                     fault_class=violation.fault_class,
                     property_name=violation.property_name,
                     node=violation.node,
-                    detected_at=self._live.network.sim.now,
+                    detected_at=captured.detected_at,
                     wall_time_s=time.perf_counter() - started,
                     input_summary=summary,
                     evidence=violation.evidence,
@@ -374,8 +373,10 @@ class DiceOrchestrator:
           ``frontier_shards`` per round (:meth:`_start_session` /
           :meth:`_finish_session`).
 
-        Every capture runs on this thread, in ``plan_captures`` order,
-        when the loop asks for it (:class:`SnapshotPipeline`).
+        Every capture runs on this thread, named by the loop in its
+        (cycle, node) order, when the loop asks for it: the
+        :class:`SnapshotPipeline` is the campaign's one contact with
+        the live system, its advances between captures included.
         Sessions start in node order as their captures arrive and are
         finished and merged strictly in that order, every session of a
         cycle before the next cycle's first, so fault reports and
@@ -387,19 +388,6 @@ class DiceOrchestrator:
         """
         nodes = self._campaign_nodes(config)
         shards = self._session_shards(config)
-        requests = plan_captures(nodes, config.cycles)
-
-        def capture_one(request):
-            # The live system moves on between captures (background
-            # churn, timers) so each snapshot sees genuinely newer
-            # state.  The advance after the *last* capture is the
-            # campaign's epilogue below, so an early stop leaves the
-            # live system where its last capture did.
-            if request.index:
-                self._advance_live(config)
-            snapshot = self._live.coordinator.capture(request.node)
-            return snapshot, self._live.network.sim.now
-
         transport = (
             config.transport_factory()
             if config.transport_factory is not None
@@ -411,17 +399,14 @@ class DiceOrchestrator:
             transport, config.max_worker_failures
         ) as engine:
             captures = SnapshotPipeline(
-                capture_one, requests,
+                self._live, config.live_advance,
                 # Nothing leaves the process on the inline transport,
                 # so there is no payload to encode.  Elsewhere one
                 # encoder serves the campaign, so a capture whose RIBs
                 # repeat the last one's reuses its pickled block.
-                prepare_fn=None if engine.inline else SnapshotEncoder(),
+                encoder=None if engine.inline else SnapshotEncoder(),
             )
             result = CampaignResult(workers=engine.workers)
-            run = _CampaignRun(
-                config, engine, self._claims, shards,
-            )
             pending: deque[_Session] = deque()  # started, not yet merged
 
             def merge_pending() -> bool:
@@ -429,7 +414,7 @@ class DiceOrchestrator:
                 True when the campaign should stop."""
                 while pending:
                     session = pending.popleft()
-                    report = self._finish_session(run, session)
+                    report = self._finish_session(engine, shards, session)
                     result.snapshots_taken += 1
                     self._merge_node_report(
                         result, report,
@@ -442,7 +427,7 @@ class DiceOrchestrator:
 
             stopped = False
             for cycle in range(config.cycles):
-                for _ in nodes:
+                for node in nodes:
                     # A capture only *exposes* its time when no
                     # submitted work is outstanding; capturing while
                     # worker slots still explore is overlap, so it does
@@ -452,11 +437,13 @@ class DiceOrchestrator:
                         for session in pending
                         for handle in session.handles
                     )
-                    captured = captures.next_capture()
+                    captured = captures.next_capture(cycle, node)
                     result.capture_wall_s += captured.capture_wall_s
                     if not busy:
                         result.capture_blocked_s += captured.capture_wall_s
-                    pending.append(self._start_session(run, captured))
+                    pending.append(self._start_session(
+                        config, engine, shards, captured
+                    ))
                     # An inline session already ran inside submit: merge
                     # it now, so an early stop takes no further capture
                     # and runs no further session.  Pooled engines get
@@ -472,12 +459,10 @@ class DiceOrchestrator:
                     break
                 result.cycles_completed = cycle + 1
             result.dispatch = engine.dispatch_stats(config.transport)
-        if requests and not stopped:
+        if not stopped:
             # Nothing is left to overlap the advance after the last
             # capture, so it blocks.
-            advance_started = time.perf_counter()
-            self._advance_live(config)
-            advanced = time.perf_counter() - advance_started
+            advanced = captures.advance()
             result.capture_wall_s += advanced
             result.capture_blocked_s += advanced
         result.wall_time_s = time.perf_counter() - started
@@ -511,12 +496,6 @@ class DiceOrchestrator:
             # a mistyped node list, refused rather than doubling work.
             raise ValueError(f"duplicate explorer nodes in {nodes!r}")
         return nodes
-
-    def _advance_live(self, config: OrchestratorConfig) -> None:
-        if config.live_advance > 0:
-            self._live.run(
-                until=self._live.network.sim.now + config.live_advance
-            )
 
     def _merge_node_report(
         self,
@@ -554,21 +533,24 @@ class DiceOrchestrator:
     # -- sessions --
 
     def _start_session(
-        self, run: "_CampaignRun", captured: CapturedSnapshot
+        self,
+        config: OrchestratorConfig,
+        engine: ParallelCampaignEngine,
+        shards: int,
+        captured: CapturedSnapshot,
     ) -> "_Session":
         """Open one (cycle, node) session and submit its first tasks.
 
         The session's parameters are stated here, once: every task of
         the session ships this :class:`ExplorationConfig`.
 
-        A session fans out as *rounds* of up to ``run.shards`` shard
+        A session fans out as *rounds* of up to ``shards`` shard
         tasks; this submits round 0, which deals the grammar seeds by
         position, so its shard count is bounded by the grammar-seed
         count (every planned shard must start with at least one entry).
         Round 0 ships no frontier: workers re-derive the seed list and
         shard ``i`` of ``k`` keeps seeds ``i % k``.
         """
-        config = run.config
         session = _Session(
             captured=captured,
             config=ExplorationConfig(
@@ -586,23 +568,26 @@ class DiceOrchestrator:
         )
         # Never None: ExplorationConfig has refused a budget below one.
         plan = plan_round(
-            max(1, config.grammar_seeds), session.budget_left, run.shards
+            max(1, config.grammar_seeds), session.budget_left, shards
         )
-        self._submit_shard_round(run, session, plan, [None] * plan.count)
+        self._submit_shard_round(engine, session, plan, [None] * plan.count)
         return session
 
     def _submit(
-        self, run: "_CampaignRun", session: "_Session", shard: FrontierShard
+        self,
+        engine: ParallelCampaignEngine,
+        session: "_Session",
+        shard: FrontierShard,
     ) -> TaskHandle:
         """Build and submit one shard task of ``session``."""
         captured = session.captured
-        return run.engine.submit(
+        return engine.submit(
             ExplorationTask(
                 config=session.config,
                 snapshot=captured.snapshot,
                 snapshot_blob=captured.payload,
                 suite=self._suite,
-                claims=run.claims,
+                claims=self._claims,
                 process_factory=self._factory,
                 shard=shard,
             )
@@ -610,7 +595,7 @@ class DiceOrchestrator:
 
     def _submit_shard_round(
         self,
-        run: "_CampaignRun",
+        engine: ParallelCampaignEngine,
         session: "_Session",
         plan: ShardPlan,
         frontiers: list[Frontier | None],
@@ -619,7 +604,7 @@ class DiceOrchestrator:
         slice of the merged frontier."""
         session.handles = [
             self._submit(
-                run, session,
+                engine, session,
                 FrontierShard(
                     index=index,
                     count=plan.count,
@@ -631,7 +616,7 @@ class DiceOrchestrator:
         ]
 
     def _finish_session(
-        self, run: "_CampaignRun", session: "_Session"
+        self, engine: ParallelCampaignEngine, shards: int, session: "_Session"
     ) -> NodeExplorationReport:
         """Drive a session to completion.
 
@@ -639,12 +624,12 @@ class DiceOrchestrator:
         order, folds their reports in that same order, and merges the
         leftover frontiers first-writer-wins.  The leftover entries and
         the unspent budget are then re-dealt round-robin over up to
-        ``run.shards`` fresh tasks — work stealing at round barriers,
+        ``shards`` fresh tasks — work stealing at round barriers,
         with the steal a pure function of outcome content, never of
         wall-clock.  Every planned shard has at least one entry and one
         execution, so the budget strictly decreases and the loop
         terminates; a one-shard round ends only with its budget spent
-        or its frontier empty, so a session at ``run.shards == 1`` is
+        or its frontier empty, so a session at ``shards == 1`` is
         that one round.  With ``stop_after_first_fault`` no round
         follows one that holds a violation.
         """
@@ -657,7 +642,7 @@ class DiceOrchestrator:
                 [outcome.frontier for outcome in outcomes]
             )
             plan = plan_round(
-                len(final.entries), session.budget_left, run.shards
+                len(final.entries), session.budget_left, shards
             )
             faulted = session.config.stop_at_first_fault and any(
                 outcome.report.violations for outcome in outcomes
@@ -665,7 +650,7 @@ class DiceOrchestrator:
             if plan is None or faulted:
                 return self._merged_session_report(session.reports, final)
             self._submit_shard_round(
-                run, session, plan, final.split(plan.count)
+                engine, session, plan, final.split(plan.count)
             )
 
     @staticmethod
@@ -699,17 +684,6 @@ class DiceOrchestrator:
         report.branch_coverage = len(final.seen_constraints)
         report.shape_coverage = len(final.seen_shapes)
         return report
-
-
-@dataclass
-class _CampaignRun:
-    """What every session of one campaign shares."""
-
-    config: OrchestratorConfig
-    engine: ParallelCampaignEngine
-    claims: ClaimTable
-    # Maximum shard tasks per session round.
-    shards: int
 
 
 @dataclass

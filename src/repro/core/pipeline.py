@@ -1,57 +1,48 @@
-"""The campaign's capture source: ordered captures, taken when asked for.
+"""The campaign's capture source: its one contact with the live system.
 
 Snapshots must be captured in the main process — the live system is
 singular, and the marker protocol drives its simulator.
-:class:`SnapshotPipeline` runs each capture on the caller's thread,
-inside :meth:`~SnapshotPipeline.next_capture`, exactly when the
-campaign loop asks for it, so the live system pays only for the
+:class:`SnapshotPipeline` advances the live system and captures, on
+the caller's thread, exactly when the campaign loop asks, at the
+(cycle, node) the loop names, so the live system pays only for the
 captures a campaign consumes.  Capture still overlaps exploration on
 pooled transports, with no thread of its own, because the loop submits
 each session before it asks for the next capture.
 
-Requests are fixed up front and captured strictly in the campaign's
-(cycle, node) order, one at a time, so the live simulator's evolution
-— and every captured snapshot — is bit-identical at any worker count.
-An exception raised by ``capture_fn`` (e.g. a snapshot deadline)
-propagates out of :meth:`~SnapshotPipeline.next_capture` unchanged.
+The loop names captures strictly in its (cycle, node) order, one at a
+time, so the live simulator's evolution — and every captured snapshot
+— is bit-identical at any worker count.  An exception raised by a
+capture (e.g. a snapshot deadline) propagates out of
+:meth:`~SnapshotPipeline.next_capture` unchanged.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
 
+from repro.core.live import LiveSystem
+from repro.core.payload import SnapshotEncoder
 from repro.core.snapshot import Snapshot
-
-
-@dataclass(frozen=True)
-class CaptureRequest:
-    """One planned capture, positioned in the campaign's serial order."""
-
-    index: int  # global position across the whole campaign
-    cycle: int
-    node: str
 
 
 @dataclass
 class CapturedSnapshot:
-    """One completed capture, tagged with its place in the plan.
+    """One completed capture of the campaign's (cycle, node) schedule.
 
     ``detected_at`` is the live simulated time immediately after the
     cut closed — the value fault reports from this snapshot's
     exploration must carry.
 
     ``payload`` is the encoded snapshot, when the pipeline was given a
-    ``prepare_fn`` (a campaign's :class:`~repro.core.payload.
-    SnapshotEncoder`): every task of the session (each shard of every
-    round included) then ships these same bytes instead of
-    re-serializing the snapshot.  When a payload was prepared,
-    ``snapshot`` is None — the payload fully replaces it.
-    ``capture_wall_s`` covers the capture and the encoding.
+    :class:`~repro.core.payload.SnapshotEncoder`: every task of the
+    session (each shard of every round included) then ships these same
+    bytes instead of re-serializing the snapshot.  When a payload was
+    prepared, ``snapshot`` is None — the payload fully replaces it.
+    ``capture_wall_s`` covers the live advance before the capture, the
+    capture and the encoding.
     """
 
-    index: int
     cycle: int
     node: str
     snapshot: Snapshot | None
@@ -60,51 +51,47 @@ class CapturedSnapshot:
     payload: bytes | None = None
 
 
-# capture_fn returns (snapshot, detected_at); it owns the live system
-# for the call.
-CaptureFn = Callable[[CaptureRequest], tuple[Snapshot, float]]
-
-
 class SnapshotPipeline:
-    """Yields the campaign's captures in request order, each taken on
-    the caller's thread when :meth:`next_capture` asks for it."""
+    """Takes each capture the caller names on the caller's thread,
+    advancing the live system ``live_advance`` simulated seconds
+    between captures, so each snapshot sees genuinely newer state."""
 
     def __init__(
         self,
-        capture_fn: CaptureFn,
-        requests: Sequence[CaptureRequest],
-        prepare_fn: Callable[[Snapshot], bytes] | None = None,
+        live: LiveSystem,
+        live_advance: float,
+        encoder: SnapshotEncoder | None = None,
     ):
-        self._capture_fn = capture_fn
-        self._prepare_fn = prepare_fn
-        self._requests = iter(requests)
+        self._live = live
+        self._live_advance = live_advance
+        self._encoder = encoder
+        self._captured = False
 
-    def next_capture(self) -> CapturedSnapshot:
-        """Take the next planned capture (and its payload), timed."""
-        request = next(self._requests, None)
-        if request is None:
-            raise IndexError("all requested captures already consumed")
+    def next_capture(self, cycle: int, node: str) -> CapturedSnapshot:
+        """Advance (after the first capture), capture at ``node`` and
+        encode, timed."""
         started = time.perf_counter()
-        snapshot, detected_at = self._capture_fn(request)
-        payload = None
-        if self._prepare_fn is not None:
-            payload = self._prepare_fn(snapshot)
+        self.advance()
+        self._captured = True
+        snapshot = self._live.coordinator.capture(node)
+        payload = None if self._encoder is None else self._encoder(snapshot)
         return CapturedSnapshot(
-            index=request.index,
-            cycle=request.cycle,
-            node=request.node,
+            cycle=cycle,
+            node=node,
             snapshot=None if payload is not None else snapshot,
-            detected_at=detected_at,
+            detected_at=self._live.network.sim.now,
             capture_wall_s=time.perf_counter() - started,
             payload=payload,
         )
 
-
-def plan_captures(nodes: Sequence[str], cycles: int) -> list[CaptureRequest]:
-    """The campaign's full capture schedule, in serial-loop order."""
-    return [
-        CaptureRequest(index=cycle * len(nodes) + position, cycle=cycle,
-                       node=node)
-        for cycle in range(cycles)
-        for position, node in enumerate(nodes)
-    ]
+    def advance(self) -> float:
+        """Run the live system ``live_advance`` simulated seconds on
+        from its last capture, if one was taken; the wall seconds that
+        took.  A campaign that ran to its end calls it once more after
+        its last capture; an early stop leaves the live system where
+        its last capture did."""
+        if not self._captured or self._live_advance <= 0:
+            return 0.0
+        started = time.perf_counter()
+        self._live.run(until=self._live.network.sim.now + self._live_advance)
+        return time.perf_counter() - started

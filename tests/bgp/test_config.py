@@ -151,6 +151,52 @@ class TestParser:
         with pytest.raises(PolicySyntaxError):
             parse_config("banana")
 
+    def test_duplicate_filter_rejected(self):
+        text = """
+        router a { local as 1; router id 1.1.1.1; }
+        filter f { accept; }
+        filter f { reject; }
+        """
+        with pytest.raises(PolicySyntaxError, match="duplicate filter 'f'"):
+            parse_config(text)
+
+    def test_filters_parse_in_place_between_routers(self):
+        text = """
+        filter f { if net ~ [ 10.0.0.0/8{8,24} ] then { reject; } accept; }
+        router a { local as 1; router id 1.1.1.1;
+                   neighbor b { as 2; import filter f; } }
+        filter g { bgp_local_pref = 7; accept; }
+        router b { local as 2; router id 2.2.2.2;
+                   neighbor a { as 1; export filter g; } }
+        """
+        a, b = parse_config(text)
+        assert sorted(a.filters) == sorted(b.filters) == ["f", "g"]
+        assert a.get_filter("f") is b.get_filter("f")
+
+    @pytest.mark.parametrize("direction", ["import", "export"])
+    def test_undefined_filter_rejected(self, direction):
+        """A neighbor naming a filter the file never defines is a config
+        typo, refused where it is written rather than crashing the
+        router on its first UPDATE."""
+        text = f"""
+        router r1 {{ local as 1; router id 1.1.1.1;
+                    neighbor r2 {{ as 2; }} }}
+        router r2 {{ local as 2; router id 2.2.2.2;
+                    neighbor r1 {{ as 1; {direction} filter typo; }} }}
+        """
+        with pytest.raises(PolicySyntaxError,
+                           match="router 'r2' .*filter 'typo'") as caught:
+            parse_config(text)
+        assert caught.value.line == 5
+
+    def test_accept_all_needs_no_definition(self):
+        text = """
+        router r1 { local as 1; router id 1.1.1.1;
+                    neighbor r2 { as 2; import filter accept_all; } }
+        """
+        (config,) = parse_config(text)
+        assert config.neighbor("r2").import_filter == "accept_all"
+
 
 class TestChanges:
     def test_add_network(self):

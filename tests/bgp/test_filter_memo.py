@@ -170,6 +170,22 @@ class TestOutcomeMemo:
              outcome(lambda: reference(router, policy, route)))
         assert not tagged(network.interned.looked_up)
 
+    @pytest.mark.parametrize("defaults", [(100, 77), (77, 100)])
+    def test_routers_with_other_defaults_share_no_outcome(self, defaults):
+        """Two routers on one interned table whose default LOCAL_PREFs
+        differ get their own outcome for a route without LOCAL_PREF."""
+        policy = Filter.compile(
+            "filter f { if bgp_local_pref = 77 then accept; reject; }")
+        route = Route(prefix=Prefix("10.1.0.0/16"),
+                      attributes=PathAttributes(),
+                      source=SOURCE_EBGP, peer="p", peer_as=65002)
+        network, routers = attached_routers(*defaults)
+        for router in routers:
+            attrs, fell_through = router._filter(policy, route)
+            assert (attrs is not None) is (
+                router.config.default_local_pref == 77)
+        assert len(tagged(network.interned)) == 2
+
     def test_an_unknown_attribute_still_raises(self):
         policy = Filter.compile(
             "filter f { if source = 0 then accept; "

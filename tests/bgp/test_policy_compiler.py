@@ -232,6 +232,40 @@ class TestCompiledEqualsTheWalk:
         assert result.attributes.key() == attributes.key()
 
 
+class TestCasesTheGeneratorsRarelyDraw:
+    """Deterministic cases for what the properties above seldom draw."""
+
+    ROUTE = Route(prefix=Prefix("10.1.0.0/16"),
+                  attributes=PathAttributes(as_path=AsPath.from_sequence(1)),
+                  source=SOURCE_EBGP, peer="p", peer_as=1)
+
+    @pytest.mark.parametrize("default", [77, 100])
+    def test_an_absent_local_pref_reads_as_the_default(self, default):
+        policy = Filter.compile(
+            "filter f { if bgp_local_pref = 77 then accept; reject; }")
+        assert self.ROUTE.attributes.local_pref is None
+        result = policy.evaluate(self.ROUTE, default)
+        assert result.accepted is (default == 77)
+        assert walk(policy.definition, self.ROUTE, default).accepted \
+            is result.accepted
+
+    def test_writing_back_a_symbolic_value_compares_nothing(self):
+        """A write whose value is symbolic counts as a change without a
+        comparison, which would record a branch the filter never took:
+        whether it is the very object already there or a new one."""
+        policy = Filter.compile(
+            "filter f { bgp_med = bgp_med + 0; "
+            "bgp_local_pref = bgp_local_pref; accept; }")
+        route = self.ROUTE.with_attributes(self.ROUTE.attributes.replace(
+            med=SymInt(Var("med", 0, 2**32 - 1), 5),
+            local_pref=SymInt(Var("lp", 0, 2**32 - 1), 100),
+        ))
+        compiled = observe(lambda: policy.evaluate(route), route)
+        assert compiled == observe(
+            lambda: walk(policy.definition, route), route)
+        assert compiled[1] == []
+
+
 class TestFilterObject:
     SOURCE = ("filter f { if net ~ [ 10.0.0.0/8+ ] && bgp_path.len < 4 "
               "then { bgp_community.add((65001, 7)); accept; } reject; }")

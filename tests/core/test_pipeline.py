@@ -1,12 +1,14 @@
 """Tests for the campaign's capture source.
 
 Two layers: unit tests of :class:`SnapshotPipeline`'s ordering,
-on-demand and error semantics against a fake capture function, and
+advance, on-demand and error semantics on a small live system, and
 campaign-level tests asserting that captures run on the campaign's own
 thread, one per session it merges, that an early stop takes no capture
-past the faulting cycle, and that pooled results match serial ones.
+past the faulting cycle, that pooled results match serial ones, and
+that nothing but the capture source touches the live system.
 """
 
+import sys
 import threading
 import time
 
@@ -18,150 +20,135 @@ from campaign_helpers import (
     node_fingerprint,
     report_fingerprint,
 )
+from repro import quickstart_system
+from repro.bgp.config import AddNetwork
+from repro.bgp.ip import Prefix
 from repro.checks import default_property_suite
 from repro.core.explorer import Explorer
+from repro.core.live import LiveSystem
 from repro.core.orchestrator import (
     CampaignResult,
     DiceOrchestrator,
     OrchestratorConfig,
 )
-from repro.core.pipeline import SnapshotPipeline, plan_captures
+from repro.core.payload import SnapshotEncoder, decode_snapshot
+from repro.core.pipeline import SnapshotPipeline
 from repro.core.remote import LoopbackTransport
 from repro.core.snapshot import SnapshotCoordinator
 
 
-def requests(count, nodes=("r1", "r2")):
-    return plan_captures(list(nodes), count)
-
-
-class TestPlanCaptures:
-    def test_serial_loop_order(self):
-        plan = plan_captures(["a", "b"], 2)
-        assert [(r.cycle, r.node) for r in plan] == [
-            (0, "a"), (0, "b"), (1, "a"), (1, "b"),
-        ]
-        assert [r.index for r in plan] == [0, 1, 2, 3]
-
-    def test_empty(self):
-        assert plan_captures(["a"], 0) == []
+@pytest.fixture
+def converged():
+    live = quickstart_system(seed=3)
+    live.converge()
+    return live
 
 
 class TestSnapshotPipeline:
-    def test_captures_in_request_order(self):
-        captured_order = []
-
-        def capture(request):
-            captured_order.append((request.cycle, request.node))
-            return object(), float(request.index)
-
-        plan = requests(3)
-        pipeline = SnapshotPipeline(capture, plan)
-        consumed = [pipeline.next_capture() for _ in plan]
-        assert captured_order == [(r.cycle, r.node) for r in plan]
-        assert [c.index for c in consumed] == [r.index for r in plan]
-        assert [c.detected_at for c in consumed] == [
-            float(r.index) for r in plan
+    def test_captures_in_request_order(self, converged):
+        """Each capture is taken at the node it names, in call order,
+        and carries its cycle and the live clock after its cut."""
+        pipeline = SnapshotPipeline(converged, 0.5)
+        schedule = [(0, "r3"), (0, "r1"), (1, "r2")]
+        consumed = [pipeline.next_capture(*named) for named in schedule]
+        assert [(c.cycle, c.node) for c in consumed] == schedule
+        assert [c.snapshot.initiator for c in consumed] == ["r3", "r1", "r2"]
+        assert len({c.snapshot.snapshot_id for c in consumed}) == 3
+        assert consumed[-1].detected_at == converged.network.sim.now
+        assert [c.snapshot.completed_at for c in consumed] == [
+            c.detected_at for c in consumed
         ]
 
-    def test_same_thread_scheduler_captures_on_demand(self):
-        """Each capture runs on the consumer, inside next_capture —
-        never ahead of need."""
-        calls = []
+    def test_advances_between_captures_never_before_the_first(
+        self, converged, counted
+    ):
+        pipeline = SnapshotPipeline(converged, 0.5)
+        assert pipeline.advance() == 0.0  # nothing captured yet
+        first = pipeline.next_capture(0, "r1")
+        assert counted["runs"] == []
+        second = pipeline.next_capture(0, "r2")
+        assert counted["runs"] == [first.detected_at + 0.5]
+        assert second.detected_at > first.detected_at + 0.5
+        assert pipeline.advance() > 0.0
+        assert counted["runs"][-1] == second.detected_at + 0.5
+        assert converged.network.sim.now == second.detected_at + 0.5
 
-        def capture(request):
-            calls.append((request.index, threading.current_thread()))
-            return object(), float(request.index)
+    def test_a_zero_advance_never_runs_the_live_system(
+        self, converged, counted
+    ):
+        pipeline = SnapshotPipeline(converged, 0.0)
+        pipeline.next_capture(0, "r1")
+        pipeline.next_capture(0, "r2")
+        assert pipeline.advance() == 0.0
+        assert counted["runs"] == []
 
-        plan = requests(2)
-        pipeline = SnapshotPipeline(capture, plan)
-        assert calls == []
-        consumed = [pipeline.next_capture() for _ in plan[:3]]
-        assert calls == [
-            (r.index, threading.current_thread()) for r in plan[:3]
-        ]
-        assert [c.index for c in consumed] == [0, 1, 2]
-
-    def test_single_producer_thread_owns_captures(self):
-        """One thread owns every capture — the consumer's: the capture
-        source starts no thread of its own."""
+    def test_same_thread_scheduler_captures_on_demand(
+        self, converged, counted
+    ):
+        """Each capture runs on the caller's thread, inside
+        next_capture, never ahead of need, and the capture source
+        starts no thread of its own."""
         before = set(threading.enumerate())
-        threads, alive = set(), []
+        pipeline = SnapshotPipeline(converged, 0.5,
+                                    encoder=SnapshotEncoder())
+        assert counted["captured"] == []
+        for consumed in range(1, 5):
+            pipeline.next_capture(consumed, "r2")
+            assert counted["captured"] == ["r2"] * consumed
+        for thread, alive in counted["threads"]:
+            assert thread is threading.current_thread()
+            assert alive <= before
 
-        def capture(request):
-            threads.add(threading.current_thread())
-            alive.append(set(threading.enumerate()))
-            return object(), 0.0
-
-        pipeline = SnapshotPipeline(capture, requests(2))
-        for _ in range(4):
-            pipeline.next_capture()
-        assert threads == {threading.current_thread()}
-        assert all(running <= before for running in alive)
-
-    def test_bounded_prefetch(self):
-        """Nothing is captured ahead of the consumer: after every
-        next_capture exactly the captures asked for have run."""
-        started = []
-
-        def capture(request):
-            started.append(request.index)
-            return object(), 0.0
-
-        pipeline = SnapshotPipeline(capture, requests(4))
-        assert started == []
-        for consumed in range(1, 9):
-            pipeline.next_capture()
-            assert started == list(range(consumed))
-
-    def test_prepared_payload_replaces_the_snapshot(self):
-        """With a prepare_fn each capture is pickled once, on the
-        consumer, and the payload stands in for the snapshot; without
-        one the snapshot object is handed over as captured."""
-        prepared = []
-
-        def prepare(snapshot):
-            prepared.append((snapshot, threading.current_thread()))
-            return f"blob-{snapshot}".encode()
-
-        def capture(request):
-            return request.index, 0.0
-
-        pipeline = SnapshotPipeline(capture, requests(1), prepare_fn=prepare)
-        consumed = [pipeline.next_capture() for _ in range(2)]
-        assert prepared == [(0, threading.current_thread()),
-                            (1, threading.current_thread())]
-        assert [c.payload for c in consumed] == [b"blob-0", b"blob-1"]
+    def test_prepared_payload_replaces_the_snapshot(self, converged):
+        """With an encoder each capture is encoded once, on the caller,
+        and the payload stands in for the snapshot; without one the
+        snapshot object is handed over as captured."""
+        encoder = SnapshotEncoder()
+        encoded = SnapshotPipeline(converged, 0.5, encoder=encoder)
+        consumed = [encoded.next_capture(0, node) for node in ("r1", "r2")]
         assert all(c.snapshot is None for c in consumed)
+        assert [decode_snapshot(c.payload).initiator for c in consumed] == [
+            "r1", "r2",
+        ]
+        assert encoder.blocks_pickled >= 1
 
-        plain = SnapshotPipeline(capture, requests(1)).next_capture()
-        assert (plain.snapshot, plain.payload) == (0, None)
+        plain = SnapshotPipeline(converged, 0.5).next_capture(0, "r3")
+        assert plain.payload is None
+        assert plain.snapshot.initiator == "r3"
 
-    def test_capture_wall_covers_pickling(self):
-        def prepare(snapshot):
+    def test_capture_wall_covers_pickling(self, converged, monkeypatch):
+        """``capture_wall_s`` covers the advance before the capture, the
+        capture and the encoding."""
+        run = LiveSystem.run
+
+        def slow_run(self, until=None, max_events=None):
+            time.sleep(0.02)
+            return run(self, until=until, max_events=max_events)
+
+        def slow_encoder(snapshot):
             time.sleep(0.02)
             return b"blob"
 
-        pipeline = SnapshotPipeline(lambda r: (object(), 0.0), requests(1),
-                                    prepare_fn=prepare)
-        assert pipeline.next_capture().capture_wall_s >= 0.02
+        monkeypatch.setattr(LiveSystem, "run", slow_run)
+        pipeline = SnapshotPipeline(converged, 0.5, encoder=slow_encoder)
+        assert pipeline.next_capture(0, "r1").capture_wall_s >= 0.02
+        assert pipeline.next_capture(0, "r2").capture_wall_s >= 0.04
 
-    def test_consuming_past_the_plan_raises(self):
-        pipeline = SnapshotPipeline(lambda r: (object(), 0.0), requests(1))
-        for _ in range(2):
-            pipeline.next_capture()
-        with pytest.raises(IndexError):
-            pipeline.next_capture()
+    def test_capture_errors_reraise_in_consumer(self, converged, monkeypatch):
+        captures = []
+        capture = SnapshotCoordinator.capture
 
-    def test_capture_errors_reraise_in_consumer(self):
-        def capture(request):
-            if request.index == 1:
+        def failing(self, initiator, *args, **kwargs):
+            captures.append(initiator)
+            if len(captures) == 2:
                 raise TimeoutError("cut never closed")
-            return object(), 0.0
+            return capture(self, initiator, *args, **kwargs)
 
-        pipeline = SnapshotPipeline(capture, requests(2))
-        pipeline.next_capture()
+        monkeypatch.setattr(SnapshotCoordinator, "capture", failing)
+        pipeline = SnapshotPipeline(converged, 0.5)
+        pipeline.next_capture(0, "r1")
         with pytest.raises(TimeoutError, match="cut never closed"):
-            pipeline.next_capture()
+            pipeline.next_capture(0, "r2")
 
     def test_hidden_fraction_bounds(self):
         """The capture time a campaign hid behind exploration stays
@@ -197,10 +184,14 @@ def run_campaign(workers, stop=False, cycles=2, inputs=4, **kwargs):
 
 @pytest.fixture
 def counted(monkeypatch):
-    """Record every session explored in this process and, for every
-    capture, its initiator and the threads alive while it ran."""
-    calls = {"explored": [], "captured": [], "threads": []}
+    """Record every session explored in this process; for every
+    capture, its initiator and the threads alive while it ran; the
+    ``until`` of every ``LiveSystem.run``; and the module that called
+    each capture or live run."""
+    calls = {"explored": [], "captured": [], "threads": [], "runs": [],
+             "callers": []}
     explore_shard, capture = Explorer.explore_shard, SnapshotCoordinator.capture
+    run = LiveSystem.run
 
     def counting_explore(self, config, shard):
         calls["explored"].append(config.node)
@@ -211,15 +202,22 @@ def counted(monkeypatch):
         calls["threads"].append(
             (threading.current_thread(), set(threading.enumerate()))
         )
+        calls["callers"].append(sys._getframe(1).f_globals["__name__"])
         return capture(self, initiator, *args, **kwargs)
+
+    def counting_run(self, until=None, max_events=None):
+        calls["runs"].append(until)
+        calls["callers"].append(sys._getframe(1).f_globals["__name__"])
+        return run(self, until=until, max_events=max_events)
 
     monkeypatch.setattr(Explorer, "explore_shard", counting_explore)
     monkeypatch.setattr(SnapshotCoordinator, "capture", counting_capture)
+    monkeypatch.setattr(LiveSystem, "run", counting_run)
     return calls
 
 
 class TestPipelinedDeterminism:
-    def test_pipelined_matches_serial(self):
+    def test_pooled_matches_serial(self):
         """A pooled campaign captures each node while the sessions it
         already submitted explore; fault reports and counters are
         identical to the serial run's."""
@@ -233,7 +231,7 @@ class TestPipelinedDeterminism:
         assert serial.snapshots_taken == piped.snapshots_taken
         assert serial.solver_queries == piped.solver_queries
 
-    def test_pipelined_matches_batch_parallel(self, counted):
+    def test_pipeline_knob_is_inert_when_pooled(self, counted):
         """The benchmark-compatibility ``pipeline`` knob is inert on a
         pooled engine too: on or off, equal workers give the same
         results from the same captures."""
@@ -266,7 +264,7 @@ class TestPipelinedDeterminism:
                 # Inline, nothing explores while a capture runs.
                 assert result.capture_blocked_s == result.capture_wall_s
 
-    def test_pipelined_prepickles_payloads(self):
+    def test_pooled_campaign_prepickles_payloads(self):
         """A pooled campaign pickles each snapshot once, when it is
         captured: every task ships bytes, and every shard of every
         round of a session ships the same bytes."""
@@ -301,8 +299,8 @@ class TestPipelinedDeterminism:
         consumed = []
         next_capture = SnapshotPipeline.next_capture
 
-        def recording(self):
-            captured = next_capture(self)
+        def recording(self, cycle, node):
+            captured = next_capture(self, cycle, node)
             consumed.append(captured)
             return captured
 
@@ -383,3 +381,23 @@ class TestPipelinedDeterminism:
             "r1", "r2", "r3", "r1", "r2", "r3",
         ]
         assert result.cycles_completed == 2
+
+
+@pytest.mark.parametrize("mode", [
+    {},
+    {"workers": 2, "transport": "loopback"},
+    {"frontier_shards": 3},
+    {"stop_after_first_fault": True},
+])
+def test_only_the_capture_source_touches_the_live_system(mode, counted):
+    """Every capture and every live advance of a campaign, and the
+    capture of a vetted change, goes through the capture source."""
+    dice = DiceOrchestrator(faulty_live(), default_property_suite())
+    counted["callers"].clear()  # building the system ran it
+    result = dice.run_campaign(
+        OrchestratorConfig(inputs_per_node=4, cycles=2, seed=9, **mode)
+    )
+    assert result.snapshots_taken
+    dice.vet_change("r1", AddNetwork(Prefix("10.1.0.0/16")))
+    assert "repro.core.pipeline" in counted["callers"]
+    assert set(counted["callers"]) == {"repro.core.pipeline"}
