@@ -1,6 +1,6 @@
 """EXP-OVERHEAD (Table B) — the "low overhead" claim.
 
-Nine measurements:
+Ten measurements:
 
 * checkpoint cost (wall time and retained bytes) as a function of RIB
   size — expected shape: linear, small constants;
@@ -29,6 +29,9 @@ Nine measurements:
 * the RIB blocks a pooled demo27 campaign pickles for its four
   captures — expected: 1, as no router's RIBs change between them; a
   counter, so gated;
+* the RIB containers a steady-state demo27 capture builds — expected:
+  0 of 235, as a capture hands back the last one's container for every
+  RIB that has not changed; a counter, so gated;
 * snapshot latency (simulated seconds for the marker cut to close) as a
   function of system size — expected shape: bounded by network
   diameter, not node count;
@@ -512,3 +515,50 @@ def test_rib_blocks_pickled(benchmark, monkeypatch):
     )
     assert len(dumps) == result.snapshots_taken == 4
     assert blocks == 1
+
+
+def test_rib_containers_built_per_capture(benchmark):
+    """What a steady-state capture rebuilds: converged demo27, captured
+    once, run 30 simulated seconds (keepalives, no route change) and
+    captured again.  The second capture's RIB containers — each
+    router's Loc-RIB and its Adj-RIB-In and Adj-RIB-Out per peer, 235
+    in all — that are not the first capture's own objects: 235 while
+    every capture built every container, 0 since a capture hands back
+    the last one's for a RIB that has not changed.  A counter, so
+    gated; the capture's ms is wall clock, so informational."""
+    from repro.topo.demo27 import build_demo27
+
+    def containers(snapshot):
+        found = {}
+        for name, checkpoint in snapshot.checkpoints.items():
+            state = checkpoint.state
+            found[name, "loc_rib", None] = state["loc_rib"]
+            for field in ("adj_rib_in", "adj_rib_out"):
+                for peer, container in state[field].items():
+                    found[name, field, peer] = container
+        return found
+
+    topology = build_demo27()
+    live = LiveSystem.build(topology.configs, topology.links, seed=0)
+    live.converge(deadline=600)
+    first = containers(live.coordinator.capture("tr-1"))
+    live.run(until=live.network.sim.now + 30.0)
+    second = benchmark.pedantic(
+        live.coordinator.capture, ("tr-2",), rounds=1, iterations=1
+    )
+    second = containers(second)
+    built = sum(
+        container is not first.get(key) for key, container in second.items()
+    )
+    capture_ms = benchmark.stats.stats.min * 1000
+    print(f"\n  rib containers built={built} of {len(second)}, "
+          f"capture {capture_ms:.2f} ms")
+    benchlib.record(
+        "overhead",
+        metrics={
+            "rib_containers_built_per_capture": built,
+            "steady_capture_ms": round(capture_ms, 3),
+        },
+    )
+    assert len(second) == 235
+    assert built == 0

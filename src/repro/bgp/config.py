@@ -163,8 +163,12 @@ class SetNeighborFilter(ConfigChange):
     filter_name: str
 
     def apply(self, config: RouterConfig) -> RouterConfig:
+        """The changed configuration; a filter the router does not
+        define is refused here, as the config parser refuses one, not
+        left to crash the router on its next UPDATE."""
         if self.direction not in ("import", "export"):
             raise ValueError(f"bad direction {self.direction!r}")
+        config.get_filter(self.filter_name)  # KeyError when undefined
         updated = []
         found = False
         for neighbor in config.neighbors:

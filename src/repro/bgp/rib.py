@@ -15,7 +15,10 @@ the oscillation and convergence checks.
 
 All three are dicts keyed by prefix, and each constructor takes what the
 RIB starts out holding: restoring a checkpoint is one dict build that
-calls no mutator and journals nothing — it is not a route change.  The
+calls no mutator and journals nothing — it is not a route change.
+Each keeps a ``version`` that every change to its content or key order
+bumps, so a checkpoint can hand back the container it built last time
+while the version reads the same (``BGPRouter.export_state``).  The
 two route RIBs hold :class:`Route` objects, provenance and all.  An
 Adj-RIB-Out holds only the :class:`PathAttributes` that went on the
 wire: the router exports a change once per update group, so every peer
@@ -71,16 +74,21 @@ class AdjRibIn:
     def __init__(self, peer: str, routes: Iterable[Route] = ()):
         self.peer = peer
         self._routes: dict[Prefix, Route] = {r.prefix: r for r in routes}
+        self.version = 0
 
     def update(self, route: Route) -> Route | None:
         """Install ``route``; returns the route it replaced, if any."""
         previous = self._routes.get(route.prefix)
         self._routes[route.prefix] = route
+        self.version += 1
         return previous
 
     def withdraw(self, prefix: Prefix) -> Route | None:
         """Remove the route for ``prefix``; returns it if present."""
-        return self._routes.pop(prefix, None)
+        previous = self._routes.pop(prefix, None)
+        if previous is not None:
+            self.version += 1
+        return previous
 
     def get(self, prefix: Prefix) -> Route | None:
         """The route this peer advertised for ``prefix``, if any."""
@@ -97,7 +105,9 @@ class AdjRibIn:
     def clear(self) -> list[Prefix]:
         """Drop everything (session reset); returns affected prefixes."""
         prefixes = list(self._routes.keys())
-        self._routes.clear()
+        if prefixes:
+            self._routes.clear()
+            self.version += 1
         return prefixes
 
     def __len__(self) -> int:
@@ -129,6 +139,7 @@ class LocRib:
         self._order: list[Prefix] | None = None
         self._journal: "deque[RibChange]" = deque(maxlen=JOURNAL_CAPACITY)
         self.changes_total = 0
+        self.version = 0
 
     def get(self, prefix: Prefix) -> Route | None:
         """Best route for exactly ``prefix``."""
@@ -148,6 +159,7 @@ class LocRib:
             self._routes[prefix] = route
         if old is None or route is None:
             self._order = None
+        self.version += 1
         change = RibChange(time, prefix, old, route)
         self.changes_total += 1
         self._journal.append(change)
@@ -196,6 +208,7 @@ class AdjRibOut:
         self._sent: dict[Prefix, PathAttributes] = (
             {} if sent is None else sent.copy()
         )
+        self.version = 0
 
     def advertised(self, prefix: Prefix) -> PathAttributes | None:
         """The attribute set we last announced for ``prefix``, if any."""
@@ -206,6 +219,8 @@ class AdjRibOut:
         """Record an announcement; False if it duplicates the last one."""
         sent = self._sent
         previous = sent.pop(prefix, None)
+        # Even a duplicate moves its key to the end, under ``prefix``.
+        self.version += 1
         if previous is not None and previous == attributes:
             sent[prefix] = previous  # re-keyed, as it was sent
             return False
@@ -214,7 +229,10 @@ class AdjRibOut:
 
     def record_withdraw(self, prefix: Prefix) -> bool:
         """Record a withdrawal; False if nothing was advertised."""
-        return self._sent.pop(prefix, None) is not None
+        if self._sent.pop(prefix, None) is None:
+            return False
+        self.version += 1
+        return True
 
     def prefixes(self) -> Iterator[Prefix]:
         """All prefixes currently advertised to this peer."""
@@ -226,7 +244,9 @@ class AdjRibOut:
 
     def clear(self) -> None:
         """Forget advertisements (session reset)."""
-        self._sent.clear()
+        if self._sent:
+            self._sent.clear()
+            self.version += 1
 
     def __len__(self) -> int:
         return len(self._sent)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import logging
 from operator import attrgetter
-from typing import Any
+from typing import Any, Callable, NamedTuple
 
 from repro.bgp import faults
 from repro.bgp.damping import (
@@ -78,11 +78,13 @@ class BGPRouter(Process):
     def __init__(self, config: RouterConfig):
         super().__init__(config.name)
         self.config = config
-        # ``config.neighbors`` by peer, for ``_neighbor``; built from the
-        # config object ``_neighbors_of`` and rebuilt once ``config`` is
+        # ``config.neighbors`` by peer, for ``_neighbor``, and
+        # ``config.networks`` as a set, for ``_candidates``; built from
+        # the config object ``_indexed`` and rebuilt once ``config`` is
         # another one (callers assign it directly).
         self._neighbors: dict[str, NeighborConfig] = {}
-        self._neighbors_of: RouterConfig | None = None
+        self._networks: frozenset[Prefix] = frozenset()
+        self._indexed: RouterConfig | None = None
         self.sessions: dict[str, Session] = {}
         self.adj_rib_in: dict[str, AdjRibIn] = {}
         self.adj_rib_out: dict[str, AdjRibOut] = {}
@@ -446,12 +448,16 @@ class BGPRouter(Process):
             changes = self._run_decision(dirty)
             self._propagate(changes)
 
+    def _index_config(self) -> None:
+        """Build ``_neighbors`` and ``_networks`` from ``self.config``."""
+        config = self._indexed = self.config
+        self._neighbors = {n.peer: n for n in config.neighbors}
+        self._networks = frozenset(config.networks)
+
     def _neighbor(self, peer: str) -> NeighborConfig:
         """``self.config.neighbor(peer)``, by one dict lookup."""
-        config = self.config
-        if config is not self._neighbors_of:
-            self._neighbors = {n.peer: n for n in config.neighbors}
-            self._neighbors_of = config
+        if self.config is not self._indexed:
+            self._index_config()
         return self._neighbors[peer]
 
     def _build_route(self, src: str, prefix: Prefix,
@@ -584,8 +590,10 @@ class BGPRouter(Process):
     # -- decision process ---------------------------------------------------------
 
     def _candidates(self, prefix: Prefix) -> list[Route]:
+        if self.config is not self._indexed:
+            self._index_config()
         routes = []
-        if prefix in self.config.networks:
+        if prefix in self._networks:
             routes.append(self._static_route(prefix))
         for peer in sorted(self.adj_rib_in):
             route = self.adj_rib_in[peer].get(prefix)
@@ -826,15 +834,20 @@ class BGPRouter(Process):
 
     # -- checkpoint contract --------------------------------------------------------------
 
-    def export_state(self) -> dict[str, Any]:
+    def export_state(self, memo: dict | None = None) -> dict[str, Any]:
         """Full protocol state for DiCE checkpoints.
 
         Protocol state only: the statistics nothing in the protocol
         reads (``crash_count``, each session's :class:`SessionStats`)
         stay behind, so a restored router counts from its restore.
-        Every container is built here; the routes, attributes, RIB
-        changes and config inside are immutable and shared as they are.
-        It is a dict that pickles its RIBs as rows (:class:`_RouterState`).
+        The routes, attributes, RIB changes and config inside are
+        immutable and shared as they are.  Every container is built
+        here, except that given a ``memo`` — ``(field, peer) ->``
+        :class:`RibExport`, kept by the caller between this router's
+        checkpoints — a RIB whose object and version are the ones the
+        memo holds hands back the container built for it last time,
+        as ``fork()`` copies only the pages written since.  It is a
+        dict that pickles its RIBs as rows (:class:`_RouterState`).
         """
         state = _RouterState(super().export_state())
         state.update(
@@ -851,14 +864,16 @@ class BGPRouter(Process):
                 # Adj-RIB-Out is its prefix -> attributes map, each key
                 # the Loc-RIB route's own prefix.
                 "adj_rib_in": {
-                    peer: list(rib.routes())
+                    peer: _exported(memo, "adj_rib_in", peer, rib, _routes)
                     for peer, rib in self.adj_rib_in.items()
                 },
                 "adj_rib_out": {
-                    peer: rib.sent()
+                    peer: _exported(memo, "adj_rib_out", peer, rib,
+                                    AdjRibOut.sent)
                     for peer, rib in self.adj_rib_out.items()
                 },
-                "loc_rib": list(self.loc_rib.routes()),
+                "loc_rib": _exported(memo, "loc_rib", None, self.loc_rib,
+                                     _routes),
                 "pending_export": {
                     peer: dict(pending)
                     for peer, pending in self._pending_export.items()
@@ -899,6 +914,33 @@ class BGPRouter(Process):
             self.dampener = FlapDampener(params=self.config.damping)
             self.dampener.import_state(damping_state)
         super().import_state(state)
+
+
+class RibExport(NamedTuple):
+    """A checkpoint memo's entry: the RIB a container was built from,
+    the RIB's version then, and the container."""
+
+    rib: AdjRibIn | LocRib | AdjRibOut
+    version: int
+    container: Any
+
+
+def _routes(rib: AdjRibIn | LocRib) -> list[Route]:
+    return list(rib.routes())
+
+
+def _exported(memo: dict | None, field: str, peer: str | None, rib,
+              build: Callable[[Any], Any]) -> Any:
+    """``build(rib)``, or the container ``memo`` holds for this very RIB
+    at its current version."""
+    if memo is None:
+        return build(rib)
+    entry = memo.get((field, peer))
+    if entry is not None and entry.rib is rib and entry.version == rib.version:
+        return entry.container
+    container = build(rib)
+    memo[field, peer] = RibExport(rib, rib.version, container)
+    return container
 
 
 # What a route received from a peer shares with the peer's other routes.

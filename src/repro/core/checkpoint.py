@@ -8,14 +8,20 @@ from its restore, every counter at 0, and a check reads what the
 clone's own run caused (see :mod:`repro.core.properties`).
 "Lightweight" is made concrete three ways:
 
-* **structural sharing** — ``export_state`` builds fresh containers
-  around immutable leaves (routes, attributes, AS paths, prefixes,
-  configs, filters) and ``import_state`` builds the clone's own, so the
-  live router, the checkpoint and every clone share the leaves and no
+* **structural sharing** — ``export_state`` builds containers around
+  immutable leaves (routes, attributes, AS paths, prefixes, configs,
+  filters) and ``import_state`` builds the clone's own, so the live
+  router, the checkpoint and every clone share the leaves and no
   container.  Checkpointing a RIB of 10k routes builds dict/list
-  spines, not 10k route objects.  The leaves are shared *across* the
-  routers of a network too — one attribute set, AS path, prefix and
-  address (next hop, peer BGP id) object per distinct value
+  spines, not 10k route objects, and only for a RIB that changed:
+  the capturer keeps a memo per process (``SnapshotCoordinator``), and
+  a RIB whose version has not moved since the last checkpoint hands
+  back that checkpoint's container, as libckpt's incremental
+  checkpoints write only the pages dirtied since the last one.
+  Checkpoints of one process may so share a container, which nobody
+  writes; no live object holds one.  The leaves are shared *across*
+  the routers of a network too — one attribute set, AS path, prefix
+  and address (next hop, peer BGP id) object per distinct value
   (``Network.interned``) — so a pickled snapshot writes each once;
 * **restore is a bulk build, not a replay** — a checkpoint holds each
   RIB as a list of routes and ``import_state`` turns each list into the
@@ -74,10 +80,12 @@ class NodeCheckpoint:
         process.adopt_timers(timers)
 
 
-def capture(process: Process, now: float) -> NodeCheckpoint:
-    """Checkpoint one process."""
+def capture(process: Process, now: float,
+            memo: dict | None = None) -> NodeCheckpoint:
+    """Checkpoint one process; ``memo`` is the process's checkpoint memo
+    (see :meth:`~repro.net.node.Process.export_state`), if kept."""
     started = time.perf_counter()
-    state = process.export_state()
+    state = process.export_state(memo)
     wall = time.perf_counter() - started
     return NodeCheckpoint(
         node=process.name, taken_at=now, state=state, wall_time_s=wall

@@ -19,8 +19,9 @@ Every payload carries its block's bytes; only the work is saved.
 
 Coordinator side, a :class:`SnapshotEncoder` lives for one campaign and
 pickles a block only when something in it changed: it holds the last
-capture's RIB containers and compares the new ones entry by entry with
-``is``.  A checkpoint's containers are built at capture and written by
+capture's RIB containers and compares the new ones with ``is`` — the
+container itself, which a capture hands back for a RIB that has not
+changed, else entry by entry.  A checkpoint's containers are written by
 nobody, and its leaves — routes, attribute sets, prefixes, configs —
 are immutable, so the same objects in the same order pickle to a block
 that decodes equal to the last one.
@@ -107,15 +108,19 @@ def _same_per_peer(new: dict[str, Any], old: dict[str, Any]) -> bool:
     """The same peers in order, each holding the same objects in order:
     an Adj-RIB-In's routes, an Adj-RIB-Out's prefixes and attributes."""
     return list(new) == list(old) and all(
-        _same(rib, old[peer])
-        and (type(rib) is not dict or _same(rib.values(), old[peer].values()))
-        for peer, rib in new.items()
+        _same(rib, old[peer]) for peer, rib in new.items()
     )
 
 
 def _same(new, old) -> bool:
-    """Equal lengths and the same object at every position."""
-    return len(new) == len(old) and all(map(is_, new, old))
+    """The same container — a checkpoint hands back the last one's for
+    a RIB that did not change — or equal lengths and the same object at
+    every position, and for a map under every key."""
+    if new is old:
+        return True
+    return len(new) == len(old) and all(map(is_, new, old)) and (
+        type(new) is not dict or all(map(is_, new.values(), old.values()))
+    )
 
 
 # The block this process decoded last: (its bytes, the decoded entries).

@@ -68,15 +68,27 @@ class ClaimTable:
     order.
     """
 
-    __slots__ = ("_table",)
+    # ``_lengths``, the table's distinct prefix lengths ascending, is
+    # worked out from ``_table`` and never pickled.
+    __slots__ = ("_table", "_lengths")
 
     def __init__(self, claims: Iterable[tuple[int, Prefix]] = ()):
         table: dict[Prefix, set[int]] = {}
         for asn, prefix in claims:
             table.setdefault(prefix, set()).add(asn)
-        self._table = {
+        self._set_table({
             prefix: frozenset(sorted(table[prefix])) for prefix in sorted(table)
-        }
+        })
+
+    def _set_table(self, table: dict[Prefix, frozenset[int]]) -> None:
+        self._table = table
+        self._lengths = tuple(sorted({prefix.length for prefix in table}))
+
+    def __getstate__(self):
+        return None, {"_table": self._table}
+
+    def __setstate__(self, state) -> None:
+        self._set_table(state[1]["_table"])
 
     @staticmethod
     def from_configs(configs) -> "ClaimTable":
@@ -96,9 +108,12 @@ class ClaimTable:
         return self._table.get(prefix, frozenset())
 
     def _claimed_covering(self, prefix: Prefix) -> Iterable[Prefix]:
-        """The claimed prefixes covering ``prefix`` (itself included):
-        one lookup per covering length, whatever the table's size."""
-        for length in range(prefix.length + 1):
+        """The claimed prefixes covering ``prefix`` (itself included),
+        shortest first: one lookup per length some claim has, up to
+        ``prefix``'s, whatever the table's size."""
+        for length in self._lengths:
+            if length > prefix.length:
+                break
             mask = (_ALL_ONES << (32 - length)) & _ALL_ONES
             covering = Prefix(prefix.network & mask, length)
             if covering in self._table:

@@ -275,14 +275,20 @@ class SnapshotCoordinator:
     recorded in sorted order.  Only one thread may touch the network
     at a time; a campaign captures on its own thread (see
     :class:`repro.core.pipeline.SnapshotPipeline`).  The coordinator
-    itself holds no hidden mutable state beyond two counters:
-    ``snapshots_taken`` and the captures begun, which name snapshots.
+    itself holds no hidden mutable state beyond two counters —
+    ``snapshots_taken`` and the captures begun, which name snapshots —
+    and one checkpoint memo per process, through which a capture hands
+    back the last capture's container for each RIB that has not
+    changed since (:meth:`~repro.net.node.Process.export_state`).  The
+    memos live here, not on the processes, so no live object holds a
+    checkpoint's container.
     """
 
     def __init__(self, network: Network):
         self._network = network
         self.snapshots_taken = 0
         self._captures_begun = 0
+        self._memos: dict[str, dict] = {}
 
     def _next_id(self) -> str:
         """``snap-<n>`` for this coordinator's ``n``-th capture begun.
@@ -307,7 +313,7 @@ class SnapshotCoordinator:
         started = time.perf_counter()
         now = self._network.sim.now
         checkpoints = {
-            name: capture(process, now)
+            name: capture(process, now, self._memos.setdefault(name, {}))
             for name, process in self._network.processes.items()
         }
         channels = [
@@ -340,7 +346,8 @@ class SnapshotCoordinator:
         if initiator not in self._network.processes:
             raise KeyError(f"unknown initiator {initiator!r}")
         started = time.perf_counter()
-        session = _MarkerSession(self._network, initiator, self._next_id())
+        session = _MarkerSession(self._network, initiator, self._next_id(),
+                                 self._memos)
         session.begin()
         limit = self._network.sim.now + deadline
         while not session.complete():
@@ -371,10 +378,12 @@ class SnapshotCoordinator:
 class _MarkerSession:
     """State of one in-progress marker snapshot."""
 
-    def __init__(self, network: Network, initiator: str, snapshot_id: str):
+    def __init__(self, network: Network, initiator: str, snapshot_id: str,
+                 memos: dict[str, dict]):
         self._network = network
         self._initiator = initiator
         self._id = snapshot_id
+        self._memos = memos
         self._taken_at = network.sim.now
         self._completed_at: float | None = None
         self._checkpoints: dict[str, NodeCheckpoint] = {}
@@ -415,9 +424,14 @@ class _MarkerSession:
             self._network.remove_interceptor(self._intercept)
             self._installed = False
 
+    def _checkpoint(self, name: str) -> None:
+        self._checkpoints[name] = capture(
+            self._network.processes[name], self._network.sim.now,
+            self._memos.setdefault(name, {}),
+        )
+
     def _record_node(self, name: str) -> None:
-        process = self._network.processes[name]
-        self._checkpoints[name] = capture(process, self._network.sim.now)
+        self._checkpoint(name)
         neighbors = self._network.neighbors(name)
         awaiting = self._awaiting[name] = set(neighbors)
         self._pending += len(awaiting)
@@ -458,10 +472,7 @@ class _MarkerSession:
         """
         for name in self._network.processes:
             if name not in self._checkpoints:
-                process = self._network.processes[name]
-                self._checkpoints[name] = capture(
-                    process, self._network.sim.now
-                )
+                self._checkpoint(name)
                 self._awaiting[name] = set()
         for pending in self._awaiting.values():
             pending.clear()

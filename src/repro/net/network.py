@@ -21,28 +21,41 @@ from __future__ import annotations
 from collections.abc import Iterator, Mapping, Sequence
 from functools import partial
 from types import MappingProxyType
-from typing import Any, Callable, Hashable, Iterable
+from typing import Any, Callable, Hashable, Iterable, NamedTuple
 
 from repro.net.link import Link, LinkProfile
 from repro.net.node import Process
 from repro.net.sim import Event, Simulator
 
 
-class InFlightMessage:
-    """A message scheduled for delivery, tracked for snapshotting."""
+class InFlightMessage(NamedTuple):
+    """A message scheduled for delivery, as :meth:`Network.in_flight`
+    lists it for a snapshot."""
 
-    __slots__ = ("src", "dst", "payload", "deliver_at", "event")
+    src: str
+    dst: str
+    payload: Any
+    deliver_at: float
 
-    def __init__(self, src: str, dst: str, payload: Any, deliver_at: float,
-                 event: Event):
+
+class _Delivery:
+    """A scheduled delivery: the event's callback, and the one object a
+    message in flight costs."""
+
+    __slots__ = ("network", "src", "dst", "payload")
+
+    def __init__(self, network: "Network", src: str, dst: str,
+                 payload: Any):
+        self.network = network
         self.src = src
         self.dst = dst
         self.payload = payload
-        self.deliver_at = deliver_at
-        self.event = event
+
+    def __call__(self) -> None:
+        self.network._deliver(self.src, self.dst, self.payload)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"<in-flight {self.src}->{self.dst} @{self.deliver_at:.3f}>"
+        return f"<delivery {self.src}->{self.dst}>"
 
 
 class Processes(Mapping[str, Process]):
@@ -164,9 +177,8 @@ class Network:
         # is None until the link first carries a message, so a clone
         # pays only for the links and streams it uses.
         self._wires: dict[str, dict[str, list[Any]]] = {}
-        self._in_flight: dict[int, InFlightMessage] = {}
-        self._in_flight_seq = 0
-        self._interceptors: list[Callable[[str, str, Any], bool]] = []
+        # Replaced, never changed in place (see ``_deliver``).
+        self._interceptors: tuple[Callable[[str, str, Any], bool], ...] = ()
         self._started = False
         # Immutable values this network's processes hold one object of
         # per distinct value, keyed by content (a BGP router keeps a
@@ -352,17 +364,7 @@ class Network:
 
     def _schedule_delivery(self, src: str, dst: str, payload: Any,
                            delay: float) -> None:
-        token = self._in_flight_seq
-        self._in_flight_seq += 1
-
-        def deliver() -> None:
-            self._in_flight.pop(token, None)
-            self._deliver(src, dst, payload)
-
-        event = self.sim.schedule(delay, deliver)
-        self._in_flight[token] = InFlightMessage(
-            src, dst, payload, self.sim.now + delay, event
-        )
+        self.sim.schedule(delay, _Delivery(self, src, dst, payload))
 
     def _deliver(self, src: str, dst: str, payload: Any) -> None:
         process = self._built.get(dst)
@@ -370,9 +372,10 @@ class Network:
             if dst not in self.processes:
                 return
             process = self.processes[dst]
-        # Iterate a copy: an interceptor may unregister itself mid-delivery
-        # (the snapshot session does, on its final marker).
-        for interceptor in list(self._interceptors):
+        # An interceptor may unregister itself mid-delivery (the
+        # snapshot session does, on its final marker); that replaces the
+        # tuple, not the one walked here.
+        for interceptor in self._interceptors:
             if interceptor(src, dst, payload):
                 return  # consumed (e.g. a snapshot marker)
         process.on_message(src, payload)
@@ -397,13 +400,15 @@ class Network:
         channels as protocol traffic without the application ever
         seeing them.
         """
-        self._interceptors.append(callback)
+        self._interceptors += (callback,)
 
     def remove_interceptor(
         self, callback: Callable[[str, str, Any], bool]
     ) -> None:
         """Unregister a previously added interceptor."""
-        self._interceptors.remove(callback)
+        interceptors = self._interceptors
+        index = interceptors.index(callback)
+        self._interceptors = interceptors[:index] + interceptors[index + 1:]
 
     def intern(self, key: Hashable, value: Any) -> Any:
         """Keep ``value`` as the one object for ``key``; returns it.
@@ -419,11 +424,18 @@ class Network:
     # -- snapshot hooks ------------------------------------------------------------
 
     def in_flight(self) -> list[InFlightMessage]:
-        """Messages currently scheduled for delivery, in schedule order."""
-        live = [
-            msg for msg in self._in_flight.values() if not msg.event.cancelled
+        """Messages currently scheduled for delivery, read off the
+        simulator's queue, by delivery time, then source and
+        destination, then the order they were sent in."""
+        pending = sorted(
+            (event.time, delivery.src, delivery.dst, event.seq, delivery)
+            for event in self.sim.queued()
+            if type(delivery := event.callback) is _Delivery
+        )
+        return [
+            InFlightMessage(src, dst, delivery.payload, deliver_at)
+            for deliver_at, src, dst, _, delivery in pending
         ]
-        return sorted(live, key=lambda msg: (msg.deliver_at, msg.src, msg.dst))
 
     def quiescent(self) -> bool:
         """True when no events remain (network fully converged)."""
@@ -434,7 +446,7 @@ class Network:
 
         A network is a knot of reference cycles: every process points
         back at it, and every armed timer and scheduled delivery is an
-        event whose callback closes over a process or the network.
+        event whose callback holds a process or the network.
         Dropping the last outside reference therefore frees nothing
         until the cyclic collector happens to run, and an explorer that
         clones a whole system per input would hold every dead clone
@@ -449,7 +461,6 @@ class Network:
         self._table_shared = True
         self._links.clear()
         self._wires.clear()
-        self._in_flight.clear()
-        self._interceptors.clear()
+        self._interceptors = ()
         self.interned = {}
         self.sim.clear()

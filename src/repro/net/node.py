@@ -7,8 +7,9 @@ timer on every message — moves its one simulator event instead of
 leaving a cancelled event in the queue.
 The base class also defines the checkpoint contract used by DiCE
 (:meth:`export_state` / :meth:`import_state`): subclasses return their
-full protocol state as fresh containers over immutable leaves, and can be
-reconstructed from it inside a cloned simulation.
+full protocol state as containers over immutable leaves that no live
+object holds, and can be reconstructed from it inside a cloned
+simulation.
 """
 
 from __future__ import annotations
@@ -120,11 +121,16 @@ class Process:
 
     # -- checkpoint contract -------------------------------------------------
 
-    def export_state(self) -> dict[str, Any]:
+    def export_state(self, memo: dict | None = None) -> dict[str, Any]:
         """Return a snapshot of the full protocol state.
 
-        Contract: every container in the result, at any depth, is newly
-        built and held by nobody else, and holds only immutable leaves.
+        Contract: every container in the result, at any depth, holds
+        only immutable leaves and is never held by a live object.  It
+        is newly built, or — given ``memo``, a dict the caller keeps
+        for this process between checkpoints and writes nothing else
+        into — one this process's earlier checkpoint through the same
+        memo holds, shared because nobody writes a checkpoint and
+        handed back only while what it was built from is unchanged.
         Checkpoints store the result as is; nothing copies it again.
 
         Subclasses extend the returned dict; the base records armed timers

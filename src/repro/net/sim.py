@@ -27,7 +27,7 @@ top of ``schedule``/``run``.
 from __future__ import annotations
 
 import heapq
-from typing import Callable
+from typing import Callable, Iterator
 
 from repro.util.rng import RandomService
 
@@ -81,7 +81,12 @@ class Simulator:
     @property
     def pending(self) -> int:
         """Number of events still queued, cancelled ones excluded."""
-        return sum(1 for _, _, event in self._queue if not event.cancelled)
+        return sum(1 for _ in self.queued())
+
+    def queued(self) -> Iterator[Event]:
+        """The events still queued, cancelled ones excluded, in no
+        particular order."""
+        return (event for _, _, event in self._queue if not event.cancelled)
 
     def schedule(self, delay: float, callback: Callable[[], None]) -> Event:
         """Schedule ``callback`` to run ``delay`` seconds from now."""

@@ -216,9 +216,21 @@ class TestChanges:
         assert changed.networks == ()
 
     def test_set_neighbor_filter(self):
-        config = base_config()
+        config = AddFilter(Filter.compile("filter strict { reject; }")).apply(
+            base_config()
+        )
         changed = SetNeighborFilter("r2", "import", "strict").apply(config)
         assert changed.neighbor("r2").import_filter == "strict"
+        assert SetNeighborFilter("r2", "export", "accept_all").apply(
+            config
+        ).neighbor("r2").export_filter == "accept_all"
+
+    @pytest.mark.parametrize("direction", ["import", "export"])
+    def test_set_neighbor_filter_undefined_filter(self, direction):
+        """A filter the router does not define is refused when the
+        change is applied, as the config parser refuses one."""
+        with pytest.raises(KeyError, match="'r1' has no filter 'typo'"):
+            SetNeighborFilter("r2", direction, "typo").apply(base_config())
 
     def test_set_neighbor_filter_unknown_peer(self):
         with pytest.raises(KeyError):

@@ -36,7 +36,7 @@ from repro.core.explorer import STOP_SLICES, Explorer
 from repro.core.live import LiveSystem, bgp_process_factory
 from repro.core.properties import CheckContext, PropertySuite
 from repro.core.sharing import ClaimTable
-from repro.net.network import Network
+from repro.net.network import Network, _Delivery
 
 
 def update(prefix: str, *communities: int) -> bytes:
@@ -105,9 +105,9 @@ def target(callback) -> tuple:
     """What an event reaches: a router's timer or a delivery."""
     if isinstance(callback, partial):  # a deferred router's timer
         return ("timer", *callback.args)
+    if isinstance(callback, _Delivery):
+        return ("deliver", callback.src, callback.dst)
     closure = inspect.getclosurevars(callback).nonlocals
-    if "dst" in closure:
-        return ("deliver", closure["src"], closure["dst"])
     return ("timer", closure["self"].name, closure["name"])
 
 

@@ -6,8 +6,11 @@ and every crossing is audited.
 """
 
 import gc
+import pickle
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
@@ -20,6 +23,16 @@ from repro.core.sharing import (
     domains_of,
 )
 from repro.util.hashing import salted_digest
+
+# Prefixes under 10.0.0.0/8 and its covers, so that claims nest often.
+_prefixes = st.integers(0, 32).flatmap(
+    lambda length: st.integers(0, 255).map(
+        lambda bits: Prefix(
+            (10 << 24 | bits << 16) & (0xFFFFFFFF << (32 - length)) & 0xFFFFFFFF,
+            length,
+        )
+    )
+)
 
 
 def answering(response):
@@ -131,6 +144,25 @@ class TestRegistry:
         ) == [Prefix("10.0.0.0/8")]
         assert claims.claims_by(65003) == []
 
+    @settings(max_examples=200, deadline=None)
+    @given(claims=st.lists(st.tuples(st.integers(1, 4), _prefixes), max_size=12),
+           probe=_prefixes, asn=st.integers(1, 4))
+    def test_covering_lookups_match_a_scan(self, claims, probe, asn):
+        """``covering`` and ``claims_by`` find exactly what testing
+        every claim with ``contains`` finds."""
+        table = ClaimTable(claims)
+        covering = [prefix for _, prefix in claims if prefix.contains(probe)]
+        assert table.covering(probe) == {
+            owner for owner, prefix in claims if prefix in covering
+        }
+        assert table.claims_by(asn, covering=probe) == sorted({
+            prefix for owner, prefix in claims
+            if owner == asn and prefix in covering
+        })
+        assert pickle.loads(pickle.dumps(table)).covering(probe) == (
+            table.covering(probe)
+        )
+
     def test_from_configs(self, converged3):
         assert ClaimTable.from_configs(converged3.initial_configs) == ClaimTable([
             (65001, Prefix("10.1.0.0/16")),
@@ -141,9 +173,10 @@ class TestRegistry:
     def test_a_covering_lookup_does_not_depend_on_the_table_size(
         self, monkeypatch
     ):
-        """A covering lookup probes the table once per covering length,
-        /0 to the prefix's own, and tests no claim for containment: the
-        same prefixes are made for a table of 1 claim and of 4 096."""
+        """A covering lookup probes the table once per length some
+        claim has, up to the prefix's own, shortest first, and tests no
+        claim for containment: the same prefixes are made for a table
+        of 2 claims and of 4 096 with the same two lengths."""
         made = []
 
         class CountingPrefix(Prefix):
@@ -156,7 +189,8 @@ class TestRegistry:
         def no_scan(self, other):
             raise AssertionError("a lookup scanned the claims")
 
-        small = ClaimTable([(65001, Prefix("10.0.0.0/8"))])
+        small = ClaimTable([(65001, Prefix("10.0.0.0/8")),
+                            (64512, Prefix("172.0.0.0/24"))])
         large = ClaimTable(
             [(65001, Prefix("10.0.0.0/8"))]
             + [(64512 + i, Prefix(f"172.{i // 256}.{i % 256}.0/24"))
@@ -172,7 +206,7 @@ class TestRegistry:
             lookups.append(list(made))
             assert owners == {65001}
             assert by_as == [Prefix("10.0.0.0/8")]
-        assert lookups[0] == lookups[1] == list(range(25)) * 2
+        assert lookups[0] == lookups[1] == [8, 24] * 2
 
 
 class TestInterface:

@@ -57,26 +57,26 @@ class TestVetChange:
         )
         assert reports == []
 
-    def test_dangling_filter_reference_is_latent(self, converged3):
-        """Pointing a neighbor at a nonexistent filter is a latent,
-        input-triggered fault: the single what-if run stays quiet (no
-        UPDATE arrives within the horizon), and a subsequent campaign —
-        which *does* inject inputs — exposes it as a crash."""
-        from repro.core.orchestrator import OrchestratorConfig
-
+    def test_dangling_filter_reference_is_refused(self, converged3):
+        """Pointing a neighbor at a filter the router does not define is
+        refused when the change is applied — vetted or live — rather
+        than accepted and left to crash the router on its next UPDATE
+        as a ``programming_error``."""
         dice = make_dice(converged3)
         change = SetNeighborFilter("r1", "import", "no_such_filter")
-        assert dice.vet_change("r2", change) == []
-        converged3.apply_change("r2", change)
-        result = dice.run_campaign(
-            OrchestratorConfig(
-                inputs_per_node=10, explorer_nodes=["r2"], seed=5,
-                stop_after_first_fault=True,
-            )
-        )
-        assert "programming_error" in result.fault_classes_found()
-        # The live router survived: crashes happened in clones only.
-        assert converged3.router("r2").crash_count == 0
+        with pytest.raises(KeyError, match="no filter 'no_such_filter'"):
+            dice.vet_change("r2", change)
+        r2 = converged3.router("r2")
+        before = r2.config
+        with pytest.raises(KeyError, match="no filter 'no_such_filter'"):
+            converged3.apply_change("r2", change)
+        assert r2.config is before
+        # A new prefix at r1 then reaches r2 through its old filter.
+        prefix = Prefix("10.99.0.0/16")
+        converged3.apply_change("r1", AddNetwork(prefix))
+        converged3.converge()
+        assert r2.crash_count == 0
+        assert r2.loc_rib.get(prefix) is not None
 
     def test_snapshot_mode_is_not_a_parameter(self, converged3):
         # Vetting always captures with the marker protocol.
