@@ -7,8 +7,9 @@
   unpicklable type (sockets, threads, locks, futures, …);
 * ``HRM002`` — modules transitively importable from the worker entry
   points (``run_task``/``run_shard`` in ``repro.core.parallel``) must
-  not consult ``os.environ``, rebind globals, or mutate module-level
-  state: a task outcome must be a pure function of the task.
+  not consult ``os.environ``, read a clock, rebind globals, or mutate
+  module-level state: a task outcome must be a pure function of the
+  task.
 """
 
 from __future__ import annotations
@@ -152,6 +153,13 @@ _MUTATOR_METHODS = frozenset({
     "append", "add", "insert", "extend", "update", "setdefault", "pop",
     "popitem", "clear", "remove", "discard", "appendleft", "put",
 })
+# Clock reads (``time.time`` is DET003's everywhere).  ``time.sleep``
+# reads nothing: a remote connect backs off with it.
+_CLOCK_CALLS = frozenset(
+    f"time.{clock}{suffix}"
+    for clock in ("perf_counter", "monotonic", "process_time")
+    for suffix in ("", "_ns")
+)
 
 
 def _module_level_mutables(module: ModuleInfo,
@@ -198,7 +206,7 @@ def _worker_modules(project: Project) -> dict[str, tuple[str, int]]:
 @register
 class WorkerGlobalState:
     id = "HRM002"
-    summary = ("worker-reachable code touching os.environ or "
+    summary = ("worker-reachable code touching os.environ, a clock or "
                "module-level mutable state")
     invariant = "clones share nothing mutable with the live system (invariant 5)"
 
@@ -236,6 +244,13 @@ class WorkerGlobalState:
                         "ship configuration inside the task instead",
                     )
             elif isinstance(node, ast.Call):
+                name = qualified_call_name(node.func, aliases)
+                if name in _CLOCK_CALLS:
+                    yield _finding(
+                        module, self.id, node,
+                        f"{name}() read in worker-reachable code: a task "
+                        "outcome must be a pure function of the task",
+                    )
                 yield from self._check_call(module, node, mutables,
                                             instance_names)
             elif isinstance(node, (ast.Assign, ast.AugAssign, ast.Delete)):

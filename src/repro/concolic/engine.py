@@ -31,7 +31,6 @@ numbers are directly comparable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Callable, Iterable
@@ -56,7 +55,6 @@ class Execution:
     branches: list = field(repr=False)
     result: Any = None
     exception: Exception | None = None
-    duration: float = 0.0
     bound: int = 0
 
     @property
@@ -87,7 +85,6 @@ class ExplorationResult:
     solver_queries: int = 0
     solver_sat: int = 0
     frontier_exhausted: bool = False
-    duration: float = 0.0
     # Unique branch constraints seen (offset-sensitive) and unique
     # constraint *shapes* (variable-identity-insensitive; comparable
     # across strategies that mark different offsets).
@@ -114,7 +111,6 @@ class ConcolicEngine:
     def run_once(self, sym_input: SymBytes, bound: int = 0) -> Execution:
         """Execute the program once, recording its path."""
         recorder = PathRecorder()
-        started = time.perf_counter()
         result = None
         exception: Exception | None = None
         with recorder:
@@ -124,13 +120,11 @@ class ConcolicEngine:
                 raise
             except Exception as exc:  # noqa: BLE001 - crashes are data here
                 exception = exc
-        duration = time.perf_counter() - started
         return Execution(
             input=sym_input,
             branches=recorder.branches,
             result=result,
             exception=exception,
-            duration=duration,
             bound=bound,
         )
 
@@ -154,7 +148,6 @@ class ConcolicEngine:
         Solver counters are recorded as *deltas* over this call, so
         summing shard results never double-counts a shared solver.
         """
-        started = time.perf_counter()
         result = ExplorationResult()
         stats = self._solver.stats
         queries, sat = stats.queries, stats.sat
@@ -167,7 +160,7 @@ class ConcolicEngine:
             for child in self._expand(execution, frontier):
                 frontier.push(child)
         result.frontier_exhausted = not frontier.entries
-        _close(result, frontier, started)
+        _close(result, frontier)
         result.solver_queries = stats.queries - queries
         result.solver_sat = stats.sat - sat
         return result
@@ -181,14 +174,13 @@ class ConcolicEngine:
         fold into ``seen``'s dedup sets, in place, and
         ``stop_at_first_fault`` ends the run at its first faulty
         execution, drawing nothing more from ``inputs``."""
-        started = time.perf_counter()
         result = ExplorationResult()
         for sym_input in inputs:
             execution = self.run_once(sym_input)
             _observe(result, execution, seen)
             if self._stop_at_first_fault and execution.faulted:
                 break
-        _close(result, seen, started)
+        _close(result, seen)
         return result
 
     def _expand(
@@ -253,7 +245,6 @@ def _observe(result: ExplorationResult, execution: Execution,
         result.crashes.append(execution)
 
 
-def _close(result: ExplorationResult, seen: Frontier, started: float) -> None:
+def _close(result: ExplorationResult, seen: Frontier) -> None:
     result.branch_coverage = len(seen.seen_constraints)
     result.shape_coverage = len(seen.seen_shapes)
-    result.duration = time.perf_counter() - started

@@ -5,7 +5,11 @@ returned; nothing copies it again.  It holds protocol state, not
 statistics: a router's crash counter and its sessions' message and
 reset counters stay with the live router, so a restored router counts
 from its restore, every counter at 0, and a check reads what the
-clone's own run caused (see :mod:`repro.core.properties`).
+clone's own run caused (see :mod:`repro.core.properties`).  Nor does
+it hold a wall clock: it records the simulated time it was taken at
+and nothing of how long taking it took, so two processes in equal
+states checkpoint to equal pickled bytes (a campaign times its
+captures itself, in ``CampaignResult.capture_wall_s``).
 "Lightweight" is made concrete three ways:
 
 * **structural sharing** — ``export_state`` builds containers around
@@ -38,7 +42,6 @@ clone's own run caused (see :mod:`repro.core.properties`).
 from __future__ import annotations
 
 import sys
-import time
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -53,7 +56,6 @@ class NodeCheckpoint:
     node: str
     taken_at: float  # simulated time
     state: dict[str, Any] = field(repr=False)
-    wall_time_s: float = 0.0
 
     @property
     def timers(self) -> dict[str, float]:
@@ -84,11 +86,8 @@ def capture(process: Process, now: float,
             memo: dict | None = None) -> NodeCheckpoint:
     """Checkpoint one process; ``memo`` is the process's checkpoint memo
     (see :meth:`~repro.net.node.Process.export_state`), if kept."""
-    started = time.perf_counter()
-    state = process.export_state(memo)
-    wall = time.perf_counter() - started
     return NodeCheckpoint(
-        node=process.name, taken_at=now, state=state, wall_time_s=wall
+        node=process.name, taken_at=now, state=process.export_state(memo)
     )
 
 

@@ -65,7 +65,6 @@ from __future__ import annotations
 import itertools
 import logging
 import random
-import time
 from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -148,7 +147,6 @@ class NodeExplorationReport:
     clones_created: int = 0
     violations: list[tuple[Violation, str]] = field(default_factory=list)
     crashes: int = 0
-    wall_time_s: float = 0.0
     skipped_reason: str | None = None
     solver_queries: int = 0
     solver_sat: int = 0
@@ -213,17 +211,11 @@ class Explorer:
     with the explorer, inside one task.
     """
 
-    def __init__(
-        self,
-        snapshot: Snapshot,
-        suite: PropertySuite,
-        claims: ClaimTable,
-        process_factory=bgp_process_factory,
-    ):
+    def __init__(self, snapshot: Snapshot, suite: PropertySuite,
+                 claims: ClaimTable):
         self._snapshot = snapshot
         self._suite = suite
         self._claims = claims
-        self._factory = process_factory
         self._clone_counter = 0
         # Each AS's routers with their configurations as every clone
         # starts, and the questions the suite asks: with the claims,
@@ -247,7 +239,7 @@ class Explorer:
         than the clone it is running."""
         self._clone_counter += 1
         return self._snapshot.clone(
-            self._factory,
+            bgp_process_factory,
             seed=derive_seed(seed, f"clone/{self._clone_counter}"),
             interned=self._interned,
         )
@@ -260,7 +252,7 @@ class Explorer:
         on exit like every clone.  ``clones_created`` does not count it.
         """
         with closing(self._snapshot.lazy_network(
-            self._factory, interned=self._interned
+            bgp_process_factory, interned=self._interned
         )) as network:
             yield network.processes[node]
 
@@ -303,10 +295,9 @@ class Explorer:
         budget without popping an entry and only fold what they ran
         into the frontier's dedup sets.
         """
-        started = time.perf_counter()
         report, peer, grammar = self._open_session(config)
         if peer is None:
-            return self._close_session(report, started), Frontier()
+            return self._close_session(report), Frontier()
         if shard.frontier is None and shard.index == 0:
             # Null probe: one clone with *no* injected input, observing
             # the system's natural evolution from the snapshot.
@@ -316,7 +307,7 @@ class Explorer:
             # inputs happen to perturb.
             self._null_probe(config, report)
             if config.stop_at_first_fault and report.violations:
-                return self._close_session(report, started), Frontier()
+                return self._close_session(report), Frontier()
         if shard.frontier is None:
             seeds = self._seeds(config, grammar)
             frontier = Frontier.from_seeds(seeds).split(shard.count)[shard.index]
@@ -343,7 +334,7 @@ class Explorer:
                  for _ in range(shard.budget)),
                 frontier,
             )
-        return self._close_session(report, started, result), frontier
+        return self._close_session(report, result), frontier
 
     def _open_session(
         self, config: ExplorationConfig
@@ -379,7 +370,7 @@ class Explorer:
         ]
 
     def _close_session(
-        self, report: NodeExplorationReport, started: float,
+        self, report: NodeExplorationReport,
         result: ExplorationResult | None = None,
     ) -> NodeExplorationReport:
         """Fill the report from the engine's result (None = skipped)."""
@@ -392,7 +383,6 @@ class Explorer:
             report.solver_queries = result.solver_queries
             report.solver_sat = result.solver_sat
         report.clones_created = self._clone_counter
-        report.wall_time_s = time.perf_counter() - started
         return report
 
     def vet_change(

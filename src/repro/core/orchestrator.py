@@ -63,7 +63,7 @@ from repro.core.faultclass import (
     FaultReport,
     first_per_class,
 )
-from repro.core.live import LiveSystem, bgp_process_factory
+from repro.core.live import LiveSystem
 from repro.core.parallel import (
     DispatchStats,
     ExplorationTask,
@@ -238,21 +238,10 @@ class CampaignResult:
 class DiceOrchestrator:
     """Drives campaigns over one live system."""
 
-    def __init__(
-        self,
-        live: LiveSystem,
-        suite: PropertySuite,
-        claims: ClaimTable | None = None,
-        process_factory=bgp_process_factory,
-    ):
+    def __init__(self, live: LiveSystem, suite: PropertySuite):
         self._live = live
         self._suite = suite
-        self._claims = (
-            claims
-            if claims is not None
-            else ClaimTable.from_configs(live.initial_configs)
-        )
-        self._factory = process_factory
+        self._claims = ClaimTable.from_configs(live.initial_configs)
 
     @property
     def claims(self) -> ClaimTable:
@@ -279,9 +268,7 @@ class DiceOrchestrator:
         # One capture, so the live system is never advanced.
         captured = SnapshotPipeline(self._live, 0.0).next_capture(0, node)
         snapshot = captured.snapshot
-        explorer = Explorer(
-            snapshot, self._suite, self._claims, process_factory=self._factory
-        )
+        explorer = Explorer(snapshot, self._suite, self._claims)
         reports = []
         for violation, summary in explorer.vet_change(
             node, change, horizon=horizon, seed=seed
@@ -588,7 +575,6 @@ class DiceOrchestrator:
                 snapshot_blob=captured.payload,
                 suite=self._suite,
                 claims=self._claims,
-                process_factory=self._factory,
                 shard=shard,
             )
         )
@@ -677,7 +663,6 @@ class DiceOrchestrator:
             report.crashes += shard_report.crashes
             report.clones_created += shard_report.clones_created
             report.violations.extend(shard_report.violations)
-            report.wall_time_s += shard_report.wall_time_s
             report.solver_queries += shard_report.solver_queries
             report.solver_sat += shard_report.solver_sat
         report.unique_paths = len(final.seen_paths)

@@ -57,11 +57,10 @@ from repro.core.explorer import (
     Explorer,
     NodeExplorationReport,
 )
-from repro.core.live import bgp_process_factory
 from repro.core.payload import decode_snapshot
 from repro.core.properties import PropertySuite
 from repro.core.sharing import ClaimTable
-from repro.core.snapshot import ProcessFactory, Snapshot
+from repro.core.snapshot import Snapshot
 
 class WorkerTransport(Protocol):
     """Where exploration tasks run: the engine's dispatch backend.
@@ -127,8 +126,7 @@ class ExplorationTask:
 
     Everything here must pickle: the session config, the snapshot
     (checkpoints + channel state) or its payload, the property suite
-    (stateless check objects), the claims, the shard and a
-    module-level process factory.
+    (stateless check objects), the claims and the shard.
     """
 
     config: ExplorationConfig
@@ -136,7 +134,6 @@ class ExplorationTask:
     suite: PropertySuite
     claims: ClaimTable
     shard: FrontierShard
-    process_factory: ProcessFactory = bgp_process_factory
     # The snapshot's payload (repro.core.payload), encoded once per
     # capture and shared by every task of the session, so task
     # pickling is a near-memcpy (bytes re-pickle cheaply); used when
@@ -181,12 +178,7 @@ def run_task(task: ExplorationTask) -> TaskOutcome:
     the same outcome.  The block memo :meth:`ExplorationTask.
     resolve_snapshot` reads through is keyed by bytes the task carries.
     """
-    explorer = Explorer(
-        task.resolve_snapshot(),
-        task.suite,
-        task.claims,
-        process_factory=task.process_factory,
-    )
+    explorer = Explorer(task.resolve_snapshot(), task.suite, task.claims)
     return TaskOutcome(*explorer.explore_shard(task.config, task.shard))
 
 

@@ -19,10 +19,12 @@ Every payload carries its block's bytes; only the work is saved.
 
 Coordinator side, a :class:`SnapshotEncoder` lives for one campaign and
 pickles a block only when something in it changed: it holds the last
-capture's RIB containers and compares the new ones with ``is`` — the
-container itself, which a capture hands back for a RIB that has not
-changed, else entry by entry.  A checkpoint's containers are written by
-nobody, and its leaves — routes, attribute sets, prefixes, configs —
+capture's RIB containers and compares the new ones with ``is``.  A
+capture hands back the last capture's container for a RIB whose
+version has not moved (the coordinator's checkpoint memo), so the same
+container is an unchanged RIB; a RIB rebuilt with the entries it had
+costs one block pickled again, never a result.  A checkpoint's
+containers are written by nobody, and its leaves — routes, attribute sets, prefixes, configs —
 are immutable, so the same objects in the same order pickle to a block
 that decodes equal to the last one.
 
@@ -94,10 +96,10 @@ class SnapshotEncoder:
 def _same_ribs(new: dict[str, Any], old: dict[str, Any]) -> bool:
     """Whether ``new`` holds ``old``'s objects, router for router (in
     any order: routers are checkpointed in the order markers reach
-    them): the same config, and each RIB the same objects in order."""
+    them): the same config and the same container for each RIB."""
     return new.keys() == old.keys() and all(
         state["config"] is held["config"]
-        and _same(state["loc_rib"], held["loc_rib"])
+        and state["loc_rib"] is held["loc_rib"]
         and _same_per_peer(state["adj_rib_in"], held["adj_rib_in"])
         and _same_per_peer(state["adj_rib_out"], held["adj_rib_out"])
         for state, held in ((new[name], old[name]) for name in new)
@@ -105,21 +107,9 @@ def _same_ribs(new: dict[str, Any], old: dict[str, Any]) -> bool:
 
 
 def _same_per_peer(new: dict[str, Any], old: dict[str, Any]) -> bool:
-    """The same peers in order, each holding the same objects in order:
-    an Adj-RIB-In's routes, an Adj-RIB-Out's prefixes and attributes."""
+    """The same peers in order, each holding the same container."""
     return list(new) == list(old) and all(
-        _same(rib, old[peer]) for peer, rib in new.items()
-    )
-
-
-def _same(new, old) -> bool:
-    """The same container — a checkpoint hands back the last one's for
-    a RIB that did not change — or equal lengths and the same object at
-    every position, and for a map under every key."""
-    if new is old:
-        return True
-    return len(new) == len(old) and all(map(is_, new, old)) and (
-        type(new) is not dict or all(map(is_, new.values(), old.values()))
+        map(is_, new.values(), old.values())
     )
 
 

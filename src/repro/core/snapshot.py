@@ -88,7 +88,6 @@ one event per timer.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from functools import partial
 from typing import Any, Callable
@@ -122,7 +121,6 @@ class Snapshot:
     checkpoints: dict[str, NodeCheckpoint]
     channels: list[ChannelMessage]
     links: list[tuple[str, str, Any]]  # (a, b, profile)
-    wall_time_s: float = 0.0
 
     @property
     def node_count(self) -> int:
@@ -307,10 +305,10 @@ class SnapshotCoordinator:
         """Pause-the-world capture: zero latency, requires global control.
 
         This is what a centrally-administered system could do; the
-        marker protocol below is what a *federated* system must do.  The
-        FIG2/overhead benches compare the two.
+        marker protocol below is what a *federated* system must do.  It
+        is the pause-the-world reference the snapshot tests compare the
+        marker cut against.
         """
-        started = time.perf_counter()
         now = self._network.sim.now
         checkpoints = {
             name: capture(process, now, self._memos.setdefault(name, {}))
@@ -332,7 +330,6 @@ class SnapshotCoordinator:
             checkpoints=checkpoints,
             channels=channels,
             links=self._link_spec(),
-            wall_time_s=time.perf_counter() - started,
         )
 
     # -- Chandy–Lamport capture --
@@ -345,7 +342,6 @@ class SnapshotCoordinator:
         poisons later ones)."""
         if initiator not in self._network.processes:
             raise KeyError(f"unknown initiator {initiator!r}")
-        started = time.perf_counter()
         session = _MarkerSession(self._network, initiator, self._next_id(),
                                  self._memos)
         session.begin()
@@ -365,7 +361,6 @@ class SnapshotCoordinator:
                 session.force_complete()
                 break
         snapshot = session.finish(self._link_spec())
-        snapshot.wall_time_s = time.perf_counter() - started
         self.snapshots_taken += 1
         return snapshot
 

@@ -1,6 +1,7 @@
 """Module-level mutable state, reached transitively from the worker."""
 
 import os
+import time
 
 _CALLS: list = []
 _TOTAL = 0
@@ -18,3 +19,7 @@ def reset() -> None:
 
 def mode() -> str | None:
     return os.environ.get("MODE")
+
+
+def stamp(task) -> tuple:
+    return task, time.perf_counter()

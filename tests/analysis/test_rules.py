@@ -133,10 +133,11 @@ class TestWorkerHermeticityFixtures:
         monkeypatch.setattr(contracts, "WORKER_ROOTS", ("repro.parallel",))
         found = findings_for("HRM002", FIXTURES / "hrm002_bad")
         messages = "\n".join(f.message for f in found)
-        # All three hermeticity violations, found one import hop away
+        # All four hermeticity violations, found one import hop away
         # from the entry point.
         assert "global rebinding" in messages
         assert "os.environ" in messages
+        assert "time.perf_counter() read" in messages
         assert "_CALLS.append" in messages
         assert all(f.path.endswith("state.py") for f in found)
 

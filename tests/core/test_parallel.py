@@ -186,9 +186,7 @@ class TestExplorationTask:
             )
 
         def deterministic(outcome):
-            fields = dataclasses.asdict(outcome.report)
-            del fields["wall_time_s"]
-            return fields, frontier_state(outcome.frontier)
+            return outcome.report, frontier_state(outcome.frontier)
 
         transport = new_transport()
         outcomes = []
@@ -212,7 +210,7 @@ class TestExplorationTask:
         starts alike."""
         assert [f.name for f in dataclasses.fields(ExplorationTask)] == [
             "config", "snapshot", "suite", "claims", "shard",
-            "process_factory", "snapshot_blob",
+            "snapshot_blob",
         ]
 
     def test_outcome_carries_only_what_the_merge_reads(self):

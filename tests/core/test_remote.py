@@ -8,6 +8,7 @@ across local-pool, loopback, and socket transports.
 """
 
 import dataclasses
+import pickle
 import re
 import socket
 import threading
@@ -177,6 +178,16 @@ class TestLoopbackCampaigns:
             serial_reference
         )
         assert loopback.dispatch.transport == "loopback"
+
+    def test_session_reports_pickle_alike(self, serial_reference):
+        """A session report is a function of content alone: it carries
+        no wall clock, so inline and over loopback it is the same
+        bytes."""
+        loopback = run_campaign(workers=2, transport="loopback")
+        assert any(r.violations for r in serial_reference.node_reports)
+        assert [pickle.dumps(r) for r in loopback.node_reports] == [
+            pickle.dumps(r) for r in serial_reference.node_reports
+        ]
 
     @pytest.mark.parametrize("strategy", ["grammar", "random"])
     def test_feedback_free_strategies_match_serial(self, strategy):

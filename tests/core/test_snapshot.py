@@ -5,7 +5,10 @@ import pickle
 
 import pytest
 
-from repro import IPv4Address, LiveSystem, NeighborConfig, RouterConfig
+from campaign_helpers import demo27_live
+from repro import (
+    IPv4Address, LiveSystem, NeighborConfig, RouterConfig, quickstart_system,
+)
 from repro.bgp.config import AddNetwork
 from repro.bgp.ip import Prefix
 from repro.core.live import bgp_process_factory
@@ -37,9 +40,15 @@ def converged_line():
     return live
 
 
+def converged_quickstart():
+    live = quickstart_system(seed=0)
+    live.converge()
+    return live
+
+
 def cut(snapshot):
-    """What a snapshot recorded, by value: everything but its id and
-    the wall-clock it cost."""
+    """What a snapshot recorded, by value: everything but its id, the
+    checkpoints in name order."""
     return pickle.dumps((
         snapshot.initiator, snapshot.taken_at, snapshot.completed_at,
         [(c.node, c.taken_at, c.state)
@@ -64,6 +73,22 @@ class TestAtomicCapture:
         expected = len(live3.network.in_flight())
         snapshot = live3.coordinator.capture_atomic("r1")
         assert len(snapshot.channels) == expected
+
+
+class TestCaptureIsContent:
+    """A capture is a function of the live system's state: it records
+    no wall clock, so two identically built and converged systems
+    capture to the same bytes."""
+
+    @pytest.mark.parametrize("build, node", [
+        (converged_quickstart, "r1"), (demo27_live, "tr-1"),
+    ], ids=["quickstart", "demo27"])
+    @pytest.mark.parametrize("method", ["capture", "capture_atomic"])
+    def test_equal_systems_capture_equal_bytes(self, build, node, method):
+        first, second = build(), build()
+        snapshots = [getattr(live.coordinator, method)(node)
+                     for live in (first, second)]
+        assert pickle.dumps(snapshots[0]) == pickle.dumps(snapshots[1])
 
 
 class TestMarkerProtocol:
